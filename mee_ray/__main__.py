@@ -566,9 +566,8 @@ def main(argv: list[str] | None = None) -> int:
                    "hits": [{"doc_id": d, "score": sc}
                             for d, sc in hits]}
             if args.explain:
-                if distributed or not terms:
-                    raise SystemExit("--explain needs --terms and the "
-                                     "in-process searcher (--actors 0)")
+                if not terms:
+                    raise SystemExit("--explain needs --terms")
                 for h in out["hits"]:
                     h["explain"] = s.explain(terms, h["doc_id"])
             return out

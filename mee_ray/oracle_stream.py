@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import os
 import re
 from collections import Counter
 
@@ -54,6 +55,9 @@ def live_mask(repos: list, paths: list, commits: list) -> list[bool]:
     out = []
     for r, p, c in zip(repos, paths, commits):
         m = _FILE_I.search(p)
+        if m is None:
+            raise ValueError(f"live_mask needs synthetic-corpus paths "
+                             f"containing 'file_<n>.', got {p!r}")
         i = int(m.group(1))
         if i % 25 == 7:
             c0 = hashlib.sha1(f"{r}/{p}@0".encode()).hexdigest()
@@ -112,7 +116,7 @@ def pass1_file(args):
 
 
 def run_pass1(files: list[str], n_keys: int, n_probes: int = 0,
-              processes: int = 28):
+              processes: int | None = None):
     """Merged pass-1 stats: (df, n_docs, total_dl, smallest n_keys
     (repo, path) keys, smallest-mix64 probe docs)."""
     from multiprocessing import Pool
@@ -121,7 +125,7 @@ def run_pass1(files: list[str], n_keys: int, n_probes: int = 0,
     total_dl = 0
     key_heaps: list = []
     probe_heaps: list = []
-    with Pool(processes=processes) as pool:
+    with Pool(processes=processes or os.cpu_count()) as pool:
         for pdf, pn, pdl, pkeys, pprobes in pool.imap_unordered(
                 pass1_file,
                 [(f, n_keys, n_probes) for f in sorted(files)]):
@@ -170,14 +174,14 @@ def pass1b_file(args):
 
 
 def run_pass1b(files: list[str], keys: list[tuple[str, str]],
-               processes: int = 28):
+               processes: int | None = None):
     """Old-state info for the delta keys: (df_minus, {key_str:
     (doc_id_old, dl_old)})."""
     from multiprocessing import Pool
     key_arr = np.array(sorted(f"{r}\x00{p}" for r, p in keys))
     df_minus: Counter = Counter()
     old: dict = {}
-    with Pool(processes=processes) as pool:
+    with Pool(processes=processes or os.cpu_count()) as pool:
         for pdf, rows in pool.imap_unordered(
                 pass1b_file, [(f, key_arr) for f in sorted(files)]):
             df_minus.update(pdf)
@@ -242,7 +246,7 @@ def pass2_file(args):
 
 
 def run_pass2(files: list[str], terms, pos_terms=(),
-              processes: int = 28):
+              processes: int | None = None):
     """Scoped postings over the live corpus: ({term: (ids, tfs,
     dls)}, {term: _PosMap})."""
     from multiprocessing import Pool
@@ -250,7 +254,7 @@ def run_pass2(files: list[str], terms, pos_terms=(),
     pos_arr = np.array(sorted(set(pos_terms)))
     acc_post: dict = {}
     acc_pos: dict = {}
-    with Pool(processes=processes) as pool:
+    with Pool(processes=processes or os.cpu_count()) as pool:
         for ppost, ppos in pool.imap_unordered(
                 pass2_file,
                 [(f, term_arr, pos_arr) for f in sorted(files)]):

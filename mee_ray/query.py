@@ -8,17 +8,22 @@ per-doc accumulation strictly in sorted-unique-term order, float64,
 ties broken by ascending doc_id — so results are rank-identical AND
 score-bit-identical to the oracle.
 
-Two drivers over the same `_ShardIndex` core:
+One query planner over two postings transports: every query variant
+is written once in :class:`QueryPlanner` against batched, term-routed
+postings primitives (per-term partial scores, doc-id sets, dfs,
+candidate-restricted positions, the vocabulary), and two transports
+implement those primitives over the same `_ShardIndex` core:
 
-- :class:`Searcher` — in-process, lazy per-shard loading. Used by
-  tests and as the per-actor worker.
+- :class:`Searcher` — in-process, lazy per-shard loading; its own
+  top-k is block-max WAND. Used by tests and as the per-actor worker.
 - :class:`DistributedSearcher` — a pool of Ray shard actors, each
   owning a subset of term-shards (the index is sharded BY TERM for
   build-side skew control, per BASELINE.json north_star). A document's
   score can span shards for multi-term queries, so shard actors return
   exact per-term partial score vectors and the driver does the final
   per-doc merge + global top-k heap; queries whose terms all live on
-  one actor run that actor's local block-max WAND and skip the merge.
+  one actor run whole on that actor (local block-max WAND for top-k)
+  and skip the merge.
 
   Scale note — why exact partials and not distributed WAND: with
   term-partitioned shards, per-shard pruning against a global
@@ -47,6 +52,7 @@ import os
 from collections import defaultdict
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from mee_ray import manifest as mf
@@ -285,14 +291,797 @@ def _segment_files(index_root: str, manifest: dict) -> tuple[list[str], list[str
     return base, delta
 
 
-class Searcher:
-    def __init__(self, index_root: str, epoch: str | None = None,
-                 shard_subset: list[int] | None = None):
+class QueryPlanner:
+    """Every query variant, written ONCE over a small set of batched,
+    term-routed postings primitives.  Two transports implement them:
+    :class:`Searcher` over the shards it owns, and
+    :class:`DistributedSearcher` by fanning each call out to the owning
+    shard actors and merging the per-actor dicts (every term has one
+    owner, so they are disjoint).  Each primitive takes a term list and
+    returns a term-keyed dict, so one call is one fan-out round:
+
+    - ``term_partials(terms)`` → (live doc_ids, exact BM25 scores)
+    - ``term_partials_dl(terms)`` → the same plus each posting's dl
+    - ``term_partials_for_docs(terms, docs)`` → partials restricted to
+      a sorted candidate doc set (df/idf stay full-index)
+    - ``term_doc_ids(terms)`` → sorted unique live doc_ids
+    - ``term_dfs(terms)`` / ``term_total_tfs(terms)`` → live df / live
+      occurrence count
+    - ``term_positions(terms, candidates)`` → (doc_ids, offsets, flat
+      positions), restricted to ``candidates`` when given
+    - ``vocabulary()`` and ``explain(terms, doc_id)``
+
+    The transports also differ in ``search`` / ``msearch`` and in two
+    hooks: :meth:`_phrase_docs` (how phrase positions are fetched) and
+    :meth:`_on_owner` (run a whole query where all its terms live)."""
+
+    def _open_snapshot(self, index_root: str, epoch: str | None) -> None:
+        """Load the pinned manifest, refuse a foreign posting format
+        and take live N/avgdl from the delta log — the snapshot rule
+        both transports share, applied before any shard or actor
+        exists."""
         self.index_root = index_root
         self.manifest = mf.load_manifest(index_root, epoch)
         mf.require_format(self.manifest)
         self.num_shards = self.manifest["num_shards"]
         self.n_docs, self.avgdl = mf.live_stats(self.manifest)
+        self._vocab: list[str] | None = None  # sorted, built on demand
+        self._del_index: dict[str, list[str]] | None = None
+        self._tok = None  # index-config tokenizer, built on demand
+
+    def _on_owner(self, terms: list[str], method: str, *args, **kw):
+        """The result of ``method(*args, **kw)`` run whole by the one
+        owner of every term in ``terms``, or None when the query runs
+        here.  In-process, everything runs here."""
+        return None
+
+    def _phrase_docs(self, slots: list[str], cand: np.ndarray,
+                     expand: dict[str, list[str]] | None = None
+                     ) -> np.ndarray:
+        """Docs holding ``slots`` at consecutive positions (see
+        :func:`phrase_match_docs_lazy`); a slot named in ``expand``
+        matches any of its terms.  Here: one positions round restricted
+        to ``cand`` for every term at once."""
+        expand = expand or {}
+        data = self.term_positions(
+            sorted({t for s in slots for t in expand.get(s, [s])}), cand)
+        for p, ts in expand.items():
+            data[p] = merge_position_sets([data[t] for t in ts])
+        return phrase_match_docs_lazy(lambda t, _alive: data[t], slots,
+                                      cand, sorted(set(slots)))
+
+    def _require_positions(self, what: str) -> None:
+        if not self.manifest.get("store_positions"):
+            raise ValueError(f"{what} queries need store_positions="
+                             "True (pinned in the manifest at build)")
+
+    def _candidate_docs(self, uterms: list[str]) -> np.ndarray | None:
+        """Sorted live docs holding EVERY term (one doc-id round, no
+        positions) — the candidate pushdown of the positional family,
+        ``common_terms`` and conjunctive counts.  None ⇔ no candidates
+        (no terms, a dead term, or an empty intersection)."""
+        id_sets = self.term_doc_ids(uterms)
+        cand = None
+        for t in uterms:
+            ids = id_sets[t]
+            cand = ids if cand is None else np.intersect1d(cand, ids)
+            if cand.size == 0:
+                return None
+        return cand
+
+    def _score_conjunctive(self, uterms: list[str], docs: np.ndarray,
+                           k: int) -> list[tuple[int, float]]:
+        """Matched ``docs`` scored like ``operator="and"`` over
+        ``uterms`` — membership gates, scores never rescale."""
+        if docs.size == 0:
+            return []
+        return merge_partials_conjunctive(
+            [self.term_partials_for_docs(uterms, docs)], uterms, k)
+
+    def _span_query(self, uterms: list[str], k: int, matcher,
+                    score_terms: list[str] | None = None
+                    ) -> list[tuple[int, float]]:
+        """Shared body of the positional family: candidates holding
+        every term, their positions restricted to the candidates (so
+        transfer and decode are bounded by the rarest term's df),
+        ``matcher(data)`` → matching docs, scored conjunctively over
+        ``score_terms`` (default: every term)."""
+        cand = self._candidate_docs(uterms)
+        if cand is None:
+            return []
+        docs = matcher(self.term_positions(uterms, cand))
+        return self._score_conjunctive(score_terms or uterms, docs, k)
+
+    def search_phrase(self, terms: list[str], k: int = 10
+                      ) -> list[tuple[int, float]]:
+        """Exact phrase top-k: documents where ``terms`` occur at
+        consecutive positions (in order, duplicates included), scored
+        like ``operator="and"`` restricted to the matching docs (idf
+        full-index; conjunction/phrase filter, never rescale).
+        Candidate docs (present in every unique term) come from the
+        cheap posting decode BEFORE any position is touched.  Requires
+        an index built with ``store_positions=True``."""
+        if not terms:
+            return []
+        self._require_positions("phrase")
+        got = self._on_owner(terms, "search_phrase", terms, k)
+        if got is not None:
+            return got
+        uterms = sorted(set(terms))
+        cand = self._candidate_docs(uterms)
+        if cand is None:
+            return []
+        return self._score_conjunctive(uterms,
+                                       self._phrase_docs(terms, cand), k)
+
+    def search_span_first(self, term: str, end: int,
+                          k: int = 10) -> list[tuple[int, float]]:
+        """ES ``span_first`` analog (single-term span, boundary
+        ``end``): rank documents whose FIRST occurrence of ``term``
+        lies within the first ``end`` token positions (0-based
+        position < end, i.e. among the document's first ``end``
+        tokens).  Membership gates, scores never rescale — survivors
+        keep the term's plain BM25 contribution (the filter-context
+        stance, delegated to :meth:`search_filtered`).  Positions are
+        stored ascending per doc, so the first occurrence is each
+        run's leading value — no scan.  Requires
+        ``store_positions=True``."""
+        if end <= 0 or not term:
+            return []
+        self._require_positions("span_first")
+        got = self._on_owner([term], "search_span_first", term, end, k)
+        if got is not None:
+            return got
+        ids, offs, flat = self.term_positions([term])[term]
+        if not len(ids):
+            return []
+        allowed = np.sort(ids[flat[offs[:-1]] < end])
+        if not allowed.size:
+            return []
+        return self.search_filtered([term], k, allowed)
+
+    def search_span_not(self, include: str, exclude: str,
+                        dist: int = 1, k: int = 10
+                        ) -> list[tuple[int, float]]:
+        """ES/Lucene ``span_not`` analog (single-term spans with a
+        symmetric ``pre``/``post`` = ``dist``): rank documents having
+        at least one occurrence of ``include`` with NO occurrence of
+        ``exclude`` within ``dist`` token positions (a doc without
+        ``exclude`` always matches).  Membership gates, scores never
+        rescale — survivors keep the include term's plain BM25
+        contribution (delegated to :meth:`search_filtered`, the
+        filter-context stance shared with span_first).  Exclude
+        positions are fetched only for the include term's docs, so
+        transfer is bounded by the include df.  Requires
+        ``store_positions=True``."""
+        if not include:
+            return []
+        self._require_positions("span_not")
+        if include == exclude:
+            return []          # every occurrence vetoes itself
+        got = self._on_owner([include, exclude], "search_span_not",
+                             include, exclude, dist, k)
+        if got is not None:
+            return got
+        inc = self.term_positions([include])[include]
+        if not len(inc[0]):
+            return []
+        exc = self.term_positions([exclude], np.unique(inc[0]))[exclude]
+        allowed = span_not_match_docs(inc, exc, dist)
+        if not allowed.size:
+            return []
+        return self.search_filtered([include], k, allowed)
+
+    def search_span_near(self, terms: list[str], slop: int = 0,
+                         k: int = 10) -> list[tuple[int, float]]:
+        """Ordered proximity top-k (ES/Lucene ``span_near`` with
+        ``in_order=true``): ``terms`` in order with at most ``slop``
+        intervening tokens between each consecutive pair (``slop=0``
+        ≡ :meth:`search_phrase`), scored like ``operator="and"``
+        restricted to the matching docs.  Same candidate pushdown as
+        the phrase path.  Requires ``store_positions=True``."""
+        if not terms:
+            return []
+        self._require_positions("span_near")
+        if slop < 0:
+            raise ValueError(f"slop must be >= 0, got {slop}")
+        got = self._on_owner(terms, "search_span_near", terms, slop, k)
+        if got is not None:
+            return got
+        return self._span_query(
+            sorted(set(terms)), k,
+            lambda data: span_near_match_docs(data, terms, slop))
+
+    def search_intervals(self, terms: list[str], max_gaps: int = 0,
+                         ordered: bool = True, k: int = 10
+                         ) -> list[tuple[int, float]]:
+        """ES ``intervals`` query, ``match`` rule over distinct terms
+        with a TOTAL ``max_gaps`` budget (shared across the whole
+        interval — the semantic difference from :meth:`search_span_near`
+        whose slop is per consecutive pair) and an ``ordered`` flag.
+        Membership gates, scores never rescale: survivors are scored
+        like ``operator="and"`` restricted to the matching docs, the
+        filter-context stance of the whole positional family.  Same
+        candidate pushdown as the phrase path.  Requires
+        ``store_positions=True``."""
+        if not terms:
+            return []
+        self._require_positions("intervals")
+        # Validate BEFORE the candidate pushdown so degenerate queries
+        # fail the same way regardless of index contents (the kernel
+        # re-checks, but only after data-dependent early-outs).
+        if max_gaps < 0:
+            raise ValueError(f"max_gaps must be >= 0, got {max_gaps}")
+        if len(set(terms)) != len(terms):
+            raise ValueError("intervals terms must be distinct")
+        got = self._on_owner(terms, "search_intervals", terms, max_gaps,
+                             ordered, k)
+        if got is not None:
+            return got
+        return self._span_query(
+            sorted(terms), k,
+            lambda data: intervals_match_docs(data, terms, max_gaps,
+                                              ordered))
+
+    def _containment_terms(self, what: str, big_terms: list[str],
+                           slop: int, little: str) -> list[str]:
+        """Validate a span_containing/span_within query; its sorted
+        unique terms (big ∪ {little})."""
+        if len(big_terms) < 2:
+            raise ValueError(f"{what} needs >= 2 big terms")
+        if not little:
+            raise ValueError(f"{what} needs a little term")
+        if slop < 0:
+            raise ValueError(f"slop must be >= 0, got {slop}")
+        self._require_positions(what)
+        return sorted(set(big_terms) | {little})
+
+    def search_span_containing(self, big_terms: list[str], slop: int,
+                               little: str, k: int = 10
+                               ) -> list[tuple[int, float]]:
+        """ES/Lucene ``span_containing``: documents where some
+        ``span_near(big_terms, slop)`` span CONTAINS an occurrence of
+        ``little`` (boundaries inclusive — overlap counts, Lucene's
+        containment).  ES returns/scores the big clause, so survivors
+        are scored conjunctively over ``big_terms`` restricted to the
+        matching docs (membership gates, scores never rescale — the
+        positional family's filter-context stance).  Requires ≥ 2 big
+        terms (a 1-term span has no interior) and
+        ``store_positions=True``."""
+        if k <= 0:
+            return []
+        uterms = self._containment_terms("span_containing", big_terms,
+                                         slop, little)
+        got = self._on_owner(uterms, "search_span_containing",
+                             big_terms, slop, little, k)
+        if got is not None:
+            return got
+        return self._span_query(
+            uterms, k,
+            lambda data: span_containing_match_docs(data, big_terms,
+                                                    slop, little),
+            sorted(set(big_terms)))
+
+    def search_span_within(self, little: str, big_terms: list[str],
+                           slop: int, k: int = 10
+                           ) -> list[tuple[int, float]]:
+        """ES/Lucene ``span_within`` — the same containment predicate
+        as :meth:`search_span_containing` but the LITTLE clause is
+        what's returned/scored: survivors keep ``little``'s plain
+        BM25 contribution restricted to the matching docs."""
+        if k <= 0:
+            return []
+        uterms = self._containment_terms("span_within", big_terms,
+                                         slop, little)
+        got = self._on_owner(uterms, "search_span_within", little,
+                             big_terms, slop, k)
+        if got is not None:
+            return got
+        return self._span_query(
+            uterms, k,
+            lambda data: span_containing_match_docs(data, big_terms,
+                                                    slop, little),
+            [little])
+
+    def search_span_or_near(self, slots: list[list[str]],
+                            slop: int = 0, k: int = 10
+                            ) -> list[tuple[int, float]]:
+        """``span_near`` whose slots are ``span_or`` clauses: slot i
+        matches ANY of its alternative terms, consecutive slots at
+        most ``slop`` tokens apart in order (ES span_near over
+        span_or sub-clauses).  The candidate round unions each slot's
+        alternatives BEFORE the cross-slot intersection, and each
+        slot's alternatives merge into one pseudo-slot position set
+        (the phrase_prefix expansion mechanics), so the matcher stays
+        fully vectorized.  Scoring: disjunctive BM25 over ALL
+        alternatives restricted to the matching docs via
+        :meth:`search_filtered` — per-doc matched alternatives
+        contribute, absent ones add 0 (a documented, deterministic
+        simplification of ES's per-span scoring)."""
+        if k <= 0 or not slots:
+            return []
+        if any(not s for s in slots):
+            raise ValueError("every span_or slot needs >= 1 term")
+        if slop < 0:
+            raise ValueError(f"slop must be >= 0, got {slop}")
+        self._require_positions("span_or_near")
+        all_terms = sorted({t for slot in slots for t in slot})
+        got = self._on_owner(all_terms, "search_span_or_near", slots,
+                             slop, k)
+        if got is not None:
+            return got
+        id_sets = self.term_doc_ids(all_terms)
+        cand: np.ndarray | None = None
+        for slot in slots:
+            ids_l = [id_sets[t] for t in sorted(set(slot))
+                     if id_sets[t].size]
+            if not ids_l:
+                return []
+            slot_ids = np.unique(np.concatenate(ids_l))
+            cand = (slot_ids if cand is None
+                    else np.intersect1d(cand, slot_ids))
+            if cand.size == 0:
+                return []
+        data = self.term_positions(all_terms, cand)
+        pseudo = [f"\x00slot{i}" for i in range(len(slots))]
+        pdata = {p: merge_position_sets([data[t] for t in sorted(set(slot))])
+                 for p, slot in zip(pseudo, slots)}
+        docs = span_near_match_docs(pdata, pseudo, slop)
+        if docs.size == 0:
+            return []
+        return self.search_filtered(all_terms, k, docs)
+
+    def search_phrase_prefix(self, terms: list[str], k: int = 10,
+                             max_expansions: int = 50
+                             ) -> list[tuple[int, float]]:
+        """match_phrase_prefix (ES search-as-you-type): docs containing
+        ``terms[:-1]`` at consecutive positions followed immediately by
+        ANY token starting with ``terms[-1]``.  Scoring: conjunctive
+        BM25 over the FIXED terms restricted to the matching docs
+        (the expansion slot gates membership, it does not contribute —
+        a documented, deterministic simplification of ES's
+        synonym-blended multi-term weight).  Requires ≥ 2 terms (a
+        single-prefix query is :meth:`search_prefix`).
+
+        The prefix expands against the sorted dictionary
+        (binary-searched run), capped at ``max_expansions`` in
+        dictionary order like ES — a hit beyond the cap is missed, the
+        same truncation contract ES documents.  Expansion position
+        sets merge into ONE pseudo-slot per doc, so the phrase matcher
+        stays fully vectorized."""
+        if len(terms) < 2:
+            raise ValueError("match_phrase_prefix needs >= 2 terms; "
+                             "use search_prefix for a bare prefix")
+        self._require_positions("phrase_prefix")
+        if k <= 0:
+            return []
+        fixed, prefix = terms[:-1], terms[-1]
+        ufixed = sorted(set(fixed))
+        cand = self._candidate_docs(ufixed)
+        if cand is None:
+            return []
+        expansions = prefix_terms(self.vocabulary(),
+                                  prefix)[:max_expansions]
+        if not expansions:
+            return []
+        pseudo = "\x00" + prefix           # cannot collide with a token
+        docs = self._phrase_docs(list(fixed) + [pseudo], cand,
+                                 {pseudo: expansions})
+        return self._score_conjunctive(ufixed, docs, k)
+
+    def search_filtered(self, terms: list[str], k: int,
+                        allowed_doc_ids, operator: str = "or"
+                        ) -> list[tuple[int, float]]:
+        """Filter-context search — the ES bool ``{must: match,
+        filter: ...}`` analog: rank only documents in
+        ``allowed_doc_ids``, with df/idf/avgdl from the FULL live
+        index.  A filter restricts the result set, it never rescales
+        scores — the same stance as ``operator="and"`` — so a doc's
+        filtered score equals its unfiltered score.
+
+        Exhaustive restricted path: per-term contributions are
+        fetched only for allowed docs (:meth:`term_partials_for_docs`),
+        so per-term work and transfer beyond the posting decode are
+        O(|allowed ∩ postings|).  The allowed set is a sorted int64
+        doc_id array (ids-only, ~8 B/doc — the id-set analog of a
+        filter bitset)."""
+        if k <= 0 or not terms:
+            return []
+        allowed = np.unique(np.asarray(allowed_doc_ids, dtype=np.int64))
+        if allowed.size == 0:
+            return []
+        uterms = sorted(set(terms))
+        merge = (merge_partials_conjunctive if operator == "and"
+                 else merge_partials)
+        return merge([self.term_partials_for_docs(uterms, allowed)],
+                     uterms, k)
+
+    def search_prefix(self, prefix: str, k: int = 10
+                      ) -> list[tuple[int, float]]:
+        """Prefix query (ES match_phrase_prefix / wildcard `term*`
+        analog): expand the prefix against the dictionary, then score
+        the expansion disjunctively — each expanded term keeps its own
+        df/idf, so the result equals an OR query over the matching
+        vocabulary."""
+        if k <= 0 or not prefix:
+            return []
+        terms = prefix_terms(self.vocabulary(), prefix)
+        return self.search(terms, k) if terms else []
+
+    def search_fuzzy(self, term: str, k: int = 10, max_edits: int = 1
+                     ) -> list[tuple[int, float]]:
+        """Fuzzy query (ES match with fuzziness): expand to dictionary
+        terms within plain Levenshtein distance ``max_edits`` (unit
+        costs, no transposition — the same metric as the SQL oracle's
+        levenshtein()), then score the expansion disjunctively."""
+        if k <= 0 or not term:
+            return []
+        terms = fuzzy_terms(self.vocabulary(), term, max_edits,
+                            self._deletion_index if max_edits == 1
+                            else None)
+        return self.search(terms, k) if terms else []
+
+    def search_wildcard(self, pattern: str, k: int = 10
+                        ) -> list[tuple[int, float]]:
+        """Wildcard query (ES ``wildcard``, ``*``/``?``): expand
+        against the dictionary (literal-prefix narrowed), then score
+        the expansion disjunctively — each expanded term keeps its
+        own df/idf."""
+        if k <= 0 or not pattern:
+            return []
+        terms = wildcard_terms(self.vocabulary(), pattern)
+        return self.search(terms, k) if terms else []
+
+    def search_regexp(self, pattern: str, k: int = 10
+                      ) -> list[tuple[int, float]]:
+        """Regexp query (ES ``regexp``, implicitly anchored): expand
+        by full-match against the dictionary, score disjunctively."""
+        if k <= 0 or not pattern:
+            return []
+        terms = regexp_terms(self.vocabulary(), pattern)
+        return self.search(terms, k) if terms else []
+
+    def _deletion_index(self) -> dict[str, list[str]]:
+        """Snapshot-cached :func:`build_deletion_index`."""
+        if self._del_index is None:
+            self._del_index = build_deletion_index(self.vocabulary())
+        return self._del_index
+
+    def _ranked_by_df(self, cands: list[str], n: int
+                      ) -> list[tuple[int, str]]:
+        """Shared suggester tail: ONE dictionary-only df round for the
+        candidates, ranked (live df desc, term asc).  Live terms only:
+        a fully-tombstoned term is still a dictionary key but matches
+        zero live docs."""
+        dfs = self.term_dfs(cands)
+        ranked = sorted((-dfs[t], t) for t in cands if dfs[t] > 0)
+        return [(-negdf, t) for negdf, t in ranked[:n]]
+
+    def complete(self, prefix: str, n: int = 5
+                 ) -> list[tuple[int, str]]:
+        """Completion suggester (ES completion / autocomplete): the
+        top-``n`` dictionary terms starting with ``prefix``, as
+        (live df, term) ranked df desc then term asc (same rank
+        contract as :meth:`suggest`)."""
+        if n <= 0 or not prefix:
+            return []
+        return self._ranked_by_df(prefix_terms(self.vocabulary(),
+                                               prefix), n)
+
+    def suggest(self, term: str, n: int = 5, max_edits: int = 1
+                ) -> list[tuple[int, str]]:
+        """Term suggester (ES \"did you mean\"): dictionary terms
+        within ``max_edits`` of the input (the input itself excluded),
+        ranked by live df desc then term asc — the most common close
+        spelling first.  Returns (df, term) pairs."""
+        if n <= 0 or not term:
+            return []
+        cands = fuzzy_terms(self.vocabulary(), term, max_edits,
+                            self._deletion_index if max_edits == 1
+                            else None)
+        return self._ranked_by_df([t for t in cands if t != term], n)
+
+    def suggest_phrase(self, terms: list[str], n: int = 3,
+                       max_candidates: int = 5, backoff: float = 0.4
+                       ) -> list[tuple[float, list[str]]]:
+        """Phrase suggester (the ES ``phrase`` suggester, did-you-mean
+        over whole phrases): per-slot candidates are the dictionary
+        terms within edit distance 1 of the input (the input itself
+        included when live), ranked (df desc, term asc) and capped at
+        ``max_candidates``; every combination is scored by a
+        stupid-backoff bigram language model over the live corpus:
+
+            ln(c(w1)/T) + Σ [ ln(cb(wi, wi+1) / c(wi))   if cb > 0
+                              else ln(backoff·c(wi+1)/T) ]
+
+        with T the live token total.  Scores are rounded to 10
+        decimals (the libm-vs-DuckDB ln ULP, see bm25_explain) and
+        ranked (score desc, phrase asc).  Bigram positions are fetched
+        once, restricted to the docs some candidate pair shares.
+        Requires store_positions."""
+        if not terms or n <= 0:
+            return []
+        self._require_positions("suggest_phrase")
+        self_dfs = self.term_dfs(terms)
+        slots: list[list[str]] = []
+        for t in terms:
+            cands = list(self.suggest(t, n=max_candidates))
+            if self_dfs[t] > 0:
+                cands.append((self_dfs[t], t))
+            ranked = sorted(cands, key=lambda x: (-x[0], x[1]))
+            slots.append([w for _, w in ranked[:max_candidates]])
+            if not slots[-1]:
+                return []
+        _, total = mf.live_totals(self.manifest)
+        words = sorted({w for s_ in slots for w in s_})
+        uni = self.term_total_tfs(words)
+        ids = self.term_doc_ids(words)
+        pairs = sorted({(w1, w2) for i in range(len(slots) - 1)
+                        for w1 in slots[i] for w2 in slots[i + 1]})
+        common = {p: np.intersect1d(ids[p[0]], ids[p[1]]) for p in pairs}
+        shared = [c for c in common.values() if c.size]
+        pos = {}
+        if shared:
+            # run-sort each word's positions ONCE — the pair loop would
+            # otherwise re-sort every word per pair (O(C²))
+            pos = {w: _sort_runs(*p) for w, p in self.term_positions(
+                words, np.unique(np.concatenate(shared))).items()}
+        bi = {p: _bigram_count_runs(pos[p[0]], pos[p[1]]) if c.size else 0
+              for p, c in common.items()}
+        return _lm_score_slots(slots, uni, bi, total, n, backoff)
+
+    def count(self, terms: list[str], operator: str = "or") -> int:
+        """Match count without scoring (the ES ``_count`` API): number
+        of live documents containing ANY (``or``) or EVERY (``and``)
+        query term.  Posting id sets only — no accumulation, no
+        heap."""
+        return int(self.matched_doc_ids(terms, operator).size)
+
+    def matched_doc_ids(self, terms: list[str], operator: str = "or"
+                        ) -> np.ndarray:
+        """Sorted live doc_ids matching the query — the id-set core
+        shared by :meth:`count` and ``delete_by_query`` (posting id
+        sets only, no scoring).  ``or`` = union, ``and`` =
+        intersection; an ``and`` over an unowned or absent term is
+        empty, matching search(operator="and")."""
+        if operator == "and":
+            cand = self._candidate_docs(sorted(set(terms)))
+            return np.empty(0, dtype=np.int64) if cand is None else cand
+        return self.excluded_doc_ids(terms)
+
+    def excluded_doc_ids(self, must_not: list[str]) -> np.ndarray:
+        """Sorted union of live doc_ids containing ANY of ``must_not``
+        — the must_not exclusion set of a boolean query (also the
+        OR-count set of :meth:`count`).  Unowned shards are skipped
+        like every other posting accessor."""
+        sets = [ids for ids in
+                self.term_doc_ids(sorted(set(must_not))).values()
+                if ids.size]
+        if not sets:
+            return np.empty(0, dtype=np.int64)
+        return np.unique(np.concatenate(sets))
+
+    def search_boolean(self, must: list[str], must_not: list[str],
+                       k: int = 10) -> list[tuple[int, float]]:
+        """ES bool ``{should: match, must_not: match}`` analog:
+        disjunctive BM25 ranking over ``must`` terms with documents
+        containing ANY ``must_not`` term removed.  must_not is
+        filter-context — survivors keep their exact unfiltered scores
+        (df/idf/avgdl full-index), the same never-rescale stance as
+        ``operator="and"`` and ``search_filtered``."""
+        if k <= 0 or not must:
+            return []
+        uterms = sorted(set(must))
+        partials = self.term_partials(uterms)
+        excl = self.excluded_doc_ids(must_not)
+        return merge_partials([partials], uterms, k, exclude_sorted=excl)
+
+    def _tokenizer(self):
+        """The index's OWN tokenizer, reconstructed from the manifest
+        (the same rule lifecycle entry points use) — seed text in
+        more_like_this must analyze exactly like the indexed corpus."""
+        if self._tok is None:
+            self._tok = tokenizer_from_manifest(self.manifest)
+        return self._tok
+
+    def select_mlt_terms(self, text: str, max_terms: int) -> list[str]:
+        """more_like_this term selection: analyze ``text`` with the
+        index tokenizer, score each in-dictionary term tf·idf (float
+        product, same operand order as the SQL oracle), keep the top
+        ``max_terms`` with ties broken by term asc (the SQL oracle's
+        window order); terms with live df 0 are dropped.  One
+        dictionary-only df round for the seed's terms."""
+        counts = self._tokenizer().counts(text)
+        dfs = self.term_dfs(sorted(counts))
+        scored = sorted((-(float(tf) * idf(dfs[t], self.n_docs)), t)
+                        for t, tf in counts.items() if dfs[t] > 0)
+        return [t for _, t in scored[:max_terms]]
+
+    def more_like_this(self, text: str, k: int = 10,
+                       max_terms: int = 10, exclude_doc_ids=None
+                       ) -> list[tuple[int, float]]:
+        """ES ``more_like_this`` analog: re-analyze the seed text,
+        select the top ``max_terms`` terms by tf·idf against the live
+        dictionary, then rank the selection disjunctively with the
+        seed doc(s) excluded (exclusion filters after accumulation,
+        it never rescales — the must_not stance)."""
+        if k <= 0 or max_terms <= 0 or not text:
+            return []
+        sel = self.select_mlt_terms(text, max_terms)
+        if not sel:
+            return []
+        excl = None
+        if exclude_doc_ids is not None:
+            excl = np.unique(np.asarray(list(exclude_doc_ids),
+                                        dtype=np.int64))
+        partials = self.term_partials(sel)
+        return merge_partials([partials], sel, k, exclude_sorted=excl)
+
+    def search_after(self, terms: list[str], size: int = 10,
+                     after: tuple[int, float] | None = None
+                     ) -> list[tuple[int, float]]:
+        """Cursor pagination (ES ``search_after``): the next ``size``
+        results STRICTLY after the cursor in the (-score, doc_id)
+        ranking order (``after=None`` is page one; the cursor is the
+        previous page's last (doc_id, score) result tuple, passed
+        verbatim).
+        Stateless like ES — each page recomputes the ranking and
+        filters at exact accumulated scores, so stitched pages
+        reconstruct the full ranking with no duplicate or dropped doc
+        even across exact-tie runs.  Exhaustive path by design: a
+        cursor upper-bounds scores, which the lower-bound WAND
+        pruning cannot exploit."""
+        if size <= 0 or not terms:
+            return []
+        uterms = sorted(set(terms))
+        partials = self.term_partials(uterms)
+        return merge_partials([partials], uterms, size, after=after)
+
+    def search_dismax(self, terms: list[str], k: int = 10,
+                      tie_breaker: float = 0.0
+                      ) -> list[tuple[int, float]]:
+        """Dis-max ranking (ES ``dis_max``): best single-term
+        contribution + tie_breaker × the rest (see
+        :func:`merge_partials_dismax`)."""
+        if k <= 0 or not terms:
+            return []
+        uterms = sorted(set(terms))
+        partials = self.term_partials(uterms)
+        return merge_partials_dismax([partials], uterms, k, tie_breaker)
+
+    def search_min_match(self, terms: list[str], k: int,
+                         min_match: int) -> list[tuple[int, float]]:
+        """ES ``minimum_should_match`` analog: rank only documents
+        matching at least ``min_match`` DISTINCT query terms; survivor
+        scores equal their full disjunctive scores (df/idf/avgdl stay
+        full-index — the count threshold filters, it never rescales).
+        min_match<=1 degenerates to OR, min_match==len(terms) to AND
+        — same result set AND same scores as those operators."""
+        if k <= 0 or not terms:
+            return []
+        uterms = sorted(set(terms))
+        m = max(1, int(min_match))
+        if m > len(uterms):
+            return []
+        partials = self.term_partials(uterms)
+        return merge_partials([partials], uterms, k, min_match=m)
+
+    def search_terms_set(self, terms: list[str], k: int,
+                         dl_threshold: int, low: int = 1, high: int = 2
+                         ) -> list[tuple[int, float]]:
+        """ES ``terms_set`` query: the required distinct-match count is
+        PER-DOCUMENT, read from indexed per-doc data (ES
+        ``minimum_should_match_field``) — here the indexed document
+        length: docs shorter than ``dl_threshold`` tokens need ``low``
+        distinct query terms, longer docs need ``high``.  Survivors
+        keep their full disjunctive scores (the per-doc threshold
+        filters, it never rescales), and accumulation stays in
+        sorted-term order (the determinism contract), so a survivor's
+        score is bit-identical to the plain OR query's."""
+        if k <= 0 or not terms:
+            return []
+        uterms = sorted(set(terms))
+        gathered = _accumulate_with_dl(self.term_partials_dl(uterms),
+                                       uterms)
+        if gathered is None:
+            return []
+        uniq, acc, cnt, doc_dl = gathered
+        keep = cnt >= np.where(doc_dl < dl_threshold, low, high)
+        if not keep.any():
+            return []
+        ids, scores = top_k_select(uniq[keep], acc[keep], k)
+        return list(zip(ids.tolist(), scores.tolist()))
+
+    def search_common_terms(self, terms: list[str],
+                            cutoff_frequency: float = 0.5,
+                            k: int = 10) -> list[tuple[int, float]]:
+        """ES ``common_terms`` query (cutoff-frequency shape; ES also
+        exposes it as ``match`` + ``cutoff_frequency``): query terms
+        split by LIVE document frequency — a term is high-frequency
+        when ``df > cutoff_frequency * n_docs``.  Low-frequency terms
+        are REQUIRED (conjunction — an absent or unknown low term
+        empties the result); high-frequency terms never gate, they
+        only add their BM25 contribution to docs that survive the
+        low-term conjunction.  With no low-frequency term the query
+        degrades to the plain disjunction (the ES ``high_freq_operator
+        = or`` fallback).  Scores never rescale: a survivor's score is
+        the plain OR query's score over its matched terms."""
+        if k <= 0 or not terms:
+            return []
+        uterms = sorted(set(terms))
+        dfs = self.term_dfs(uterms)
+        thresh = cutoff_frequency * self.n_docs
+        low = [t for t in uterms if dfs[t] <= thresh]
+        if not low:
+            return self.search(uterms, k)
+        allowed = self._candidate_docs(low)
+        if allowed is None:
+            return []
+        return self.search_filtered(uterms, k, allowed)
+
+    def search_script_score(self, terms: list[str], script: str,
+                            k: int = 10) -> list[tuple[int, float]]:
+        """ES ``script_score`` query: the disjunctive BM25 score of
+        every matching doc is REPLACED by ``script`` — an expression
+        in the engine's scalar-function DSL (mee_ray.functions.scalar,
+        the reference's resolver surface) evaluated over a columnar
+        batch with ``_score`` (float64 BM25) and ``dl`` (int64 doc
+        token count), e.g. ``div(mul(_score, dl), sum(dl, 10))``.
+        The script compiles ONCE per query (eager validation, before
+        any postings are fetched) and evaluates vectorized over all
+        matches — never per doc.  An arbitrary script breaks WAND's
+        monotone-bound contract, so matching is exhaustive disjunctive
+        by design (the same stance ES documents for script_score)."""
+        from mee_ray.functions.scalar import compile_expr
+        if k <= 0 or not terms:
+            return []
+        fn = compile_expr(script)
+        uterms = sorted(set(terms))
+        gathered = _accumulate_with_dl(self.term_partials_dl(uterms),
+                                       uterms)
+        if gathered is None:
+            return []
+        uniq, acc, _cnt, doc_dl = gathered
+        out = fn(pa.table({"_score": pa.array(acc, pa.float64()),
+                           "dl": pa.array(doc_dl, pa.int64())}))
+        if isinstance(out, pa.ChunkedArray):
+            out = out.combine_chunks()
+        if isinstance(out, pa.Scalar):            # constant script
+            rescored = np.full(len(uniq), out.as_py(), dtype=np.float64)
+        else:
+            rescored = np.asarray(out, dtype=np.float64)
+        ids, scores = top_k_select(uniq, rescored, k)
+        return list(zip(ids.tolist(), scores.tolist()))
+
+    def search_weighted(self, term_boosts: dict[str, float], k: int
+                        ) -> list[tuple[int, float]]:
+        """Per-term query-time boosts (ES ``term^boost``): each term's
+        exact contribution vector is scaled by its boost BEFORE the
+        sorted-term accumulation, so score = Σ_t boost_t·idf_t·tfn_t
+        in sorted-term order (float multiply is commutative, so the
+        oracle's boost·(idf·tfn) is bit-identical).  Non-positive
+        boosts are rejected — a zero boost is a term removal, a
+        negative one would need must_not semantics."""
+        if k <= 0 or not term_boosts:
+            return []
+        if any(b <= 0 for b in term_boosts.values()):
+            raise ValueError("boosts must be positive; drop the term "
+                             "or use search_boolean must_not instead")
+        uterms = sorted(term_boosts)
+        partials = self.term_partials(uterms)
+        boosted = {t: (ids, sc * float(term_boosts[t]))
+                   for t, (ids, sc) in partials.items()}
+        return merge_partials([boosted], uterms, k)
+
+
+class Searcher(QueryPlanner):
+    """In-process transport: lazy per-shard loading, block-max WAND
+    for top-k.  Used by tests, pipelines and as each shard actor's
+    worker (``shard_subset``)."""
+
+    def __init__(self, index_root: str, epoch: str | None = None,
+                 shard_subset: list[int] | None = None):
+        self._open_snapshot(index_root, epoch)
         self.k1 = self.manifest["bm25"]["k1"]
         self.b = self.manifest["bm25"]["b"]
         self.tomb_ids, self.tomb_seqs = mf.tombstone_index(self.manifest)
@@ -302,9 +1091,6 @@ class Searcher:
         # merged-chunk cache for delta-bearing terms (wand.search_wand)
         # — valid for this snapshot's lifetime (immutable files)
         self._merge_cache: dict = {}
-        self._vocab: list[str] | None = None  # sorted, built on demand
-        self._tok = None  # index-config tokenizer, built on demand
-        self._del_index: dict[str, list[str]] | None = None
         self._shards: dict[int, _ShardIndex] = {}
         self._delta_dict_cache: dict | None = None
         self._subset = set(shard_subset) if shard_subset is not None else None
@@ -397,14 +1183,7 @@ class Searcher:
     def term_partials(self, terms: list[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """term → (live doc_ids, exact per-term scores) for the terms
         whose shard this searcher owns."""
-        out = {}
-        for term in terms:
-            ids, tfs, dls = self.term_raw_postings(term)
-            if len(ids) == 0:
-                continue
-            w = idf(len(ids), self.n_docs)
-            out[term] = (ids, w * tf_norm(tfs, dls, self.avgdl, self.k1, self.b))
-        return out
+        return {t: p[:2] for t, p in self.term_partials_dl(terms).items()}
 
     def term_partials_dl(self, terms: list[str]
                          ) -> dict[str, tuple[np.ndarray, np.ndarray,
@@ -423,20 +1202,6 @@ class Searcher:
                                      self.b),
                          dls)
         return out
-
-    def complete(self, prefix: str, n: int = 5
-                 ) -> list[tuple[int, str]]:
-        """Completion suggester (ES completion / autocomplete): the
-        top-``n`` dictionary terms starting with ``prefix``, as
-        (live df, term) ranked df desc then term asc — one df lookup
-        per candidate, live terms only (same rank contract as
-        :meth:`suggest`)."""
-        if n <= 0 or not prefix:
-            return []
-        ranked = sorted((-df, t)
-                        for t in prefix_terms(self.vocabulary(), prefix)
-                        if (df := self.term_df(t)) > 0)
-        return [(-negdf, t) for negdf, t in ranked[:n]]
 
     def explain(self, terms: list[str], doc_id: int
                 ) -> dict[str, dict[str, float]]:
@@ -609,45 +1374,6 @@ class Searcher:
         offs = np.concatenate(([0], np.cumsum(tfs)))
         return ids, offs, flat
 
-    def search_phrase(self, terms: list[str], k: int = 10
-                      ) -> list[tuple[int, float]]:
-        """Exact phrase top-k: documents where ``terms`` occur at
-        consecutive positions (in order, duplicates included), scored
-        like ``operator="and"`` restricted to the matching docs (idf
-        full-index; conjunction/phrase filter, never rescale).
-
-        Vectorized verify: candidate docs (present in every unique
-        term) map to dense ranks; each slot i contributes composite
-        keys ``rank << 32 | (pos - i)``, and a phrase hit is a key
-        that survives intersection across all slots — no per-doc loop
-        (ranks, not raw doc_ids, because doc_ids are 63-bit hashes
-        that cannot pack beside a position in 64 bits).
-        Requires an index built with ``store_positions=True``."""
-        if not terms:
-            return []
-        if not self.manifest.get("store_positions"):
-            raise ValueError("phrase queries need store_positions=True "
-                             "(pinned in the manifest at build)")
-        uterms = sorted(set(terms))
-        # candidate docs from the (cheap, LRU-cached) posting decode
-        # BEFORE touching positions: hot terms then decode positions
-        # only for chunks the candidate intersection actually reaches
-        cand = self._candidate_docs(uterms)
-        if cand is None:
-            return []
-        # rarest-term-first: each term's position blobs decode against
-        # the candidate set SURVIVING the rarer slots' key intersection,
-        # so a hot term's chunks are skipped wherever a rare term has
-        # already eliminated the docs (the BASELINE.md positions-tail
-        # optimization)
-        order = sorted(uterms, key=lambda t: (self._stored_df(t), t))
-        phrase_docs = phrase_match_docs_lazy(
-            self.term_doc_positions, terms, cand, order)
-        if phrase_docs.size == 0:
-            return []
-        partials = self.term_partials_for_docs(uterms, phrase_docs)
-        return merge_partials_conjunctive([partials], uterms, k)
-
     def _stored_df(self, term: str) -> int:
         """Stored (tombstone-blind) chunk-df sum from resident segment
         metadata — the rarest-first ordering heuristic of the
@@ -659,347 +1385,69 @@ class Searcher:
             return 0
         return sum(c["df"] for c in self._shard(s).chunk_meta(term))
 
-    def _candidate_docs(self, uterms: list[str]) -> np.ndarray | None:
-        """Sorted live docs holding EVERY term (posting decode only,
-        LRU-warm) — the shared candidate pushdown of the positional
-        query family (phrase / span_near / phrase_prefix).  None ⇔ no
-        candidates (some term empty or intersection empty)."""
-        cand = None
-        for t in uterms:
-            ids, _, _ = self._live_postings(
-                term_hash(t) % self.num_shards, t)
-            if len(ids) == 0:
-                return None
-            cand = (np.unique(ids) if cand is None
-                    else np.intersect1d(cand, ids))
-            if cand.size == 0:
-                return None
-        return cand
+    def term_doc_ids(self, terms: list[str]) -> dict[str, np.ndarray]:
+        """term → sorted unique live doc_ids (empty when unowned)."""
+        return {t: np.unique(self.term_raw_postings(t)[0]) for t in terms}
 
-    def search_span_first(self, term: str, end: int,
-                          k: int = 10) -> list[tuple[int, float]]:
-        """ES ``span_first`` analog (single-term span, boundary
-        ``end``): rank documents whose FIRST occurrence of ``term``
-        lies within the first ``end`` token positions (0-based
-        position < end, i.e. among the document's first ``end``
-        tokens).  Membership gates, scores never rescale — survivors
-        keep the term's plain BM25 contribution (the filter-context
-        stance, delegated to :meth:`search_filtered`).  Positions are
-        stored ascending per doc, so the first occurrence is each
-        run's leading value — no scan.  Requires
-        ``store_positions=True``."""
-        if end <= 0 or not term:
-            return []
-        if not self.manifest.get("store_positions"):
-            raise ValueError("span_first needs store_positions=True "
-                             "(pinned in the manifest)")
-        ids, offs, flat = self.term_doc_positions(term)
-        if not len(ids):
-            return []
-        first = flat[offs[:-1]]
-        allowed = np.sort(ids[first < end])
-        if not allowed.size:
-            return []
-        return self.search_filtered([term], k, allowed)
+    def term_dfs(self, terms: list[str]) -> dict[str, int]:
+        """term → live df (:meth:`term_df`, dictionary-only when no
+        deletes are pending)."""
+        return {t: self.term_df(t) for t in terms}
 
-    def search_span_not(self, include: str, exclude: str,
-                        dist: int = 1, k: int = 10
-                        ) -> list[tuple[int, float]]:
-        """ES/Lucene ``span_not`` analog (single-term spans with a
-        symmetric ``pre``/``post`` = ``dist``): rank documents having
-        at least one occurrence of ``include`` with NO occurrence of
-        ``exclude`` within ``dist`` token positions (a doc without
-        ``exclude`` always matches).  Membership gates, scores never
-        rescale — survivors keep the include term's plain BM25
-        contribution (delegated to :meth:`search_filtered`, the
-        filter-context stance shared with span_first).  Fully
-        vectorized: exclude positions are composite-keyed per doc and
-        each include occurrence checks only its two searchsorted
-        neighbors.  Requires ``store_positions=True``."""
-        if not include:
-            return []
-        if not self.manifest.get("store_positions"):
-            raise ValueError("span_not needs store_positions=True "
-                             "(pinned in the manifest)")
-        if include == exclude:
-            return []          # every occurrence vetoes itself
-        inc = self.term_doc_positions(include)
-        if not len(inc[0]):
-            return []
-        exc = self.term_doc_positions(exclude)
-        allowed = span_not_match_docs(inc, exc, dist)
-        if not allowed.size:
-            return []
-        return self.search_filtered([include], k, allowed)
+    def term_total_tfs(self, terms: list[str]) -> dict[str, int]:
+        """term → total live occurrence count (sum of tfs) — the
+        unigram count of the phrase-suggester language model."""
+        return {t: int(self.term_raw_postings(t)[1].sum()) for t in terms}
 
-    def search_span_near(self, terms: list[str], slop: int = 0,
-                         k: int = 10) -> list[tuple[int, float]]:
-        """Ordered proximity top-k (ES/Lucene ``span_near`` with
-        ``in_order=true``): ``terms`` in order with at most ``slop``
-        intervening tokens between each consecutive pair (``slop=0``
-        ≡ :meth:`search_phrase`), scored like ``operator="and"``
-        restricted to the matching docs.  Same candidate pushdown as
-        the phrase path: positions are decoded only for docs holding
-        every term.  Requires ``store_positions=True``."""
-        if not terms:
-            return []
-        if not self.manifest.get("store_positions"):
-            raise ValueError("span_near queries need "
-                             "store_positions=True (pinned in the "
-                             "manifest at build)")
-        uterms = sorted(set(terms))
-        cand = self._candidate_docs(uterms)
-        if cand is None:
-            return []
-        data = {t: self.term_doc_positions(t, cand) for t in uterms}
-        span_docs = span_near_match_docs(data, terms, slop)
-        if span_docs.size == 0:
-            return []
-        partials = self.term_partials_for_docs(uterms, span_docs)
-        return merge_partials_conjunctive([partials], uterms, k)
+    def term_positions(self, terms: list[str],
+                       candidates: np.ndarray | None = None) -> dict:
+        """term → :meth:`term_doc_positions` (candidate-restricted)."""
+        return {t: self.term_doc_positions(t, candidates) for t in terms}
 
-    def search_intervals(self, terms: list[str], max_gaps: int = 0,
-                         ordered: bool = True, k: int = 10
-                         ) -> list[tuple[int, float]]:
-        """ES ``intervals`` query, ``match`` rule over distinct terms
-        with a TOTAL ``max_gaps`` budget (shared across the whole
-        interval — the semantic difference from :meth:`search_span_near`
-        whose slop is per consecutive pair) and an ``ordered`` flag.
-        Membership gates, scores never rescale: survivors are scored
-        like ``operator="and"`` restricted to the matching docs, the
-        filter-context stance of the whole positional family.  Same
-        candidate pushdown as the phrase path.  Requires
-        ``store_positions=True``."""
-        if not terms:
-            return []
-        if not self.manifest.get("store_positions"):
-            raise ValueError("intervals queries need "
-                             "store_positions=True (pinned in the "
-                             "manifest at build)")
-        # Validate BEFORE the candidate pushdown so degenerate queries
-        # fail the same way regardless of index contents (the kernel
-        # re-checks, but only after data-dependent early-outs).
-        if max_gaps < 0:
-            raise ValueError(f"max_gaps must be >= 0, got {max_gaps}")
-        if len(set(terms)) != len(terms):
-            raise ValueError("intervals terms must be distinct")
-        uterms = sorted(set(terms))
-        cand = self._candidate_docs(uterms)
-        if cand is None:
-            return []
-        data = {t: self.term_doc_positions(t, cand) for t in uterms}
-        docs = intervals_match_docs(data, terms, max_gaps, ordered)
-        if docs.size == 0:
-            return []
-        partials = self.term_partials_for_docs(uterms, docs)
-        return merge_partials_conjunctive([partials], uterms, k)
+    def _phrase_docs(self, slots: list[str], cand: np.ndarray,
+                     expand: dict[str, list[str]] | None = None
+                     ) -> np.ndarray:
+        """Lazy in-process form of :meth:`QueryPlanner._phrase_docs`:
+        rarest-term-first, each term's position blobs decode against
+        the candidate set SURVIVING the rarer slots' key intersection,
+        so a hot term's chunks are skipped wherever a rare term has
+        already eliminated the docs (the BASELINE.md positions-tail
+        optimization).  Expansion slots run LAST, against the set the
+        fixed slots already narrowed."""
+        expand = expand or {}
 
-    def _require_positions(self, what: str) -> None:
-        if not self.manifest.get("store_positions"):
-            raise ValueError(f"{what} queries need store_positions="
-                             "True (pinned in the manifest at build)")
-
-    def search_span_containing(self, big_terms: list[str], slop: int,
-                               little: str, k: int = 10
-                               ) -> list[tuple[int, float]]:
-        """ES/Lucene ``span_containing``: documents where some
-        ``span_near(big_terms, slop)`` span CONTAINS an occurrence of
-        ``little`` (boundaries inclusive — overlap counts, Lucene's
-        containment).  ES returns/scores the big clause, so survivors
-        are scored conjunctively over ``big_terms`` restricted to the
-        matching docs (membership gates, scores never rescale — the
-        positional family's filter-context stance).  Requires ≥ 2 big
-        terms (a 1-term span has no interior) and
-        ``store_positions=True``."""
-        if k <= 0:
-            return []
-        if len(big_terms) < 2:
-            raise ValueError("span_containing needs >= 2 big terms")
-        if not little:
-            raise ValueError("span_containing needs a little term")
-        if slop < 0:
-            raise ValueError(f"slop must be >= 0, got {slop}")
-        self._require_positions("span_containing")
-        uterms = sorted(set(big_terms) | {little})
-        cand = self._candidate_docs(uterms)
-        if cand is None:
-            return []
-        data = {t: self.term_doc_positions(t, cand) for t in uterms}
-        docs = span_containing_match_docs(data, big_terms, slop,
-                                          little)
-        if docs.size == 0:
-            return []
-        ubig = sorted(set(big_terms))
-        partials = self.term_partials_for_docs(ubig, docs)
-        return merge_partials_conjunctive([partials], ubig, k)
-
-    def search_span_within(self, little: str, big_terms: list[str],
-                           slop: int, k: int = 10
-                           ) -> list[tuple[int, float]]:
-        """ES/Lucene ``span_within`` — the same containment predicate
-        as :meth:`search_span_containing` but the LITTLE clause is
-        what's returned/scored: survivors keep ``little``'s plain
-        BM25 contribution restricted to the matching docs."""
-        if k <= 0:
-            return []
-        if len(big_terms) < 2:
-            raise ValueError("span_within needs >= 2 big terms")
-        if not little:
-            raise ValueError("span_within needs a little term")
-        if slop < 0:
-            raise ValueError(f"slop must be >= 0, got {slop}")
-        self._require_positions("span_within")
-        uterms = sorted(set(big_terms) | {little})
-        cand = self._candidate_docs(uterms)
-        if cand is None:
-            return []
-        data = {t: self.term_doc_positions(t, cand) for t in uterms}
-        docs = span_containing_match_docs(data, big_terms, slop,
-                                          little)
-        if docs.size == 0:
-            return []
-        partials = self.term_partials_for_docs([little], docs)
-        return merge_partials_conjunctive([partials], [little], k)
-
-    def search_span_or_near(self, slots: list[list[str]],
-                            slop: int = 0, k: int = 10
-                            ) -> list[tuple[int, float]]:
-        """``span_near`` whose slots are ``span_or`` clauses: slot i
-        matches ANY of its alternative terms, consecutive slots at
-        most ``slop`` tokens apart in order (ES span_near over
-        span_or sub-clauses).  Each slot's alternatives merge into
-        one pseudo-slot position set (the phrase_prefix expansion
-        mechanics), so the matcher stays fully vectorized.  Scoring:
-        disjunctive BM25 over ALL alternatives restricted to the
-        matching docs via :meth:`search_filtered` — per-doc matched
-        alternatives contribute, absent ones add 0 (a documented,
-        deterministic simplification of ES's per-span scoring)."""
-        if k <= 0 or not slots:
-            return []
-        if any(not s for s in slots):
-            raise ValueError("every span_or slot needs >= 1 term")
-        if slop < 0:
-            raise ValueError(f"slop must be >= 0, got {slop}")
-        self._require_positions("span_or_near")
-        cand: np.ndarray | None = None
-        for slot in slots:
-            ids_l = [self.term_raw_postings(t)[0]
-                     for t in sorted(set(slot))]
-            ids_l = [x for x in ids_l if x.size]
-            if not ids_l:
-                return []
-            slot_ids = np.unique(np.concatenate(ids_l))
-            cand = (slot_ids if cand is None
-                    else np.intersect1d(cand, slot_ids))
-            if cand.size == 0:
-                return []
-        pseudo = [f"\x00slot{i}" for i in range(len(slots))]
-        data = {p: merge_position_sets(
-                    [self.term_doc_positions(t, cand)
-                     for t in sorted(set(slot))])
-                for p, slot in zip(pseudo, slots)}
-        docs = span_near_match_docs(data, pseudo, slop)
-        if docs.size == 0:
-            return []
-        all_terms = sorted({t for slot in slots for t in slot})
-        return self.search_filtered(all_terms, k, docs)
-
-    def search_phrase_prefix(self, terms: list[str], k: int = 10,
-                             max_expansions: int = 50
-                             ) -> list[tuple[int, float]]:
-        """match_phrase_prefix (ES search-as-you-type): docs containing
-        ``terms[:-1]`` at consecutive positions followed immediately by
-        ANY token starting with ``terms[-1]``.  Scoring: conjunctive
-        BM25 over the FIXED terms restricted to the matching docs
-        (the expansion slot gates membership, it does not contribute —
-        a documented, deterministic simplification of ES's
-        synonym-blended multi-term weight).  Requires ≥ 2 terms (a
-        single-prefix query is :meth:`search_prefix`).
-
-        The prefix expands against the resident sorted dictionary
-        (binary-searched run), capped at ``max_expansions`` in
-        dictionary order like ES — a hit beyond the cap is missed, the
-        same truncation contract ES documents.  Expansion position
-        sets merge into ONE pseudo-slot per doc, so the phrase matcher
-        stays fully vectorized."""
-        if len(terms) < 2:
-            raise ValueError("match_phrase_prefix needs >= 2 terms; "
-                             "use search_prefix for a bare prefix")
-        if not self.manifest.get("store_positions"):
-            raise ValueError("phrase_prefix queries need "
-                             "store_positions=True")
-        fixed, prefix = terms[:-1], terms[-1]
-        ufixed = sorted(set(fixed))
-        cand = self._candidate_docs(ufixed)
-        if cand is None:
-            return []
-        expansions = prefix_terms(self.vocabulary(),
-                                  prefix)[:max_expansions]
-        if not expansions:
-            return []
-        pseudo = "\x00" + prefix           # cannot collide with a token
-
-        # rarest-first over the fixed slots, expansion slot LAST: all
-        # max_expansions position decodes run against the candidate set
-        # already narrowed by the fixed-phrase key intersection
         def fetch(t, alive):
-            if t == pseudo:
+            if t in expand:
                 return merge_position_sets(
-                    [self.term_doc_positions(e, alive)
-                     for e in expansions])
+                    [self.term_doc_positions(e, alive) for e in expand[t]])
             return self.term_doc_positions(t, alive)
 
-        order = sorted(ufixed,
-                       key=lambda t: (self._stored_df(t), t)) + [pseudo]
-        phrase_docs = phrase_match_docs_lazy(
-            fetch, list(fixed) + [pseudo], cand, order)
-        if phrase_docs.size == 0:
-            return []
-        partials = self.term_partials_for_docs(ufixed, phrase_docs)
-        return merge_partials_conjunctive([partials], ufixed, k)
+        fixed = {s for s in slots if s not in expand}
+        order = (sorted(fixed, key=lambda t: (self._stored_df(t), t))
+                 + sorted(expand))
+        return phrase_match_docs_lazy(fetch, slots, cand, order)
 
     def search_filtered(self, terms: list[str], k: int,
                         allowed_doc_ids, operator: str = "or",
                         use_wand: bool | None = None
                         ) -> list[tuple[int, float]]:
-        """Filter-context search — the ES bool ``{must: match,
-        filter: ...}`` analog (the reference delegates this to ES;
-        here the engine owns it): rank only documents in
-        ``allowed_doc_ids``, with df/idf/avgdl from the FULL live
-        index.  A filter restricts the result set, it never rescales
-        scores — the same stance as ``operator="and"`` — so a doc's
-        filtered score equals its unfiltered score.
-
-        Disjunctive queries push the filter INTO block-max WAND
+        """:meth:`QueryPlanner.search_filtered`, with disjunctive
+        queries pushing the filter INTO block-max WAND
         (wand.search_wand ``allowed``): non-allowed docs are skipped
         without scoring while pruning bounds stay full-index — whole
         chunks a selective filter never reaches are skipped without
         decode.  Same tombstone gate as :meth:`search` (stored df /
         bounds unsound while deletes pend → exhaustive restricted
-        path).
-
-        Exhaustive restricted path: per-term contributions are
-        fetched only for allowed docs (:meth:`term_partials_for_docs`),
-        so per-term work beyond the posting decode is
-        O(|allowed ∩ postings|).  The allowed set is a sorted int64
-        doc_id array (ids-only, ~8 B/doc — the id-set analog of a
-        filter bitset; a roaring-bitmap carrier is the documented
-        upgrade when filters routinely match billions of docs)."""
-        if k <= 0 or not terms:
-            return []
+        path)."""
+        if use_wand is None:
+            use_wand = len(self.tombstones) == 0
+        if operator == "and" or not use_wand or k <= 0 or not terms:
+            return super().search_filtered(terms, k, allowed_doc_ids,
+                                           operator)
         allowed = np.unique(np.asarray(allowed_doc_ids, dtype=np.int64))
         if allowed.size == 0:
             return []
-        uterms = sorted(set(terms))
-        if operator == "and":
-            partials = self.term_partials_for_docs(uterms, allowed)
-            return merge_partials_conjunctive([partials], uterms, k)
-        if use_wand is None:
-            use_wand = len(self.tombstones) == 0
-        if use_wand:
-            return self.search_wand(uterms, k, allowed=allowed)
-        partials = self.term_partials_for_docs(uterms, allowed)
-        return merge_partials([partials], uterms, k)
+        return self.search_wand(sorted(set(terms)), k, allowed=allowed)
 
     def vocabulary(self) -> list[str]:
         """Sorted union of the index's terms across owned shards —
@@ -1018,221 +1466,6 @@ class Searcher:
             self._vocab = sorted(out)
         return self._vocab
 
-    def search_prefix(self, prefix: str, k: int = 10
-                      ) -> list[tuple[int, float]]:
-        """Prefix query (ES match_phrase_prefix / wildcard `term*`
-        analog): expand the prefix against the dictionary, then score
-        the expansion disjunctively — each expanded term keeps its own
-        df/idf, so the result equals an OR query over the matching
-        vocabulary."""
-        if k <= 0 or not prefix:
-            return []
-        terms = prefix_terms(self.vocabulary(), prefix)
-        if not terms:
-            return []
-        return self.search(terms, k)
-
-    def search_fuzzy(self, term: str, k: int = 10, max_edits: int = 1
-                     ) -> list[tuple[int, float]]:
-        """Fuzzy query (ES match with fuzziness): expand to dictionary
-        terms within plain Levenshtein distance ``max_edits`` (unit
-        costs, no transposition — the same metric as the SQL oracle's
-        levenshtein()), then score the expansion disjunctively."""
-        if k <= 0 or not term:
-            return []
-        terms = fuzzy_terms(self.vocabulary(), term, max_edits,
-                            self._deletion_index if max_edits == 1
-                            else None)
-        if not terms:
-            return []
-        return self.search(terms, k)
-
-    def search_wildcard(self, pattern: str, k: int = 10
-                        ) -> list[tuple[int, float]]:
-        """Wildcard query (ES ``wildcard``, ``*``/``?``): expand
-        against the dictionary (literal-prefix narrowed), then score
-        the expansion disjunctively — each expanded term keeps its
-        own df/idf."""
-        if k <= 0 or not pattern:
-            return []
-        terms = wildcard_terms(self.vocabulary(), pattern)
-        if not terms:
-            return []
-        return self.search(terms, k)
-
-    def search_regexp(self, pattern: str, k: int = 10
-                      ) -> list[tuple[int, float]]:
-        """Regexp query (ES ``regexp``, implicitly anchored): expand
-        by full-match against the dictionary, score disjunctively."""
-        if k <= 0 or not pattern:
-            return []
-        terms = regexp_terms(self.vocabulary(), pattern)
-        if not terms:
-            return []
-        return self.search(terms, k)
-
-    def _deletion_index(self) -> dict[str, list[str]]:
-        """Snapshot-cached :func:`build_deletion_index`."""
-        if self._del_index is None:
-            self._del_index = build_deletion_index(self.vocabulary())
-        return self._del_index
-
-    def suggest(self, term: str, n: int = 5, max_edits: int = 1
-                ) -> list[tuple[int, str]]:
-        """Term suggester (ES \"did you mean\"): dictionary terms
-        within ``max_edits`` of the input (the input itself excluded),
-        ranked by live df desc then term asc — the most common close
-        spelling first.  Returns (df, term) pairs."""
-        if n <= 0 or not term:
-            return []
-        cands = fuzzy_terms(self.vocabulary(), term, max_edits,
-                            self._deletion_index if max_edits == 1
-                            else None)
-        # live df only: a fully-tombstoned term is still a dictionary
-        # key but must never be suggested (it matches zero live docs)
-        ranked = sorted((-df, t) for t in cands
-                        if t != term and (df := self.term_df(t)) > 0)
-        return [(-negdf, t) for negdf, t in ranked[:n]]
-
-    def term_total_tf(self, term: str) -> int:
-        """Total live occurrence count of one term (sum of tfs) — the
-        unigram count of the phrase-suggester language model."""
-        s = term_hash(term) % self.num_shards
-        if not self.owns(s):
-            return 0
-        _, tfs, _ = self._live_postings(s, term)
-        return int(tfs.sum()) if len(tfs) else 0
-
-    def bigram_count(self, w1: str, w2: str) -> int:
-        """Corpus-wide count of ADJACENT occurrences (w1 at position
-        p, w2 at p+1, summed over live docs) — the bigram count of the
-        phrase-suggester LM.  Composite-key intersection per common
-        doc, fully vectorized.  Requires store_positions."""
-        return _bigram_count_runs(self.term_doc_positions(w1),
-                                  self.term_doc_positions(w2))
-
-    def suggest_phrase(self, terms: list[str], n: int = 3,
-                       max_candidates: int = 5, backoff: float = 0.4
-                       ) -> list[tuple[float, list[str]]]:
-        """Phrase suggester (the ES ``phrase`` suggester, did-you-mean
-        over whole phrases): per-slot candidates are the dictionary
-        terms within edit distance 1 of the input (the input itself
-        included when live), ranked (df desc, term asc) and capped at
-        ``max_candidates``; every combination is scored by a
-        stupid-backoff bigram language model over the live corpus:
-
-            ln(c(w1)/T) + Σ [ ln(cb(wi, wi+1) / c(wi))   if cb > 0
-                              else ln(backoff·c(wi+1)/T) ]
-
-        with T the live token total.  Scores are rounded to 10
-        decimals (the libm-vs-DuckDB ln ULP, see bm25_explain) and
-        ranked (score desc, phrase asc).  Requires store_positions."""
-        if not terms or n <= 0:
-            return []
-        if not self.manifest.get("store_positions"):
-            raise ValueError("suggest_phrase needs store_positions=True "
-                             "(bigram counts are positional)")
-        slots: list[list[str]] = []
-        for t in terms:
-            cands = [(df, w) for df, w in
-                     self.suggest(t, n=max_candidates)]
-            self_df = self.term_df(t)
-            if self_df > 0:
-                cands.append((self_df, t))
-            ranked = sorted(cands, key=lambda x: (-x[0], x[1]))
-            slots.append([w for _, w in ranked[:max_candidates]])
-            if not slots[-1]:
-                return []
-        _, total = mf.live_totals(self.manifest)
-        words = {w for s_ in slots for w in s_}
-        uni = {w: self.term_total_tf(w) for w in words}
-        # decode (and run-sort) each word's positions ONCE — the pair
-        # loop would otherwise re-decode every word per pair (O(C²))
-        pos = {w: _sort_runs(*self.term_doc_positions(w))
-               for w in words}
-        bi: dict[tuple[str, str], int] = {}
-        for i in range(len(slots) - 1):
-            for w1 in slots[i]:
-                for w2 in slots[i + 1]:
-                    if (w1, w2) not in bi:
-                        bi[(w1, w2)] = _bigram_count_runs(pos[w1],
-                                                          pos[w2])
-        return _lm_score_slots(slots, uni, bi, total, n, backoff)
-
-    def count(self, terms: list[str], operator: str = "or") -> int:
-        """Match count without scoring (the ES ``_count`` API): number
-        of live documents containing ANY (``or``) or EVERY (``and``)
-        query term.  Posting id sets only — no tf/dl decode use, no
-        accumulation, no heap.  Unowned shards are skipped like every
-        other posting accessor (a shard-subset searcher counts only
-        what it owns; an ``and`` over an unowned term is 0, matching
-        search(operator="and") returning [])."""
-        return int(self.matched_doc_ids(terms, operator).size)
-
-    def matched_doc_ids(self, terms: list[str], operator: str = "or"
-                        ) -> np.ndarray:
-        """Sorted live doc_ids matching the query — the id-set core
-        shared by :meth:`count` and ``delete_by_query`` (posting id
-        sets only, no scoring).  ``or`` = union, ``and`` =
-        intersection; an ``and`` over an unowned or absent term is
-        empty, matching search(operator="and")."""
-        empty = np.empty(0, dtype=np.int64)
-        uterms = sorted(set(terms))
-        if not uterms:
-            return empty
-        if operator == "and":
-            cand = None
-            for t in uterms:
-                s = term_hash(t) % self.num_shards
-                if not self.owns(s):
-                    return empty
-                ids = np.unique(self._live_postings(s, t)[0])
-                cand = ids if cand is None else np.intersect1d(cand, ids)
-                if cand.size == 0:
-                    return cand
-            return cand
-        return self.excluded_doc_ids(uterms)
-
-    def excluded_doc_ids(self, must_not: list[str]) -> np.ndarray:
-        """Sorted union of live doc_ids containing ANY of ``must_not``
-        — the must_not exclusion set of a boolean query (also the
-        OR-count set of :meth:`count`).  Unowned shards are skipped
-        like every other posting accessor."""
-        out = []
-        for t in sorted(set(must_not)):
-            s = term_hash(t) % self.num_shards
-            if not self.owns(s):
-                continue
-            ids, _, _ = self._live_postings(s, t)
-            if len(ids):
-                out.append(ids)
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(out))
-
-    def search_boolean(self, must: list[str], must_not: list[str],
-                       k: int = 10) -> list[tuple[int, float]]:
-        """ES bool ``{should: match, must_not: match}`` analog:
-        disjunctive BM25 ranking over ``must`` terms with documents
-        containing ANY ``must_not`` term removed.  must_not is
-        filter-context — survivors keep their exact unfiltered scores
-        (df/idf/avgdl full-index), the same never-rescale stance as
-        ``operator="and"`` and ``search_filtered``."""
-        if k <= 0 or not must:
-            return []
-        uterms = sorted(set(must))
-        partials = self.term_partials(uterms)
-        excl = self.excluded_doc_ids(must_not)
-        return merge_partials([partials], uterms, k, exclude_sorted=excl)
-
-    def _tokenizer(self):
-        """The index's OWN tokenizer, reconstructed from the manifest
-        (the same rule lifecycle entry points use) — seed text in
-        more_like_this must analyze exactly like the indexed corpus."""
-        if self._tok is None:
-            self._tok = tokenizer_from_manifest(self.manifest)
-        return self._tok
-
     def term_df(self, term: str) -> int:
         """LIVE document frequency of one term.  Dictionary-only
         (chunk df sums — no posting decode) on a tombstone-free
@@ -1248,182 +1481,12 @@ class Searcher:
             return len(ids)
         return sum(c["df"] for c in self._shard(s).chunk_meta(term))
 
-    def select_mlt_terms(self, text: str, max_terms: int,
-                         df_of=None) -> list[str]:
-        """more_like_this term selection: analyze ``text`` with the
-        index tokenizer, score each in-dictionary term tf·idf (float
-        product, same operand order as the SQL oracle), keep the top
-        ``max_terms`` with ties broken by term asc."""
-        counts = self._tokenizer().counts(text)
-        return select_terms_tfidf(counts, self.n_docs,
-                                  df_of or self.term_df, max_terms)
-
-    def more_like_this(self, text: str, k: int = 10,
-                       max_terms: int = 10, exclude_doc_ids=None
-                       ) -> list[tuple[int, float]]:
-        """ES ``more_like_this`` analog: re-analyze the seed text,
-        select the top ``max_terms`` terms by tf·idf against the live
-        dictionary, then rank the selection disjunctively with the
-        seed doc(s) excluded (exclusion filters after accumulation,
-        it never rescales — the must_not stance)."""
-        if k <= 0 or max_terms <= 0 or not text:
-            return []
-        sel = self.select_mlt_terms(text, max_terms)
-        if not sel:
-            return []
-        excl = None
-        if exclude_doc_ids is not None:
-            excl = np.unique(np.asarray(list(exclude_doc_ids),
-                                        dtype=np.int64))
-        partials = self.term_partials(sel)
-        return merge_partials([partials], sel, k, exclude_sorted=excl)
-
     def msearch(self, queries: list[list[str]], k: int = 10
                 ) -> list[list[tuple[int, float]]]:
         """Multi-search (ES ``_msearch``): in-process form — shared
         terms hit the decode LRU once; results are exactly
         ``[search(q, k) for q in queries]``."""
         return [self.search(q, k) for q in queries]
-
-    def search_after(self, terms: list[str], size: int = 10,
-                     after: tuple[int, float] | None = None
-                     ) -> list[tuple[int, float]]:
-        """Cursor pagination (ES ``search_after``): the next ``size``
-        results STRICTLY after the cursor in the (-score, doc_id)
-        ranking order (``after=None`` is page one; the cursor is the
-        previous page's last (doc_id, score) result tuple, passed
-        verbatim).
-        Stateless like ES — each page recomputes the ranking and
-        filters at exact accumulated scores, so stitched pages
-        reconstruct the full ranking with no duplicate or dropped doc
-        even across exact-tie runs.  Exhaustive path by design: a
-        cursor upper-bounds scores, which the lower-bound WAND
-        pruning cannot exploit."""
-        if size <= 0 or not terms:
-            return []
-        uterms = sorted(set(terms))
-        partials = self.term_partials(uterms)
-        return merge_partials([partials], uterms, size, after=after)
-
-    def search_dismax(self, terms: list[str], k: int = 10,
-                      tie_breaker: float = 0.0
-                      ) -> list[tuple[int, float]]:
-        """Dis-max ranking (ES ``dis_max``): best single-term
-        contribution + tie_breaker × the rest (see
-        :func:`merge_partials_dismax`)."""
-        if k <= 0 or not terms:
-            return []
-        uterms = sorted(set(terms))
-        partials = self.term_partials(uterms)
-        return merge_partials_dismax([partials], uterms, k, tie_breaker)
-
-    def search_min_match(self, terms: list[str], k: int,
-                         min_match: int) -> list[tuple[int, float]]:
-        """ES ``minimum_should_match`` analog: rank only documents
-        matching at least ``min_match`` DISTINCT query terms; survivor
-        scores equal their full disjunctive scores (df/idf/avgdl stay
-        full-index — the count threshold filters, it never rescales).
-        min_match<=1 degenerates to OR, min_match==len(terms) to AND
-        — same result set AND same scores as those operators."""
-        if k <= 0 or not terms:
-            return []
-        uterms = sorted(set(terms))
-        m = max(1, int(min_match))
-        if m > len(uterms):
-            return []
-        partials = self.term_partials(uterms)
-        return merge_partials([partials], uterms, k, min_match=m)
-
-    def _gather_with_dl(self, uterms: list[str]):
-        """Exhaustive disjunctive gather over sorted ``uterms`` with
-        per-doc document length (see :func:`_accumulate_with_dl` for
-        the result shape and the determinism contract)."""
-        return _accumulate_with_dl([self.term_partials_dl(uterms)],
-                                   uterms)
-
-    def search_terms_set(self, terms: list[str], k: int,
-                         dl_threshold: int, low: int = 1, high: int = 2
-                         ) -> list[tuple[int, float]]:
-        """ES ``terms_set`` query: the required distinct-match count is
-        PER-DOCUMENT, read from indexed per-doc data (ES
-        ``minimum_should_match_field``) — here the indexed document
-        length: docs shorter than ``dl_threshold`` tokens need ``low``
-        distinct query terms, longer docs need ``high``.  Survivors
-        keep their full disjunctive scores (the per-doc threshold
-        filters, it never rescales), and accumulation stays in
-        sorted-term order (the determinism contract), so a survivor's
-        score is bit-identical to the plain OR query's."""
-        if k <= 0 or not terms:
-            return []
-        uterms = sorted(set(terms))
-        return _terms_set_select(self._gather_with_dl(uterms),
-                                 dl_threshold, low, high, k)
-
-    def search_common_terms(self, terms: list[str],
-                            cutoff_frequency: float = 0.5,
-                            k: int = 10) -> list[tuple[int, float]]:
-        """ES ``common_terms`` query (cutoff-frequency shape; ES also
-        exposes it as ``match`` + ``cutoff_frequency``): query terms
-        split by LIVE document frequency — a term is high-frequency
-        when ``df > cutoff_frequency * n_docs``.  Low-frequency terms
-        are REQUIRED (conjunction — an absent or unknown low term
-        empties the result); high-frequency terms never gate, they
-        only add their BM25 contribution to docs that survive the
-        low-term conjunction.  With no low-frequency term the query
-        degrades to the plain disjunction (the ES ``high_freq_operator
-        = or`` fallback).  Scores never rescale: a survivor's score is
-        the plain OR query's score over its matched terms."""
-        if k <= 0 or not terms:
-            return []
-        uterms = sorted(set(terms))
-        thresh = cutoff_frequency * self.n_docs
-        low = [t for t in uterms if self.term_df(t) <= thresh]
-        if not low:
-            return self.search(uterms, k)
-        allowed = self._candidate_docs(low)
-        if allowed is None:
-            return []
-        return self.search_filtered(uterms, k, allowed)
-
-    def search_script_score(self, terms: list[str], script: str,
-                            k: int = 10) -> list[tuple[int, float]]:
-        """ES ``script_score`` query: the disjunctive BM25 score of
-        every matching doc is REPLACED by ``script`` — an expression
-        in the engine's scalar-function DSL (mee_ray.functions.scalar,
-        the reference's resolver surface) evaluated over a columnar
-        batch with ``_score`` (float64 BM25) and ``dl`` (int64 doc
-        token count), e.g. ``div(mul(_score, dl), sum(dl, 10))``.
-        The script compiles ONCE per query (driver-side, eager
-        validation) and evaluates vectorized over all matches — never
-        per doc.  An arbitrary script breaks WAND's monotone-bound
-        contract, so matching is exhaustive disjunctive by design
-        (the same stance ES documents for script_score)."""
-        from mee_ray.functions.scalar import compile_expr
-        if k <= 0 or not terms:
-            return []
-        fn = compile_expr(script)
-        uterms = sorted(set(terms))
-        return _script_rescore(self._gather_with_dl(uterms), fn, k)
-
-    def search_weighted(self, term_boosts: dict[str, float], k: int
-                        ) -> list[tuple[int, float]]:
-        """Per-term query-time boosts (ES ``term^boost``): each term's
-        exact contribution vector is scaled by its boost BEFORE the
-        sorted-term accumulation, so score = Σ_t boost_t·idf_t·tfn_t
-        in sorted-term order (float multiply is commutative, so the
-        oracle's boost·(idf·tfn) is bit-identical).  Non-positive
-        boosts are rejected — a zero boost is a term removal, a
-        negative one would need must_not semantics."""
-        if k <= 0 or not term_boosts:
-            return []
-        if any(b <= 0 for b in term_boosts.values()):
-            raise ValueError("boosts must be positive; drop the term "
-                             "or use search_boolean must_not instead")
-        uterms = sorted(term_boosts)
-        partials = self.term_partials(uterms)
-        boosted = {t: (ids, sc * float(term_boosts[t]))
-                   for t, (ids, sc) in partials.items()}
-        return merge_partials([boosted], uterms, k)
 
     def search(self, terms: list[str], k: int = 10,
                use_wand: bool | None = None,
@@ -1612,7 +1675,7 @@ def _levenshtein_le(a: str, b: str, cap: int) -> bool:
 def tokenizer_from_manifest(manifest: dict):
     """The index's OWN tokenizer, reconstructed from the manifest —
     the one rule for anything that re-analyzes text against a built
-    index (more_like_this seed analysis, local and distributed)."""
+    index (more_like_this seed analysis, the CLI's analyzer)."""
     from mee_ray.config import config_from_manifest
     from mee_ray.tokenizer import Tokenizer
     return Tokenizer(config_from_manifest(manifest).tokenizer)
@@ -1640,24 +1703,16 @@ def _gather_accumulate(partials_list: list[dict], terms: list[str]):
     return uniq, inv, acc, all_sc
 
 
-def _accumulate_with_dl(partials_list: list[dict], terms: list[str]):
+def _accumulate_with_dl(partials: dict, terms: list[str]):
     """:func:`_gather_accumulate` with per-doc document length: the
     partial vectors are ``(ids, scores, dls)`` triples and the result
     is ``(uniq_ids, acc_sums, distinct_match_counts, doc_dls)`` — or
     ``None`` when no term has postings.  Same sorted-term
-    concatenation order (the bit-identity determinism contract), so
-    the local and distributed terms_set / script_score paths produce
-    float-identical scores."""
-    ids_l, sc_l, dl_l = [], [], []
-    for term in sorted(set(terms)):
-        for partials in partials_list:
-            got = partials.get(term)
-            if got is not None:
-                ids_l.append(got[0])
-                sc_l.append(got[1])
-                dl_l.append(got[2])
-    if not ids_l:
+    concatenation order (the bit-identity determinism contract)."""
+    got = [partials[t] for t in sorted(set(terms)) if t in partials]
+    if not got:
         return None
+    ids_l, sc_l, dl_l = zip(*got)
     all_ids = np.concatenate(ids_l)
     all_sc = np.concatenate(sc_l)
     all_dl = np.concatenate(dl_l)
@@ -1669,61 +1724,6 @@ def _accumulate_with_dl(partials_list: list[dict], terms: list[str]):
     doc_dl = np.zeros(len(uniq), dtype=np.int64)
     doc_dl[inv] = all_dl   # dl identical for every entry of a doc
     return uniq, acc, cnt, doc_dl
-
-
-def _terms_set_select(gathered, dl_threshold: int, low: int, high: int,
-                      k: int) -> list[tuple[int, float]]:
-    """Shared terms_set tail: apply the per-doc required-match-count
-    threshold (docs shorter than ``dl_threshold`` need ``low``
-    distinct terms, longer need ``high``) and select top-k.  Survivors
-    keep their full disjunctive scores."""
-    if gathered is None:
-        return []
-    uniq, acc, cnt, doc_dl = gathered
-    required = np.where(doc_dl < dl_threshold, low, high)
-    keep = cnt >= required
-    uniq, acc = uniq[keep], acc[keep]
-    if uniq.size == 0:
-        return []
-    ids, scores = top_k_select(uniq, acc, k)
-    return list(zip(ids.tolist(), scores.tolist()))
-
-
-def _script_rescore(gathered, fn, k: int) -> list[tuple[int, float]]:
-    """Shared script_score tail: evaluate the compiled DSL expression
-    ``fn`` vectorized over a columnar batch of ``_score`` (float64
-    accumulated BM25) and ``dl`` (int64 token count), REPLACING the
-    score, then select top-k."""
-    if gathered is None:
-        return []
-    uniq, acc, _cnt, doc_dl = gathered
-    import pyarrow as _pa
-    batch = _pa.table({"_score": _pa.array(acc, _pa.float64()),
-                       "dl": _pa.array(doc_dl, _pa.int64())})
-    out = fn(batch)
-    if isinstance(out, _pa.ChunkedArray):
-        out = out.combine_chunks()
-    if isinstance(out, _pa.Scalar):            # constant script
-        rescored = np.full(len(uniq), out.as_py(), dtype=np.float64)
-    else:
-        rescored = np.asarray(out, dtype=np.float64)
-    ids, scores = top_k_select(uniq, rescored, k)
-    return list(zip(ids.tolist(), scores.tolist()))
-
-
-def select_terms_tfidf(counts, n_docs: int, df_of, max_terms: int
-                       ) -> list[str]:
-    """Top-``max_terms`` terms of a token-count map by tf·idf against
-    the live dictionary (terms with df=0 dropped; ties broken by term
-    asc — the same ordering the SQL oracle's window uses).  Shared by
-    the local and distributed more_like_this paths."""
-    scored = []
-    for t, tf in counts.items():
-        df = df_of(t)
-        if df > 0:
-            scored.append((-(float(tf) * idf(df, n_docs)), t))
-    scored.sort()
-    return [t for _, t in scored[:max_terms]]
 
 
 def merge_partials(partials_list: list[dict], terms: list[str], k: int,
@@ -1779,65 +1779,25 @@ def merge_partials(partials_list: list[dict], terms: list[str], k: int,
     return list(zip(ids.tolist(), scores.tolist()))
 
 
-def phrase_match_docs(data: dict, terms: list[str]) -> np.ndarray:
+def phrase_match_docs_lazy(fetch, terms: list[str], cand: np.ndarray,
+                           order: list[str]) -> np.ndarray:
     """Docs containing ``terms`` at consecutive positions, in order.
 
-    ``data``: term → (doc_ids, per-doc offsets, flat positions).
-    Candidates (docs holding every unique term) map to dense ranks;
-    slot i contributes composite keys ``rank << 32 | (pos - i)`` and
-    a hit is a key surviving intersection across all slots — fully
+    ``cand`` (sorted docs holding every unique term) maps to dense
+    ranks; slot i contributes composite keys ``rank << 32 | (pos - i)``
+    and a hit is a key surviving intersection across all slots — fully
     vectorized (ranks, not raw doc_ids, because doc_ids are 63-bit
     hashes that cannot pack beside a position in 64 bits).  Keys are
     uint64 with explicit bound checks: ranks and positions each get
     32 bits, and exceeding either is an error, never silent key
-    aliasing."""
-    uterms = sorted(set(terms))
-    empty = np.empty(0, dtype=np.int64)
-    if not uterms:
-        return empty
-    cand = None
-    for t in uterms:
-        ids = data[t][0]
-        if ids.size == 0:
-            return empty
-        cand = np.unique(ids) if cand is None else np.intersect1d(cand, ids)
-        if cand.size == 0:
-            return empty
-    if cand.size >= (1 << 32):
-        raise NotImplementedError(
-            "phrase candidate set exceeds 2^32 docs — partition the "
-            "candidate space before key packing")
-    keys = None
-    for i, t in enumerate(terms):
-        ids, offs, flat = data[t]
-        tfs = np.diff(offs)
-        pos_c, keep = positions_in_sorted(ids, cand)
-        rank_rep = np.repeat(pos_c[keep], tfs[keep])
-        flat_k = flat[np.repeat(keep, tfs)]
-        if flat_k.size and int(flat_k.max()) >= (1 << 32):
-            raise ValueError("term position exceeds 2^32 — cannot pack "
-                             "beside the candidate rank")
-        ok = flat_k >= i              # a phrase cannot start before 0
-        kk = ((rank_rep[ok].astype(np.uint64) << np.uint64(32))
-              | (flat_k[ok] - i).astype(np.uint64))
-        keys = kk if keys is None else np.intersect1d(keys, kk)
-        if keys.size == 0:
-            return empty
-    return cand[np.unique(keys >> np.uint64(32)).astype(np.int64)]
+    aliasing.
 
-
-def phrase_match_docs_lazy(fetch, terms: list[str], cand: np.ndarray,
-                           order: list[str]) -> np.ndarray:
-    """Rarest-term-first variant of :func:`phrase_match_docs` —
-    identical result (slot-key intersection is commutative), but each
-    unique term's positions are fetched on demand AGAINST THE
-    SURVIVING candidate set, so hot terms (fetched last) skip the
-    position decode for every chunk the rarer slots already emptied.
-
+    Slot-key intersection is commutative, so the unique slot terms run
+    in ``order`` and each one's positions come from
     ``fetch(term, alive_sorted)`` → (doc_ids, offsets, flat positions)
-    restricted to ``alive_sorted``; ``cand`` is the sorted doc set
-    holding every unique term (the rank base for key packing);
-    ``order`` lists the unique slot terms, rarest first."""
+    restricted to (a superset of) the candidates SURVIVING the earlier
+    slots: run rarest first, hot terms skip the position decode for
+    every chunk the rarer slots already emptied."""
     empty = np.empty(0, dtype=np.int64)
     if not terms:
         return empty
@@ -1965,8 +1925,8 @@ def _runs_take(offsets: np.ndarray, runs: np.ndarray) -> np.ndarray:
 
 
 def _bigram_count_runs(a: tuple, b: tuple) -> int:
-    """Adjacency count core shared by the local and distributed
-    phrase suggesters: given two (doc_ids, offsets, flat ascending
+    """Adjacency count core of the phrase suggester: given two
+    (doc_ids, offsets, flat ascending
     positions) triples, the number of (doc, p) with the first term at
     p and the second at p+1 — composite rank·2³²+pos key intersection
     per common doc, fully vectorized."""
@@ -1991,10 +1951,8 @@ def _bigram_count_runs(a: tuple, b: tuple) -> int:
 def _lm_score_slots(slots: list[list[str]], uni: dict, bi: dict,
                     total: int, n: int, backoff: float
                     ) -> list[tuple[float, list[str]]]:
-    """Stupid-backoff bigram LM scoring over candidate slots — ONE
-    implementation shared by Searcher.suggest_phrase and
-    DistributedSearcher.suggest_phrase so the two can never diverge
-    (counts are integers, so equal inputs give bit-equal scores)."""
+    """Stupid-backoff bigram LM scoring over candidate slots (counts
+    are integers, so equal inputs give bit-equal scores)."""
     import itertools
     import math
 
@@ -2034,7 +1992,7 @@ def span_near_match_docs(data: dict, terms: list[str], slop: int
     ``slop=0`` is exactly the phrase predicate.
 
     Same uint64 ``rank << 32 | pos`` key packing as
-    :func:`phrase_match_docs`; instead of aligning every slot to one
+    :func:`phrase_match_docs_lazy`; instead of aligning every slot to one
     shared anchor, the REACHABLE-position set is propagated left to
     right: step i expands each reachable position by gaps
     ``1..slop+1`` and intersects with term i's keys, so work is
@@ -2580,23 +2538,20 @@ class CachedSearcher:
                 "entries": len(self._entries)}
 
 
-class DistributedSearcher:
-    """Actor-pool query path: `n_actors` shard actors, shards assigned
-    round-robin; queries fan out only to actors owning a needed shard,
-    and the driver performs the global merge + top-k."""
+class DistributedSearcher(QueryPlanner):
+    """Actor-pool transport: `n_actors` shard actors, shards assigned
+    round-robin.  Each postings primitive fans out only to the actors
+    owning a needed term and the driver merges their disjoint dicts;
+    every query variant runs the shared :class:`QueryPlanner` body over
+    those primitives, and a query whose terms all live on one actor
+    runs whole on that actor (one round trip)."""
 
     def __init__(self, index_root: str, epoch: str | None = None,
                  n_actors: int = 4):
         import ray
 
-        self.index_root = index_root
+        self._open_snapshot(index_root, epoch)
         self.n_actors_requested = n_actors
-        self.manifest = mf.load_manifest(index_root, epoch)
-        self.num_shards = self.manifest["num_shards"]
-        self.n_docs, _ = mf.live_stats(self.manifest)
-        self._tok = None  # driver-side tokenizer for mlt seed text
-        self._vocab: list[str] | None = None
-        self._del_index: dict[str, list[str]] | None = None
         # never request more 1-CPU actors than the cluster can schedule
         # — an unsatisfiable pool blocks warm() forever
         cluster_cpus = int(ray.cluster_resources().get("CPU", n_actors))
@@ -2630,69 +2585,11 @@ class DistributedSearcher:
                     self.searcher._shard(s).prefetch()
                 return True
 
-            def term_partials(self, terms):
-                return self.searcher.term_partials(terms)
-
-            def term_partials_dl(self, terms):
-                return self.searcher.term_partials_dl(terms)
-
-            def term_partials_for_docs(self, terms, doc_ids_sorted):
-                return self.searcher.term_partials_for_docs(
-                    terms, doc_ids_sorted)
-
-            def term_doc_ids(self, terms):
-                return {t: np.unique(self.searcher._live_postings(
-                    term_hash(t) % self.searcher.num_shards, t)[0])
-                        for t in terms}
-
-            def term_dfs(self, terms):
-                # dictionary-only live dfs (mlt term selection)
-                return {t: self.searcher.term_df(t) for t in terms}
-
-            def vocab(self):
-                # owned shards' sorted term union (prefix/fuzzy)
-                return self.searcher.vocabulary()
-
-            def term_doc_positions(self, terms, candidates=None):
-                return {t: self.searcher.term_doc_positions(t, candidates)
-                        for t in terms}
-
-            def search_phrase(self, terms, k):
-                return self.searcher.search_phrase(terms, k)
-
-            def search_span_near(self, terms, slop, k):
-                return self.searcher.search_span_near(terms, slop, k)
-
-            def search_intervals(self, terms, max_gaps, ordered, k):
-                return self.searcher.search_intervals(
-                    terms, max_gaps, ordered, k)
-
-            def search_span_first(self, term, end, k):
-                return self.searcher.search_span_first(term, end, k)
-
-            def search_span_containing(self, big_terms, slop, little,
-                                       k):
-                return self.searcher.search_span_containing(
-                    big_terms, slop, little, k)
-
-            def search_span_within(self, little, big_terms, slop, k):
-                return self.searcher.search_span_within(
-                    little, big_terms, slop, k)
-
-            def search_span_or_near(self, slots, slop, k):
-                return self.searcher.search_span_or_near(slots, slop,
-                                                          k)
-
-            def search_span_not(self, include, exclude, dist, k):
-                return self.searcher.search_span_not(include, exclude,
-                                                     dist, k)
-
-            def explain(self, terms, doc_id):
-                return self.searcher.explain(terms, doc_id)
-
-            def term_total_tfs(self, terms):
-                return {t: self.searcher.term_total_tf(t)
-                        for t in terms}
+            def run(self, method, *args, **kw):
+                """One Searcher method: a postings primitive over this
+                actor's terms, or a whole query whose terms all live
+                here."""
+                return getattr(self.searcher, method)(*args, **kw)
 
             def local_topm(self, terms, m):
                 """(exact local top-m partial ranking, bound): the
@@ -2703,11 +2600,6 @@ class DistributedSearcher:
                 tau = ranked[m - 1][1] if len(ranked) >= m else 0.0
                 return ranked, tau
 
-            def search(self, terms, k, operator="or"):
-                # complete top-k when every query shard lives here —
-                # takes the block-max WAND path when it is exact
-                return self.searcher.search(terms, k, operator=operator)
-
             def stats(self):
                 return self.searcher.query_stats.as_dict()
 
@@ -2717,8 +2609,84 @@ class DistributedSearcher:
             shards_of[a].append(s)
         self.actors = [ShardActor.remote(index_root, self.manifest["epoch"],
                                          shards_of[a]) for a in range(n_actors)]
-        import ray as _ray
-        _ray.get([self.actors[a].warm.remote(shards_of[a]) for a in range(n_actors)])
+        ray.get([self.actors[a].warm.remote(shards_of[a]) for a in range(n_actors)])
+
+    def _terms_by_actor(self, uterms: list[str]) -> dict[int, list[str]]:
+        """Group terms by their single owning actor (shard hash →
+        round-robin actor assignment) — THE routing rule, in one
+        place."""
+        by_actor: dict[int, list[str]] = defaultdict(list)
+        for t in uterms:
+            by_actor[self.assign[term_hash(t) % self.num_shards]].append(t)
+        return by_actor
+
+    def _fanout(self, method: str, terms: list[str], *args) -> dict:
+        """One round: ``method(owned_terms, *args)`` on every actor
+        owning one of ``terms``, the per-actor dicts merged.  An array
+        argument (a candidate doc set) is ``ray.put`` ONCE and its
+        ObjectRef broadcast — never re-shipped per actor message."""
+        import ray
+        by_actor = self._terms_by_actor(sorted(set(terms)))
+        if len(by_actor) > 1:
+            args = tuple(ray.put(a) if isinstance(a, np.ndarray) else a
+                         for a in args)
+        out: dict = {}
+        for d in ray.get([self.actors[a].run.remote(method, ts, *args)
+                          for a, ts in by_actor.items()]):
+            out.update(d)
+        return out
+
+    def _on_owner(self, terms: list[str], method: str, *args, **kw):
+        import ray
+        owners = {self.assign[term_hash(t) % self.num_shards]
+                  for t in terms}
+        if len(owners) != 1:
+            return None
+        return ray.get(self.actors[owners.pop()].run.remote(
+            method, *args, **kw))
+
+    def term_partials(self, terms: list[str]) -> dict:
+        return self._fanout("term_partials", terms)
+
+    def term_partials_dl(self, terms: list[str]) -> dict:
+        return self._fanout("term_partials_dl", terms)
+
+    def term_partials_for_docs(self, terms: list[str],
+                               doc_ids_sorted: np.ndarray) -> dict:
+        return self._fanout("term_partials_for_docs", terms,
+                            doc_ids_sorted)
+
+    def term_doc_ids(self, terms: list[str]) -> dict:
+        return self._fanout("term_doc_ids", terms)
+
+    def term_dfs(self, terms: list[str]) -> dict:
+        return self._fanout("term_dfs", terms)
+
+    def term_total_tfs(self, terms: list[str]) -> dict:
+        return self._fanout("term_total_tfs", terms)
+
+    def term_positions(self, terms: list[str],
+                       candidates: np.ndarray | None = None) -> dict:
+        return self._fanout("term_positions", terms, candidates)
+
+    def explain(self, terms: list[str], doc_id: int
+                ) -> dict[str, dict[str, float]]:
+        """Each term's breakdown comes from its OWNING actor — the
+        same dict the local :meth:`Searcher.explain` computes."""
+        return self._fanout("explain", terms, doc_id)
+
+    def vocabulary(self) -> list[str]:
+        """Sorted union of every actor's owned-shard terms, fetched
+        ONCE per pool lifetime (dictionaries are memory-resident on
+        the actors; one round of sorted lists crosses the wire)."""
+        import ray
+        if self._vocab is None:
+            out: set[str] = set()
+            for v in ray.get([a.run.remote("vocabulary")
+                              for a in self.actors]):
+                out.update(v)
+            self._vocab = sorted(out)
+        return self._vocab
 
     def search(self, terms: list[str], k: int = 10,
                mode: str = "partials",
@@ -2736,15 +2704,13 @@ class DistributedSearcher:
         Both modes return doc_ids AND float64 scores identical to the
         oracle (candidate scores are re-accumulated from per-term
         contribution vectors in sorted-term order)."""
-        import ray
         uterms = sorted(set(terms))
-        by_actor = self._terms_by_actor(uterms)
-        if len(by_actor) == 1:
-            # single-actor query: the actor owns every needed shard, so
-            # its local (WAND-pruned) top-k IS the global answer
-            (a,) = by_actor
-            return ray.get(self.actors[a].search.remote(uterms, k,
-                                                        operator))
+        # single-actor query: the actor owns every needed shard, so
+        # its local (WAND-pruned) top-k IS the global answer
+        got = self._on_owner(uterms, "search", uterms, k,
+                             operator=operator)
+        if got is not None:
+            return got
         if operator == "and":
             # two rounds: doc-id sets first (cheap), then per-term
             # partials restricted to the intersection — transfer is
@@ -2752,26 +2718,13 @@ class DistributedSearcher:
             # A bound protocol cannot prune soundly across
             # term-partitioned shards, but conjunction doesn't need
             # one: the intersection IS the exact result set.
-            id_futs = [self.actors[a].term_doc_ids.remote(ts)
-                       for a, ts in by_actor.items()]
-            id_sets: dict = {}
-            for d in ray.get(id_futs):
-                id_sets.update(d)
-            cand = None
-            for t in uterms:
-                ids = id_sets.get(t)
-                if ids is None or ids.size == 0:
-                    return []
-                cand = ids if cand is None else np.intersect1d(cand, ids)
-                if cand.size == 0:
-                    return []
-            pfuts = [self.actors[a].term_partials_for_docs.remote(ts, cand)
-                     for a, ts in by_actor.items()]
-            return merge_partials_conjunctive(ray.get(pfuts), uterms, k)
+            cand = self._candidate_docs(uterms)
+            return ([] if cand is None
+                    else self._score_conjunctive(uterms, cand, k))
         if mode == "threephase":
-            return self._search_three_phase(by_actor, uterms, k)
-        futs = [self.actors[a].term_partials.remote(ts) for a, ts in by_actor.items()]
-        return merge_partials(ray.get(futs), uterms, k)
+            return self._search_three_phase(self._terms_by_actor(uterms),
+                                            uterms, k)
+        return merge_partials([self.term_partials(uterms)], uterms, k)
 
     def msearch(self, queries: list[list[str]], k: int = 10
                 ) -> list[list[tuple[int, float]]]:
@@ -2781,769 +2734,14 @@ class DistributedSearcher:
         driver-side merge per query.  Results are exactly
         ``[search(q, k) for q in queries]`` — same scores, same
         tie-breaks — at a fraction of the actor round-trips."""
-        import ray
         if not queries:
             return []
         union = sorted({t for q in queries for t in q})
         if k <= 0 or not union:
             return [[] for _ in queries]
-        by_actor = self._terms_by_actor(union)
-        parts = ray.get([self.actors[a].term_partials.remote(ts)
-                         for a, ts in by_actor.items()])
-        return [merge_partials(parts, sorted(set(q)), k) if q else []
+        parts = self.term_partials(union)
+        return [merge_partials([parts], sorted(set(q)), k) if q else []
                 for q in queries]
-
-    def search_boolean(self, must: list[str], must_not: list[str],
-                       k: int = 10) -> list[tuple[int, float]]:
-        """Distributed boolean must/must_not (see
-        :meth:`Searcher.search_boolean` for semantics).  One fan-out
-        round: owning actors ship per-term partials for ``must`` and
-        live doc-id sets for ``must_not`` (the id sets are bounded by
-        the excluded terms' df — rare exclusion terms cost almost
-        nothing); the driver merges, drops excluded docs, and selects
-        the top-k."""
-        import ray
-        if k <= 0 or not must:
-            return []
-        uterms = sorted(set(must))
-        nterms = sorted(set(must_not))
-        by_actor = self._terms_by_actor(uterms)
-        n_by_actor = self._terms_by_actor(nterms)
-        futs = [self.actors[a].term_partials.remote(ts)
-                for a, ts in by_actor.items()]
-        nfuts = [self.actors[a].term_doc_ids.remote(ts)
-                 for a, ts in n_by_actor.items()]
-        parts = ray.get(futs)
-        excl_sets = [ids for d in ray.get(nfuts) for ids in d.values()
-                     if ids.size]
-        excl = (np.unique(np.concatenate(excl_sets)) if excl_sets
-                else np.empty(0, dtype=np.int64))
-        return merge_partials(parts, uterms, k, exclude_sorted=excl)
-
-    def _terms_by_actor(self, uterms: list[str]) -> dict[int, list[str]]:
-        """Group terms by their single owning actor (shard hash →
-        round-robin actor assignment) — THE routing rule, in one
-        place."""
-        by_actor: dict[int, list[str]] = defaultdict(list)
-        for t in uterms:
-            by_actor[self.assign[term_hash(t) % self.num_shards]].append(t)
-        return by_actor
-
-    def _fanout_partials(self, uterms: list[str]) -> list[dict]:
-        """One round: each owning actor ships its per-term partial
-        score vectors (the `mode=\"partials\"` transport)."""
-        import ray
-        futs = [self.actors[a].term_partials.remote(ts)
-                for a, ts in self._terms_by_actor(uterms).items()]
-        return ray.get(futs)
-
-    def _fanout_partials_dl(self, uterms: list[str]) -> list[dict]:
-        """One round: per-term ``(ids, scores, dls)`` triples from each
-        owning actor — the per-doc-dl transport (terms_set,
-        script_score).  Same transfer bound as
-        :meth:`_fanout_partials` plus one int64 per posting."""
-        import ray
-        futs = [self.actors[a].term_partials_dl.remote(ts)
-                for a, ts in self._terms_by_actor(uterms).items()]
-        return ray.get(futs)
-
-    def search_terms_set(self, terms: list[str], k: int,
-                         dl_threshold: int, low: int = 1, high: int = 2
-                         ) -> list[tuple[int, float]]:
-        """Distributed ``terms_set`` (see
-        :meth:`Searcher.search_terms_set`): one partials-with-dl
-        fan-out; the per-doc required-count threshold is applied in
-        the driver merge.  Bit-identical to the local path
-        (sorted-term accumulation via :func:`_accumulate_with_dl`)."""
-        if k <= 0 or not terms:
-            return []
-        uterms = sorted(set(terms))
-        gathered = _accumulate_with_dl(self._fanout_partials_dl(uterms),
-                                       uterms)
-        return _terms_set_select(gathered, dl_threshold, low, high, k)
-
-    def search_script_score(self, terms: list[str], script: str,
-                            k: int = 10) -> list[tuple[int, float]]:
-        """Distributed ``script_score`` (see
-        :meth:`Searcher.search_script_score`): the script compiles
-        ONCE on the driver (eager validation), one partials-with-dl
-        fan-out gathers the exhaustive disjunctive matches, and the
-        rescore evaluates vectorized on the driver — matching docs
-        and replaced scores bit-identical to the local path."""
-        from mee_ray.functions.scalar import compile_expr
-        if k <= 0 or not terms:
-            return []
-        fn = compile_expr(script)
-        uterms = sorted(set(terms))
-        gathered = _accumulate_with_dl(self._fanout_partials_dl(uterms),
-                                       uterms)
-        return _script_rescore(gathered, fn, k)
-
-    def search_min_match(self, terms: list[str], k: int,
-                         min_match: int) -> list[tuple[int, float]]:
-        """Distributed minimum_should_match (see
-        :meth:`Searcher.search_min_match`): per-term partials fan out
-        exactly like a disjunctive query; the count threshold is
-        applied in the driver merge (each term's vector arrives from
-        its single owning actor, so per-doc entry count = distinct
-        matched terms)."""
-        if k <= 0 or not terms:
-            return []
-        uterms = sorted(set(terms))
-        m = max(1, int(min_match))
-        if m > len(uterms):
-            return []
-        return merge_partials(self._fanout_partials(uterms), uterms, k,
-                              min_match=m)
-
-    def search_weighted(self, term_boosts: dict[str, float], k: int
-                        ) -> list[tuple[int, float]]:
-        """Distributed per-term boosts (see
-        :meth:`Searcher.search_weighted`): boosts are applied to the
-        partial vectors on the driver — transport is unchanged."""
-        if k <= 0 or not term_boosts:
-            return []
-        if any(b <= 0 for b in term_boosts.values()):
-            raise ValueError("boosts must be positive; drop the term "
-                             "or use search_boolean must_not instead")
-        uterms = sorted(term_boosts)
-        parts = self._fanout_partials(uterms)
-        boosted = [{t: (ids, sc * float(term_boosts[t]))
-                    for t, (ids, sc) in p.items()} for p in parts]
-        return merge_partials(boosted, uterms, k)
-
-    def search_after(self, terms: list[str], size: int = 10,
-                     after: tuple[int, float] | None = None
-                     ) -> list[tuple[int, float]]:
-        """Distributed cursor pagination (see
-        :meth:`Searcher.search_after`): one partials fan-out per page,
-        cursor filter in the driver merge."""
-        if size <= 0 or not terms:
-            return []
-        uterms = sorted(set(terms))
-        return merge_partials(self._fanout_partials(uterms), uterms,
-                              size, after=after)
-
-    def search_dismax(self, terms: list[str], k: int = 10,
-                      tie_breaker: float = 0.0
-                      ) -> list[tuple[int, float]]:
-        """Distributed dis-max (see :meth:`Searcher.search_dismax`)."""
-        if k <= 0 or not terms:
-            return []
-        uterms = sorted(set(terms))
-        return merge_partials_dismax(self._fanout_partials(uterms),
-                                     uterms, k, tie_breaker)
-
-    def vocabulary(self) -> list[str]:
-        """Sorted union of every actor's owned-shard terms, fetched
-        ONCE per pool lifetime (dictionaries are memory-resident on
-        the actors; one round of sorted lists crosses the wire)."""
-        import ray
-        if self._vocab is None:
-            out: set[str] = set()
-            for v in ray.get([a.vocab.remote() for a in self.actors]):
-                out.update(v)
-            self._vocab = sorted(out)
-        return self._vocab
-
-    def _deletion_index_cached(self) -> dict[str, list[str]]:
-        if self._del_index is None:
-            self._del_index = build_deletion_index(self.vocabulary())
-        return self._del_index
-
-    def search_prefix(self, prefix: str, k: int = 10
-                      ) -> list[tuple[int, float]]:
-        """Distributed prefix expansion: expansion against the pooled
-        vocabulary, then the standard partials fan-out (expanded terms
-        route to their owning actors like any disjunctive query)."""
-        if k <= 0 or not prefix:
-            return []
-        terms = prefix_terms(self.vocabulary(), prefix)
-        if not terms:
-            return []
-        # search() keeps the single-actor WAND shortcut when the whole
-        # expansion hashes to one actor (common for small expansions)
-        return self.search(terms, k)
-
-    def search_fuzzy(self, term: str, k: int = 10, max_edits: int = 1
-                     ) -> list[tuple[int, float]]:
-        """Distributed fuzzy expansion (same SymSpell candidate path
-        as :meth:`Searcher.search_fuzzy`, driver-side index)."""
-        if k <= 0 or not term:
-            return []
-        terms = fuzzy_terms(self.vocabulary(), term, max_edits,
-                            self._deletion_index_cached
-                            if max_edits == 1 else None)
-        if not terms:
-            return []
-        return self.search(terms, k)
-
-    def search_wildcard(self, pattern: str, k: int = 10
-                        ) -> list[tuple[int, float]]:
-        """Distributed wildcard expansion against the pooled
-        vocabulary, then the standard partials fan-out."""
-        if k <= 0 or not pattern:
-            return []
-        terms = wildcard_terms(self.vocabulary(), pattern)
-        if not terms:
-            return []
-        return self.search(terms, k)
-
-    def search_regexp(self, pattern: str, k: int = 10
-                      ) -> list[tuple[int, float]]:
-        """Distributed regexp expansion (full-match, anchored)."""
-        if k <= 0 or not pattern:
-            return []
-        terms = regexp_terms(self.vocabulary(), pattern)
-        if not terms:
-            return []
-        return self.search(terms, k)
-
-    def suggest(self, term: str, n: int = 5, max_edits: int = 1
-                ) -> list[tuple[int, str]]:
-        """Distributed term suggester: candidates from the pooled
-        vocabulary's deletion index, dfs via one dictionary-only
-        fan-out (see :meth:`Searcher.suggest`)."""
-        import ray
-        if n <= 0 or not term:
-            return []
-        cands = [t for t in fuzzy_terms(
-                     self.vocabulary(), term, max_edits,
-                     self._deletion_index_cached
-                     if max_edits == 1 else None)
-                 if t != term]
-        return self._ranked_by_df(cands, n)
-
-    def suggest_phrase(self, terms: list[str], n: int = 3,
-                       max_candidates: int = 5, backoff: float = 0.4
-                       ) -> list[tuple[float, list[str]]]:
-        """Distributed phrase suggester — identical results to
-        :meth:`Searcher.suggest_phrase` (shared scoring core; counts
-        are integers, so scores are bit-equal).  Exchange shape: slot
-        candidates from the pooled vocabulary + ONE df fan-out; ONE
-        unigram-count fan-out; per bigram pair, doc-id sets then
-        positions restricted to the pair's common docs ship from each
-        term's owning actor — transfer bounded by candidate dfs."""
-        import ray
-        if not terms or n <= 0:
-            return []
-        if not self.manifest.get("store_positions"):
-            raise ValueError("suggest_phrase needs store_positions="
-                             "True (bigram counts are positional)")
-        slots: list[list[str]] = []
-        for t in terms:
-            cands = list(self.suggest(t, n=max_candidates))
-            self_df = self._dfs_of([t]).get(t, 0)
-            if self_df > 0:
-                cands.append((self_df, t))
-            ranked = sorted(cands, key=lambda x: (-x[0], x[1]))
-            slots.append([w for _, w in ranked[:max_candidates]])
-            if not slots[-1]:
-                return []
-        _, total = mf.live_totals(self.manifest)
-        words = sorted({w for s_ in slots for w in s_})
-        uni: dict[str, int] = {}
-        for d in ray.get([self.actors[a].term_total_tfs.remote(ts)
-                          for a, ts in
-                          self._terms_by_actor(words).items()]):
-            uni.update(d)
-        # doc-id sets once per word, then per-pair common-restricted
-        # positions from each owner
-        ids: dict[str, np.ndarray] = {}
-        for d in ray.get([self.actors[a].term_doc_ids.remote(ts)
-                          for a, ts in
-                          self._terms_by_actor(words).items()]):
-            ids.update(d)
-        pairs = sorted({(w1, w2)
-                        for i in range(len(slots) - 1)
-                        for w1 in slots[i] for w2 in slots[i + 1]})
-        owner = {w: self.assign[term_hash(w) % self.num_shards]
-                 for w in words}
-        bi: dict[tuple[str, str], int] = {}
-        pend = []
-        for w1, w2 in pairs:
-            common = np.intersect1d(np.unique(ids[w1]),
-                                    np.unique(ids[w2]))
-            if not common.size:
-                bi[(w1, w2)] = 0
-                continue
-            f1 = self.actors[owner[w1]].term_doc_positions.remote(
-                [w1], common)
-            f2 = self.actors[owner[w2]].term_doc_positions.remote(
-                [w2], common)
-            pend.append(((w1, w2), f1, f2))
-        for (w1, w2), f1, f2 in pend:
-            p1, p2 = ray.get([f1, f2])
-            bi[(w1, w2)] = _bigram_count_runs(p1[w1], p2[w2])
-        return _lm_score_slots(slots, uni, bi, total, n, backoff)
-
-    def _dfs_of(self, terms: list[str]) -> dict[str, int]:
-        import ray
-        out: dict[str, int] = {}
-        for d in ray.get([self.actors[a].term_dfs.remote(ts)
-                          for a, ts in
-                          self._terms_by_actor(terms).items()]):
-            out.update(d)
-        return out
-
-    def _ranked_by_df(self, cands: list[str], n: int
-                      ) -> list[tuple[int, str]]:
-        """Shared suggester tail: ONE dictionary-only df fan-out for
-        the candidates, ranked (live df desc, term asc), dead terms
-        dropped — suggest() and complete() differ only in how they
-        generate candidates."""
-        import ray
-        if not cands:
-            return []
-        dfs: dict[str, int] = {}
-        for d in ray.get([self.actors[a].term_dfs.remote(ts)
-                          for a, ts in
-                          self._terms_by_actor(cands).items()]):
-            dfs.update(d)
-        ranked = sorted((-dfs[t], t) for t in cands
-                        if dfs.get(t, 0) > 0)   # live terms only
-        return [(-negdf, t) for negdf, t in ranked[:n]]
-
-    def complete(self, prefix: str, n: int = 5
-                 ) -> list[tuple[int, str]]:
-        """Distributed completion suggester: prefix run of the pooled
-        vocabulary + the shared :meth:`_ranked_by_df` tail."""
-        if n <= 0 or not prefix:
-            return []
-        return self._ranked_by_df(prefix_terms(self.vocabulary(),
-                                               prefix), n)
-
-    def count(self, terms: list[str], operator: str = "or") -> int:
-        """Distributed match count (see :meth:`Searcher.count`): one
-        id-set fan-out (transfer bounded by the terms' dfs), set math
-        on the driver."""
-        import ray
-        uterms = sorted(set(terms))
-        if not uterms:
-            return 0
-        id_sets: dict[str, np.ndarray] = {}
-        for d in ray.get([self.actors[a].term_doc_ids.remote(ts)
-                          for a, ts in
-                          self._terms_by_actor(uterms).items()]):
-            id_sets.update(d)
-        sets = [id_sets.get(t, np.empty(0, np.int64)) for t in uterms]
-        if operator == "and":
-            cand = sets[0]
-            for x in sets[1:]:
-                cand = np.intersect1d(cand, x)
-                if cand.size == 0:
-                    return 0
-            return int(cand.size)
-        sets = [x for x in sets if x.size]
-        if not sets:
-            return 0
-        return int(np.unique(np.concatenate(sets)).size)
-
-    def more_like_this(self, text: str, k: int = 10,
-                       max_terms: int = 10, exclude_doc_ids=None
-                       ) -> list[tuple[int, float]]:
-        """Distributed more_like_this (see
-        :meth:`Searcher.more_like_this`): seed analysis on the driver,
-        one dictionary-only df fan-out for the seed's terms (no
-        posting decode crosses the wire), selection on the driver,
-        then the standard partials fan-out over the selected terms."""
-        import ray
-        if k <= 0 or max_terms <= 0 or not text:
-            return []
-        if self._tok is None:
-            self._tok = tokenizer_from_manifest(self.manifest)
-        counts = self._tok.counts(text)
-        by_actor = self._terms_by_actor(sorted(counts))
-        dfs: dict[str, int] = {}
-        for d in ray.get([self.actors[a].term_dfs.remote(ts)
-                          for a, ts in by_actor.items()]):
-            dfs.update(d)
-        sel = select_terms_tfidf(counts, self.n_docs,
-                                 lambda t: dfs.get(t, 0), max_terms)
-        if not sel:
-            return []
-        excl = None
-        if exclude_doc_ids is not None:
-            excl = np.unique(np.asarray(list(exclude_doc_ids),
-                                        dtype=np.int64))
-        return merge_partials(self._fanout_partials(sel), sel, k,
-                              exclude_sorted=excl)
-
-    def search_filtered(self, terms: list[str], k: int,
-                        allowed_doc_ids, operator: str = "or"
-                        ) -> list[tuple[int, float]]:
-        """Distributed filter-context search (see
-        :meth:`Searcher.search_filtered` for semantics).  The allowed
-        id array is ``ray.put`` ONCE and the ObjectRef fans out to the
-        owning actors — broadcast, not re-shipped per actor message —
-        and each actor returns contributions only for allowed docs, so
-        transfer is bounded by |allowed ∩ postings| per term, never
-        the hot term's full df."""
-        import ray
-        if k <= 0 or not terms:
-            return []
-        allowed = np.unique(np.asarray(allowed_doc_ids, dtype=np.int64))
-        if allowed.size == 0:
-            return []
-        uterms = sorted(set(terms))
-        by_actor = self._terms_by_actor(uterms)
-        ref = ray.put(allowed)
-        futs = [self.actors[a].term_partials_for_docs.remote(ts, ref)
-                for a, ts in by_actor.items()]
-        parts = ray.get(futs)
-        if operator == "and":
-            return merge_partials_conjunctive(parts, uterms, k)
-        return merge_partials(parts, uterms, k)
-
-    def search_common_terms(self, terms: list[str],
-                            cutoff_frequency: float = 0.5,
-                            k: int = 10) -> list[tuple[int, float]]:
-        """Distributed ``common_terms`` (see
-        :meth:`Searcher.search_common_terms` for semantics).  One df
-        round classifies terms (dictionary-only — no postings); the
-        LOW terms' doc-id sets ship from their owners (transfer
-        bounded by the rare terms' dfs — the cheap side by
-        construction) and intersect on the driver; the surviving
-        allowed set broadcasts via :meth:`search_filtered`'s one
-        ``ray.put``."""
-        import ray
-        if k <= 0 or not terms:
-            return []
-        uterms = sorted(set(terms))
-        dfs = self._dfs_of(uterms)
-        thresh = cutoff_frequency * self.n_docs
-        low = [t for t in uterms if dfs.get(t, 0) <= thresh]
-        if not low:
-            return self.search(uterms, k)
-        cand = self._intersect_live_ids(low)
-        if cand is None:
-            return []
-        return self.search_filtered(uterms, k, cand)
-
-    def _intersect_live_ids(self, terms: list[str]
-                            ) -> "np.ndarray | None":
-        """One doc-id fan-out over ``terms``' owning actors (postings
-        decode only — no positions) intersected on the driver; the
-        candidate round shared by the positional family and
-        ``common_terms``.  Transfer is bounded by the terms' dfs.
-        Returns ``None`` when any term is dead or the intersection
-        empties."""
-        import ray
-        id_sets: dict[str, np.ndarray] = {}
-        for d in ray.get([self.actors[a].term_doc_ids.remote(ts)
-                          for a, ts in
-                          self._terms_by_actor(terms).items()]):
-            id_sets.update(d)
-        cand: np.ndarray | None = None
-        for t in terms:
-            ids = id_sets.get(t)
-            if ids is None or ids.size == 0:
-                return None
-            cand = ids if cand is None else np.intersect1d(cand, ids)
-            if cand.size == 0:
-                return None
-        return cand
-
-    def _positional_query(self, terms: list[str], k: int, matcher,
-                          single_actor_call,
-                          score_terms: list[str] | None = None
-                          ) -> list[tuple[int, float]]:
-        """Shared two-round distributed body of the positional query
-        family.  Single-owning-actor queries run entirely actor-side
-        (``single_actor_call(actor)`` → remote future); otherwise:
-        (1) each owning actor ships its terms' live doc-id sets
-        (postings decode only — no positions), the driver intersects
-        them into the candidate set; (2) actors ship positions
-        restricted to the candidates — transfer and position decode
-        bounded by the rarest term's df, not the hottest term's
-        occurrence count; (3) ``matcher(data)`` picks the matching
-        docs and they are scored conjunctively over ``score_terms``
-        (default: all of ``terms`` — span_containing/within score a
-        sub-clause)."""
-        import ray
-        if not terms:
-            return []
-        uterms = sorted(set(terms))
-        by_actor = self._terms_by_actor(uterms)
-        if len(by_actor) == 1:
-            (a,) = by_actor
-            return ray.get(single_actor_call(self.actors[a]))
-        cand = self._intersect_live_ids(uterms)
-        if cand is None:
-            return []
-        futs = [self.actors[a].term_doc_positions.remote(ts, cand)
-                for a, ts in by_actor.items()]
-        data: dict = {}
-        for d in ray.get(futs):
-            data.update(d)
-        matched = matcher(data)
-        if matched.size == 0:
-            return []
-        sterms = (sorted(set(score_terms)) if score_terms is not None
-                  else uterms)
-        by_actor_s = self._terms_by_actor(sterms)
-        pfuts = [self.actors[a].term_partials_for_docs.remote(ts, matched)
-                 for a, ts in by_actor_s.items()]
-        return merge_partials_conjunctive(ray.get(pfuts), sterms, k)
-
-    def search_phrase(self, terms: list[str], k: int = 10
-                      ) -> list[tuple[int, float]]:
-        """Distributed exact phrase top-k (see
-        :meth:`_positional_query` for the transfer bounds)."""
-        return self._positional_query(
-            terms, k,
-            lambda data: phrase_match_docs(data, terms),
-            lambda actor: actor.search_phrase.remote(terms, k))
-
-    def search_span_near(self, terms: list[str], slop: int = 0,
-                         k: int = 10) -> list[tuple[int, float]]:
-        """Distributed ordered-proximity top-k — the span_near analog
-        of :meth:`search_phrase`, same two-round shape."""
-        return self._positional_query(
-            terms, k,
-            lambda data: span_near_match_docs(data, terms, slop),
-            lambda actor: actor.search_span_near.remote(terms, slop, k))
-
-    def search_intervals(self, terms: list[str], max_gaps: int = 0,
-                         ordered: bool = True, k: int = 10
-                         ) -> list[tuple[int, float]]:
-        """Distributed ES ``intervals`` (total-gap-budget) top-k —
-        same two-round shape as :meth:`search_phrase`."""
-        return self._positional_query(
-            terms, k,
-            lambda data: intervals_match_docs(data, terms, max_gaps,
-                                              ordered),
-            lambda actor: actor.search_intervals.remote(
-                terms, max_gaps, ordered, k))
-
-    def search_span_containing(self, big_terms: list[str], slop: int,
-                               little: str, k: int = 10
-                               ) -> list[tuple[int, float]]:
-        """Distributed ``span_containing`` (see
-        :meth:`Searcher.search_span_containing`): the two-round
-        positional body over big ∪ {little}, scored over the BIG
-        terms only."""
-        if k <= 0:
-            return []
-        if len(big_terms) < 2:
-            raise ValueError("span_containing needs >= 2 big terms")
-        if not little:
-            raise ValueError("span_containing needs a little term")
-        return self._positional_query(
-            sorted(set(big_terms) | {little}), k,
-            lambda data: span_containing_match_docs(data, big_terms,
-                                                    slop, little),
-            lambda actor: actor.search_span_containing.remote(
-                big_terms, slop, little, k),
-            score_terms=sorted(set(big_terms)))
-
-    def search_span_within(self, little: str, big_terms: list[str],
-                           slop: int, k: int = 10
-                           ) -> list[tuple[int, float]]:
-        """Distributed ``span_within`` — same containment predicate,
-        scored over the LITTLE term only."""
-        if k <= 0:
-            return []
-        if len(big_terms) < 2:
-            raise ValueError("span_within needs >= 2 big terms")
-        if not little:
-            raise ValueError("span_within needs a little term")
-        return self._positional_query(
-            sorted(set(big_terms) | {little}), k,
-            lambda data: span_containing_match_docs(data, big_terms,
-                                                    slop, little),
-            lambda actor: actor.search_span_within.remote(
-                little, big_terms, slop, k),
-            score_terms=[little])
-
-    def search_span_or_near(self, slots: list[list[str]],
-                            slop: int = 0, k: int = 10
-                            ) -> list[tuple[int, float]]:
-        """Distributed span_near-over-span_or (see
-        :meth:`Searcher.search_span_or_near`).  The candidate round
-        unions each slot's alternatives' doc-id sets BEFORE the
-        cross-slot intersection (an OR slot must not conjunct its
-        alternatives); positions then ship restricted to the
-        candidates, slots merge into pseudo-slots on the driver, and
-        scoring delegates to the distributed
-        :meth:`search_filtered`."""
-        import ray
-        if k <= 0 or not slots:
-            return []
-        if any(not s for s in slots):
-            raise ValueError("every span_or slot needs >= 1 term")
-        if slop < 0:
-            raise ValueError(f"slop must be >= 0, got {slop}")
-        all_terms = sorted({t for slot in slots for t in slot})
-        by_actor = self._terms_by_actor(all_terms)
-        if len(by_actor) == 1:
-            (a,) = by_actor
-            return ray.get(self.actors[a].search_span_or_near.remote(
-                slots, slop, k))
-        id_sets: dict[str, np.ndarray] = {}
-        for d in ray.get([self.actors[a].term_doc_ids.remote(ts)
-                          for a, ts in by_actor.items()]):
-            id_sets.update(d)
-        cand: np.ndarray | None = None
-        for slot in slots:
-            ids_l = [id_sets.get(t) for t in sorted(set(slot))]
-            ids_l = [x for x in ids_l if x is not None and x.size]
-            if not ids_l:
-                return []
-            slot_ids = np.unique(np.concatenate(ids_l))
-            cand = (slot_ids if cand is None
-                    else np.intersect1d(cand, slot_ids))
-            if cand.size == 0:
-                return []
-        futs = [self.actors[a].term_doc_positions.remote(ts, cand)
-                for a, ts in by_actor.items()]
-        data: dict = {}
-        for d in ray.get(futs):
-            data.update(d)
-        pseudo = [f"\x00slot{i}" for i in range(len(slots))]
-        pdata = {p: merge_position_sets(
-                     [data[t] for t in sorted(set(slot))])
-                 for p, slot in zip(pseudo, slots)}
-        docs = span_near_match_docs(pdata, pseudo, slop)
-        if docs.size == 0:
-            return []
-        return self.search_filtered(all_terms, k, docs)
-
-    def search_span_first(self, term: str, end: int,
-                          k: int = 10) -> list[tuple[int, float]]:
-        """Distributed span_first: a single-term span has exactly ONE
-        owning shard actor, so the whole query runs actor-side — the
-        positional family's single-actor fast path, with zero
-        position bytes crossing the wire."""
-        import ray
-        if end <= 0 or not term:
-            return []
-        by_actor = self._terms_by_actor([term])
-        (a,) = by_actor
-        return ray.get(
-            self.actors[a].search_span_first.remote(term, end, k))
-
-    def explain(self, terms: list[str], doc_id: int
-                ) -> dict[str, dict[str, float]]:
-        """Distributed _explain: each term's breakdown is computed by
-        its OWNING actor (shard-subset searchers return entries only
-        for owned terms, so the per-actor dicts are disjoint) and the
-        driver merges — identical to the local Searcher.explain."""
-        import ray
-        uterms = sorted(set(terms))
-        if not uterms:
-            return {}
-        futs = [self.actors[a].explain.remote(ts, doc_id)
-                for a, ts in self._terms_by_actor(uterms).items()]
-        out: dict[str, dict[str, float]] = {}
-        for d in ray.get(futs):
-            out.update(d)
-        return out
-
-    def search_span_not(self, include: str, exclude: str,
-                        dist: int = 1, k: int = 10
-                        ) -> list[tuple[int, float]]:
-        """Distributed span_not: the candidate set is the include
-        term's doc ids (one owning actor), exclude positions ship
-        candidate-restricted from THEIR owner — transfer bounded by
-        the include df, the filter-side analog of _positional_query's
-        rarest-term bound.  One owner for both terms → the whole query
-        runs actor-side."""
-        import ray
-        if not include or include == exclude:
-            return []
-        if not self.manifest.get("store_positions"):
-            # same clean refusal as the local path — without this, the
-            # split-owner branch surfaces an obscure actor-side decode
-            # error through ray.get instead
-            raise ValueError("span_not needs store_positions=True "
-                             "(pinned in the manifest)")
-        by_actor = self._terms_by_actor(sorted({include, exclude}))
-        if len(by_actor) == 1:
-            (a,) = by_actor
-            return ray.get(self.actors[a].search_span_not.remote(
-                include, exclude, dist, k))
-        inc_owner = next(a for a, ts in by_actor.items()
-                         if include in ts)
-        exc_owner = next(a for a, ts in by_actor.items()
-                         if exclude in ts)
-        inc = ray.get(self.actors[inc_owner].term_doc_positions.remote(
-            [include]))[include]
-        if not inc[0].size:
-            return []
-        cand = np.unique(inc[0])
-        exc = ray.get(self.actors[exc_owner].term_doc_positions.remote(
-            [exclude], cand))[exclude]
-        matched = span_not_match_docs(inc, exc, dist)
-        if not matched.size:
-            return []
-        pf = ray.get(self.actors[inc_owner].term_partials_for_docs
-                     .remote([include], matched))
-        return merge_partials([pf], [include], k)
-
-    def search_phrase_prefix(self, terms: list[str], k: int = 10,
-                             max_expansions: int = 50
-                             ) -> list[tuple[int, float]]:
-        """Distributed match_phrase_prefix: candidates from the fixed
-        terms' id-set fan-out; the prefix expands against the POOLED
-        vocabulary (dictionary-only, like the completion suggester),
-        expansion positions ship candidate-restricted from their
-        owning actors and merge into one pseudo-slot driver-side —
-        transfer stays bounded by |candidates|, never an expansion's
-        full occurrence count."""
-        import ray
-        if len(terms) < 2:
-            raise ValueError("match_phrase_prefix needs >= 2 terms; "
-                             "use search_prefix for a bare prefix")
-        if not self.manifest.get("store_positions"):
-            # same clean refusal as the local path — without this the
-            # position fan-out surfaces an obscure actor-side decode
-            # error through ray.get instead (span_not precedent)
-            raise ValueError("match_phrase_prefix needs "
-                             "store_positions=True (pinned in the "
-                             "manifest)")
-        if k <= 0:
-            return []
-        fixed, prefix = terms[:-1], terms[-1]
-        ufixed = sorted(set(fixed))
-        by_actor = self._terms_by_actor(ufixed)
-        id_futs = [self.actors[a].term_doc_ids.remote(ts)
-                   for a, ts in by_actor.items()]
-        id_sets: dict = {}
-        for d in ray.get(id_futs):
-            id_sets.update(d)
-        cand = None
-        for t in ufixed:
-            ids = id_sets[t]
-            if ids.size == 0:
-                return []
-            cand = ids if cand is None else np.intersect1d(cand, ids)
-            if cand.size == 0:
-                return []
-        expansions = prefix_terms(self.vocabulary(),
-                                  prefix)[:max_expansions]
-        if not expansions:
-            return []
-        all_by_actor = self._terms_by_actor(
-            sorted(set(ufixed) | set(expansions)))
-        futs = [self.actors[a].term_doc_positions.remote(ts, cand)
-                for a, ts in all_by_actor.items()]
-        data: dict = {}
-        for d in ray.get(futs):
-            data.update(d)
-        merged = merge_position_sets(
-            [data[e] for e in expansions if e in data])
-        if merged[0].size == 0:
-            return []
-        pseudo = "\x00" + prefix
-        d2 = {t: data[t] for t in ufixed}
-        d2[pseudo] = merged
-        matched = phrase_match_docs(d2, list(fixed) + [pseudo])
-        if matched.size == 0:
-            return []
-        pfuts = [self.actors[a].term_partials_for_docs.remote(ts, matched)
-                 for a, ts in by_actor.items()]
-        return merge_partials_conjunctive(ray.get(pfuts), ufixed, k)
 
     def _search_three_phase(self, by_actor: dict, uterms: list[str],
                             k: int) -> list[tuple[int, float]]:
@@ -3557,7 +2755,6 @@ class DistributedSearcher:
         once the k-th exact candidate score strictly beats that sum —
         or every actor has been drained — the candidate top-k is the
         global top-k.  m doubles per round; bounded by total drain."""
-        import numpy as np
         import ray
 
         m = max(k, 16)
@@ -3570,9 +2767,8 @@ class DistributedSearcher:
             if not cand:
                 return []
             cand_arr = np.array(cand, dtype=np.int64)
-            pfuts = [self.actors[a].term_partials_for_docs.remote(ts, cand_arr)
-                     for a, ts in by_actor.items()]
-            exact = merge_partials(ray.get(pfuts), uterms, k)
+            exact = merge_partials(
+                [self.term_partials_for_docs(uterms, cand_arr)], uterms, k)
             bound = sum(taus)
             drained = all(t == 0.0 for t in taus)
             if drained or (len(exact) >= k and exact[k - 1][1] > bound):

@@ -509,6 +509,10 @@ class WavMetaDecode:
         audio_fmt, n_ch, rate, _, block_align, bits = fmt
         if audio_fmt != 1:
             raise ValueError(f"not PCM: {audio_fmt}")
+        if bits != 16 or n_ch != 1:
+            # the sample parse below reads little-endian int16 mono
+            raise ValueError(f"need 16-bit mono PCM, got {bits}-bit "
+                             f"{n_ch}-channel")
         n_samples = len(data) // block_align
         s = np.frombuffer(data, dtype="<i2").astype(np.int64)
         return (rate, n_ch, bits, n_samples,

@@ -485,3 +485,25 @@ def test_ini_funcs_reference_defaults_and_registry(tmp_path):
     finally:
         from mee_ray.__main__ import _INI_FUNCS
         _INI_FUNCS.pop("consumer_group", None)
+
+
+def test_cli_explain_with_actors(built_index, ray_session):
+    """`query --explain` runs on the shard-actor pool too, and its
+    per-hit breakdowns equal the in-process ones."""
+    import contextlib
+    import io
+
+    from mee_ray.__main__ import main
+
+    def run(*extra):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main(["query", "--index", built_index["index_root"],
+                  "--terms", "def return merge", "-k", "4", "--explain",
+                  *extra])
+        return json.loads(buf.getvalue().strip().splitlines()[-1])
+
+    dist = run("--actors", "3")
+    assert len(dist["hits"]) == 4
+    assert all(h["explain"] for h in dist["hits"])
+    assert dist == run()

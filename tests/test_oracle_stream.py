@@ -189,3 +189,38 @@ def test_scoped_oracle_overlay_identity(stream_corpus):
     for q in qset2:
         assert so2.search(q["terms"], q["k"]) == \
             full2.search(q["terms"], q["k"])
+
+
+def test_live_mask_rejects_foreign_path():
+    from mee_ray.oracle_stream import live_mask
+    with pytest.raises(ValueError, match="file_<n>"):
+        live_mask(["r0"], ["src/main.py"], ["c0"])
+
+
+def test_pass_pools_default_to_cpu_count(monkeypatch):
+    import multiprocessing
+    import os
+
+    from mee_ray.oracle_stream import run_pass1, run_pass1b, run_pass2
+
+    seen = []
+
+    class InlinePool:
+        def __init__(self, processes=None):
+            seen.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    run_pass1([], n_keys=1)
+    run_pass1b([], [])
+    run_pass2([], ["def"])
+    run_pass1([], n_keys=1, processes=3)
+    assert seen == [os.cpu_count()] * 3 + [3]

@@ -684,20 +684,6 @@ def test_span_first_membership_and_scores(pos_index):
     assert s.search_span_first("zzz_unknown_term", 5) == []
 
 
-def test_span_first_distributed_equals_local(pos_index):
-    from mee_ray.query import DistributedSearcher, Searcher
-
-    s = Searcher(pos_index["root"])
-    ds = DistributedSearcher(pos_index["root"], n_actors=3)
-    try:
-        for term, end in [("def", 3), ("return", 8), ("import", 1),
-                          ("zzz_unknown_term", 5)]:
-            assert ds.search_span_first(term, end, k=20) == \
-                s.search_span_first(term, end, k=20)
-    finally:
-        ds.shutdown()
-
-
 def test_span_not_matches_oracle(pos_index):
     """Engine span_not is tuple-identical to the oracle's brute-force
     positional veto over real corpus term pairs at several distances,
@@ -845,60 +831,6 @@ def test_phrase_suggester_matches_bruteforce(pos_index):
             any_multi = True
     assert any_multi, "no probe produced >1 ranked suggestion"
 
-
-
-def test_span_not_distributed_equals_local(pos_index):
-    from mee_ray.config import TokenizerConfig
-    from mee_ray.query import DistributedSearcher, Searcher
-    from mee_ray.tokenizer import Tokenizer
-
-    s = Searcher(pos_index["root"])
-    ds = DistributedSearcher(pos_index["root"], n_actors=3)
-    tok = Tokenizer(TokenizerConfig())
-    pairs = []
-    for _, content in pos_index["docs"][:20]:
-        seq = tok.terms(content)
-        if len(seq) > 12 and seq[3] != seq[4]:
-            pairs.append((seq[3], seq[4]))
-    pairs = list(dict.fromkeys(pairs))[:8]
-    pairs.append(("def", "zzz_no_such_term"))
-    try:
-        checked = 0
-        for inc, exc in pairs:
-            for dist in (1, 3):
-                assert ds.search_span_not(inc, exc, dist, k=20) == \
-                    s.search_span_not(inc, exc, dist, k=20), (inc, exc)
-                checked += 1
-        assert checked > 8
-    finally:
-        ds.shutdown()
-
-
-def test_suggest_phrase_distributed_equals_local(pos_index):
-    from mee_ray.config import TokenizerConfig
-    from mee_ray.query import DistributedSearcher, Searcher
-    from mee_ray.tokenizer import Tokenizer
-
-    s = Searcher(pos_index["root"])
-    ds = DistributedSearcher(pos_index["root"], n_actors=3)
-    tok = Tokenizer(TokenizerConfig())
-    seqs = [tok.terms(c) for _, c in pos_index["docs"][:10]]
-    probes = [[seqs[0][3] + "x", seqs[0][4]],
-              [seqs[1][5][:-1] or "de", seqs[1][6]],
-              [seqs[2][3], seqs[2][4]],
-              ["zzzqq", seqs[0][3]]]
-    try:
-        checked = 0
-        for terms in probes:
-            assert ds.suggest_phrase(terms, n=3) == \
-                s.suggest_phrase(terms, n=3), terms
-            checked += 1
-        assert checked == len(probes)
-    finally:
-        ds.shutdown()
-
-
-# -------------------- span_containing / span_within / span_or_near --
 
 
 def _span_comp_cases(docs):

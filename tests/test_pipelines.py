@@ -1185,3 +1185,11 @@ def test_real_codec_decoders_reject_corrupt_bytes():
     corrupt[40] ^= 0x01                          # flip a body bit → CRC fails
     with _pytest.raises(ValueError):
         pd_.decode(bytes(corrupt))
+    # spec-valid PCM the int16-mono sample parse cannot read: the fmt
+    # chunk body starts at byte 20 (n_channels at +2, bits at +14)
+    import struct
+    for off, val in ((22, 2), (34, 8)):          # stereo, 8-bit
+        other = bytearray(wav)
+        struct.pack_into("<H", other, off, val)
+        with _pytest.raises(ValueError, match="16-bit mono"):
+            wd.decode(bytes(other))
