@@ -242,7 +242,7 @@ class DocTokenize:
 
 
 class ExplodeTriples:
-    """docs_tok batch → (part, term, salt, doc_id, tf, dl) triples.
+    """DocTokenize batch → (part, term, salt, doc_id, tf, dl) triples.
 
     Term→(shard, hash, hot?) routing is cached per actor; the per-token
     dict lookup is the only row-wise work and is O(1) amortized."""
@@ -295,28 +295,14 @@ class ExplodeTriples:
         for j, t in enumerate(vocab):
             s, h, is_hot = route(t)
             shard_u[j] = s; h2_u[j] = h; hot_u[j] = is_hot
-        # dynamic skew defense on top of the static list: a term whose
-        # df within THIS task's slice exceeds the threshold is salted
-        # on the fly.  Dynamic salts live in [salt_factor, 2·salt_factor)
-        # — a range static salting never uses — because the SAME term
-        # can stay unsalted (salt 0) in another task's slice: its salt-0
-        # run then spans an arbitrary doc range that overlaps the salted
-        # ranges, and the query side must detect that mixed layout and
-        # eagerly merge the chunks (wand._chunks_need_merge) instead of
-        # assuming disjoint ordered ranges.
-        dyn = np.zeros(nu, dtype=bool)
-        if cfg.hot_df_threshold:
-            dyn = (np.bincount(idx, minlength=nu) > cfg.hot_df_threshold) \
-                & ~hot_u
+        # one salting rule: a hot term (static list ∪ the build's
+        # df-decided set, see hot_df_terms) takes the top doc_id bits,
+        # every other term salt 0 — a pure function of (term, doc_id),
+        # so routing never depends on how batches were sliced
         shard = shard_u[idx]
         h2 = h2_u[idx]
-        hot = hot_u[idx]
-        dyn_r = dyn[idx]
-
-        base_salt = salts_batch(doc_rep, cfg.salt_factor)
-        salt = np.where(hot, base_salt,
-                        np.where(dyn_r, cfg.salt_factor + base_salt,
-                                 0)).astype(np.int32)
+        salt = np.where(hot_u[idx], salts_batch(doc_rep, cfg.salt_factor),
+                        0).astype(np.int32)
         part = (shard * pps
                 + ((h2 ^ (salt.astype(np.int64) * 0x9E3779B1)) % pps)).astype(np.int32)
         cols = {
@@ -334,20 +320,66 @@ class ExplodeTriples:
         t = pa.table(cols)
         w, n_waves = self.wave
         if n_waves > 1:
-            # wave'd shuffle (cfg.shuffle_waves): the wave key must be
-            # (1) a pure function of the TERM — `part` is not, because
-            # dynamic salting fires per batch slice and slicing can
-            # differ between the waves' separate re-executions (review
-            # r5#1: a near-threshold term could then match zero waves,
-            # silently dropping postings, or two) — and (2) aligned
-            # with part boundaries, or one part would be written by
-            # two waves and the second wave's rows would be dropped by
-            # the resume sidecar.  shard satisfies both: it is
-            # term_hash % num_shards and part // parts_per_shard ==
-            # shard.  (waves > num_shards leaves the excess waves
-            # empty — harmless, pointless.)
+            # wave'd shuffle (cfg.shuffle_waves): the wave key is the
+            # term's shard — term-pure, and aligned with part
+            # boundaries (part // parts_per_shard == shard), so no part
+            # is written by two waves.  (waves > num_shards leaves the
+            # excess waves empty — harmless, pointless.)
             t = t.filter(pa.array((shard % n_waves) == w))
         return t
+
+
+# Past 2^HOT_DF_SAMPLE_BITS docs the hot-set df is counted on a
+# doc_id-hash sample of about that size instead of the whole corpus.
+HOT_DF_SAMPLE_BITS = 16
+
+
+def hot_sample_rate(n_docs: int) -> int:
+    """R for the hot-set df sample ``doc_id & (R-1) == 0``: the power
+    of two that keeps the sample within (2^15, 2^16] docs; 1 (every
+    doc) up to 2^16 docs."""
+    return 1 << max(0, (n_docs - 1).bit_length() - HOT_DF_SAMPLE_BITS)
+
+
+def hot_df_terms(ds, n_docs: int, cfg: EngineConfig) -> list[str]:
+    """The build's df-decided hot set: sorted terms outside
+    ``cfg.hot_terms`` whose document frequency over the deduped corpus
+    ``ds`` exceeds ``cfg.hot_df_threshold``.  Decided once per build
+    (SURVEY's "detect via df(term) partial counts"), so it is a pure
+    function of the corpus and the config: per-batch partial dfs are
+    exact counts over a doc_id-pure sample and sum to the same total
+    however batches are sliced.  df is exact up to 2^16 docs; past
+    that it is the sample's df scaled by :func:`hot_sample_rate`."""
+    thr = cfg.hot_df_threshold
+    if not thr or n_docs <= thr:
+        return []           # no term can reach a df above n_docs
+    rate = hot_sample_rate(n_docs)
+    tok = Tokenizer(cfg.tokenizer)
+
+    def partial_dfs(batch: pa.Table) -> pa.Table:
+        if rate > 1:
+            ids = doc_ids_batch(batch["repo"], batch["path"],
+                                batch["commit"])
+            batch = batch.filter(pa.array((ids & (rate - 1)) == 0))
+        didx, tids, tdict = tok.terms_batch(batch["content"])
+        nt = max(1, len(tdict))
+        df = np.bincount(np.unique(didx * nt + tids) % nt,
+                         minlength=len(tdict))
+        return pa.table({"term": pa.array(tdict, pa.string()),
+                         "df": pa.array(df, pa.int64())})
+
+    acc = None
+    for b in ds.map_batches(partial_dfs, batch_format="pyarrow",
+                            batch_size=cfg.tokenize_batch_size
+                            ).iter_batches(batch_format="pyarrow",
+                                           batch_size=1 << 20):
+        acc = b if acc is None else pa.concat_tables([acc, b])
+        g = acc.group_by("term").aggregate([("df", "sum")])
+        acc = pa.table({"term": g["term"], "df": g["df_sum"]})
+    if acc is None:
+        return []
+    hot = acc.filter(pc.greater(pc.multiply(acc["df"], rate), thr))
+    return sorted(set(hot["term"].to_pylist()) - cfg.hot_terms)
 
 
 def make_encode_partition(seg_dir: str, avgdl: float, cfg: EngineConfig):
@@ -367,9 +399,6 @@ def make_encode_partition(seg_dir: str, avgdl: float, cfg: EngineConfig):
             with open(sidecar) as f:
                 lin = json.load(f)
             lin["resumed"] = True
-            # sidecars from older builds predate hint_avgdl; the epoch's
-            # avgdl is deterministic on resume, so it is the right value
-            lin.setdefault("hint_avgdl", float(avgdl))
             return pa.Table.from_pylist([lin], schema=LINEAGE_SCHEMA)
 
         import pyarrow.compute as pc
@@ -658,19 +687,21 @@ def build_index(corpus, index_root: str, epoch: str,
     import ray
 
     cfg = cfg or EngineConfig()
+    prev_manifest = None
     if snapshot_watermark is not None and carry_catchup:
         # catch-up replay carries the predecessor's delta SEGMENT files
         # verbatim — their part numbers/tokenization are the OLD
         # config's.  A rebuild with different routing/tokenizer
         # parameters would merge them into wrong partitions at the next
         # compaction (postings silently unreachable), so refuse BEFORE
-        # any build work, exactly like apply_delta/compact do.
+        # any build work, exactly like apply_delta/compact do (the
+        # df-decided hot set is compared right after the stats stage)
         _prev = mf.current_epoch(index_root)
         if _prev and _prev != epoch:
             from mee_ray.config import validate_config_against_manifest
+            prev_manifest = mf.load_manifest(index_root, _prev)
             try:
-                validate_config_against_manifest(
-                    cfg, mf.load_manifest(index_root, _prev))
+                validate_config_against_manifest(cfg, prev_manifest)
             except ValueError as e:
                 raise ValueError(
                     "rebuild with snapshot_watermark replays epoch "
@@ -685,16 +716,19 @@ def build_index(corpus, index_root: str, epoch: str,
 
     # Config fingerprint for the stage resume (the _reindex_src /
     # _compact_src rule applied to plain builds): a rerun of a crashed
-    # build with a DIFFERENT output-affecting config must not adopt
-    # the old config's docs/segment outputs — the manifest would
-    # record the new sharding/tokenizer against files routed by the
-    # old one, silently losing postings at query time.  Mismatch ⇒
-    # clear the stage outputs and start fresh.  Execution-only knobs
-    # (batch sizes, concurrency, stats/dedup strategy — all proven
-    # output-identical) don't invalidate completed work.
+    # build with a DIFFERENT output-affecting config — or a different
+    # on-disk format version — must not adopt the old run's docs/segment
+    # outputs: the manifest would record the new sharding/tokenizer
+    # against files routed by the old one, silently losing postings at
+    # query time.  Mismatch ⇒ clear the stage outputs and start fresh.
+    # Execution-only knobs (batch size, dedup strategy, wave count —
+    # segments are a pure function of corpus + config, proven
+    # byte-identical across them) don't invalidate completed work.
     import dataclasses as _dc
     import json as _json2
     import shutil as _sh2
+
+    from mee_ray.postings import FORMAT_VERSION
 
     def _norm(x):
         if isinstance(x, (set, frozenset)):
@@ -707,15 +741,9 @@ def build_index(corpus, index_root: str, epoch: str,
             return [_norm(v) for v in x]
         return x
     cfg_fp = _norm({k: v for k, v in _dc.asdict(cfg).items()
-                    if k not in ("tokenize_batch_size",
-                                 "tokenize_concurrency", "stats_mode",
-                                 "dedup_mode", "dedup_buckets",
-                                 # wave count partitions the exchange
-                                 # by a term-pure key — proven
-                                 # output-identical, so raising it to
-                                 # recover a spill-crashed build must
-                                 # NOT discard completed partitions
-                                 "shuffle_waves")})
+                    if k not in ("tokenize_batch_size", "dedup_mode",
+                                 "dedup_buckets", "shuffle_waves")})
+    cfg_fp["format_version"] = FORMAT_VERSION
     cfg_fp_path = os.path.join(edir, "_build_cfg.json")
     old_cfg_fp = None
     if os.path.exists(cfg_fp_path):
@@ -757,17 +785,8 @@ def build_index(corpus, index_root: str, epoch: str,
         return filter_to_winners(corpus, win_ref)
 
     def tokenized(ds, emit_terms: bool):
-        # Stateless tasks by default: per-batch Tokenizer construction
-        # is ~μs (regex compile) and tasks start instantly; set
-        # cfg.tokenize_concurrency to force an actor pool when the
-        # tokenizer grows heavyweight state (model, BPE merges).
-        if cfg.tokenize_concurrency:
-            return ds.map_batches(
-                DocTokenize,
-                fn_constructor_kwargs={"cfg": cfg, "emit_terms": emit_terms},
-                batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=cfg.tokenize_batch_size,
-                concurrency=cfg.tokenize_concurrency)
+        # stateless tasks: per-batch Tokenizer construction is ~μs
+        # (regex compile) and tasks start instantly
         return ds.map_batches(DocTokenize(cfg, emit_terms=emit_terms),
                               batch_format="pyarrow", zero_copy_batch=True,
                               batch_size=cfg.tokenize_batch_size)
@@ -782,37 +801,24 @@ def build_index(corpus, index_root: str, epoch: str,
         mf.mark_stage(index_root, epoch, "docs",
                       seconds=round(_time.perf_counter() - _t0, 3))
 
-    # ---- stage 2: global stats + doc_id collision audit --------------
-    # Default mode reads two narrow columns of the slim docs table on
-    # the driver (pyarrow's C++ multithreaded scanner) — no shuffle.
-    # That holds to ~10^9 docs; past that set cfg.stats_mode="shuffle"
-    # for the groupby-based exact audit (one all-to-all of ids).
+    # ---- stage 2: global stats + doc_id collision audit + hot set ----
+    # Reads two narrow columns of the slim docs table on the driver
+    # (pyarrow's C++ multithreaded scanner) — no shuffle; holds to
+    # ~10^9 docs.  The df-decided hot set is recorded with the stats so
+    # a resume routes pass 2 exactly as the crashed run did.
     if not mf.stage_done(index_root, epoch, "stats"):
         _t0 = _time.perf_counter()
-        if cfg.stats_mode == "shuffle":
-            from ray.data.aggregate import Count, Sum
-            dmeta = ray.data.read_parquet(docs_dir,
-                                          columns=["doc_id", "length"])
-            g = dmeta.groupby("doc_id").aggregate(Count(alias_name="n"),
-                                                  Sum("length", alias_name="dl"))
-            row = g.aggregate(Count(alias_name="n_distinct"),
-                              Sum("n", alias_name="n_docs"),
-                              Sum("dl", alias_name="total_tokens"))
-            n_docs = int(row["n_docs"] or 0)
-            total_tokens = int(row["total_tokens"] or 0)
-            n_distinct = int(row["n_distinct"] or 0)
+        import pyarrow.dataset as pads
+        dset = pads.dataset(docs_dir, format="parquet")
+        if "doc_id" not in dset.schema.names:
+            # empty corpus: write_parquet emitted a schemaless stub
+            n_docs = total_tokens = n_distinct = 0
         else:
-            import pyarrow.dataset as pads
-            dset = pads.dataset(docs_dir, format="parquet")
-            if "doc_id" not in dset.schema.names:
-                # empty corpus: write_parquet emitted a schemaless stub
-                n_docs = total_tokens = n_distinct = 0
-            else:
-                t = dset.to_table(columns=["doc_id", "length"])
-                n_docs = t.num_rows
-                total_tokens = int(pa.compute.sum(t["length"]).as_py() or 0)
-                n_distinct = len(np.unique(
-                    t["doc_id"].to_numpy(zero_copy_only=False)))
+            t = dset.to_table(columns=["doc_id", "length"])
+            n_docs = t.num_rows
+            total_tokens = int(pa.compute.sum(t["length"]).as_py() or 0)
+            n_distinct = len(np.unique(
+                t["doc_id"].to_numpy(zero_copy_only=False)))
         if n_distinct != n_docs:
             raise RuntimeError(
                 f"doc_id collision audit failed: "
@@ -823,10 +829,21 @@ def build_index(corpus, index_root: str, epoch: str,
                 f"~1e-8 even at 10^9 docs")
         mf.mark_stage(index_root, epoch, "stats",
                       n_docs=n_docs, total_tokens=total_tokens,
+                      hot_df_terms=hot_df_terms(deduped(), n_docs, cfg),
                       seconds=round(_time.perf_counter() - _t0, 3))
     st = mf.load_state(index_root, epoch)["stats"]
     n_docs, total_tokens = st["n_docs"], st["total_tokens"]
+    hot_set = st["hot_df_terms"]
     avgdl = (total_tokens / n_docs) if n_docs else 0.0
+    if prev_manifest is not None and \
+            set(prev_manifest.get("hot_df_terms", ())) != set(hot_set):
+        raise ValueError(
+            "rebuild with snapshot_watermark replays epoch "
+            f"{prev_manifest['epoch']}'s delta log onto the new epoch, "
+            "but the new build's config disagrees with that epoch's "
+            "recorded parameters — replayed postings would be routed "
+            "wrong: the df-decided hot-term set (hot_df_terms) differs")
+    route_cfg = _dc.replace(cfg, hot_terms=cfg.hot_terms | set(hot_set))
 
     # ---- pass 2: THE shuffle — triples → partitioned segments --------
     # Fused chain: dedup-filter → tokenize → explode run in the SAME
@@ -847,7 +864,7 @@ def build_index(corpus, index_root: str, epoch: str,
             lin_rows = []
             for w in range(waves):
                 triples = toks.map_batches(
-                    ExplodeTriples(cfg, wave=(w, waves)),
+                    ExplodeTriples(route_cfg, wave=(w, waves)),
                     batch_format="pyarrow", zero_copy_batch=True,
                     batch_size=cfg.tokenize_batch_size)
                 lineage = triples.groupby("part").map_groups(
@@ -888,7 +905,6 @@ def build_index(corpus, index_root: str, epoch: str,
                     past_wm = True
             catch_up = {"epoch": prev, "consumed_deltas": consumed}
 
-    from mee_ray.postings import FORMAT_VERSION
     manifest = {
         "epoch": epoch,
         "format_version": FORMAT_VERSION,
@@ -903,6 +919,7 @@ def build_index(corpus, index_root: str, epoch: str,
         "store_source": cfg.store_source,
         "salt_factor": cfg.salt_factor,
         "hot_terms": sorted(cfg.hot_terms),
+        "hot_df_terms": hot_set,
         "tokenizer": vars(cfg.tokenizer).copy() if hasattr(cfg.tokenizer, "__dict__")
                      else {f: getattr(cfg.tokenizer, f) for f in cfg.tokenizer.__dataclass_fields__},
         "bm25": {"k1": cfg.bm25.k1, "b": cfg.bm25.b},

@@ -89,24 +89,22 @@ class EngineConfig:
     # (wave w keeps only the terms whose shard % waves == w): peak
     # shuffle spill drops to ~1/waves of the posting volume at the
     # cost of re-running the (cheap, fused) tokenize+explode per wave.
-    # The wave key is the term's SHARD (term-pure AND part-aligned —
-    # see ExplodeTriples); segments are byte-identical to a
-    # single-wave build when dynamic salting is off, and
-    # postings-count/rank-identical when it fires (its per-batch
-    # trigger makes bytes legitimately execution-dependent either
-    # way) — both asserted in
-    # test_build_fingerprint.py::test_shuffle_waves_identity.  The
+    # Routing is a pure function of the term and doc_id, so segments
+    # are byte-identical to a single-wave build (asserted in
+    # test_build_fingerprint.py::test_shuffle_waves_identity).  The
     # lever that fits a 15.36M-doc build (~2.2G posting rows) into
-    # this sandbox's 73 GB of free spill disk; on a real cluster it
-    # bounds per-node spill the same way.
+    # bounded spill disk; on a real cluster it bounds per-node spill
+    # the same way.
     shuffle_waves: int = 1
 
     # --- skew / salting ---
     hot_terms: frozenset = DEFAULT_HOT_TERMS
     salt_factor: int = 8            # power of two; sub-lists per hot term
-    # terms whose df within one explode-task slice exceeds this are
-    # salted on the fly (dynamic skew defense in addition to the static
-    # list — build.py ExplodeTriples); 0 disables
+    # terms whose df over the deduped corpus exceeds this are salted
+    # like the static list.  The set is decided ONCE per build, right
+    # after the stats stage (build.hot_df_terms: exact df up to 2^16
+    # docs, a doc_id-hash sample scaled up past that), recorded in the
+    # manifest, and reused by delta/compact; 0 disables
     hot_df_threshold: int = 1 << 20
 
     # --- posting-list encoding ---
@@ -132,13 +130,6 @@ class EngineConfig:
 
     # --- batching ---
     tokenize_batch_size: int = 256  # docs per tokenize batch (multi-KB rows)
-    tokenize_concurrency: int | None = None  # None → stateless tasks sizing by Ray
-
-    # --- stats/audit ---
-    # "driver": stream (doc_id, length) to the driver, np.unique audit
-    #           (no shuffle; fine to ~10^9 docs).
-    # "shuffle": exact audit via groupby(doc_id) — the 10^12-doc path.
-    stats_mode: str = "driver"
 
     # --- latest-commit-wins dedup strategy ---
     # "driver":  key-only combiners stream to a driver dict, winners
@@ -168,38 +159,35 @@ class EngineConfig:
 _MANIFEST_PINNED = ("num_shards", "parts_per_shard", "block_size",
                     "salt_factor", "store_positions", "store_source")
 
-# Build-time defaults for pinned fields ADDED after indexes already
-# existed: a manifest lacking the key was built with the default, so
-# the pin must compare/reconstruct against that default rather than
-# silently skip — otherwise a delta with store_positions=True lands
-# mixed-schema segments on a positions-less base index.
-_PINNED_ABSENT_DEFAULTS = {"store_positions": False,
-                           "store_source": False}
+
+def _pinned(manifest: dict) -> dict:
+    """The manifest's pinned fields.  Every format-v3 build records all
+    of them, so a missing one means a foreign manifest: refuse it
+    rather than guess the value it was built with."""
+    missing = [f for f in _MANIFEST_PINNED if f not in manifest]
+    if missing:
+        raise ValueError(f"index manifest lacks pinned field(s) "
+                         f"{', '.join(missing)} — rebuild the index")
+    return {f: manifest[f] for f in _MANIFEST_PINNED}
 
 
 def config_from_manifest(manifest: dict,
                          base: "EngineConfig | None" = None) -> "EngineConfig":
     """Reconstruct the effective :class:`EngineConfig` from an epoch
     manifest (build_index records tokenizer/bm25/sharding/salting
-    there).  ``base`` supplies the non-pinned knobs (batching, stats
-    mode); pinned fields always come from the manifest.
-
-    This is the safe default for ``apply_delta`` / ``compact``: the
-    index's own recorded parameters, not whatever the caller's CLI
-    happened to default to."""
+    there).  ``base`` supplies the non-pinned knobs (batching, dedup
+    mode); pinned fields always come from the manifest.  The build's
+    df-decided hot set (``hot_df_terms``) is NOT folded in here, so a
+    rebuild from this config (``reindex(cfg=None)``) decides its own;
+    :func:`resolve_index_config` adds it for delta/compact."""
     base = base or EngineConfig()
-    kw = {}
+    kw = _pinned(manifest)
     if "tokenizer" in manifest:
         kw["tokenizer"] = TokenizerConfig(**manifest["tokenizer"])
     if "bm25" in manifest:
         kw["bm25"] = BM25Params(**manifest["bm25"])
     if "hot_terms" in manifest:
         kw["hot_terms"] = frozenset(manifest["hot_terms"])
-    for f in _MANIFEST_PINNED:
-        if f in manifest:
-            kw[f] = manifest[f]
-        elif f in _PINNED_ABSENT_DEFAULTS:
-            kw[f] = _PINNED_ABSENT_DEFAULTS[f]
     if "postings_codec" in manifest:
         kw["postings_codec"] = manifest["postings_codec"]
     from dataclasses import replace
@@ -211,18 +199,15 @@ def validate_config_against_manifest(cfg: "EngineConfig",
     """Fail loudly when an explicit config disagrees with the manifest's
     recorded routing/scoring parameters (silent wrong-part routing is
     the failure mode this guards)."""
-    mismatches = []
-    for f in _MANIFEST_PINNED:
-        if f in manifest:
-            want = manifest[f]
-        elif f in _PINNED_ABSENT_DEFAULTS:
-            want = _PINNED_ABSENT_DEFAULTS[f]
-        else:
-            continue
-        if getattr(cfg, f) != want:
-            mismatches.append(f"{f}: cfg={getattr(cfg, f)!r} "
-                              f"manifest={want!r}")
-    if "hot_terms" in manifest and set(cfg.hot_terms) != set(manifest["hot_terms"]):
+    mismatches = [f"{f}: cfg={getattr(cfg, f)!r} manifest={want!r}"
+                  for f, want in _pinned(manifest).items()
+                  if getattr(cfg, f) != want]
+    # routing is decided by static ∪ recorded df set, so a cfg that
+    # already carries the recorded set (resolve_index_config's output)
+    # agrees too
+    rec = set(manifest.get("hot_df_terms", ()))
+    if "hot_terms" in manifest and \
+            set(cfg.hot_terms) | rec != set(manifest["hot_terms"]) | rec:
         mismatches.append("hot_terms differ")
     if "bm25" in manifest:
         m = manifest["bm25"]
@@ -245,8 +230,14 @@ def resolve_index_config(manifest: dict,
                          cfg: "EngineConfig | None") -> "EngineConfig":
     """The one rule for lifecycle entry points: no explicit config →
     reconstruct from the manifest; explicit config → validate it
-    against the manifest, then use it."""
+    against the manifest, then use it.  Either way the build's
+    recorded df-decided hot set joins ``hot_terms``, so delta and
+    compaction postings route exactly as the base epoch's did."""
+    from dataclasses import replace
     if cfg is None:
-        return config_from_manifest(manifest)
-    validate_config_against_manifest(cfg, manifest)
-    return cfg
+        cfg = config_from_manifest(manifest)
+    else:
+        validate_config_against_manifest(cfg, manifest)
+    rec = manifest.get("hot_df_terms")
+    return replace(cfg, hot_terms=cfg.hot_terms | frozenset(rec)) \
+        if rec else cfg

@@ -20,7 +20,7 @@ Layout:
       CURRENT                      # epoch name (atomic pointer)
       epochs/<epoch>/
         _state.json                # coarse stage checkpoints (resume)
-        docs_tok/  docs/  segments/
+        docs/  segments/
         manifest.json              # stats + segment lineage + delta log
         deltas/delta-<seq>/        # delta segments + tombstones
 """
@@ -365,19 +365,12 @@ DOCS_COLUMNS = ["doc_id", "repo", "path", "commit", "lang",
 
 
 def docs_files(index_root: str, epoch: str) -> list[str]:
-    """Parquet files holding the epoch's docs table.  Built and
-    compacted epochs write a slim ``docs/`` directory; ``docs_tok``
-    is accepted as a fallback for epochs built by older versions that
-    staged the full token table (column pruning skips terms/tfs)."""
-    edir = epoch_dir(index_root, epoch)
-    for sub in ("docs", "docs_tok"):
-        d = os.path.join(edir, sub)
-        if os.path.isdir(d):
-            files = [os.path.join(d, f) for f in sorted(os.listdir(d))
-                     if f.endswith(".parquet")]
-            if files:
-                return files
-    return []
+    """Parquet files holding the epoch's slim ``docs/`` table."""
+    d = os.path.join(epoch_dir(index_root, epoch), "docs")
+    if not os.path.isdir(d):
+        return []
+    return [os.path.join(d, f) for f in sorted(os.listdir(d))
+            if f.endswith(".parquet")]
 
 
 def write_metrics(index_root: str, epoch: str, cfg=None) -> dict:
@@ -531,9 +524,7 @@ def tombstone_index(manifest: dict):
     re-insert a plain re-add (the new delta's postings out-sequence the
     tombstone) that stays correct across compactions and catch-up
     replays — record seqs are renumbered together at carry-over, so
-    relative order is preserved.  Backward compat: legacy
-    ``resurrected`` lists (an older engine's revival records) drop the
-    id from the index entirely, restoring the base copy."""
+    relative order is preserved."""
     import numpy as np
     import pyarrow.parquet as pq
 
@@ -550,8 +541,6 @@ def tombstone_index(manifest: dict):
                     f"missing: {p} — index is inconsistent; run fsck")
             for did in pq.read_table(p, columns=["doc_id"])["doc_id"].to_pylist():
                 last[did] = d["seq"]
-        for did in d.get("resurrected", ()):
-            last.pop(did, None)
     if not last:
         z = np.empty(0, dtype=np.int64)
         return z, z.copy()
@@ -766,7 +755,7 @@ def _fsck_repair_locked(index_root: str) -> dict:
                 removed.append(path)
                 continue
             top = rel.split(os.sep, 1)[0]
-            if top in ("docs", "docs_tok") or base in _EPOCH_HOUSEKEEPING:
+            if top == "docs" or base in _EPOCH_HOUSEKEEPING:
                 continue
             if base.endswith(".lineage.json"):
                 # orphan sidecar of a removed segment is debris too

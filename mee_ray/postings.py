@@ -20,9 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 # On-disk posting format version.  v1: raw LEB128 buffers; v2: 1-byte
-# codec tag per buffer (varint | pfor).  Manifests record it and the
-# load paths refuse a mismatched index instead of misparsing bytes.
-FORMAT_VERSION = 2
+# codec tag per buffer (varint | pfor); v3: salts only in
+# [0, salt_factor), so a term's chunks always cover disjoint doc ranges
+# (a v2 index may carry overlapping [salt_factor, 2·salt_factor) salts
+# that the query path no longer merges).  Manifests record it and the
+# load paths refuse a mismatched index instead of misreading it.
+FORMAT_VERSION = 3
 
 _MAX_VARINT_BYTES = 10  # 64-bit value → ≤10 LEB128 bytes
 

@@ -1283,8 +1283,6 @@ class Searcher(QueryPlanner):
         best: tuple[int, dict] | None = None
         for f, seq in sources:
             dset = pads.dataset(f)
-            # explicit projection: a legacy docs_tok fallback file also
-            # carries the token columns — never decode those here
             cols = [c for c in slim if c in dset.schema.names]
             t = dset.to_table(
                 columns=cols,
@@ -1545,7 +1543,6 @@ class Searcher(QueryPlanner):
                            self.k1, self.b,
                            block_size=self.manifest.get("block_size", 128),
                            stats=stats,
-                           salt_factor=self.manifest.get("salt_factor"),
                            merge_cache=self._merge_cache,
                            allowed=allowed)
 

@@ -220,33 +220,18 @@ _FLOAT_HEADROOM = 1.0 + 1e-9
 _MERGE_CACHE_BYTES = 64 * 1024 * 1024
 
 
-def _chunks_need_merge(chunks: list[dict],
-                       salt_factor: int | None = None) -> bool:
+def _chunks_need_merge(chunks: list[dict]) -> bool:
     """Lazy per-chunk cursors require DISJOINT, ordered doc ranges.
-    Statically-salted base chunks qualify (salt = top doc_id bits ⇒
-    one chunk per salt, contiguous disjoint ranges, salts 0..sf-1), as
-    do consistently dynamically-salted chunks (salts sf..2sf-1, same
-    ranges).  Layouts that break the invariant and force an eager
-    merge:
+    Salted base chunks qualify (salt = top doc_id bits ⇒ one chunk per
+    salt, contiguous disjoint ranges), and so does a lone unsalted
+    chunk.  Layouts that break the invariant and force an eager merge:
 
     - any delta chunk (delta doc ids interleave base salted ranges)
-    - MIXED dynamic salting of one term: df-threshold salting fired in
-      some explode-task slices but not others, so a salt-0 chunk with
-      an arbitrary doc range coexists with dynamic-range chunks
-      (salt ≥ sf) — detectable exactly because dynamic salts live in
-      a band static salting never uses
     - duplicate salts (defensive; cannot arise from the build)"""
     if any(c.get("delta") for c in chunks):
         return True
-    if len(chunks) <= 1:
-        return False
     salts = [c.get("salt", 0) for c in chunks]
-    if len(set(salts)) != len(salts):
-        return True
-    if salt_factor and any(s >= salt_factor for s in salts) \
-            and any(s < salt_factor for s in salts):
-        return True
-    return False
+    return len(set(salts)) != len(salts)
 
 
 def _merge_delta_chunks(chunks: list[dict], k1: float, b: float,
@@ -272,7 +257,6 @@ def search_wand(term_chunks: dict[str, tuple[float, list[dict]]],
                 k: int, n_docs: int, avgdl: float, avgdl_base: float,
                 k1: float, b: float, block_size: int = 128,
                 stats: WandStats | None = None,
-                salt_factor: int | None = None,
                 merge_cache: dict | None = None,
                 allowed: np.ndarray | None = None
                 ) -> list[tuple[int, float]]:
@@ -308,7 +292,7 @@ def search_wand(term_chunks: dict[str, tuple[float, list[dict]]],
         if not chunks:
             continue
         stats.postings_total += sum(c.get("df", 0) for c in chunks)
-        if _chunks_need_merge(chunks, salt_factor):
+        if _chunks_need_merge(chunks):
             # the merged stream is deterministic per (term, delta set,
             # avgdl) — all fixed for a Searcher snapshot — so repeated
             # queries on a delta-bearing hot term skip the re-decode +

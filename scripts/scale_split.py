@@ -251,7 +251,10 @@ def stage_engine(n_files, positions, n_deletes):
     # wave per ~4M docs keeps peak spill bounded (output bytes proven
     # wave-invariant in test_build_fingerprint.py)
     waves = max(1, round(n_files / 4_000_000))
-    cfg = EngineConfig(postings_codec="pfor", hot_df_threshold=200,
+    # global df threshold: a fixed fraction of the corpus (see
+    # scale_validation.py)
+    cfg = EngineConfig(postings_codec="pfor",
+                       hot_df_threshold=max(1, n_files // 20),
                        dedup_mode="shuffle", store_positions=positions,
                        shuffle_waves=waves)
     n_blocks = max(64, n_files // 120_000)

@@ -1,5 +1,5 @@
 """Scale validation: build a 96k-doc index with round-2 features ON
-(PForDelta codec, dynamic df-threshold salting low enough to fire,
+(PForDelta codec, a df-decided hot-term set salted like the static list,
 shuffle-mode dedup), then assert rank identity vs the pure-Python
 oracle on a 120-query reference set — before AND after a delta batch +
 catch-up compaction.  Prints one JSON line.
@@ -64,10 +64,10 @@ def main() -> int:
     root = "/tmp/mee_scale/index"
     shutil.rmtree(root, ignore_errors=True)
 
-    # hot_df_threshold must sit BELOW the tokenize batch size (per-term
-    # df within one explode slice is capped by docs-per-batch), or
-    # dynamic salting can never fire
-    cfg = EngineConfig(postings_codec="pfor", hot_df_threshold=200,
+    # global df threshold: a fixed fraction of the corpus, so the
+    # build's df-decided hot set is non-empty at every scale point
+    cfg = EngineConfig(postings_codec="pfor",
+                       hot_df_threshold=max(1, n_files // 20),
                        dedup_mode="shuffle", store_positions=positions)
     t0 = time.time()
     manifest = build_index(ray.data.read_parquet(cdir), root, "ep1", cfg)
@@ -119,16 +119,6 @@ def main() -> int:
             == oi.search_span_near(ph, slop, 10)
             for ph, slop in span_probes), len(span_probes)
 
-    # dynamic salting actually fired?
-    dyn_chunks = 0
-    for sh in range(cfg.num_shards):
-        si = s._shard(sh)
-        for term, locs in si.rows.items():
-            for ti, ri in locs:
-                tbl, r = si._row(ti, ri)
-                if int(tbl["salt"][r].as_py()) >= cfg.salt_factor:
-                    dyn_chunks += 1
-
     # distributed three-phase at scale (spot check)
     ds = DistributedSearcher(root, n_actors=4)
     n_3p = sum(ds.search(q["terms"], q["k"], mode="threephase")
@@ -179,7 +169,7 @@ def main() -> int:
                                if n_span else None),
         "phrase_identity": (f"{n_phrase[0]}/{n_phrase[1]}"
                             if n_phrase else None),
-        "dynamic_salted_chunks": dyn_chunks,
+        "hot_df_terms": len(manifest["hot_df_terms"]),
         "rank_identity": f"{n_ok}/{len(qset)}",
         "threephase_identity": f"{n_3p}/30",
         "n_deletes": n_deletes,

@@ -90,12 +90,42 @@ def test_rerun_same_config_resumes(ray_session, tmp_path):
         assert stages_after[name] == rec, name
 
 
+def test_rerun_after_format_change_rebuilds(ray_session, tmp_path):
+    """The on-disk format version is part of the resume fingerprint: a
+    crashed epoch whose fingerprint predates it (an older engine's
+    epoch) is cleared and rebuilt, never adopted part by part."""
+    import ray.data
+    cdir = write_corpus(str(tmp_path / "corpus"), n_files=20, seed=93,
+                        rows_per_file=30)
+    root = str(tmp_path / "index")
+    cfg = EngineConfig(num_shards=2, parts_per_shard=1)
+    build_index(ray.data.read_parquet(cdir), root, "ep1", cfg)
+    edir = mf.epoch_dir(root, "ep1")
+    fp = os.path.join(edir, "_build_cfg.json")
+    with open(fp) as f:
+        old = json.load(f)
+    old.pop("format_version")
+    with open(fp, "w") as f:
+        json.dump(old, f)
+    st_path = os.path.join(edir, "_state.json")
+    with open(st_path) as f:
+        st = json.load(f)
+    st.pop("segments")              # the crash hit pass 2
+    with open(st_path, "w") as f:
+        json.dump(st, f)
+
+    m = build_index(ray.data.read_parquet(cdir), root, "ep1", cfg)
+    assert m["segments"] and not any(s["resumed"] for s in m["segments"])
+    with open(fp) as f:
+        assert "format_version" in json.load(f)
+
+
 def test_shuffle_waves_identity(ray_session, tmp_path):
-    """cfg.shuffle_waves partitions THE pass-2 exchange by its own key
-    (part % waves), so a 3-wave build must produce BYTE-identical
-    segments (same per-part sha256 lineage) and rank-identical queries
-    vs the single-wave build — the lever that fits the 15.36M-doc
-    shuffle into bounded spill disk."""
+    """cfg.shuffle_waves partitions THE pass-2 exchange by term shard,
+    so a 3-wave build must produce BYTE-identical segments (same
+    per-part sha256 lineage) and rank-identical queries vs the
+    single-wave build, with a non-empty df-decided hot set — the lever
+    that fits the 15.36M-doc shuffle into bounded spill disk."""
     import ray.data
 
     from mee_ray.build import build_index
@@ -108,42 +138,30 @@ def test_shuffle_waves_identity(ray_session, tmp_path):
 
     cdir = write_corpus(str(tmp_path / "c"), n_files=600, seed=31,
                         rows_per_file=150)
-    # (a) BYTE identity: with dynamic salting off, part routing is a
-    # pure function of (term, static salt) and the encode sorts each
-    # part — wave count cannot change a single segment byte.  (With
-    # dynamic salting ON, the fired set depends on task batch slices,
-    # which legitimately differ between executions — the query side
-    # handles the mixed layout; that path is covered by (b).)
-    m = {}
-    roots = {}
-    for waves in (1, 3):
-        root = str(tmp_path / f"idx{waves}")
-        cfg = EngineConfig(shuffle_waves=waves, hot_df_threshold=0)
-        m[waves] = build_index(ray.data.read_parquet(cdir), root,
-                               "ep1", cfg)
-        roots[waves] = root
-    assert m[1]["n_docs"] == m[3]["n_docs"] > 0
-    sha1 = {os.path.basename(r["path"]): r["sha256"]
-            for r in m[1]["segments"]}
-    sha3 = {os.path.basename(r["path"]): r["sha256"]
-            for r in m[3]["segments"]}
-    assert sha1 == sha3 and len(sha1) > 0
 
-    # (b) RANK identity vs the oracle with dynamic salting + shuffle
-    # dedup on — the 15.36M configuration
+    def shas(m):
+        return {os.path.basename(r["path"]): r["sha256"]
+                for r in m["segments"]}
+
+    # (a) BYTE identity: part routing is a pure function of (term,
+    # doc_id) under the build's hot set and the encode sorts each
+    # part — wave count cannot change a single segment byte
+    m = {}
+    for waves in (1, 3):
+        cfg = EngineConfig(shuffle_waves=waves, hot_df_threshold=50)
+        m[waves] = build_index(ray.data.read_parquet(cdir),
+                               str(tmp_path / f"idx{waves}"), "ep1", cfg)
+    assert m[1]["n_docs"] == m[3]["n_docs"] > 0
+    assert m[1]["hot_df_terms"] == m[3]["hot_df_terms"] != []
+    assert shas(m[1]) == shas(m[3]) and len(shas(m[1])) > 0
+
+    # (b) RANK identity vs the oracle with waves + shuffle dedup on —
+    # the 15.36M configuration — and the same bytes as (a)
     root_d = str(tmp_path / "idxd")
     cfg = EngineConfig(shuffle_waves=3, hot_df_threshold=50,
                        dedup_mode="shuffle")
     md3 = build_index(ray.data.read_parquet(cdir), root_d, "ep1", cfg)
-    # total postings = Σ (term, doc) pairs — invariant to HOW salting
-    # fires, so any wave-filter drop/duplication shows up here even
-    # when dynamic salting makes segment bytes legitimately differ
-    md1 = build_index(
-        ray.data.read_parquet(cdir), str(tmp_path / "idxd1"), "ep1",
-        EngineConfig(shuffle_waves=1, hot_df_threshold=50,
-                     dedup_mode="shuffle"))
-    assert (sum(r["n_postings"] for r in md3["segments"])
-            == sum(r["n_postings"] for r in md1["segments"]) > 0)
+    assert shas(md3) == shas(m[1])
     t = pq.read_table(cdir, columns=["repo", "path", "commit",
                                      "content"])
     live = {}

@@ -392,7 +392,7 @@ def test_shuffle_dedup_mode_bit_identical(built_index, ray_session, tmp_path):
 
 
 def test_dynamic_hot_df_salting(ray_session, tmp_path):
-    """A term over the per-slice df threshold is salted on the fly
+    """A term whose corpus df exceeds the threshold is salted
     (multiple sub-lists) even when absent from the static hot list,
     and queries stay oracle-identical."""
     from mee_ray.ids import term_hash
@@ -451,36 +451,58 @@ def test_live_key_index_distributed_matches_driver(built_index, ray_session):
         assert drv_seqs[sorted(keys)[1]] == 2         # DELETE memory
 
 
-def test_mixed_dynamic_salting_stays_exact(ray_session, tmp_path):
-    """A term salted by the df threshold in one explode slice but NOT
-    in another produces a salt-0 chunk overlapping the dynamic-range
-    chunks; the query side must detect the mixed layout (dynamic salts
-    live in [sf, 2sf)) and eagerly merge — results stay
-    oracle-identical on the WAND path."""
-    from mee_ray.ids import term_hash
-    from mee_ray.oracle import make_query_set
-    from mee_ray.query import Searcher
-    from mee_ray.wand import _chunks_need_merge
-
-    docs = []
-    for i in range(10):     # slice 1: df(mixterm)=10 > 8 → salted
-        docs.append(("o/r", f"a{i}.py", "c" * 40,
-                     f"def a_{i}(): return mixterm uniq_a_{i}\n"))
-    for i in range(10):     # slice 2: df(mixterm)=5 ≤ 8 → unsalted
+def _hot_split_docs():
+    """20 docs in two 10-doc halves: 'mixterm' is in all of the first
+    half and half of the second (df 15), so a per-batch df rule with
+    threshold 8 would salt it in one 10-doc slice but not the other."""
+    docs = [("o/r", f"a{i}.py", "c" * 40,
+             f"def a_{i}(): return mixterm uniq_a_{i}\n")
+            for i in range(10)]
+    for i in range(10):
         has = "mixterm" if i < 5 else "other_tok"
         docs.append(("o/r", f"b{i}.py", "c" * 40,
                      f"def b_{i}(): return {has} uniq_b_{i}\n"))
-    cfg = EngineConfig(hot_terms=frozenset(), hot_df_threshold=8,
-                       salt_factor=4, tokenize_batch_size=10)
-    root = _build_small(tmp_path, docs, cfg=cfg)
+    return docs
 
-    s = Searcher(root)
-    sh = term_hash("mixterm") % cfg.num_shards
-    chunks = s._shard(sh).chunk_meta("mixterm")
-    salts = sorted(c["salt"] for c in chunks)
-    # the hazardous layout actually occurred: salt-0 chunk + dynamic
-    assert 0 in salts and any(x >= cfg.salt_factor for x in salts), salts
-    assert _chunks_need_merge(chunks, cfg.salt_factor)
+
+def _hot_cfg(**kw):
+    return EngineConfig(hot_terms=frozenset(), hot_df_threshold=8,
+                        salt_factor=4, **kw)
+
+
+def _lineage(m):
+    return {os.path.basename(s["path"]): (s["sha256"], s["n_postings"])
+            for s in m["segments"]}
+
+
+def test_hot_set_independent_of_batch_slicing(ray_session, tmp_path):
+    """The hot set is decided once from corpus-wide df, so batch
+    slicing cannot change routing: batch sizes 10 and 256 build
+    byte-identical segments, every salt stays in [0, salt_factor), the
+    salted chunks need no eager merge, and queries stay
+    oracle-identical."""
+    from mee_ray.ids import term_hash
+    from mee_ray.oracle import make_query_set
+    from mee_ray.wand import _chunks_need_merge
+
+    docs = _hot_split_docs()
+    roots = {bs: _build_small(tmp_path, docs,
+                              cfg=_hot_cfg(tokenize_batch_size=bs),
+                              name=f"idx{bs}")
+             for bs in (10, 256)}
+    m = {bs: mf.load_manifest(r) for bs, r in roots.items()}
+    assert _lineage(m[10]) == _lineage(m[256])
+    assert "mixterm" in m[10]["hot_df_terms"]         # df 15 > 8
+    assert "other_tok" not in m[10]["hot_df_terms"]   # df 5
+    assert m[10]["hot_df_terms"] == m[256]["hot_df_terms"]
+
+    cfg = _hot_cfg()
+    s = Searcher(roots[10])
+    chunks = s._shard(term_hash("mixterm") % cfg.num_shards) \
+        .chunk_meta("mixterm")
+    assert len(chunks) > 1
+    assert all(0 <= c["salt"] < cfg.salt_factor for c in chunks)
+    assert not _chunks_need_merge(chunks)
 
     oi = OracleIndex([(doc_id_of(r, p, c), t) for r, p, c, t in docs])
     assert (s.n_docs, s.avgdl) == (oi.n_docs, oi.avgdl)
@@ -491,6 +513,176 @@ def test_mixed_dynamic_salting_stays_exact(ray_session, tmp_path):
         seed=4)]
     for q in qs:
         assert s.search(q, 10) == oi.search(q, 10), q
+
+
+def test_resume_with_other_batch_size_matches_uninterrupted(
+        ray_session, tmp_path):
+    """A crashed pass 2 resumed with a different batch size keeps the
+    surviving part files and rebuilds the rest under the SAME routing
+    (the hot set is reused from the stats stage), so the result equals
+    the uninterrupted build part for part."""
+    import ray.data
+
+    docs = _hot_split_docs()
+    want = _lineage(mf.load_manifest(
+        _build_small(tmp_path, docs, cfg=_hot_cfg(), name="whole")))
+    root = _build_small(tmp_path, docs, cfg=_hot_cfg(), name="crashed")
+    edir = mf.epoch_dir(root, "ep1")
+    seg_dir = os.path.join(edir, "segments")
+    parts = sorted(f for f in os.listdir(seg_dir) if f.endswith(".parquet"))
+    assert len(parts) >= 4
+    for f in parts[::2]:
+        os.remove(os.path.join(seg_dir, f))
+        os.remove(os.path.join(seg_dir, f + ".lineage.json"))
+    st_path = os.path.join(edir, "_state.json")
+    with open(st_path) as f:
+        st = json.load(f)
+    st.pop("segments")
+    with open(st_path, "w") as f:
+        json.dump(st, f)
+
+    m = build_index(ray.data.read_parquet(str(tmp_path / "crashed_corpus")),
+                    root, "ep1", _hot_cfg(tokenize_batch_size=10))
+    assert sum(s["resumed"] for s in m["segments"]) == len(parts[1::2])
+    assert _lineage(m) == want
+    assert (sum(n for _, n in _lineage(m).values())
+            == sum(n for _, n in want.values()))
+
+
+def test_hot_set_routes_delta_and_compact(ray_session, tmp_path):
+    """apply_delta and compact route by the base build's recorded hot
+    set: a hot term's delta postings are salted like its base postings
+    (with cfg=None and with an explicit cfg lacking the set), the
+    compacted chunks need no eager merge, and answers stay
+    oracle-identical throughout."""
+    from mee_ray.ids import term_hash
+    from mee_ray.wand import _chunks_need_merge
+
+    base = [("o/r", f"h{i}.py", "c" * 40,
+             f"def h_{i}(): return omnipresent_token rare_tok_{i}\n")
+            for i in range(40)]
+    cfg = _hot_cfg()
+    root = _build_small(tmp_path, base, cfg=cfg)
+    rec = mf.load_manifest(root)["hot_df_terms"]
+    assert "omnipresent_token" in rec
+
+    ev1 = [{"seq": i + 1, "type": "INSERT", "repo": "o/d",
+            "path": f"d{i}.py", "commit": "e" * 40, "lang": "python",
+            "content": f"def d_{i}(): return omnipresent_token new_{i}\n"}
+           for i in range(8)]
+    ev2 = [{"seq": 9, "type": "DELETE", "repo": "o/r", "path": "h3.py"},
+           {"seq": 10, "type": "UPDATE", "repo": "o/r", "path": "h5.py",
+            "commit": "f" * 40, "lang": "python",
+            "content": "def h5v2(): return omnipresent_token fresh\n"}]
+    apply_delta(_events(ev1), root)
+    apply_delta(_events(ev2), root, cfg=cfg)
+
+    live = {(r, p): (c, t) for r, p, c, t in base}
+    for e in ev1 + ev2:
+        if e["type"] == "DELETE":
+            live.pop((e["repo"], e["path"]))
+        else:
+            live[(e["repo"], e["path"])] = (e["commit"], e["content"])
+    oi = OracleIndex([(doc_id_of(r, p, c), t)
+                      for (r, p), (c, t) in live.items()])
+    qs = [["omnipresent_token"], ["omnipresent_token", "new_3"],
+          ["omnipresent_token", "rare_tok_5"], ["fresh", "def"],
+          ["rare_tok_3"]]
+    sh = term_hash("omnipresent_token") % cfg.num_shards
+
+    s = Searcher(root)
+    delta_salts = {c["salt"] for c in s._shard(sh).chunk_meta(
+        "omnipresent_token") if c.get("delta")}
+    assert delta_salts and max(delta_salts) > 0
+    assert delta_salts <= set(range(cfg.salt_factor))
+    for q in qs:
+        assert s.search(q, 10) == oi.search(q, 10), q
+
+    compact(root, "ep2", gc_old=False)
+    assert mf.load_manifest(root)["hot_df_terms"] == rec
+    s = Searcher(root)
+    chunks = s._shard(sh).chunk_meta("omnipresent_token")
+    assert len(chunks) > 1 and not _chunks_need_merge(chunks)
+    assert (s.n_docs, s.avgdl) == (oi.n_docs, oi.avgdl)
+    for q in qs:
+        assert s.search(q, 10) == oi.search(q, 10), q
+
+
+def test_catchup_rebuild_refuses_changed_hot_set(ray_session, tmp_path):
+    """Catch-up replay carries the predecessor's delta segments, routed
+    by ITS hot set: a rebuild whose own df-decided set differs is
+    refused before pass 2; one with the same set replays exactly."""
+    import ray.data
+
+    base = [("o/r", f"h{i}.py", "c" * 40,
+             f"def h_{i}(): return omnipresent_token rare_tok_{i}\n")
+            for i in range(40)]
+    root = _build_small(tmp_path, base, cfg=_hot_cfg())
+    apply_delta(_events([
+        {"seq": 1, "type": "INSERT", "repo": "o/d", "path": "n.py",
+         "commit": "e" * 40, "lang": "python",
+         "content": "def n(): return omnipresent_token replayed_tok\n"}]),
+        root)
+
+    # same static config, but 'omnipresent_token' is rare in this
+    # snapshot, so the rebuild's own hot set differs
+    thin = [(r, p, c, t.replace("omnipresent_token", f"thin_{i}"))
+            for i, (r, p, c, t) in enumerate(base)]
+    cdir = str(tmp_path / "thin_corpus")
+    os.makedirs(cdir)
+    pq.write_table(_corpus_table(thin), os.path.join(cdir, "p.parquet"))
+    with pytest.raises(ValueError, match="routed wrong.*hot_df_terms"):
+        build_index(ray.data.read_parquet(cdir), root, "ep2",
+                    _hot_cfg(), snapshot_watermark=0)
+    assert mf.current_epoch(root) == "ep1"
+    assert not mf.load_state(root, "ep2").get("segments")
+
+    m = build_index(ray.data.read_parquet(str(tmp_path / "idx_corpus")),
+                    root, "ep3", _hot_cfg(), snapshot_watermark=0)
+    assert mf.current_epoch(root) == "ep3" and len(m["deltas"]) == 1
+    oi = OracleIndex([(doc_id_of(r, p, c), t) for r, p, c, t in base]
+                     + [(doc_id_of("o/d", "n.py", "e" * 40),
+                         "def n(): return omnipresent_token "
+                         "replayed_tok\n")])
+    s = Searcher(root)
+    for q in (["omnipresent_token"], ["replayed_tok", "rare_tok_2"]):
+        assert s.search(q, 10) == oi.search(q, 10), q
+
+
+def test_hot_set_df_sample(ray_session, monkeypatch):
+    """Past the sample size, df is counted on the doc_id-hash sample
+    doc_id & (R-1) == 0 and scaled by R; R is the power of two that
+    keeps the sample within (size/2, size] docs."""
+    import ray.data
+
+    from mee_ray import build
+    from mee_ray.tokenizer import Tokenizer
+
+    assert build.hot_sample_rate(1) == 1
+    assert build.hot_sample_rate(1 << 16) == 1
+    assert build.hot_sample_rate((1 << 16) + 1) == 2
+    assert build.hot_sample_rate(1 << 17) == 2
+    assert build.hot_sample_rate((1 << 17) + 1) == 4
+
+    docs = [("o/r", f"s{i}.py", "c" * 40,
+             f"def s_{i}(): return tok_{i % 3} tok_{i % 5} tok_{i % 7}\n")
+            for i in range(60)]
+    monkeypatch.setattr(build, "HOT_DF_SAMPLE_BITS", 3)
+    rate = build.hot_sample_rate(len(docs))
+    assert rate == 8
+    cfg = EngineConfig(hot_terms=frozenset({"def"}), hot_df_threshold=20)
+    tok = Tokenizer(cfg.tokenizer)
+    df: dict[str, int] = {}
+    for r, p, c, t in docs:
+        if doc_id_of(r, p, c) & (rate - 1) == 0:
+            for term in set(tok.terms(t)):
+                df[term] = df.get(term, 0) + 1
+    want = sorted(t for t, n in df.items()
+                  if n * rate > 20 and t != "def")
+    assert want        # the sample is non-empty and something is hot
+    got = build.hot_df_terms(ray.data.from_arrow(_corpus_table(docs)),
+                             len(docs), cfg)
+    assert got == want
 
 
 def test_insert_only_compaction_fast_path(ray_session, tmp_path):

@@ -270,16 +270,17 @@ def test_distributed_phrase_prefix_k_nonpositive(pos_index, ray_session):
 
 
 def test_positions_pin_defaults_for_prefeature_manifests(built_index):
-    """A manifest WITHOUT a store_positions key was built with the
-    default (False): a positions-enabled delta config must be refused
-    (mixed-schema segments), and reconstruction must yield False."""
+    """A manifest WITHOUT a pinned key (store_positions) predates the
+    current format: reconstruction and validation both refuse it
+    instead of guessing the value it was built with."""
     from mee_ray import manifest as mf
     from mee_ray.config import (EngineConfig, config_from_manifest,
                                 validate_config_against_manifest)
 
     m = dict(mf.load_manifest(built_index["index_root"]))
     m.pop("store_positions", None)     # simulate a pre-feature index
-    assert config_from_manifest(m).store_positions is False
+    with pytest.raises(ValueError, match="store_positions"):
+        config_from_manifest(m)
     with pytest.raises(ValueError, match="store_positions"):
         validate_config_against_manifest(
             EngineConfig(store_positions=True), m)
