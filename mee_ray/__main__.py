@@ -913,10 +913,7 @@ def main(argv: list[str] | None = None) -> int:
         files = _mf.docs_files(args.index, man["epoch"])
         if not files:
             raise SystemExit("no docs files in this epoch")
-        import pyarrow.parquet as _pq
-        cols = [c for c in _mf.DOCS_COLUMNS
-                if c in _pq.read_schema(files[0]).names]
-        (ray.data.read_parquet(files, columns=cols)
+        (ray.data.read_parquet(files, columns=_mf.DOCS_COLUMNS)
          .write_parquet(args.out))
         n = sum(1 for f in os.listdir(args.out)
                 if f.endswith(".parquet"))

@@ -656,6 +656,39 @@ def _staged_write(ds, final_dir: str) -> None:
     os.rename(tmp, final_dir)
 
 
+def live_docs_dataset(index_root: str, manifest: dict, columns: list[str]):
+    """The snapshot's live docs rows as one Ray Dataset, or None when it
+    has no docs file: every docs source read with ``columns`` (which
+    must include doc_id) under the sequenced-tombstone rule — a row
+    from source s survives iff no tombstone for its id has seq > s, so
+    a re-added doc's newer row survives the tombstone that killed its
+    older copy.  The base files read as one dataset; an epoch can
+    legitimately have none (a compaction after delete-everything
+    stages zero parquet files)."""
+    import ray
+    import ray.data
+
+    tomb_ref = ray.put(mf.tombstone_index(manifest))
+
+    def drop_dead(source_seq: int):
+        def fn(batch: pa.Table) -> pa.Table:
+            ti, ts = ray.get(tomb_ref)
+            ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+            return batch.filter(pa.array(
+                mf.live_posting_mask(ids, source_seq, ti, ts)))
+        return fn
+
+    by_source: dict[int, list[str]] = {}
+    for f, seq in mf.docs_sources(index_root, manifest, missing="raise"):
+        by_source.setdefault(seq, []).append(f)
+    ds = None
+    for seq, files in by_source.items():
+        part = (ray.data.read_parquet(files, columns=columns)
+                .map_batches(drop_dead(seq), batch_format="pyarrow"))
+        ds = part if ds is None else ds.union(part)
+    return ds
+
+
 def build_index(corpus, index_root: str, epoch: str,
                 cfg: EngineConfig | None = None,
                 dedup: bool = True, auto_publish: bool = True,
@@ -712,7 +745,6 @@ def build_index(corpus, index_root: str, epoch: str,
     edir = mf.epoch_dir(index_root, epoch)
     docs_dir = os.path.join(edir, "docs")
     seg_dir = os.path.join(edir, "segments")
-    os.makedirs(edir, exist_ok=True)
 
     # Config fingerprint for the stage resume (the _reindex_src /
     # _compact_src rule applied to plain builds): a rerun of a crashed
@@ -725,8 +757,6 @@ def build_index(corpus, index_root: str, epoch: str,
     # segments are a pure function of corpus + config, proven
     # byte-identical across them) don't invalidate completed work.
     import dataclasses as _dc
-    import json as _json2
-    import shutil as _sh2
 
     from mee_ray.postings import FORMAT_VERSION
 
@@ -744,22 +774,7 @@ def build_index(corpus, index_root: str, epoch: str,
                     if k not in ("tokenize_batch_size", "dedup_mode",
                                  "dedup_buckets", "shuffle_waves")})
     cfg_fp["format_version"] = FORMAT_VERSION
-    cfg_fp_path = os.path.join(edir, "_build_cfg.json")
-    old_cfg_fp = None
-    if os.path.exists(cfg_fp_path):
-        with open(cfg_fp_path) as f:
-            old_cfg_fp = _json2.load(f)
-    if old_cfg_fp != cfg_fp:
-        if old_cfg_fp is not None:
-            for sub in ("docs", "segments"):
-                _sh2.rmtree(os.path.join(edir, sub), ignore_errors=True)
-            st = os.path.join(edir, "_state.json")
-            if os.path.exists(st):
-                os.remove(st)
-        tmp_fp = cfg_fp_path + f".tmp.{os.getpid()}"
-        with open(tmp_fp, "w") as f:
-            _json2.dump(cfg_fp, f)
-        os.replace(tmp_fp, cfg_fp_path)
+    mf.reset_on_fingerprint_change(edir, "_build_cfg.json", cfg_fp)
 
     os.makedirs(seg_dir, exist_ok=True)
 
@@ -884,8 +899,7 @@ def build_index(corpus, index_root: str, epoch: str,
             old_m = mf.load_manifest(index_root, prev)
             consumed, past_wm = 0, False
             for rec in old_m.get("deltas", []):
-                lo = rec.get("min_event_seq", rec.get("max_event_seq", 0))
-                hi = rec.get("max_event_seq", 0)
+                lo, hi = rec["min_event_seq"], rec["max_event_seq"]
                 if hi <= snapshot_watermark:
                     if past_wm:
                         raise RuntimeError(
@@ -926,9 +940,9 @@ def build_index(corpus, index_root: str, epoch: str,
         "segments": lin_rows,
         "deltas": [],
         "event_watermark": snapshot_watermark or 0,
-        # per-key LWW floor: base docs rows (no per-row event_seq
-        # column) and never-seen keys are treated as last-written at
-        # this seq — the snapshot corpus incorporates every event <= it
+        # per-key LWW floor: keys with no key_seqs row are treated as
+        # last-written at this seq — the snapshot corpus incorporates
+        # every event <= it
         "base_event_seq": snapshot_watermark or 0,
         "catch_up_from": catch_up,
     }
@@ -967,10 +981,6 @@ def reindex(index_root: str, new_epoch: str,
 
     ``cfg=None`` rebuilds with the manifest's own recorded config
     (a pure segment rewrite — useful after heavy deltas)."""
-    import json as _json
-    import shutil as _shutil
-
-    import ray as _ray
     import ray.data
 
     from mee_ray.config import config_from_manifest
@@ -992,130 +1002,26 @@ def reindex(index_root: str, new_epoch: str,
     # global floor of `watermark` would drop a DELAYED fresh event
     # whose seq is below the max observed (the out-of-order-arrival
     # guarantee delta.py documents).  Mirror compact (merge.py): keep
-    # base_event_seq at the CHAIN floor and fold every per-key seq
-    # source above it into the new epoch's key_seqs.parquet —
-    #   * the epoch-level key_seqs file (folded by prior compactions),
-    #   * each delta record's key_seqs (applied DELETEs, no-op bumps),
-    #   * each delta added-docs file's per-row event_seq (the rebuilt
-    #     docs table carries no event_seq column, so these rows'
-    #     write-seqs would otherwise fall back to the floor).
-    # Rows are (repo, path, int64) per TOUCHED key — far below corpus
-    # size; a pathologically long delta log would distribute this fold
-    # the same way merge.py's key_seqs fold would.
+    # base_event_seq at the CHAIN floor and carry every per-key seq
+    # above it into the new epoch's key_seqs.parquet.
     base_floor = mf.base_event_seq(manifest)
-    ks_parts: list[pa.Table] = []
-    src_edir = mf.epoch_dir(index_root, src_epoch)
-    epoch_ks = os.path.join(src_edir, "key_seqs.parquet")
-    if os.path.exists(epoch_ks):
-        ks_parts.append(pq.read_table(
-            epoch_ks, columns=["repo", "path", "event_seq"]))
-    # a COMPACTED epoch stores per-row event_seq in its base docs
-    # table (merge.py with_event_seq) instead of a key_seqs file —
-    # those seqs must survive the rebuild too, or a stale redelivery
-    # for a previously-folded key re-applies.  Row-filter pushdown:
-    # only rows written past the floor leave storage (base snapshot
-    # rows carry exactly the floor).
-    for f in mf.docs_files(index_root, src_epoch):
-        if "event_seq" in pq.read_schema(f).names:
-            ks_parts.append(pq.read_table(
-                f, columns=["repo", "path", "event_seq"],
-                filters=[("event_seq", ">", base_floor)]))
-    for d in manifest.get("deltas", []):
-        p = d.get("key_seqs")
-        if p:
-            if not os.path.exists(p):
-                raise FileNotFoundError(
-                    f"delta record {d.get('seq')} key_seqs file "
-                    f"missing: {p} — index is inconsistent; run fsck")
-            ks_parts.append(pq.read_table(
-                p, columns=["repo", "path", "event_seq"]))
-        f = d.get("added_docs")
-        if f and os.path.exists(f):
-            names = pq.read_schema(f).names
-            if "event_seq" in names:
-                ks_parts.append(pq.read_table(
-                    f, columns=["repo", "path", "event_seq"]))
-            else:
-                # legacy file: every row was written at most at the
-                # record's span max
-                t = pq.read_table(f, columns=["repo", "path"])
-                ks_parts.append(t.append_column(
-                    "event_seq", pa.array(
-                        [int(d.get("max_event_seq") or 0)] * t.num_rows,
-                        pa.int64())))
-    folded_ks = None
-    if ks_parts:
-        allt = pa.concat_tables(
-            [t.cast(pa.schema([("repo", pa.string()),
-                               ("path", pa.string()),
-                               ("event_seq", pa.int64())]))
-             for t in ks_parts])
-        allt = allt.filter(pc.greater(allt["event_seq"], base_floor))
-        if allt.num_rows:
-            folded_ks = (allt.group_by(["repo", "path"])
-                         .aggregate([("event_seq", "max")])
-                         .rename_columns(["repo", "path", "event_seq"])
-                         .sort_by([("repo", "ascending"),
-                                   ("path", "ascending")])
-                         .combine_chunks())
+    folded_ks = mf.key_seq_table(index_root, manifest)
+    folded_ks = folded_ks.filter(pc.greater(folded_ks["event_seq"],
+                                            base_floor))
 
     # snapshot fingerprint: the resumable build short-circuits on
     # existing stage outputs, so debris from a refused/crashed reindex
     # of a DIFFERENT delta snapshot must be cleared, not adopted
     new_edir = mf.epoch_dir(index_root, new_epoch)
-    os.makedirs(new_edir, exist_ok=True)
-    fp = {"src_epoch": src_epoch, "delta_seqs": src_deltas,
-          "reindex": True}
-    fp_path = os.path.join(new_edir, "_reindex_src.json")
-    old_fp = None
-    if os.path.exists(fp_path):
-        with open(fp_path) as f:
-            old_fp = _json.load(f)
-    if old_fp != fp:
-        for sub in ("docs", "segments"):
-            _shutil.rmtree(os.path.join(new_edir, sub),
-                           ignore_errors=True)
-        for fn in ("_state.json", "key_seqs.parquet"):
-            st = os.path.join(new_edir, fn)
-            if os.path.exists(st):
-                os.remove(st)
-        tmp_fp = fp_path + f".tmp.{os.getpid()}"
-        with open(tmp_fp, "w") as f:
-            _json.dump(fp, f)
-        os.replace(tmp_fp, fp_path)
+    mf.reset_on_fingerprint_change(
+        new_edir, "_reindex_src.json",
+        {"src_epoch": src_epoch, "delta_seqs": src_deltas,
+         "reindex": True})
 
-    tomb_ids, tomb_seqs = mf.tombstone_index(manifest)
-    tomb_ref = _ray.put((tomb_ids, tomb_seqs))
     cols = ["doc_id", "repo", "path", "commit", "lang", "content"]
-
-    def live_corpus_rows(source_seq: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            ti, ts = _ray.get(tomb_ref)
-            if len(ti):
-                ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-                keep = mf.live_posting_mask(ids, source_seq, ti, ts)
-                batch = batch.filter(pa.array(keep))
-            return batch.drop_columns(["doc_id"])
-        return fn
-
-    srcs = mf.docs_sources(index_root, manifest, missing="raise")
-    base_files = [f for f, s in srcs if s == 0]
-    # the base docs table can be EMPTY (a delete-everything compaction
-    # stages zero files) — start from the delta sources alone
-    ds = None
-    if base_files:
-        ds = ray.data.read_parquet(base_files, columns=cols).map_batches(
-            live_corpus_rows(0), batch_format="pyarrow")
-    for f, seq in srcs:
-        if seq == 0:
-            continue
-        if "content" not in pq.read_schema(f).names:
-            raise ValueError(
-                f"delta {seq} added-docs file lacks content — "
-                "it predates store_source; compact first")
-        part = ray.data.read_parquet([f], columns=cols).map_batches(
-            live_corpus_rows(seq), batch_format="pyarrow")
-        ds = part if ds is None else ds.union(part)
+    ds = live_docs_dataset(index_root, manifest, cols)
+    if ds is not None:
+        ds = ds.drop_columns(["doc_id"])
     if ds is None:                # fully-deleted index: empty rebuild
         ds = ray.data.from_arrow(pa.table(
             {c: pa.array([], pa.string()) for c in cols[1:]}))
@@ -1127,13 +1033,9 @@ def reindex(index_root: str, new_epoch: str,
     # event_watermark stays at the max observed seq (next_event_seq
     # must not re-allocate), but the FLOOR stays at the chain base and
     # per-key seqs above it live in the new epoch's key_seqs file
-    ks_dst = os.path.join(new_edir, "key_seqs.parquet")
-    if folded_ks is not None:
-        tmp_ks = ks_dst + f".tmp.{os.getpid()}"
-        pq.write_table(folded_ks, tmp_ks)
-        os.replace(tmp_ks, ks_dst)
-    elif os.path.exists(ks_dst):    # debris of a prior crashed attempt
-        os.remove(ks_dst)
+    if folded_ks.num_rows:
+        mf.write_key_seqs(os.path.join(new_edir, "key_seqs.parquet"),
+                          folded_ks)
     out["base_event_seq"] = base_floor
     out.pop("epoch", None)
     mf.write_manifest(index_root, new_epoch, out)

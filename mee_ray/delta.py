@@ -18,12 +18,16 @@ Events carry a monotone ``seq`` (the Kafka-offset analog,
 FIXTURES.md F2).  Last-writer-wins is PER KEY and EXACT across
 batches: within a batch the highest-seq event per (repo, path) wins,
 and an event only applies if its seq is newer than the key's last
-recorded write (live row ``event_seq``, DELETE memory in
-``key_seqs.parquet``, or the snapshot floor ``base_event_seq``).
-At-least-once redelivery, offset rewinds, and out-of-order batch
-arrival all resolve to the same final state as seq-ordered delivery —
-the guarantee the reference gets from processing a key's events in
-partition order (listenservice.py:195), generalized.
+recorded write.  That memory lives in ONE place: every write a batch
+applies (adds, DELETEs, no-op upsert bumps) is a row of its delta
+record's ``key_seqs.parquet``, compaction and reindex fold those into
+the new epoch's ``key_seqs.parquet``, and keys in neither were last
+written at or below the snapshot floor ``base_event_seq``
+(``manifest.key_seq_table`` reads it).  At-least-once redelivery,
+offset rewinds, and out-of-order batch arrival all resolve to the
+same final state as seq-ordered delivery — the guarantee the
+reference gets from processing a key's events in partition order
+(listenservice.py:195), generalized.
 
 Each applied batch appends one delta record to the manifest with exact
 stats deltas (n/sum_dl added+deleted) so N and avgdl stay
@@ -38,6 +42,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from mee_ray import manifest as mf
@@ -52,21 +57,21 @@ from mee_ray.ids import doc_id_of
 _LIVE_INDEX_DRIVER_BYTES = 64 << 20
 
 
-_base_event_seq = mf.base_event_seq
+def _rows_for_keys(t: pa.Table, keys: set) -> pa.Table:
+    """Rows of ``t`` whose (repo, path) is in ``keys``: a vectorized
+    path pre-filter, then an exact key check on the few survivors."""
+    t = t.filter(pc.is_in(t["path"], value_set=pa.array(
+        sorted({p for _, p in keys}), pa.string())))
+    return t.filter(pa.array(
+        [k in keys for k in zip(t["repo"].to_pylist(),
+                                t["path"].to_pylist())], pa.bool_()))
 
 
-def _read_key_seq_file(path: str, keys: set, out: dict) -> None:
-    """Max-merge one (repo, path, event_seq) parquet into ``out`` for
-    the keys of interest.  Key-seq files hold only applied DELETEs and
-    no-op same-version upserts, so they stay small relative to the
-    corpus; at 10^12-key scale this read distributes exactly like the
-    docs scan (same broadcast-filtered per-file task shape)."""
-    t = pq.read_table(path, columns=["repo", "path", "event_seq"])
-    for r, p, s in zip(t["repo"].to_pylist(), t["path"].to_pylist(),
-                       t["event_seq"].to_pylist()):
-        k = (r, p)
-        if k in keys and int(s) > out.get(k, -1):
-            out[k] = int(s)
+def _scan_docs_file(f: str, keys: set) -> pa.Table:
+    """(repo, path, doc_id, length) rows of one docs file for ``keys``."""
+    return _rows_for_keys(
+        pq.read_table(f, columns=["repo", "path", "doc_id", "length"]),
+        keys)
 
 
 def _live_key_index(index_root: str, manifest: dict,
@@ -78,11 +83,9 @@ def _live_key_index(index_root: str, manifest: dict,
       doc under the sequenced-tombstone rule — a docs row written by
       source s (base = 0, delta record j = j) is live iff no tombstone
       for its id has seq > s.
-    * ``key_seqs``: (repo, path) → last EVENT seq that wrote the key:
-      the live row's ``event_seq`` (per-row column; base rows default
-      to the manifest's ``base_event_seq``), max-merged with the
-      epoch's key-seq memory (applied DELETEs and no-op upserts).
-      Keys absent here have never been written past the base floor.
+    * ``key_seqs``: (repo, path) → last EVENT seq that wrote the key,
+      from ``manifest.key_seq_table``.  Keys absent here have never
+      been written past the base floor.
 
     Scans the epoch docs table plus every delta's added-docs file.
     Only rows matching ``keys`` (one delta batch — the broadcast side)
@@ -90,37 +93,14 @@ def _live_key_index(index_root: str, manifest: dict,
     ``_LIVE_INDEX_DRIVER_BYTES`` the scan itself runs as Ray tasks,
     one per docs file, so the corpus-sized read is distributed while
     newest-file-wins precedence is preserved via the file ordinal."""
-    base_floor = _base_event_seq(manifest)
-    files = list(mf.docs_files(index_root, manifest["epoch"]))
-    file_seqs = [0] * len(files)
-    # per-file fallback when the file lacks an event_seq column: base
-    # files → base floor; legacy delta files → their record's span max
-    file_ev_defaults = [base_floor] * len(files)
-    for d in manifest.get("deltas", []):
-        if d.get("added_docs"):
-            if not os.path.exists(d["added_docs"]):
-                # a silently skipped source would turn an UPDATE of a
-                # key living in this file into a duplicate (no
-                # tombstone for the old version) and a DELETE into a
-                # no-op — corruption must fail loudly (fsck agrees)
-                raise FileNotFoundError(
-                    f"delta record {d.get('seq')} added-docs file "
-                    f"missing: {d['added_docs']} — index is "
-                    f"inconsistent; run fsck")
-            files.append(d["added_docs"])
-            file_seqs.append(d["seq"])
-            file_ev_defaults.append(int(d.get("max_event_seq") or 0))
-
+    # missing="raise": a silently skipped source would turn an UPDATE
+    # of a key living in that file into a duplicate (no tombstone for
+    # the old version) and a DELETE into a no-op
+    sources = mf.docs_sources(index_root, manifest, missing="raise")
     tomb_ids, tomb_seqs = mf.tombstone_index(manifest)
-    total = sum(os.path.getsize(f) for f in files)
+    total = sum(os.path.getsize(f) for f, _ in sources)
     if mode is None:
         mode = "driver" if total < _LIVE_INDEX_DRIVER_BYTES else "distributed"
-
-    def read_cols(f: str) -> pa.Table:
-        cols = ["repo", "path", "doc_id", "length"]
-        if "event_seq" in pq.read_schema(f).names:
-            cols.append("event_seq")
-        return pq.read_table(f, columns=cols)
 
     if mode == "distributed":
         import ray
@@ -129,63 +109,30 @@ def _live_key_index(index_root: str, manifest: dict,
 
         def scan_file(batch: pa.Table) -> pa.Table:
             ks = ray.get(keys_ref)
-            rows = {"ord": [], "repo": [], "path": [],
-                    "doc_id": [], "length": [], "event_seq": []}
+            out = []
             for item in batch.to_pylist():
-                t = read_cols(item["file"])
-                evs = (t["event_seq"].to_pylist()
-                       if "event_seq" in t.schema.names
-                       else [None] * t.num_rows)
-                for r, p, did, ln, ev in zip(t["repo"].to_pylist(),
-                                             t["path"].to_pylist(),
-                                             t["doc_id"].to_pylist(),
-                                             t["length"].to_pylist(),
-                                             evs):
-                    if (r, p) in ks:
-                        rows["ord"].append(item["ord"])
-                        rows["repo"].append(r)
-                        rows["path"].append(p)
-                        rows["doc_id"].append(did)
-                        rows["length"].append(ln)
-                        rows["event_seq"].append(
-                            -1 if ev is None else int(ev))
-            return pa.table({
-                "ord": pa.array(rows["ord"], pa.int64()),
-                "repo": pa.array(rows["repo"], pa.string()),
-                "path": pa.array(rows["path"], pa.string()),
-                "doc_id": pa.array(rows["doc_id"], pa.int64()),
-                "length": pa.array(rows["length"], pa.int64()),
-                "event_seq": pa.array(rows["event_seq"], pa.int64()),
-            })
+                t = _scan_docs_file(item["file"], ks)
+                out.append(t.append_column("ord", pa.array(
+                    np.full(t.num_rows, item["ord"], dtype=np.int64))))
+            return pa.concat_tables(out)
 
-        items = [{"ord": i, "file": f} for i, f in enumerate(files)]
+        items = [{"ord": i, "file": f} for i, (f, _) in enumerate(sources)]
         got = (ray.data.from_items(items)
                .map_batches(scan_file, batch_format="pyarrow", batch_size=1)
                .take_all())
         got.sort(key=lambda r: r["ord"])   # newest-file-wins precedence
         matched = [(r["repo"], r["path"], r["doc_id"], r["length"],
-                    file_seqs[r["ord"]],
-                    r["event_seq"] if r["event_seq"] >= 0
-                    else file_ev_defaults[r["ord"]]) for r in got]
+                    sources[r["ord"]][1]) for r in got]
     else:
         matched = []
-        for f, seq, ev_def in zip(files, file_seqs, file_ev_defaults):
-            t = read_cols(f)          # later files overwrite
-            evs = (t["event_seq"].to_pylist()
-                   if "event_seq" in t.schema.names
-                   else [None] * t.num_rows)
-            for r, p, did, ln, ev in zip(
-                    t["repo"].to_pylist(), t["path"].to_pylist(),
-                    t["doc_id"].to_pylist(), t["length"].to_pylist(),
-                    evs):
-                if (r, p) in keys:
-                    matched.append((r, p, did, ln, seq,
-                                    ev_def if ev is None else int(ev)))
+        for f, seq in sources:          # later files overwrite
+            t = _scan_docs_file(f, keys)
+            matched += [(r, p, did, ln, seq) for r, p, did, ln in zip(
+                t["repo"].to_pylist(), t["path"].to_pylist(),
+                t["doc_id"].to_pylist(), t["length"].to_pylist())]
 
     live: dict[tuple[str, str], tuple[int, int]] = {}
-    key_seqs: dict[tuple[str, str], int] = {}
-    for r, p, did, ln, seq, ev in matched:
-        key_seqs[(r, p)] = max(key_seqs.get((r, p), -1), ev)
+    for r, p, did, ln, seq in matched:
         if mf.live_posting_mask(np.array([did], dtype=np.int64), seq,
                                 tomb_ids, tomb_seqs)[0]:
             live[(r, p)] = (did, ln)
@@ -193,22 +140,9 @@ def _live_key_index(index_root: str, manifest: dict,
             # this version is dead; a later file may re-add the key
             live.pop((r, p), None)
 
-    # key-seq memory: epoch-level file (folded by compaction) plus each
-    # delta record's file (applied DELETEs + no-op upsert bumps)
-    edir = mf.epoch_dir(index_root, manifest["epoch"])
-    epoch_ks = os.path.join(edir, "key_seqs.parquet")
-    if os.path.exists(epoch_ks):
-        _read_key_seq_file(epoch_ks, keys, key_seqs)
-    for d in manifest.get("deltas", []):
-        p = d.get("key_seqs")
-        if p:
-            if not os.path.exists(p):
-                # same loud-failure stance as the added-docs check
-                # above: lost per-key memory re-applies stale events
-                raise FileNotFoundError(
-                    f"delta record {d.get('seq')} key_seqs file "
-                    f"missing: {p} — index is inconsistent; run fsck")
-            _read_key_seq_file(p, keys, key_seqs)
+    ks = _rows_for_keys(mf.key_seq_table(index_root, manifest), keys)
+    key_seqs = dict(zip(zip(ks["repo"].to_pylist(), ks["path"].to_pylist()),
+                        ks["event_seq"].to_pylist()))
     return live, key_seqs
 
 
@@ -281,39 +215,38 @@ def _apply_delta_locked(events, index_root: str,
         final[key] = {k: rows[k][i] for k in rows}
 
     live, key_seqs = _live_key_index(index_root, manifest, set(final))
-    base_floor = _base_event_seq(manifest)
+    base_floor = mf.base_event_seq(manifest)
 
     # PER-KEY sequenced LWW: an event applies iff its seq is newer than
-    # the last seq that wrote the key (live row's event_seq, DELETE
-    # memory, or the snapshot floor).  This is exact under at-least-once
+    # the last seq that wrote the key (its key_seqs memory, else the
+    # snapshot floor).  This is exact under at-least-once
     # redelivery, offset rewinds, AND cross-batch out-of-order arrival:
     # a delayed fresh batch applies for the keys it is newest for and
     # no-ops for keys a later batch already rewrote — batch-granular
     # span heuristics either lose those events or resurrect old ones.
     tomb_ids, tomb_dls = [], []
     adds = []
-    key_seq_rows: list[tuple[str, str, int]] = []   # DELETEs + no-op bumps
+    key_seq_rows: list[tuple[str, str, int]] = []   # every applied write
     n_stale = 0
     for key, e in final.items():
         s = int(e["seq"])
         if s <= key_seqs.get(key, base_floor):
             n_stale += 1
             continue
+        # record every applied write — a DELETE of an unknown key too,
+        # so a delayed older INSERT cannot resurrect the key later
+        key_seq_rows.append((key[0], key[1], s))
         old = live.get(key)
         if e["type"] == "DELETE":
             if old is not None:
                 tomb_ids.append(old[0]); tomb_dls.append(old[1])
-            # remember the delete's seq even for unknown keys: a
-            # delayed older INSERT must not resurrect the key later
-            key_seq_rows.append((key[0], key[1], s))
         else:  # INSERT / UPDATE → upsert
             new_id = doc_id_of(e["repo"], e["path"], e["commit"])
             if old is not None and old[0] == new_id:
                 # fresh upsert of the already-live version: skip the
                 # re-index (the reference's diff-fields no-op,
-                # commonhandler.py:68-83) but RECORD the seq bump so a
-                # delayed older update cannot later beat this event
-                key_seq_rows.append((key[0], key[1], s))
+                # commonhandler.py:68-83); its seq bump is recorded
+                # above, so a delayed older update cannot beat it
                 continue
             if old is not None:
                 tomb_ids.append(old[0]); tomb_dls.append(old[1])
@@ -324,7 +257,7 @@ def _apply_delta_locked(events, index_root: str,
             # onto a compacted epoch whose base dropped the postings
             adds.append(e)
 
-    if not adds and not tomb_ids and not key_seq_rows:
+    if not key_seq_rows:
         # nothing applied (empty batch or pure redelivery): do NOT
         # append a manifest record — no-op records churn reader-pool
         # staleness checks and inflate the compaction trigger
@@ -352,26 +285,19 @@ def _apply_delta_locked(events, index_root: str,
     pq.write_table(pa.table({"doc_id": pa.array(tomb_ids, pa.int64())}), tmp)
     os.replace(tmp, tomb_path)
 
+    ks_path = os.path.join(ddir, "key_seqs.parquet")
+    repos, paths, seqs = zip(*key_seq_rows)
+    mf.write_key_seqs(ks_path, pa.table({
+        "repo": list(repos), "path": list(paths), "event_seq": list(seqs)}))
+
     record = {
         "seq": seq_no, "max_event_seq": max_seq, "min_event_seq": min_seq,
         "tombstones": tomb_path, "added_docs": None, "segments": [],
-        "key_seqs": None,
+        "key_seqs": ks_path,
         "n_added": 0, "n_deleted": len(tomb_ids), "n_stale": n_stale,
         "sum_dl_added": 0,
         "sum_dl_deleted": int(sum(tomb_dls)),
     }
-
-    if key_seq_rows:
-        ks_path = os.path.join(ddir, "key_seqs.parquet")
-        tmp = ks_path + ".tmp"
-        pq.write_table(pa.table({
-            "repo": pa.array([r for r, _, _ in key_seq_rows], pa.string()),
-            "path": pa.array([p for _, p, _ in key_seq_rows], pa.string()),
-            "event_seq": pa.array([s for _, _, s in key_seq_rows],
-                                  pa.int64()),
-        }), tmp)
-        os.replace(tmp, ks_path)
-        record["key_seqs"] = ks_path
 
     if adds:
         add_tbl = pa.table({
@@ -392,23 +318,15 @@ def _apply_delta_locked(events, index_root: str,
                                             batch_size=1 << 18)])
         added_docs_path = os.path.join(ddir, "added_docs.parquet")
         tmp = added_docs_path + ".tmp"
-        # per-row event seq: the key's LWW memory (rides through
-        # compaction so a delayed older event still loses after the
-        # delta log is folded away)
-        seq_of = {(a["repo"], a["path"]): int(a["seq"]) for a in adds}
-        keys = list(zip(tok_tbl["repo"].to_pylist(),
-                        tok_tbl["path"].to_pylist()))
-        ev_col = pa.array([seq_of[k] for k in keys], pa.int64())
-        docs_tbl = tok_tbl.drop_columns(
-            [c for c in ("terms", "tfs", "poss")
-             if c in tok_tbl.schema.names]).append_column(
-                 "event_seq", ev_col)
+        docs_tbl = tok_tbl.select(mf.DOCS_COLUMNS)
         if cfg.store_source:
             # source-enabled index (manifest-pinned): added docs carry
             # their raw content like the base rows, so get-with-source
             # and reindex stay complete across deltas
             content_of = {(a["repo"], a["path"]): (a["content"] or "")
                           for a in adds}
+            keys = zip(tok_tbl["repo"].to_pylist(),
+                       tok_tbl["path"].to_pylist())
             docs_tbl = docs_tbl.append_column(
                 "content", pa.array([content_of[k] for k in keys],
                                     pa.string()))

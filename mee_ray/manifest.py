@@ -22,7 +22,8 @@ Layout:
         _state.json                # coarse stage checkpoints (resume)
         docs/  segments/
         manifest.json              # stats + segment lineage + delta log
-        deltas/delta-<seq>/        # delta segments + tombstones
+        key_seqs.parquet           # per-key write seqs folded by compaction
+        deltas/delta-<seq>/        # delta segments + tombstones + key_seqs
 """
 
 from __future__ import annotations
@@ -431,7 +432,6 @@ def _relocated_delta_record(rec: dict, src_dir: str, dst_dir: str,
     return dict(rec, seq=seq_no,
                 tombstones=reloc(rec.get("tombstones")),
                 added_docs=reloc(rec.get("added_docs")),
-                deleted_keys=reloc(rec.get("deleted_keys")),
                 key_seqs=reloc(rec.get("key_seqs")),
                 segments=[reloc(s) for s in rec.get("segments", [])])
 
@@ -495,11 +495,102 @@ def publish_with_catchup(index_root: str, epoch: str) -> int:
 
 
 def base_event_seq(manifest: dict) -> int:
-    """Per-key LWW floor for docs rows / keys with no recorded event
-    seq: the snapshot corpus of the epoch CHAIN incorporates every
-    event <= it.  Preserved verbatim across compactions (folded delta
-    rows carry their own per-row ``event_seq`` column instead)."""
+    """Per-key LWW floor for keys absent from :func:`key_seq_table`:
+    the snapshot corpus of the epoch CHAIN incorporates every event
+    <= it.  Preserved verbatim across compactions and reindexes — every
+    write past it is in a key_seqs file, so bumping the floor would
+    wrongly out-sequence delayed fresh events for base keys."""
     return int(manifest.get("base_event_seq") or 0)
+
+
+def _key_seq_schema():
+    import pyarrow as pa
+    return pa.schema([("repo", pa.string()), ("path", pa.string()),
+                      ("event_seq", pa.int64())])
+
+
+def write_key_seqs(path: str, table) -> None:
+    """Atomically write a (repo, path, event_seq) key_seqs file."""
+    import pyarrow.parquet as pq
+    tmp = f"{path}.tmp.{os.getpid()}"
+    pq.write_table(table.cast(_key_seq_schema()), tmp)
+    os.replace(tmp, path)
+
+
+def key_seq_table(index_root: str, manifest: dict):
+    """THE per-key LWW memory of a snapshot: (repo, path, event_seq),
+    the max seq over every applied write to the key, sorted by key.
+
+    Folds the epoch-level ``key_seqs.parquet`` (what compaction and
+    reindex carried forward) with every delta record's key_seqs file
+    (one row per write the batch applied: adds, DELETEs and no-op
+    upsert bumps) in one vectorized Arrow group_by.  A key absent here
+    was last written at or below ``base_event_seq``.  A record whose
+    file is gone fails loudly: lost memory lets a redelivered older
+    event beat a newer one (fsck checks the same file set)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    files = []
+    epoch_ks = os.path.join(epoch_dir(index_root, manifest["epoch"]),
+                            "key_seqs.parquet")
+    if os.path.exists(epoch_ks):
+        files.append(epoch_ks)
+    for d in manifest.get("deltas", []):
+        if not os.path.exists(d["key_seqs"]):
+            raise FileNotFoundError(
+                f"delta record {d.get('seq')} key_seqs file missing: "
+                f"{d['key_seqs']} — index is inconsistent; run fsck")
+        files.append(d["key_seqs"])
+    schema = _key_seq_schema()
+    if not files:
+        return schema.empty_table()
+    allt = pa.concat_tables([pq.read_table(f, schema=schema)
+                             for f in files])
+    return (allt.group_by(["repo", "path"])
+            .aggregate([("event_seq", "max")])
+            .rename_columns(schema.names)
+            .sort_by([("repo", "ascending"), ("path", "ascending")])
+            .combine_chunks())
+
+
+# Input fingerprints of the three epoch-dir writers (build, reindex,
+# compact) — see reset_on_fingerprint_change.
+_FINGERPRINTS = ("_build_cfg.json", "_reindex_src.json", "_compact_src.json")
+
+
+def reset_on_fingerprint_change(edir: str, name: str, fp: dict) -> None:
+    """Stage-resume guard of an epoch dir being (re)built by build,
+    reindex or compact.  The resumable stages short-circuit on the
+    outputs they find (``_state.json`` marks, lineage sidecars), so
+    outputs made from DIFFERENT inputs — another config, format
+    version, or delta snapshot — would be silently adopted.  The file
+    ``name`` (one of ``_FINGERPRINTS``) records the inputs'
+    fingerprint.  The outputs stay for the resume when it matches, or
+    when the dir has no fingerprint at all (nothing to compare).  When
+    it differs, or is missing while another writer's is present (its
+    debris), ``docs/``, ``segments/``, ``_state.json`` and
+    ``key_seqs.parquet`` are cleared.  ``fp`` is then recorded
+    atomically."""
+    os.makedirs(edir, exist_ok=True)
+    path = os.path.join(edir, name)
+    try:
+        with open(path) as f:
+            old = json.load(f)
+    except FileNotFoundError:
+        old = None
+    if old == fp:
+        return
+    if old is not None or any(os.path.exists(os.path.join(edir, n))
+                              for n in _FINGERPRINTS):
+        for sub in ("docs", "segments"):
+            shutil.rmtree(os.path.join(edir, sub), ignore_errors=True)
+        for fn in ("_state.json", "key_seqs.parquet"):
+            try:
+                os.remove(os.path.join(edir, fn))
+            except FileNotFoundError:
+                pass
+    _atomic_write_json(path, fp)
 
 
 def next_event_seq(index_root: str) -> int:
@@ -567,13 +658,6 @@ def live_posting_mask(ids, source_seq: int, tomb_ids, tomb_seqs):
     return ~dead
 
 
-def effective_tombstones(manifest: dict):
-    """Ids whose BASE-epoch copy (source 0) is dead — the set the base
-    docs/postings filters need.  Sorted int64 numpy array."""
-    ids, _seqs = tombstone_index(manifest)
-    return ids
-
-
 def fsck(index_root: str, epoch: str | None = None,
          verify_hashes: bool = True) -> dict:
     """Integrity check of an epoch against its lineage — the
@@ -607,7 +691,7 @@ def fsck(index_root: str, epoch: str | None = None,
                 errors.append(f"segment sha256 mismatch: {p}")
     for d in m.get("deltas", []):
         for p in ([d.get("tombstones"), d.get("added_docs"),
-                   d.get("key_seqs"), d.get("deleted_keys")]
+                   d.get("key_seqs")]
                   + list(d.get("segments", []))):
             if p:
                 checked += 1
@@ -684,8 +768,7 @@ def docs_sources(index_root: str, manifest: dict,
 # Filenames that are legitimate epoch-dir members without appearing in
 # any manifest file list.
 _EPOCH_HOUSEKEEPING = {"manifest.json", "_state.json", "metrics.json",
-                       "key_seqs.parquet", "_compact_src.json",
-                       "_reindex_src.json", "_build_cfg.json"}
+                       "key_seqs.parquet", *_FINGERPRINTS}
 
 
 def fsck_repair(index_root: str) -> dict:

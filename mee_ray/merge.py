@@ -14,14 +14,17 @@ local)')."""
 
 from __future__ import annotations
 
+import json
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from mee_ray import manifest as mf
-from mee_ray.build import LINEAGE_SCHEMA, make_encode_partition
+from mee_ray.build import (LINEAGE_SCHEMA, live_docs_dataset,
+                           make_encode_partition)
 from mee_ray.config import EngineConfig, resolve_index_config
 from mee_ray.postings import varint_decode
 
@@ -191,36 +194,17 @@ def _compact_locked(index_root: str, new_epoch: str,
     old_epoch = manifest["epoch"]
     n_live, avgdl_live = mf.live_stats(manifest)
     tomb_ids, tomb_seqs = mf.tombstone_index(manifest)
-    tomb = tomb_ids
 
     new_edir = mf.epoch_dir(index_root, new_epoch)
     new_docs = os.path.join(new_edir, "docs")
     new_segs = os.path.join(new_edir, "segments")
-    os.makedirs(new_docs, exist_ok=True)
-    os.makedirs(new_segs, exist_ok=True)
 
-    # --- snapshot fingerprint: the lineage-sidecar resume inside
-    # make_encode_partition short-circuits on existing part files, so
-    # debris from a CRASHED compaction of a DIFFERENT delta snapshot
-    # (e.g. a delta landed between the crash and this retry) would be
-    # silently adopted — stale segments missing the new delta's
-    # postings.  Same snapshot → debris is byte-identical and safe to
-    # resume from; different → clear and re-encode.
-    import json as _json
-    import shutil as _shutil
-    fp = {"src_epoch": old_epoch,
-          "delta_seqs": [d["seq"] for d in manifest.get("deltas", [])]}
-    fp_path = os.path.join(new_edir, "_compact_src.json")
-    old_fp = None
-    if os.path.exists(fp_path):
-        with open(fp_path) as f:
-            old_fp = _json.load(f)
     # Target-collision guards (checked AFTER taking the compact lock,
     # against the freshly re-read manifest): a caller that named its
     # target from a STALE manifest — e.g. two maybe_compact racers,
     # where the loser's "next" epoch is the winner's already-published
-    # CURRENT — must never reach the debris-clearing rmtree below,
-    # which would gut a live epoch's segments/docs.
+    # CURRENT — must never reach the debris-clearing fingerprint reset
+    # below, which would gut a live epoch's segments/docs.
     if new_epoch == old_epoch:
         raise CompactTargetExists(
             f"compaction target {new_epoch!r} IS the current epoch — "
@@ -238,158 +222,54 @@ def _compact_locked(index_root: str, new_epoch: str,
         raise CompactTargetExists(
             f"compaction target {new_epoch!r} is pinned by "
             f"alias(es) {sorted(alias_hits)} — refusing to overwrite")
-    if old_fp != fp:
-        if os.listdir(new_segs) or os.listdir(new_docs):
-            _shutil.rmtree(new_segs); _shutil.rmtree(new_docs)
-            os.makedirs(new_docs); os.makedirs(new_segs)
-        tmp_fp = fp_path + f".tmp.{os.getpid()}"
-        with open(tmp_fp, "w") as f:
-            _json.dump(fp, f)
-        os.replace(tmp_fp, fp_path)
+    # snapshot fingerprint: the lineage-sidecar resume inside
+    # make_encode_partition short-circuits on existing part files, so
+    # debris from a CRASHED compaction of a DIFFERENT delta snapshot
+    # (e.g. a delta landed between the crash and this retry) would be
+    # silently adopted.  Same snapshot → debris is byte-identical and
+    # safe to resume from; different → cleared and re-encoded.
+    mf.reset_on_fingerprint_change(
+        new_edir, "_compact_src.json",
+        {"src_epoch": old_epoch,
+         "delta_seqs": [d["seq"] for d in manifest.get("deltas", [])]})
+    os.makedirs(new_docs, exist_ok=True)
+    os.makedirs(new_segs, exist_ok=True)
 
-    # --- docs table: sequenced-tombstone filter per source ------------
-    # (a docs row from source s survives iff no tombstone for its id
-    # has seq > s — so a re-added doc's newer row survives the
-    # tombstone that killed its older copy)
-    base_doc_files = list(mf.docs_files(index_root, old_epoch))
-    doc_files = list(base_doc_files)
-    delta_doc_files = []            # (path, source seq)
-    for d in manifest.get("deltas", []):
-        if d.get("added_docs"):
-            doc_files.append(d["added_docs"])
-            delta_doc_files.append((d["added_docs"], d["seq"]))
-    import ray as _ray
-    tomb_ref = _ray.put((tomb_ids, tomb_seqs))
-
-    def drop_dead(source_seq: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            ti, ts = _ray.get(tomb_ref)
-            ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-            return batch.filter(pa.array(
-                mf.live_posting_mask(ids, source_seq, ti, ts)))
-        return fn
-
-    base_floor = mf.base_event_seq(manifest)
-
-    def with_event_seq(default_seq: int):
-        # normalize the per-row LWW seq column across sources so the
-        # union has one schema: files that predate the column (base
-        # docs; legacy deltas) get their source's constant floor
-        def fn(batch: pa.Table) -> pa.Table:
-            if "event_seq" in batch.schema.names:
-                return batch
-            return batch.append_column("event_seq", pa.array(
-                np.full(batch.num_rows, default_seq, dtype=np.int64)))
-        return fn
-
-    # source-enabled indexes carry raw content in the docs table; the
-    # tombstone-filtering rewrite must keep it or compaction would
-    # silently strip the _source the manifest promises
-    docs_cols = list(mf.DOCS_COLUMNS) + \
-        (["content"] if manifest.get("store_source") else [])
-
-    def read_docs_cols(f: str) -> list[str]:
-        cols = list(docs_cols)
-        if "event_seq" in pq.read_schema(f).names:
-            cols.append("event_seq")
-        return cols
-
-    if len(tomb) == 0:
+    # --- docs table: live rows only ----------------------------------
+    if len(tomb_ids) == 0:
         # nothing to filter: the new docs table is exactly the base
         # files + delta added-docs files — copy, don't re-encode
-        # (deterministic names, so a crashed retry overwrites cleanly;
-        # per-file event_seq defaults are resolved by readers, so
-        # column-less base files stay valid verbatim)
-        import shutil as _sh
-        for i, f in enumerate(doc_files):
+        # (deterministic names, so a crashed retry overwrites cleanly)
+        for i, (f, _) in enumerate(mf.docs_sources(index_root, manifest)):
             dst = os.path.join(new_docs, f"docs-{i:05d}.parquet")
             tmp = dst + f".tmp.{os.getpid()}"
-            _sh.copyfile(f, tmp)
+            shutil.copyfile(f, tmp)
             os.replace(tmp, dst)
     else:
-        # an epoch can legitimately have NO base docs files (a prior
-        # compaction after delete-everything stages an empty dataset →
-        # zero parquet files) — start from the delta sources alone
-        # rather than handing read_parquet an empty path list
-        docs_ds = None
-        # base files of a PREVIOUSLY-compacted epoch already carry the
-        # per-row event_seq column — reading them with the bare
-        # docs_cols would strip it and with_event_seq would flatten
-        # every folded row's seq to the floor, letting a later stale
-        # redelivery win (found by the out-of-order fuzz).  Split the
-        # read by schema so the column survives.
-        base_with = [f for f in base_doc_files
-                     if "event_seq" in pq.read_schema(f).names]
-        base_without = [f for f in base_doc_files if f not in base_with]
-        for fl, cols in ((base_with, docs_cols + ["event_seq"]),
-                         (base_without, docs_cols)):
-            if not fl:
-                continue
-            part0 = ray.data.read_parquet(fl, columns=cols).map_batches(
-                drop_dead(0), batch_format="pyarrow").map_batches(
-                with_event_seq(base_floor), batch_format="pyarrow")
-            docs_ds = part0 if docs_ds is None else docs_ds.union(part0)
-        for f, seq in delta_doc_files:
-            d = next(x for x in manifest.get("deltas", [])
-                     if x.get("added_docs") == f)
-            legacy_default = int(d.get("max_event_seq") or 0)
-            part = (ray.data.read_parquet([f], columns=read_docs_cols(f))
-                    .map_batches(drop_dead(seq), batch_format="pyarrow")
-                    .map_batches(with_event_seq(legacy_default),
-                                 batch_format="pyarrow"))
-            docs_ds = part if docs_ds is None else docs_ds.union(part)
+        # source-enabled indexes carry raw content in the docs table;
+        # the tombstone-filtering rewrite must keep it or compaction
+        # would silently strip the _source the manifest promises
+        docs_ds = live_docs_dataset(
+            index_root, manifest, list(mf.DOCS_COLUMNS)
+            + (["content"] if manifest.get("store_source") else []))
         # staged write: Ray names output files randomly, so a retry
         # after a mid-write crash would APPEND to the leftovers and
         # duplicate rows — write to a temp dir and rename atomically
-        import shutil as _sh
-
         from mee_ray.build import _staged_write
-        _sh.rmtree(new_docs, ignore_errors=True)
+        shutil.rmtree(new_docs, ignore_errors=True)
         if docs_ds is None:
             os.makedirs(new_docs, exist_ok=True)   # empty docs table
         else:
             _staged_write(docs_ds, new_docs)
 
-    # --- per-key LWW memory: fold the delta log's key-seq files -------
-    # (applied DELETEs + no-op upsert bumps) plus the old epoch-level
-    # file into ONE new epoch-level file, max seq per key — so a
-    # delayed older event still loses after the records are folded away
-    old_ks = os.path.join(mf.epoch_dir(index_root, old_epoch),
-                          "key_seqs.parquet")
-    for d in manifest.get("deltas", []):
-        if d.get("key_seqs") and not os.path.exists(d["key_seqs"]):
-            # silently dropping per-key LWW memory lets a redelivered
-            # older event beat a lost newer seq — fail loudly (fsck
-            # checks the same file set)
-            raise FileNotFoundError(
-                f"delta record {d.get('seq')} key_seqs file missing: "
-                f"{d['key_seqs']} — index is inconsistent; run fsck")
-    ks_files = ([old_ks] if os.path.exists(old_ks) else []) + \
-        [d["key_seqs"] for d in manifest.get("deltas", [])
-         if d.get("key_seqs")]
-    if ks_files:
-        # vectorized max-per-key fold (one Arrow group_by, no Python
-        # loop over keys): key_seqs rows are one per TOUCHED key per
-        # delta, so this stays far below corpus size, but a long delta
-        # log over a hot key space can still reach 10^7+ rows
-        allt = pa.concat_tables(
-            [pq.read_table(f, columns=["repo", "path", "event_seq"])
-             for f in ks_files])
-        folded = (allt.group_by(["repo", "path"])
-                  .aggregate([("event_seq", "max")])
-                  .rename_columns(["repo", "path", "event_seq"])
-                  .sort_by([("repo", "ascending"), ("path", "ascending")]))
-        ks_dst = os.path.join(new_edir, "key_seqs.parquet")
-        tmp_ks = ks_dst + f".tmp.{os.getpid()}"
-        pq.write_table(folded.combine_chunks(), tmp_ks)
-        os.replace(tmp_ks, ks_dst)
-    else:
-        # debris guard: a crashed compact of a DIFFERENT snapshot may
-        # have left a key_seqs file this snapshot doesn't produce
-        try:
-            os.remove(os.path.join(new_edir, "key_seqs.parquet"))
-        except FileNotFoundError:
-            pass
+    # --- per-key LWW memory: fold the old epoch-level file and the
+    # delta log's key_seqs into ONE new epoch-level file, max seq per
+    # key — so a delayed older event still loses after the records are
+    # folded away
+    folded = mf.key_seq_table(index_root, manifest)
+    if folded.num_rows:
+        mf.write_key_seqs(os.path.join(new_edir, "key_seqs.parquet"),
+                          folded)
 
     # --- segments: per-partition local merge (no shuffle) -------------
     part_items = partition_plan(manifest)
@@ -400,7 +280,7 @@ def _compact_locked(index_root: str, new_epoch: str,
     # the lineage; the query scales each chunk's bounds individually).
     # Compaction cost becomes O(touched partitions), not O(index).
     seg_meta = {s["path"]: s for s in manifest["segments"]}
-    if len(tomb) == 0:
+    if len(tomb_ids) == 0:
         for item in part_items:
             if not item["delta_files"] and len(item["files"]) == 1:
                 m0 = seg_meta[item["files"][0]]
@@ -420,19 +300,18 @@ def _compact_locked(index_root: str, new_epoch: str,
         item.setdefault("hint_avgdl", 0.0)
 
     encode = make_encode_partition(new_segs, avgdl_live or 1.0, cfg)
+    tomb_ref = ray.put((tomb_ids, tomb_seqs))
 
     def merge_part(batch: pa.Table) -> pa.Table:
-        import json as _json
-        import shutil as _shutil
         out = []
-        tb = _ray.get(tomb_ref)
+        tb = ray.get(tomb_ref)
         for row in batch.to_pylist():
             part = row["part"]
             if row.get("copy"):
                 src = row["files"][0]
                 dst = os.path.join(new_segs, os.path.basename(src))
                 tmp = dst + f".tmp.{os.getpid()}"
-                _shutil.copyfile(src, tmp)
+                shutil.copyfile(src, tmp)
                 os.replace(tmp, dst)
                 lin = {"part": part, "n_terms": row["n_terms"],
                        "n_postings": row["n_postings"],
@@ -441,7 +320,7 @@ def _compact_locked(index_root: str, new_epoch: str,
                        "hint_avgdl": row["hint_avgdl"]}
                 tmp_sc = dst + f".lineage.json.tmp.{os.getpid()}"
                 with open(tmp_sc, "w") as f:
-                    _json.dump(lin, f)
+                    json.dump(lin, f)
                 os.replace(tmp_sc, dst + ".lineage.json")
                 out.append(pa.Table.from_pylist([lin],
                                                 schema=LINEAGE_SCHEMA))
@@ -500,10 +379,9 @@ def _compact_locked(index_root: str, new_epoch: str,
         "event_watermark": max(
             [manifest.get("event_watermark", 0)]
             + [d.get("max_event_seq", 0) for d in manifest.get("deltas", [])]),
-        # per-key floor stays the CHAIN's original snapshot floor —
-        # folded delta rows carry per-row event_seq, so bumping this
-        # would wrongly out-sequence delayed fresh events for base keys
-        "base_event_seq": base_floor,
+        # per-key floor stays the CHAIN's original snapshot floor
+        # (mf.base_event_seq): folded writes live in key_seqs.parquet
+        "base_event_seq": mf.base_event_seq(manifest),
         "catch_up_from": {"epoch": old_epoch, "consumed_deltas": n_folded},
     })
     mf.write_manifest(index_root, new_epoch, new_manifest)

@@ -23,9 +23,14 @@ import numpy as np
 # codec tag per buffer (varint | pfor); v3: salts only in
 # [0, salt_factor), so a term's chunks always cover disjoint doc ranges
 # (a v2 index may carry overlapping [salt_factor, 2·salt_factor) salts
-# that the query path no longer merges).  Manifests record it and the
-# load paths refuse a mismatched index instead of misreading it.
-FORMAT_VERSION = 3
+# that the query path no longer merges); v4: every applied delta write
+# is recorded in its record's key_seqs file and docs files carry no
+# per-row write-seq column (a v3 index keeps added rows' write seqs
+# only in that column, so reading it as v4 would lose their LWW
+# memory).
+# Manifests record it and the load paths refuse a mismatched index
+# instead of misreading it.
+FORMAT_VERSION = 4
 
 _MAX_VARINT_BYTES = 10  # 64-bit value → ≤10 LEB128 bytes
 

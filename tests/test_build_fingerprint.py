@@ -178,3 +178,37 @@ def test_shuffle_waves_identity(ray_session, tmp_path):
     for q in make_query_set(docs, n_queries=30, seed=4):
         assert sd.search(q["terms"], q["k"]) == \
             oi.search(q["terms"], q["k"])
+
+
+def test_fingerprint_reset_rule(tmp_path):
+    """One rule for build, reindex and compact: outputs stay when the
+    writer's own fingerprint matches or the dir has none at all; they
+    are cleared when it differs, or when it is missing but another
+    writer's fingerprint marks the outputs as that writer's debris."""
+    edir = str(tmp_path / "ep")
+
+    def outputs():
+        os.makedirs(os.path.join(edir, "docs"), exist_ok=True)
+        os.makedirs(os.path.join(edir, "segments"), exist_ok=True)
+        for f in ("docs/d.parquet", "segments/part-00000.parquet",
+                  "_state.json", "key_seqs.parquet"):
+            open(os.path.join(edir, f), "w").close()
+
+    def kept():
+        return all(os.path.exists(os.path.join(edir, f)) for f in (
+            "docs/d.parquet", "segments/part-00000.parquet",
+            "_state.json", "key_seqs.parquet"))
+
+    outputs()                       # a crash dir with no fingerprint
+    mf.reset_on_fingerprint_change(edir, "_build_cfg.json", {"a": 1})
+    assert kept()
+    mf.reset_on_fingerprint_change(edir, "_build_cfg.json", {"a": 1})
+    assert kept()                   # same inputs: resume
+    mf.reset_on_fingerprint_change(edir, "_build_cfg.json", {"a": 2})
+    assert not any(os.path.exists(os.path.join(edir, f)) for f in (
+        "docs", "segments", "_state.json", "key_seqs.parquet"))
+    outputs()                       # build debris, then a compaction
+    mf.reset_on_fingerprint_change(edir, "_compact_src.json", {"s": 1})
+    assert not os.path.exists(os.path.join(edir, "segments"))
+    with open(os.path.join(edir, "_compact_src.json")) as f:
+        assert json.load(f) == {"s": 1}

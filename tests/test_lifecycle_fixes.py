@@ -1180,6 +1180,54 @@ def test_per_key_lww_noop_upsert_bumps_seq(ray_session, tmp_path):
     assert not Searcher(root).search(["v5_tok"], 5)
 
 
+def test_key_seqs_are_the_only_write_record(ray_session, tmp_path):
+    """Every applied write (INSERT, UPDATE, DELETE, no-op bump) is a row
+    of its delta's key_seqs file, and no docs file written by build,
+    apply_delta or either compaction path carries a per-row seq column:
+    every docs file's columns are exactly DOCS_COLUMNS."""
+    root = _build_small(tmp_path, [("o/r", "a.py", "c" * 40, "a_tok"),
+                                   ("o/r", "b.py", "c" * 40, "b_tok"),
+                                   ("o/r", "c.py", "c" * 40, "c_tok")])
+
+    def docs_columns():
+        m = mf.load_manifest(root)
+        return {f: pq.read_schema(f).names
+                for f, _ in mf.docs_sources(root, m)}
+
+    rec = apply_delta(_events([
+        {"seq": 1, "type": "INSERT", "repo": "o/r", "path": "n.py",
+         "commit": "d" * 40, "lang": "python",
+         "content": "def n(): return n_tok\n"},
+        _upd(2, "o/r", "a.py", "a2_tok"),
+        {"seq": 3, "type": "DELETE", "repo": "o/r", "path": "b.py"},
+        {"seq": 4, "type": "UPDATE", "repo": "o/r", "path": "c.py",
+         "commit": "c" * 40, "lang": "python",
+         "content": "def k(): return c_tok\n"}]), root)
+    assert rec["n_added"] == 2 and rec["n_deleted"] == 2
+    ks = pq.read_table(rec["key_seqs"])
+    assert sorted(zip(ks["path"].to_pylist(),
+                      ks["event_seq"].to_pylist())) == [
+        ("a.py", 2), ("b.py", 3), ("c.py", 4), ("n.py", 1)]
+    for f, cols in docs_columns().items():
+        assert cols == mf.DOCS_COLUMNS, (f, cols)
+
+    compact(root, "ep2", gc_old=False)          # tombstones: rewrite
+    apply_delta(_events([_upd(5, "o/r", "z.py", "z_tok")]), root)
+    compact(root, "ep3", gc_old=False)          # no tombstones: copy
+    cols = docs_columns()
+    assert len(cols) >= 2
+    for f, c in cols.items():
+        assert c == mf.DOCS_COLUMNS, (f, c)
+    m = mf.load_manifest(root)
+    folded = mf.key_seq_table(root, m)
+    assert dict(zip(folded["path"].to_pylist(),
+                    folded["event_seq"].to_pylist())) == {
+        "a.py": 2, "b.py": 3, "c.py": 4, "n.py": 1, "z.py": 5}
+    # the folded memory still outranks a stale redelivery
+    rec = apply_delta(_events([_upd(1, "o/r", "a.py", "stale_tok")]), root)
+    assert rec.get("noop") and rec["n_stale"] == 1
+
+
 def test_publish_documents_atomic_bridge(ray_session, tmp_path):
     """The atomic bridge path allocates monotone seqs under the write
     lock and applies in the same critical section."""

@@ -339,24 +339,27 @@ def test_validation_parity(pos_index, built_index, pool, index,  # noqa: F811
 def test_foreign_format_refused_before_actors(built_index, tmp_path,
                                               monkeypatch, ray_session):
     """A rewritten format_version fails both constructors with the same
-    driver-side RuntimeError, before any shard actor is requested."""
+    driver-side RuntimeError, before any shard actor is requested — a
+    newer version, and v3 (whose added rows keep their write seqs only
+    in a per-row docs column, so reading it would lose LWW memory)."""
     import ray
 
     from mee_ray import manifest as mf
     from mee_ray.postings import FORMAT_VERSION
 
-    m = mf.load_manifest(built_index["index_root"])
-    m["format_version"] = FORMAT_VERSION + 1
-    root = str(tmp_path / "foreign")
-    (tmp_path / "foreign" / "epochs" / m["epoch"]).mkdir(parents=True)
-    mf.write_manifest(root, m["epoch"], m)
-    mf.publish(root, m["epoch"])
-
     def no_pool(*a, **kw):
         raise AssertionError("actor pool requested before format check")
 
     monkeypatch.setattr(ray, "cluster_resources", no_pool)
-    for ctor in (Searcher, DistributedSearcher):
-        with pytest.raises(RuntimeError, match="posting format") as ei:
-            ctor(root)
-        assert type(ei.value) is RuntimeError
+    for version in (FORMAT_VERSION + 1, 3):
+        m = mf.load_manifest(built_index["index_root"])
+        m["format_version"] = version
+        root = str(tmp_path / f"foreign_v{version}")
+        (tmp_path / f"foreign_v{version}" / "epochs" / m["epoch"]).mkdir(
+            parents=True)
+        mf.write_manifest(root, m["epoch"], m)
+        mf.publish(root, m["epoch"])
+        for ctor in (Searcher, DistributedSearcher):
+            with pytest.raises(RuntimeError, match="posting format") as ei:
+                ctor(root)
+            assert type(ei.value) is RuntimeError
