@@ -701,10 +701,6 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(out))
 
     elif args.cmd == "delete-by-query":
-        # same init as the delta command: a large index switches
-        # _live_key_index to its distributed scan, which must not
-        # auto-init Ray with default settings
-        _init_ray(args.num_cpus)
         from mee_ray.delta import delete_by_query
         rec = delete_by_query(args.index, args.terms.split(),
                               args.operator, cfg)
@@ -714,7 +710,6 @@ def main(argv: list[str] | None = None) -> int:
 
     elif args.cmd == "update-by-query":
         import re as _re
-        _init_ray(args.num_cpus)
         from mee_ray.delta import update_by_query
         try:
             pat = _re.compile(args.pattern)

@@ -34,6 +34,15 @@ stats deltas (n/sum_dl added+deleted) so N and avgdl stay
 oracle-identical without recomputation (manifest.live_stats), plus the
 segment + tombstone file paths.  Tombstoned postings are physically
 dropped at compaction (mee_ray.merge).
+
+The write path runs in-process and starts no Ray work: the adds go
+through the build's own ``DocTokenize`` → ``ExplodeTriples`` →
+``make_encode_partition`` callables, called directly on
+``tokenize_batch_size`` slices and then once per part, so a delta's
+segment bytes equal what the Ray Data stages would write.  Every
+docs-table lookup here (the batch's live keys, delete_by_query's key
+fetch, update_by_query's row fetch) is one ``manifest.live_doc_rows``
+read.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from mee_ray import manifest as mf
@@ -51,94 +61,42 @@ from mee_ray.config import EngineConfig, resolve_index_config
 from mee_ray.ids import doc_id_of
 
 
-# docs tables below this total size are scanned on the driver (the
-# pyarrow C++ scanner reads a few dozen MB faster than Ray tasks can
-# start); above it the scan fans out as a broadcast-filtered map_batches
-_LIVE_INDEX_DRIVER_BYTES = 64 << 20
+def _paths_of(keys: set) -> pa.Array:
+    return pa.array(sorted({p for _, p in keys}), pa.string())
 
 
 def _rows_for_keys(t: pa.Table, keys: set) -> pa.Table:
     """Rows of ``t`` whose (repo, path) is in ``keys``: a vectorized
     path pre-filter, then an exact key check on the few survivors."""
-    t = t.filter(pc.is_in(t["path"], value_set=pa.array(
-        sorted({p for _, p in keys}), pa.string())))
+    t = t.filter(pc.is_in(t["path"], value_set=_paths_of(keys)))
     return t.filter(pa.array(
         [k in keys for k in zip(t["repo"].to_pylist(),
                                 t["path"].to_pylist())], pa.bool_()))
 
 
-def _scan_docs_file(f: str, keys: set) -> pa.Table:
-    """(repo, path, doc_id, length) rows of one docs file for ``keys``."""
-    return _rows_for_keys(
-        pq.read_table(f, columns=["repo", "path", "doc_id", "length"]),
-        keys)
-
-
 def _live_key_index(index_root: str, manifest: dict,
-                    keys: set[tuple[str, str]], mode: str | None = None
-                    ) -> tuple[dict, dict]:
+                    keys: set[tuple[str, str]]) -> tuple[dict, dict]:
     """Returns ``(live, key_seqs)`` for the given keys:
 
     * ``live``: (repo, path) → (doc_id, length) of the currently-live
-      doc under the sequenced-tombstone rule — a docs row written by
-      source s (base = 0, delta record j = j) is live iff no tombstone
-      for its id has seq > s.
+      doc, from ``manifest.live_doc_rows`` (the newest live row per
+      key — rows come oldest source first).
     * ``key_seqs``: (repo, path) → last EVENT seq that wrote the key,
       from ``manifest.key_seq_table``.  Keys absent here have never
       been written past the base floor.
 
-    Scans the epoch docs table plus every delta's added-docs file.
-    Only rows matching ``keys`` (one delta batch — the broadcast side)
-    ever reach the driver; for docs tables past
-    ``_LIVE_INDEX_DRIVER_BYTES`` the scan itself runs as Ray tasks,
-    one per docs file, so the corpus-sized read is distributed while
-    newest-file-wins precedence is preserved via the file ordinal."""
+    The docs read pushes a filter on the batch's paths down into the
+    scan; it is still O(docs) per batch, because docs files are not
+    partitioned by key."""
     # missing="raise": a silently skipped source would turn an UPDATE
     # of a key living in that file into a duplicate (no tombstone for
     # the old version) and a DELETE into a no-op
-    sources = mf.docs_sources(index_root, manifest, missing="raise")
-    tomb_ids, tomb_seqs = mf.tombstone_index(manifest)
-    total = sum(os.path.getsize(f) for f, _ in sources)
-    if mode is None:
-        mode = "driver" if total < _LIVE_INDEX_DRIVER_BYTES else "distributed"
-
-    if mode == "distributed":
-        import ray
-        import ray.data
-        keys_ref = ray.put(keys)
-
-        def scan_file(batch: pa.Table) -> pa.Table:
-            ks = ray.get(keys_ref)
-            out = []
-            for item in batch.to_pylist():
-                t = _scan_docs_file(item["file"], ks)
-                out.append(t.append_column("ord", pa.array(
-                    np.full(t.num_rows, item["ord"], dtype=np.int64))))
-            return pa.concat_tables(out)
-
-        items = [{"ord": i, "file": f} for i, (f, _) in enumerate(sources)]
-        got = (ray.data.from_items(items)
-               .map_batches(scan_file, batch_format="pyarrow", batch_size=1)
-               .take_all())
-        got.sort(key=lambda r: r["ord"])   # newest-file-wins precedence
-        matched = [(r["repo"], r["path"], r["doc_id"], r["length"],
-                    sources[r["ord"]][1]) for r in got]
-    else:
-        matched = []
-        for f, seq in sources:          # later files overwrite
-            t = _scan_docs_file(f, keys)
-            matched += [(r, p, did, ln, seq) for r, p, did, ln in zip(
-                t["repo"].to_pylist(), t["path"].to_pylist(),
-                t["doc_id"].to_pylist(), t["length"].to_pylist())]
-
-    live: dict[tuple[str, str], tuple[int, int]] = {}
-    for r, p, did, ln, seq in matched:
-        if mf.live_posting_mask(np.array([did], dtype=np.int64), seq,
-                                tomb_ids, tomb_seqs)[0]:
-            live[(r, p)] = (did, ln)
-        else:
-            # this version is dead; a later file may re-add the key
-            live.pop((r, p), None)
+    t = _rows_for_keys(mf.live_doc_rows(
+        index_root, manifest, ["repo", "path", "length"],
+        pads.field("path").isin(_paths_of(keys))), keys)
+    live = {(r, p): (did, ln) for r, p, did, ln in zip(
+        t["repo"].to_pylist(), t["path"].to_pylist(),
+        t["doc_id"].to_pylist(), t["length"].to_pylist())}
 
     ks = _rows_for_keys(mf.key_seq_table(index_root, manifest), keys)
     key_seqs = dict(zip(zip(ks["repo"].to_pylist(), ks["path"].to_pylist()),
@@ -179,8 +137,6 @@ def apply_with_seq_allocation(build_events, index_root: str,
 def _apply_delta_locked(events, index_root: str,
                         cfg: EngineConfig | None = None,
                         epoch: str | None = None) -> dict:
-    import ray.data
-
     manifest = mf.load_manifest(index_root, epoch)
     mf.require_format(manifest)
     # the index's own recorded routing/scoring parameters are
@@ -307,29 +263,23 @@ def _apply_delta_locked(events, index_root: str,
             "lang": pa.array([a["lang"] for a in adds], pa.string()),
             "content": pa.array([a["content"] or "" for a in adds], pa.string()),
         })
-        # stateless tasks: delta batches are small and latency-bound —
-        # spawning an actor pool per batch would dominate apply time
-        tok_ds = (ray.data.from_arrow(add_tbl)
-                  .map_batches(DocTokenize(cfg), batch_format="pyarrow",
-                               batch_size=cfg.tokenize_batch_size))
-        # stage the tokenized adds once (small), then docs + segments
+        # in-process: a delta batch is small and latency-bound, so the
+        # build's tokenize → explode → encode callables run directly on
+        # tokenize_batch_size slices instead of as Ray Data stages
+        tokenize = DocTokenize(cfg)
+        step = cfg.tokenize_batch_size
         tok_tbl = pa.concat_tables(
-            [b for b in tok_ds.iter_batches(batch_format="pyarrow",
-                                            batch_size=1 << 18)])
+            [tokenize(add_tbl.slice(i, step))
+             for i in range(0, add_tbl.num_rows, step)])
         added_docs_path = os.path.join(ddir, "added_docs.parquet")
         tmp = added_docs_path + ".tmp"
         docs_tbl = tok_tbl.select(mf.DOCS_COLUMNS)
         if cfg.store_source:
             # source-enabled index (manifest-pinned): added docs carry
             # their raw content like the base rows, so get-with-source
-            # and reindex stay complete across deltas
-            content_of = {(a["repo"], a["path"]): (a["content"] or "")
-                          for a in adds}
-            keys = zip(tok_tbl["repo"].to_pylist(),
-                       tok_tbl["path"].to_pylist())
-            docs_tbl = docs_tbl.append_column(
-                "content", pa.array([content_of[k] for k in keys],
-                                    pa.string()))
+            # and reindex stay complete across deltas (tok_tbl keeps
+            # add_tbl's row order)
+            docs_tbl = docs_tbl.append_column("content", add_tbl["content"])
         pq.write_table(docs_tbl, tmp)
         os.replace(tmp, added_docs_path)
 
@@ -338,16 +288,16 @@ def _apply_delta_locked(events, index_root: str,
         # of the epoch — both engines recompute exact scores at query
         # time from (tf, dl, live avgdl), so this only affects the
         # stored (unused until compaction) block-max hints
-        tri_cols = ["doc_id", "length", "terms", "tfs"] + \
-            (["poss"] if "poss" in tok_tbl.schema.names else [])
-        triples = (ray.data.from_arrow(tok_tbl.select(tri_cols))
-                   .map_batches(ExplodeTriples(cfg), batch_format="pyarrow"))
-        seg_out = triples.groupby("part").map_groups(
-            make_encode_partition(os.path.join(ddir, "segments"),
-                                  manifest["avgdl"] or 1.0, cfg),
-            batch_format="pyarrow")
-        lin = seg_out.take_all()
-        record["segments"] = [r["path"] for r in lin]
+        triples = ExplodeTriples(cfg)(tok_tbl)
+        # one encode call per part, ascending; encode_partition sorts
+        # its rows by (term, salt, doc_id), so bytes ignore row order
+        parts = triples["part"].to_numpy()
+        encode = make_encode_partition(os.path.join(ddir, "segments"),
+                                       manifest["avgdl"] or 1.0, cfg)
+        record["segments"] = [
+            r["path"] for part in np.unique(parts)
+            for r in encode(triples.filter(pa.array(parts == part)))
+            .to_pylist()]
         record["added_docs"] = added_docs_path
         record["n_added"] += tok_tbl.num_rows
         record["sum_dl_added"] += int(pa.compute.sum(tok_tbl["length"]).as_py() or 0)
@@ -358,28 +308,22 @@ def _apply_delta_locked(events, index_root: str,
     return record
 
 
+def _doc_id_filter(doc_ids: "np.ndarray"):
+    return pads.field("doc_id").isin(
+        pa.array(np.unique(np.asarray(doc_ids, dtype=np.int64))))
+
+
 def _keys_for_doc_ids(index_root: str, manifest: dict,
                       doc_ids: "np.ndarray") -> list[tuple[str, str]]:
-    """Identity keys (repo, path) of the given doc_ids — a
-    doc_id-pruned scan of the epoch docs files + delta added-docs
-    files (predicate pushdown, never a full-table decode; the same
-    bounded stored-field-fetch stance as Searcher.get_doc).  The id
-    set is bounded by the caller's query dfs, so driver-side collection
-    is bounded by the match's blast radius."""
-    import pyarrow.dataset as pads
-
+    """Identity keys (repo, path) of the given live doc_ids, sorted —
+    a doc_id-pushdown ``manifest.live_doc_rows`` read.  The id set is
+    bounded by the caller's query dfs, so driver-side collection is
+    bounded by the match's blast radius."""
     # missing="raise": a silently-skipped source would turn a matched
     # doc's deletion into a silent no-op (the _live_key_index stance)
-    sources = [f for f, _seq in
-               mf.docs_sources(index_root, manifest, missing="raise")]
-    want = pa.array(np.unique(np.asarray(doc_ids, dtype=np.int64)))
-    keys: set[tuple[str, str]] = set()
-    for f in sources:
-        t = pads.dataset(f).to_table(
-            columns=["doc_id", "repo", "path"],
-            filter=pads.field("doc_id").isin(want))
-        keys.update(zip(t["repo"].to_pylist(), t["path"].to_pylist()))
-    return sorted(keys)
+    t = mf.live_doc_rows(index_root, manifest, ["repo", "path"],
+                         _doc_id_filter(doc_ids))
+    return sorted(set(zip(t["repo"].to_pylist(), t["path"].to_pylist())))
 
 
 def delete_by_query(index_root: str, terms: list[str],
@@ -395,7 +339,7 @@ def delete_by_query(index_root: str, terms: list[str],
 
     The matched id set comes from posting unions/intersections
     (bounded by the query terms' dfs, no scoring); the key fetch is a
-    doc_id-pruned scan.  A second identical call is a no-op: the
+    doc_id-pushdown read.  A second identical call is a no-op: the
     matched docs' postings are already tombstoned, so the match set is
     empty.  Returns the delta record plus ``n_matched``.
 
@@ -432,28 +376,15 @@ def delete_by_query(index_root: str, terms: list[str],
 
 def _live_rows_for_doc_ids(index_root: str, manifest: dict,
                            doc_ids: "np.ndarray") -> list[dict]:
-    """Live stored rows (repo, path, lang, content) of the given
-    doc_ids — the update_by_query fetch.  Requires a source-enabled
-    index.  Same doc_id-pruned pushdown scan as ``_keys_for_doc_ids``;
-    when a doc_id appears in several sources (a same-commit
-    resurrection), the highest-seq source wins, matching
-    ``Searcher.get_doc``."""
-    import pyarrow.dataset as pads
-
-    sources = mf.docs_sources(index_root, manifest, missing="raise")
-    want = pa.array(np.unique(np.asarray(doc_ids, dtype=np.int64)))
-    best: dict[int, tuple[int, dict]] = {}
-    for f, seq in sources:
-        t = pads.dataset(f).to_table(
-            columns=["doc_id", "repo", "path", "lang", "content"],
-            filter=pads.field("doc_id").isin(want))
-        for row in t.to_pylist():
-            did = row["doc_id"]
-            if did not in best or seq >= best[did][0]:
-                best[did] = (seq, row)
-    return [r for _, r in sorted(best.values(),
-                                 key=lambda x: (x[1]["repo"],
-                                                x[1]["path"]))]
+    """Live stored rows (doc_id, repo, path, lang, content) of the
+    given doc_ids, sorted by key — the update_by_query fetch.  Requires
+    a source-enabled index.  Per doc_id the newest source wins (the
+    last row of ``manifest.live_doc_rows``)."""
+    t = mf.live_doc_rows(index_root, manifest,
+                         ["repo", "path", "lang", "content"],
+                         _doc_id_filter(doc_ids))
+    rows = {r["doc_id"]: r for r in t.to_pylist()}
+    return sorted(rows.values(), key=lambda r: (r["repo"], r["path"]))
 
 
 def update_by_query(index_root: str, terms: list[str], transform,

@@ -735,12 +735,12 @@ def fsck(index_root: str, epoch: str | None = None,
 
 def docs_sources(index_root: str, manifest: dict,
                  missing: str = "raise") -> list[tuple[str, int]]:
-    """THE liveness-ordered docs-source walk, shared by every stored-
-    field reader (get_doc, filter bitsets, update_by_query's fetch,
-    delete_by_query's key fetch, reindex's corpus): the epoch's base
-    docs files at source seq 0, then each delta record's added-docs
-    file at its seq.  A row from source s is live iff no tombstone for
-    its id has seq > s (live_posting_mask).
+    """THE liveness-ordered docs-source walk under :func:`live_doc_rows`
+    (every stored-field lookup) and the whole-table copies of
+    compaction and reindex (``build.live_docs_dataset``): the epoch's
+    base docs files at source seq 0, then each delta record's
+    added-docs file at its seq.  A row from source s is live iff no
+    tombstone for its id has seq > s (live_posting_mask).
 
     ``missing``: "raise" fails loudly on a manifest-referenced
     added-docs file that is gone (index corruption — a silent skip
@@ -763,6 +763,55 @@ def docs_sources(index_root: str, manifest: dict,
                 "run fsck")
         sources.append((f, d["seq"]))
     return sources
+
+
+def _docs_schema():
+    import pyarrow as pa
+    return pa.schema([("doc_id", pa.int64()), ("repo", pa.string()),
+                      ("path", pa.string()), ("commit", pa.string()),
+                      ("lang", pa.string()),
+                      ("content_sha256", pa.binary()),
+                      ("length", pa.int32()), ("content", pa.string()),
+                      ("source_seq", pa.int64())])
+
+
+def live_doc_rows(index_root: str, manifest: dict, columns: list[str],
+                  where=None, missing: str = "raise", tombstones=None):
+    """THE docs-table lookup: the live docs rows matching ``where`` (a
+    ``pyarrow.dataset`` expression, pushed down into the scan), as one
+    table of ``doc_id`` + ``columns`` + ``source_seq``.
+
+    The base docs files (source 0) are one multithreaded dataset scan;
+    each delta record's added-docs file follows at its seq, so rows
+    come in ascending ``source_seq`` order.  ``live_posting_mask``
+    runs once per source.  A key's older row is tombstoned at the seq
+    that writes its newer row, so a caller that wants one row per key
+    or per doc_id takes the last one.  ``missing`` is the
+    :func:`docs_sources` rule; ``tombstones`` is a
+    :func:`tombstone_index` result the caller already holds."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+
+    cols = list(dict.fromkeys(["doc_id", *columns]))
+    by_seq: dict[int, list[str]] = {}
+    for f, seq in docs_sources(index_root, manifest, missing):
+        by_seq.setdefault(seq, []).append(f)
+    tomb_ids, tomb_seqs = tombstones or tombstone_index(manifest)
+    out = []
+    for seq, files in by_seq.items():
+        t = pads.dataset(files, format="parquet").to_table(
+            columns=cols, filter=where)
+        ids = t["doc_id"].to_numpy(zero_copy_only=False)
+        t = t.filter(pa.array(
+            live_posting_mask(ids, seq, tomb_ids, tomb_seqs)))
+        out.append(t.append_column("source_seq", pa.array(
+            np.full(t.num_rows, seq, dtype=np.int64))))
+    if not out:
+        schema = _docs_schema()
+        return pa.schema([schema.field(c)
+                          for c in cols + ["source_seq"]]).empty_table()
+    return pa.concat_tables(out, promote_options="permissive")
 
 
 # Filenames that are legitimate epoch-dir members without appearing in

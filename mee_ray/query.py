@@ -1235,69 +1235,35 @@ class Searcher(QueryPlanner):
     def allowed_ids_for_field(self, field: str, value: str) -> np.ndarray:
         """Sorted live doc_ids whose stored docs-table ``field`` equals
         ``value`` — the filter bitset of a FILTERED ALIAS (ES
-        alias-with-filter).  Liveness-correct under deltas: sources are
-        the base docs files (seq 0) plus each delta's added-docs file
-        (its seq), and a row from source s survives iff no tombstone
-        for its id has seq > s — the same rule the posting read path
-        applies.  Row-group-pruned id-only reads (~8 B/doc collected);
-        the distributed variant for billion-doc filters is the
-        map_batches scan of pipelines.fulltext._allowed_ids_by_lang
-        plus this liveness rule."""
-        import os
-
+        alias-with-filter): one ``manifest.live_doc_rows`` read with
+        the equality pushed down, liveness by the same sequenced-
+        tombstone rule the posting read path applies (~8 B/doc
+        collected).  The distributed variant for billion-doc filters
+        is the map_batches scan of
+        pipelines.fulltext._allowed_ids_by_lang plus this liveness
+        rule."""
         import pyarrow.dataset as pads
         if field not in mf.ALIAS_FILTER_FIELDS:
             raise ValueError(f"filterable fields: {mf.ALIAS_FILTER_FIELDS}")
-        sources = mf.docs_sources(self.index_root, self.manifest,
-                                  missing="skip")
-        out = []
-        for f, seq in sources:
-            t = pads.dataset(f).to_table(
-                columns=["doc_id"], filter=pads.field(field) == value)
-            ids = t["doc_id"].to_numpy(zero_copy_only=False)
-            if len(self.tomb_ids) and len(ids):
-                keep = mf.live_posting_mask(ids, seq, self.tomb_ids,
-                                            self.tomb_seqs)
-                ids = ids[keep]
-            if len(ids):
-                out.append(ids)
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(out))
+        t = mf.live_doc_rows(self.index_root, self.manifest, [],
+                             pads.field(field) == value, missing="skip",
+                             tombstones=(self.tomb_ids, self.tomb_seqs))
+        return np.sort(t["doc_id"].to_numpy(zero_copy_only=False))
 
     def get_doc(self, repo: str, path: str) -> dict | None:
         """Fetch one live document's stored fields by identity key
-        (the ES GET /_doc analog): predicate-pushdown reads over the
-        epoch docs table + delta added-docs files (row-group pruned —
-        never a full scan), applying the sequenced-tombstone liveness
-        rule (a copy from source s is live iff no tombstone for its id
-        has seq > s; latest live source wins — the same rule
-        delta._live_key_index enforces on the write path)."""
-        import os
-
+        (the ES GET /_doc analog): one ``manifest.live_doc_rows`` read
+        with the key pushed down; the newest live source wins."""
         import pyarrow.dataset as pads
-        sources = mf.docs_sources(self.index_root, self.manifest,
-                                  missing="skip")
-        slim = ["doc_id", "repo", "path", "commit", "lang",
-                "content_sha256", "length", "content"]
-        best: tuple[int, dict] | None = None
-        for f, seq in sources:
-            dset = pads.dataset(f)
-            cols = [c for c in slim if c in dset.schema.names]
-            t = dset.to_table(
-                columns=cols,
-                filter=(pads.field("repo") == repo)
-                & (pads.field("path") == path))
-            for row in t.to_pylist():
-                pos = int(np.searchsorted(self.tomb_ids, row["doc_id"]))
-                dead = (pos < len(self.tomb_ids)
-                        and int(self.tomb_ids[pos]) == row["doc_id"]
-                        and int(self.tomb_seqs[pos]) > seq)
-                if dead:
-                    continue
-                if best is None or seq >= best[0]:
-                    best = (seq, row)
-        return best[1] if best else None
+        cols = mf.DOCS_COLUMNS + (["content"] if self.manifest.get(
+            "store_source") else [])
+        t = mf.live_doc_rows(
+            self.index_root, self.manifest, cols,
+            (pads.field("repo") == repo) & (pads.field("path") == path),
+            missing="skip", tombstones=(self.tomb_ids, self.tomb_seqs))
+        if not t.num_rows:
+            return None
+        return t.select(cols).slice(t.num_rows - 1).to_pylist()[0]
 
     def term_partials_for_docs(self, terms: list[str],
                                doc_ids_sorted: np.ndarray

@@ -422,10 +422,10 @@ def test_dynamic_hot_df_salting(ray_session, tmp_path):
         assert s.search(q, 10) == oi.search(q, 10)
 
 
-def test_live_key_index_distributed_matches_driver(built_index, ray_session):
-    """The distributed (per-file Ray task) live-key scan must return
-    exactly what the driver-side scan returns, including newest-file
-    precedence across deltas and tombstone classification."""
+def test_live_key_index_newest_source_and_key_seqs(built_index, ray_session):
+    """The live-key lookup takes a key's newest live row across the
+    base docs and the delta added-docs files (UPDATE → new doc_id),
+    drops a DELETEd key, and reports each written key's event seq."""
     import shutil
     import tempfile
 
@@ -443,12 +443,12 @@ def test_live_key_index_distributed_matches_driver(built_index, ray_session):
             {"seq": 2, "type": "DELETE", "repo": sorted(keys)[1][0],
              "path": sorted(keys)[1][1]}]), root)
         m = mf.load_manifest(root)
-        drv, drv_seqs = _live_key_index(root, m, keys, mode="driver")
-        dist, dist_seqs = _live_key_index(root, m, keys, mode="distributed")
-        assert drv == dist and drv_seqs == dist_seqs
-        assert drv[k0][0] == doc_id_of(k0[0], k0[1], "e" * 40)
-        assert drv_seqs[k0] == 1                      # live row's event seq
-        assert drv_seqs[sorted(keys)[1]] == 2         # DELETE memory
+        live, key_seqs = _live_key_index(root, m, keys)
+        assert live[k0][0] == doc_id_of(k0[0], k0[1], "e" * 40)
+        assert sorted(keys)[1] not in live            # DELETEd
+        assert len(live) == len(keys) - 1
+        assert key_seqs[k0] == 1                      # live row's event seq
+        assert key_seqs[sorted(keys)[1]] == 2         # DELETE memory
 
 
 def _hot_split_docs():
