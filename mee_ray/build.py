@@ -499,10 +499,7 @@ def make_encode_partition(seg_dir: str, avgdl: float, cfg: EngineConfig):
         lin = {"part": part, "n_terms": len(o_term), "n_postings": int(n),
                "bytes": os.path.getsize(final), "path": final, "sha256": sha,
                "resumed": False, "hint_avgdl": float(avgdl)}
-        tmp_sc = sidecar + f".tmp.{os.getpid()}"
-        with open(tmp_sc, "w") as f:
-            json.dump(lin, f)
-        os.replace(tmp_sc, sidecar)
+        mf._atomic_write_json(sidecar, lin)
         return pa.Table.from_pylist([lin], schema=LINEAGE_SCHEMA)
 
     return encode_partition
@@ -657,14 +654,13 @@ def _staged_write(ds, final_dir: str) -> None:
 
 
 def live_docs_dataset(index_root: str, manifest: dict, columns: list[str]):
-    """The snapshot's live docs rows as one Ray Dataset, or None when it
-    has no docs file: every docs source read with ``columns`` (which
-    must include doc_id) under the sequenced-tombstone rule — a row
-    from source s survives iff no tombstone for its id has seq > s, so
-    a re-added doc's newer row survives the tombstone that killed its
-    older copy.  The base files read as one dataset; an epoch can
-    legitimately have none (a compaction after delete-everything
-    stages zero parquet files)."""
+    """Reindex's corpus: the snapshot's live docs rows as one Ray
+    Dataset, or None when it has no docs file.  Every docs source is
+    read with ``columns`` (which must include doc_id) under the
+    sequenced-tombstone rule — a row from source s survives iff no
+    tombstone for its id has seq > s, so a re-added doc's newer row
+    survives the tombstone that killed its older copy.  An epoch can
+    legitimately have no base file (compacted after delete-everything)."""
     import ray
     import ray.data
 

@@ -736,11 +736,11 @@ def fsck(index_root: str, epoch: str | None = None,
 def docs_sources(index_root: str, manifest: dict,
                  missing: str = "raise") -> list[tuple[str, int]]:
     """THE liveness-ordered docs-source walk under :func:`live_doc_rows`
-    (every stored-field lookup) and the whole-table copies of
-    compaction and reindex (``build.live_docs_dataset``): the epoch's
-    base docs files at source seq 0, then each delta record's
-    added-docs file at its seq.  A row from source s is live iff no
-    tombstone for its id has seq > s (live_posting_mask).
+    (every stored-field lookup), ``merge.compact_docs`` and reindex's
+    ``build.live_docs_dataset``: the epoch's base docs files at source
+    seq 0, then each delta record's added-docs file at its seq.  A row
+    from source s is live iff no tombstone for its id has seq > s
+    (live_posting_mask).
 
     ``missing``: "raise" fails loudly on a manifest-referenced
     added-docs file that is gone (index corruption — a silent skip
@@ -850,7 +850,6 @@ def fsck_repair(index_root: str) -> dict:
 
 def _fsck_repair_locked(index_root: str) -> dict:
     import glob
-    import json as _json
 
     eroot = os.path.join(index_root, "epochs")
     if not os.path.isdir(eroot):
@@ -908,10 +907,7 @@ def _fsck_repair_locked(index_root: str) -> dict:
                        "bytes": s.get("bytes"), "path": s["path"],
                        "sha256": s.get("sha256"), "resumed": True,
                        "hint_avgdl": float(s.get("hint_avgdl") or 0.0)}
-                tmp = sc + f".tmp.{os.getpid()}"
-                with open(tmp, "w") as f:
-                    _json.dump(lin, f)
-                os.replace(tmp, sc)
+                _atomic_write_json(sc, lin)
                 rebuilt.append(sc)
     return {"removed": sorted(removed), "sidecars_rebuilt": sorted(rebuilt),
             "skipped_epochs": skipped}

@@ -5,26 +5,24 @@ dropped, per-term chunks merged by doc_id, re-encoded with fresh global
 stats, and the new epoch is published atomically
 (reference services/updateservice.py:47-80, 252-310 for the lifecycle).
 
-Runs as a Ray Data pipeline over partitions: one task per shuffle
-partition merges that partition's base segment file with the delta rows
-routed to the same partition (same (term, salt) → part function as the
-build, so no shuffle is needed at all — merge is embarrassingly
-parallel per partition, SURVEY.md §7.4 'segment merge: none (per-shard
-local)')."""
+One Ray Data job: one task per partition that needs a merge combines
+its base segment with the delta rows routed to it (same (term, salt) →
+part function as the build, so no shuffle — SURVEY.md §7.4 'segment
+merge: none (per-shard local)').  The docs table is filtered per source
+file and untouched partitions are copied verbatim, both in the driver."""
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
+import time
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from mee_ray import manifest as mf
-from mee_ray.build import (LINEAGE_SCHEMA, live_docs_dataset,
-                           make_encode_partition)
+from mee_ray.build import LINEAGE_SCHEMA, make_encode_partition
 from mee_ray.config import EngineConfig, resolve_index_config
 from mee_ray.postings import varint_decode
 
@@ -165,6 +163,92 @@ def _decode_rows(t: pa.Table) -> pa.Table:
     return out
 
 
+def _put_file(dst: str, src: str | pa.Table) -> None:
+    """Atomically place ``dst``: a verbatim copy of path ``src``, or
+    table ``src`` written as parquet."""
+    tmp = dst + f".tmp.{os.getpid()}"
+    if isinstance(src, str):
+        shutil.copyfile(src, tmp)
+    else:
+        pq.write_table(src, tmp)
+    os.replace(tmp, dst)
+
+
+def compact_docs(index_root: str, manifest: dict, tombstones,
+                 docs_dir: str) -> None:
+    """The compacted docs table, live rows only, filtered in the driver
+    once per ``mf.docs_sources`` source.  Base file *i* becomes
+    ``docs-{i:05d}.parquet``: copied when all its rows are live, its
+    live rows (every column, so ``content`` stays) when some are dead,
+    nothing when none is.  The deltas' live added docs go together into
+    ``docs-{n_base:05d}.parquet``.  Names are deterministic, so a retry
+    overwrites a crash's files."""
+    n_base, added = 0, []
+    for f, seq in mf.docs_sources(index_root, manifest):
+        t = pq.read_table(f, columns=None if seq else ["doc_id"])
+        keep = mf.live_posting_mask(t["doc_id"].to_numpy(), seq, *tombstones)
+        if seq:
+            added.append(t.filter(pa.array(keep)))
+            continue
+        dst = os.path.join(docs_dir, f"docs-{n_base:05d}.parquet")
+        n_base += 1
+        if keep.all():
+            _put_file(dst, f)
+        elif keep.any():
+            _put_file(dst, pq.read_table(f).filter(pa.array(keep)))
+    if sum(t.num_rows for t in added):
+        _put_file(os.path.join(docs_dir, f"docs-{n_base:05d}.parquet"),
+                  pa.concat_tables(added))
+
+
+def _merge_parts(items: list[dict], seg_dir: str, avgdl: float,
+                 cfg: EngineConfig, tombstones) -> list[dict]:
+    """Compaction's one Ray Data job: merge and re-encode each
+    :func:`partition_plan` item's part; returns the lineage rows."""
+    import ray
+    import ray.data
+
+    encode = make_encode_partition(seg_dir, avgdl, cfg)
+    tomb_ref = ray.put(tombstones)
+
+    def merge_part(batch: pa.Table) -> pa.Table:
+        out = []
+        ti, ts = ray.get(tomb_ref)
+        for row in batch.to_pylist():
+            tabs = []
+            sources = ([(f, 0) for f in row["files"]]
+                       + list(zip(row["delta_files"],
+                                  row.get("delta_seqs") or [])))
+            for f, seq in sources:
+                t = _decode_rows(pq.read_table(f))
+                if not t.num_rows:
+                    continue
+                if len(ti):
+                    # sequenced filter per source: a re-add in a newer
+                    # delta survives the tombstone that killed the
+                    # older copy of the same doc_id
+                    keep = mf.live_posting_mask(
+                        t["doc_id"].to_numpy(zero_copy_only=False),
+                        seq, ti, ts)
+                    if not keep.all():
+                        t = t.filter(pa.array(keep))
+                if t.num_rows:
+                    tabs.append(t)
+            if not tabs:
+                continue
+            tri = pa.concat_tables(tabs)
+            tri = tri.append_column("part", pa.array(
+                np.full(tri.num_rows, row["part"], dtype=np.int32)))
+            out.append(encode(tri))
+        if not out:
+            return pa.Table.from_pylist([], schema=LINEAGE_SCHEMA)
+        return pa.concat_tables(out)
+
+    return (ray.data.from_items(items)
+            .map_batches(merge_part, batch_format="pyarrow", batch_size=1)
+            .take_all())
+
+
 def compact(index_root: str, new_epoch: str,
             cfg: EngineConfig | None = None,
             auto_publish: bool = True, gc_old: bool = False) -> dict:
@@ -183,8 +267,6 @@ def compact(index_root: str, new_epoch: str,
 def _compact_locked(index_root: str, new_epoch: str,
                     cfg: EngineConfig | None,
                     auto_publish: bool, gc_old: bool) -> dict:
-    import ray.data
-
     manifest = mf.load_manifest(index_root)
     mf.require_format(manifest)
     # routing/scoring parameters come from the manifest unless the
@@ -192,7 +274,8 @@ def _compact_locked(index_root: str, new_epoch: str,
     # on disagreement — wrong part routing silently drops postings)
     cfg = resolve_index_config(manifest, cfg)
     old_epoch = manifest["epoch"]
-    n_live, avgdl_live = mf.live_stats(manifest)
+    n_live, total_tokens_live = mf.live_totals(manifest)
+    avgdl_live = (total_tokens_live / n_live) if n_live else 0.0
     tomb_ids, tomb_seqs = mf.tombstone_index(manifest)
 
     new_edir = mf.epoch_dir(index_root, new_epoch)
@@ -236,31 +319,9 @@ def _compact_locked(index_root: str, new_epoch: str,
     os.makedirs(new_segs, exist_ok=True)
 
     # --- docs table: live rows only ----------------------------------
-    if len(tomb_ids) == 0:
-        # nothing to filter: the new docs table is exactly the base
-        # files + delta added-docs files — copy, don't re-encode
-        # (deterministic names, so a crashed retry overwrites cleanly)
-        for i, (f, _) in enumerate(mf.docs_sources(index_root, manifest)):
-            dst = os.path.join(new_docs, f"docs-{i:05d}.parquet")
-            tmp = dst + f".tmp.{os.getpid()}"
-            shutil.copyfile(f, tmp)
-            os.replace(tmp, dst)
-    else:
-        # source-enabled indexes carry raw content in the docs table;
-        # the tombstone-filtering rewrite must keep it or compaction
-        # would silently strip the _source the manifest promises
-        docs_ds = live_docs_dataset(
-            index_root, manifest, list(mf.DOCS_COLUMNS)
-            + (["content"] if manifest.get("store_source") else []))
-        # staged write: Ray names output files randomly, so a retry
-        # after a mid-write crash would APPEND to the leftovers and
-        # duplicate rows — write to a temp dir and rename atomically
-        from mee_ray.build import _staged_write
-        shutil.rmtree(new_docs, ignore_errors=True)
-        if docs_ds is None:
-            os.makedirs(new_docs, exist_ok=True)   # empty docs table
-        else:
-            _staged_write(docs_ds, new_docs)
+    t0 = time.perf_counter()
+    compact_docs(index_root, manifest, (tomb_ids, tomb_seqs), new_docs)
+    docs_s = round(time.perf_counter() - t0, 3)
 
     # --- per-key LWW memory: fold the old epoch-level file and the
     # delta log's key_seqs into ONE new epoch-level file, max seq per
@@ -272,7 +333,7 @@ def _compact_locked(index_root: str, new_epoch: str,
                           folded)
 
     # --- segments: per-partition local merge (no shuffle) -------------
-    part_items = partition_plan(manifest)
+    t0 = time.perf_counter()
     # Fast path: with an EMPTY effective tombstone set (insert-only
     # delta log), a partition with no delta files has nothing to merge
     # — its segment file is copied verbatim into the new epoch and its
@@ -280,88 +341,25 @@ def _compact_locked(index_root: str, new_epoch: str,
     # the lineage; the query scales each chunk's bounds individually).
     # Compaction cost becomes O(touched partitions), not O(index).
     seg_meta = {s["path"]: s for s in manifest["segments"]}
-    if len(tomb_ids) == 0:
-        for item in part_items:
-            if not item["delta_files"] and len(item["files"]) == 1:
-                m0 = seg_meta[item["files"][0]]
-                item.update(
-                    copy=True, n_terms=m0["n_terms"],
-                    n_postings=m0["n_postings"], bytes=m0["bytes"],
-                    sha256=m0["sha256"],
-                    hint_avgdl=float(m0.get("hint_avgdl")
-                                     or manifest.get("avgdl") or 0.0))
+    lin_rows, merge_items = [], []
+    for item in partition_plan(manifest):
+        if len(tomb_ids) or item["delta_files"] or len(item["files"]) != 1:
+            merge_items.append(item)
+            continue
+        m0 = seg_meta[item["files"][0]]
+        dst = os.path.join(new_segs, os.path.basename(m0["path"]))
+        _put_file(dst, m0["path"])
+        lin = dict(m0, path=dst, resumed=False,
+                   hint_avgdl=float(m0.get("hint_avgdl")
+                                    or manifest.get("avgdl") or 0.0))
+        mf._atomic_write_json(dst + ".lineage.json", lin)
+        lin_rows.append(lin)
 
-    for item in part_items:     # homogeneous rows for from_items
-        item.setdefault("copy", False)
-        item.setdefault("n_terms", 0)
-        item.setdefault("n_postings", 0)
-        item.setdefault("bytes", 0)
-        item.setdefault("sha256", "")
-        item.setdefault("hint_avgdl", 0.0)
-
-    encode = make_encode_partition(new_segs, avgdl_live or 1.0, cfg)
-    tomb_ref = ray.put((tomb_ids, tomb_seqs))
-
-    def merge_part(batch: pa.Table) -> pa.Table:
-        out = []
-        tb = ray.get(tomb_ref)
-        for row in batch.to_pylist():
-            part = row["part"]
-            if row.get("copy"):
-                src = row["files"][0]
-                dst = os.path.join(new_segs, os.path.basename(src))
-                tmp = dst + f".tmp.{os.getpid()}"
-                shutil.copyfile(src, tmp)
-                os.replace(tmp, dst)
-                lin = {"part": part, "n_terms": row["n_terms"],
-                       "n_postings": row["n_postings"],
-                       "bytes": row["bytes"], "path": dst,
-                       "sha256": row["sha256"], "resumed": False,
-                       "hint_avgdl": row["hint_avgdl"]}
-                tmp_sc = dst + f".lineage.json.tmp.{os.getpid()}"
-                with open(tmp_sc, "w") as f:
-                    json.dump(lin, f)
-                os.replace(tmp_sc, dst + ".lineage.json")
-                out.append(pa.Table.from_pylist([lin],
-                                                schema=LINEAGE_SCHEMA))
-                continue
-            ti, ts = tb
-            tabs = []
-            sources = ([(f, 0) for f in row["files"]]
-                       + list(zip(row["delta_files"],
-                                  row.get("delta_seqs") or [])))
-            for f, seq in sources:
-                t = _decode_rows(pq.read_table(f))
-                if not t.num_rows:
-                    continue
-                if len(ti):
-                    # sequenced filter per source: a re-add in a newer
-                    # delta survives the tombstone that killed the
-                    # older copy of the same doc_id
-                    keep = mf.live_posting_mask(
-                        t["doc_id"].to_numpy(zero_copy_only=False),
-                        seq, ti, ts)
-                    if not keep.all():
-                        t = t.filter(pa.array(keep))
-                if t.num_rows:
-                    tabs.append(t)
-            if not tabs:
-                continue
-            tri = pa.concat_tables(tabs)
-            tri = tri.append_column("part", pa.array(
-                np.full(tri.num_rows, part, dtype=np.int32)))
-            out.append(encode(tri))
-        if not out:
-            return pa.Table.from_pylist([], schema=LINEAGE_SCHEMA)
-        return pa.concat_tables(out)
-
-    lin_rows = (ray.data.from_items(part_items)
-                .map_batches(merge_part, batch_format="pyarrow", batch_size=1)
-                .take_all())
-
-    total_tokens_live = manifest["total_tokens"]
-    for d in manifest.get("deltas", []):
-        total_tokens_live += d["sum_dl_added"] - d["sum_dl_deleted"]
+    if merge_items:
+        lin_rows += _merge_parts(merge_items, new_segs, avgdl_live or 1.0,
+                                 cfg, (tomb_ids, tomb_seqs))
+    lin_rows.sort(key=lambda r: r["part"])
+    segments_s = round(time.perf_counter() - t0, 3)
 
     n_folded = len(manifest.get("deltas", []))
     new_manifest = dict(manifest)
@@ -369,7 +367,7 @@ def _compact_locked(index_root: str, new_epoch: str,
     new_manifest.update({
         "n_docs": n_live,
         "total_tokens": total_tokens_live,
-        "avgdl": (total_tokens_live / n_live) if n_live else 0.0,
+        "avgdl": avgdl_live,
         "segments": lin_rows,
         "deltas": [],
         "compacted_from": old_epoch,
@@ -387,7 +385,9 @@ def _compact_locked(index_root: str, new_epoch: str,
     mf.write_manifest(index_root, new_epoch, new_manifest)
     mf.mark_stage(index_root, new_epoch, "stats",
                   n_docs=n_live, total_tokens=total_tokens_live)
-    mf.mark_stage(index_root, new_epoch, "segments", lineage=lin_rows)
+    mf.mark_stage(index_root, new_epoch, "docs", seconds=docs_s)
+    mf.mark_stage(index_root, new_epoch, "segments", lineage=lin_rows,
+                  seconds=segments_s)
     mf.write_metrics(index_root, new_epoch, cfg)
     if auto_publish:
         mf.publish_with_catchup(index_root, new_epoch)

@@ -7,6 +7,7 @@ idempotent redelivery (syncservice.py:54-62); here the equivalents are
 staged writes, debris-clearing fingerprints, and manifest-last
 ordering, and this matrix pins each one."""
 
+import os
 import random
 import shutil
 
@@ -81,10 +82,32 @@ def _mutate(root, live, start_seq):
     return start_seq + 2
 
 
+def _crash_in_compact_docs(monkeypatch):
+    """Crash compaction's docs loop once, at its second file write: one
+    new docs file is already in place and no segment is merged yet, so
+    the retry meets partial docs debris."""
+    import mee_ray.merge as merge_mod
+    real = merge_mod._put_file
+    calls = {"n": 0}
+
+    def boom_once(dst, src):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise _Boom("crash in the docs loop")
+        return real(dst, src)
+    monkeypatch.setattr(merge_mod, "_put_file", boom_once)
+
+
+def _assert_docs_debris_only(root, epoch):
+    edir = mf.epoch_dir(root, epoch)
+    assert len(mf.docs_files(root, epoch)) == 1
+    assert not [f for f in os.listdir(os.path.join(edir, "segments"))
+                if f.endswith(".parquet")]
+
+
 @pytest.mark.parametrize("crash_point", ["docs_stage", "manifest"])
 def test_compact_crash_then_retry(ray_session, tmp_path, monkeypatch,
                                   crash_point):
-    import mee_ray.build as build_mod
     import mee_ray.merge as merge_mod
 
     root, live = _build(tmp_path)
@@ -92,14 +115,7 @@ def test_compact_crash_then_retry(ray_session, tmp_path, monkeypatch,
 
     calls = {"n": 0}
     if crash_point == "docs_stage":
-        real = build_mod._staged_write
-
-        def boom_once(ds, dst):
-            if calls["n"] == 0:
-                calls["n"] += 1
-                raise _Boom("crash in docs staging")
-            return real(ds, dst)
-        monkeypatch.setattr(build_mod, "_staged_write", boom_once)
+        _crash_in_compact_docs(monkeypatch)
     else:
         real_wm = mf.write_manifest
 
@@ -114,6 +130,8 @@ def test_compact_crash_then_retry(ray_session, tmp_path, monkeypatch,
 
     with pytest.raises(_Boom):
         compact(root, "ep2")
+    if crash_point == "docs_stage":
+        _assert_docs_debris_only(root, "ep2")
     assert mf.current_epoch(root) == "ep1"   # nothing published
     _check(root, live, f"{crash_point}: pre-retry state intact")
 
@@ -127,22 +145,13 @@ def test_compact_crash_new_delta_then_retry(ray_session, tmp_path,
     """Crash mid-compaction, then a NEW delta lands before the retry:
     the fingerprint must fold it (no stale-debris adoption) — and the
     per-key memory of both deltas must survive the eventual fold."""
-    import mee_ray.build as build_mod
-
     root, live = _build(tmp_path, seed=132)
     next_seq = _mutate(root, live, 1)
 
-    calls = {"n": 0}
-    real = build_mod._staged_write
-
-    def boom_once(ds, dst):
-        if calls["n"] == 0:
-            calls["n"] += 1
-            raise _Boom("crash in docs staging")
-        return real(ds, dst)
-    monkeypatch.setattr(build_mod, "_staged_write", boom_once)
+    _crash_in_compact_docs(monkeypatch)
     with pytest.raises(_Boom):
         compact(root, "ep2")
+    _assert_docs_debris_only(root, "ep2")
 
     next_seq = _mutate(root, live, next_seq)
     compact(root, "ep2")

@@ -3,6 +3,7 @@ rank-identical to the pure-Python oracle (the north_rule acceptance
 test, SURVEY.md §5.2)."""
 
 import hashlib
+import json
 import os
 import shutil
 
@@ -174,6 +175,10 @@ def test_delta_and_compact_rank_identity(built_index, ray_session, tmp_path):
     assert (s2.n_docs, s2.avgdl) == (oi.n_docs, oi.avgdl)
     for q in queries:
         assert s2.search(q["terms"], q["k"]) == oi.search(q["terms"], q["k"])
+    # a compacted epoch records its docs and segments stage timings
+    with open(os.path.join(mf.epoch_dir(built_index["index_root"], "ep2"),
+                           "metrics.json")) as f:
+        assert {"docs", "segments"} <= set(json.load(f)["stage_seconds"])
     # publish/GC lifecycle (alias-swap + _cleanDirtyData analogs)
     removed = mf.gc_epochs(built_index["index_root"])
     assert removed == ["ep1"]

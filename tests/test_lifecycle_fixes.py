@@ -1568,3 +1568,97 @@ def test_filtered_alias_end_to_end(ray_session, tmp_path):
         mf.set_alias(root, "bad2", "ep2", filter={"field": "lang"})
     with _pytest.raises(ValueError):
         s2.allowed_ids_for_field("content", "x")
+
+
+def test_tombstone_compaction_filters_docs_in_process(ray_session, tmp_path,
+                                                      monkeypatch):
+    """A tombstone-bearing compaction filters the docs table in the
+    driver: it succeeds with ``ray.data.read_parquet`` refused, and
+    search, N/avgdl and the stored source match the oracle."""
+    import ray.data
+
+    docs = [("o/r", f"s{i}.py", "c" * 40,
+             f"def s_{i}(): return src_tok_{i} shared_tok\n")
+            for i in range(24)]
+    root = _build_small(tmp_path, docs, EngineConfig(
+        num_shards=2, parts_per_shard=2, store_source=True))
+    upd = "def s0(): return upd_src_tok shared_tok\n"
+    new = "def n(): return new_src_tok\n"
+    apply_delta(_events([
+        {"seq": 1, "type": "UPDATE", "repo": "o/r", "path": "s0.py",
+         "commit": "d" * 40, "lang": "python", "content": upd},
+        {"seq": 2, "type": "DELETE", "repo": "o/r", "path": "s1.py"},
+        {"seq": 3, "type": "INSERT", "repo": "o/r2", "path": "n.py",
+         "commit": "e" * 40, "lang": "python", "content": new}]), root)
+
+    def refuse(*a, **k):
+        raise AssertionError("compaction read the docs table via Ray Data")
+    monkeypatch.setattr(ray.data, "read_parquet", refuse)
+    compact(root, "ep2", gc_old=False)
+    assert mf.current_epoch(root) == "ep2"
+
+    live = {(r, p): (c, t) for r, p, c, t in docs}
+    live[("o/r", "s0.py")] = ("d" * 40, upd)
+    del live[("o/r", "s1.py")]
+    live[("o/r2", "n.py")] = ("e" * 40, new)
+    oi = OracleIndex([(doc_id_of(r, p, c), t)
+                      for (r, p), (c, t) in live.items()])
+    s = Searcher(root)
+    assert (s.n_docs, s.avgdl) == (oi.n_docs, oi.avgdl)
+    for q in (["shared_tok"], ["upd_src_tok"], ["src_tok_1"],
+              ["new_src_tok", "def"], ["src_tok_7", "shared_tok"]):
+        assert s.search(q, 10) == oi.search(q, 10), q
+    for (r, p), (c, t) in live.items():
+        got = s.get_doc(r, p)
+        assert (got["commit"], got["content"]) == (c, t), (r, p)
+    assert s.get_doc("o/r", "s1.py") is None
+
+
+def test_compaction_docs_files_bounded_then_delete_all(ray_session,
+                                                       tmp_path):
+    """Each compaction adds at most one docs file (the deltas' live
+    added docs) while doc_ids stay unique and fsck stays clean; after
+    every doc is deleted, compaction leaves an empty docs dir."""
+    docs = [("o/r", f"b{i}.py", "c" * 40, f"def b_{i}(): return b_tok_{i}\n")
+            for i in range(12)]
+    root = _build_small(tmp_path, docs)
+    n_base = len(mf.docs_files(root, "ep1"))
+    live = {(r, p): c for r, p, c, _ in docs}
+    seq = 1
+    for rnd in range(3):
+        for b in range(2):       # two delta batches per round
+            keys = sorted(live)
+            commit = f"{rnd}{b}" * 20
+            ins = ("o/new", f"n{rnd}_{b}.py")
+            apply_delta(_events([
+                {"seq": seq, "type": "UPDATE", "repo": keys[0][0],
+                 "path": keys[0][1], "commit": commit, "lang": "python",
+                 "content": f"def u(): return upd_{rnd}_{b}\n"},
+                {"seq": seq + 1, "type": "DELETE", "repo": keys[1][0],
+                 "path": keys[1][1]},
+                {"seq": seq + 2, "type": "INSERT", "repo": ins[0],
+                 "path": ins[1], "commit": commit, "lang": "python",
+                 "content": f"def n(): return ins_{rnd}_{b}\n"}]), root)
+            seq += 3
+            live[keys[0]] = commit
+            del live[keys[1]]
+            live[ins] = commit
+        epoch = f"ep{rnd + 2}"
+        compact(root, epoch, gc_old=False)
+        files = mf.docs_files(root, epoch)
+        assert len(files) <= n_base + rnd + 1, (epoch, files)
+        ids = pa.concat_tables([pq.read_table(f, columns=["doc_id"])
+                                for f in files])["doc_id"].to_pylist()
+        assert len(ids) == len(set(ids))
+        assert sorted(ids) == sorted(doc_id_of(r, p, c)
+                                     for (r, p), c in live.items())
+        assert mf.fsck(root)["ok"], epoch
+
+    apply_delta(_events([{"seq": seq + i, "type": "DELETE", "repo": r,
+                          "path": p} for i, (r, p) in enumerate(live)]),
+                root)
+    m = compact(root, "ep5", gc_old=False)
+    assert m["n_docs"] == 0
+    assert os.listdir(os.path.join(mf.epoch_dir(root, "ep5"), "docs")) == []
+    assert Searcher(root).n_docs == 0
+    assert mf.fsck(root)["ok"]
