@@ -56,9 +56,11 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from mee_ray import manifest as mf
+from mee_ray import wand
 from mee_ray.ids import isin_sorted, positions_in_sorted, term_hash
 from mee_ray.postings import decode_posting_list, tf_norm, varint_decode
 from mee_ray.scoring import idf, top_k_select
+from mee_ray.wand import DecodedCache, WandStats
 
 
 class _ShardIndex:
@@ -76,21 +78,22 @@ class _ShardIndex:
     # so 256 entries cap a cold shard's resident payload well under a
     # worker's heap while keeping the hot-term working set loaded
     RG_CACHE_CAP = 256
-    # decoded-postings LRU: repeated hot query terms skip varint/pfor
-    # decode entirely (a few MB at worst — arrays, not raw buffers)
-    DEC_CACHE_CAP = 128
 
     def __init__(self, files: list[str], delta_files: list[str] = (),
                  file_hints: dict[str, float] | None = None,
                  file_seqs: dict[str, int] | None = None,
                  shard_id: int | None = None,
-                 delta_dict: dict | None = None):
+                 delta_dict: dict | None = None, *,
+                 cache: DecodedCache):
         from collections import OrderedDict
         self.files: list[pq.ParquetFile] = []
         self.is_delta: list[bool] = []
         self.rows: dict[str, list[tuple[int, int]]] = defaultdict(list)
         self._rg_cache: "OrderedDict[tuple[int, int], object]" = OrderedDict()
-        self._dec_cache: "OrderedDict[tuple[int, int], tuple]" = OrderedDict()
+        # decoded postings, positions and chunk metadata, in the owning
+        # Searcher's byte-bounded LRU (keys carry the shard id)
+        self._cache = cache
+        self._sid = shard_id
         self._rg_bounds: list[np.ndarray] = []
         self._hints: list[float] = []
         self._seqs: list[int] = []
@@ -138,19 +141,16 @@ class _ShardIndex:
         return t, ri - int(bounds[g])
 
     def _decode_row(self, ti: int, ri: int):
-        key = (ti, ri)
-        got = self._dec_cache.get(key)
+        key = ("post", self._sid, ti, ri)
+        got = self._cache.get(key)
         if got is not None:
-            self._dec_cache.move_to_end(key)
             return got
         t, r = self._row(ti, ri)
         ids, tfs = decode_posting_list(t["doc_ids_enc"][r].as_py(),
                                        t["tfs_enc"][r].as_py())
         dls = varint_decode(t["dls_enc"][r].as_py()).astype(np.int64)
-        self._dec_cache[key] = (ids, tfs, dls)
-        if len(self._dec_cache) > self.DEC_CACHE_CAP:
-            self._dec_cache.popitem(last=False)
-        return ids, tfs, dls
+        return self._cache.put(key, (ids, tfs, dls),
+                               ids.nbytes + tfs.nbytes + dls.nbytes)
 
     def prefetch(self, max_groups: int | None = None) -> int:
         """Index warmer (the ES warm-up analog): load posting row
@@ -209,20 +209,16 @@ class _ShardIndex:
         """(flat absolute positions, per-doc offsets) for one stored
         chunk — decoded lazily, cached alongside the posting LRU."""
         from mee_ray.postings import decode_positions_concat
-        key = ("pos", ti, ri)
-        got = self._dec_cache.get(key)
+        key = ("pos", self._sid, ti, ri)
+        got = self._cache.get(key)
         if got is not None:
-            self._dec_cache.move_to_end(key)
             return got
         t, r = self._row(ti, ri)
         if "pos_enc" not in t.schema.names:
             raise ValueError("index was built without store_positions")
         _, tfs, _ = self._decode_row(ti, ri)
         flat, offs = decode_positions_concat(t["pos_enc"][r].as_py(), tfs)
-        self._dec_cache[key] = (flat, offs)
-        if len(self._dec_cache) > self.DEC_CACHE_CAP:
-            self._dec_cache.popitem(last=False)
-        return flat, offs
+        return self._cache.put(key, (flat, offs), flat.nbytes + offs.nbytes)
 
     def _positions_subset(self, ti: int, ri: int, keep: np.ndarray,
                           tfs: np.ndarray) -> np.ndarray:
@@ -234,27 +230,22 @@ class _ShardIndex:
         O(chunk positions) — the phrase-tail fix."""
         from mee_ray.postings import (decode_positions_subset,
                                       varint_value_offsets)
-        full = self._dec_cache.get(("pos", ti, ri))
+        full = self._cache.get(("pos", self._sid, ti, ri))
         if full is None and keep.mean() > 0.5:
             # majority survives: the full decode costs about the same
             # and its cache entry serves every later query
             full = self._positions_row(ti, ri)
         if full is not None:
-            self._dec_cache.move_to_end(("pos", ti, ri))
             return full[0][np.repeat(keep, tfs)]
-        key = ("posoff", ti, ri)
-        off = self._dec_cache.get(key)
+        key = ("posoff", self._sid, ti, ri)
+        off = self._cache.get(key)
         t, r = self._row(ti, ri)
         if "pos_enc" not in t.schema.names:
             raise ValueError("index was built without store_positions")
         buf = t["pos_enc"][r].as_py()
         if off is None:
             off = varint_value_offsets(buf)
-            self._dec_cache[key] = off
-            if len(self._dec_cache) > self.DEC_CACHE_CAP:
-                self._dec_cache.popitem(last=False)
-        else:
-            self._dec_cache.move_to_end(key)
+            self._cache.put(key, off, off.nbytes)
         flat, _ = decode_positions_subset(buf, tfs,
                                           np.flatnonzero(keep), off)
         return flat
@@ -263,9 +254,18 @@ class _ShardIndex:
     def chunk_meta(self, term: str) -> list[dict]:
         """Per-chunk metadata WITHOUT decoding postings: stored block
         boundaries + max impacts, df, delta flag, and a lazy decode
-        hook — the inputs of the block-max WAND cursor."""
+        hook — the inputs of the block-max top-k kernel.  Built once
+        per snapshot while it stays in the cache; the returned dicts
+        are shared, so callers must not write to them."""
+        locs = self.rows.get(term)
+        if not locs:
+            return []
+        key = ("meta", self._sid, term)
+        got = self._cache.get(key)
+        if got is not None:
+            return got
         out = []
-        for ti, ri in self.rows.get(term, ()):
+        for ti, ri in locs:
             t, r = self._row(ti, ri)
             out.append({
                 # ListScalar.values → numpy without a Python-list hop
@@ -279,7 +279,8 @@ class _ShardIndex:
                 "hint_avgdl": self._hints[ti],
                 "decode": (lambda ti=ti, ri=ri: self._decode_row(ti, ri)),
             })
-        return out
+        return self._cache.put(key, out, sum(
+            c["block_last"].nbytes + c["block_max"].nbytes for c in out))
 
 
 def _segment_files(index_root: str, manifest: dict) -> tuple[list[str], list[str]]:
@@ -1086,11 +1087,11 @@ class Searcher(QueryPlanner):
         self.b = self.manifest["bm25"]["b"]
         self.tomb_ids, self.tomb_seqs = mf.tombstone_index(self.manifest)
         self.tombstones = self.tomb_ids   # gate: any pending deletes?
-        from mee_ray.wand import WandStats
         self.query_stats = WandStats()
-        # merged-chunk cache for delta-bearing terms (wand.search_wand)
-        # — valid for this snapshot's lifetime (immutable files)
-        self._merge_cache: dict = {}
+        # one byte-bounded LRU for every shard's decoded postings,
+        # positions, chunk metadata and merged delta streams — valid
+        # for this snapshot's lifetime (immutable files)
+        self._cache = DecodedCache()
         self._shards: dict[int, _ShardIndex] = {}
         self._delta_dict_cache: dict | None = None
         self._subset = set(shard_subset) if shard_subset is not None else None
@@ -1140,7 +1141,7 @@ class Searcher(QueryPlanner):
             got = self._shards[s] = _ShardIndex(
                 files, self._delta_files, self._file_hints,
                 self._file_seqs, shard_id=s,
-                delta_dict=self._delta_dict())
+                delta_dict=self._delta_dict(), cache=self._cache)
         return got
 
     def owns(self, shard: int) -> bool:
@@ -1480,8 +1481,6 @@ class Searcher(QueryPlanner):
     def search_wand(self, uterms: list[str], k: int,
                     stats=None, allowed: np.ndarray | None = None
                     ) -> list[tuple[int, float]]:
-        from mee_ray.wand import WandStats, search_wand
-
         if len(self.tombstones):
             # stored df (hence idf) and chunk block maxes include the
             # tombstoned docs — WAND over them is unsound; search()
@@ -1504,13 +1503,13 @@ class Searcher(QueryPlanner):
                 continue
             df = sum(c["df"] for c in chunks)
             term_chunks[term] = (idf(df, self.n_docs), chunks)
-        return search_wand(term_chunks, k, self.n_docs, self.avgdl,
-                           self.manifest.get("avgdl") or self.avgdl,
-                           self.k1, self.b,
-                           block_size=self.manifest.get("block_size", 128),
-                           stats=stats,
-                           merge_cache=self._merge_cache,
-                           allowed=allowed)
+        # module attribute looked up per call, so a tracing wrapper
+        # installed on wand.search_wand sees every call
+        return wand.search_wand(
+            term_chunks, k, self.n_docs, self.avgdl,
+            self.manifest.get("avgdl") or self.avgdl, self.k1, self.b,
+            block_size=self.manifest.get("block_size", 128), stats=stats,
+            merge_cache=self._cache, allowed=allowed)
 
 
 def _deletions1(t: str) -> set[str]:

@@ -1,6 +1,21 @@
-"""Document-at-a-time block-max WAND top-k (north_star query path).
+"""Vectorized block-max top-k over doc-id intervals (north_star query
+path).
 
-Exact algorithm: the pruning only skips documents whose score upper
+Kernel: every query term's stored block boundaries (``block_last``)
+cut the doc-id axis into intervals; inside one interval each term's
+postings come from exactly one of its blocks, so the interval's score
+bound is the sum over terms of that covering block's
+``w · block_max · scale``.  Intervals are scored in descending-bound
+batches of geometrically growing size: each covering chunk's exact
+contributions ``w · tf_norm`` (computed once per chunk and kept in the
+caller's byte-bounded cache) are sliced to the batch's intervals,
+accumulated per doc with one ``np.bincount`` and merged into the
+running top-k, whose k-th score is the threshold θ.  Scoring stops at
+the first interval whose bound is below θ — ties with θ are still
+scored, since a tied doc can win on doc_id.  A single-term query is
+the one-term case of the same loop.
+
+Exact algorithm: the pruning only skips intervals whose score upper
 bound cannot reach the current k-th best, so results are identical —
 doc_ids AND float64 scores — to the exhaustive path
 (query.merge_partials) and therefore to the pure-Python oracle.
@@ -8,7 +23,10 @@ doc_ids AND float64 scores — to the exhaustive path
 Determinism contract (shared with oracle / merge_partials): a doc's
 score is the sum of its per-term contributions in sorted-term order,
 each contribution computed with the same float64 operation order as
-postings.tf_norm — so the summation sequence is bit-identical.
+postings.tf_norm.  A doc's postings all fall in one interval, hence in
+one batch, and the batch concatenates them in sorted-term order before
+``np.bincount`` — the same per-doc addition sequence as
+``np.add.at`` over merge_partials' concatenation.
 
 Bound soundness under drift:
 * stored block maxes were computed at the BASE epoch's avgdl.  For a
@@ -23,32 +41,37 @@ Bound soundness under drift:
 * deletions (tombstones) can only lower scores but make the live df —
   and hence the exact idf — unknowable without decoding, so the caller
   (query.Searcher) uses the exhaustive path while tombstones are
-  pending and returns to WAND after compaction.
+  pending and returns to the kernel after compaction.
+* float64 addition is monotone, and every term bound and contribution
+  is non-negative, so an interval bound summed in sorted-term order is
+  never below the accumulated score of any doc inside it.
 
-Chunk layout guarantee making lazy decode sound: a term's base chunks
-are (term, salt) runs; salts are CONTIGUOUS doc_id ranges
-(ids.salt_of = top bits), so base chunks are disjoint and ordered —
-`advance_to` skips whole chunks on their stored last-block boundary
-without ever decoding them.
+Chunk layout guarantee making interval bounds sound: a term's base
+chunks are (term, salt) runs; salts are CONTIGUOUS doc_id ranges
+(ids.salt_of = top bits), so base chunks are disjoint and ordered — a
+chunk's first block starts after the previous chunk's last, and a
+chunk no batch reaches is never decoded.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from collections import OrderedDict
 
 import numpy as np
 
 from mee_ray.ids import isin_sorted
 from mee_ray.postings import block_metadata, tf_norm
+from mee_ray.scoring import top_k_select
 
-__all__ = ["WandStats", "search_wand"]
+__all__ = ["DecodedCache", "WandStats", "search_wand"]
 
 
 class WandStats:
     """Pruning effectiveness counters (asserted by tests, reported by
-    bench): chunks skipped without decode, block-level shallow
-    advances, docs fully scored vs total candidate postings."""
+    bench): chunks decoded vs chunks of the query's terms, intervals
+    skipped on their bound, docs fully scored vs total candidate
+    postings."""
 
     def __init__(self):
         self.chunks_total = 0
@@ -65,163 +88,48 @@ class WandStats:
                     postings_total=self.postings_total)
 
 
-class _Cursor:
-    """One query term's posting stream: ordered chunks, decoded lazily,
-    positioned on a current doc."""
-
-    __slots__ = ("term", "w", "chunks", "ci", "ids", "tfs", "dls",
-                 "pos", "ub", "exhausted", "k1", "b", "avgdl", "bs",
-                 "stats")
-
-    def __init__(self, term: str, w: float, chunks: list[dict],
-                 scale: float, k1: float, b: float, avgdl: float,
-                 block_size: int, stats: WandStats):
-        # chunks: [{"block_last","block_max","scale","decode"}...]
-        # ordered by first block boundary (disjoint doc ranges)
-        self.term = term
-        self.w = w
-        self.k1, self.b, self.avgdl = k1, b, avgdl
-        self.bs = block_size
-        self.stats = stats
-        for c in chunks:
-            c.setdefault("scale", scale)
-        self.chunks = sorted(chunks, key=lambda c: int(c["block_last"][0]))
-        stats.chunks_total += len(chunks)
-        self.ub = w * max(float(c["block_max"].max()) * c["scale"]
-                          for c in chunks)
-        # fully lazy: nothing decodes until a consumer needs postings
-        # (doc()/score/advance), so a chunk the threshold disqualifies
-        # outright is skipped without ever decoding — including the
-        # first one
-        self.ci = 0
-        self.ids = None
-        self.pos = 0
-        self.exhausted = not chunks
-
-    # -- chunk movement ------------------------------------------------
-
-    def _decode_current(self):
-        # pos is NOT reset here: lazy decode may happen mid-chunk after
-        # decode-free block skips; chunk transitions (skip_chunk /
-        # advance_to) own the pos reset
-        c = self.chunks[self.ci]
-        self.ids, self.tfs, self.dls = c["decode"]()
-        self.stats.chunks_decoded += 1
-
-    def doc(self) -> int:
-        if self.ids is None:
-            self._decode_current()
-        return int(self.ids[self.pos])
-
-    def chunk_bound(self) -> float:
-        """Upper bound of ANY doc in the current chunk (metadata only —
-        no decode)."""
-        c = self.chunks[self.ci]
-        return self.w * float(c["block_max"].max()) * c["scale"]
-
-    def skip_chunk(self):
-        """Move to the next chunk WITHOUT decoding it — both the
-        explicit single-term chunk skip and the ordinary end-of-chunk
-        transition (decode stays deferred so a threshold/boundary test
-        can skip the new chunk before it ever decodes)."""
-        self.ci += 1
-        self.pos = 0
-        self.ids = None
-        if self.ci >= len(self.chunks):
-            self.exhausted = True
-
-    def block(self) -> int:
-        c = self.chunks[self.ci]
-        return min(self.pos // self.bs, len(c["block_last"]) - 1)
-
-    def block_bound(self) -> float:
-        c = self.chunks[self.ci]
-        return self.w * float(c["block_max"][self.block()]) * c["scale"]
-
-    def block_last_doc(self) -> int:
-        c = self.chunks[self.ci]
-        return int(c["block_last"][self.block()])
-
-    def advance_to(self, target: int):
-        """Move to the first posting with doc_id >= target; skips whole
-        chunks on their stored last boundary without decoding them."""
-        while not self.exhausted:
-            c = self.chunks[self.ci]
-            if int(c["block_last"][-1]) < target:
-                self.ci += 1
-                if self.ci >= len(self.chunks):
-                    self.exhausted = True
-                    self.ids = None
-                    return
-                self.ids = None  # decode deferred: next chunk may skip too
-                self.pos = 0
-                continue
-            if self.ids is None:
-                self._decode_current()
-            p = int(np.searchsorted(self.ids[self.pos:], target)) + self.pos
-            if p >= len(self.ids):
-                self.skip_chunk()
-                continue
-            self.pos = p
-            return
-
-    def next_doc(self):
-        self.pos += 1
-        if self.pos >= len(self.ids):
-            self.skip_chunk()
-
-    def contrib(self) -> float:
-        """Exact live contribution at the current posting — same float64
-        operation order as postings.tf_norm."""
-        tf = float(self.tfs[self.pos])
-        dl = float(self.dls[self.pos])
-        k1, b = self.k1, self.b
-        return self.w * (tf * (k1 + 1.0)
-                         / (tf + k1 * (1.0 - b + b * dl / self.avgdl)))
-
-    # -- single-term vectorized block scoring --------------------------
-
-    def score_block_vectorized(self) -> tuple[np.ndarray, np.ndarray]:
-        """(doc_ids, scores) of the current block from the current
-        position, advancing past it.  Used on single-term queries where
-        per-doc DAAT stepping would waste the vectorized kernels."""
-        if self.ids is None:
-            self._decode_current()
-        lo = self.pos
-        hi = min((self.block() + 1) * self.bs, len(self.ids))
-        ids = self.ids[lo:hi]
-        sc = self.w * tf_norm(self.tfs[lo:hi], self.dls[lo:hi],
-                              self.avgdl, self.k1, self.b)
-        self.pos = hi
-        if self.pos >= len(self.ids):
-            # lazy transition: the next chunk may be skipped outright
-            # by the caller's chunk-bound test before ever decoding
-            self.skip_chunk()
-        return ids, sc
-
-    def skip_block(self):
-        """Jump past the current block — decode-free: block membership
-        comes from the stored block count, so skipping the last block
-        of an undecoded chunk moves to the next chunk lazily."""
-        self.stats.shallow_advances += 1
-        nb = len(self.chunks[self.ci]["block_last"])
-        if self.block() >= nb - 1 or (
-                self.ids is not None
-                and (self.block() + 1) * self.bs >= len(self.ids)):
-            self.skip_chunk()
-        else:
-            self.pos = (self.block() + 1) * self.bs
-
-
 _FLOAT_HEADROOM = 1.0 + 1e-9
 
-# byte budget for the merged-delta-chunk cache (per Searcher / per
-# ShardActor); also entry-count capped so eviction stays O(entries)
+# byte budget of the decoded-postings cache (one per Searcher / per
+# ShardActor): decoded postings, positions, chunk metadata and merged
+# delta streams all charge their array bytes against it
 _MERGE_CACHE_BYTES = 64 * 1024 * 1024
 
 
+class DecodedCache:
+    """LRU charged in array bytes and bounded by ``budget``.  An entry
+    larger than the whole budget is served to its caller but never
+    kept, so resident bytes never exceed the budget."""
+
+    def __init__(self, budget: int = _MERGE_CACHE_BYTES):
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()
+
+    def get(self, key):
+        got = self._entries.get(key)
+        if got is None:
+            return None
+        self._entries.move_to_end(key)
+        return got[0]
+
+    def put(self, key, value, nbytes: int):
+        """Keep ``value`` charged ``nbytes`` (evicting least recently
+        used entries to fit) and return it."""
+        if nbytes > self.budget:
+            return value
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.nbytes -= old[1]
+        self._entries[key] = (value, nbytes)
+        self.nbytes += nbytes
+        while self.nbytes > self.budget:
+            self.nbytes -= self._entries.popitem(last=False)[1][1]
+        return value
+
+
 def _chunks_need_merge(chunks: list[dict]) -> bool:
-    """Lazy per-chunk cursors require DISJOINT, ordered doc ranges.
+    """Interval bounds require DISJOINT, ordered per-chunk doc ranges.
     Salted base chunks qualify (salt = top doc_id bits ⇒ one chunk per
     salt, contiguous disjoint ranges), and so does a lone unsalted
     chunk.  Layouts that break the invariant and force an eager merge:
@@ -253,198 +161,211 @@ def _merge_delta_chunks(chunks: list[dict], k1: float, b: float,
     }]
 
 
-def search_wand(term_chunks: dict[str, tuple[float, list[dict]]],
-                k: int, n_docs: int, avgdl: float, avgdl_base: float,
-                k1: float, b: float, block_size: int = 128,
-                stats: WandStats | None = None,
-                merge_cache: dict | None = None,
-                allowed: np.ndarray | None = None
-                ) -> list[tuple[int, float]]:
-    """Block-max WAND over prepared per-term (idf weight, chunk list).
+def _slice_ranges(ids, sc, lo: np.ndarray, hi: np.ndarray):
+    """``(ids, sc)`` restricted to the ascending, disjoint (possibly
+    empty) half-open position ranges ``[lo[i], hi[i])``."""
+    n = hi - lo
+    starts = np.cumsum(n) - n
+    idx = np.arange(int(starts[-1] + n[-1])) + np.repeat(lo - starts, n)
+    return ids[idx], sc[idx]
 
-    term_chunks must be keyed by the query's unique terms; iteration
-    for scoring is in sorted-term order (the determinism contract).
 
-    ``allowed`` (sorted int64 doc_ids) is the filter-context pushdown:
-    documents outside the set are never SCORED (their cursors advance
-    past them), while every pruning bound still ranges over the
-    unfiltered posting lists — bounds over a superset stay sound upper
-    bounds, and the threshold coming only from allowed docs makes
-    pruning exactly as aggressive as the filtered result justifies.
-    Output is identical to post-filtering the exhaustive ranking."""
-    if k <= 0:
-        # theta() would index an empty heap; the exhaustive path
-        # returns [] for the same input — match it
-        return []
-    if allowed is not None and allowed.size == 0:
-        return []
+class _Term:
+    """One query term's blocks laid end to end: boundaries, weighted
+    scaled bounds and owning chunk per block, plus a trailing 0 bound /
+    -1 chunk for intervals past the term's last block.  All arrays are
+    the kernel's own — the caller's chunk dicts are shared and never
+    written."""
 
-    def in_allowed(doc: int) -> bool:
-        p = int(np.searchsorted(allowed, doc))
-        return p < allowed.size and int(allowed[p]) == doc
-    stats = stats if stats is not None else WandStats()
-    scale = max(1.0, avgdl / avgdl_base) * _FLOAT_HEADROOM \
-        if avgdl_base > 0 else 1.0
+    __slots__ = ("key", "w", "chunks", "df", "last", "ub", "chunk_of",
+                 "nbytes")
 
-    cursors: list[_Cursor] = []
-    for term in sorted(term_chunks):
-        w, chunks = term_chunks[term]
-        if not chunks:
-            continue
-        stats.postings_total += sum(c.get("df", 0) for c in chunks)
-        if _chunks_need_merge(chunks):
-            # the merged stream is deterministic per (term, delta set,
-            # avgdl) — all fixed for a Searcher snapshot — so repeated
-            # queries on a delta-bearing hot term skip the re-decode +
-            # argsort + metadata rebuild (bounded LRU-ish cache)
-            if merge_cache is not None and term in merge_cache:
-                chunks = merge_cache[term][0]
-                merge_cache[term] = merge_cache.pop(term)  # LRU touch
-            else:
-                chunks = _merge_delta_chunks(chunks, k1, b, avgdl,
-                                             block_size)
-                if merge_cache is not None:
-                    # byte-budgeted LRU: an entry pins the term's whole
-                    # merged posting stream in memory (~24 B/posting);
-                    # a count cap alone would let 64 hot terms pin GBs
-                    # per Searcher/ShardActor at large df
-                    nb = sum(i.nbytes + t.nbytes + d.nbytes
-                             for c in chunks
-                             for (i, t, d) in (c["decode"](),))
-                    if nb <= _MERGE_CACHE_BYTES:
-                        merge_cache[term] = (chunks, nb)
-                        total = sum(v[1] for v in merge_cache.values())
-                        while (total > _MERGE_CACHE_BYTES
-                               or len(merge_cache) > 256):
-                            total -= merge_cache.pop(
-                                next(iter(merge_cache)))[1]
+    def __init__(self, key: tuple, w: float, chunks: list[dict], df: int,
+                 scale: float, avgdl: float):
+        self.key = key
+        self.w = w
+        self.df = df
+        self.chunks = chunks = sorted(
+            chunks, key=lambda c: int(c["block_last"][0]))
+        ubs = []
         for c in chunks:
             # per-chunk bound scaling: a segment copied verbatim across
             # a compaction keeps the avgdl its block maxes were
             # computed at (hint_avgdl); chunks without a hint fall back
             # to the caller's global base
-            h = c.get("hint_avgdl") or 0.0
-            if h > 0:
-                c.setdefault("scale",
-                             max(1.0, avgdl / h) * _FLOAT_HEADROOM)
-        cursors.append(_Cursor(term, w, chunks, scale, k1, b, avgdl,
-                               block_size, stats))
+            s = c.get("scale")
+            if s is None:
+                h = c.get("hint_avgdl") or 0.0
+                s = max(1.0, avgdl / h) * _FLOAT_HEADROOM if h > 0 else scale
+            ubs.append(w * c["block_max"] * s)
+        ubs.append(np.zeros(1))
+        self.ub = np.concatenate(ubs)
+        self.last = np.concatenate([c["block_last"] for c in chunks])
+        self.chunk_of = np.repeat(
+            np.arange(len(chunks) + 1),
+            [len(c["block_last"]) for c in chunks] + [1])
+        self.chunk_of[-1] = -1
+        self.nbytes = (self.ub.nbytes + self.last.nbytes
+                       + self.chunk_of.nbytes)
 
-    if not cursors:
+    def scores(self, ci: int, avgdl: float, k1: float, b: float,
+               cache: DecodedCache | None):
+        """(doc_ids, exact contributions ``w · tf_norm``) of chunk
+        ``ci`` — computed once per snapshot while cached."""
+        key = self.key + (ci,)
+        got = cache.get(key) if cache is not None else None
+        if got is None:
+            ids, tfs, dls = self.chunks[ci]["decode"]()
+            got = (ids, self.w * tf_norm(tfs, dls, avgdl, k1, b))
+            if cache is not None:
+                cache.put(key, got, ids.nbytes + got[1].nbytes)
+        return got
+
+
+def _plan_term(term: str, w: float, chunks: list[dict], scale: float,
+               avgdl: float, k1: float, b: float, block_size: int,
+               cache: DecodedCache | None) -> _Term:
+    """The term's kernel arrays, kept in ``cache`` under
+    ``("plan", term, w, avgdl, scale)`` — a term's chunk list is fixed
+    for one snapshot, so repeated queries skip the rebuild (and, for a
+    delta-bearing term, the eager merge)."""
+    key = ("plan", term, w, avgdl, scale)
+    got = cache.get(key) if cache is not None else None
+    if got is not None:
+        return got
+    df = sum(c.get("df", 0) for c in chunks)
+    nbytes = 0
+    if _chunks_need_merge(chunks):
+        chunks = _merge_delta_chunks(chunks, k1, b, avgdl, block_size)
+        nbytes = sum(a.nbytes for a in chunks[0]["decode"]())
+    t = _Term(key, w, chunks, df, scale, avgdl)
+    if cache is not None:
+        cache.put(key, t, nbytes + t.nbytes)
+    return t
+
+
+def search_wand(term_chunks: dict[str, tuple[float, list[dict]]],
+                k: int, n_docs: int, avgdl: float, avgdl_base: float,
+                k1: float, b: float, block_size: int = 128,
+                stats: WandStats | None = None,
+                merge_cache: DecodedCache | None = None,
+                allowed: np.ndarray | None = None
+                ) -> list[tuple[int, float]]:
+    """Block-max top-k over prepared per-term (idf weight, chunk list).
+
+    term_chunks must be keyed by the query's unique terms; scoring
+    accumulates in sorted-term order (the determinism contract).
+    ``merge_cache`` keeps each term's kernel arrays and merged delta
+    stream across queries; it must belong to one snapshot, where a
+    term's chunk list never changes.
+
+    ``allowed`` (sorted int64 doc_ids) is the filter-context pushdown:
+    documents outside the set are never SCORED (scored postings are
+    masked), while every interval bound still ranges over the
+    unfiltered posting lists — bounds over a superset stay sound upper
+    bounds, and the threshold coming only from allowed docs makes
+    pruning exactly as aggressive as the filtered result justifies.
+    Output is identical to post-filtering the exhaustive ranking."""
+    if k <= 0 or (allowed is not None and allowed.size == 0):
         return []
+    stats = stats if stats is not None else WandStats()
+    scale = max(1.0, avgdl / avgdl_base) * _FLOAT_HEADROOM \
+        if avgdl_base > 0 else 1.0
+    terms = [_plan_term(term, w, chunks, scale, avgdl, k1, b, block_size,
+                        merge_cache)
+             for term, (w, chunks) in sorted(term_chunks.items())
+             if chunks]
+    if not terms:
+        return []
+    for t in terms:
+        stats.postings_total += t.df
+        stats.chunks_total += len(t.chunks)
 
-    # heap of (score, -doc_id): worst-ranked on top under the
-    # (-score, doc_id) ranking order
-    heap: list[tuple[float, int]] = []
-
-    def theta() -> float:
-        return heap[0][0] if len(heap) >= k else -math.inf
-
-    def offer(doc: int, score: float):
-        item = (score, -doc)
-        if len(heap) < k:
-            heapq.heappush(heap, item)
-        elif item > heap[0]:
-            heapq.heapreplace(heap, item)
-
-    if len(cursors) == 1:
-        # single-term: vectorized per-block scoring with block-max skip
-        c = cursors[0]
-        while not c.exhausted:
-            if len(heap) >= k:
-                if c.ids is None and c.chunk_bound() < theta():
-                    # whole (still-undecoded) chunk cannot reach the
-                    # threshold: chunk-level skip, no decode at all
-                    c.skip_chunk()
-                    continue
-                if c.block_bound() < theta():
-                    c.skip_block()
-                    continue
-            ids, sc = c.score_block_vectorized()
-            if allowed is not None:
-                # vectorized membership against the sorted filter set
-                m = isin_sorted(ids, allowed)
-                ids, sc = ids[m], sc[m]
-            stats.docs_scored += len(ids)
-            if len(heap) >= k:
-                # vectorized pre-filter: only docs that can still enter
-                # the heap (score ≥ current k-th; ties can win on
-                # doc_id, so ≥ not >) hit the per-doc offer loop
-                m = sc >= heap[0][0]
-                ids, sc = ids[m], sc[m]
-            for d, s in zip(ids.tolist(), sc.tolist()):
-                offer(d, s)
+    # intervals (edges[i-1], edges[i]]; per term the covering block of
+    # each interval (past-the-end = none) and the bound summed in
+    # sorted-term order
+    if len(terms) == 1:
+        edges = terms[0].last
+        cover = [None]
+        bound = terms[0].ub[:-1]
     else:
-        active = [c for c in cursors if not c.exhausted]
-        while active:
-            active.sort(key=lambda c: c.doc())
-            # pivot: first index where the cumulative term upper bounds
-            # can reach the threshold
-            acc = 0.0
-            pivot_i = -1
-            th = theta()
-            for i, c in enumerate(active):
-                acc += c.ub
-                if acc >= th:
-                    pivot_i = i
-                    break
-            if pivot_i < 0:
-                break  # no remaining doc can enter the top-k
-            pivot_doc = active[pivot_i].doc()
-            if active[0].doc() < pivot_doc:
-                # advance the highest-bound cursor that actually lags
-                # (a tie on pivot_doc may sort before the pivot index —
-                # advancing such a cursor would be a no-op and stall)
-                lag = max((c for c in active[:pivot_i]
-                           if c.doc() < pivot_doc), key=lambda c: c.ub)
-                lag.advance_to(pivot_doc)
-            else:
-                # all cursors up to the pivot sit on pivot_doc: refine
-                # with block-level maxima before full evaluation
-                bacc = sum(c.block_bound() for c in active[:pivot_i + 1])
-                j = pivot_i + 1
-                while j < len(active) and active[j].doc() == pivot_doc:
-                    bacc += active[j].block_bound()
-                    j += 1
-                if len(heap) >= k and bacc < th:
-                    # shallow advance: every doc in (pivot, nxt) can
-                    # only be posted by the cursors whose block bounds
-                    # we just summed, so the whole range is skippable —
-                    # capped at the next cursor's current doc, whose
-                    # own contribution was NOT in the bound
-                    nxt = min(c.block_last_doc() for c in active[:j]) + 1
-                    if j < len(active):
-                        nxt = min(nxt, active[j].doc())
-                    nxt = max(nxt, pivot_doc + 1)
-                    for c in active[:j]:
-                        c.advance_to(nxt)
-                        stats.shallow_advances += 1
-                elif allowed is not None and not in_allowed(pivot_doc):
-                    # filter skip: jump every cursor on the pivot to
-                    # the next ALLOWED doc (not just pivot+1) — the
-                    # bounds stayed unfiltered, so this prunes nothing
-                    # a sound bound wouldn't
-                    p = int(np.searchsorted(allowed, pivot_doc + 1))
-                    if p >= allowed.size:
-                        break  # no candidate beyond max(allowed)
-                    nxt = int(allowed[p])
-                    for c in active[:j]:
-                        c.advance_to(nxt)
-                else:
-                    # exact evaluation, contributions in sorted-term
-                    # order (active[:j] docs all == pivot_doc, but terms
-                    # are not sorted here — collect then order)
-                    on_doc = sorted((c for c in active[:j]),
-                                    key=lambda c: c.term)
-                    score = 0.0
-                    for c in on_doc:
-                        score += c.contrib()
-                    stats.docs_scored += 1
-                    offer(pivot_doc, score)
-                    for c in active[:j]:
-                        if not c.exhausted and c.doc() == pivot_doc:
-                            c.next_doc()
-            active = [c for c in cursors if not c.exhausted]
+        edges = np.unique(np.concatenate([t.last for t in terms]))
+        cover = [np.searchsorted(t.last, edges) for t in terms]
+        bound = terms[0].ub[cover[0]]
+        for t, j in zip(terms[1:], cover[1:]):
+            bound = bound + t.ub[j]
+    lows = np.empty_like(edges)
+    lows[0] = np.iinfo(np.int64).min
+    lows[1:] = edges[:-1]
+    order = np.argsort(-bound, kind="stable")
+    neg_sorted = -bound[order]
 
-    ranked = sorted(heap, key=lambda it: (-it[0], -it[1]))
-    return [(-nd, s) for s, nd in ranked]
+    decoded: dict[tuple[int, int], tuple] = {}
+    top_ids = np.empty(0, np.int64)
+    top_sc = np.empty(0, np.float64)
+    theta = -math.inf
+    # the first batch holds about one block per term (a block spans
+    # about as many intervals as there are terms); sizes then double
+    pos, size, n_iv = 0, len(terms), len(edges)
+    while pos < n_iv:
+        end = min(pos + size, n_iv)
+        if len(top_ids) == k:
+            # first interval whose bound is below θ; ties are scored
+            end = min(end, int(neg_sorted.searchsorted(-theta,
+                                                       side="right")))
+            if end <= pos:
+                break
+        batch = order[pos:end].copy()
+        batch.sort()
+        pos, size = end, size * 2
+        ids_l, sc_l = [], []
+        for ti, t in enumerate(terms):
+            cj = t.chunk_of[batch if cover[ti] is None
+                            else cover[ti][batch]]
+            for ci in (np.unique(cj).tolist() if len(t.chunks) > 1
+                       else (0,)):
+                if ci < 0:
+                    continue
+                iv = batch[cj == ci]
+                if not len(iv):
+                    continue
+                got = decoded.get((ti, ci))
+                if got is None:
+                    got = decoded[(ti, ci)] = t.scores(ci, avgdl, k1, b,
+                                                       merge_cache)
+                    stats.chunks_decoded += 1
+                ids, sc = got
+                if iv[-1] - iv[0] + 1 == len(iv):
+                    # adjacent intervals: one contiguous posting range
+                    a = ids.searchsorted(lows[iv[0]], side="right")
+                    z = ids.searchsorted(edges[iv[-1]], side="right")
+                    ids, sc = ids[a:z], sc[a:z]
+                else:
+                    ids, sc = _slice_ranges(
+                        ids, sc, ids.searchsorted(lows[iv], side="right"),
+                        ids.searchsorted(edges[iv], side="right"))
+                if allowed is not None:
+                    m = isin_sorted(ids, allowed)
+                    ids, sc = ids[m], sc[m]
+                ids_l.append(ids)
+                sc_l.append(sc)
+        # every interval ends on some term's block boundary, so at
+        # least one (term, chunk) covers the batch
+        if len(ids_l) == 1:
+            # one term's postings in one chunk: doc_ids already unique
+            uniq, acc = ids_l[0], sc_l[0]
+        else:
+            uniq, inv = np.unique(np.concatenate(ids_l),
+                                  return_inverse=True)
+            acc = np.bincount(inv, weights=np.concatenate(sc_l),
+                              minlength=len(uniq))
+        stats.docs_scored += len(uniq)
+        if len(top_ids) == k:
+            m = acc >= theta
+            uniq, acc = uniq[m], acc[m]
+        top_ids, top_sc = top_k_select(np.concatenate((top_ids, uniq)),
+                                       np.concatenate((top_sc, acc)), k)
+        if len(top_ids) == k:
+            theta = float(top_sc[-1])
+    stats.shallow_advances += n_iv - pos
+    return list(zip(top_ids.tolist(), top_sc.tolist()))

@@ -91,6 +91,14 @@ def main() -> int:
     s = Searcher(root)
     n_ok = sum(s.search(q["terms"], q["k"]) == oi.search(q["terms"], q["k"])
                for q in qset)
+    # in-process latency of the same query set on the warm searcher
+    # (the identity pass above was each query's first touch)
+    lat = []
+    for q in qset:
+        t0 = time.perf_counter()
+        s.search(q["terms"], q["k"])
+        lat.append(time.perf_counter() - t0)
+    search_p50_ms = float(np.median(lat)) * 1e3
 
     n_phrase = None
     n_span = None
@@ -177,6 +185,7 @@ def main() -> int:
         "compact_sec": round(compact_sec, 2),
         "post_compact_identity": f"{n_ok2}/{len(qset2)}",
         "wand": s.query_stats.as_dict(),
+        "search_p50_ms": round(search_p50_ms, 3),
     }))
     ray.shutdown()
     return 0

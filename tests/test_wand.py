@@ -141,76 +141,273 @@ def test_fallback_with_tombstones(built_index, tmp_path_factory, ray_session):
             oracle.search(q["terms"], q["k"]), q["terms"]
 
 
-def test_chunk_skip_without_decode_on_multichunk_term():
-    """advance_to must skip whole chunks on their stored last-block
-    boundary WITHOUT decoding them (the lazy-decode contract): with
-    three disjoint-range chunks, jumping into the third decodes only
-    two (init + target), never the middle one."""
+K1, B = 1.2, 0.75
+
+
+def _chunk(ids, tfs, dls, base_avgdl, block_size=4, log=None, tag=None,
+           **extra):
+    """A hand-made stored chunk: block maxes computed at ``base_avgdl``
+    and a decode hook that records ``tag`` in ``log`` per call."""
     import numpy as np
 
-    from mee_ray.wand import WandStats, _Cursor
+    from mee_ray.postings import block_metadata, tf_norm
 
-    decoded = []
+    ids = np.asarray(ids, np.int64)
+    tfs = np.asarray(tfs, np.int64)
+    dls = np.asarray(dls, np.int64)
+    bl, bm = block_metadata(ids, tf_norm(tfs, dls, base_avgdl, K1, B),
+                            block_size)
 
-    def chunk(lo, hi, tag):
-        ids = np.arange(lo, hi, dtype=np.int64)
-        tfs = np.ones(len(ids), np.int64)
-        dls = np.full(len(ids), 10, np.int64)
+    def decode():
+        if log is not None:
+            log.append(tag)
+        return ids, tfs, dls
 
-        def decode(ids=ids, tfs=tfs, dls=dls, tag=tag):
-            decoded.append(tag)
-            return ids, tfs, dls
+    return {"block_last": bl, "block_max": bm, "df": len(ids),
+            "decode": decode, **extra}
 
-        return {"block_last": np.array([hi - 1], np.int64),
-                "block_max": np.array([1.0], np.float64),
-                "scale": 1.0, "decode": decode}
 
+def _brute_force(term_chunks, k, avgdl, allowed=None):
+    """merge_partials over every posting of every chunk."""
+    import numpy as np
+
+    from mee_ray.postings import tf_norm
+
+    partials = {}
+    for term, (w, chunks) in term_chunks.items():
+        parts = [c["decode"]() for c in chunks]
+        ids = np.concatenate([p[0] for p in parts])
+        sc = w * tf_norm(np.concatenate([p[1] for p in parts]),
+                         np.concatenate([p[2] for p in parts]),
+                         avgdl, K1, B)
+        if allowed is not None:
+            m = np.isin(ids, allowed)
+            ids, sc = ids[m], sc[m]
+        partials[term] = (ids, sc)
+    return merge_partials([partials], list(term_chunks), k)
+
+
+def test_chunk_below_theta_is_never_decoded():
+    """A chunk whose bound is below θ is skipped without decoding:
+    three disjoint-range chunks of one term, the top-k all in the
+    first, so the other two never decode.  Next to a second, weak
+    term they still never decode: that term's first block bounds every
+    interval below its first boundary (stored metadata has no block
+    start), so it may decode, but its bound keeps t's weak chunks
+    below θ."""
+    import numpy as np
+
+    from mee_ray.wand import search_wand
+
+    log = []
+
+    def chunk(lo, hi, tf, tag):
+        n = hi - lo
+        return _chunk(np.arange(lo, hi), np.full(n, tf), np.full(n, 10),
+                      10.0, log=log, tag=tag, salt=lo // 100)
+
+    t = (1.0, [chunk(200, 300, 2, "c"), chunk(0, 100, 6, "a"),
+               chunk(100, 200, 1, "b")])
     stats = WandStats()
-    cur = _Cursor("t", 1.0,
-                  [chunk(0, 100, "a"), chunk(100, 200, "b"),
-                   chunk(200, 300, "c")],
-                  1.0, 1.2, 0.75, 10.0, 128, stats)
-    assert decoded == []                 # init decodes NOTHING (lazy)
-    assert cur.doc() == 0
-    assert decoded == ["a"]              # first access decodes chunk 0
-    cur.advance_to(250)
-    assert cur.doc() == 250
-    assert decoded == ["a", "c"]         # middle chunk skipped undecoded
-    assert stats.chunks_total == 3
-    assert stats.chunks_decoded == 2
-    cur.advance_to(10_000)               # past everything → exhausted
-    assert cur.exhausted
-    assert decoded == ["a", "c"]         # exhaustion decodes nothing
-    # chunk-level skip from a fresh cursor: skip_chunk never decodes
-    decoded.clear()
-    cur2 = _Cursor("t", 1.0,
-                   [chunk(0, 100, "a"), chunk(100, 200, "b")],
-                   1.0, 1.2, 0.75, 10.0, 128, WandStats())
-    assert cur2.chunk_bound() == 1.0
-    cur2.skip_chunk()
-    assert decoded == [] and not cur2.exhausted
-    cur2.skip_chunk()
-    assert cur2.exhausted and decoded == []
+    got = search_wand({"t": t}, 5, 1000, 10.0, 10.0, K1, B,
+                      block_size=4, stats=stats)
+    log_single = list(log)
+    assert got == _brute_force({"t": t}, 5, 10.0)
+    assert log_single == ["a"]
+    assert (stats.chunks_total, stats.chunks_decoded) == (3, 1)
+
+    log.clear()
+    u = (0.3, [chunk(400, 500, 1, "u")])
+    stats = WandStats()
+    got = search_wand({"t": t, "u": u}, 5, 1000, 10.0, 10.0, K1, B,
+                      block_size=4, stats=stats)
+    assert "a" in log and "b" not in log and "c" not in log
+    assert got == _brute_force({"t": t, "u": u}, 5, 10.0)
+    assert stats.chunks_total == 4 and stats.chunks_decoded <= 2
 
 
-def test_lazy_decode_preserves_block_skip_position():
-    """Decode-free block skips advance pos BEFORE the chunk decodes;
-    the lazy decode must not reset it (scoring would silently redo the
-    skipped blocks)."""
+def test_block_below_theta_is_not_scored():
+    """Inside one decoded chunk, a block whose bound is below θ is
+    never scored: the strong second block fills the top-k first and
+    the weak first block's postings are skipped."""
     import numpy as np
 
-    from mee_ray.wand import WandStats, _Cursor
+    from mee_ray.wand import search_wand
 
-    ids = np.arange(0, 256, dtype=np.int64)
-    tfs = np.ones(256, np.int64)
-    dls = np.full(256, 10, np.int64)
-    chunk = {"block_last": np.array([127, 255], np.int64),
-             "block_max": np.array([1.0, 2.0], np.float64),
-             "scale": 1.0,
-             "decode": (lambda: (ids, tfs, dls))}
-    cur = _Cursor("t", 1.0, [chunk], 1.0, 1.2, 0.75, 10.0, 128,
-                  WandStats())
-    cur.skip_block()                 # decode-free: past block 0
-    got_ids, _ = cur.score_block_vectorized()   # lazy decode here
-    assert got_ids[0] == 128 and len(got_ids) == 128
-    assert cur.exhausted
+    log = []
+    tfs = np.r_[np.ones(128, np.int64), np.full(128, 4)]
+    t = (1.0, [_chunk(np.arange(256), tfs, np.full(256, 10), 10.0,
+                      block_size=128, log=log, tag="t")])
+    stats = WandStats()
+    got = search_wand({"t": t}, 3, 1000, 10.0, 10.0, K1, B,
+                      block_size=128, stats=stats)
+    assert stats.docs_scored == 128 and log == ["t"]
+    assert got == _brute_force({"t": t}, 3, 10.0)
+    assert [d for d, _ in got] == [128, 129, 130]
+
+
+def _case_ties():
+    # docs 0..29 hold term a only, 30..39 a and b, 40..59 b only: ten
+    # identical top scores, so k=7 cuts inside an exact tie run
+    a = (0.7, [_chunk(range(0, 20), [2] * 20, [10] * 20, 10.0, salt=0),
+               _chunk(range(20, 40), [2] * 20, [10] * 20, 10.0, salt=1)])
+    b = (0.4, [_chunk(range(30, 60), [1] * 30, [10] * 30, 10.0)])
+    return {"a": a, "b": b}, 7, None, 10.0, 10.0
+
+
+def _random_terms(seed, n_terms=3, avgdl=10.0):
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    out = {}
+    for i in range(n_terms):
+        ids = np.sort(rng.choice(400, size=int(rng.integers(5, 120)),
+                                 replace=False))
+        n = len(ids)
+        out[f"t{i}"] = (float(rng.uniform(0.2, 3.0)), [_chunk(
+            ids, rng.integers(1, 6, n), rng.integers(3, 30, n), avgdl)])
+    return out
+
+
+def _case_k_over_candidates():
+    return _random_terms(1), 500, None, 10.0, 10.0
+
+
+def _case_allowed_excludes_top():
+    import numpy as np
+
+    tc = _random_terms(2)
+    top = {d for d, _ in _brute_force(tc, 10, 10.0)}
+    every = np.unique(np.concatenate(
+        [c["decode"]()[0] for _, cs in tc.values() for c in cs]))
+    allowed = np.array([d for d in every.tolist() if d not in top],
+                       np.int64)
+    return tc, 10, allowed, 10.0, 10.0
+
+
+def _case_delta_chunks():
+    import numpy as np
+
+    # base chunk holds the even ids, the delta chunk odd ids inside the
+    # same range; live avgdl drifted up from the base epoch's
+    tc = _random_terms(3, n_terms=2)
+    base = _chunk(np.arange(0, 200, 2), [1, 3] * 50, [8] * 100, 10.0)
+    delta = _chunk(np.arange(1, 99, 2), [2] * 49, [20] * 49, 10.0,
+                   delta=True)
+    tc["d"] = (1.3, [base, delta])
+    return tc, 10, None, 11.5, 10.0
+
+
+def _case_hint_avgdl():
+    import numpy as np
+
+    # one segment's block maxes were computed at avgdl 6 (live is 9),
+    # another at 14; the epoch avgdl is 9
+    rng = np.random.default_rng(4)
+
+    def seg(lo, hint, salt):
+        ids = np.arange(lo, lo + 60)
+        return _chunk(ids, rng.integers(1, 8, 60), rng.integers(2, 40, 60),
+                      hint, hint_avgdl=hint, salt=salt)
+
+    tc = {"h": (1.1, [seg(0, 6.0, 0), seg(100, 14.0, 1)]),
+          "x": _random_terms(5, n_terms=1, avgdl=9.0)["t0"]}
+    return tc, 10, None, 9.0, 9.0
+
+
+@pytest.mark.parametrize("case", [
+    _case_ties, _case_k_over_candidates, _case_allowed_excludes_top,
+    _case_delta_chunks, _case_hint_avgdl])
+def test_kernel_edge_cases_equal_merge_partials(case):
+    import copy
+
+    from mee_ray.wand import search_wand
+
+    term_chunks, k, allowed, avgdl, avgdl_base = case()
+    before = copy.deepcopy({t: [{f: v for f, v in c.items()
+                                  if f != "decode"} for c in cs]
+                            for t, (_, cs) in term_chunks.items()})
+    got = search_wand(term_chunks, k, 1000, avgdl, avgdl_base, K1, B,
+                      block_size=4, allowed=allowed)
+    want = _brute_force(term_chunks, k, avgdl, allowed)
+    assert want, case.__name__
+    assert got == want
+    if case is _case_ties:
+        # the k-th and (k+1)-th docs tie exactly: doc_id decides
+        full = _brute_force(term_chunks, k + 1, avgdl)
+        assert full[k - 1][1] == full[k][1]
+        assert [d for d, _ in got] == list(range(30, 37))
+    # the kernel never writes to the chunk dicts it is given
+    after = {t: [{f: v for f, v in c.items() if f != "decode"}
+                 for c in cs] for t, (_, cs) in term_chunks.items()}
+    assert repr(after) == repr(before)
+
+
+def _count_decodes(monkeypatch):
+    """Count calls of the posting-list decoder the shards use."""
+    import mee_ray.query as q
+
+    calls = []
+    real = q.decode_posting_list
+
+    def counting(*a):
+        calls.append(1)
+        return real(*a)
+
+    monkeypatch.setattr(q, "decode_posting_list", counting)
+    return calls
+
+
+def test_cyclic_stream_second_pass_decodes_nothing(built_index, monkeypatch):
+    """One shard's whole vocabulary — more than 128 distinct chunk rows
+    — queried as a cyclic stream: every row decoded in the first pass
+    is still cached in the second, so the second pass decodes zero
+    posting lists."""
+    from mee_ray.ids import term_hash
+
+    s = Searcher(built_index["index_root"])
+    sh = max(range(s.num_shards), key=lambda i: len(s._shard(i).rows))
+    terms = sorted(t for t in s.vocabulary()
+                   if term_hash(t) % s.num_shards == sh)
+    assert sum(len(s._shard(sh).rows[t]) for t in terms) > 128
+    calls = _count_decodes(monkeypatch)
+    first = [s.search([t], 10) for t in terms]
+    assert len(calls) > 128
+    calls.clear()
+    assert [s.search([t], 10) for t in terms] == first
+    assert calls == []
+    oracle = built_index["oracle"]
+    assert all(r == oracle.search([t], 10)
+               for t, r in zip(terms[::25], first[::25]))
+
+
+def test_decoded_cache_stays_within_its_byte_budget(built_index,
+                                                    monkeypatch):
+    """Resident bytes never exceed the budget, and a posting list
+    larger than the whole budget is answered exactly but not kept."""
+    from mee_ray.ids import term_hash
+    from mee_ray.wand import _MERGE_CACHE_BYTES, DecodedCache
+
+    assert DecodedCache().budget == _MERGE_CACHE_BYTES
+    oracle = built_index["oracle"]
+    s = Searcher(built_index["index_root"])
+    assert s._cache.budget == _MERGE_CACHE_BYTES
+    # the largest posting list stored as one chunk row
+    hot = next(t for t in sorted(oracle.postings,
+                                 key=lambda t: -len(oracle.postings[t]))
+               if len(s._shard(term_hash(t) % s.num_shards).rows[t]) == 1)
+    sh = term_hash(hot) % s.num_shards
+    hot_bytes = sum(a.nbytes for a in s._shard(sh).postings(hot))
+    s = Searcher(built_index["index_root"])
+    s._cache.budget = hot_bytes // 2
+    docs = [(i, c) for i, (_, c) in enumerate(built_index["live"].values())]
+    for q in make_query_set(docs, n_queries=60, seed=31):
+        assert s.search(q["terms"], q["k"]) == \
+            oracle.search(q["terms"], q["k"]), q["terms"]
+        assert 0 < s._cache.nbytes <= s._cache.budget
+    calls = _count_decodes(monkeypatch)
+    for _ in range(2):
+        calls.clear()
+        assert s.search([hot], 10) == oracle.search([hot], 10)
+        assert len(calls) == 1                  # decoded, not kept
+        assert s._cache.nbytes <= s._cache.budget
