@@ -619,26 +619,41 @@ def tombstone_index(manifest: dict):
     import numpy as np
     import pyarrow.parquet as pq
 
-    last: dict[int, int] = {}
+    from mee_ray.wand import CACHE
+
+    ids_l, seq_l = [], []
     for d in manifest.get("deltas", []):
         p = d.get("tombstones")
         if p:
-            if not os.path.exists(p):
+            try:
+                st = os.stat(p)
+            except FileNotFoundError:
                 # silently skipping would resurrect deleted docs (and a
                 # compact run would bake their postings back in) —
                 # corruption must fail loudly, like _live_key_index
                 raise FileNotFoundError(
                     f"delta record {d.get('seq')} tombstones file "
-                    f"missing: {p} — index is inconsistent; run fsck")
-            for did in pq.read_table(p, columns=["doc_id"])["doc_id"].to_pylist():
-                last[did] = d["seq"]
-    if not last:
+                    f"missing: {p} — index is inconsistent; run fsck"
+                ) from None
+            # read once per file identity, so a reopen costs nothing
+            # per already-seen delta record
+            key = ("tombstones", p, st.st_dev, st.st_ino, st.st_size,
+                   st.st_mtime_ns)
+            ids = CACHE.get(key)
+            if ids is None:
+                ids = pq.read_table(p, columns=["doc_id"])["doc_id"] \
+                    .to_numpy(zero_copy_only=False).astype(np.int64)
+                ids = CACHE.put(key, ids, ids.nbytes)
+            ids_l.append(ids)
+            seq_l.append(np.full(len(ids), d["seq"], dtype=np.int64))
+    if not ids_l:
         z = np.empty(0, dtype=np.int64)
         return z, z.copy()
-    ids = np.fromiter(last.keys(), dtype=np.int64, count=len(last))
-    seqs = np.fromiter(last.values(), dtype=np.int64, count=len(last))
-    order = np.argsort(ids)
-    return ids[order], seqs[order]
+    # the last record naming an id wins: unique over the reversed log
+    ids = np.concatenate(ids_l)[::-1]
+    seqs = np.concatenate(seq_l)[::-1]
+    uniq, first = np.unique(ids, return_index=True)
+    return uniq, seqs[first]
 
 
 def live_posting_mask(ids, source_seq: int, tomb_ids, tomb_seqs):

@@ -24,7 +24,7 @@ import pyarrow.parquet as pq
 from mee_ray import manifest as mf
 from mee_ray.build import LINEAGE_SCHEMA, make_encode_partition
 from mee_ray.config import EngineConfig, resolve_index_config
-from mee_ray.postings import varint_decode
+from mee_ray.postings import decode_rows
 
 
 class CompactTargetExists(RuntimeError):
@@ -69,15 +69,8 @@ def partition_plan(manifest: dict) -> list[dict]:
 
 
 def _decode_rows(t: pa.Table) -> pa.Table:
-    """Segment rows → raw triples (term, salt, doc_id, tf, dl).
-
-    BULK decode: posting buffers are concatenated per codec tag and
-    decoded in ONE vectorized pass (varint and pfor streams are both
-    self-delimiting, and each row's value count is its stored df), then
-    split at run boundaries; the per-run delta decode becomes a global
-    cumsum minus each run's prefix — no per-row numpy round-trips."""
-    from mee_ray.postings import _TAG_PFOR, pfor_decode
-
+    """Segment rows → raw triples (term, salt, doc_id, tf, dl), through
+    the query path's one row-group kernel (postings.decode_rows)."""
     n_rows = t.num_rows
     empty = pa.table({"term": pa.array([], pa.string()),
                       "salt": pa.array([], pa.int32()),
@@ -92,43 +85,13 @@ def _decode_rows(t: pa.Table) -> pa.Table:
     salts = np.asarray(t["salt"].to_numpy(zero_copy_only=False),
                        dtype=np.int32)
     dfs = t["df"].to_numpy(zero_copy_only=False).astype(np.int64)
-    ids_bufs = t["doc_ids_enc"].to_pylist()
-    tfs_bufs = t["tfs_enc"].to_pylist()
-    dls_bufs = t["dls_enc"].to_pylist()
-
-    total = int(dfs.sum())
+    out_ids, out_tfs, out_dls, row_start = decode_rows(t)
+    if not np.array_equal(np.diff(row_start), dfs):
+        raise ValueError("posting buffer/df mismatch "
+                         f"({int(row_start[-1])} vs {int(dfs.sum())})")
+    total = int(row_start[-1])
     if total == 0:
         return empty
-    out_ids = np.empty(total, dtype=np.int64)
-    out_tfs = np.empty(total, dtype=np.int64)
-    out_dls = np.empty(total, dtype=np.int64)
-    row_start = np.concatenate(([0], np.cumsum(dfs)))
-
-    tags = [(b[0] if b else 0) for b in ids_bufs]
-    for tag in set(tags):
-        rows = [i for i in range(n_rows) if tags[i] == tag]
-        counts = dfs[rows]
-        dec = pfor_decode if tag == _TAG_PFOR else varint_decode
-        gaps = dec(b"".join(ids_bufs[i][1:] for i in rows))
-        tfs_v = dec(b"".join(tfs_bufs[i][1:] for i in rows))
-        dls_v = varint_decode(b"".join(dls_bufs[i] for i in rows))
-        if len(gaps) != counts.sum():
-            raise ValueError("posting buffer/df mismatch "
-                             f"({len(gaps)} vs {counts.sum()})")
-        # segmented delta decode: global cumsum minus the cumsum value
-        # just before each run start (run's first value is absolute)
-        C = np.cumsum(gaps, dtype=np.uint64)
-        bounds = np.cumsum(counts)
-        pre = np.concatenate(([np.uint64(0)], C[bounds[:-1] - 1]))
-        ids_v = (C - np.repeat(pre, counts)).astype(np.int64)
-        # scatter back to global row order
-        pos = 0
-        for ri, c in zip(rows, counts):
-            s = row_start[ri]
-            out_ids[s:s + c] = ids_v[pos:pos + c]
-            out_tfs[s:s + c] = tfs_v[pos:pos + c].astype(np.int64)
-            out_dls[s:s + c] = dls_v[pos:pos + c].astype(np.int64)
-            pos += c
 
     tidx = np.repeat(np.arange(n_rows, dtype=np.int32), dfs)
     term_col = pa.DictionaryArray.from_arrays(

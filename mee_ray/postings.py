@@ -72,11 +72,17 @@ def varint_encode(values: np.ndarray) -> bytes:
 
 def varint_decode(buf: bytes) -> np.ndarray:
     """Decode LEB128 bytes → uint64 array. Vectorized over byte positions."""
-    data = np.frombuffer(buf, dtype=np.uint8)
+    return _leb128(np.frombuffer(buf, dtype=np.uint8))
+
+
+def _leb128(data: np.ndarray) -> np.ndarray:
+    """The one LEB128 decode loop, over a uint8 array (≤10 passes, one
+    per byte position of the longest value)."""
     if len(data) == 0:
         return np.empty(0, dtype=np.uint64)
-    is_last = (data & 0x80) == 0
-    ends = np.flatnonzero(is_last)
+    ends = np.flatnonzero((data & 0x80) == 0)
+    if len(ends) == 0:
+        return np.empty(0, dtype=np.uint64)
     starts = np.empty(len(ends), dtype=np.int64)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
@@ -302,6 +308,105 @@ def decode_posting_list(doc_ids_enc: bytes, tfs_enc: bytes) -> tuple[np.ndarray,
     doc_ids = delta_decode(_decode_tagged(doc_ids_enc))
     tfs = _decode_tagged(tfs_enc).astype(np.int64)
     return doc_ids, tfs
+
+
+def _binary_buffers(col) -> tuple[np.ndarray, np.ndarray]:
+    """(int64 value offsets, uint8 data) of an Arrow binary or
+    large_binary column, zero-copy when it is one chunk (several are
+    joined as large_binary, whose offsets cannot overflow)."""
+    import pyarrow as pa
+
+    if isinstance(col, pa.ChunkedArray):
+        col = col.chunk(0) if col.num_chunks == 1 else \
+            col.cast(pa.large_binary()).combine_chunks()
+    _, ob, db = col.buffers()
+    odt = np.int64 if pa.types.is_large_binary(col.type) else np.int32
+    offs = np.frombuffer(ob, dtype=odt)[col.offset:col.offset + len(col) + 1]
+    data = (np.frombuffer(db, dtype=np.uint8) if db is not None
+            else np.empty(0, dtype=np.uint8))
+    return offs.astype(np.int64), data
+
+
+def row_value_counts(dls_col, lo: int = 0, hi: int | None = None
+                     ) -> np.ndarray:
+    """Postings per row of rows [lo, hi) of a segment's ``dls_enc``
+    column, counted from its varint end bytes without decoding (every
+    row stores one untagged LEB128 dl per posting)."""
+    offs, data = _binary_buffers(dls_col)
+    hi = len(offs) - 1 if hi is None else hi
+    o = offs[lo:hi + 1]
+    ends = np.flatnonzero((data[o[0]:o[-1]] & 0x80) == 0)
+    return np.diff(np.searchsorted(ends, o - o[0]))
+
+
+def _tagged_rows(col, lo: int, hi: int, counts: np.ndarray) -> np.ndarray:
+    """Values of rows [lo, hi) of a tagged column, concatenated: one
+    LEB128 pass over every varint-tagged row body and one pfor_decode
+    over the pfor-tagged bodies.  Rows tile the data buffer, so every
+    byte is a row's tag byte or body; both codecs are self-delimiting,
+    so a concatenation of bodies decodes to the concatenation of the
+    per-row decodes, and ``counts`` puts them back in row order."""
+    offs, data = _binary_buffers(col)
+    o = offs[lo:hi + 1]
+    buf = data[o[0]:o[-1]]
+    b0, n_bytes = o[:-1] - o[0], np.diff(o)
+    full = n_bytes > 0
+    pfor = np.zeros(len(b0), dtype=bool)
+    pfor[full] = buf[b0[full]] == _TAG_PFOR
+    body = np.ones(len(buf), dtype=bool)
+    body[b0[full]] = False
+    byte_p = np.repeat(pfor, n_bytes)
+    vals = _leb128(buf[body & ~byte_p])
+    n_varint = int(counts[~pfor].sum())
+    if not pfor.any():
+        if len(vals) == n_varint:
+            return vals
+    else:
+        p_vals = pfor_decode(buf[body & byte_p].tobytes())
+        row_p = np.repeat(pfor, counts)
+        if len(vals) == n_varint and len(p_vals) == len(row_p) - n_varint:
+            out = np.empty(len(row_p), dtype=np.uint64)
+            out[row_p] = p_vals
+            out[~row_p] = vals
+            return out
+    # loud in all modes: a short stream would shift every later row's
+    # postings onto the wrong term
+    raise ValueError(f"posting buffers of rows [{lo}, {hi}) do not hold "
+                     f"{int(counts.sum())} values (dls count)")
+
+
+def decode_rows(t, lo: int = 0, hi: int | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows [lo, hi) of a segment table (``doc_ids_enc``, ``tfs_enc``,
+    ``dls_enc``) → flat int64 (doc_ids, tfs, dls) plus n+1 row offsets,
+    so row i is ``[offs[i]:offs[i + 1]]`` of each array — bit-identical
+    to :func:`decode_posting_list` / :func:`varint_decode` per row.
+
+    One vectorized pass per column over the Arrow buffers (int32 or
+    int64 offsets); per-row doc_id delta decoding is one global cumsum
+    minus each row's prefix, exact in uint64 wraparound arithmetic.  A
+    single row goes through the per-row decoders themselves."""
+    hi = t.num_rows if hi is None else hi
+    if hi - lo == 1:
+        # one row: the per-row decoders cost less than the set-up of
+        # the vectorized pass
+        ids, tfs = decode_posting_list(t["doc_ids_enc"][lo].as_py(),
+                                       t["tfs_enc"][lo].as_py())
+        dls = varint_decode(t["dls_enc"][lo].as_py()).astype(np.int64)
+        if not len(ids) == len(tfs) == len(dls):
+            raise ValueError(f"posting buffers of row {lo} do not hold "
+                             f"{len(dls)} values (dls count)")
+        return ids, tfs, dls, np.array([0, len(ids)], dtype=np.int64)
+    counts = row_value_counts(t["dls_enc"], lo, hi)
+    offs = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offs[1:])
+    d_offs, d_data = _binary_buffers(t["dls_enc"])
+    dls = _leb128(d_data[d_offs[lo]:d_offs[hi]]).astype(np.int64)
+    tfs = _tagged_rows(t["tfs_enc"], lo, hi, counts).astype(np.int64)
+    C = np.zeros(len(dls) + 1, dtype=np.uint64)
+    np.cumsum(_tagged_rows(t["doc_ids_enc"], lo, hi, counts), out=C[1:])
+    ids = (C[1:] - np.repeat(C[offs[:-1]], counts)).astype(np.int64)
+    return ids, tfs, dls, offs
 
 
 def tf_norm(tfs: np.ndarray, dls: np.ndarray, avgdl: float,

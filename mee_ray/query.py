@@ -48,7 +48,11 @@ compaction (SURVEY.md §7.5.5).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
+import threading
+import weakref
 from collections import defaultdict
 
 import numpy as np
@@ -58,122 +62,272 @@ import pyarrow.parquet as pq
 from mee_ray import manifest as mf
 from mee_ray import wand
 from mee_ray.ids import isin_sorted, positions_in_sorted, term_hash
-from mee_ray.postings import decode_posting_list, tf_norm, varint_decode
+from mee_ray.postings import (decode_positions_concat,
+                              decode_positions_subset, decode_rows,
+                              row_value_counts, tf_norm,
+                              varint_value_offsets)
 from mee_ray.scoring import idf, top_k_select
 from mee_ray.wand import DecodedCache, WandStats
 
 
+def _file_identity(path: str) -> tuple:
+    """A segment file's identity: its path plus the (st_dev, st_ino,
+    st_size, st_mtime_ns) fingerprint — the rule CachedSearcher applies
+    to manifests — so a file rebuilt at the same path is a different
+    segment and never meets the old file's cached state."""
+    st = os.stat(path)
+    return (path, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+# open segments by identity, alive while any reader holds one (so an
+# unreferenced file's handle closes and gc_epochs frees its space)
+_SEGMENTS: "weakref.WeakValueDictionary[tuple, _Segment]" = \
+    weakref.WeakValueDictionary()
+_SEGMENTS_LOCK = threading.Lock()
+# bounded row-group table LRU (one per process, charged 1 per table):
+# 512-row groups ≈ a few hundred KB each, so 256 entries cap the
+# resident payload well under a worker's heap while keeping the
+# hot-term working set loaded
+RG_CACHE_CAP = 256
+_TABLES = DecodedCache(RG_CACHE_CAP)
+_SHARD_UIDS = itertools.count()
+
+
+class _Segment:
+    """One immutable segment file, opened once per process while some
+    reader holds it: its ParquetFile and cumulative row-group bounds.
+    Everything read or decoded from it — row-group tables, decoded
+    postings, chunk metadata, positions, its term column — is cached
+    under its identity (``key``) and so outlives the readers that
+    made it."""
+
+    __slots__ = ("key", "pf", "bounds", "_nbytes", "__weakref__")
+
+    def __init__(self, key: tuple, pf: pq.ParquetFile):
+        self.key = key
+        self.pf = pf
+        self.bounds = np.cumsum([0] + [pf.metadata.row_group(g).num_rows
+                                       for g in range(pf.num_row_groups)])
+        self._nbytes = np.full(pf.num_row_groups, -1, dtype=np.int64)
+
+    @staticmethod
+    def open(path: str) -> "_Segment":
+        key = _file_identity(path)
+        with _SEGMENTS_LOCK:
+            seg = _SEGMENTS.get(key)
+        if seg is None:
+            pf = pq.ParquetFile(path)
+            if _file_identity(path) != key:
+                raise RuntimeError(f"segment {path} changed while opening")
+            with _SEGMENTS_LOCK:
+                seg = _SEGMENTS.setdefault(key, _Segment(key, pf))
+        return seg
+
+    def terms(self) -> list[str]:
+        """The term column (one entry per row), read once per process
+        while cached."""
+        key = ("terms", self.key)
+        got = wand.CACHE.get(key)
+        if got is None:
+            col = self.pf.read(columns=["term"])["term"]
+            got = wand.CACHE.put(key, col.to_pylist(),
+                                 col.nbytes + 64 * len(col))
+        return got
+
+    def row(self, ri: int) -> tuple[int, int]:
+        """(row group, row within it) of row ``ri``."""
+        g = int(np.searchsorted(self.bounds, ri, side="right")) - 1
+        return g, ri - int(self.bounds[g])
+
+    def table(self, g: int) -> pa.Table:
+        key = (self.key, g)
+        t = _TABLES.get(key)
+        if t is None:
+            t = _TABLES.put(key, self.pf.read_row_group(g), 1)
+        return t
+
+    def decode(self, g: int, lo: int, hi: int):
+        """Rows [lo, hi) of row group ``g`` through the one group
+        kernel: flat (doc_ids, tfs, dls) plus row offsets."""
+        return decode_rows(self.table(g), lo, hi)
+
+    def postings(self, ri: int, keep: bool = True
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(doc_ids, tfs, dls) of row ``ri``: slices of its row group's
+        decode, made once per process while cached.  A group whose
+        decode would take over 1/64 of the cache budget (counted
+        exactly from its dl varint end bytes, before decoding) decodes
+        only the requested row, so one hot group cannot flush the
+        cache.  ``keep=False`` reads a cached decode but caches
+        nothing: it decodes just the row."""
+        g, r = self.row(ri)
+        key = ("post", self.key, g)
+        got = wand.CACHE.get(key)
+        if got is None and keep \
+                and self.group_nbytes(g) <= wand.CACHE.budget // 64:
+            got = wand.CACHE.put(key, self.decode(g, 0, self.n_rows(g)),
+                                 self.group_nbytes(g))
+        if got is None:
+            key = ("row", self.key, ri)
+            one = wand.CACHE.get(key)
+            if one is None:
+                one = self.decode(g, r, r + 1)[:3]
+                if keep:
+                    wand.CACHE.put(key, one, sum(a.nbytes for a in one))
+            return one
+        ids, tfs, dls, offs = got
+        a, z = offs[r], offs[r + 1]
+        return ids[a:z], tfs[a:z], dls[a:z]
+
+    def n_rows(self, g: int) -> int:
+        return int(self.bounds[g + 1] - self.bounds[g])
+
+    def group_nbytes(self, g: int) -> int:
+        """Bytes of row group ``g``'s decode (three int64 arrays plus row
+        offsets), counted once from its dl varint end bytes."""
+        n = int(self._nbytes[g])
+        if n < 0:
+            n = 8 * (3 * int(row_value_counts(
+                self.table(g)["dls_enc"]).sum()) + self.n_rows(g) + 1)
+            self._nbytes[g] = n
+        return n
+
+    def pos_buffer(self, ri: int) -> bytes:
+        g, r = self.row(ri)
+        t = self.table(g)
+        if "pos_enc" not in t.schema.names:
+            raise ValueError("index was built without store_positions")
+        return t["pos_enc"][r].as_py()
+
+    def positions(self, ri: int) -> tuple[np.ndarray, np.ndarray]:
+        """(flat absolute positions, per-doc offsets) of row ``ri``,
+        decoded once per process while cached."""
+        key = ("pos", self.key, ri)
+        got = wand.CACHE.get(key)
+        if got is None:
+            flat, offs = decode_positions_concat(self.pos_buffer(ri),
+                                                 self.postings(ri)[1])
+            got = wand.CACHE.put(key, (flat, offs),
+                                 flat.nbytes + offs.nbytes)
+        return got
+
+    def chunk_meta(self, ri: int) -> tuple:
+        """Row ``ri``'s stored chunk metadata (block_last, block_max,
+        df, salt), read once per process while cached."""
+        key = ("meta", self.key, ri)
+        got = wand.CACHE.get(key)
+        if got is None:
+            g, r = self.row(ri)
+            t = self.table(g)
+            # ListScalar.values → numpy without a Python-list hop
+            got = (t["block_last"][r].values.to_numpy(
+                       zero_copy_only=False).astype(np.int64),
+                   t["block_max"][r].values.to_numpy(
+                       zero_copy_only=False).astype(np.float64),
+                   int(t["df"][r].as_py()), int(t["salt"][r].as_py()))
+            got = wand.CACHE.put(key, got,
+                                 got[0].nbytes + got[1].nbytes + 64)
+        return got
+
+
+def _chunk_postings(key: tuple, ri: int):
+    """A chunk dict's decode hook.  It names the segment by identity,
+    not by reference, so cached chunk lists and plans keep no segment
+    (and no file handle) alive — only the readers using them do.  It
+    keeps nothing it decodes: the kernel caches the chunk's
+    contributions, doc ids included, and keeping the decoded postings
+    as well would hold each posting twice."""
+    return _SEGMENTS[key].postings(ri, keep=False)
+
+
+def _base_dict(segs: list[_Segment]):
+    """term → rows over a shard's base segments, built once per process
+    while cached: a ``term → slot`` dict plus flat (segment index, row)
+    arrays grouped by slot — few GC-tracked objects however large the
+    vocabulary.  Rows keep file order, then row order."""
+    key = ("dict",) + tuple(sg.key for sg in segs)
+    got = wand.CACHE.get(key)
+    if got is not None:
+        return got
+    slots: dict[str, int] = {}
+    slot_l, ti_l, ri_l = [], [], []
+    for ti, sg in enumerate(segs):
+        terms = sg.pf.read(columns=["term"])["term"].to_pylist()
+        slot_l.append(np.fromiter(
+            (slots.setdefault(t, len(slots)) for t in terms),
+            dtype=np.int64, count=len(terms)))
+        ti_l.append(np.full(len(terms), ti, dtype=np.int64))
+        ri_l.append(np.arange(len(terms), dtype=np.int64))
+    slot = np.concatenate(slot_l) if slot_l else np.empty(0, np.int64)
+    order = np.argsort(slot, kind="stable")
+    start = np.zeros(len(slots) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(slot, minlength=len(slots)), out=start[1:])
+    tis = np.concatenate(ti_l)[order] if ti_l else slot
+    ris = np.concatenate(ri_l)[order] if ri_l else slot
+    return wand.CACHE.put(key, (slots, start, tis, ris),
+                          start.nbytes + tis.nbytes + ris.nbytes
+                          + 100 * len(slots))
+
+
 class _ShardIndex:
-    """All segment rows of one term-shard (base + delta segments),
-    with a term → [(file, row)] dictionary built once.
-
-    Memory discipline for scale: the constructor reads ONLY the `term`
-    column of each segment file (parquet column pruning) to build the
-    dictionary; posting payloads load lazily per ROW GROUP on first
-    touch (segments are written with bounded row groups), so an actor
-    serving a cold shard holds the dictionary plus just the row groups
-    its queries actually hit."""
-
-    # bounded row-group cache: 512-row groups ≈ a few hundred KB each,
-    # so 256 entries cap a cold shard's resident payload well under a
-    # worker's heap while keeping the hot-term working set loaded
-    RG_CACHE_CAP = 256
+    """One snapshot's view of one term-shard: its base segments (whose
+    dictionary is shared by every snapshot over the same files) plus
+    its delta segments (whose rows this view indexes).  Row groups are
+    read and decoded lazily, once per process, into the shared caches
+    (see :class:`_Segment`); a reopen after ``apply_delta`` therefore
+    opens only the new delta record's files."""
 
     def __init__(self, files: list[str], delta_files: list[str] = (),
                  file_hints: dict[str, float] | None = None,
-                 file_seqs: dict[str, int] | None = None,
-                 shard_id: int | None = None,
-                 delta_dict: dict | None = None, *,
-                 cache: DecodedCache):
-        from collections import OrderedDict
-        self.files: list[pq.ParquetFile] = []
-        self.is_delta: list[bool] = []
-        self.rows: dict[str, list[tuple[int, int]]] = defaultdict(list)
-        self._rg_cache: "OrderedDict[tuple[int, int], object]" = OrderedDict()
-        # decoded postings, positions and chunk metadata, in the owning
-        # Searcher's byte-bounded LRU (keys carry the shard id)
-        self._cache = cache
-        self._sid = shard_id
-        self._rg_bounds: list[np.ndarray] = []
-        self._hints: list[float] = []
-        self._seqs: list[int] = []
-        file_hints = file_hints or {}
-        file_seqs = file_seqs or {}
-        for f, d in [(f, False) for f in files] + [(f, True) for f in delta_files]:
-            pf = pq.ParquetFile(f)
-            ti = len(self.files)
-            self.files.append(pf)
-            self.is_delta.append(d)
-            self._hints.append(float(file_hints.get(f, 0.0)))
-            self._seqs.append(int(file_seqs.get(f, 0)))
-            # cumulative row offsets per row group → row → group lookup
-            sizes = [pf.metadata.row_group(g).num_rows
-                     for g in range(pf.num_row_groups)]
-            self._rg_bounds.append(np.cumsum([0] + sizes))
-            if d and delta_dict is not None:
-                # delta files span shards: the owning Searcher read
-                # each delta file's term column ONCE and shared
-                # (terms, shard-of-term) across its shards — without
-                # this an S-shard searcher re-reads and re-parses
-                # every delta dictionary S times.  Keep only this
-                # shard's terms so dictionary memory stays O(own
-                # terms), not O(all × shards).
-                terms, shards = delta_dict[f]
-                for ri in np.nonzero(shards == shard_id)[0]:
-                    self.rows[terms[ri]].append((ti, int(ri)))
-                continue
-            terms = pf.read(columns=["term"])["term"].to_pylist()
-            for ri, term in enumerate(terms):
-                self.rows[term].append((ti, ri))
+                 file_seqs: dict[str, int] | None = None):
+        paths = list(files) + list(delta_files)
+        self.segs = [_Segment.open(f) for f in paths]
+        self.is_delta = [False] * len(files) + [True] * len(delta_files)
+        self._hints = [float((file_hints or {}).get(f, 0.0)) for f in paths]
+        self._seqs = [int((file_seqs or {}).get(f, 0)) for f in paths]
+        # per-snapshot key prefix of this view's term → chunk lists
+        self._uid = next(_SHARD_UIDS)
+        self._base = _base_dict(self.segs[:len(files)])
+        self._delta: dict[str, list[tuple[int, int]]] = defaultdict(list)
+        for ti in range(len(files), len(paths)):
+            for ri, term in enumerate(self.segs[ti].terms()):
+                self._delta[term].append((ti, ri))
 
-    def _row(self, ti: int, ri: int) -> tuple[object, int]:
-        """(row_group table, local row index) — row groups LRU-cached."""
-        bounds = self._rg_bounds[ti]
-        g = int(np.searchsorted(bounds, ri, side="right")) - 1
-        key = (ti, g)
-        t = self._rg_cache.get(key)
-        if t is None:
-            t = self._rg_cache[key] = self.files[ti].read_row_group(g)
-            if len(self._rg_cache) > self.RG_CACHE_CAP:
-                self._rg_cache.popitem(last=False)
-        else:
-            self._rg_cache.move_to_end(key)
-        return t, ri - int(bounds[g])
+    def locs(self, term: str) -> list[tuple[int, int]]:
+        """[(segment index, row)] of every stored chunk of ``term``:
+        base chunks first, then delta chunks in delta-log order."""
+        slots, start, tis, ris = self._base
+        j = slots.get(term)
+        out = [] if j is None else list(zip(
+            tis[start[j]:start[j + 1]].tolist(),
+            ris[start[j]:start[j + 1]].tolist()))
+        more = self._delta.get(term)
+        return out + more if more else out
+
+    def terms(self) -> set[str]:
+        return set(self._base[0]) | set(self._delta)
 
     def _decode_row(self, ti: int, ri: int):
-        key = ("post", self._sid, ti, ri)
-        got = self._cache.get(key)
-        if got is not None:
-            return got
-        t, r = self._row(ti, ri)
-        ids, tfs = decode_posting_list(t["doc_ids_enc"][r].as_py(),
-                                       t["tfs_enc"][r].as_py())
-        dls = varint_decode(t["dls_enc"][r].as_py()).astype(np.int64)
-        return self._cache.put(key, (ids, tfs, dls),
-                               ids.nbytes + tfs.nbytes + dls.nbytes)
+        return self.segs[ti].postings(ri)
 
     def prefetch(self, max_groups: int | None = None) -> int:
-        """Index warmer (the ES warm-up analog): load posting row
-        groups into the LRU up to its cap so a freshly-started query
-        actor serves its FIRST queries at warm latency (cold first
-        touch costs ~100s of ms per row group; measured in bench.py).
-        Bounded by RG_CACHE_CAP, so on an index too large to cache the
-        warmer loads the first cap-worth and lazy loading covers the
-        rest — never more memory than steady state would use."""
-        cap = self.RG_CACHE_CAP if max_groups is None \
-            else min(max_groups, self.RG_CACHE_CAP)
+        """Index warmer (the ES warm-up analog): read this shard's row
+        group tables into the shared table LRU, up to its cap, so a
+        freshly started query actor skips the first-touch reads (~0.4
+        ms per row group; decoding one is ~1.7 ms more and stays
+        lazy).  Round-robin across files so a capped warm covers the
+        FRONT of every segment file (terms are sorted within a file,
+        so breadth beats depth for arbitrary first queries)."""
+        cap = RG_CACHE_CAP if max_groups is None \
+            else min(max_groups, RG_CACHE_CAP)
         loaded = 0
-        # round-robin across files so a capped warm covers the FRONT
-        # of every segment file instead of exhausting the budget on
-        # the first file (terms are sorted within a file, so breadth
-        # beats depth for arbitrary first queries)
-        max_g = max((pf.num_row_groups for pf in self.files), default=0)
+        max_g = max((sg.pf.num_row_groups for sg in self.segs), default=0)
         for g in range(max_g):
-            for ti, pf in enumerate(self.files):
-                if len(self._rg_cache) >= cap:
+            for sg in self.segs:
+                if loaded >= cap:
                     return loaded
-                if g < pf.num_row_groups and (ti, g) not in self._rg_cache:
-                    self._rg_cache[(ti, g)] = pf.read_row_group(g)
+                if g < sg.pf.num_row_groups and (sg.key, g) not in _TABLES:
+                    sg.table(g)
                     loaded += 1
         return loaded
 
@@ -184,41 +338,23 @@ class _ShardIndex:
         source than the tombstone that killed the older copy), so order
         across chunks is irrelevant to per-doc accumulation — but live
         filtering must be per source (postings_by_source)."""
-        locs = self.rows.get(term)
-        if not locs:
+        parts = [self._decode_row(ti, ri) for ti, ri in self.locs(term)]
+        if not parts:
             z = np.empty(0, dtype=np.int64)
             return z, z, z
-        ids_l, tfs_l, dls_l = [], [], []
-        for ti, ri in locs:
-            ids, tfs, dls = self._decode_row(ti, ri)
-            ids_l.append(ids); tfs_l.append(tfs); dls_l.append(dls)
-        return (np.concatenate(ids_l), np.concatenate(tfs_l),
-                np.concatenate(dls_l))
+        return tuple(np.concatenate(c) for c in zip(*parts))
 
     def postings_by_source(self, term: str):
         """[(source_seq, doc_ids, tfs, dls)] per stored chunk — the
         sequenced-tombstone filter needs each chunk's source seq (base
         segments = 0, delta segments = their record seq)."""
-        out = []
-        for ti, ri in self.rows.get(term, ()):
-            ids, tfs, dls = self._decode_row(ti, ri)
-            out.append((self._seqs[ti], ids, tfs, dls))
-        return out
+        return [(self._seqs[ti],) + self._decode_row(ti, ri)
+                for ti, ri in self.locs(term)]
 
     def _positions_row(self, ti: int, ri: int):
         """(flat absolute positions, per-doc offsets) for one stored
-        chunk — decoded lazily, cached alongside the posting LRU."""
-        from mee_ray.postings import decode_positions_concat
-        key = ("pos", self._sid, ti, ri)
-        got = self._cache.get(key)
-        if got is not None:
-            return got
-        t, r = self._row(ti, ri)
-        if "pos_enc" not in t.schema.names:
-            raise ValueError("index was built without store_positions")
-        _, tfs, _ = self._decode_row(ti, ri)
-        flat, offs = decode_positions_concat(t["pos_enc"][r].as_py(), tfs)
-        return self._cache.put(key, (flat, offs), flat.nbytes + offs.nbytes)
+        chunk."""
+        return self.segs[ti].positions(ri)
 
     def _positions_subset(self, ti: int, ri: int, keep: np.ndarray,
                           tfs: np.ndarray) -> np.ndarray:
@@ -228,58 +364,50 @@ class _ShardIndex:
         runs via cached varint value-boundary offsets, so first touch
         of a hot term's position blob costs O(kept positions), not
         O(chunk positions) — the phrase-tail fix."""
-        from mee_ray.postings import (decode_positions_subset,
-                                      varint_value_offsets)
-        full = self._cache.get(("pos", self._sid, ti, ri))
+        sg = self.segs[ti]
+        full = wand.CACHE.get(("pos", sg.key, ri))
         if full is None and keep.mean() > 0.5:
             # majority survives: the full decode costs about the same
             # and its cache entry serves every later query
-            full = self._positions_row(ti, ri)
+            full = sg.positions(ri)
         if full is not None:
             return full[0][np.repeat(keep, tfs)]
-        key = ("posoff", self._sid, ti, ri)
-        off = self._cache.get(key)
-        t, r = self._row(ti, ri)
-        if "pos_enc" not in t.schema.names:
-            raise ValueError("index was built without store_positions")
-        buf = t["pos_enc"][r].as_py()
+        buf = sg.pos_buffer(ri)
+        key = ("posoff", sg.key, ri)
+        off = wand.CACHE.get(key)
         if off is None:
             off = varint_value_offsets(buf)
-            self._cache.put(key, off, off.nbytes)
+            wand.CACHE.put(key, off, off.nbytes)
         flat, _ = decode_positions_subset(buf, tfs,
                                           np.flatnonzero(keep), off)
         return flat
 
-
     def chunk_meta(self, term: str) -> list[dict]:
         """Per-chunk metadata WITHOUT decoding postings: stored block
-        boundaries + max impacts, df, delta flag, and a lazy decode
-        hook — the inputs of the block-max top-k kernel.  Built once
-        per snapshot while it stays in the cache; the returned dicts
-        are shared, so callers must not write to them."""
-        locs = self.rows.get(term)
-        if not locs:
-            return []
-        key = ("meta", self._sid, term)
-        got = self._cache.get(key)
+        boundaries + max impacts, df, delta flag, the chunk's ``id``
+        (segment identity, row) and a lazy decode hook — the inputs of
+        the block-max top-k kernel.  Built once per snapshot while it
+        stays in the cache, from the segments' shared per-row
+        metadata; the returned dicts are shared, so callers must not
+        write to them."""
+        key = ("chunks", self._uid, term)
+        got = wand.CACHE.get(key)
         if got is not None:
             return got
         out = []
-        for ti, ri in locs:
-            t, r = self._row(ti, ri)
+        for ti, ri in self.locs(term):
+            sg = self.segs[ti]
+            last, bmax, df, salt = sg.chunk_meta(ri)
             out.append({
-                # ListScalar.values → numpy without a Python-list hop
-                "block_last": t["block_last"][r].values.to_numpy(
-                    zero_copy_only=False).astype(np.int64),
-                "block_max": t["block_max"][r].values.to_numpy(
-                    zero_copy_only=False).astype(np.float64),
-                "df": int(t["df"][r].as_py()),
-                "salt": int(t["salt"][r].as_py()),
-                "delta": self.is_delta[ti],
-                "hint_avgdl": self._hints[ti],
-                "decode": (lambda ti=ti, ri=ri: self._decode_row(ti, ri)),
+                "block_last": last, "block_max": bmax, "df": df,
+                "salt": salt,
+                "delta": self.is_delta[ti], "hint_avgdl": self._hints[ti],
+                "id": (sg.key, ri),
+                "decode": functools.partial(_chunk_postings, sg.key, ri),
             })
-        return self._cache.put(key, out, sum(
+        if not out:
+            return out
+        return wand.CACHE.put(key, out, 64 * len(out) + sum(
             c["block_last"].nbytes + c["block_max"].nbytes for c in out))
 
 
@@ -1088,24 +1216,21 @@ class Searcher(QueryPlanner):
         self.tomb_ids, self.tomb_seqs = mf.tombstone_index(self.manifest)
         self.tombstones = self.tomb_ids   # gate: any pending deletes?
         self.query_stats = WandStats()
-        # one byte-bounded LRU for every shard's decoded postings,
-        # positions, chunk metadata and merged delta streams — valid
-        # for this snapshot's lifetime (immutable files)
-        self._cache = DecodedCache()
         self._shards: dict[int, _ShardIndex] = {}
-        self._delta_dict_cache: dict | None = None
         self._subset = set(shard_subset) if shard_subset is not None else None
         base, delta = _segment_files(index_root, self.manifest)
-        # group files by shard: part = shard * parts_per_shard + r, so a
-        # base partition file maps to exactly one shard = part // pps;
-        # delta files may hold several shards (they're small — filtered
-        # by the per-shard term dict at load)
+        # group files by shard: part = shard * parts_per_shard + r, and
+        # delta segments are written by the build's part function too
+        # (one file per part), so every segment file maps to exactly
+        # one shard = part // pps
         pps = self.manifest["parts_per_shard"]
         self._files_by_shard: dict[int, list[str]] = defaultdict(list)
-        for f in base:
-            part = int(os.path.basename(f).split("-")[1].split(".")[0])
-            self._files_by_shard[part // pps].append(f)
-        self._delta_files = delta
+        self._deltas_by_shard: dict[int, list[str]] = defaultdict(list)
+        for files, by_shard in ((base, self._files_by_shard),
+                                (delta, self._deltas_by_shard)):
+            for f in files:
+                part = int(os.path.basename(f).split("-")[1].split(".")[0])
+                by_shard[part // pps].append(f)
         # per-segment block-max hint base: segments copied verbatim
         # across compactions keep the avgdl their hints were computed
         # at; missing (older manifests) → the epoch's avgdl
@@ -1118,30 +1243,13 @@ class Searcher(QueryPlanner):
                            for d in self.manifest.get("deltas", [])
                            for f in d.get("segments", [])}
 
-    def _delta_dict(self) -> dict:
-        """file → (term list, shard-of-term int64 array) for every
-        delta segment file, read ONCE per Searcher and shared by all
-        its _ShardIndex instances (a per-shard read would re-parse
-        every delta dictionary once per owned shard)."""
-        if self._delta_dict_cache is None:
-            ns = self.num_shards
-            out = {}
-            for f in self._delta_files:
-                terms = pq.read_table(f, columns=["term"])["term"].to_pylist()
-                out[f] = (terms, np.fromiter(
-                    (term_hash(t) % ns for t in terms),
-                    dtype=np.int64, count=len(terms)))
-            self._delta_dict_cache = out
-        return self._delta_dict_cache
-
     def _shard(self, s: int) -> _ShardIndex:
         got = self._shards.get(s)
         if got is None:
-            files = list(self._files_by_shard.get(s, []))
             got = self._shards[s] = _ShardIndex(
-                files, self._delta_files, self._file_hints,
-                self._file_seqs, shard_id=s,
-                delta_dict=self._delta_dict(), cache=self._cache)
+                self._files_by_shard.get(s, []),
+                self._deltas_by_shard.get(s, []), self._file_hints,
+                self._file_seqs)
         return got
 
     def owns(self, shard: int) -> bool:
@@ -1312,7 +1420,7 @@ class Searcher(QueryPlanner):
                     np.empty(0, np.int64))
         shard = self._shard(s)
         ids_l, tf_l, flat_l = [], [], []
-        for chunk_i, (ti, ri) in enumerate(shard.rows.get(term, ())):
+        for ti, ri in shard.locs(term):
             seq = shard._seqs[ti]
             ids, tfs, _dls = shard._decode_row(ti, ri)
             keep = None
@@ -1427,7 +1535,7 @@ class Searcher(QueryPlanner):
             out: set[str] = set()
             for sh in range(self.num_shards):
                 if self.owns(sh):
-                    out.update(self._shard(sh).rows.keys())
+                    out.update(self._shard(sh).terms())
             self._vocab = sorted(out)
         return self._vocab
 
@@ -1509,7 +1617,7 @@ class Searcher(QueryPlanner):
             term_chunks, k, self.n_docs, self.avgdl,
             self.manifest.get("avgdl") or self.avgdl, self.k1, self.b,
             block_size=self.manifest.get("block_size", 128), stats=stats,
-            merge_cache=self._cache, allowed=allowed)
+            merge_cache=wand.CACHE, allowed=allowed)
 
 
 def _deletions1(t: str) -> set[str]:

@@ -56,6 +56,7 @@ chunk no batch reaches is never decoded.
 from __future__ import annotations
 
 import math
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -64,7 +65,7 @@ from mee_ray.ids import isin_sorted
 from mee_ray.postings import block_metadata, tf_norm
 from mee_ray.scoring import top_k_select
 
-__all__ = ["DecodedCache", "WandStats", "search_wand"]
+__all__ = ["CACHE", "DecodedCache", "WandStats", "search_wand"]
 
 
 class WandStats:
@@ -90,27 +91,42 @@ class WandStats:
 
 _FLOAT_HEADROOM = 1.0 + 1e-9
 
-# byte budget of the decoded-postings cache (one per Searcher / per
-# ShardActor): decoded postings, positions, chunk metadata and merged
-# delta streams all charge their array bytes against it
+# byte budget of the decoded-postings cache, one per process (so one
+# per shard actor) and shared by every reader over any snapshot:
+# segment dictionaries, decoded postings, positions, chunk metadata,
+# kernel arrays and merged delta streams all charge their array bytes
+# against it
 _MERGE_CACHE_BYTES = 64 * 1024 * 1024
 
 
 class DecodedCache:
     """LRU charged in array bytes and bounded by ``budget``.  An entry
     larger than the whole budget is served to its caller but never
-    kept, so resident bytes never exceed the budget."""
+    kept, so resident bytes never exceed the budget.  Reader threads
+    may share an instance: ``put`` (the only writer of ``nbytes``)
+    holds a lock, and ``get`` makes two single C-level OrderedDict
+    calls, each atomic under the interpreter lock for these keys
+    (tuples of str/int/float), tolerating an eviction between them.
+    Keys must name immutable state (a segment file's identity, never a
+    path alone), since entries outlive the reader that made them."""
 
     def __init__(self, budget: int = _MERGE_CACHE_BYTES):
         self.budget = budget
         self.nbytes = 0
         self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __contains__(self, key) -> bool:
+        return key in self._entries
 
     def get(self, key):
         got = self._entries.get(key)
         if got is None:
             return None
-        self._entries.move_to_end(key)
+        try:
+            self._entries.move_to_end(key)
+        except KeyError:            # evicted by another thread meanwhile
+            pass
         return got[0]
 
     def put(self, key, value, nbytes: int):
@@ -118,14 +134,24 @@ class DecodedCache:
         used entries to fit) and return it."""
         if nbytes > self.budget:
             return value
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.nbytes -= old[1]
-        self._entries[key] = (value, nbytes)
-        self.nbytes += nbytes
-        while self.nbytes > self.budget:
-            self.nbytes -= self._entries.popitem(last=False)[1][1]
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self.nbytes -= old[1]
+            self._entries[key] = (value, nbytes)
+            self.nbytes += nbytes
+            while self.nbytes > self.budget:
+                self.nbytes -= self._entries.popitem(last=False)[1][1]
         return value
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
+# the process's one decoded-state cache (query.Searcher uses it)
+CACHE = DecodedCache()
 
 
 def _chunks_need_merge(chunks: list[dict]) -> bool:
@@ -177,12 +203,11 @@ class _Term:
     the kernel's own — the caller's chunk dicts are shared and never
     written."""
 
-    __slots__ = ("key", "w", "chunks", "df", "last", "ub", "chunk_of",
-                 "nbytes")
+    __slots__ = ("w", "chunks", "df", "last", "ub", "chunk_of", "nbytes",
+                 "ckeys")
 
     def __init__(self, key: tuple, w: float, chunks: list[dict], df: int,
                  scale: float, avgdl: float):
-        self.key = key
         self.w = w
         self.df = df
         self.chunks = chunks = sorted(
@@ -207,15 +232,25 @@ class _Term:
         self.chunk_of[-1] = -1
         self.nbytes = (self.ub.nbytes + self.last.nbytes
                        + self.chunk_of.nbytes)
+        # cache keys of the chunks' contributions, built once per plan
+        # (none for a plan kept uncached)
+        self.ckeys = None if key is None else [
+            key + (ci,) for ci in range(len(chunks))]
 
     def scores(self, ci: int, avgdl: float, k1: float, b: float,
                cache: DecodedCache | None):
         """(doc_ids, exact contributions ``w · tf_norm``) of chunk
-        ``ci`` — computed once per snapshot while cached."""
-        key = self.key + (ci,)
+        ``ci`` — computed once per plan while cached."""
+        if self.ckeys is None:
+            cache = None
+        key = self.ckeys[ci] if cache is not None else None
         got = cache.get(key) if cache is not None else None
         if got is None:
             ids, tfs, dls = self.chunks[ci]["decode"]()
+            if ids.base is not None:
+                # a slice of a cached decode: own the ids, so keeping
+                # them does not pin the whole decode uncharged
+                ids = ids.copy()
             got = (ids, self.w * tf_norm(tfs, dls, avgdl, k1, b))
             if cache is not None:
                 cache.put(key, got, ids.nbytes + got[1].nbytes)
@@ -226,10 +261,15 @@ def _plan_term(term: str, w: float, chunks: list[dict], scale: float,
                avgdl: float, k1: float, b: float, block_size: int,
                cache: DecodedCache | None) -> _Term:
     """The term's kernel arrays, kept in ``cache`` under
-    ``("plan", term, w, avgdl, scale)`` — a term's chunk list is fixed
-    for one snapshot, so repeated queries skip the rebuild (and, for a
-    delta-bearing term, the eager merge)."""
-    key = ("plan", term, w, avgdl, scale)
+    ``("plan", term, w, avgdl, k1, b, scale, chunk ids)`` — the chunk ids
+    (each chunk's ``"id"``: segment identity and row) pin the plan to
+    one chunk list, so two snapshots never share a plan, and repeated
+    queries skip the rebuild (and, for a delta-bearing term, the eager
+    merge).  Chunks without an ``"id"`` are planned uncached."""
+    ids = tuple([c.get("id") for c in chunks])
+    if None in ids:
+        cache = None
+    key = ("plan", term, w, avgdl, k1, b, scale, ids)
     got = cache.get(key) if cache is not None else None
     if got is not None:
         return got
@@ -238,7 +278,8 @@ def _plan_term(term: str, w: float, chunks: list[dict], scale: float,
     if _chunks_need_merge(chunks):
         chunks = _merge_delta_chunks(chunks, k1, b, avgdl, block_size)
         nbytes = sum(a.nbytes for a in chunks[0]["decode"]())
-    t = _Term(key, w, chunks, df, scale, avgdl)
+    t = _Term(key if cache is not None else None, w, chunks, df, scale,
+              avgdl)
     if cache is not None:
         cache.put(key, t, nbytes + t.nbytes)
     return t
@@ -255,9 +296,10 @@ def search_wand(term_chunks: dict[str, tuple[float, list[dict]]],
 
     term_chunks must be keyed by the query's unique terms; scoring
     accumulates in sorted-term order (the determinism contract).
-    ``merge_cache`` keeps each term's kernel arrays and merged delta
-    stream across queries; it must belong to one snapshot, where a
-    term's chunk list never changes.
+    ``merge_cache`` keeps each term's kernel arrays, per-chunk
+    contributions and merged delta stream across queries, keyed by the
+    term's chunk ids (see :func:`_plan_term`), so it may be shared by
+    readers of any snapshot.
 
     ``allowed`` (sorted int64 doc_ids) is the filter-context pushdown:
     documents outside the set are never SCORED (scored postings are

@@ -344,35 +344,40 @@ def test_kernel_edge_cases_equal_merge_partials(case):
 
 
 def _count_decodes(monkeypatch):
-    """Count calls of the posting-list decoder the shards use."""
+    """Count calls of the row-group kernel the shards decode through;
+    each entry is the number of rows that call decoded."""
     import mee_ray.query as q
 
     calls = []
-    real = q.decode_posting_list
+    real = q.decode_rows
 
     def counting(*a):
-        calls.append(1)
-        return real(*a)
+        got = real(*a)
+        calls.append(len(got[3]) - 1)
+        return got
 
-    monkeypatch.setattr(q, "decode_posting_list", counting)
+    monkeypatch.setattr(q, "decode_rows", counting)
     return calls
 
 
 def test_cyclic_stream_second_pass_decodes_nothing(built_index, monkeypatch):
     """One shard's whole vocabulary — more than 128 distinct chunk rows
-    — queried as a cyclic stream: every row decoded in the first pass
-    is still cached in the second, so the second pass decodes zero
-    posting lists."""
+    — queried as a cyclic stream from an empty process cache: the
+    first pass decodes every row, and every row it decoded is still
+    cached in the second, so the second pass calls the kernel zero
+    times."""
+    from mee_ray import wand
     from mee_ray.ids import term_hash
 
+    wand.CACHE.clear()
     s = Searcher(built_index["index_root"])
-    sh = max(range(s.num_shards), key=lambda i: len(s._shard(i).rows))
+    sh = max(range(s.num_shards), key=lambda i: len(s._shard(i).terms()))
     terms = sorted(t for t in s.vocabulary()
                    if term_hash(t) % s.num_shards == sh)
-    assert sum(len(s._shard(sh).rows[t]) for t in terms) > 128
+    assert sum(len(s._shard(sh).locs(t)) for t in terms) > 128
     calls = _count_decodes(monkeypatch)
     first = [s.search([t], 10) for t in terms]
-    assert len(calls) > 128
+    assert sum(calls) > 128
     calls.clear()
     assert [s.search([t], 10) for t in terms] == first
     assert calls == []
@@ -385,29 +390,34 @@ def test_decoded_cache_stays_within_its_byte_budget(built_index,
                                                     monkeypatch):
     """Resident bytes never exceed the budget, and a posting list
     larger than the whole budget is answered exactly but not kept."""
+    from mee_ray import wand
     from mee_ray.ids import term_hash
     from mee_ray.wand import _MERGE_CACHE_BYTES, DecodedCache
 
     assert DecodedCache().budget == _MERGE_CACHE_BYTES
+    assert wand.CACHE.budget == _MERGE_CACHE_BYTES
     oracle = built_index["oracle"]
     s = Searcher(built_index["index_root"])
-    assert s._cache.budget == _MERGE_CACHE_BYTES
     # the largest posting list stored as one chunk row
     hot = next(t for t in sorted(oracle.postings,
                                  key=lambda t: -len(oracle.postings[t]))
-               if len(s._shard(term_hash(t) % s.num_shards).rows[t]) == 1)
+               if len(s._shard(term_hash(t) % s.num_shards).locs(t)) == 1)
     sh = term_hash(hot) % s.num_shards
     hot_bytes = sum(a.nbytes for a in s._shard(sh).postings(hot))
+    # the process-wide cache, shrunk for this test only (monkeypatch
+    # restores its budget) and emptied so the small budget holds
+    cache = wand.CACHE
+    monkeypatch.setattr(cache, "budget", hot_bytes // 2)
+    cache.clear()
     s = Searcher(built_index["index_root"])
-    s._cache.budget = hot_bytes // 2
     docs = [(i, c) for i, (_, c) in enumerate(built_index["live"].values())]
     for q in make_query_set(docs, n_queries=60, seed=31):
         assert s.search(q["terms"], q["k"]) == \
             oracle.search(q["terms"], q["k"]), q["terms"]
-        assert 0 < s._cache.nbytes <= s._cache.budget
+        assert 0 < cache.nbytes <= cache.budget
     calls = _count_decodes(monkeypatch)
     for _ in range(2):
         calls.clear()
         assert s.search([hot], 10) == oracle.search([hot], 10)
         assert len(calls) == 1                  # decoded, not kept
-        assert s._cache.nbytes <= s._cache.budget
+        assert cache.nbytes <= cache.budget
