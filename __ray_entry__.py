@@ -29,12 +29,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from mee_ray.pipelines import (cluster, docbuild, export, fulltext,
                                    geo, relational, sketches, text,
                                    training, vector)
-    from mee_ray.stages.multimodal import (multimodal_audio_features,
-                                           multimodal_image_meta,
-                                           multimodal_png_real,
-                                           multimodal_retrieval,
-                                           multimodal_video_frames,
-                                           multimodal_wav_real)
+    from mee_ray.stages import multimodal
 
     out: dict[str, Callable[[str], Any]] = {}
     out.update(relational.QUERIES)
@@ -47,13 +42,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     out.update(geo.QUERIES)
     out.update(export.QUERIES)
     out.update(training.QUERIES)
-    out["multimodal_image_meta"] = multimodal_image_meta
-    out["multimodal_audio_features"] = multimodal_audio_features
-    out["multimodal_video_frames"] = multimodal_video_frames
-    out["multimodal_retrieval"] = multimodal_retrieval
-    # REAL encoded bytes through the same actor protocol
-    out["multimodal_wav_real"] = multimodal_wav_real
-    out["multimodal_png_real"] = multimodal_png_real
+    out.update(multimodal.QUERIES)
     from mee_ray.pipelines.hybrid import rrf_hybrid_topk
     # rows-only by design (BM25 side is not SQL-expressible); the
     # fusion is exactness-tested against a driver recompute over the
@@ -66,9 +55,7 @@ def oracle_sql() -> dict[str, str]:
     from mee_ray.pipelines import (cluster, docbuild, export, fulltext,
                                    geo, relational, sketches, text,
                                    training, vector)
-    from mee_ray.stages.multimodal import (AUDIO_SQL, MULTIMODAL_SQL,
-                                           PNG_REAL_SQL, RETRIEVAL_SQL,
-                                           VIDEO_SQL, WAV_REAL_SQL)
+    from mee_ray.stages import multimodal
 
     out: dict[str, str] = {}
     out.update(relational.ORACLE)
@@ -81,10 +68,5 @@ def oracle_sql() -> dict[str, str]:
     out.update(geo.ORACLE)
     out.update(export.ORACLE)
     out.update(training.ORACLE)
-    out["multimodal_image_meta"] = MULTIMODAL_SQL
-    out["multimodal_video_frames"] = VIDEO_SQL
-    out["multimodal_audio_features"] = AUDIO_SQL
-    out["multimodal_wav_real"] = WAV_REAL_SQL
-    out["multimodal_png_real"] = PNG_REAL_SQL
-    out["multimodal_retrieval"] = RETRIEVAL_SQL
+    out.update(multimodal.ORACLE)
     return out

@@ -393,7 +393,7 @@ def make_encode_partition(seg_dir: str, avgdl: float, cfg: EngineConfig):
     def encode_partition(group: pa.Table) -> pa.Table:
         import json
         part = int(group["part"][0].as_py())
-        final = os.path.join(seg_dir, f"part-{part:05d}.parquet")
+        final = os.path.join(seg_dir, mf.segment_file_name(part))
         sidecar = final + ".lineage.json"
         if os.path.exists(final) and os.path.exists(sidecar):
             with open(sidecar) as f:

@@ -141,12 +141,6 @@ class EngineConfig:
     dedup_mode: str = "driver"
     dedup_buckets: int = 256        # shuffle-mode partition count
 
-    def shard_of_part(self, part: int) -> int:
-        """Inverse of the build's part layout: part = shard *
-        parts_per_shard + sub, so shard = part // parts_per_shard
-        (the mapping the query path uses, mee_ray/query.py)."""
-        return part // self.parts_per_shard
-
     @property
     def num_parts(self) -> int:
         return self.num_shards * self.parts_per_shard

@@ -41,6 +41,20 @@ def _atomic_write_json(path: str, obj: dict) -> None:
     os.replace(tmp, path)
 
 
+def segment_file_name(part: int) -> str:
+    """Name of partition ``part``'s segment file, base and delta alike."""
+    return f"part-{part:05d}.parquet"
+
+
+def part_of_file(path: str) -> int:
+    """Partition number encoded in a segment file name
+    (:func:`segment_file_name`).  Base and delta segments are written by
+    the same ``build.make_encode_partition`` with the same part
+    function, so the file name IS the routing — merge and query need no
+    per-row re-hash."""
+    return int(os.path.basename(path).split("-")[1].split(".")[0])
+
+
 def epoch_dir(index_root: str, epoch: str) -> str:
     return os.path.join(index_root, "epochs", epoch)
 

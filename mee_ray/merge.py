@@ -34,14 +34,6 @@ class CompactTargetExists(RuntimeError):
     it meant to fold is usually already folded."""
 
 
-def _part_of_file(path: str) -> int:
-    """Partition number encoded in a segment file name (part-NNNNN.parquet).
-    Base and delta segments are written by the same
-    ``make_encode_partition`` with the same part function, so the file
-    name IS the routing — no per-row re-hash needed at merge time."""
-    return int(os.path.basename(path).split("-")[1].split(".")[0])
-
-
 def partition_plan(manifest: dict) -> list[dict]:
     """Per-partition merge work list.
 
@@ -56,10 +48,10 @@ def partition_plan(manifest: dict) -> list[dict]:
     by_part_delta: dict[int, list[str]] = {}
     by_part_seqs: dict[int, list[int]] = {}
     for s in manifest["segments"]:
-        by_part.setdefault(_part_of_file(s["path"]), []).append(s["path"])
+        by_part.setdefault(mf.part_of_file(s["path"]), []).append(s["path"])
     for d in manifest.get("deltas", []):
         for f in d.get("segments", []):
-            p = _part_of_file(f)
+            p = mf.part_of_file(f)
             by_part_delta.setdefault(p, []).append(f)
             by_part_seqs.setdefault(p, []).append(d["seq"])
     return [{"part": p, "files": by_part.get(p, []),

@@ -33,13 +33,6 @@ def _read(sf_dir: str, table: str, columns=None):
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
-def _round_cols(t: pa.Table, cols: dict[str, int]) -> pa.Table:
-    for name, nd in cols.items():
-        i = t.schema.get_field_index(name)
-        t = t.set_column(i, name, pc.round(t[name], ndigits=nd))
-    return t
-
-
 def _int_scaled(t: pa.Table, cols: dict[str, float]) -> pa.Table:
     """Replace float aggregate columns by BIGINT fixed-point values
     (``rint(x * scale)``).  Float aggregates differ across engines by

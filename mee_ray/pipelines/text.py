@@ -873,14 +873,6 @@ def _char_gram_sets_batch(texts: list, n: int):
     return d, gg
 
 
-def _gram_hashes(text: str, n: int) -> np.ndarray:
-    """Scalar form of :func:`_char_gram_sets_batch` (tests /
-    one-off callers): sorted unique hashes of one string's char
-    n-grams."""
-    _, g = _char_gram_sets_batch([text], n)
-    return g
-
-
 ADJ_SAMPLE_TARGET = 4096   # expected boundary-sample size, corpus-independent
 
 
@@ -2981,13 +2973,8 @@ class _DsirGramBase(TextStats):
             self._memo[t] = hit
         return hit
 
-    def doc_buckets(self, texts: list):
-        """(didx, bucket_per_gram, gram_count_per_doc) for one batch
-        (list form kept for tests; the column form is the hot path)."""
-        return self.doc_buckets_col(
-            pa.array([x or "" for x in texts], pa.string()))
-
     def doc_buckets_col(self, col):
+        """(didx, bucket_per_gram, gram_count_per_doc) for one batch."""
         from mee_ray.pipelines.gramhash import tokenize_flat
         flat, didx_t, lens_t = tokenize_flat(col, mode="regex")
         lens = np.where(lens_t > 0, 2 * lens_t - 1, 0).astype(np.int64)

@@ -1229,8 +1229,7 @@ class Searcher(QueryPlanner):
         for files, by_shard in ((base, self._files_by_shard),
                                 (delta, self._deltas_by_shard)):
             for f in files:
-                part = int(os.path.basename(f).split("-")[1].split(".")[0])
-                by_shard[part // pps].append(f)
+                by_shard[mf.part_of_file(f) // pps].append(f)
         # per-segment block-max hint base: segments copied verbatim
         # across compactions keep the avgdl their hints were computed
         # at; missing (older manifests) → the epoch's avgdl
@@ -1501,8 +1500,7 @@ class Searcher(QueryPlanner):
         return phrase_match_docs_lazy(fetch, slots, cand, order)
 
     def search_filtered(self, terms: list[str], k: int,
-                        allowed_doc_ids, operator: str = "or",
-                        use_wand: bool | None = None
+                        allowed_doc_ids, operator: str = "or"
                         ) -> list[tuple[int, float]]:
         """:meth:`QueryPlanner.search_filtered`, with disjunctive
         queries pushing the filter INTO block-max WAND
@@ -1512,9 +1510,8 @@ class Searcher(QueryPlanner):
         decode.  Same tombstone gate as :meth:`search` (stored df /
         bounds unsound while deletes pend → exhaustive restricted
         path)."""
-        if use_wand is None:
-            use_wand = len(self.tombstones) == 0
-        if operator == "and" or not use_wand or k <= 0 or not terms:
+        if (operator == "and" or len(self.tombstones) or k <= 0
+                or not terms):
             return super().search_filtered(terms, k, allowed_doc_ids,
                                            operator)
         allowed = np.unique(np.asarray(allowed_doc_ids, dtype=np.int64))
@@ -1562,7 +1559,6 @@ class Searcher(QueryPlanner):
         return [self.search(q, k) for q in queries]
 
     def search(self, terms: list[str], k: int = 10,
-               use_wand: bool | None = None,
                operator: str = "or") -> list[tuple[int, float]]:
         """Top-k (doc_id, score).  Uses the block-max WAND path when it
         is exact-equivalent: pending tombstones make the live df (hence
@@ -1579,11 +1575,8 @@ class Searcher(QueryPlanner):
         if operator == "and":
             return merge_partials_conjunctive(
                 [self.term_partials(uterms)], uterms, k)
-        if use_wand is None:
-            use_wand = len(self.tombstones) == 0
-        if not use_wand:
-            partials = self.term_partials(uterms)
-            return merge_partials([partials], uterms, k)
+        if len(self.tombstones):
+            return merge_partials([self.term_partials(uterms)], uterms, k)
         return self.search_wand(uterms, k)
 
     def search_wand(self, uterms: list[str], k: int,

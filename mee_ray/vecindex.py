@@ -33,7 +33,6 @@ Scale shape:
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 
@@ -44,32 +43,10 @@ import pyarrow.parquet as pq
 from mee_ray import manifest as mf
 
 
-def _edir(root: str, epoch: str) -> str:
-    return os.path.join(root, "epochs", epoch)
-
-
-def _manifest_path(root: str, epoch: str) -> str:
-    return os.path.join(_edir(root, epoch), "manifest.json")
-
-
-def _load(root: str, epoch: str | None = None) -> dict:
-    if epoch is None:
-        epoch = mf.current_epoch(root)
-        if epoch is None:
-            raise FileNotFoundError(f"no CURRENT epoch in {root}")
-    with open(_manifest_path(root, epoch)) as f:
-        m = json.load(f)
-    m["epoch"] = epoch
-    return m
-
-
 def _write_manifest(root: str, epoch: str, m: dict) -> None:
-    os.makedirs(_edir(root, epoch), exist_ok=True)
-    tmp = _manifest_path(root, epoch) + f".tmp.{os.getpid()}"
-    m = {k: v for k, v in m.items() if k != "epoch"}
-    with open(tmp, "w") as f:
-        json.dump(m, f)
-    os.replace(tmp, _manifest_path(root, epoch))
+    os.makedirs(mf.epoch_dir(root, epoch), exist_ok=True)
+    mf.write_manifest(root, epoch,
+                      {k: v for k, v in m.items() if k != "epoch"})
 
 
 def _unit(mat: np.ndarray) -> np.ndarray:
@@ -110,7 +87,7 @@ def build_vector_index(emb_ds, root: str, epoch: str,
     ivf = IVFIndex(n_clusters=n_clusters).fit_dataset(emb_ds)
     cents = _unit(ivf.centroids.astype(np.float64))
 
-    cdir = os.path.join(_edir(root, epoch), "clusters")
+    cdir = os.path.join(mf.epoch_dir(root, epoch), "clusters")
     os.makedirs(cdir, exist_ok=True)
 
     def assign(t: pa.Table) -> pa.Table:
@@ -152,7 +129,7 @@ def build_vector_index(emb_ds, root: str, epoch: str,
          "deltas": []}
     _write_manifest(root, epoch, m)
     mf.publish(root, epoch)
-    return _load(root, epoch)
+    return mf.load_manifest(root, epoch)
 
 
 def apply_vector_delta(events: pa.Table, root: str) -> dict:
@@ -163,10 +140,10 @@ def apply_vector_delta(events: pa.Table, root: str) -> dict:
     tombstone rule, reused verbatim via manifest.live_posting_mask).
     Upserts are assigned with the epoch's frozen centroids."""
     with mf.write_lock(root):
-        m = _load(root)
+        m = mf.load_manifest(root)
         epoch = m["epoch"]
         seq = len(m["deltas"]) + 1
-        ddir = os.path.join(_edir(root, epoch), "deltas",
+        ddir = os.path.join(mf.epoch_dir(root, epoch), "deltas",
                             f"delta-{seq:06d}")
         if os.path.isdir(ddir):           # debris from a crashed apply
             shutil.rmtree(ddir)
@@ -223,7 +200,7 @@ class VectorSearcher:
 
     def __init__(self, root: str, epoch: str | None = None):
         self.root = root
-        self.m = _load(root, epoch)
+        self.m = mf.load_manifest(root, epoch)
         self.cents = np.asarray(self.m["centroids"], dtype=np.float64)
         self._tomb = self._tombstone_index()
 
@@ -245,7 +222,7 @@ class VectorSearcher:
     def _cluster_rows(self, cl: int):
         """(vec_ids, unit matrix) of LIVE rows in one cluster."""
         parts = []
-        base = os.path.join(_edir(self.root, self.m["epoch"]),
+        base = os.path.join(mf.epoch_dir(self.root, self.m["epoch"]),
                             "clusters", f"cluster-{cl:05d}.parquet")
         if os.path.exists(base):
             parts.append((0, pq.read_table(base)))
@@ -313,12 +290,12 @@ def _merge_clusters(root: str, m: dict, new_epoch: str) -> dict:
                 (d["seq"], ids[sel], mat[sel]))
             clusters.add(int(cl))
 
-    cdir = os.path.join(_edir(root, new_epoch), "clusters")
+    cdir = os.path.join(mf.epoch_dir(root, new_epoch), "clusters")
     os.makedirs(cdir, exist_ok=True)
     per_cluster = {}
     for cl in sorted(clusters):
         parts = []
-        base = os.path.join(_edir(root, m["epoch"]), "clusters",
+        base = os.path.join(mf.epoch_dir(root, m["epoch"]), "clusters",
                             f"cluster-{cl:05d}.parquet")
         if os.path.exists(base):
             ids, mat = _read_vecs(pq.read_table(base))
@@ -365,25 +342,25 @@ def compact_vector_index(root: str, new_epoch: str) -> dict:
     re-folded before CURRENT moves, never silently dropped
     (apply_vector_delta serializes through the same write lock)."""
     with mf.compact_lock(root):
-        m = _load(root)
+        m = mf.load_manifest(root)
         old = m["epoch"]
         if new_epoch == old:
             raise ValueError(
                 f"vector compaction target {new_epoch!r} IS the "
                 "current epoch — a concurrent compaction already "
                 "published it")
-        if os.path.isfile(_manifest_path(root, new_epoch)):
+        if os.path.isfile(mf.manifest_path(root, new_epoch)):
             raise ValueError(
                 f"vector compaction target {new_epoch!r} is an "
                 "existing manifested epoch — refusing to overwrite")
         # clear crashed-attempt debris: a stale cluster file for a
         # cluster this snapshot doesn't produce would resurrect rows
-        shutil.rmtree(os.path.join(_edir(root, new_epoch), "clusters"),
-                      ignore_errors=True)
+        shutil.rmtree(os.path.join(mf.epoch_dir(root, new_epoch),
+                                   "clusters"), ignore_errors=True)
         per_cluster = _merge_clusters(root, m, new_epoch)
         _finalize_vector_compact(root, m, new_epoch, per_cluster,
                                  consumed=len(m["deltas"]))
-    return _load(root, new_epoch)
+    return mf.load_manifest(root, new_epoch)
 
 
 def _finalize_vector_compact(root: str, m: dict, new_epoch: str,
@@ -397,7 +374,7 @@ def _finalize_vector_compact(root: str, m: dict, new_epoch: str,
     old = m["epoch"]
     with mf.write_lock(root):
         while True:
-            cur = _load(root, old)
+            cur = mf.load_manifest(root, old)
             extra = cur["deltas"][consumed:]
             if not extra:
                 break

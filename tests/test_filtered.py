@@ -82,7 +82,7 @@ def test_filtered_wand_equals_exhaustive(built_index):
     """The WAND filter pushdown (wand.search_wand `allowed`) must be
     result-identical — ids AND float64 scores — to the exhaustive
     restricted path, at every selectivity."""
-    from mee_ray.query import Searcher
+    from mee_ray.query import QueryPlanner, Searcher
 
     oracle = built_index["oracle"]
     s = Searcher(built_index["index_root"])
@@ -93,10 +93,8 @@ def test_filtered_wand_equals_exhaustive(built_index):
     n = 0
     for q in _queries(oracle):
         for name, allowed in subsets.items():
-            wand = s.search_filtered(q, k=10, allowed_doc_ids=allowed,
-                                     use_wand=True)
-            exh = s.search_filtered(q, k=10, allowed_doc_ids=allowed,
-                                    use_wand=False)
+            wand = s.search_filtered(q, k=10, allowed_doc_ids=allowed)
+            exh = QueryPlanner.search_filtered(s, q, 10, allowed)
             assert wand == exh, (q, name)
             n += bool(wand)
     assert n >= 10
@@ -105,7 +103,7 @@ def test_filtered_wand_equals_exhaustive(built_index):
 def test_filtered_wand_prunes(built_index):
     """A selective filter + small k must actually prune: fewer docs
     scored than the query terms' total candidate postings."""
-    from mee_ray.query import Searcher
+    from mee_ray.query import QueryPlanner, Searcher
     from mee_ray.wand import WandStats
 
     oracle = built_index["oracle"]
@@ -114,8 +112,7 @@ def test_filtered_wand_prunes(built_index):
     q = _queries(oracle)[-1]             # 3-term hot+mid+rare
     stats = WandStats()
     got = s.search_wand(sorted(set(q)), 5, stats=stats, allowed=allowed)
-    assert got == s.search_filtered(q, k=5, allowed_doc_ids=allowed,
-                                    use_wand=False)
+    assert got == QueryPlanner.search_filtered(s, q, 5, allowed)
     assert stats.postings_total > 0
     assert stats.docs_scored <= allowed.size
 

@@ -85,7 +85,7 @@ def test_compact_partition_plan_prunes_delta_files(ray_session, tmp_path):
     """The merge work list assigns each delta segment file to exactly
     ONE partition (its part number is in the file name), so a merge
     task never reads another partition's delta files."""
-    from mee_ray.merge import _part_of_file, partition_plan
+    from mee_ray.merge import partition_plan
 
     root = _build_small(
         tmp_path,
@@ -105,7 +105,7 @@ def test_compact_partition_plan_prunes_delta_files(ray_session, tmp_path):
     assert sorted(planned) == sorted(all_delta_files)  # each exactly once
     for item in plan:
         for f in item["files"] + item["delta_files"]:
-            assert _part_of_file(f) == item["part"]
+            assert mf.part_of_file(f) == item["part"]
 
     # and the compaction built from that plan is still value-correct
     compact(root, "ep2", gc_old=False)

@@ -133,6 +133,8 @@ SQL_CHECKED = [
     "missing_agg_events", "children_agg_orders", "parent_agg_lineitem",
     "zorder_partitions_events",
     "multimodal_wav_real", "multimodal_png_real",
+    "multimodal_audio_features", "multimodal_video_frames",
+    "multimodal_retrieval",
 ]
 
 
@@ -235,30 +237,33 @@ def test_every_query_has_oracle_or_is_flagged(entry_mod):
 
 
 def test_multimodal_retrieval_matches_bruteforce(entry_mod, ray_session):
-    """End-to-end multimodal retrieval (payload → embed actor pool →
-    broadcast-query cosine top-k) vs a pure-numpy oracle over the same
-    deterministic fake encoder."""
+    """End-to-end multimodal retrieval (real PNG payload → decode +
+    histogram embed actor pool → broadcast-query top-k) vs a numpy
+    brute force that rebuilds every embedding from the pixel formula,
+    never from the decoder."""
     import numpy as np
     import pyarrow.parquet as pq
 
-    from mee_ray.stages.multimodal import FakeImageEmbed
-
     got = entry_mod.queries()["multimodal_retrieval"](SF).to_pandas()
-    t = pq.read_table(f"{SF}/documents.parquet",
-                      columns=["doc_id", "text"])
-    ids = t["doc_id"].to_numpy(zero_copy_only=False)
-    embs = np.stack([FakeImageEmbed.embed_fake(x.encode())
-                     for x in t["text"].to_pylist()])
+    ids = pq.read_table(f"{SF}/documents.parquet",
+                        columns=["doc_id"])["doc_id"].to_numpy()
+    embs = np.zeros((len(ids), 64), dtype=np.int64)
+    for i, d in enumerate(ids.tolist()):
+        x = np.arange((d % 32) + 1)
+        y = np.arange((d % 24) + 1)[:, None]
+        px = (d % 256 + 3 * x + 7 * y) % 256
+        embs[i] = np.bincount(px.ravel() >> 2, minlength=64)
     order = np.argsort(ids)
-    q_ids = ids[order[:5]]
-    q_mat = embs[order[:5]]
-    sims = embs @ q_mat.T
+    q_ids, q_mat = ids[order[:5]], embs[order[:5]]
+    scores = (embs @ q_mat.T) / np.sqrt((embs * embs).sum(axis=1))[:, None]
+    assert sorted(set(got.query_id)) == sorted(q_ids.tolist())
     for j, qid in enumerate(q_ids):
-        top = np.lexsort((ids, -sims[:, j]))[:10]
+        top = np.lexsort((ids, -scores[:, j]))[:10]
         mine = got[got.query_id == qid].sort_values("rank")
-        # rank order must equal the exact-cosine brute force (the
-        # cosine floats themselves stay engine-internal)
+        assert mine["rank"].tolist() == list(range(1, 11))
         assert mine.doc_id.tolist() == ids[top].tolist()
+        # a query's own image is its best match
+        assert scores[top[0], j] == scores[order[j], j]
 
 
 def test_entry_smoke(entry_mod):
@@ -412,37 +417,46 @@ def test_embedding_neardup_exactness(entry_mod, ray_session):
 
 
 def test_multimodal_audio_video_stages(entry_mod, ray_session):
-    """Audio/video plumbing: deterministic fakes, typed outputs, and
-    the documented NotImplementedError on the real-decode hooks."""
+    """Audio runs the real WAV decoder; video decodes real PNG bytes,
+    one frame per scanline, every 4th frame sampled — checked against
+    the pixel formula, and corrupt bytes must raise."""
     import numpy as np
+    import pyarrow as pa
     import pytest as _pytest
 
-    from mee_ray.stages.multimodal import (FakeAudioFeatures,
-                                           FakeVideoFrameSample)
+    from mee_ray.stages.multimodal import (PngFrameSample, WavMetaDecode,
+                                           _png_payloads)
 
-    a = entry_mod.queries()["multimodal_audio_features"]("/root/testdata/sf0.001")
-    df = a.to_pandas()
-    assert {"doc_id", "n_bytes", "duration_ms"} <= set(df.columns)
-    assert {f"f{i}" for i in range(8)} <= set(df.columns)
-    assert (df["n_bytes"] > 0).all()
+    qs = entry_mod.queries()
+    a = qs["multimodal_audio_features"](SF).to_pandas()
+    assert set(a.columns) == {"doc_id", *WavMetaDecode.NAMES}
+    assert (a["n_samples"] == a["doc_id"] % 96 + 8).all()
 
-    v = entry_mod.queries()["multimodal_video_frames"]("/root/testdata/sf0.001")
-    vf = v.to_pandas()
-    assert (vf["n_sampled"] >= 1).all()
-    assert (vf["n_sampled"] <= (vf["n_frames"] + 29) // 30).all()
+    vf = qs["multimodal_video_frames"](SF).to_pandas()
+    assert set(vf.columns) == {"doc_id", "n_frames", "n_sampled",
+                               "sampled_pixel_sum"}
+    assert (vf["n_frames"] == vf["doc_id"] % 24 + 1).all()
+    assert (vf["n_sampled"] == (vf["n_frames"] + 3) // 4).all()
 
-    with _pytest.raises(NotImplementedError):
-        FakeAudioFeatures().extract_real(b"xx")
-    with _pytest.raises(NotImplementedError):
-        FakeVideoFrameSample().sample_real(b"xx")
-
-    # determinism of the fakes
-    import pyarrow as pa
-    t = pa.table({"doc_id": pa.array([1], pa.int64()),
-                  "payload": pa.array([b"hello world" * 100], pa.binary())})
-    r1 = FakeAudioFeatures()(t).to_pylist()
-    r2 = FakeAudioFeatures()(t).to_pylist()
-    assert r1 == r2
+    ids = [0, 3, 4, 5, 23, 12345]
+    t = _png_payloads(pa.table({"doc_id": pa.array(ids, pa.int64())}))
+    stage = PngFrameSample()
+    got = stage(t).to_pylist()
+    for row, d in zip(got, ids):
+        h = (d % 24) + 1
+        x = np.arange((d % 32) + 1)
+        y = np.arange(0, h, 4)[:, None]
+        assert row == {"doc_id": d, "n_frames": h,
+                       "n_sampled": len(range(0, h, 4)),
+                       "sampled_pixel_sum":
+                           int(((d % 256 + 3 * x + 7 * y) % 256).sum())}
+    png = t["payload"][0].as_py()
+    corrupt = bytearray(png)
+    corrupt[40] ^= 0x01                          # flip a body bit → CRC fails
+    with _pytest.raises(ValueError):
+        stage.decode(bytes(corrupt))
+    with _pytest.raises(ValueError):
+        stage.decode(png[:30])                   # truncated chunk
 
 
 def test_simhash_pairs_complete_vs_bruteforce(entry_mod, ray_session):

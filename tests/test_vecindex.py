@@ -139,8 +139,7 @@ def test_vector_compact_catchup_folds_late_delta(ray_session, tmp_path):
     locked publish step — never silently dropped."""
     from mee_ray import manifest as mf
     from mee_ray.vecindex import (VectorSearcher, _finalize_vector_compact,
-                                  _load, _merge_clusters,
-                                  apply_vector_delta)
+                                  _merge_clusters, apply_vector_delta)
 
     rng = np.random.default_rng(17)
     root, base, dim = _mk_index(tmp_path, rng)
@@ -152,7 +151,7 @@ def test_vector_compact_catchup_folds_late_delta(ray_session, tmp_path):
     del base[0]
 
     # merge from a snapshot holding only delta 1 ...
-    snap = _load(root)
+    snap = mf.load_manifest(root)
     per_cluster = _merge_clusters(root, snap, "ep2")
     # ... then a second delta lands before the publish
     v_new = rng.normal(size=dim)
