@@ -806,6 +806,9 @@ def main(argv: list[str] | None = None) -> int:
                 "tombstones": sum(int(d.get("n_deleted", 0))
                                   for d in m.get("deltas", [])),
                 "event_watermark": m.get("event_watermark", 0),
+                # the layer timings of the newest delta record
+                "last_delta_seconds": (m.get("deltas") or [{}])[-1]
+                .get("seconds"),
                 "store_positions": bool(m.get("store_positions")),
                 "store_source": bool(m.get("store_source")),
             }

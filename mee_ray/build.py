@@ -45,7 +45,8 @@ from mee_ray import manifest as mf
 from mee_ray.config import EngineConfig
 from mee_ray.ids import (doc_ids_batch, isin_sorted, salts_batch,
                          term_hash)
-from mee_ray.postings import block_metadata, encode_posting_list, tf_norm, varint_encode
+from mee_ray.postings import (_CODEC_TAGS, PFOR_MIN_VALUES, _encode_tagged,
+                              binary_runs, tf_norm, varint_encode_offsets)
 from mee_ray.tokenizer import Tokenizer
 
 SEGMENT_SCHEMA = pa.schema([
@@ -57,7 +58,10 @@ SEGMENT_SCHEMA = pa.schema([
     ("dls_enc", pa.binary()),
     ("block_last", pa.list_(pa.int64())),
     ("block_max", pa.list_(pa.float64())),
-    ("shard", pa.int32()),
+    # the row's partition (shard · parts_per_shard + r): constant in a
+    # base file, non-decreasing in a delta record's one file, where
+    # readers find each shard's contiguous row range from it
+    ("part", pa.int32()),
 ])
 
 LINEAGE_SCHEMA = pa.schema([
@@ -382,13 +386,117 @@ def hot_df_terms(ds, n_docs: int, cfg: EngineConfig) -> list[str]:
     return sorted(set(hot["term"].to_pylist()) - cfg.hot_terms)
 
 
+def _tagged_runs(values: np.ndarray, rb: np.ndarray,
+                 pfor_runs: np.ndarray) -> pa.Array:
+    """Each run ``values[rb[i]:rb[i+1]]`` as one tagged posting buffer:
+    every run varint-tagged by one LEB128 pass (slices at value
+    boundaries are valid streams, so this equals per-run encoding),
+    then the ``pfor_runs`` re-encoded one by one and spliced in."""
+    buf, off = varint_encode_offsets(values)
+    # one tag byte in front of each run's body
+    data = np.insert(np.frombuffer(buf, np.uint8), off[rb[:-1]],
+                     _CODEC_TAGS["varint"])
+    lens = np.diff(off[rb]) + 1
+    if len(pfor_runs):
+        toff = np.concatenate(([0], np.cumsum(lens)))
+        pieces, prev = [], 0
+        for r in pfor_runs.tolist():
+            body = _encode_tagged(values[rb[r]:rb[r + 1]], "pfor")
+            pieces += [data[prev:toff[r]], np.frombuffer(body, np.uint8)]
+            prev, lens[r] = toff[r + 1], len(body)
+        data = np.concatenate(pieces + [data[prev:]])
+    return binary_runs(np.concatenate(([0], np.cumsum(lens))), data)
+
+
+def encode_segment(triples: pa.Table, avgdl: float,
+                   cfg: EngineConfig) -> pa.Table:
+    """(part, term, salt, doc_id, tf, dl[, pos]) triples → segment rows
+    (:data:`SEGMENT_SCHEMA`, plus ``pos_enc`` when positions ride
+    along): one row per (part, term, salt) run, sorted by (part, term,
+    salt), each run's postings by doc_id.  One vectorized pass over
+    every run — a pure function of the triple set, whatever its row
+    order; only pfor runs of ``PFOR_MIN_VALUES`` or more are encoded
+    one by one."""
+    g = triples.take(pc.sort_indices(
+        triples, sort_keys=[("part", "ascending"), ("term", "ascending"),
+                            ("salt", "ascending"), ("doc_id", "ascending")]))
+    n = g.num_rows
+    has_pos = "pos" in g.schema.names
+    schema = SEGMENT_SCHEMA.append(pa.field("pos_enc", pa.binary())) \
+        if has_pos else SEGMENT_SCHEMA
+    if n == 0:
+        return schema.empty_table()
+    term_dict = pc.dictionary_encode(g["term"]).combine_chunks()
+    term_idx = term_dict.indices.to_numpy(zero_copy_only=False)
+    parts = g["part"].to_numpy(zero_copy_only=False)
+    salts = g["salt"].to_numpy(zero_copy_only=False)
+    doc_ids = g["doc_id"].to_numpy(zero_copy_only=False)
+    tfs = g["tf"].to_numpy(zero_copy_only=False)
+    dls = g["dl"].to_numpy(zero_copy_only=False)
+
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (np.diff(term_idx) != 0) | (np.diff(salts) != 0)
+         | (np.diff(parts) != 0))))
+    rb = np.append(starts, n)                  # run bounds
+    df = np.diff(rb)
+    gaps = np.empty(n, dtype=np.uint64)        # run-start ids absolute
+    gaps[1:] = np.diff(doc_ids).astype(np.uint64)
+    gaps[starts] = doc_ids[starts].astype(np.uint64)
+    pfor_runs = (np.flatnonzero(df >= PFOR_MIN_VALUES)
+                 if cfg.postings_codec == "pfor"
+                 else np.empty(0, dtype=np.int64))
+
+    # block-max metadata of every run at once: blocks tile each run
+    # from its start, so one reduceat over block starts covers them all
+    bs = cfg.block_size
+    n_blocks = (df + bs - 1) // bs
+    boff = np.concatenate(([0], np.cumsum(n_blocks)))
+    brun = np.repeat(np.arange(len(starts)), n_blocks)
+    bstart = starts[brun] + (np.arange(boff[-1]) - boff[brun]) * bs
+    bend = np.minimum(bstart + bs, rb[brun + 1])
+    tfnorms = tf_norm(tfs, dls, avgdl, cfg.bm25.k1, cfg.bm25.b)
+    boff32 = pa.array(boff.astype(np.int32))
+
+    dls_b, dls_off = varint_encode_offsets(dls.astype(np.uint64))
+    cols = [
+        term_dict.dictionary.take(pa.array(term_idx[starts])),
+        pa.array(salts[starts].astype(np.int32)),
+        pa.array(df.astype(np.int64)),
+        _tagged_runs(gaps, rb, pfor_runs),
+        _tagged_runs(tfs.astype(np.uint64), rb, pfor_runs),
+        binary_runs(dls_off[rb], dls_b),
+        pa.ListArray.from_arrays(
+            boff32, pa.array(doc_ids[bend - 1].astype(np.int64))),
+        pa.ListArray.from_arrays(
+            boff32, pa.array(np.maximum.reduceat(tfnorms, bstart))),
+        pa.array(parts[starts].astype(np.int32)),
+    ]
+    if has_pos:
+        # per-doc position blobs are self-contained varint streams, so
+        # a run's blob is its postings' bytes back to back: the run
+        # offsets index the sorted pos column's own data buffer
+        pos = g["pos"].combine_chunks()
+        pos_offs = np.frombuffer(pos.buffers()[1], np.int32)[
+            pos.offset:pos.offset + n + 1].astype(np.int64)
+        cols.append(binary_runs(pos_offs[rb], pos.buffers()[2]))
+    return pa.Table.from_arrays(cols, schema=schema)
+
+
+def write_segment(seg: pa.Table, path: str) -> None:
+    """Write segment rows atomically (temp file, then rename)."""
+    tmp = path + f".tmp.{os.getpid()}"
+    # bounded row groups: query actors build their term dictionary
+    # from the term column alone and page in posting payloads per
+    # row group, so group size caps cold-query read amplification
+    pq.write_table(seg, tmp, row_group_size=512)
+    os.replace(tmp, path)
+
+
 def make_encode_partition(seg_dir: str, avgdl: float, cfg: EngineConfig):
-    """map_groups fn over one shuffle partition: encode every (term,
-    salt) run into a compressed posting row, write the segment file
-    atomically, emit ONE lineage row (resume: an existing valid sidecar
+    """map_groups fn over one shuffle partition: encode its triples
+    (:func:`encode_segment`), write the part's segment file atomically,
+    emit ONE lineage row (resume: an existing valid sidecar
     short-circuits the encode)."""
-    k1, b = cfg.bm25.k1, cfg.bm25.b
-    block_size = cfg.block_size
 
     def encode_partition(group: pa.Table) -> pa.Table:
         import json
@@ -400,103 +508,14 @@ def make_encode_partition(seg_dir: str, avgdl: float, cfg: EngineConfig):
                 lin = json.load(f)
             lin["resumed"] = True
             return pa.Table.from_pylist([lin], schema=LINEAGE_SCHEMA)
-
-        import pyarrow.compute as pc
-        order = pc.sort_indices(group, sort_keys=[("term", "ascending"),
-                                                  ("salt", "ascending"),
-                                                  ("doc_id", "ascending")])
-        g = group.take(order)
-        has_pos = "pos" in g.schema.names
-        if has_pos:
-            # zero-copy run slicing of the aligned per-doc position
-            # blobs: binary-array offsets give byte ranges per posting,
-            # and per-doc blobs are self-contained varint streams, so
-            # a run's concatenation is bytes[offs[lo]:offs[hi]]
-            pos_arr = g["pos"].combine_chunks()
-            pos_offs = np.frombuffer(pos_arr.buffers()[1], np.int32)[
-                pos_arr.offset: pos_arr.offset + len(pos_arr) + 1]
-            pos_mv = memoryview(pos_arr.buffers()[2])
-        term_dict = pc.dictionary_encode(g["term"]).combine_chunks()
-        term_idx = term_dict.indices.to_numpy(zero_copy_only=False)
-        terms_vocab = term_dict.dictionary.to_pylist()
-        salts = g["salt"].to_numpy(zero_copy_only=False)
-        doc_ids = g["doc_id"].to_numpy(zero_copy_only=False)
-        tfs = g["tf"].to_numpy(zero_copy_only=False)
-        dls = g["dl"].to_numpy(zero_copy_only=False)
-
-        n = len(term_idx)
-        if n == 0:
+        seg = encode_segment(group, avgdl, cfg)
+        if not seg.num_rows:
             return pa.Table.from_pylist([], schema=LINEAGE_SCHEMA)
-        bounds = np.flatnonzero((np.diff(term_idx) != 0) | (np.diff(salts) != 0)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [n]))
-
-        tfnorms = tf_norm(tfs, dls, avgdl, k1, b)
-
-        o_term, o_salt, o_df = [], [], []
-        o_ids, o_tfs, o_dls, o_bl, o_bm, o_shard = [], [], [], [], [], []
-        o_pos = []
-        # BULK encode: every run's gaps/tfs/dls in ONE vectorized pass,
-        # sliced per run at value boundaries (LEB128 slices at value
-        # boundaries are valid streams) — byte-identical to per-run
-        # encoding, without per-run numpy overhead.  Under the pfor
-        # codec only runs of ≥ PFOR_MIN_VALUES take the per-run pfor
-        # path (shorter runs are varint-tagged anyway), so the bulk
-        # fast path still covers the Zipf tail of short posting lists.
-        from mee_ray.postings import (_CODEC_TAGS, PFOR_MIN_VALUES,
-                                      varint_encode_offsets)
-        gaps = np.empty(n, dtype=np.uint64)
-        if n > 1:
-            gaps[1:] = np.diff(doc_ids).astype(np.uint64)
-        gaps[starts] = doc_ids[starts].astype(np.uint64)  # run-start abs
-        ids_b, ids_off = varint_encode_offsets(gaps)
-        tfs_b, tfs_off = varint_encode_offsets(tfs.astype(np.uint64))
-        dls_b, dls_off = varint_encode_offsets(dls.astype(np.uint64))
-        TAG = bytes((_CODEC_TAGS["varint"],))
-        use_pfor = cfg.postings_codec == "pfor"
-        for lo, hi in zip(starts, ends):
-            ids_run = doc_ids[lo:hi]
-            if use_pfor and (hi - lo) >= PFOR_MIN_VALUES:
-                ids_enc, tfs_enc = encode_posting_list(ids_run, tfs[lo:hi],
-                                                       "pfor")
-            else:
-                ids_enc = TAG + ids_b[ids_off[lo]:ids_off[hi]]
-                tfs_enc = TAG + tfs_b[tfs_off[lo]:tfs_off[hi]]
-            dls_enc = dls_b[dls_off[lo]:dls_off[hi]]
-            bl, bm = block_metadata(ids_run, tfnorms[lo:hi], block_size)
-            t = terms_vocab[term_idx[lo]]
-            o_term.append(t)
-            o_salt.append(int(salts[lo]))
-            o_df.append(hi - lo)
-            o_ids.append(ids_enc); o_tfs.append(tfs_enc); o_dls.append(dls_enc)
-            o_bl.append(bl.tolist()); o_bm.append(bm.tolist())
-            o_shard.append(term_hash(t) % cfg.num_shards)
-            if has_pos:
-                o_pos.append(bytes(pos_mv[pos_offs[lo]:pos_offs[hi]]))
-
-        seg = pa.table({
-            "term": pa.array(o_term, pa.string()),
-            "salt": pa.array(o_salt, pa.int32()),
-            "df": pa.array(o_df, pa.int64()),
-            "doc_ids_enc": pa.array(o_ids, pa.binary()),
-            "tfs_enc": pa.array(o_tfs, pa.binary()),
-            "dls_enc": pa.array(o_dls, pa.binary()),
-            "block_last": pa.array(o_bl, pa.list_(pa.int64())),
-            "block_max": pa.array(o_bm, pa.list_(pa.float64())),
-            "shard": pa.array(o_shard, pa.int32()),
-        })
-        if has_pos:
-            seg = seg.append_column("pos_enc",
-                                    pa.array(o_pos, pa.binary()))
-        tmp = final + f".tmp.{os.getpid()}"
-        # bounded row groups: query actors build their term dictionary
-        # from the term column alone and page in posting payloads per
-        # row group, so group size caps cold-query read amplification
-        pq.write_table(seg, tmp, row_group_size=512)
-        os.replace(tmp, final)
+        write_segment(seg, final)
         with open(final, "rb") as f:
             sha = hashlib.sha256(f.read()).hexdigest()
-        lin = {"part": part, "n_terms": len(o_term), "n_postings": int(n),
+        lin = {"part": part, "n_terms": seg.num_rows,
+               "n_postings": group.num_rows,
                "bytes": os.path.getsize(final), "path": final, "sha256": sha,
                "resumed": False, "hint_avgdl": float(avgdl)}
         mf._atomic_write_json(sidecar, lin)

@@ -37,17 +37,21 @@ dropped at compaction (mee_ray.merge).
 
 The write path runs in-process and starts no Ray work: the adds go
 through the build's own ``DocTokenize`` → ``ExplodeTriples`` →
-``make_encode_partition`` callables, called directly on
-``tokenize_batch_size`` slices and then once per part, so a delta's
-segment bytes equal what the Ray Data stages would write.  Every
-docs-table lookup here (the batch's live keys, delete_by_query's key
-fetch, update_by_query's row fetch) is one ``manifest.live_doc_rows``
-read.
+``encode_segment`` callables, called directly on
+``tokenize_batch_size`` slices and then once per batch, into ONE
+segment file per record (``deltas/delta-NNNNNN/segments.parquet``)
+whose rows are sorted by (part, term, salt): readers and compaction
+find each shard's or part's rows from its ``part`` column.  Each
+record carries the seconds its layers took (``seconds``: key_lookup,
+tokenize, encode, write).  Every docs-table lookup here (the batch's
+live keys, delete_by_query's key fetch, update_by_query's row fetch)
+is one ``manifest.live_doc_rows`` read.
 """
 
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -56,7 +60,8 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from mee_ray import manifest as mf
-from mee_ray.build import DocTokenize, ExplodeTriples, make_encode_partition
+from mee_ray.build import (DocTokenize, ExplodeTriples, encode_segment,
+                           write_segment)
 from mee_ray.config import EngineConfig, resolve_index_config
 from mee_ray.ids import doc_id_of
 
@@ -170,7 +175,9 @@ def _apply_delta_locked(events, index_root: str,
         min_seq = s if min_seq == 0 else min(min_seq, s)
         final[key] = {k: rows[k][i] for k in rows}
 
+    t0 = time.perf_counter()
     live, key_seqs = _live_key_index(index_root, manifest, set(final))
+    seconds = {"key_lookup": time.perf_counter() - t0}
     base_floor = mf.base_event_seq(manifest)
 
     # PER-KEY sequenced LWW: an event applies iff its seq is newer than
@@ -227,14 +234,13 @@ def _apply_delta_locked(events, index_root: str,
     seq_no = len(manifest.get("deltas", [])) + 1
     ddir = os.path.join(edir, "deltas", f"delta-{seq_no:06d}")
     # A directory at this seq that the manifest does not reference is
-    # debris from a crashed apply (segments written, manifest append
-    # never reached).  Clear it: otherwise the encoder's lineage-sidecar
-    # resume short-circuit would return the aborted batch's segments
-    # for THIS batch's events.
+    # debris from a crashed apply (files written, manifest append never
+    # reached): clear it, so no file of the aborted batch outlives it.
     if os.path.isdir(ddir):
         import shutil
         shutil.rmtree(ddir)
-    os.makedirs(os.path.join(ddir, "segments"), exist_ok=True)
+    os.makedirs(ddir)
+    t0 = time.perf_counter()
 
     tomb_path = os.path.join(ddir, "tombstones.parquet")
     tmp = tomb_path + ".tmp"
@@ -254,6 +260,8 @@ def _apply_delta_locked(events, index_root: str,
         "sum_dl_added": 0,
         "sum_dl_deleted": int(sum(tomb_dls)),
     }
+    seconds.update(tokenize=0.0, encode=0.0,
+                   write=time.perf_counter() - t0)
 
     if adds:
         add_tbl = pa.table({
@@ -266,11 +274,25 @@ def _apply_delta_locked(events, index_root: str,
         # in-process: a delta batch is small and latency-bound, so the
         # build's tokenize → explode → encode callables run directly on
         # tokenize_batch_size slices instead of as Ray Data stages
+        t0 = time.perf_counter()
         tokenize = DocTokenize(cfg)
         step = cfg.tokenize_batch_size
         tok_tbl = pa.concat_tables(
             [tokenize(add_tbl.slice(i, step))
              for i in range(0, add_tbl.num_rows, step)])
+        seconds["tokenize"] = time.perf_counter() - t0
+
+        # delta segment: same explode + encode machinery as the full
+        # build, over the whole add set in one call; tfnorm uses the
+        # BASE avgdl of the epoch — both engines recompute exact scores
+        # at query time from (tf, dl, live avgdl), so this only affects
+        # the stored (unused until compaction) block-max hints
+        t0 = time.perf_counter()
+        seg = encode_segment(ExplodeTriples(cfg)(tok_tbl),
+                             manifest["avgdl"] or 1.0, cfg)
+        seconds["encode"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
         added_docs_path = os.path.join(ddir, "added_docs.parquet")
         tmp = added_docs_path + ".tmp"
         docs_tbl = tok_tbl.select(mf.DOCS_COLUMNS)
@@ -282,26 +304,16 @@ def _apply_delta_locked(events, index_root: str,
             docs_tbl = docs_tbl.append_column("content", add_tbl["content"])
         pq.write_table(docs_tbl, tmp)
         os.replace(tmp, added_docs_path)
-
-        # delta segments: same explode + encode machinery as the full
-        # build, but over the tiny add set; tfnorm uses the BASE avgdl
-        # of the epoch — both engines recompute exact scores at query
-        # time from (tf, dl, live avgdl), so this only affects the
-        # stored (unused until compaction) block-max hints
-        triples = ExplodeTriples(cfg)(tok_tbl)
-        # one encode call per part, ascending; encode_partition sorts
-        # its rows by (term, salt, doc_id), so bytes ignore row order
-        parts = triples["part"].to_numpy()
-        encode = make_encode_partition(os.path.join(ddir, "segments"),
-                                       manifest["avgdl"] or 1.0, cfg)
-        record["segments"] = [
-            r["path"] for part in np.unique(parts)
-            for r in encode(triples.filter(pa.array(parts == part)))
-            .to_pylist()]
+        if seg.num_rows:
+            seg_path = os.path.join(ddir, "segments.parquet")
+            write_segment(seg, seg_path)
+            record["segments"] = [seg_path]
+        seconds["write"] += time.perf_counter() - t0
         record["added_docs"] = added_docs_path
         record["n_added"] += tok_tbl.num_rows
         record["sum_dl_added"] += int(pa.compute.sum(tok_tbl["length"]).as_py() or 0)
 
+    record["seconds"] = {k: round(v, 6) for k, v in seconds.items()}
     manifest.setdefault("deltas", []).append(record)
     epoch_name = manifest.pop("epoch")
     mf.write_manifest(index_root, epoch_name, manifest)

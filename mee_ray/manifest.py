@@ -23,7 +23,7 @@ Layout:
         docs/  segments/
         manifest.json              # stats + segment lineage + delta log
         key_seqs.parquet           # per-key write seqs folded by compaction
-        deltas/delta-<seq>/        # delta segments + tombstones + key_seqs
+        deltas/delta-<seq>/        # segments.parquet + tombstones + key_seqs
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ def segment_file_name(part: int) -> str:
 
 
 def part_of_file(path: str) -> int:
-    """Partition number encoded in a segment file name
-    (:func:`segment_file_name`).  Base and delta segments are written by
-    the same ``build.make_encode_partition`` with the same part
-    function, so the file name IS the routing — merge and query need no
-    per-row re-hash."""
+    """Partition number encoded in a BASE segment file name
+    (:func:`segment_file_name`): the build and compaction write one
+    file per part, so the file name IS the routing.  A delta record's
+    one file holds many parts; its rows carry theirs in the ``part``
+    column."""
     return int(os.path.basename(path).split("-")[1].split(".")[0])
 
 
@@ -692,9 +692,11 @@ def fsck(index_root: str, epoch: str | None = None,
     """Integrity check of an epoch against its lineage — the
     operational "is this index trustworthy" probe: every segment file
     exists with the recorded size (and sha256 when ``verify_hashes``),
-    every delta record's tombstone/added-docs/segment files exist, and
-    the docs directory is non-empty when n_docs > 0.  Returns a report
-    dict; ``ok`` is False iff any check failed."""
+    every delta record's tombstone/added-docs/segment files exist, each
+    delta segment file's ``part`` column is sorted, in range and as long
+    as its parquet metadata says, and the docs directory is non-empty
+    when n_docs > 0.  Returns a report dict; ``ok`` is False iff any
+    check failed."""
     import hashlib
 
     m = load_manifest(index_root, epoch)
@@ -718,6 +720,7 @@ def fsck(index_root: str, epoch: str | None = None,
                     h.update(chunk)
             if h.hexdigest() != s["sha256"]:
                 errors.append(f"segment sha256 mismatch: {p}")
+    n_parts = m.get("num_shards", 0) * m.get("parts_per_shard", 0)
     for d in m.get("deltas", []):
         for p in ([d.get("tombstones"), d.get("added_docs"),
                    d.get("key_seqs")]
@@ -726,6 +729,9 @@ def fsck(index_root: str, epoch: str | None = None,
                 checked += 1
                 if not os.path.exists(p):
                     errors.append(f"delta file missing: {p}")
+        for p in d.get("segments", []):
+            if os.path.exists(p):
+                errors += _delta_layout_errors(p, n_parts)
     if m.get("n_docs", 0) > 0 and not docs_files(index_root, m["epoch"]):
         errors.append("docs table empty despite n_docs > 0")
     if m.get("store_positions") and not errors:
@@ -733,10 +739,10 @@ def fsck(index_root: str, epoch: str | None = None,
         # blob holds exactly sum(tf) varints (sampled — first file of
         # the base set plus every delta segment; a full sweep is the
         # hash check's job)
+        import numpy as np
         import pyarrow.parquet as pq
 
-        from mee_ray.postings import (decode_posting_list,
-                                      varint_value_offsets)
+        from mee_ray.postings import decode_rows, row_value_counts
         sample = [s["path"] for s in m.get("segments", [])][:1]
         for d in m.get("deltas", []):
             sample += list(d.get("segments", []))
@@ -747,19 +753,36 @@ def fsck(index_root: str, epoch: str | None = None,
                 errors.append(f"store_positions set but {p} has no "
                               f"pos_enc column")
                 continue
-            for r in range(t.num_rows):
-                _, tfs = decode_posting_list(
-                    t["doc_ids_enc"][r].as_py(), t["tfs_enc"][r].as_py())
-                n_vals = len(varint_value_offsets(
-                    t["pos_enc"][r].as_py())) - 1
-                if n_vals != int(tfs.sum()):
-                    errors.append(
-                        f"position count mismatch in {p} row {r}: "
-                        f"{n_vals} varints vs sum(tf)={int(tfs.sum())}")
-                    break
+            _, tfs, _, offs = decode_rows(t)
+            want = np.diff(np.concatenate(([0], np.cumsum(tfs)))[offs])
+            got = row_value_counts(t["pos_enc"])
+            for r in np.flatnonzero(got != want)[:1].tolist():
+                errors.append(f"position count mismatch in {p} row {r}: "
+                              f"{got[r]} varints vs sum(tf)={want[r]}")
     return {"epoch": m["epoch"], "ok": not errors, "checked": checked,
             "n_segments": len(m.get("segments", [])),
             "n_deltas": len(m.get("deltas", [])), "errors": errors}
+
+
+def _delta_layout_errors(path: str, n_parts: int) -> list[str]:
+    """A delta record's segment file must hold its rows sorted by
+    ``part``, every part in ``[0, n_parts)``, and as many rows as its
+    parquet metadata says — readers and compaction slice it by part."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    pf = pq.ParquetFile(path)
+    parts = pf.read(columns=["part"])["part"].to_numpy()
+    errors = []
+    if len(parts) != pf.metadata.num_rows:
+        errors.append(f"delta segment row count mismatch: {path} "
+                      f"({len(parts)} != {pf.metadata.num_rows})")
+    if np.any(np.diff(parts) < 0):
+        errors.append(f"delta segment not sorted by part: {path}")
+    if len(parts) and (parts.min() < 0 or parts.max() >= n_parts):
+        errors.append(f"delta segment part out of range [0, {n_parts}): "
+                      f"{path}")
+    return errors
 
 
 def docs_sources(index_root: str, manifest: dict,

@@ -5,10 +5,12 @@ dropped, per-term chunks merged by doc_id, re-encoded with fresh global
 stats, and the new epoch is published atomically
 (reference services/updateservice.py:47-80, 252-310 for the lifecycle).
 
-One Ray Data job: one task per partition that needs a merge combines
-its base segment with the delta rows routed to it (same (term, salt) →
-part function as the build, so no shuffle — SURVEY.md §7.4 'segment
-merge: none (per-shard local)').  The docs table is filtered per source
+One Ray Data job: one task per Ray CPU, each over a contiguous range
+of the partitions that need a merge, combines each part's base segment
+with the delta rows routed to it (same (term, salt) → part function as
+the build, so no shuffle — SURVEY.md §7.4 'segment merge: none
+(per-shard local)'); a task reads each delta record's file once,
+filtered to its part range.  The docs table is filtered per source
 file and untouched partitions are copied verbatim, both in the driver."""
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import pyarrow.parquet as pq
 from mee_ray import manifest as mf
 from mee_ray.build import LINEAGE_SCHEMA, make_encode_partition
 from mee_ray.config import EngineConfig, resolve_index_config
-from mee_ray.postings import decode_rows
+from mee_ray.postings import (_binary_buffers, binary_runs, decode_rows,
+                              varint_value_offsets)
 
 
 class CompactTargetExists(RuntimeError):
@@ -40,10 +43,10 @@ def partition_plan(manifest: dict) -> list[dict]:
     Partition set = base parts ∪ delta parts: a delta may introduce
     terms routing to a partition that produced no base segment — those
     must still get a new segment file, or their postings silently
-    vanish at compaction.  Both base and delta files carry their part
-    number in the name, so each merge task reads ONLY its own
-    partition's files — O(files-of-this-part), not
-    O(parts × all-delta-files) read amplification."""
+    vanish at compaction.  A base file carries its part number in its
+    name; a delta record's one file holds rows of many parts, sorted by
+    its ``part`` column, which is read once here, so an item lists only
+    the record files that hold rows of its part."""
     by_part: dict[int, list[str]] = {}
     by_part_delta: dict[int, list[str]] = {}
     by_part_seqs: dict[int, list[int]] = {}
@@ -51,71 +54,66 @@ def partition_plan(manifest: dict) -> list[dict]:
         by_part.setdefault(mf.part_of_file(s["path"]), []).append(s["path"])
     for d in manifest.get("deltas", []):
         for f in d.get("segments", []):
-            p = mf.part_of_file(f)
-            by_part_delta.setdefault(p, []).append(f)
-            by_part_seqs.setdefault(p, []).append(d["seq"])
+            parts = pq.read_table(f, columns=["part"])["part"].to_numpy()
+            for p in np.unique(parts).tolist():
+                by_part_delta.setdefault(p, []).append(f)
+                by_part_seqs.setdefault(p, []).append(d["seq"])
     return [{"part": p, "files": by_part.get(p, []),
              "delta_files": by_part_delta.get(p, []),
              "delta_seqs": by_part_seqs.get(p, [])}
             for p in sorted(set(by_part) | set(by_part_delta))]
 
 
-def _decode_rows(t: pa.Table) -> pa.Table:
-    """Segment rows → raw triples (term, salt, doc_id, tf, dl), through
-    the query path's one row-group kernel (postings.decode_rows)."""
-    n_rows = t.num_rows
-    empty = pa.table({"term": pa.array([], pa.string()),
-                      "salt": pa.array([], pa.int32()),
-                      "doc_id": pa.array([], pa.int64()),
-                      "tf": pa.array([], pa.int32()),
-                      "dl": pa.array([], pa.int32())})
-    if "pos_enc" in t.schema.names:
-        empty = empty.append_column("pos", pa.array([], pa.binary()))
-    if n_rows == 0:
-        return empty
-    terms = t["term"].to_pylist()
-    salts = np.asarray(t["salt"].to_numpy(zero_copy_only=False),
-                       dtype=np.int32)
-    dfs = t["df"].to_numpy(zero_copy_only=False).astype(np.int64)
-    out_ids, out_tfs, out_dls, row_start = decode_rows(t)
-    if not np.array_equal(np.diff(row_start), dfs):
-        raise ValueError("posting buffer/df mismatch "
-                         f"({int(row_start[-1])} vs {int(dfs.sum())})")
-    total = int(row_start[-1])
-    if total == 0:
-        return empty
+def task_blocks(items: list[dict], n_tasks: int) -> list[dict]:
+    """Cut :func:`partition_plan` items (ascending part) into at most
+    ``n_tasks`` contiguous blocks of about equal size, one merge task
+    each.  A block covers parts ``[lo, hi)`` and lists each delta
+    record file holding rows of its items once, in record order, so a
+    task reads each record once and each part's delta rows are read by
+    exactly one task."""
+    n = max(1, min(int(n_tasks), len(items)))
+    blocks = []
+    for chunk in np.array_split(np.arange(len(items)), n):
+        its = [items[i] for i in chunk.tolist()]
+        sources = sorted({(s, f) for it in its for f, s in zip(
+            it["delta_files"], it["delta_seqs"])})
+        blocks.append({"lo": its[0]["part"], "hi": its[-1]["part"] + 1,
+                       "items": its, "delta_files": [f for _, f in sources],
+                       "delta_seqs": [s for s, _ in sources]})
+    return blocks
 
-    tidx = np.repeat(np.arange(n_rows, dtype=np.int32), dfs)
-    term_col = pa.DictionaryArray.from_arrays(
-        pa.array(tidx, pa.int32()),
-        pa.array(terms, pa.string())).cast(pa.string())
-    out = pa.table({
-        "term": term_col,
-        "salt": pa.array(np.repeat(salts, dfs)),
-        "doc_id": pa.array(out_ids),
-        "tf": pa.array(out_tfs.astype(np.int32)),
-        "dl": pa.array(out_dls.astype(np.int32)),
-    })
-    if "pos_enc" in t.schema.names:
-        # re-split each row's concatenated position blob into per-doc
-        # blobs so tombstone filtering and re-encoding operate on
-        # aligned (term, doc) rows — value boundaries come from the
-        # LEB128 continuation bits, byte ranges per doc from tf cumsum
-        from mee_ray.postings import varint_value_offsets
-        pos_col: list = [b""] * total
-        pos_bufs = t["pos_enc"].to_pylist()
-        for ri in range(n_rows):
-            buf = pos_bufs[ri] or b""
-            s, c = int(row_start[ri]), int(dfs[ri])
-            voffs = varint_value_offsets(buf)
-            vb = np.concatenate(
-                ([0], np.cumsum(out_tfs[s:s + c])))
-            b_off = voffs[vb]
-            mv = memoryview(buf)
-            for j in range(c):
-                pos_col[s + j] = bytes(mv[b_off[j]:b_off[j + 1]])
-        out = out.append_column("pos", pa.array(pos_col, pa.binary()))
-    return out
+
+_TRIPLES = pa.schema([("term", pa.string()), ("salt", pa.int32()),
+                      ("doc_id", pa.int64()), ("tf", pa.int32()),
+                      ("dl", pa.int32())])
+
+
+def _decode_rows(t: pa.Table) -> pa.Table:
+    """Segment rows → raw triples (term, salt, doc_id, tf, dl[, pos]),
+    through the query path's one row-group kernel
+    (postings.decode_rows)."""
+    has_pos = "pos_enc" in t.schema.names
+    schema = (_TRIPLES.append(pa.field("pos", pa.binary())) if has_pos
+              else _TRIPLES)
+    if t.num_rows == 0:
+        return schema.empty_table()
+    ids, tfs, dls, offs = decode_rows(t)
+    dfs = t["df"].to_numpy(zero_copy_only=False)
+    if not np.array_equal(np.diff(offs), dfs):
+        raise ValueError("posting buffer/df mismatch "
+                         f"({int(offs[-1])} vs {int(dfs.sum())})")
+    rows = pa.array(np.repeat(np.arange(t.num_rows), dfs))
+    cols = [t["term"].take(rows), t["salt"].take(rows), pa.array(ids),
+            pa.array(tfs.astype(np.int32)), pa.array(dls.astype(np.int32))]
+    if has_pos:
+        # each row's position blob is its docs' self-contained blobs
+        # back to back, so the column's bytes split into per-doc blobs
+        # at the value offsets where each doc's positions start
+        b_offs, data = _binary_buffers(t["pos_enc"])
+        data = data[b_offs[0]:b_offs[-1]]
+        cols.append(binary_runs(varint_value_offsets(data)[
+            np.concatenate(([0], np.cumsum(tfs)))], data))
+    return pa.Table.from_arrays(cols, schema=schema)
 
 
 def _put_file(dst: str, src: str | pa.Table) -> None:
@@ -156,51 +154,67 @@ def compact_docs(index_root: str, manifest: dict, tombstones,
                   pa.concat_tables(added))
 
 
+def _live(t: pa.Table, seq: int, tombstones) -> pa.Table:
+    """Triples of source ``seq`` that no newer tombstone kills: a re-add
+    in a newer delta survives the tombstone that killed the older copy
+    of the same doc_id."""
+    ti, ts = tombstones
+    if not len(ti) or not t.num_rows:
+        return t
+    keep = mf.live_posting_mask(t["doc_id"].to_numpy(zero_copy_only=False),
+                                seq, ti, ts)
+    return t if keep.all() else t.filter(pa.array(keep))
+
+
+def merge_block(block: dict, seg_dir: str, avgdl: float, cfg: EngineConfig,
+                tombstones) -> list[dict]:
+    """Merge and re-encode one :func:`task_blocks` block, one base file
+    per part: each delta record file is read once, only its rows of
+    parts ``[lo, hi)``; returns the lineage rows."""
+    encode = make_encode_partition(seg_dir, avgdl, cfg)
+    deltas = []
+    for f, seq in zip(block["delta_files"], block["delta_seqs"]):
+        t = pq.read_table(f, filters=[("part", ">=", block["lo"]),
+                                      ("part", "<", block["hi"])]
+                          ).combine_chunks()
+        deltas.append((seq, t, t["part"].to_numpy()))
+    out = []
+    for item in block["items"]:
+        p = item["part"]
+        tabs = [_live(_decode_rows(pq.read_table(f)), 0, tombstones)
+                for f in item["files"]]
+        for seq, t, parts in deltas:
+            a, b = np.searchsorted(parts, [p, p + 1])
+            tabs.append(_live(_decode_rows(t.slice(a, b - a)), seq,
+                              tombstones))
+        tri = pa.concat_tables(tabs)
+        if not tri.num_rows:
+            continue
+        tri = tri.append_column("part", pa.array(
+            np.full(tri.num_rows, p, dtype=np.int32)))
+        out += encode(tri).to_pylist()
+    return out
+
+
 def _merge_parts(items: list[dict], seg_dir: str, avgdl: float,
                  cfg: EngineConfig, tombstones) -> list[dict]:
-    """Compaction's one Ray Data job: merge and re-encode each
-    :func:`partition_plan` item's part; returns the lineage rows."""
+    """Compaction's one Ray Data job: one :func:`merge_block` task per
+    Ray CPU over contiguous part ranges; returns the lineage rows."""
     import ray
     import ray.data
 
-    encode = make_encode_partition(seg_dir, avgdl, cfg)
     tomb_ref = ray.put(tombstones)
+    n_cpus = (ray.cluster_resources().get("CPU", 1) if ray.is_initialized()
+              else os.cpu_count())
+    blocks = task_blocks(items, int(n_cpus or 1))
 
-    def merge_part(batch: pa.Table) -> pa.Table:
-        out = []
-        ti, ts = ray.get(tomb_ref)
-        for row in batch.to_pylist():
-            tabs = []
-            sources = ([(f, 0) for f in row["files"]]
-                       + list(zip(row["delta_files"],
-                                  row.get("delta_seqs") or [])))
-            for f, seq in sources:
-                t = _decode_rows(pq.read_table(f))
-                if not t.num_rows:
-                    continue
-                if len(ti):
-                    # sequenced filter per source: a re-add in a newer
-                    # delta survives the tombstone that killed the
-                    # older copy of the same doc_id
-                    keep = mf.live_posting_mask(
-                        t["doc_id"].to_numpy(zero_copy_only=False),
-                        seq, ti, ts)
-                    if not keep.all():
-                        t = t.filter(pa.array(keep))
-                if t.num_rows:
-                    tabs.append(t)
-            if not tabs:
-                continue
-            tri = pa.concat_tables(tabs)
-            tri = tri.append_column("part", pa.array(
-                np.full(tri.num_rows, row["part"], dtype=np.int32)))
-            out.append(encode(tri))
-        if not out:
-            return pa.Table.from_pylist([], schema=LINEAGE_SCHEMA)
-        return pa.concat_tables(out)
+    def merge_task(batch: pa.Table) -> pa.Table:
+        rows = [r for block in batch.to_pylist() for r in merge_block(
+            block, seg_dir, avgdl, cfg, ray.get(tomb_ref))]
+        return pa.Table.from_pylist(rows, schema=LINEAGE_SCHEMA)
 
-    return (ray.data.from_items(items)
-            .map_batches(merge_part, batch_format="pyarrow", batch_size=1)
+    return (ray.data.from_items(blocks)
+            .map_batches(merge_task, batch_format="pyarrow", batch_size=1)
             .take_all())
 
 

@@ -27,10 +27,13 @@ import numpy as np
 # is recorded in its record's key_seqs file and docs files carry no
 # per-row write-seq column (a v3 index keeps added rows' write seqs
 # only in that column, so reading it as v4 would lose their LWW
-# memory).
+# memory); v5: segment rows carry their ``part`` (in place of the
+# unread ``shard``) and each delta record writes ONE segment file,
+# rows sorted by part, that readers split by that column (a v4
+# record's per-part files would be read as every shard's rows).
 # Manifests record it and the load paths refuse a mismatched index
 # instead of misreading it.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _MAX_VARINT_BYTES = 10  # 64-bit value → ≤10 LEB128 bytes
 
@@ -325,6 +328,20 @@ def _binary_buffers(col) -> tuple[np.ndarray, np.ndarray]:
     data = (np.frombuffer(db, dtype=np.uint8) if db is not None
             else np.empty(0, dtype=np.uint8))
     return offs.astype(np.int64), data
+
+
+def binary_runs(offs: np.ndarray, data) -> "pa.Array":
+    """The inverse of :func:`_binary_buffers`: a binary column whose
+    row i is ``data[offs[i]:offs[i + 1]]`` (int64 offsets into a uint8
+    array or buffer), built zero-copy."""
+    import pyarrow as pa
+
+    if offs[-1] >= 1 << 31:
+        raise ValueError(f"binary column of {int(offs[-1])} bytes exceeds "
+                         "one array; raise parts_per_shard")
+    return pa.Array.from_buffers(
+        pa.binary(), len(offs) - 1,
+        [None, pa.py_buffer(offs.astype(np.int32)), pa.py_buffer(data)])
 
 
 def row_value_counts(dls_col, lo: int = 0, hi: int | None = None

@@ -134,6 +134,18 @@ class _Segment:
                                  col.nbytes + 64 * len(col))
         return got
 
+    def part_rows(self, lo: int, hi: int) -> tuple[int, int]:
+        """The contiguous row range [a, b) holding parts [lo, hi) of a
+        delta record's file (rows sorted by part), from its part column
+        read once per process while cached."""
+        key = ("parts", self.key)
+        parts = wand.CACHE.get(key)
+        if parts is None:
+            parts = self.pf.read(columns=["part"])["part"].to_numpy()
+            parts = wand.CACHE.put(key, parts, parts.nbytes + 64)
+        a, b = np.searchsorted(parts, [lo, hi])
+        return int(a), int(b)
+
     def row(self, ri: int) -> tuple[int, int]:
         """(row group, row within it) of row ``ri``."""
         g = int(np.searchsorted(self.bounds, ri, side="right")) - 1
@@ -272,12 +284,14 @@ def _base_dict(segs: list[_Segment]):
 class _ShardIndex:
     """One snapshot's view of one term-shard: its base segments (whose
     dictionary is shared by every snapshot over the same files) plus
-    its delta segments (whose rows this view indexes).  Row groups are
-    read and decoded lazily, once per process, into the shared caches
-    (see :class:`_Segment`); a reopen after ``apply_delta`` therefore
-    opens only the new delta record's files."""
+    its rows of the delta records' files (parts ``parts[0]`` up to
+    ``parts[1]``, which this view indexes).  Row groups are read and
+    decoded lazily, once per process, into the shared caches (see
+    :class:`_Segment`); a reopen after ``apply_delta`` therefore opens
+    only the new delta record's file."""
 
-    def __init__(self, files: list[str], delta_files: list[str] = (),
+    def __init__(self, files: list[str], parts: tuple[int, int],
+                 delta_files: list[str] = (),
                  file_hints: dict[str, float] | None = None,
                  file_seqs: dict[str, int] | None = None):
         paths = list(files) + list(delta_files)
@@ -290,7 +304,8 @@ class _ShardIndex:
         self._base = _base_dict(self.segs[:len(files)])
         self._delta: dict[str, list[tuple[int, int]]] = defaultdict(list)
         for ti in range(len(files), len(paths)):
-            for ri, term in enumerate(self.segs[ti].terms()):
+            lo, hi = self.segs[ti].part_rows(*parts)
+            for ri, term in enumerate(self.segs[ti].terms()[lo:hi], lo):
                 self._delta[term].append((ti, ri))
 
     def locs(self, term: str) -> list[tuple[int, int]]:
@@ -1218,18 +1233,14 @@ class Searcher(QueryPlanner):
         self.query_stats = WandStats()
         self._shards: dict[int, _ShardIndex] = {}
         self._subset = set(shard_subset) if shard_subset is not None else None
-        base, delta = _segment_files(index_root, self.manifest)
-        # group files by shard: part = shard * parts_per_shard + r, and
-        # delta segments are written by the build's part function too
-        # (one file per part), so every segment file maps to exactly
-        # one shard = part // pps
-        pps = self.manifest["parts_per_shard"]
+        base, self._delta_files = _segment_files(index_root, self.manifest)
+        # part = shard * parts_per_shard + r: a base file (one part)
+        # maps to shard part // pps, and each shard reads its parts'
+        # contiguous rows of every delta record's file
+        self._pps = self.manifest["parts_per_shard"]
         self._files_by_shard: dict[int, list[str]] = defaultdict(list)
-        self._deltas_by_shard: dict[int, list[str]] = defaultdict(list)
-        for files, by_shard in ((base, self._files_by_shard),
-                                (delta, self._deltas_by_shard)):
-            for f in files:
-                by_shard[mf.part_of_file(f) // pps].append(f)
+        for f in base:
+            self._files_by_shard[mf.part_of_file(f) // self._pps].append(f)
         # per-segment block-max hint base: segments copied verbatim
         # across compactions keep the avgdl their hints were computed
         # at; missing (older manifests) → the epoch's avgdl
@@ -1247,8 +1258,8 @@ class Searcher(QueryPlanner):
         if got is None:
             got = self._shards[s] = _ShardIndex(
                 self._files_by_shard.get(s, []),
-                self._deltas_by_shard.get(s, []), self._file_hints,
-                self._file_seqs)
+                (s * self._pps, (s + 1) * self._pps), self._delta_files,
+                self._file_hints, self._file_seqs)
         return got
 
     def owns(self, shard: int) -> bool:

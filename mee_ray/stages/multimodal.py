@@ -108,6 +108,11 @@ class WavMetaDecode:
             # the sample parse below reads little-endian int16 mono
             raise ValueError(f"need 16-bit mono PCM, got {bits}-bit "
                              f"{n_ch}-channel")
+        if rate == 0 or block_align != n_ch * bits // 8:
+            # a header that disagrees with itself would divide by zero
+            # or count frames over a different width than the samples
+            raise ValueError(f"inconsistent fmt header: sample_rate "
+                             f"{rate}, block_align {block_align}")
         n_samples = len(data) // block_align
         s = np.frombuffer(data, dtype="<i2").astype(np.int64)
         return (rate, n_ch, bits, n_samples,
@@ -330,6 +335,23 @@ class PngEmbed(PngMetaDecode):
                 .to_numpy(zero_copy_only=False).reshape(-1, cls.DIM))
 
 
+def _smallest_doc_ids(path: str, n: int,
+                      batch_size: int = 1 << 16) -> np.ndarray:
+    """The ``n`` smallest doc_ids of a parquet file, ascending: one
+    streaming pass over its ``doc_id`` column, keeping at most ``n``
+    between batches, so driver memory stays O(n + batch)."""
+    import pyarrow.parquet as pq
+
+    keep = np.empty(0, dtype=np.int64)
+    for b in pq.ParquetFile(path).iter_batches(batch_size=batch_size,
+                                               columns=["doc_id"]):
+        keep = np.concatenate(
+            (keep, b.column(0).to_numpy(zero_copy_only=False)))
+        if len(keep) > n:
+            keep = np.partition(keep, n - 1)[:n] if n else keep[:0]
+    return np.sort(keep)
+
+
 def multimodal_retrieval(sf_dir: str, n_queries: int = 5, k: int = 10):
     """End-to-end multimodal retrieval: real PNG payload → actor-pool
     decode + histogram embed → top-k against a broadcast query matrix
@@ -339,14 +361,11 @@ def multimodal_retrieval(sf_dir: str, n_queries: int = 5, k: int = 10):
     the dot products are exact in float64 and RETRIEVAL_SQL, which
     rebuilds them from the pixel formula, yields the same bits.  Output
     is the rank table (query_id, rank, doc_id)."""
-    import pyarrow.parquet as pq
     import ray
 
     from mee_ray.pipelines.vector import _local_topk, _rank_merge
 
-    id_col = pq.read_table(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id"])["doc_id"]
-    q_ids = np.sort(id_col.to_numpy(zero_copy_only=False))[:n_queries]
+    q_ids = _smallest_doc_ids(f"{sf_dir}/documents.parquet", n_queries)
     q_mat = PngEmbed.matrix(PngEmbed()(_png_payloads(
         pa.table({"doc_id": pa.array(q_ids, pa.int64())}))))
     q_ref = ray.put((q_ids, q_mat))

@@ -1,11 +1,17 @@
 """The delta write path runs in-process: apply_delta, delete_by_query
 and update_by_query start no Ray Data job, their results match the
 oracle, and a delta's segment bytes do not depend on how the adds are
-sliced for tokenization."""
+sliced for tokenization.  Each record writes one segment file, rows
+sorted by part, that fsck checks."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -162,3 +168,67 @@ def test_delta_segments_independent_of_tokenize_slicing(src_index,
         shas.append([hashlib.sha256(open(p, "rb").read()).hexdigest()
                      for p in rec["segments"]])
     assert shas[0] == shas[1] and shas[0]
+
+
+def _mixed_batch(n=40):
+    return _events([
+        {"seq": i + 1, "type": "INSERT", "repo": "o/layout",
+         "path": f"l{i}.py", "commit": "c" * 40, "lang": "python",
+         "content": f"def g{i}(y): return y * layout_tok_{i % 7} + {i}\n"}
+        for i in range(n)])
+
+
+def test_delta_record_has_one_segment_file(src_index, tmp_path):
+    """A delta record writes exactly one segment file, no lineage
+    sidecar, rows sorted by part, every part in range, and its record
+    carries the write path's layer timings."""
+    from mee_ray.delta import apply_delta
+
+    root = _copy(src_index, tmp_path)
+    rec = apply_delta(_mixed_batch(), root)
+    assert len(rec["segments"]) == 1
+    seg = rec["segments"][0]
+    assert os.path.basename(seg) == "segments.parquet"
+    assert sorted(os.listdir(os.path.dirname(seg))) == [
+        "added_docs.parquet", "key_seqs.parquet", "segments.parquet",
+        "tombstones.parquet"]
+    cfg = src_index["cfg"]
+    parts = pq.read_table(seg, columns=["part"])["part"].to_numpy()
+    assert np.all(np.diff(parts) >= 0)
+    assert parts.min() >= 0
+    assert parts.max() < cfg.num_shards * cfg.parts_per_shard
+    assert len(set(parts.tolist())) > 1     # one file, several parts
+    assert set(rec["seconds"]) == {"key_lookup", "tokenize", "encode",
+                                   "write"}
+    assert all(v >= 0 for v in rec["seconds"].values())
+    assert mf.load_manifest(root)["deltas"][-1]["seconds"] == rec["seconds"]
+    assert mf.fsck(root, verify_hashes=False)["ok"]
+    # the operator's view: `mee_ray status` prints the newest record's
+    r = subprocess.run([sys.executable, "-m", "mee_ray", "status",
+                        "--index", root], capture_output=True, text=True,
+                       cwd=os.path.dirname(os.path.dirname(
+                           os.path.abspath(__file__))))
+    st = json.loads(r.stdout.strip().splitlines()[-1])
+    assert st["epochs"][st["current"]]["last_delta_seconds"] == \
+        rec["seconds"]
+
+
+@pytest.mark.parametrize("fault", ["unsorted", "out_of_range"])
+def test_fsck_checks_delta_layout(src_index, tmp_path, fault):
+    from mee_ray.delta import apply_delta
+
+    root = _copy(src_index, tmp_path)
+    seg = apply_delta(_mixed_batch(), root)["segments"][0]
+    t = pq.read_table(seg)
+    parts = t["part"].to_numpy().copy()
+    if fault == "unsorted":
+        parts = parts[::-1].copy()
+        want = "not sorted by part"
+    else:
+        parts[-1] = 10 ** 6
+        want = "part out of range"
+    pq.write_table(t.set_column(t.column_names.index("part"), "part",
+                                pa.array(parts, pa.int32())), seg)
+    rep = mf.fsck(root, verify_hashes=False)
+    assert not rep["ok"]
+    assert [e for e in rep["errors"] if want in e and seg in e]

@@ -2,7 +2,8 @@
 
 - compaction of deltas that route to partitions with no base segment
   (previously silently dropped)
-- per-part delta-file pruning at compaction (read only part-NNNNN)
+- compaction tasks over contiguous part ranges (each delta record read
+  once per task, each part's delta rows by one task)
 - EngineConfig reconstruction from / validation against the manifest
 - crashed-apply debris cleared before a retry reuses the delta dir
 - latest-commit-wins with variable-length prefix commits
@@ -81,38 +82,71 @@ def test_compact_keeps_delta_only_partitions(ray_session, tmp_path):
     assert s.search(["alpha"], 5)[0][0] == doc_id_of("o/r", "a.py", "c" * 40)
 
 
-def test_compact_partition_plan_prunes_delta_files(ray_session, tmp_path):
-    """The merge work list assigns each delta segment file to exactly
-    ONE partition (its part number is in the file name), so a merge
-    task never reads another partition's delta files."""
-    from mee_ray.merge import partition_plan
+def test_compact_partition_plan_prunes_delta_files(ray_session, tmp_path,
+                                                   monkeypatch):
+    """Compaction tasks take contiguous part ranges: each part's delta
+    rows are read by exactly one merge task, and a task reads each delta
+    record's file at most once (filtered to its range)."""
+    from mee_ray import merge
 
     root = _build_small(
         tmp_path,
         [("o/r", f"b{i}.py", "c" * 40,
           f"def base_{i}(): return base_token_{i} shared_tok\n")
          for i in range(30)])
-    ev = [{"seq": i + 1, "type": "INSERT", "repo": "o/d",
-           "path": f"d{i}.py", "commit": "e" * 40, "lang": "python",
-           "content": f"def delta_{i}(): return delta_token_{i}\n"}
-          for i in range(10)]
-    apply_delta(_events(ev), root)
+    for batch in range(2):
+        apply_delta(_events([
+            {"seq": 10 * batch + i + 1, "type": "INSERT", "repo": "o/d",
+             "path": f"d{batch}_{i}.py", "commit": "e" * 40,
+             "lang": "python",
+             "content": f"def delta_{i}(): return delta_token_{batch}_{i}\n"}
+            for i in range(10)]), root)
 
     m = mf.load_manifest(root)
-    plan = partition_plan(m)
-    all_delta_files = [f for d in m["deltas"] for f in d["segments"]]
-    planned = [f for item in plan for f in item["delta_files"]]
-    assert sorted(planned) == sorted(all_delta_files)  # each exactly once
+    records = [f for d in m["deltas"] for f in d["segments"]]
+    assert len(records) == 2
+    rows_of = {f: pq.read_table(f, columns=["part"])["part"].to_pylist()
+               for f in records}
+    plan = merge.partition_plan(m)
     for item in plan:
-        for f in item["files"] + item["delta_files"]:
-            assert mf.part_of_file(f) == item["part"]
+        assert all(mf.part_of_file(f) == item["part"] for f in item["files"])
+        assert item["delta_files"] == [f for f in records
+                                       if item["part"] in rows_of[f]]
+    blocks = merge.task_blocks(plan, 3)
+    assert len(blocks) == 3
+    assert [b["lo"] for b in blocks] == sorted(b["lo"] for b in blocks)
+    assert all(a["hi"] <= b["lo"] for a, b in zip(blocks, blocks[1:]))
+
+    reads: list[tuple[int, str, tuple]] = []
+    real_read = pq.read_table
+
+    def counting_read(path, *a, **k):
+        if path in rows_of:
+            lo, hi = (f[2] for f in k["filters"])
+            reads.append((task, path, (lo, hi)))
+        return real_read(path, *a, **k)
+
+    monkeypatch.setattr(merge.pq, "read_table", counting_read)
+    seg_dir = str(tmp_path / "merged")
+    os.makedirs(seg_dir)
+    lineage = []
+    for task, block in enumerate(blocks):
+        lineage += merge.merge_block(block, seg_dir, 1.0, EngineConfig(),
+                                     mf.tombstone_index(m))
+    monkeypatch.undo()
+    assert len({(t, f) for t, f, _ in reads}) == len(reads)   # once per task
+    for f, parts in rows_of.items():
+        for p in set(parts):
+            assert sum(lo <= p < hi for _, g, (lo, hi) in reads
+                       if g == f) == 1, (f, p)
+    assert sorted(r["part"] for r in lineage) == [i["part"] for i in plan]
 
     # and the compaction built from that plan is still value-correct
     compact(root, "ep2", gc_old=False)
     s = Searcher(root)
-    assert s.n_docs == 40
-    assert s.search(["delta_token_7"], 3)[0][0] == doc_id_of(
-        "o/d", "d7.py", "e" * 40)
+    assert s.n_docs == 50
+    assert s.search(["delta_token_1_7"], 3)[0][0] == doc_id_of(
+        "o/d", "d1_7.py", "e" * 40)
     assert s.search(["base_token_12"], 3)[0][0] == doc_id_of(
         "o/r", "b12.py", "c" * 40)
 
@@ -153,33 +187,54 @@ def test_lifecycle_config_from_manifest(ray_session, tmp_path):
 
 
 def test_crashed_apply_debris_cleared(ray_session, tmp_path):
-    """A delta dir left by a crashed apply (segments written, manifest
-    append never reached) must not poison the retry via the encoder's
-    lineage-sidecar resume short-circuit."""
-    root = _build_small(tmp_path, [("o/r", "a.py", "c" * 40, "alpha beta")])
-    edir = mf.epoch_dir(root, "ep1")
-    ddir = os.path.join(edir, "deltas", "delta-000001")
-    segs = os.path.join(ddir, "segments")
-    os.makedirs(segs)
-    stale = os.path.join(segs, "part-00000.parquet")
-    base_seg = mf.load_manifest(root)["segments"][0]["path"]
-    shutil.copy(base_seg, stale)
-    with open(stale + ".lineage.json", "w") as f:
-        json.dump({"part": 0, "n_terms": 999, "n_postings": 999, "bytes": 1,
-                   "path": stale, "sha256": "stale", "resumed": False}, f)
+    """A delta dir left by a crashed apply (files written, manifest
+    append never reached) is never served: a retry that adds docs lists
+    only its own freshly encoded segment file, and a retry that adds
+    nothing lists none and leaves no debris behind."""
+    from mee_ray.build import DocTokenize, ExplodeTriples, encode_segment
 
-    rec = apply_delta(_events([{"seq": 1, "type": "INSERT", "repo": "o/r2",
-                                "path": "b.py", "commit": "d" * 40,
-                                "lang": "python",
-                                "content": "def h(): return retry_token\n"}]),
+    docs = [("o/r", "a.py", "c" * 40, "alpha beta"),
+            ("o/r", "b.py", "c" * 40, "alpha gamma")]
+    root = _build_small(tmp_path, docs)
+    cfg = config_from_manifest(mf.load_manifest(root))
+    edir = mf.epoch_dir(root, "ep1")
+
+    def plant_debris(seq):
+        # a valid delta segment file holding postings of a doc that no
+        # applied batch ever added
+        ddir = os.path.join(edir, "deltas", f"delta-{seq:06d}")
+        os.makedirs(ddir)
+        ghost = DocTokenize(cfg)(_corpus_table(
+            [("o/x", "ghost.py", "f" * 40, "alpha alpha stale_token")]))
+        stale = os.path.join(ddir, "segments.parquet")
+        pq.write_table(encode_segment(ExplodeTriples(cfg)(ghost), 2.0, cfg),
+                       stale)
+        return stale
+
+    def check(live_docs):
+        oi = OracleIndex([(doc_id_of(r, p, c), content)
+                          for r, p, c, content in live_docs])
+        s = Searcher(root)
+        for q in (["alpha"], ["stale_token"], ["retry_token", "alpha"]):
+            assert s.search(q, 10) == oi.search(q, 10), q
+        assert not s.search(["stale_token"], 10)
+
+    stale = plant_debris(1)
+    added = ("o/r2", "b.py", "d" * 40, "def h(): return retry_token alpha\n")
+    rec = apply_delta(_events([{"seq": 1, "type": "INSERT", "repo": added[0],
+                                "path": added[1], "commit": added[2],
+                                "lang": "python", "content": added[3]}]),
                       root)
-    # debris is gone; the record references only freshly-encoded segments
-    assert not os.path.exists(stale + ".lineage.json") or \
-        json.load(open(stale + ".lineage.json"))["sha256"] != "stale"
-    for p in rec["segments"]:
-        lin = json.load(open(p + ".lineage.json"))
-        assert lin["sha256"] != "stale"
-    assert Searcher(root).search(["retry_token"], 5)
+    assert rec["segments"] == [stale]       # rewritten in place, not kept
+    terms = set(pq.read_table(stale, columns=["term"])["term"].to_pylist())
+    assert "retry_token" in terms and "stale_token" not in terms
+    check(docs + [added])
+
+    stale = plant_debris(2)
+    rec = apply_delta(_events([{"seq": 2, "type": "DELETE", "repo": added[0],
+                                "path": added[1]}]), root)
+    assert rec["segments"] == [] and not os.path.exists(stale)
+    check(docs)
 
 
 def test_winner_prefix_commits(ray_session, tmp_path):

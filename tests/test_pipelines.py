@@ -1207,3 +1207,42 @@ def test_real_codec_decoders_reject_corrupt_bytes():
         struct.pack_into("<H", other, off, val)
         with _pytest.raises(ValueError, match="16-bit mono"):
             wd.decode(bytes(other))
+
+
+def test_wav_decoder_rejects_inconsistent_fmt_header():
+    """A fmt chunk that disagrees with itself raises ValueError rather
+    than dividing by zero or decoding silently wrong: sample_rate 0
+    (byte 24), block_align 0 (byte 32), and a block_align of 4 on
+    16-bit mono PCM, whose frames are 2 bytes."""
+    import struct
+
+    import pyarrow as pa
+    import pytest as _pytest
+
+    from mee_ray.stages.multimodal import WavMetaDecode, _wav_payloads
+
+    wav = _wav_payloads(pa.table({"doc_id": pa.array([777], pa.int64())})
+                        )["payload"][0].as_py()
+    wd = WavMetaDecode()
+    assert wd.decode(wav)[3] == (777 % 96) + 8
+    for off, fmt, val in ((24, "<I", 0), (32, "<H", 0), (32, "<H", 4)):
+        bad = bytearray(wav)
+        struct.pack_into(fmt, bad, off, val)
+        with _pytest.raises(ValueError, match="inconsistent fmt header"):
+            wd.decode(bytes(bad))
+
+
+def test_smallest_doc_ids_streaming_pick():
+    """The multimodal query pick streams the doc_id column: the n
+    smallest ids, ascending, whatever the batch size."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from mee_ray.stages.multimodal import _smallest_doc_ids
+
+    path = f"{SF}/documents.parquet"
+    ids = np.sort(pq.read_table(path, columns=["doc_id"])["doc_id"]
+                  .to_numpy())
+    for n, bs in ((5, 7), (5, 1 << 16), (1, 3), (0, 4),
+                  (len(ids) + 3, 11)):
+        assert np.array_equal(_smallest_doc_ids(path, n, bs), ids[:n])
