@@ -7,14 +7,23 @@ avgdl with the identical tokenizer regex and the identical BM25
 formula, so the correctness gate exercises the whole distributed index
 machinery end-to-end.  The index is built once per sf_dir into /tmp
 and reused across driver calls via the engine's own resume checkpoints.
+
+Adding a ranked query takes two statements: one :func:`_ranked` call
+(a query set plus the ONE Searcher call each query makes) and one
+oracle through :func:`_ranked_sql` (stating only what differs from the
+plain BM25 ranking: an extra CTE, a HAVING clause, a filter join or a
+different k).  Index-side scans over the docs table go through
+:func:`_broadcast_scan`.
 """
 
 from __future__ import annotations
 
 import binascii
+import functools
 import hashlib
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -77,15 +86,31 @@ def _orig_id(path: str) -> int:
 def _orig_id_map(root: str) -> dict[int, int]:
     """engine doc_id → original documents.doc_id."""
     out = {}
-    for f in mf.docs_files(root, mf.current_epoch(root)):
+    for f in _docs_files(root):
         t = pq.read_table(f, columns=["doc_id", "path"])
         for did, p in zip(t["doc_id"].to_pylist(), t["path"].to_pylist()):
             out[did] = _orig_id(p)
     return out
 
 
-def _rank_rows(query_results, idmap: dict[int, int], cap: int
-               ) -> list[tuple[int, int, int]]:
+def _docs_files(root: str) -> list[str]:
+    return mf.docs_files(root, mf.current_epoch(root))
+
+
+_TYPES = {"": pa.int64(), "str": pa.string(), "f64": pa.float64()}
+
+
+def _table(rows, spec: str) -> pa.Table:
+    """Row tuples → a table whose columns ``spec`` names in order, each
+    ``name`` (int64), ``name:str`` or ``name:f64``."""
+    names = [c.partition(":") for c in spec.split()]
+    cols = list(zip(*rows)) if rows else [()] * len(names)
+    return pa.table({n: pa.array(list(c), _TYPES[t])
+                     for (n, _, t), c in zip(names, cols)})
+
+
+def _rank_rows(query_results, idmap: dict[int, int], cap: int,
+               adjust=None) -> list[tuple[int, int, int]]:
     """Shared re-rank/emit: (query_id, engine ranking) pairs →
     (query_id, rank, original_doc_id) rows.
 
@@ -95,26 +120,57 @@ def _rank_rows(query_results, idmap: dict[int, int], cap: int
     (score desc, original id asc).  Exact score ties are common in
     this corpus (tiny vocabulary → identical (tf, dl) profiles), and
     both engines produce bit-identical float64 scores, so the ordering
-    is well-defined on both sides."""
-    import numpy as np
+    is well-defined on both sides.  ``adjust(orig_ids, scores)``, when
+    given, rescores each ranking in original-id space first (the
+    function_score / rank_feature / decay family)."""
     rows: list[tuple[int, int, int]] = []
     for qid, ranked in query_results:
         if not ranked:
             continue
         ids = np.array([idmap[d] for d, _ in ranked], dtype=np.int64)
         scores = np.array([sc for _, sc in ranked], dtype=np.float64)
+        if adjust is not None:
+            scores = adjust(ids, scores)
         order = np.lexsort((ids, -scores))[:cap]
         for rank, j in enumerate(order, start=1):
             rows.append((qid, rank, int(ids[j])))
     return rows
 
 
-def _rank_table(query_results, idmap: dict[int, int],
-                cap: int = TOP_K) -> pa.Table:
-    rows = _rank_rows(query_results, idmap, cap)
-    return pa.table({"query_id": pa.array([r[0] for r in rows], pa.int64()),
-                     "rank": pa.array([r[1] for r in rows], pa.int64()),
-                     "doc_id": pa.array([r[2] for r in rows], pa.int64())})
+class _Run:
+    """One open fulltext index: ``root`` (the documents index unless
+    given), ONE Searcher over it, the full ranking depth ``k`` and the
+    engine → original id map (read on first use)."""
+
+    def __init__(self, sf_dir: str, root: str | None = None):
+        from mee_ray.query import Searcher
+        self.root = root or _ensure_index(sf_dir)
+        self.s = Searcher(self.root)
+        self.k = self.s.n_docs or 1
+
+    @functools.cached_property
+    def idmap(self) -> dict[int, int]:
+        return _orig_id_map(self.root)
+
+    def results(self, queries, call) -> list[tuple[int, list]]:
+        """(qid, ranking) per query spec ``(qid, *args)``: ONE Searcher
+        call ``call(s, k, *args)`` at full depth."""
+        return [(qid, call(self.s, self.k, *args))
+                for qid, *args in queries]
+
+    def rows(self, queries, call, cap: int = TOP_K, adjust=None):
+        return _rank_rows(self.results(queries, call), self.idmap, cap,
+                          adjust)
+
+
+def _ranked(sf_dir: str, queries, call, cap: int = TOP_K, adjust=None,
+            root: str | None = None) -> pa.Table:
+    """The fulltext query runner: open the cached index, make one
+    Searcher call per query (see :meth:`_Run.results`), map to original
+    ids and re-rank (see :func:`_rank_rows`), emitted as
+    (query_id, rank, doc_id)."""
+    return _table(_Run(sf_dir, root).rows(queries, call, cap, adjust),
+                  "query_id rank doc_id")
 
 
 # Shared SQL fragments: ONE copy of the tokenizer + BM25 stats CTEs
@@ -123,20 +179,22 @@ def _rank_table(query_results, idmap: dict[int, int],
 # _SCORE_TERM is one term's contribution (idf × tfn, in that product
 # order — the engine's w*tf_norm); the weighted oracle multiplies a
 # boost onto it, everything else sums it as-is.
-_SCORE_TERM = """ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
-             * ((tf.tf * (1.2 + 1)) /
+_TFN_EXPR = """((tf.tf * (1.2 + 1)) /
                 (tf.tf + 1.2 * (1 - 0.75 + 0.75 * dl.dl /
                                 (CAST(s.total_tokens AS DOUBLE) / s.n_docs))))"""
+_SCORE_TERM = f"""ln(1 + (s.n_docs - df.df + 0.5) / (df.df + 0.5))
+             * {_TFN_EXPR}"""
 _SCORE_SUM = f"sum({_SCORE_TERM}) AS score"
+_TOKENS = f"regexp_extract_all(lower(text), '{TOKEN_PATTERN}')"
 
 
-def _base_ctes(with_positions: bool = False) -> str:
+def _base_ctes(with_positions: bool = False, tokens: str = _TOKENS) -> str:
     tok = ("SELECT doc_id, unnest(ts) AS term, "
            "generate_subscripts(ts, 1) AS i FROM tokl"
            if with_positions else
            "SELECT doc_id, unnest(ts) AS term FROM tokl")
     return f"""WITH tokl AS (
-  SELECT doc_id, regexp_extract_all(lower(text), '{TOKEN_PATTERN}') AS ts
+  SELECT doc_id, {tokens} AS ts
   FROM documents),
 tok AS ({tok}),
 dl AS (SELECT doc_id, count(*) AS dl FROM tok GROUP BY doc_id),
@@ -152,18 +210,71 @@ def _q_values(query_set) -> str:
                      for t in sorted(set(terms)))
 
 
-def _reference_text_results(s, queries=None) -> list[tuple[int, list]]:
-    """The full-depth text ranking loop over a (qid, terms) query set
-    (default REFERENCE_QUERIES) — ONE contract shared by topk /
-    hybrid / snippets / search_template so the k convention and the
-    partials path cannot desynchronize between them."""
+def _sql_head(queries=REFERENCE_QUERIES, q: str | None = None,
+              positions: bool = False, base: str | None = None) -> str:
+    """The oracle header: the tokenizer + BM25 stats CTEs (``base``
+    replaces them) and ``q(query_id, term)`` over ``queries`` (``q``
+    replaces it — any CTE chain that ends in a ``q`` CTE)."""
+    q = q or f"q(query_id, term) AS (VALUES {_q_values(queries)})"
+    return f"\n{base or _base_ctes(positions)},\n{q}"
+
+
+def _scores_cte(score: str = _SCORE_SUM, select: str = "",
+                joins: str = "", having: str = "", name: str = "scores",
+                tables=("tf", "df", "dl", "stats")) -> str:
+    """The standard BM25 join: per (query_id, doc_id) the summed score
+    of the matching ``q`` terms, plus ``select`` columns, ``joins`` and
+    a ``having`` clause; ``tables`` swaps in another field's
+    tf/df/dl/stats CTEs."""
+    tf, df, dl, st = tables
+    return f"""{name} AS (
+  SELECT q.query_id, tf.doc_id,
+         {score}{select}
+  FROM q
+  JOIN {tf} tf ON tf.term = q.term
+  JOIN {df} df ON df.term = q.term
+  JOIN {dl} dl ON dl.doc_id = tf.doc_id{joins}
+  CROSS JOIN {st} s
+  GROUP BY q.query_id, tf.doc_id{having})"""
+
+
+def _top_sql(source: str = "scores", k: int = TOP_K, restrict: str = "",
+             cols: str = "query_id, rank, doc_id") -> str:
+    """The ranked tail: ``source`` rows (alias ``sc``, restricted by the
+    joins/WHERE in ``restrict``) numbered per query by (score desc,
+    doc_id) and cut at ``k``."""
+    return f"""SELECT {cols}
+FROM (SELECT sc.query_id, sc.doc_id,
+             row_number() OVER (PARTITION BY sc.query_id
+                                ORDER BY sc.score DESC, sc.doc_id) AS rank
+      FROM {source} sc{restrict})
+WHERE rank <= {k}"""
+
+
+def _ranked_sql(queries=REFERENCE_QUERIES, *, q: str | None = None,
+                positions: bool = False, base: str | None = None,
+                ctes: str = "", post: str = "", source: str = "scores",
+                restrict: str = "", k: int = TOP_K, tail: str | None = None,
+                **scores) -> str:
+    """The ranked-oracle builder: :func:`_sql_head`, then ``ctes``, the
+    ``scores`` CTE (:func:`_scores_cte` with ``scores`` keywords), the
+    ``post`` CTEs, and the :func:`_top_sql` tail over ``source`` (or a
+    whole ``tail`` SELECT; ``""`` leaves it to the caller)."""
+    parts = [_sql_head(queries, q, positions, base), ctes,
+             _scores_cte(**scores), post]
+    return (",\n".join(p for p in parts if p) + "\n"
+            + (_top_sql(source, k, restrict) if tail is None else tail)
+            + "\n")
+
+
+def _text_search(s, k: int, terms: list[str]) -> list:
+    """The full-depth disjunctive ranking of one query through the
+    partials path — ONE contract shared by topk / hybrid / snippets /
+    search_template and every rescoring query, so the k convention and
+    the partials path cannot desynchronize between them."""
     from mee_ray.query import merge_partials
-    results = []
-    for qid, terms in (REFERENCE_QUERIES if queries is None else queries):
-        partials = s.term_partials(sorted(set(terms)))
-        results.append((qid, merge_partials([partials], terms,
-                                            k=s.n_docs or 1)))
-    return results
+    return merge_partials([s.term_partials(sorted(set(terms)))], terms,
+                          k=k)
 
 
 def bm25_topk_documents(sf_dir: str, k: int = TOP_K):
@@ -173,11 +284,7 @@ def bm25_topk_documents(sf_dir: str, k: int = TOP_K):
     sets the per-query depth (default TOP_K; rrf_hybrid_topk plumbs
     its fusion depth through so both component lists match — ADVICE
     r4)."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    return _rank_table(_reference_text_results(s), _orig_id_map(root),
-                       cap=k)
+    return _ranked(sf_dir, REFERENCE_QUERIES, _text_search, cap=k)
 
 
 # --- ES search-template analog ---------------------------------------
@@ -216,12 +323,7 @@ def _rendered_template_queries() -> list[tuple[int, list[str]]]:
 def bm25_search_template_documents(sf_dir: str):
     """Render SEARCH_TEMPLATES, then run the SHARED full-depth
     ranking loop — output contract identical to bm25_topk_documents."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    return _rank_table(
-        _reference_text_results(s, _rendered_template_queries()),
-        _orig_id_map(root))
+    return _ranked(sf_dir, _rendered_template_queries(), _text_search)
 
 
 def bm25_conjunctive_documents(sf_dir: str):
@@ -231,12 +333,8 @@ def bm25_conjunctive_documents(sf_dir: str):
     (idf stays full-index, conjunction filters rather than rescales).
     Emitted as (query_id, rank, doc_id) with original ids, ranked by
     (score desc, original id) like bm25_topk_documents."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search(terms, k=s.n_docs or 1, operator="and"))
-               for qid, terms in REFERENCE_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, REFERENCE_QUERIES, lambda s, k, terms:
+                   s.search(terms, k=k, operator="and"))
 
 
 # minimum_should_match per reference query: require 2 matching terms
@@ -259,39 +357,18 @@ def bm25_min_match_documents(sf_dir: str):
     distinct query terms are ranked; survivors keep their full
     disjunctive scores (the threshold filters, it never rescales).
     Emitted as (query_id, rank, doc_id) with the shared tie-break."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_min_match(terms, k=s.n_docs or 1,
-                                        min_match=MIN_MATCH[qid]))
+    queries = [(qid, terms, MIN_MATCH[qid])
                for qid, terms in REFERENCE_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, queries, lambda s, k, terms, m:
+                   s.search_min_match(terms, k=k, min_match=m))
 
 
 def _bm25_min_match_sql() -> str:
     mm = ", ".join(f"({qid}, {m})" for qid, m in sorted(MIN_MATCH.items()))
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-qm(query_id, mm) AS (VALUES {mm}),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN qm ON qm.query_id = q.query_id
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
-  HAVING count(DISTINCT tf.term) >= min(qm.mm))
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+    return _ranked_sql(
+        ctes=f"qm(query_id, mm) AS (VALUES {mm})",
+        joins="\n  JOIN qm ON qm.query_id = q.query_id",
+        having="\n  HAVING count(DISTINCT tf.term) >= min(qm.mm)")
 
 
 TERMS_SET_DL_THRESHOLD = 60   # tokens: short docs need 1 match, long 2
@@ -303,39 +380,16 @@ def bm25_terms_set_documents(sf_dir: str):
     indexed document length here: docs under
     {TERMS_SET_DL_THRESHOLD} tokens need 1 distinct query term, longer
     docs need 2.  Survivors keep full disjunctive scores."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_terms_set(
-        terms, k=s.n_docs or 1,
-        dl_threshold=TERMS_SET_DL_THRESHOLD))
-        for qid, terms in REFERENCE_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, REFERENCE_QUERIES, lambda s, k, terms:
+                   s.search_terms_set(
+                       terms, k=k, dl_threshold=TERMS_SET_DL_THRESHOLD))
 
 
 def _bm25_terms_set_sql() -> str:
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id
+    return _ranked_sql(having=f"""
   HAVING count(DISTINCT tf.term) >=
          CASE WHEN min(dl.dl) < {TERMS_SET_DL_THRESHOLD}
-              THEN 1 ELSE 2 END)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+              THEN 1 ELSE 2 END""")
 
 
 # script_score: replace BM25 with a doc-length-damped rescore, written
@@ -351,40 +405,17 @@ def bm25_script_score_documents(sf_dir: str):
     in the scalar DSL — and the top-k re-ranked by the scripted value.
     Exhaustive disjunctive matching by design (an arbitrary script
     voids WAND's monotone bounds, the stance ES documents)."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_script_score(terms, SCRIPT_SCORE_EXPR,
-                                           k=s.n_docs or 1))
-               for qid, terms in REFERENCE_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, REFERENCE_QUERIES, lambda s, k, terms:
+                   s.search_script_score(terms, SCRIPT_SCORE_EXPR, k=k))
 
 
 def _bm25_script_score_sql() -> str:
     # SQL mirror of SCRIPT_SCORE_EXPR: left-to-right (score*dl)/(dl+10)
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-scores0 AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM},
-         min(dl.dl) AS dlv
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id),
-scores AS (
+    return _ranked_sql(
+        select=",\n         min(dl.dl) AS dlv",
+        post="""scripted AS (
   SELECT query_id, doc_id, score * dlv / (dlv + 10) AS score
-  FROM scores0)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+  FROM scores)""", source="scripted")
 
 
 COMMON_TERMS_CUTOFF = 0.5   # df/n_docs above this ⇒ high-frequency
@@ -405,55 +436,29 @@ def bm25_common_terms_documents(sf_dir: str):
     """ES ``common_terms`` (cutoff-frequency) query: low-df terms are
     required, high-df terms only contribute score to survivors, all
     high-df degrades to plain OR — the stopword-tolerant match shape."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_common_terms(
-        terms, cutoff_frequency=COMMON_TERMS_CUTOFF, k=s.n_docs or 1))
-        for qid, terms in COMMON_TERMS_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, COMMON_TERMS_QUERIES, lambda s, k, terms:
+                   s.search_common_terms(
+                       terms, cutoff_frequency=COMMON_TERMS_CUTOFF, k=k))
 
 
 def _bm25_common_terms_sql() -> str:
     cut = COMMON_TERMS_CUTOFF
-    return f"""
-{_base_ctes()},
-q0(query_id, term) AS (VALUES {_q_values(COMMON_TERMS_QUERIES)}),
-qc AS (
-  SELECT q0.query_id, q0.term,
+    return _ranked_sql(COMMON_TERMS_QUERIES, ctes=f"""qc AS (
+  SELECT q.query_id, q.term,
          CASE WHEN coalesce(df.df, 0) > {cut} * s.n_docs
               THEN 1 ELSE 0 END AS hi
-  FROM q0 LEFT JOIN df ON df.term = q0.term CROSS JOIN stats s),
+  FROM q LEFT JOIN df ON df.term = q.term CROSS JOIN stats s),
 nlow AS (SELECT query_id, count(*) FILTER (WHERE hi = 0) AS n_low
          FROM qc GROUP BY query_id),
 lowmatch AS (
   SELECT qc.query_id, tf.doc_id, count(DISTINCT tf.term) AS n
   FROM qc JOIN tf ON tf.term = qc.term
   WHERE qc.hi = 0
-  GROUP BY qc.query_id, tf.doc_id),
-scores0 AS (
-  SELECT q0.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q0
-  JOIN tf ON tf.term = q0.term
-  JOIN df ON df.term = q0.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q0.query_id, tf.doc_id),
-scores AS (
-  SELECT s0.query_id, s0.doc_id, s0.score
-  FROM scores0 s0
-  JOIN nlow ON nlow.query_id = s0.query_id
-  LEFT JOIN lowmatch lm ON lm.query_id = s0.query_id
-                       AND lm.doc_id = s0.doc_id
-  WHERE nlow.n_low = 0 OR coalesce(lm.n, 0) = nlow.n_low)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+  GROUP BY qc.query_id, tf.doc_id)""", restrict="""
+      JOIN nlow ON nlow.query_id = sc.query_id
+      LEFT JOIN lowmatch lm ON lm.query_id = sc.query_id
+                           AND lm.doc_id = sc.doc_id
+      WHERE nlow.n_low = 0 OR coalesce(lm.n, 0) = nlow.n_low""")
 
 
 def bm25_weighted_documents(sf_dir: str):
@@ -461,38 +466,17 @@ def bm25_weighted_documents(sf_dir: str):
     contribution is scaled by QUERY_BOOSTS before the sorted-term
     accumulation — score = Σ_t boost_t·idf_t·tfn_t.  Emitted as
     (query_id, rank, doc_id) with the shared tie-break."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_weighted(QUERY_BOOSTS[qid],
-                                       k=s.n_docs or 1))
-               for qid, _ in REFERENCE_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, QUERY_BOOSTS.items(), lambda s, k, boosts:
+                   s.search_weighted(boosts, k=k))
 
 
 def _bm25_weighted_sql() -> str:
     values = ", ".join(f"({qid}, '{t}', {b:.1f})"
                        for qid, boosts in sorted(QUERY_BOOSTS.items())
                        for t, b in sorted(boosts.items()))
-    return f"""
-{_base_ctes()},
-qb(query_id, term, boost) AS (VALUES {values}),
-scores AS (
-  SELECT qb.query_id, tf.doc_id,
-         sum({_SCORE_TERM} * qb.boost) AS score
-  FROM qb
-  JOIN tf ON tf.term = qb.term
-  JOIN df ON df.term = qb.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY qb.query_id, tf.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+    return _ranked_sql(
+        q=f"q(query_id, term, boost) AS (VALUES {values})",
+        score=f"sum({_SCORE_TERM} * q.boost) AS score")
 
 
 def percolate_documents(sf_dir: str):
@@ -510,9 +494,6 @@ def percolate_documents(sf_dir: str):
     per stored query.  No index, no shuffle, no driver-side text; the
     stored-query set is a compiled constant inside the task."""
     import re
-
-    import numpy as np
-    import pyarrow.compute as pc
 
     from mee_ray.pipelines.text import _read_docs
 
@@ -546,15 +527,18 @@ def percolate_documents(sf_dir: str):
     return t.sort_by([("doc_id", "ascending"), ("query_id", "ascending")])
 
 
-def _percolate_sql() -> str:
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
+# per reference query its term count (nq) and, per matching doc, how
+# many of its terms the doc holds (m) — percolate and _count share it
+_MATCH_COUNTS_SQL = _sql_head() + """,
 nq AS (SELECT query_id, count(DISTINCT term) AS nt FROM q
        GROUP BY query_id),
 m AS (SELECT q.query_id, tf.doc_id, count(DISTINCT tf.term) AS c
       FROM q JOIN tf ON tf.term = q.term
-      GROUP BY q.query_id, tf.doc_id)
+      GROUP BY q.query_id, tf.doc_id)"""
+
+
+def _percolate_sql() -> str:
+    return f"""{_MATCH_COUNTS_SQL}
 SELECT m.doc_id, m.query_id
 FROM m JOIN nq ON nq.query_id = m.query_id
 WHERE m.c = nq.nt
@@ -567,28 +551,13 @@ def bm25_match_counts(sf_dir: str):
     reference query, how many documents contain ANY term (``n_or``)
     and how many contain EVERY term (``n_and``).  Posting id-set math
     only — no scores, no heap."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    qids = [qid for qid, _ in REFERENCE_QUERIES]
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "n_or": pa.array([s.count(t, "or")
-                          for _, t in REFERENCE_QUERIES], pa.int64()),
-        "n_and": pa.array([s.count(t, "and")
-                           for _, t in REFERENCE_QUERIES], pa.int64()),
-    })
+    s = _Run(sf_dir).s
+    return _table([(qid, s.count(t, "or"), s.count(t, "and"))
+                   for qid, t in REFERENCE_QUERIES], "query_id n_or n_and")
 
 
 def _bm25_counts_sql() -> str:
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-nq AS (SELECT query_id, count(DISTINCT term) AS nt FROM q
-       GROUP BY query_id),
-m AS (SELECT q.query_id, tf.doc_id, count(DISTINCT tf.term) AS c
-      FROM q JOIN tf ON tf.term = q.term
-      GROUP BY q.query_id, tf.doc_id)
+    return f"""{_MATCH_COUNTS_SQL}
 SELECT nq.query_id,
        CAST(count(m.doc_id) AS BIGINT) AS n_or,
        CAST(COALESCE(sum(CASE WHEN m.c = nq.nt THEN 1 ELSE 0 END), 0)
@@ -616,32 +585,17 @@ def bm25_significant_terms(sf_dir: str):
     the INDEX'S tokenizer (not a parallel regex), so every counted
     term exists in the dictionary and bg_df > 0 by construction.
     Emitted as (query_id, rank, term, fg_count)."""
-    import pyarrow.compute as pc
-
-    from mee_ray.pipelines.text import _read_docs
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    top = _rank_rows(_reference_text_results(s), _orig_id_map(root),
-                     SIG_DOCS)
-    need_ids = sorted({d for _, _, d in top})
-    vs = pa.array(need_ids, pa.int64())
-
-    def pick(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_in(t["doc_id"], value_set=vs))
-
+    run = _Run(sf_dir)
+    s = run.s
+    top = run.rows(REFERENCE_QUERIES, _text_search, SIG_DOCS)
     tok = s._tokenizer()
-    term_sets: dict[int, set] = {}
-    fetched = _read_docs(sf_dir, ["doc_id", "text"]) \
-        .map_batches(pick, batch_format="pyarrow")
-    for b in fetched.iter_batches(batch_format="pyarrow"):
-        for d, x in zip(b["doc_id"].to_pylist(), b["text"].to_pylist()):
-            term_sets[d] = set(tok.counts(x))
+    term_sets = {d: set(tok.counts(x))
+                 for d, x in _fetch_texts(sf_dir, top).items()}
 
     by_query: dict[int, list[int]] = {}
     for qid, _, did in top:
         by_query.setdefault(qid, []).append(did)
-    out_q, out_r, out_t, out_f = [], [], [], []
+    out = []
     n_docs_f = float(s.n_docs)
     for qid in sorted(by_query):
         fg: dict[str, int] = {}
@@ -658,35 +612,14 @@ def bm25_significant_terms(sf_dir: str):
             lift = (c / float(SIG_DOCS)) / (bg / n_docs_f)
             sig.append((-lift, t, c))
         sig.sort()
-        for rank, (_, t, c) in enumerate(sig[:SIG_K], start=1):
-            out_q.append(qid); out_r.append(rank)
-            out_t.append(t); out_f.append(c)
-    return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                     "rank": pa.array(out_r, pa.int64()),
-                     "term": pa.array(out_t, pa.string()),
-                     "fg_count": pa.array(out_f, pa.int64())})
+        out += [(qid, rank, t, c)
+                for rank, (_, t, c) in enumerate(sig[:SIG_K], start=1)]
+    return _table(out, "query_id rank term:str fg_count")
 
 
 def _bm25_sig_terms_sql() -> str:
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id),
-top AS (
-  SELECT query_id, doc_id FROM (
-    SELECT query_id, doc_id,
-           row_number() OVER (PARTITION BY query_id
-                              ORDER BY score DESC, doc_id) AS r
-    FROM scores)
-  WHERE r <= {SIG_DOCS}),
+    return _ranked_sql(post=f"""top AS (
+{_top_sql(k=SIG_DOCS, cols="query_id, doc_id")}),
 fg AS (
   SELECT t.query_id, tf.term, count(*) AS fg
   FROM top t JOIN tf ON tf.doc_id = t.doc_id
@@ -696,14 +629,13 @@ sig AS (
   SELECT fg.query_id, fg.term, fg.fg,
          (CAST(fg.fg AS DOUBLE) / {SIG_DOCS})
          / (CAST(df.df AS DOUBLE) / s.n_docs) AS lift
-  FROM fg JOIN df ON df.term = fg.term CROSS JOIN stats s)
+  FROM fg JOIN df ON df.term = fg.term CROSS JOIN stats s)""", tail=f"""\
 SELECT query_id, rank, term, fg_count
 FROM (SELECT query_id, term, fg AS fg_count,
              row_number() OVER (PARTITION BY query_id
                                 ORDER BY lift DESC, term) AS rank
       FROM sig)
-WHERE rank <= {SIG_K}
-"""
+WHERE rank <= {SIG_K}""")
 
 
 DISMAX_TB = 0.5   # exact power of two: the tb multiply stays exact
@@ -715,19 +647,12 @@ def bm25_dismax_documents(sf_dir: str):
     """Dis-max BM25 top-k (ES ``dis_max``): score = best single-term
     contribution + {DISMAX_TB} × the remaining contributions.  Emitted
     as (query_id, rank, doc_id) with the shared tie-break."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_dismax(terms, k=s.n_docs or 1,
-                                     tie_breaker=DISMAX_TB))
-               for qid, terms in REFERENCE_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, REFERENCE_QUERIES, lambda s, k, terms:
+                   s.search_dismax(terms, k=k, tie_breaker=DISMAX_TB))
 
 
 def _bm25_dismax_sql() -> str:
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
+    return f"""{_sql_head()},
 contrib AS (
   SELECT q.query_id, tf.doc_id, {_SCORE_TERM} AS st
   FROM q
@@ -739,12 +664,7 @@ scores AS (
   SELECT query_id, doc_id,
          max(st) + {DISMAX_TB} * (sum(st) - max(st)) AS score
   FROM contrib GROUP BY query_id, doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
+{_top_sql()}
 """
 
 
@@ -756,42 +676,14 @@ def bm25_search_after_documents(sf_dir: str):
     {PAGED_K}.  Any page-boundary duplicate or drop near the top
     surfaces as an oracle mismatch; exact whole-ranking reconstruction
     is asserted by the pytest suite."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = []
-    for qid, terms in REFERENCE_QUERIES:
+    def stitched(s, k, terms):
         pages, cursor = [], None
-        while True:
-            page = s.search_after(terms, size=PAGE_SIZE, after=cursor)
-            if not page:
-                break
+        while page := s.search_after(terms, size=PAGE_SIZE, after=cursor):
             pages.extend(page)
             cursor = page[-1]
-        results.append((qid, pages))
-    return _rank_table(results, _orig_id_map(root), cap=PAGED_K)
+        return pages
 
-
-def _bm25_search_after_sql() -> str:
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {PAGED_K}
-"""
+    return _ranked(sf_dir, REFERENCE_QUERIES, stitched, cap=PAGED_K)
 
 
 # more_like_this seed documents (original doc_ids; the corpus is
@@ -807,30 +699,27 @@ def bm25_mlt_documents(sf_dir: str):
     itself is excluded from the ranking.  Emitted as
     (query_id = seed original id, rank, doc_id) with the shared
     tie-break."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    idmap = _orig_id_map(root)
-    rev = {orig: eng for eng, orig in idmap.items()}
+    run = _Run(sf_dir)
+    rev = {orig: eng for eng, orig in run.idmap.items()}
     seeds = pq.read_table(f"{sf_dir}/documents.parquet",
                           columns=["doc_id", "text"],
                           filters=[("doc_id", "in", MLT_SEEDS)])
     texts = dict(zip(seeds["doc_id"].to_pylist(),
                      seeds["text"].to_pylist()))
-    results = [(sid, s.more_like_this(texts[sid], k=s.n_docs or 1,
-                                      max_terms=MLT_TERMS,
-                                      exclude_doc_ids=[rev[sid]]))
-               for sid in MLT_SEEDS]
-    return _rank_table(results, idmap)
+    return _table(run.rows(
+        [(sid, texts[sid], rev[sid]) for sid in MLT_SEEDS],
+        lambda s, k, text, eng: s.more_like_this(
+            text, k=k, max_terms=MLT_TERMS, exclude_doc_ids=[eng])),
+        "query_id rank doc_id")
 
 
 def _bm25_mlt_sql() -> str:
     seeds = ", ".join(f"({sid})" for sid in MLT_SEEDS)
-    return f"""
-{_base_ctes()},
-seeds(seed_id) AS (VALUES {seeds}),
-sel AS (
-  SELECT seed_id, term FROM (
+    # the seed's own row only ever scores the seed, so it is dropped
+    # after scoring
+    return _ranked_sql(q=f"""seeds(seed_id) AS (VALUES {seeds}),
+q AS (
+  SELECT seed_id AS query_id, term FROM (
     SELECT se.seed_id, tf.term,
            row_number() OVER (
              PARTITION BY se.seed_id
@@ -841,24 +730,8 @@ sel AS (
     JOIN tf ON tf.doc_id = se.seed_id
     JOIN df ON df.term = tf.term
     CROSS JOIN stats s)
-  WHERE r <= {MLT_TERMS}),
-scores AS (
-  SELECT sel.seed_id AS query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM sel
-  JOIN tf ON tf.term = sel.term
-  JOIN df ON df.term = sel.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  WHERE tf.doc_id <> sel.seed_id
-  GROUP BY sel.seed_id, tf.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+  WHERE r <= {MLT_TERMS})""",
+                       restrict="\n      WHERE sc.doc_id <> sc.query_id")
 
 
 # Filter-context query set: each reference query restricted to one
@@ -879,11 +752,9 @@ def _allowed_ids_by_lang(root: str, langs: set[str]) -> dict[str, "object"]:
     collects ids-only rows for the requested langs (~8 B/doc — the
     id-set analog of an ES filter bitset; a roaring-bitmap carrier is
     the documented upgrade when filters match billions of docs)."""
-    import numpy as np
-    import pyarrow.compute as pc
     import ray.data
 
-    files = mf.docs_files(root, mf.current_epoch(root))
+    files = _docs_files(root)
     value_set = pa.array(sorted(langs), pa.string())
 
     def pick(t: pa.Table) -> pa.Table:
@@ -912,42 +783,31 @@ def bm25_filtered_documents(sf_dir: str):
     with original ids, ranked by (score desc, original id) like the
     other fulltext queries so the SQL oracle can mirror the
     tie-break."""
-    from mee_ray.query import Searcher
     root = _ensure_index(sf_dir)
-    s = Searcher(root)
     allowed = _allowed_ids_by_lang(root, set(FILTER_LANGS.values()))
-    results = [(qid, s.search_filtered(
-                   terms, k=s.n_docs or 1,
-                   allowed_doc_ids=allowed[FILTER_LANGS[qid]]))
+    queries = [(qid, terms, allowed[FILTER_LANGS[qid]])
                for qid, terms in REFERENCE_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, queries, lambda s, k, terms, ids:
+                   s.search_filtered(terms, k=k, allowed_doc_ids=ids))
 
 
 def _bm25_filtered_sql() -> str:
     flts = ", ".join(f"({qid}, '{lang}')"
                      for qid, lang in FILTER_LANGS.items())
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-flt(query_id, lang) AS (VALUES {flts}),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
+    return _ranked_sql(ctes=f"flt(query_id, lang) AS (VALUES {flts})",
+                       joins="""
   JOIN flt ON flt.query_id = q.query_id
-  JOIN documents doc ON doc.doc_id = tf.doc_id AND doc.lang = flt.lang
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+  JOIN documents doc ON doc.doc_id = tf.doc_id AND doc.lang = flt.lang""")
+
+
+# docs holding any ``nq`` (must_not) term, and the tail filter that
+# drops them — boolean and simple_query_string share both
+_EXCL_CTE = """excl AS (SELECT DISTINCT nq.query_id, tf.doc_id
+         FROM nq JOIN tf ON tf.term = nq.term)"""
+_NOT_EXCLUDED = """
+      WHERE NOT EXISTS (SELECT 1 FROM excl e
+                        WHERE e.query_id = sc.query_id
+                          AND e.doc_id = sc.doc_id)"""
 
 
 # Boolean query set: (query_id, must terms, must_not terms).  must_not
@@ -970,12 +830,8 @@ def bm25_boolean_documents(sf_dir: str):
     unfiltered ranking.  Emitted as (query_id, rank, doc_id) with
     original ids, tie-broken by (score desc, original id) like the
     other fulltext queries."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_boolean(must, must_not, k=s.n_docs or 1))
-               for qid, must, must_not in BOOLEAN_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, BOOLEAN_QUERIES, lambda s, k, must, must_not:
+                   s.search_boolean(must, must_not, k=k))
 
 
 def _bm25_boolean_sql() -> str:
@@ -987,38 +843,16 @@ def _bm25_boolean_sql() -> str:
     # here with a message that names the actual editing mistake
     assert nvalues, ("BOOLEAN_QUERIES must contain at least one "
                      "must_not term (else use bm25_topk_documents)")
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(
-        [(qid, must) for qid, must, _ in BOOLEAN_QUERIES])}),
-nq(query_id, term) AS (VALUES {nvalues}),
-excl AS (SELECT DISTINCT nq.query_id, tf.doc_id
-         FROM nq JOIN tf ON tf.term = nq.term),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT sc.query_id, sc.doc_id,
-             row_number() OVER (PARTITION BY sc.query_id
-                                ORDER BY sc.score DESC, sc.doc_id) AS rank
-      FROM scores sc
-      WHERE NOT EXISTS (SELECT 1 FROM excl e
-                        WHERE e.query_id = sc.query_id
-                          AND e.doc_id = sc.doc_id))
-WHERE rank <= {TOP_K}
-"""
+    return _ranked_sql(
+        [(qid, must) for qid, must, _ in BOOLEAN_QUERIES],
+        ctes=f"""nq(query_id, term) AS (VALUES {nvalues}),
+{_EXCL_CTE}""", restrict=_NOT_EXCLUDED)
 
 
 class _BroadcastStage:
-    """Shared base of the query-context actor stages (_SortByField,
-    _RangeAgg, _StatsAgg, _GroupTopHits): dereferences the per-query
-    broadcast ONCE per actor (a ray.put ref, or the plain dict in
+    """Shared base of the query-context actor stages (_FacetCounter,
+    _SortByField, _RangeAgg, _StatsAgg, _GroupTopHits): dereferences
+    the per-query broadcast ONCE per actor (a ray.put ref, or the plain dict in
     direct/test use) into ``self.sets``, and centralizes the
     sorted-membership probe — previously each stage hand-rolled the
     searchsorted/clamp/compare idiom."""
@@ -1035,39 +869,47 @@ class _BroadcastStage:
         return positions_in_sorted(ids, sorted_ids)
 
 
-class _FacetCounter:
+def _broadcast_scan(files, columns: list[str], stage, payload, *args):
+    """read → stage → collect, the one plumbing of the query-context
+    scans: ``columns`` of ``files`` stream through an actor pool of
+    ``stage``, built with the ``payload`` broadcast ONCE via ray.put
+    (deserialized per actor, not per batch) plus ``args``; yields the
+    stage's bounded per-batch partials for a tiny driver merge."""
+    import ray
+    import ray.data
+
+    from mee_ray.stages import actor_pool
+    return (ray.data.read_parquet(files, columns=columns)
+            .map_batches(stage, fn_constructor_args=[ray.put(payload), *args],
+                         batch_format="pyarrow", **actor_pool(4))
+            .iter_batches(batch_format="pyarrow"))
+
+
+class _FacetCounter(_BroadcastStage):
     """Actor-pool facet stage: holds the per-query matched-id arrays
     (broadcast ONCE via ray.put — deserialized per actor, not per
     batch) and emits per-batch partial counts (query_id, lang, n) —
     bounded transport: ≤ queries × langs rows per batch, like the
-    sketch combiners.  (Not a _BroadcastStage: it keeps ONLY arrow
-    value sets — holding the numpy dict too would double the actor's
-    resident copy of the broadcast.)"""
+    sketch combiners.  It keeps ONLY arrow value sets — holding the
+    numpy dict too would double the actor's resident copy of the
+    broadcast."""
 
     def __init__(self, matched_ref):
-        import ray
-        matched = ray.get(matched_ref) \
-            if isinstance(matched_ref, ray.ObjectRef) else matched_ref
-        self.value_sets = {qid: pa.array(ids, pa.int64())
-                           for qid, ids in matched.items()}
+        super().__init__(matched_ref)
+        self.sets = {qid: pa.array(ids, pa.int64())
+                     for qid, ids in self.sets.items()}
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        out_q, out_l, out_n = [], [], []
-        for qid, vs in self.value_sets.items():
+        rows = []
+        for qid, vs in self.sets.items():
             if len(vs) == 0:
                 continue
             hit = t.filter(pc.is_in(t["doc_id"], value_set=vs))
             if hit.num_rows == 0:
                 continue
-            vc = pc.value_counts(hit["lang"])
-            for item in vc:
-                out_q.append(qid)
-                out_l.append(item["values"].as_py())
-                out_n.append(item["counts"].as_py())
-        return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                         "lang": pa.array(out_l, pa.string()),
-                         "n": pa.array(out_n, pa.int64())})
+            rows += [(qid, item["values"].as_py(), item["counts"].as_py())
+                     for item in pc.value_counts(hit["lang"])]
+        return _table(rows, "query_id lang:str n")
 
 
 def bm25_facet_counts(sf_dir: str):
@@ -1079,44 +921,29 @@ def bm25_facet_counts(sf_dir: str):
     matched sets broadcast once, per-batch partial counts, and a tiny
     driver merge — the docs table itself never concentrates
     anywhere."""
-    import numpy as np
-    import ray
-    import ray.data
-
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    matched: dict[int, np.ndarray] = {}
-    for qid, terms in REFERENCE_QUERIES:
-        partials = s.term_partials(sorted(set(terms)))
-        sets = [ids for ids, _ in partials.values() if len(ids)]
-        matched[qid] = (np.unique(np.concatenate(sets)) if sets
-                        else np.empty(0, np.int64))
-    ref = ray.put(matched)
-    files = mf.docs_files(root, mf.current_epoch(root))
-    parts = ray.data.read_parquet(files, columns=["doc_id", "lang"]) \
-        .map_batches(_FacetCounter, fn_constructor_args=[ref],
-                     batch_format="pyarrow", concurrency=(1, 4))
+    run = _Run(sf_dir)
+    matched = {qid: run.s.matched_doc_ids(terms)
+               for qid, terms in REFERENCE_QUERIES}
     acc: dict[tuple[int, str], int] = {}
-    for b in parts.iter_batches(batch_format="pyarrow"):
+    for b in _broadcast_scan(_docs_files(run.root), ["doc_id", "lang"],
+                             _FacetCounter, matched):
         for qid, lang, n in zip(b["query_id"].to_pylist(),
                                 b["lang"].to_pylist(),
                                 b["n"].to_pylist()):
             acc[(qid, lang)] = acc.get((qid, lang), 0) + n
-    keys = sorted(acc)
-    return pa.table({"query_id": pa.array([k[0] for k in keys], pa.int64()),
-                     "lang": pa.array([k[1] for k in keys], pa.string()),
-                     "n_docs": pa.array([acc[k] for k in keys], pa.int64())})
+    return _table([(*key, acc[key]) for key in sorted(acc)],
+                  "query_id lang:str n_docs")
+
+
+# docs matching ANY reference query term, per query — the facet /
+# constant_score / sort / range / stats oracles all start here
+_MATCHED_SQL = _sql_head() + """,
+matched AS (SELECT DISTINCT q.query_id, tok.doc_id
+            FROM q JOIN tok ON tok.term = q.term)"""
 
 
 def _bm25_facets_sql() -> str:
-    return f"""
-WITH tok AS (
-  SELECT doc_id, unnest(regexp_extract_all(lower(text), '{TOKEN_PATTERN}')) AS term
-  FROM documents),
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-matched AS (SELECT DISTINCT q.query_id, tok.doc_id
-            FROM q JOIN tok ON tok.term = q.term)
+    return f"""{_MATCHED_SQL}
 SELECT m.query_id, d.lang, count(*) AS n_docs
 FROM matched m JOIN documents d ON d.doc_id = m.doc_id
 GROUP BY m.query_id, d.lang
@@ -1144,41 +971,44 @@ def term_suggest_documents(sf_dir: str):
     edit distance 1 ranked by df desc (most common close spelling
     first), ties by term asc.  Emitted as
     (query_id, rank, term, df)."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    out_q, out_r, out_t, out_d = [], [], [], []
-    for qid, term in FUZZY_QUERIES:
-        for rank, (df, t) in enumerate(s.suggest(term, n=SUGGEST_N),
-                                       start=1):
-            out_q.append(qid); out_r.append(rank)
-            out_t.append(t); out_d.append(df)
-    return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                     "rank": pa.array(out_r, pa.int64()),
-                     "term": pa.array(out_t, pa.string()),
-                     "df": pa.array(out_d, pa.int64())})
+    return _term_list(sf_dir, FUZZY_QUERIES,
+                      lambda s, term: s.suggest(term, n=SUGGEST_N))
+
+
+def _term_list(sf_dir: str, queries, call) -> pa.Table:
+    """(query_id, rank, term, df) rows of the (df, term) lists the
+    dictionary-only ``call(s, arg)`` returns per ``(qid, arg)``."""
+    s = _Run(sf_dir).s
+    return _table([(qid, rank, t, df) for qid, arg in queries
+                   for rank, (df, t) in enumerate(call(s, arg), start=1)],
+                  "query_id rank term:str df")
 
 
 def _fuzzy_q_values() -> str:
     return ", ".join(f"({qid}, '{t}')" for qid, t in FUZZY_QUERIES)
 
 
-def _term_suggest_sql() -> str:
-    values = _fuzzy_q_values()
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {values}),
+def _term_list_sql(q: str, match: str, n: int) -> str:
+    """The suggester oracle: per query the top-``n`` dictionary terms
+    satisfying ``match`` (over ``df`` and ``q``), by df desc, term."""
+    return f"""{_sql_head(q=q)},
 cand AS (
   SELECT q.query_id, df.term, df.df
-  FROM q JOIN df ON levenshtein(df.term, q.term) <= 1
-                AND df.term <> q.term)
+  FROM q JOIN df ON {match})
 SELECT query_id, rank, term, df
 FROM (SELECT query_id, term, df,
              row_number() OVER (PARTITION BY query_id
                                 ORDER BY df DESC, term) AS rank
       FROM cand)
-WHERE rank <= {SUGGEST_N}
+WHERE rank <= {n}
 """
+
+
+def _term_suggest_sql() -> str:
+    return _term_list_sql(
+        f"q(query_id, term) AS (VALUES {_fuzzy_q_values()})",
+        "levenshtein(df.term, q.term) <= 1 AND df.term <> q.term",
+        SUGGEST_N)
 
 
 def bm25_prefix_documents(sf_dir: str):
@@ -1186,44 +1016,24 @@ def bm25_prefix_documents(sf_dir: str):
     terms starting with each query's prefix, scored as an OR query
     over the expansion.  Emitted as (query_id, rank, doc_id) with the
     shared (score desc, original id) tie-break."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_prefix(prefix, k=s.n_docs or 1))
-               for qid, prefix in PREFIX_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, PREFIX_QUERIES, lambda s, k, prefix:
+                   s.search_prefix(prefix, k=k))
 
 
-def _expansion_sql(q_cte: str, join_pred: str) -> str:
+def _expansion_sql(q0: str, pred: str) -> str:
     """Shared oracle shape for dictionary-expansion queries (prefix /
-    fuzzy): expansion join predicate differs, scoring/rank/tie-break
-    are ONE definition so the two cannot drift apart."""
-    return f"""
-{_base_ctes()},
-{q_cte},
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON {join_pred}
-  JOIN df ON df.term = tf.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+    fuzzy / wildcard / regexp): the query CTE ``q0`` (query_id, pat)
+    expands to every dictionary term satisfying ``pred`` (over df.term
+    and q0.pat); scoring/rank/tie-break are ONE definition so they
+    cannot drift apart."""
+    return _ranked_sql(q=f"""q0(query_id, pat) AS (VALUES {q0}),
+q AS (SELECT q0.query_id, df.term FROM q0 JOIN df ON {pred})""")
 
 
 def _bm25_prefix_sql() -> str:
-    values = ", ".join(f"({qid}, '{p}')" for qid, p in PREFIX_QUERIES)
     return _expansion_sql(
-        f"q(query_id, prefix) AS (VALUES {values})",
-        "tf.term LIKE q.prefix || '%'")
+        ", ".join(f"({qid}, '{p}')" for qid, p in PREFIX_QUERIES),
+        "df.term LIKE q0.pat || '%'")
 
 
 def bm25_match_bool_prefix_documents(sf_dir: str):
@@ -1234,47 +1044,22 @@ def bm25_match_bool_prefix_documents(sf_dir: str):
     dedup as a SET (a doc scores each distinct term once), so a
     survivor's score equals the plain OR query over the unioned term
     set."""
-    from mee_ray.query import Searcher, merge_partials, prefix_terms
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
+    from mee_ray.query import prefix_terms
     prefixes = dict(PREFIX_QUERIES)
-    vocab = s.vocabulary()
-    results = []
-    for qid, terms in REFERENCE_QUERIES:
-        exp = prefix_terms(vocab, prefixes[qid])
-        uterms = sorted(set(terms) | set(exp))
-        partials = s.term_partials(uterms)
-        results.append((qid, merge_partials([partials], uterms,
-                                            k=s.n_docs or 1)))
-    return _rank_table(results, _orig_id_map(root))
+    queries = [(qid, terms, prefixes[qid]) for qid, terms in REFERENCE_QUERIES]
+    return _ranked(sf_dir, queries, lambda s, k, terms, prefix: _text_search(
+        s, k, sorted(set(terms) | set(prefix_terms(s.vocabulary(), prefix)))))
 
 
 def _bm25_match_bool_prefix_sql() -> str:
     pvals = ", ".join(f"({qid}, '{p}')" for qid, p in PREFIX_QUERIES)
-    return f"""
-{_base_ctes()},
+    return _ranked_sql(q=f"""\
 q0(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
 qp(query_id, prefix) AS (VALUES {pvals}),
 q AS (SELECT query_id, term FROM q0
       UNION
       SELECT qp.query_id, df.term FROM qp
-      JOIN df ON df.term LIKE qp.prefix || '%'),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+      JOIN df ON df.term LIKE qp.prefix || '%')""")
 
 
 def bm25_fuzzy_documents(sf_dir: str):
@@ -1283,19 +1068,13 @@ def bm25_fuzzy_documents(sf_dir: str):
     misspelled) query term, scored as an OR query over the expansion.
     The engine's banded-DP metric and the oracle's levenshtein() are
     the same plain unit-cost distance — no transpositions."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_fuzzy(term, k=s.n_docs or 1))
-               for qid, term in FUZZY_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, FUZZY_QUERIES, lambda s, k, term:
+                   s.search_fuzzy(term, k=k))
 
 
 def _bm25_fuzzy_sql() -> str:
-    values = _fuzzy_q_values()
-    return _expansion_sql(
-        f"q(query_id, term) AS (VALUES {values})",
-        "levenshtein(tf.term, q.term) <= 1")
+    return _expansion_sql(_fuzzy_q_values(),
+                          "levenshtein(df.term, q0.pat) <= 1")
 
 
 class _SearchStage:
@@ -1311,15 +1090,12 @@ class _SearchStage:
         self.k = k
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        out_q, out_e, out_s = [], [], []
-        for qid, terms in zip(t["query_id"].to_pylist(),
-                              t["terms"].to_pylist()):
-            for eng_id, score in self.s.search(list(terms), self.k):
-                out_q.append(qid); out_e.append(eng_id)
-                out_s.append(score)
-        return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                         "eng_id": pa.array(out_e, pa.int64()),
-                         "score": pa.array(out_s, pa.float64())})
+        return _table([(qid, eng_id, score)
+                       for qid, terms in zip(t["query_id"].to_pylist(),
+                                             t["terms"].to_pylist())
+                       for eng_id, score in self.s.search(list(terms),
+                                                          self.k)],
+                      "query_id eng_id score:f64")
 
 
 def bm25_batch_rank_documents(sf_dir: str):
@@ -1329,8 +1105,9 @@ def bm25_batch_rank_documents(sf_dir: str):
     to bm25_topk_documents — same oracle — but through the batch
     plumbing that scales to millions of queries."""
     import ray.data
+
+    from mee_ray.stages import actor_pool
     root = _ensure_index(sf_dir)
-    idmap = _orig_id_map(root)
     n_docs = mf.live_stats(mf.load_manifest(root))[0] or 1
     qt = pa.table({
         "query_id": pa.array([qid for qid, _ in REFERENCE_QUERIES],
@@ -1341,14 +1118,15 @@ def bm25_batch_rank_documents(sf_dir: str):
     rows = pa.concat_tables(list(
         ray.data.from_arrow(qt)
         .map_batches(_SearchStage, fn_constructor_args=[root, n_docs],
-                     batch_format="pyarrow", concurrency=(1, 2))
+                     batch_format="pyarrow", **actor_pool(2))
         .iter_batches(batch_format="pyarrow")))
     results = {}
     for qid, e, sc in zip(rows["query_id"].to_pylist(),
                           rows["eng_id"].to_pylist(),
                           rows["score"].to_pylist()):
         results.setdefault(qid, []).append((e, sc))
-    return _rank_table(sorted(results.items()), idmap)
+    return _table(_rank_rows(sorted(results.items()), _orig_id_map(root),
+                             TOP_K), "query_id rank doc_id")
 
 
 # ES boosting query: positive disjunctive ranking, docs matching any
@@ -1370,50 +1148,22 @@ def bm25_boosting_documents(sf_dir: str):
     Both sides multiply the SAME base score by the same power-of-two
     constant, so ordering stays well-defined.  Emitted as
     (query_id, rank, doc_id)."""
-    import numpy as np
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    idmap = _orig_id_map(root)
-    out_q, out_r, out_d = [], [], []
-    for qid, pos, neg in BOOSTING_QUERIES:
-        ranked = s.search(pos, k=s.n_docs or 1)
-        if not ranked:
-            continue
-        neg_ids = s.excluded_doc_ids(neg)
-        eng = np.array([d for d, _ in ranked], dtype=np.int64)
-        ids = np.array([idmap[d] for d, _ in ranked], dtype=np.int64)
-        base = np.array([sc for _, sc in ranked], dtype=np.float64)
-        demote = np.isin(eng, neg_ids)
-        final = np.where(demote, base * NEGATIVE_BOOST, base)
-        order = np.lexsort((ids, -final))[:TOP_K]
-        for rank, j in enumerate(order, start=1):
-            out_q.append(qid); out_r.append(rank)
-            out_d.append(int(ids[j]))
-    return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                     "rank": pa.array(out_r, pa.int64()),
-                     "doc_id": pa.array(out_d, pa.int64())})
+    def demoted(s, k, pos, neg):
+        neg_ids = set(s.excluded_doc_ids(neg).tolist())
+        return [(d, sc * NEGATIVE_BOOST if d in neg_ids else sc)
+                for d, sc in s.search(pos, k=k)]
+
+    return _ranked(sf_dir, BOOSTING_QUERIES, demoted)
 
 
 def _bm25_boosting_sql() -> str:
-    pos_values = _q_values([(qid, pos) for qid, pos, _ in
-                            BOOSTING_QUERIES])
     neg_values = ", ".join(f"({qid}, '{t}')"
                            for qid, _, neg in BOOSTING_QUERIES
                            for t in sorted(set(neg)))
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {pos_values}),
-nq(query_id, term) AS (VALUES {neg_values}),
-scores AS (
-  SELECT q.query_id, tf.doc_id, {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id),
-demoted AS (
+    return _ranked_sql(
+        [(qid, pos) for qid, pos, _ in BOOSTING_QUERIES],
+        ctes=f"nq(query_id, term) AS (VALUES {neg_values})",
+        source="demoted", post=f"""demoted AS (
   SELECT sc.query_id, sc.doc_id,
          CASE WHEN EXISTS (SELECT 1 FROM nq JOIN tf t2
                            ON t2.term = nq.term
@@ -1421,14 +1171,7 @@ demoted AS (
                              AND t2.doc_id = sc.doc_id)
               THEN sc.score * {NEGATIVE_BOOST} ELSE sc.score END
            AS score
-  FROM scores sc)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM demoted)
-WHERE rank <= {TOP_K}
-"""
+  FROM scores sc)""")
 
 
 def bm25_constant_score_documents(sf_dir: str):
@@ -1437,36 +1180,13 @@ def bm25_constant_score_documents(sf_dir: str):
     degenerate) — output is the matched-id set ranked by doc_id, the
     ordering ES falls back to when scores tie.  Emitted as
     (query_id, rank, doc_id)."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    idmap = _orig_id_map(root)
-    out_q, out_r, out_d = [], [], []
-    for qid, terms in REFERENCE_QUERIES:
-        ids = sorted(idmap[int(d)]
-                     for d in s.excluded_doc_ids(sorted(set(terms))))
-        for rank, oid in enumerate(ids[:TOP_K], start=1):
-            out_q.append(qid); out_r.append(rank); out_d.append(oid)
-    return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                     "rank": pa.array(out_r, pa.int64()),
-                     "doc_id": pa.array(out_d, pa.int64())})
+    return _ranked(sf_dir, REFERENCE_QUERIES, lambda s, k, terms:
+                   [(int(d), 0.0) for d in s.matched_doc_ids(terms)])
 
 
 def _bm25_constant_score_sql() -> str:
-    return f"""
-WITH tok AS (
-  SELECT doc_id, unnest(regexp_extract_all(lower(text),
-                                           '{TOKEN_PATTERN}')) AS term
-  FROM documents),
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-matched AS (SELECT DISTINCT q.query_id, tok.doc_id
-            FROM q JOIN tok ON tok.term = q.term)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY doc_id) AS rank
-      FROM matched)
-WHERE rank <= {TOP_K}
+    return f"""{_MATCHED_SQL}
+{_top_sql("(SELECT *, 0.0 AS score FROM matched)")}
 """
 
 
@@ -1481,36 +1201,14 @@ def completion_suggest_documents(sf_dir: str):
     dictionary, df is a dictionary-only lookup (no posting decode
     unless tombstones are pending).  Emitted as
     (query_id, rank, term, df)."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    out_q, out_r, out_t, out_d = [], [], [], []
-    for qid, prefix in PREFIX_QUERIES:
-        for rank, (df, t) in enumerate(s.complete(prefix, COMPLETE_N),
-                                       start=1):
-            out_q.append(qid); out_r.append(rank)
-            out_t.append(t); out_d.append(df)
-    return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                     "rank": pa.array(out_r, pa.int64()),
-                     "term": pa.array(out_t, pa.string()),
-                     "df": pa.array(out_d, pa.int64())})
+    return _term_list(sf_dir, PREFIX_QUERIES,
+                      lambda s, prefix: s.complete(prefix, COMPLETE_N))
 
 
 def _completion_sql() -> str:
     values = ", ".join(f"({qid}, '{p}')" for qid, p in PREFIX_QUERIES)
-    return f"""
-{_base_ctes()},
-q(query_id, prefix) AS (VALUES {values}),
-cand AS (
-  SELECT q.query_id, df.term, df.df
-  FROM q JOIN df ON df.term LIKE q.prefix || '%')
-SELECT query_id, rank, term, df
-FROM (SELECT query_id, term, df,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY df DESC, term) AS rank
-      FROM cand)
-WHERE rank <= {COMPLETE_N}
-"""
+    return _term_list_sql(f"q(query_id, prefix) AS (VALUES {values})",
+                          "df.term LIKE q.prefix || '%'", COMPLETE_N)
 
 
 def bm25_corrected_documents(sf_dir: str):
@@ -1520,46 +1218,24 @@ def bm25_corrected_documents(sf_dir: str):
     edit distance 1, ties by term asc) and rank normally.  A term
     with no suggestion contributes nothing (empty result for that
     query).  Emitted as (query_id, rank, doc_id)."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = []
-    for qid, term in FUZZY_QUERIES:
+    def corrected(s, k, term):
         sug = s.suggest(term, n=1)
-        if not sug:
-            continue
-        results.append((qid, s.search([sug[0][1]], k=s.n_docs or 1)))
-    return _rank_table(results, _orig_id_map(root))
+        return s.search([sug[0][1]], k=k) if sug else []
+
+    return _ranked(sf_dir, FUZZY_QUERIES, corrected)
 
 
 def _bm25_corrected_sql() -> str:
-    values = _fuzzy_q_values()
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {values}),
-best AS (
+    return _ranked_sql(q=f"""\
+q0(query_id, term) AS (VALUES {_fuzzy_q_values()}),
+q AS (
   SELECT query_id, term FROM (
-    SELECT q.query_id, df.term,
-           row_number() OVER (PARTITION BY q.query_id
+    SELECT q0.query_id, df.term,
+           row_number() OVER (PARTITION BY q0.query_id
                               ORDER BY df.df DESC, df.term) AS rn
-    FROM q JOIN df ON levenshtein(df.term, q.term) <= 1
-                  AND df.term <> q.term)
-  WHERE rn = 1),
-scores AS (
-  SELECT b.query_id, tf.doc_id, {_SCORE_SUM}
-  FROM best b
-  JOIN tf ON tf.term = b.term
-  JOIN df ON df.term = b.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY b.query_id, tf.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+    FROM q0 JOIN df ON levenshtein(df.term, q0.term) <= 1
+                   AND df.term <> q0.term)
+  WHERE rn = 1)""")
 
 
 # Query-time synonym expansion (the ES search-time synonym_graph
@@ -1587,36 +1263,13 @@ def bm25_synonym_documents(sf_dir: str):
     """Synonym-expanded BM25 top-k: REFERENCE_QUERIES with each term
     OR-expanded through the SYNONYMS table before the standard
     disjunctive ranking.  Emitted as (query_id, rank, doc_id)."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search(_expand_synonyms(terms),
-                              k=s.n_docs or 1))
-               for qid, terms in REFERENCE_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, REFERENCE_QUERIES, lambda s, k, terms:
+                   s.search(_expand_synonyms(terms), k=k))
 
 
 def _bm25_synonym_sql() -> str:
-    expanded = [(qid, _expand_synonyms(terms))
-                for qid, terms in REFERENCE_QUERIES]
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(expanded)}),
-scores AS (
-  SELECT q.query_id, tf.doc_id, {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+    return _ranked_sql([(qid, _expand_synonyms(terms))
+                        for qid, terms in REFERENCE_QUERIES])
 
 
 class _GroupTopHitsStage(_BroadcastStage):
@@ -1632,12 +1285,11 @@ class _GroupTopHitsStage(_BroadcastStage):
         self.k = int(k)
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        import numpy as np
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         langs = np.asarray(t["lang"].to_pylist(), dtype=object)
         orig = np.array([_orig_id(p) for p in t["path"].to_pylist()],
                         dtype=np.int64)
-        out_q, out_l, out_s, out_o = [], [], [], []
+        rows = []
         for qid, (sid, ssc) in self.sets.items():
             safe, valid = self._probe(ids, sid)
             if not valid.any():
@@ -1645,19 +1297,9 @@ class _GroupTopHitsStage(_BroadcastStage):
             sc, lg, og = ssc[safe[valid]], langs[valid], orig[valid]
             for lang in np.unique(lg):
                 m = lg == lang
-                top = np.lexsort((og[m], -sc[m]))[:self.k]
-                for j in top:
-                    out_q.append(qid); out_l.append(str(lang))
-                    out_s.append(float(sc[m][j]))
-                    out_o.append(int(og[m][j]))
-        return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                         "lang": pa.array(out_l, pa.string()),
-                         "score": pa.array(out_s, pa.float64()),
-                         "orig_id": pa.array(out_o, pa.int64())})
-
-
-# field collapsing = the k=1 special case of the group-top-hits stage
-_CollapseStage = _GroupTopHitsStage
+                rows += [(qid, str(lang), float(sc[m][j]), int(og[m][j]))
+                         for j in np.lexsort((og[m], -sc[m]))[:self.k]]
+        return _table(rows, "query_id lang:str score:f64 orig_id")
 
 
 def bm25_collapse_documents(sf_dir: str):
@@ -1669,71 +1311,60 @@ def bm25_collapse_documents(sf_dir: str):
     per-batch best-per-group partials — a tiny driver merge, never a
     docs-table concentration.  Emitted as
     (query_id, rank, lang, doc_id)."""
-    import numpy as np
-    import ray
-    import ray.data
+    best = _group_top_hits(sf_dir, 1)
+    rows = []
+    for qid in sorted({q for q, _ in best}):
+        hits = sorted((*best[(q, lang)][0], lang)
+                      for q, lang in best if q == qid)
+        rows += [(qid, rank, lang, og)
+                 for rank, (_, og, lang) in enumerate(hits, start=1)]
+    return _table(rows, "query_id rank lang:str doc_id")
 
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
+
+def _group_top_hits(sf_dir: str, k: int) -> dict[tuple[int, str], list]:
+    """(query_id, lang) → its best ``k`` hits as sorted (-score,
+    original id) pairs: the full-depth ranking broadcast to a
+    :class:`_GroupTopHitsStage` scan of the docs table, per-batch
+    partials merged on the driver."""
+    run = _Run(sf_dir)
     qs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for qid, ranked in _reference_text_results(s):
+    for qid, ranked in run.results(REFERENCE_QUERIES, _text_search):
         ids = np.array([d for d, _ in ranked], dtype=np.int64)
         sc = np.array([x for _, x in ranked], dtype=np.float64)
         order = np.argsort(ids)
         qs[qid] = (ids[order], sc[order])
-    ref = ray.put(qs)
-    files = mf.docs_files(root, mf.current_epoch(root))
-    parts = ray.data.read_parquet(files,
-                                  columns=["doc_id", "lang", "path"]) \
-        .map_batches(_CollapseStage, fn_constructor_args=[ref],
-                     batch_format="pyarrow", concurrency=(1, 4))
-    best: dict[tuple[int, str], tuple[float, int]] = {}
-    for b in parts.iter_batches(batch_format="pyarrow"):
+    best: dict[tuple[int, str], list[tuple[float, int]]] = {}
+    for b in _broadcast_scan(_docs_files(run.root),
+                             ["doc_id", "lang", "path"],
+                             _GroupTopHitsStage, qs, k):
         for qid, lang, sc, og in zip(b["query_id"].to_pylist(),
                                      b["lang"].to_pylist(),
                                      b["score"].to_pylist(),
                                      b["orig_id"].to_pylist()):
-            cur = best.get((qid, lang))
-            if cur is None or (-sc, og) < (-cur[0], cur[1]):
-                best[(qid, lang)] = (sc, og)
-    out_q, out_r, out_l, out_d = [], [], [], []
-    for qid in sorted({k[0] for k in best}):
-        rows = sorted(((-sc, og, lang) for (q, lang), (sc, og)
-                       in best.items() if q == qid))
-        for rank, (_, og, lang) in enumerate(rows, start=1):
-            out_q.append(qid); out_r.append(rank)
-            out_l.append(lang); out_d.append(og)
-    return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                     "rank": pa.array(out_r, pa.int64()),
-                     "lang": pa.array(out_l, pa.string()),
-                     "doc_id": pa.array(out_d, pa.int64())})
+            lst = best.setdefault((qid, lang), [])
+            lst.append((-sc, og))
+            lst.sort()
+            del lst[k:]
+    return best
+
+
+# a best-per-(query, lang) ranking: the collapse and top_hits oracles
+_GROUP_RANKED_SQL = _ranked_sql(tail="", post="""\
+js AS (SELECT sc.query_id, sc.doc_id, sc.score, d.lang
+       FROM scores sc JOIN documents d ON d.doc_id = sc.doc_id),
+ranked AS (
+  SELECT query_id, lang, doc_id, score,
+         row_number() OVER (PARTITION BY query_id, lang
+                            ORDER BY score DESC, doc_id) AS hit_rank
+  FROM js)""")
 
 
 def _bm25_collapse_sql() -> str:
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-scores AS (
-  SELECT q.query_id, tf.doc_id, {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id),
-js AS (SELECT sc.query_id, sc.doc_id, sc.score, d.lang
-       FROM scores sc JOIN documents d ON d.doc_id = sc.doc_id),
-best AS (
-  SELECT query_id, lang, doc_id, score,
-         row_number() OVER (PARTITION BY query_id, lang
-                            ORDER BY score DESC, doc_id) AS rn
-  FROM js)
-SELECT query_id,
+    return f"""{_GROUP_RANKED_SQL}SELECT query_id,
        row_number() OVER (PARTITION BY query_id
                           ORDER BY score DESC, doc_id) AS rank,
        lang, doc_id
-FROM best WHERE rn = 1
+FROM ranked WHERE hit_rank = 1
 """
 
 
@@ -1746,27 +1377,34 @@ TITLE_LEN = 6
 TITLE_WEIGHT = 2.0
 
 
-def _ensure_title_index(sf_dir: str) -> str:
-    """Second field index: same corpus identity (repo/path/commit ⇒
-    identical engine doc_ids as the body index), content truncated to
-    the first {TITLE_LEN} tokens."""
+def _ensure_field_index(sf_dir: str, suffix: str, field) -> str:
+    """Build (or reuse) a field index: same corpus identity
+    (repo/path/commit ⇒ identical engine doc_ids as the body index),
+    content replaced by ``field(tokens)`` of each document's tokens."""
     import re
-    from mee_ray.pipelines.text import TOKEN_PATTERN
-    root = _index_root(sf_dir) + "_title"
-    cfg = EngineConfig(tokenizer=TokenizerConfig.simple())
+    root = _index_root(sf_dir) + suffix
     if mf.current_epoch(root) is None:
         rx = re.compile(TOKEN_PATTERN)
 
-        def to_title(t: pa.Table) -> pa.Table:
-            titles = [" ".join(rx.findall(x.lower())[:TITLE_LEN])
-                      for x in t["content"].to_pylist()]
+        def to_field(t: pa.Table) -> pa.Table:
+            out = [field(rx.findall(x.lower()))
+                   for x in t["content"].to_pylist()]
             return t.set_column(t.schema.get_field_index("content"),
-                                "content", pa.array(titles, pa.string()))
+                                "content", pa.array(out, pa.string()))
 
         corpus = documents_as_corpus(sf_dir).map_batches(
-            to_title, batch_format="pyarrow")
-        build_index(corpus, root, "ep1", cfg, dedup=False)
+            to_field, batch_format="pyarrow")
+        build_index(corpus, root, "ep1",
+                    EngineConfig(tokenizer=TokenizerConfig.simple()),
+                    dedup=False)
     return root
+
+
+def _ensure_title_index(sf_dir: str) -> str:
+    """Second field index: content truncated to the first {TITLE_LEN}
+    tokens."""
+    return _ensure_field_index(sf_dir, "_title",
+                               lambda toks: " ".join(toks[:TITLE_LEN]))
 
 
 def bm25_multifield_documents(sf_dir: str):
@@ -1776,65 +1414,33 @@ def bm25_multifield_documents(sf_dir: str):
     per-field scores are bit-identical to the SQL CTEs, and the
     weighted sum performs the identical float64 ops, so the ordering
     is well-defined.  Emitted as (query_id, rank, doc_id)."""
-    import numpy as np
-    from mee_ray.query import Searcher
-    body_root = _ensure_index(sf_dir)
-    title_root = _ensure_title_index(sf_dir)
-    sb = Searcher(body_root)
-    st_ = Searcher(title_root)
-    idmap = _orig_id_map(body_root)
-    body = dict((qid, dict(r))
-                for qid, r in _reference_text_results(sb))
-    title = dict((qid, dict(r))
-                 for qid, r in _reference_text_results(st_))
-    out_q, out_r, out_d = [], [], []
-    for qid, _terms in REFERENCE_QUERIES:
-        comb: dict[int, float] = {}
-        for d, sc in body.get(qid, {}).items():
-            comb[d] = comb.get(d, 0.0) + sc
-        for d, sc in title.get(qid, {}).items():
+    title = _Run(sf_dir, _ensure_title_index(sf_dir))
+
+    def most_fields(s, k, terms):
+        comb = dict(_text_search(s, k, terms))
+        for d, sc in _text_search(title.s, title.k, terms):
             comb[d] = comb.get(d, 0.0) + TITLE_WEIGHT * sc
-        if not comb:
-            continue
-        ids = np.array([idmap[d] for d in comb], dtype=np.int64)
-        sc = np.array(list(comb.values()), dtype=np.float64)
-        order = np.lexsort((ids, -sc))[:TOP_K]
-        for rank, j in enumerate(order, start=1):
-            out_q.append(qid); out_r.append(rank)
-            out_d.append(int(ids[j]))
-    return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                     "rank": pa.array(out_r, pa.int64()),
-                     "doc_id": pa.array(out_d, pa.int64())})
+        return list(comb.items())
+
+    return _ranked(sf_dir, REFERENCE_QUERIES, most_fields)
 
 
-def _bm25_multifield_sql() -> str:
-    return f"""
-{_base_ctes()},
-ttok AS (SELECT doc_id, unnest(list_slice(ts, 1, {TITLE_LEN})) AS term
-         FROM tokl),
+# the title field's tokens/dl/stats/tf/df CTEs, over _base_ctes' tokl
+_TITLE_CTES = f"""ttok AS (
+  SELECT doc_id, unnest(list_slice(ts, 1, {TITLE_LEN})) AS term FROM tokl),
 tdl AS (SELECT doc_id, count(*) AS dl FROM ttok GROUP BY doc_id),
 tstats AS (SELECT (SELECT count(*) FROM documents) AS n_docs,
                   (SELECT count(*) FROM ttok) AS total_tokens),
 ttf AS (SELECT doc_id, term, count(*) AS tf FROM ttok
         GROUP BY doc_id, term),
-tdf AS (SELECT term, count(*) AS df FROM ttf GROUP BY term),
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-bscores AS (
-  SELECT q.query_id, tf.doc_id, {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id),
-tscores AS (
-  SELECT q.query_id, tf.doc_id, {_SCORE_SUM}
-  FROM q
-  JOIN ttf tf ON tf.term = q.term
-  JOIN tdf df ON df.term = q.term
-  JOIN tdl dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN tstats s
-  GROUP BY q.query_id, tf.doc_id),
+tdf AS (SELECT term, count(*) AS df FROM ttf GROUP BY term)"""
+
+
+def _bm25_multifield_sql() -> str:
+    tscores = _scores_cte(name="tscores",
+                          tables=("ttf", "tdf", "tdl", "tstats"))
+    return _ranked_sql(ctes=_TITLE_CTES, name="bscores", source="comb",
+                       post=f"""{tscores},
 comb AS (
   SELECT coalesce(b.query_id, t.query_id) AS query_id,
          coalesce(b.doc_id, t.doc_id) AS doc_id,
@@ -1842,14 +1448,7 @@ comb AS (
            AS score
   FROM bscores b
   FULL OUTER JOIN tscores t
-    ON t.query_id = b.query_id AND t.doc_id = b.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM comb)
-WHERE rank <= {TOP_K}
-"""
+    ON t.query_id = b.query_id AND t.doc_id = b.doc_id)""")
 
 
 def bm25_cross_fields_documents(sf_dir: str):
@@ -1862,16 +1461,12 @@ def bm25_cross_fields_documents(sf_dir: str):
     doc for matching the same term in many fields), cross_fields
     rewards covering MANY terms across any fields — the ES contract
     for name-like queries split over columns."""
-    import numpy as np
-
     from mee_ray.postings import tf_norm
-    from mee_ray.query import Searcher, term_hash
+    from mee_ray.query import term_hash
     from mee_ray.scoring import idf
-    body_root = _ensure_index(sf_dir)
-    title_root = _ensure_title_index(sf_dir)
-    sb, st_ = Searcher(body_root), Searcher(title_root)
-    results = []
-    for qid, terms in REFERENCE_QUERIES:
+    st_ = _Run(sf_dir, _ensure_title_index(sf_dir)).s
+
+    def cross_fields(sb, k, terms):
         acc: dict[int, float] = {}
         for t in sorted(set(terms)):
             ids_b, tfs_b, dls_b = sb._live_postings(
@@ -1899,28 +1494,14 @@ def bm25_cross_fields_documents(sf_dir: str):
             for d, v in zip(ids_s[first].tolist(),
                             (w * tfn_s[first]).tolist()):
                 acc[d] = acc.get(d, 0.0) + v
-        ranked = sorted(acc.items(), key=lambda kv: (-kv[1], kv[0]))
-        results.append((qid, ranked[:sb.n_docs or 1]))
-    return _rank_table(results, _orig_id_map(body_root))
+        return list(acc.items())
 
-
-_TFN_EXPR = """((tf.tf * (1.2 + 1)) /
-                (tf.tf + 1.2 * (1 - 0.75 + 0.75 * dl.dl /
-                                (CAST(s.total_tokens AS DOUBLE) / s.n_docs))))"""
+    return _ranked(sf_dir, REFERENCE_QUERIES, cross_fields)
 
 
 def _bm25_cross_fields_sql() -> str:
-    return f"""
-{_base_ctes()},
-ttok AS (SELECT doc_id, unnest(list_slice(ts, 1, {TITLE_LEN})) AS term
-         FROM tokl),
-tdl AS (SELECT doc_id, count(*) AS dl FROM ttok GROUP BY doc_id),
-tstats AS (SELECT (SELECT count(*) FROM documents) AS n_docs,
-                  (SELECT count(*) FROM ttok) AS total_tokens),
-ttf AS (SELECT doc_id, term, count(*) AS tf FROM ttok
-        GROUP BY doc_id, term),
-tdf AS (SELECT term, count(*) AS df FROM ttf GROUP BY term),
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
+    return f"""{_sql_head()},
+{_TITLE_CTES},
 bnorm AS (
   SELECT q.query_id, q.term, tf.doc_id, {_TFN_EXPR} AS tfn
   FROM q JOIN tf ON tf.term = q.term
@@ -1951,12 +1532,7 @@ scores AS (
   CROSS JOIN stats s
   WHERE bd.df > 0
   GROUP BY best.query_id, best.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
+{_top_sql()}
 """
 
 
@@ -1968,28 +1544,10 @@ def _ensure_combined_index(sf_dir: str) -> str:
     tf_c = tf_body + w·tf_title, dl_c = dl_body + w·dl_title, one
     blended df/idf and one combined avgdl.  Same corpus identity
     (repo/path/commit) as the body/title indexes."""
-    import re
-    from mee_ray.pipelines.text import TOKEN_PATTERN
-    root = _index_root(sf_dir) + "_combined"
-    cfg = EngineConfig(tokenizer=TokenizerConfig.simple())
-    if mf.current_epoch(root) is None:
-        rx = re.compile(TOKEN_PATTERN)
-        w = int(TITLE_WEIGHT)
-
-        def to_combined(t: pa.Table) -> pa.Table:
-            outs = []
-            for x in t["content"].to_pylist():
-                toks = rx.findall(x.lower())
-                title = " ".join(toks[:TITLE_LEN])
-                outs.append(" ".join(toks) + (" " + title) * w
-                            if toks else "")
-            return t.set_column(t.schema.get_field_index("content"),
-                                "content", pa.array(outs, pa.string()))
-
-        corpus = documents_as_corpus(sf_dir).map_batches(
-            to_combined, batch_format="pyarrow")
-        build_index(corpus, root, "ep1", cfg, dedup=False)
-    return root
+    w = int(TITLE_WEIGHT)
+    return _ensure_field_index(sf_dir, "_combined", lambda toks: (
+        " ".join(toks) + (" " + " ".join(toks[:TITLE_LEN])) * w
+        if toks else ""))
 
 
 def bm25_combined_fields_documents(sf_dir: str):
@@ -2004,46 +1562,15 @@ def bm25_combined_fields_documents(sf_dir: str):
     (build → segments → WAND search) serves it; no new scoring kernel
     is needed because the pseudo-field construction IS the BM25F
     transform.  Emitted as (query_id, rank, doc_id), shared tie-break."""
-    from mee_ray.query import Searcher
-    root = _ensure_combined_index(sf_dir)
-    s = Searcher(root)
-    return _rank_table(_reference_text_results(s), _orig_id_map(root))
+    return _ranked(sf_dir, REFERENCE_QUERIES, _text_search,
+                   root=_ensure_combined_index(sf_dir))
 
 
 def _bm25_combined_fields_sql() -> str:
     # the combined pseudo-field in SQL: cts = ts || title || title
-    title_rep = " || ".join([f"list_slice(ts0, 1, {TITLE_LEN})"]
+    title_rep = " || ".join([f"list_slice({_TOKENS}, 1, {TITLE_LEN})"]
                             * int(TITLE_WEIGHT))
-    return f"""
-WITH tokl AS (
-  SELECT doc_id,
-         regexp_extract_all(lower(text), '{TOKEN_PATTERN}') AS ts0
-  FROM documents),
-ctokl AS (
-  SELECT doc_id, ts0 || {title_rep} AS ts
-  FROM tokl),
-tok AS (SELECT doc_id, unnest(ts) AS term FROM ctokl),
-dl AS (SELECT doc_id, count(*) AS dl FROM tok GROUP BY doc_id),
-stats AS (SELECT (SELECT count(*) FROM documents) AS n_docs,
-                 (SELECT count(*) FROM tok) AS total_tokens),
-tf AS (SELECT doc_id, term, count(*) AS tf FROM tok GROUP BY doc_id, term),
-df AS (SELECT term, count(*) AS df FROM tf GROUP BY term),
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-scores AS (
-  SELECT q.query_id, tf.doc_id, {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+    return _ranked_sql(base=_base_ctes(tokens=f"{_TOKENS} || {title_rep}"))
 
 
 # ES rescore: re-rank only the top-RESCORE_WINDOW of the base
@@ -2062,57 +1589,40 @@ def bm25_rescore_documents(sf_dir: str):
     {RESCORE_WEIGHT}×score; docs outside the window can never enter
     the final top-k (window > k), exactly the ES contract.  Emitted
     as (query_id, rank, doc_id)."""
-    import numpy as np
     from mee_ray.ids import term_hash
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    idmap = _orig_id_map(root)
-    out_q, out_r, out_d = [], [], []
-    for qid, ranked in _reference_text_results(s):
-        if not ranked:
-            continue
-        terms = sorted(set(dict(REFERENCE_QUERIES)[qid]))
-        ids = np.array([idmap[d] for d, _ in ranked], dtype=np.int64)
-        eng = np.array([d for d, _ in ranked], dtype=np.int64)
-        base = np.array([sc for _, sc in ranked], dtype=np.float64)
-        win = np.lexsort((ids, -base))[:RESCORE_WINDOW]
+    run = _Run(sf_dir)
+
+    def rescored(s, k, terms):
+        win = sorted(_text_search(s, k, terms),
+                     key=lambda r: (-r[1], run.idmap[r[0]]))[:RESCORE_WINDOW]
+        eng = np.array([d for d, _ in win], dtype=np.int64)
         # all-terms membership for the ≤window docs only: per-term
         # posting-id isin (postings are already in the decode LRU from
         # the ranking pass) — never a full-corpus AND materialization
         matched_all = np.ones(len(win), dtype=bool)
-        for t_ in terms:
+        for t_ in sorted(set(terms)):
             sh = term_hash(t_) % s.num_shards
             t_ids = (s._live_postings(sh, t_)[0] if s.owns(sh)
                      else np.empty(0, np.int64))
-            matched_all &= np.isin(eng[win], t_ids)
-        final = base[win] + np.where(matched_all,
-                                     RESCORE_WEIGHT * base[win], 0.0)
-        order = np.lexsort((ids[win], -final))[:TOP_K]
-        for rank, j in enumerate(order, start=1):
-            out_q.append(qid); out_r.append(rank)
-            out_d.append(int(ids[win][j]))
-    return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                     "rank": pa.array(out_r, pa.int64()),
-                     "doc_id": pa.array(out_d, pa.int64())})
+            matched_all &= np.isin(eng, t_ids)
+        return [(d, sc + (RESCORE_WEIGHT * sc if m else 0.0))
+                for (d, sc), m in zip(win, matched_all)]
+
+    return _table(run.rows(REFERENCE_QUERIES, rescored),
+                  "query_id rank doc_id")
+
+
+# per query its term count (qn.n_terms) and per scored doc how many of
+# them it holds (n_matched): the all-terms test of conj / rescore /
+# rank_eval
+_N_MATCHED = dict(
+    ctes="qn AS (SELECT query_id, count(*) AS n_terms FROM q "
+         "GROUP BY query_id)",
+    select=",\n         count(DISTINCT q.term) AS n_matched")
 
 
 def _bm25_rescore_sql() -> str:
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-qn AS (SELECT query_id, count(*) AS n_terms FROM q GROUP BY query_id),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         count(DISTINCT q.term) AS n_matched,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id),
-win AS (
+    return _ranked_sql(**_N_MATCHED, source="resc", post=f"""win AS (
   SELECT sc.query_id, sc.doc_id, sc.score, sc.n_matched, qn.n_terms,
          row_number() OVER (PARTITION BY sc.query_id
                             ORDER BY sc.score DESC, sc.doc_id) AS rn
@@ -2120,15 +1630,8 @@ win AS (
 resc AS (
   SELECT query_id, doc_id,
          score + CASE WHEN n_matched = n_terms
-                      THEN {RESCORE_WEIGHT} * score ELSE 0 END AS fscore
-  FROM win WHERE rn <= {RESCORE_WINDOW})
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY fscore DESC, doc_id) AS rank
-      FROM resc)
-WHERE rank <= {TOP_K}
-"""
+                      THEN {RESCORE_WEIGHT} * score ELSE 0 END AS score
+  FROM win WHERE rn <= {RESCORE_WINDOW})""")
 
 
 # ES wildcard (`*` any run / `?` one char) and regexp queries; the
@@ -2151,40 +1654,29 @@ def bm25_wildcard_documents(sf_dir: str):
     OR query over the expansion (reference query semantics:
     modules/query parity via commonhandler-style term expansion).
     Emitted as (query_id, rank, doc_id)."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_wildcard(pat, k=s.n_docs or 1))
-               for qid, pat in WILDCARD_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, WILDCARD_QUERIES, lambda s, k, pat:
+                   s.search_wildcard(pat, k=k))
 
 
 def _bm25_wildcard_sql() -> str:
     from mee_ray.query import wildcard_regex
-    values = ", ".join(f"({qid}, '{wildcard_regex(p)}')"
-                       for qid, p in WILDCARD_QUERIES)
-    return _expansion_sql(
-        f"q(query_id, pat) AS (VALUES {values})",
-        "regexp_full_match(tf.term, q.pat)")
+    return _expansion_sql(", ".join(f"({qid}, '{wildcard_regex(p)}')"
+                                    for qid, p in WILDCARD_QUERIES),
+                          "regexp_full_match(df.term, q0.pat)")
 
 
 def bm25_regexp_documents(sf_dir: str):
     """Regexp-expanded BM25 top-k (ES ``regexp`` query, implicitly
     anchored full-match): dictionary terms fully matching each
     pattern, scored as an OR query over the expansion."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_regexp(pat, k=s.n_docs or 1))
-               for qid, pat in REGEXP_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, REGEXP_QUERIES, lambda s, k, pat:
+                   s.search_regexp(pat, k=k))
 
 
 def _bm25_regexp_sql() -> str:
-    values = ", ".join(f"({qid}, '{p}')" for qid, p in REGEXP_QUERIES)
-    return _expansion_sql(
-        f"q(query_id, pat) AS (VALUES {values})",
-        "regexp_full_match(tf.term, q.pat)")
+    return _expansion_sql(", ".join(f"({qid}, '{p}')"
+                                    for qid, p in REGEXP_QUERIES),
+                          "regexp_full_match(df.term, q0.pat)")
 
 
 # function_score field_value_factor: multiplier derived from the
@@ -2241,18 +1733,14 @@ def bm25_simple_query_string(sf_dir: str):
     positive terms, require every ``+`` term (conjunction filter,
     restrict-never-rescale), drop docs matching any ``-`` term.
     Emitted as (query_id, rank, doc_id)."""
-    import numpy as np
+    from mee_ray.query import merge_partials
 
-    from mee_ray.query import Searcher, merge_partials
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = []
-    for qid, qs in SQS_QUERIES:
+    def sqs(s, k, qs):
         must, should, nots = parse_simple_query_string(qs)
         terms = sorted(set(must + should))
         partials = s.term_partials(terms)
         excl = s.excluded_doc_ids(nots) if nots else None
-        ranked = merge_partials([partials], terms, k=s.n_docs or 1,
+        ranked = merge_partials([partials], terms, k=k,
                                 exclude_sorted=excl)
         if must and ranked:
             cand = None
@@ -2263,8 +1751,9 @@ def bm25_simple_query_string(sf_dir: str):
                     break
             cs = set(cand.tolist()) if cand is not None else set()
             ranked = [(d, sc) for d, sc in ranked if d in cs]
-        results.append((qid, ranked))
-    return _rank_table(results, _orig_id_map(root))
+        return ranked
+
+    return _ranked(sf_dir, SQS_QUERIES, sqs)
 
 
 def _bm25_sqs_sql() -> str:
@@ -2277,39 +1766,36 @@ def _bm25_sqs_sql() -> str:
     n_vals = ", ".join(f"({qid}, '{t}')" for qid, _, _, nots in parsed
                        for t in sorted(set(nots)))
     assert q_vals and m_vals and n_vals, "SQS fixture needs all clause kinds"
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {q_vals}),
+    return _ranked_sql(q=f"q(query_id, term) AS (VALUES {q_vals})", ctes=f"""\
 mq(query_id, term) AS (VALUES {m_vals}),
 nq(query_id, term) AS (VALUES {n_vals}),
 mqn AS (SELECT query_id, count(DISTINCT term) AS n FROM mq GROUP BY query_id),
 mmatch AS (SELECT mq.query_id, tf.doc_id, count(DISTINCT mq.term) AS nm
            FROM mq JOIN tf ON tf.term = mq.term GROUP BY 1, 2),
-excl AS (SELECT DISTINCT nq.query_id, tf.doc_id
-         FROM nq JOIN tf ON tf.term = nq.term),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT sc.query_id, sc.doc_id,
-             row_number() OVER (PARTITION BY sc.query_id
-                                ORDER BY sc.score DESC, sc.doc_id) AS rank
-      FROM scores sc
+{_EXCL_CTE}""", restrict="""
       LEFT JOIN mqn ON mqn.query_id = sc.query_id
       LEFT JOIN mmatch mm ON mm.query_id = sc.query_id
-                         AND mm.doc_id = sc.doc_id
-      WHERE coalesce(mqn.n, 0) = coalesce(mm.nm, 0)
-        AND NOT EXISTS (SELECT 1 FROM excl e
-                        WHERE e.query_id = sc.query_id
-                          AND e.doc_id = sc.doc_id))
-WHERE rank <= {TOP_K}
-"""
+                         AND mm.doc_id = sc.doc_id""" + _NOT_EXCLUDED + """
+        AND coalesce(mqn.n, 0) = coalesce(mm.nm, 0)""")
+
+
+def _by_n_chars(sf_dir: str, fn):
+    """A :func:`_rank_rows` ``adjust`` that rescores by the docs'
+    ``n_chars`` field: ``fn(scores, n_chars as float64)``."""
+    ft = pq.read_table(f"{sf_dir}/documents.parquet",
+                       columns=["doc_id", "n_chars"])
+    fmap = dict(zip(ft["doc_id"].to_pylist(), ft["n_chars"].to_pylist()))
+    return lambda ids, sc: fn(sc, np.array([fmap[int(i)] for i in ids],
+                                           dtype=np.float64))
+
+
+def _rescored_sql(expr: str) -> str:
+    """The plain BM25 ranking rescored per doc by ``expr`` over the
+    score ``sc.score`` and the doc's ``documents`` row ``d``."""
+    return _ranked_sql(source="final", post=f"""final AS (
+  SELECT sc.query_id, sc.doc_id,
+         {expr} AS score
+  FROM scores sc JOIN documents d ON d.doc_id = sc.doc_id)""")
 
 
 def bm25_rank_feature_documents(sf_dir: str):
@@ -2319,32 +1805,9 @@ def bm25_rank_feature_documents(sf_dir: str):
     sides compute the identical float64 expression (exact int inputs,
     one division, one multiply, one add), so the ordering is
     well-defined.  Emitted as (query_id, rank, doc_id)."""
-    import numpy as np
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    idmap = _orig_id_map(root)
-    ft = pq.read_table(f"{sf_dir}/documents.parquet",
-                       columns=["doc_id", "n_chars"])
-    fmap = dict(zip(ft["doc_id"].to_pylist(),
-                    ft["n_chars"].to_pylist()))
-    out_q, out_r, out_d = [], [], []
-    for qid, ranked in _reference_text_results(s):
-        if not ranked:
-            continue
-        ids = np.array([idmap[d] for d, _ in ranked], dtype=np.int64)
-        base = np.array([sc for _, sc in ranked], dtype=np.float64)
-        f = np.array([fmap[int(i)] for i in ids], dtype=np.float64)
-        final = base + RANK_FEATURE_WEIGHT * (
-            f / (f + RANK_FEATURE_PIVOT))
-        order = np.lexsort((ids, -final))[:TOP_K]
-        for rank, j in enumerate(order, start=1):
-            out_q.append(qid)
-            out_r.append(rank)
-            out_d.append(int(ids[j]))
-    return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                     "rank": pa.array(out_r, pa.int64()),
-                     "doc_id": pa.array(out_d, pa.int64())})
+    return _ranked(sf_dir, REFERENCE_QUERIES, _text_search,
+                   adjust=_by_n_chars(sf_dir, lambda sc, f: sc + (
+                       RANK_FEATURE_WEIGHT * (f / (f + RANK_FEATURE_PIVOT)))))
 
 
 # linear decay (the ES function_score `linear` decay analog, chosen
@@ -2361,91 +1824,21 @@ def bm25_decay_documents(sf_dir: str):
     the origin length decay to zero (still ranked, by id, like ES's
     zeroed decay hits).  Exact float64 on both sides.  Emitted as
     (query_id, rank, doc_id)."""
-    import numpy as np
-
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    idmap = _orig_id_map(root)
-    ft = pq.read_table(f"{sf_dir}/documents.parquet",
-                       columns=["doc_id", "n_chars"])
-    fmap = dict(zip(ft["doc_id"].to_pylist(),
-                    ft["n_chars"].to_pylist()))
-    out_q, out_r, out_d = [], [], []
-    for qid, ranked in _reference_text_results(s):
-        if not ranked:
-            continue
-        ids = np.array([idmap[d] for d, _ in ranked], dtype=np.int64)
-        base = np.array([sc for _, sc in ranked], dtype=np.float64)
-        f = np.array([fmap[int(i)] for i in ids], dtype=np.float64)
-        mult = np.maximum(0.0, 1.0 - np.abs(f - DECAY_ORIGIN)
-                          / DECAY_SCALE)
-        final = base * mult
-        order = np.lexsort((ids, -final))[:TOP_K]
-        for rank, j in enumerate(order, start=1):
-            out_q.append(qid)
-            out_r.append(rank)
-            out_d.append(int(ids[j]))
-    return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                     "rank": pa.array(out_r, pa.int64()),
-                     "doc_id": pa.array(out_d, pa.int64())})
+    return _ranked(sf_dir, REFERENCE_QUERIES, _text_search,
+                   adjust=_by_n_chars(sf_dir, lambda sc, f: sc * np.maximum(
+                       0.0, 1.0 - np.abs(f - DECAY_ORIGIN) / DECAY_SCALE)))
 
 
 def _bm25_decay_sql() -> str:
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id),
-final AS (
-  SELECT sc.query_id, sc.doc_id,
-         sc.score * greatest(0.0,
+    return _rescored_sql(f"""sc.score * greatest(0.0,
              1.0 - abs(CAST(d.n_chars AS DOUBLE) - {DECAY_ORIGIN})
-                   / {DECAY_SCALE}) AS score
-  FROM scores sc JOIN documents d ON d.doc_id = sc.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM final)
-WHERE rank <= {TOP_K}
-"""
+                   / {DECAY_SCALE})""")
 
 
 def _bm25_rank_feature_sql() -> str:
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id),
-final AS (
-  SELECT sc.query_id, sc.doc_id,
-         sc.score + {RANK_FEATURE_WEIGHT} *
+    return _rescored_sql(f"""sc.score + {RANK_FEATURE_WEIGHT} *
            (CAST(d.n_chars AS DOUBLE) /
-            (CAST(d.n_chars AS DOUBLE) + {RANK_FEATURE_PIVOT}))
-           AS score
-  FROM scores sc JOIN documents d ON d.doc_id = sc.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM final)
-WHERE rank <= {TOP_K}
-"""
+            (CAST(d.n_chars AS DOUBLE) + {RANK_FEATURE_PIVOT}))""")
 
 
 # distance_feature: additive proximity boost, the ES query that
@@ -2464,54 +1857,19 @@ def bm25_distance_feature_documents(sf_dir: str):
     length get the largest additive boost.  Exact float64 on both
     sides (one abs, one add, one divide, one multiply, one add).
     Emitted as (query_id, rank, doc_id)."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    idmap = _orig_id_map(root)
-    ft = pq.read_table(f"{sf_dir}/documents.parquet",
-                       columns=["doc_id", "n_chars"])
-    fmap = dict(zip(ft["doc_id"].to_pylist(),
-                    ft["n_chars"].to_pylist()))
-
-    def boost(engine_id: int) -> float:
-        dist = abs(float(fmap[idmap[engine_id]])
-                   - DISTANCE_FEATURE_ORIGIN)
-        return DISTANCE_FEATURE_BOOST * (
-            DISTANCE_FEATURE_PIVOT / (DISTANCE_FEATURE_PIVOT + dist))
-
-    results = [(qid, [(d, sc + boost(d)) for d, sc in ranked])
-               for qid, ranked in _reference_text_results(s)]
-    return _rank_table(results, idmap)
+    return _ranked(sf_dir, REFERENCE_QUERIES, _text_search,
+                   adjust=_by_n_chars(sf_dir, lambda sc, f: sc + (
+                       DISTANCE_FEATURE_BOOST * (DISTANCE_FEATURE_PIVOT / (
+                           DISTANCE_FEATURE_PIVOT
+                           + np.abs(f - DISTANCE_FEATURE_ORIGIN))))))
 
 
 def _bm25_distance_feature_sql() -> str:
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id),
-final AS (
-  SELECT sc.query_id, sc.doc_id,
-         sc.score + {DISTANCE_FEATURE_BOOST} *
+    return _rescored_sql(f"""sc.score + {DISTANCE_FEATURE_BOOST} *
            ({DISTANCE_FEATURE_PIVOT} /
             ({DISTANCE_FEATURE_PIVOT} +
              abs(CAST(d.n_chars AS DOUBLE)
-                 - {DISTANCE_FEATURE_ORIGIN}))) AS score
-  FROM scores sc JOIN documents d ON d.doc_id = sc.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM final)
-WHERE rank <= {TOP_K}
-"""
+                 - {DISTANCE_FEATURE_ORIGIN})))""")
 
 
 def bm25_pinned_documents(sf_dir: str):
@@ -2520,49 +1878,31 @@ def bm25_pinned_documents(sf_dir: str):
     with zero organic matches — and organic BM25 hits follow with the
     pinned ids excluded.  Emitted as (query_id, rank, doc_id) at
     TOP_K."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    idmap = _orig_id_map(root)
+    run = _Run(sf_dir)
     # organic depth TOP_K + |pinned|: after exclusion at least TOP_K
     # organic rows remain for the tail
-    organic = _rank_rows(_reference_text_results(s), idmap,
-                         cap=TOP_K + len(PINNED_IDS))
+    organic = run.rows(REFERENCE_QUERIES, _text_search,
+                       cap=TOP_K + len(PINNED_IDS))
     by_q: dict[int, list[int]] = {}
     for qid, _rank, did in organic:
         by_q.setdefault(qid, []).append(did)
-    live = set(idmap.values())
+    live = set(run.idmap.values())
     pinned_live = [p for p in PINNED_IDS if p in live]
-    rows_q, rows_r, rows_d = [], [], []
+    rows = []
     for qid, _terms in REFERENCE_QUERIES:
         hits = list(pinned_live)
         hits += [d for d in by_q.get(qid, []) if d not in pinned_live]
-        for rank, did in enumerate(hits[:TOP_K], start=1):
-            rows_q.append(qid)
-            rows_r.append(rank)
-            rows_d.append(did)
-    return pa.table({"query_id": pa.array(rows_q, pa.int64()),
-                     "rank": pa.array(rows_r, pa.int64()),
-                     "doc_id": pa.array(rows_d, pa.int64())})
+        rows += [(qid, rank, did)
+                 for rank, did in enumerate(hits[:TOP_K], start=1)]
+    return _table(rows, "query_id rank doc_id")
 
 
 def _bm25_pinned_sql() -> str:
     pin_vals = ", ".join(f"({p}, {i})"
                          for i, p in enumerate(PINNED_IDS, start=1))
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
+    return _ranked_sql(ctes=f"""\
 qids AS (SELECT DISTINCT query_id FROM q),
-pin(pid, pos) AS (VALUES {pin_vals}),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id),
+pin(pid, pos) AS (VALUES {pin_vals})""", post="""\
 organic AS (
   SELECT query_id, doc_id,
          row_number() OVER (PARTITION BY query_id
@@ -2575,14 +1915,13 @@ allhits AS (
   FROM qids CROSS JOIN pin
   WHERE pin.pid IN (SELECT doc_id FROM documents)
   UNION ALL
-  SELECT query_id, doc_id, 1 AS tier, orank FROM organic)
+  SELECT query_id, doc_id, 1 AS tier, orank FROM organic)""", tail=f"""\
 SELECT query_id, rank, doc_id FROM (
   SELECT query_id, doc_id,
          row_number() OVER (PARTITION BY query_id
                             ORDER BY tier, orank) AS rank
   FROM allhits)
-WHERE rank <= {TOP_K}
-"""
+WHERE rank <= {TOP_K}""")
 
 
 def bm25_function_score_documents(sf_dir: str):
@@ -2593,53 +1932,15 @@ def bm25_function_score_documents(sf_dir: str):
     product (bm25 scores are bit-identical; the factor is an exact
     small-integer / 10 division), so the ordering is well-defined.
     Emitted as (query_id, rank, doc_id)."""
-    import numpy as np
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    idmap = _orig_id_map(root)
-    out_q, out_r, out_d = [], [], []
-    for qid, ranked in _reference_text_results(s):
-        if not ranked:
-            continue
-        ids = np.array([idmap[d] for d, _ in ranked], dtype=np.int64)
-        base = np.array([sc for _, sc in ranked], dtype=np.float64)
-        final = base * (1.0 + (ids % FUNCTION_SCORE_MOD)
-                        / FUNCTION_SCORE_SCALE)
-        order = np.lexsort((ids, -final))[:TOP_K]
-        for rank, j in enumerate(order, start=1):
-            out_q.append(qid); out_r.append(rank)
-            out_d.append(int(ids[j]))
-    return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                     "rank": pa.array(out_r, pa.int64()),
-                     "doc_id": pa.array(out_d, pa.int64())})
+    return _ranked(sf_dir, REFERENCE_QUERIES, _text_search,
+                   adjust=lambda ids, sc: sc * (1.0 + (
+                       ids % FUNCTION_SCORE_MOD) / FUNCTION_SCORE_SCALE))
 
 
 def _bm25_function_score_sql() -> str:
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = tf.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id),
-final AS (
-  SELECT query_id, doc_id,
-         score * (1.0 + (doc_id % {FUNCTION_SCORE_MOD})
-                  / {FUNCTION_SCORE_SCALE}) AS fscore
-  FROM scores)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY fscore DESC, doc_id) AS rank
-      FROM final)
-WHERE rank <= {TOP_K}
-"""
+    return _rescored_sql(f"""sc.score
+           * (1.0 + (sc.doc_id % {FUNCTION_SCORE_MOD})
+                    / {FUNCTION_SCORE_SCALE})""")
 
 
 RRF_POOL = 50   # per-side candidate pool depth feeding the fusion
@@ -2660,15 +1961,10 @@ def hybrid_rrf_documents(sf_dir: str):
     knn_bruteforce pattern).  Fusion itself touches only
     2 × {RRF_POOL} rows per query.  Emitted as (query_id, rank,
     doc_id), fused score ties broken by doc_id."""
-    import numpy as np
     import ray
 
     from mee_ray.pipelines.vector import _emb_matrix, _read_emb, _unit
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    text_rows = _rank_rows(_reference_text_results(s),
-                           _orig_id_map(root), RRF_POOL)
+    text_rows = _Run(sf_dir).rows(REFERENCE_QUERIES, _text_search, RRF_POOL)
 
     qids = sorted(qid for qid, _ in REFERENCE_QUERIES)
     qt = pq.read_table(f"{sf_dir}/embeddings.parquet",
@@ -2717,62 +2013,33 @@ def hybrid_rrf_documents(sf_dir: str):
     by_qid: dict[int, list[tuple[int, float]]] = {q: [] for q in qids}
     for (q, d), sc in fused.items():
         by_qid[q].append((d, sc))
-    out_q, out_r, out_d = [], [], []
+    rows = []
     for qid in qids:
         items = by_qid[qid]
         items.sort(key=lambda it: (-it[1], it[0]))
-        for rank, (d, _) in enumerate(items[:TOP_K], start=1):
-            out_q.append(qid); out_r.append(rank); out_d.append(d)
-    return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                     "rank": pa.array(out_r, pa.int64()),
-                     "doc_id": pa.array(out_d, pa.int64())})
+        rows += [(qid, rank, d)
+                 for rank, (d, _) in enumerate(items[:TOP_K], start=1)]
+    return _table(rows, "query_id rank doc_id")
 
 
 def _hybrid_rrf_sql() -> str:
     qids = ", ".join(str(qid) for qid, _ in REFERENCE_QUERIES)
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id),
-t AS (SELECT query_id, doc_id, r FROM (
-        SELECT query_id, doc_id,
-               row_number() OVER (PARTITION BY query_id
-                                  ORDER BY score DESC, doc_id) AS r
-        FROM scores)
-      WHERE r <= {RRF_POOL}),
+    pool = dict(k=RRF_POOL, cols="query_id, doc_id, rank AS r")
+    return _ranked_sql(source="fused", post=f"""\
+t AS ({_top_sql(**pool)}),
 vq AS (SELECT vec_id AS query_id, embedding AS qe
        FROM embeddings WHERE vec_id IN ({qids})),
 vsim AS (SELECT vq.query_id, e.vec_id AS doc_id,
-                list_cosine_similarity(e.embedding, vq.qe) AS sim
+                list_cosine_similarity(e.embedding, vq.qe) AS score
          FROM embeddings e CROSS JOIN vq),
-v AS (SELECT query_id, doc_id, r FROM (
-        SELECT query_id, doc_id,
-               row_number() OVER (PARTITION BY query_id
-                                  ORDER BY sim DESC, doc_id) AS r
-        FROM vsim)
-      WHERE r <= {RRF_POOL}),
+v AS ({_top_sql("vsim", **pool)}),
 fused AS (
   SELECT COALESCE(t.query_id, v.query_id) AS query_id,
          COALESCE(t.doc_id, v.doc_id)     AS doc_id,
          COALESCE(1.0 / ({RRF_K0} + t.r), 0.0)
-         + COALESCE(1.0 / ({RRF_K0} + v.r), 0.0) AS rrf
+         + COALESCE(1.0 / ({RRF_K0} + v.r), 0.0) AS score
   FROM t FULL OUTER JOIN v
-    ON v.query_id = t.query_id AND v.doc_id = t.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY rrf DESC, doc_id) AS rank
-      FROM fused)
-WHERE rank <= {TOP_K}
-"""
+    ON v.query_id = t.query_id AND v.doc_id = t.doc_id)""")
 
 
 SNIPPET_K = 3          # docs per query carrying a snippet
@@ -2793,69 +2060,47 @@ def bm25_snippets_documents(sf_dir: str):
     id)."""
     import re
 
-    import pyarrow.compute as pc
-
-    from mee_ray.pipelines.text import _read_docs
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
     # rank exactly like bm25_topk_documents, keep SNIPPET_K per query
-    top = _rank_rows(_reference_text_results(s),
-                     _orig_id_map(root), SNIPPET_K)
-    need_ids = sorted({d for _, _, d in top})
-    vs = pa.array(need_ids, pa.int64())
-
-    def pick(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_in(t["doc_id"], value_set=vs))
-
-    texts: dict[int, str] = {}
-    fetched = _read_docs(sf_dir, ["doc_id", "text"]) \
-        .map_batches(pick, batch_format="pyarrow")
-    for b in fetched.iter_batches(batch_format="pyarrow"):
-        for d, x in zip(b["doc_id"].to_pylist(), b["text"].to_pylist()):
-            texts[d] = x
-
+    top = _Run(sf_dir).rows(REFERENCE_QUERIES, _text_search, SNIPPET_K)
+    texts = _fetch_texts(sf_dir, top)
     tok = re.compile(TOKEN_PATTERN)
     qterms = {qid: set(terms) for qid, terms in REFERENCE_QUERIES}
-    out_q, out_r, out_d, out_s = [], [], [], []
+    rows = []
     for qid, rank, did in top:
         toks = tok.findall(texts[did].lower())
         hits = [i for i, t in enumerate(toks) if t in qterms[qid]]
         p = hits[0]          # top-ranked docs always contain ≥1 term
         lo = max(0, p - SNIPPET_RADIUS)
-        snippet = " ".join(toks[lo:p + SNIPPET_RADIUS + 1])
-        out_q.append(qid); out_r.append(rank); out_d.append(did)
-        out_s.append(snippet)
-    return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                     "rank": pa.array(out_r, pa.int64()),
-                     "doc_id": pa.array(out_d, pa.int64()),
-                     "snippet": pa.array(out_s, pa.string())})
+        rows.append((qid, rank, did,
+                     " ".join(toks[lo:p + SNIPPET_RADIUS + 1])))
+    return _table(rows, "query_id rank doc_id snippet:str")
+
+
+def _fetch_texts(sf_dir: str, rows) -> dict[int, str]:
+    """doc_id → text for the doc ids of ``rows`` (query_id, rank,
+    doc_id): a distributed pruned scan of the source table filtered by
+    the id set — never a full-table driver read."""
+    from mee_ray.pipelines.text import _read_docs
+    vs = pa.array(sorted({d for _, _, d in rows}), pa.int64())
+
+    def pick(t: pa.Table) -> pa.Table:
+        return t.filter(pc.is_in(t["doc_id"], value_set=vs))
+
+    texts: dict[int, str] = {}
+    for b in (_read_docs(sf_dir, ["doc_id", "text"])
+              .map_batches(pick, batch_format="pyarrow")
+              .iter_batches(batch_format="pyarrow")):
+        texts.update(zip(b["doc_id"].to_pylist(), b["text"].to_pylist()))
+    return texts
 
 
 def _bm25_snippets_sql() -> str:
-    return f"""
-{_base_ctes(with_positions=True)},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id),
-ranked AS (
-  SELECT query_id, doc_id, rank FROM (
-    SELECT query_id, doc_id,
-           row_number() OVER (PARTITION BY query_id
-                              ORDER BY score DESC, doc_id) AS rank
-    FROM scores)
-  WHERE rank <= {SNIPPET_K}),
+    return _ranked_sql(positions=True, post=f"""\
+ranked AS ({_top_sql(k=SNIPPET_K, cols="query_id, doc_id, rank")}),
 hit AS (
   SELECT q.query_id, tok.doc_id, min(tok.i) AS p
   FROM q JOIN tok ON tok.term = q.term
-  GROUP BY q.query_id, tok.doc_id)
+  GROUP BY q.query_id, tok.doc_id)""", tail=f"""\
 SELECT r.query_id, r.rank, r.doc_id,
        (SELECT string_agg(t2.term, ' ' ORDER BY t2.i)
         FROM tok t2
@@ -2863,8 +2108,7 @@ SELECT r.query_id, r.rank, r.doc_id,
           AND t2.i BETWEEN h.p - {SNIPPET_RADIUS}
                        AND h.p + {SNIPPET_RADIUS}) AS snippet
 FROM ranked r
-JOIN hit h ON h.query_id = r.query_id AND h.doc_id = r.doc_id
-"""
+JOIN hit h ON h.query_id = r.query_id AND h.doc_id = r.doc_id""")
 
 
 # Phrase query set: token sequences (the engine verifies adjacency in
@@ -2893,44 +2137,28 @@ def bm25_phrase_documents(sf_dir: str):
     conjunctive (idf full-index — phrase filters, never rescales),
     ranked by (score desc, ORIGINAL doc_id) like the other fulltext
     queries so the SQL oracle can reproduce the tie-break."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
     # full ranking straight from the engine path (candidate pushdown
-    # included); re-ranked by ORIGINAL doc id in _rank_table
-    results = [(qid, s.search_phrase(terms, k=s.n_docs or 1))
-               for qid, terms in PHRASE_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    # included); re-ranked by ORIGINAL doc id in _rank_rows
+    return _ranked(sf_dir, PHRASE_QUERIES, lambda s, k, terms:
+                   s.search_phrase(terms, k=k))
+
+
+def _regex_member_sql(pats: str, queries) -> str:
+    """Scored oracle of a query whose matching docs are those whose
+    lowered text matches the query's regex in ``pats`` (query_id, pat
+    VALUES) — the adjacency test of the phrase family — scored over the
+    ``queries`` terms."""
+    return _member_sql(f"""pat(query_id, pat) AS (VALUES {pats}),
+span_docs AS (
+  SELECT pat.query_id, d.doc_id
+  FROM pat JOIN documents d ON regexp_matches(lower(d.text), pat.pat))""",
+                       queries, positions=False)
 
 
 def _bm25_phrase_sql() -> str:
-    pats = ", ".join(f"({qid}, '{_phrase_regex(terms)}')"
-                     for qid, terms in PHRASE_QUERIES)
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(PHRASE_QUERIES)}),
-pat(query_id, pat) AS (VALUES {pats}),
-phrase_docs AS (
-  SELECT pat.query_id, d.doc_id
-  FROM pat JOIN documents d ON regexp_matches(lower(d.text), pat.pat)),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  JOIN phrase_docs pd ON pd.query_id = q.query_id
-                     AND pd.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+    return _regex_member_sql(", ".join(
+        f"({qid}, '{_phrase_regex(terms)}')"
+        for qid, terms in PHRASE_QUERIES), PHRASE_QUERIES)
 
 
 # match_phrase_prefix (search-as-you-type): fixed terms adjacent in
@@ -2960,45 +2188,16 @@ def bm25_phrase_prefix_documents(sf_dir: str):
     conjunctively over the fixed terms (membership-gating expansion,
     the documented simplification of ES's blended multi-term weight),
     ranked (score desc, ORIGINAL doc_id)."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_phrase_prefix(
-                    terms, k=s.n_docs or 1, max_expansions=100_000))
-               for qid, terms in PHRASE_PREFIX_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, PHRASE_PREFIX_QUERIES, lambda s, k, terms:
+                   s.search_phrase_prefix(terms, k=k,
+                                          max_expansions=100_000))
 
 
 def _bm25_phrase_prefix_sql() -> str:
-    pats = ", ".join(f"({qid}, '{_phrase_prefix_regex(terms)}')"
-                     for qid, terms in PHRASE_PREFIX_QUERIES)
-    qvals = _q_values([(qid, terms[:-1])
-                       for qid, terms in PHRASE_PREFIX_QUERIES])
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {qvals}),
-pat(query_id, pat) AS (VALUES {pats}),
-pp_docs AS (
-  SELECT pat.query_id, d.doc_id
-  FROM pat JOIN documents d ON regexp_matches(lower(d.text), pat.pat)),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  JOIN pp_docs pd ON pd.query_id = q.query_id
-                 AND pd.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+    return _regex_member_sql(
+        ", ".join(f"({qid}, '{_phrase_prefix_regex(terms)}')"
+                  for qid, terms in PHRASE_PREFIX_QUERIES),
+        [(qid, terms[:-1]) for qid, terms in PHRASE_PREFIX_QUERIES])
 
 
 # span_near: ordered proximity with a per-consecutive-gap bound.  The
@@ -3021,12 +2220,8 @@ def bm25_span_near_documents(sf_dir: str):
     tokens between each consecutive pair, scored like conjunctive
     restricted to the matching docs, ranked by (score desc, ORIGINAL
     doc_id) like the other fulltext queries."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_span_near(terms, slop, k=s.n_docs or 1))
-               for qid, terms, slop in SPAN_NEAR_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, SPAN_NEAR_QUERIES, lambda s, k, terms, slop:
+                   s.search_span_near(terms, slop, k=k))
 
 
 def _span_chain(qid: int, terms: list[str], slop: int) -> str:
@@ -3040,33 +2235,10 @@ def _span_chain(qid: int, terms: list[str], slop: int) -> str:
 
 
 def _bm25_span_near_sql() -> str:
-    chains = "\n  UNION ALL\n  ".join(
-        _span_chain(qid, terms, slop)
-        for qid, terms, slop in SPAN_NEAR_QUERIES)
-    qvals = _q_values([(qid, terms) for qid, terms, _ in SPAN_NEAR_QUERIES])
-    return f"""
-{_base_ctes(with_positions=True)},
-q(query_id, term) AS (VALUES {qvals}),
-span_docs AS (
-  {chains}),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  JOIN span_docs sd ON sd.query_id = q.query_id
-                   AND sd.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+    return _span_scored_sql(
+        [_span_chain(qid, terms, slop)
+         for qid, terms, slop in SPAN_NEAR_QUERIES],
+        [(qid, terms) for qid, terms, _ in SPAN_NEAR_QUERIES])
 
 
 # (qid, distinct terms, max_gaps, ordered) — the TOTAL gap budget is
@@ -3087,13 +2259,8 @@ def bm25_intervals_documents(sf_dir: str):
     order — the whole-interval budget span_near cannot express.
     Survivors score conjunctively (filter-context stance), ranked by
     (score desc, ORIGINAL doc_id) like the other fulltext queries."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_intervals(terms, max_gaps=g, ordered=o,
-                                        k=s.n_docs or 1))
-               for qid, terms, g, o in INTERVALS_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, INTERVALS_QUERIES, lambda s, k, terms, g, o:
+                   s.search_intervals(terms, max_gaps=g, ordered=o, k=k))
 
 
 def _intervals_docs_subquery(qid: int, terms: list[str], g: int,
@@ -3119,34 +2286,10 @@ def _intervals_docs_subquery(qid: int, terms: list[str], g: int,
 
 
 def _bm25_intervals_sql() -> str:
-    chains = "\n  UNION ALL\n  ".join(
-        _intervals_docs_subquery(qid, terms, g, o)
-        for qid, terms, g, o in INTERVALS_QUERIES)
-    qvals = _q_values([(qid, terms) for qid, terms, _, _
-                       in INTERVALS_QUERIES])
-    return f"""
-{_base_ctes(with_positions=True)},
-q(query_id, term) AS (VALUES {qvals}),
-iv_docs AS (
-  {chains}),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  JOIN iv_docs iv ON iv.query_id = q.query_id
-                 AND iv.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+    return _span_scored_sql(
+        [_intervals_docs_subquery(qid, terms, g, o)
+         for qid, terms, g, o in INTERVALS_QUERIES],
+        [(qid, terms) for qid, terms, _, _ in INTERVALS_QUERIES])
 
 
 # span composition family: span_containing / span_within (a big
@@ -3175,39 +2318,26 @@ def bm25_span_containing_documents(sf_dir: str):
     contains a little-term occurrence (boundaries inclusive).
     Survivors score conjunctively over the BIG terms (the clause ES
     returns), ranked by (score desc, ORIGINAL doc_id)."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_span_containing(big, slop, little,
-                                              k=s.n_docs or 1))
-               for qid, big, slop, little in SPAN_CONTAINING_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, SPAN_CONTAINING_QUERIES,
+                   lambda s, k, big, slop, little:
+                   s.search_span_containing(big, slop, little, k=k))
 
 
 def bm25_span_within_documents(sf_dir: str):
     """ES/Lucene ``span_within`` — the same containment predicate as
     :func:`bm25_span_containing_documents` but scored over the LITTLE
     clause only."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_span_within(little, big, slop,
-                                          k=s.n_docs or 1))
-               for qid, big, slop, little in SPAN_CONTAINING_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, SPAN_CONTAINING_QUERIES,
+                   lambda s, k, big, slop, little:
+                   s.search_span_within(little, big, slop, k=k))
 
 
 def bm25_span_or_near_documents(sf_dir: str):
     """``span_near`` whose slots are ``span_or`` clauses (any
     alternative per slot, in order, per-gap slop).  Survivors score
     disjunctively over ALL alternatives restricted to the matches."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_span_or_near(slots, slop,
-                                           k=s.n_docs or 1))
-               for qid, slots, slop in SPAN_OR_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, SPAN_OR_QUERIES, lambda s, k, slots, slop:
+                   s.search_span_or_near(slots, slop, k=k))
 
 
 def _span_containing_subquery(qid: int, big: list[str], slop: int,
@@ -3226,57 +2356,37 @@ def _span_containing_subquery(qid: int, big: list[str], slop: int,
             f"WHERE t0.term = '{big[0]}'")
 
 
-def _span_scored_sql(docs_chains: str, qvals: str = "",
-                     q_cte: str = "") -> str:
-    """Shared scored-span oracle shape: a positional membership CTE +
-    the standard per-term score sum restricted to it.  The scoring
-    term set comes either from literal ``qvals`` or (for
-    dictionary-expanded spans like span_multi) a full ``q_cte``
-    body."""
-    if not (qvals or q_cte):
-        raise ValueError("_span_scored_sql needs qvals or q_cte")
-    q_cte = q_cte or f"q(query_id, term) AS (VALUES {qvals})"
-    return f"""
-{_base_ctes(with_positions=True)},
-{q_cte},
-span_docs AS (
-  {docs_chains}),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
+def _member_sql(members: str, queries=None, q: str | None = None,
+                positions: bool = True) -> str:
+    """Shared membership-scored oracle shape: ``members`` CTEs ending in
+    span_docs(query_id, doc_id) restrict the standard per-term score
+    sum.  The scoring term set comes either from ``queries`` or (for
+    dictionary-expanded spans like span_multi) a full ``q`` CTE."""
+    return _ranked_sql(queries, q=q, positions=positions, ctes=members,
+                       joins="""
   JOIN span_docs sd ON sd.query_id = q.query_id
-                   AND sd.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+                   AND sd.doc_id = tf.doc_id""")
+
+
+def _span_scored_sql(chains: list[str], queries=None,
+                     q: str | None = None) -> str:
+    """:func:`_member_sql` over the UNION of positional subqueries."""
+    joined = "\n  UNION ALL\n  ".join(chains)
+    return _member_sql(f"span_docs AS (\n  {joined})", queries, q)
 
 
 def _bm25_span_containing_sql() -> str:
-    chains = "\n  UNION ALL\n  ".join(
-        _span_containing_subquery(qid, big, slop, little)
-        for qid, big, slop, little in SPAN_CONTAINING_QUERIES)
-    qvals = _q_values([(qid, big)
-                       for qid, big, _, _ in SPAN_CONTAINING_QUERIES])
-    return _span_scored_sql(chains, qvals)
+    return _span_scored_sql(
+        [_span_containing_subquery(qid, big, slop, little)
+         for qid, big, slop, little in SPAN_CONTAINING_QUERIES],
+        [(qid, big) for qid, big, _, _ in SPAN_CONTAINING_QUERIES])
 
 
 def _bm25_span_within_sql() -> str:
-    chains = "\n  UNION ALL\n  ".join(
-        _span_containing_subquery(qid, big, slop, little)
-        for qid, big, slop, little in SPAN_CONTAINING_QUERIES)
-    qvals = _q_values([(qid, [little])
-                       for qid, _, _, little in SPAN_CONTAINING_QUERIES])
-    return _span_scored_sql(chains, qvals)
+    return _span_scored_sql(
+        [_span_containing_subquery(qid, big, slop, little)
+         for qid, big, slop, little in SPAN_CONTAINING_QUERIES],
+        [(qid, [little]) for qid, _, _, little in SPAN_CONTAINING_QUERIES])
 
 
 def _span_or_subquery(qid: int, slots: list[list[str]], slop: int
@@ -3295,12 +2405,11 @@ def _span_or_subquery(qid: int, slots: list[list[str]], slop: int
 
 
 def _bm25_span_or_sql() -> str:
-    chains = "\n  UNION ALL\n  ".join(
-        _span_or_subquery(qid, slots, slop)
-        for qid, slots, slop in SPAN_OR_QUERIES)
-    qvals = _q_values([(qid, [t for slot in slots for t in slot])
-                       for qid, slots, _ in SPAN_OR_QUERIES])
-    return _span_scored_sql(chains, qvals)
+    return _span_scored_sql(
+        [_span_or_subquery(qid, slots, slop)
+         for qid, slots, slop in SPAN_OR_QUERIES],
+        [(qid, [t for slot in slots for t in slot])
+         for qid, slots, _ in SPAN_OR_QUERIES])
 
 
 # span_multi (Lucene SpanMultiTermQueryWrapper, reference ES mapping
@@ -3324,20 +2433,17 @@ def bm25_span_multi_documents(sf_dir: str):
     (Lucene's empty-rewrite contract).  Survivors score disjunctively
     over all alternatives restricted to the matches, ranked by
     (score desc, original id)."""
-    from mee_ray.query import Searcher, prefix_terms
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    vocab = s.vocabulary()
-    results = []
-    for qid, slots, slop in SPAN_MULTI_QUERIES:
+    from mee_ray.query import prefix_terms
+
+    def span_multi(s, k, slots, slop):
         expanded = [slot if isinstance(slot, list)
-                    else prefix_terms(vocab, slot) for slot in slots]
+                    else prefix_terms(s.vocabulary(), slot)
+                    for slot in slots]
         if any(not sl for sl in expanded):
-            results.append((qid, []))
-            continue
-        results.append((qid, s.search_span_or_near(
-            expanded, slop, k=s.n_docs or 1)))
-    return _rank_table(results, _orig_id_map(root))
+            return []
+        return s.search_span_or_near(expanded, slop, k=k)
+
+    return _ranked(sf_dir, SPAN_MULTI_QUERIES, span_multi)
 
 
 def _span_multi_subquery(qid: int, slots: list, slop: int) -> str:
@@ -3357,9 +2463,6 @@ def _span_multi_subquery(qid: int, slots: list, slop: int) -> str:
 
 
 def _bm25_span_multi_sql() -> str:
-    chains = "\n  UNION ALL\n  ".join(
-        _span_multi_subquery(qid, slots, slop)
-        for qid, slots, slop in SPAN_MULTI_QUERIES)
     arms = []
     for qid, slots, _ in SPAN_MULTI_QUERIES:
         lits = sorted({t for sl in slots if isinstance(sl, list)
@@ -3375,55 +2478,15 @@ def _bm25_span_multi_sql() -> str:
     q_cte = ("q(query_id, term) AS (\n  SELECT DISTINCT query_id, "
              "term FROM (\n  "
              + "\n  UNION ALL\n  ".join(arms) + "))")
-    return _span_scored_sql(chains, q_cte=q_cte)
-
-
-def _bm25_sql(queries=None) -> str:
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(queries if queries is not None
-                                        else REFERENCE_QUERIES)}),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+    return _span_scored_sql([_span_multi_subquery(qid, slots, slop)
+                             for qid, slots, slop in SPAN_MULTI_QUERIES],
+                            q=q_cte)
 
 
 def _bm25_conj_sql() -> str:
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-qn AS (SELECT query_id, count(*) AS n_terms FROM q GROUP BY query_id),
-scores AS (
-  SELECT q.query_id, tf.doc_id,
-         count(DISTINCT q.term) AS n_matched,
-         {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT sc.query_id, sc.doc_id,
-             row_number() OVER (PARTITION BY sc.query_id
-                                ORDER BY sc.score DESC, sc.doc_id) AS rank
-      FROM scores sc JOIN qn ON qn.query_id = sc.query_id
-      WHERE sc.n_matched = qn.n_terms)
-WHERE rank <= {TOP_K}
-"""
+    return _ranked_sql(**_N_MATCHED, restrict="""
+      JOIN qn ON qn.query_id = sc.query_id
+      WHERE sc.n_matched = qn.n_terms""")
 
 
 # --- ES sort / range-agg / stats-agg / top_hits family ---------------
@@ -3438,91 +2501,74 @@ WHERE rank <= {TOP_K}
 def _matched_orig_sets(sf_dir: str) -> dict[int, "object"]:
     """Per reference query: np.sorted array of matched ORIGINAL doc
     ids (ANY query term, live postings)."""
-    import numpy as np
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    idmap = _orig_id_map(root)
-    out: dict[int, np.ndarray] = {}
-    for qid, terms in REFERENCE_QUERIES:
-        partials = s.term_partials(sorted(set(terms)))
-        sets = [ids for ids, _ in partials.values() if len(ids)]
-        eng = (np.unique(np.concatenate(sets)) if sets
-               else np.empty(0, np.int64))
-        out[qid] = np.sort(np.array([idmap[d] for d in eng],
-                                    dtype=np.int64))
-    return out
+    run = _Run(sf_dir)
+    return {qid: np.sort(np.array([run.idmap[d] for d in
+                                   run.s.matched_doc_ids(terms)],
+                                  dtype=np.int64))
+            for qid, terms in REFERENCE_QUERIES}
 
-_MATCHED_SQL_CTE = """q(query_id, term) AS (VALUES {values}),
-matched AS (SELECT DISTINCT q.query_id, tok.doc_id
-            FROM q JOIN tok ON tok.term = q.term)"""
+
+def _n_chars_scan(sf_dir: str, stage):
+    """:func:`_broadcast_scan` of the source table's (doc_id, n_chars)
+    through ``stage`` with the matched original-id sets broadcast."""
+    return _broadcast_scan(f"{sf_dir}/documents.parquet",
+                           ["doc_id", "n_chars"], stage,
+                           _matched_orig_sets(sf_dir))
 
 
 SORT_TOP_K = 10
 
 
-class _SortByFieldStage(_BroadcastStage):
+class _NCharsStage(_BroadcastStage):
+    """Shared shape of the n_chars scans: per query, the batch's
+    matched (doc_id, n_chars) arrays → ``rows(qid, ids, nch)`` partial
+    rows, typed by ``SPEC`` (see :func:`_table`)."""
+
+    SPEC = ""
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        ids = t["doc_id"].to_numpy(zero_copy_only=False)
+        nch = t["n_chars"].to_numpy(zero_copy_only=False)
+        out = []
+        for qid, sids in self.sets.items():
+            _, hit = self._probe(ids, sids)
+            if hit.any():
+                out += self.rows(qid, ids[hit], nch[hit])
+        return _table(out, self.SPEC)
+
+
+class _SortByFieldStage(_NCharsStage):
     """Per-batch top-{SORT_TOP_K} partial per query, ordered by
     (n_chars desc, doc_id asc) — ≤ queries × k rows cross the wire
     per batch."""
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        import numpy as np
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        nch = t["n_chars"].to_numpy(zero_copy_only=False)
-        out_q, out_d, out_n = [], [], []
-        for qid, sids in self.sets.items():
-            _, hit = self._probe(ids, sids)
-            if not hit.any():
-                continue
-            hid, hnc = ids[hit], nch[hit]
-            order = np.lexsort((hid, -hnc))[:SORT_TOP_K]
-            out_q.extend([qid] * len(order))
-            out_d.extend(hid[order].tolist())
-            out_n.extend(hnc[order].tolist())
-        return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                         "doc_id": pa.array(out_d, pa.int64()),
-                         "n_chars": pa.array(out_n, pa.int64())})
+    SPEC = "query_id doc_id n_chars"
+
+    @staticmethod
+    def rows(qid, ids, nch):
+        order = np.lexsort((ids, -nch))[:SORT_TOP_K]
+        return [(qid, d, n) for d, n in zip(ids[order].tolist(),
+                                           nch[order].tolist())]
 
 
 def bm25_sort_by_field(sf_dir: str):
     """Field-sorted search (the ES ``sort: [{n_chars: desc}]`` analog
     — ranking by a stored field instead of score): for each query the
     top-{SORT_TOP_K} matched docs by (n_chars desc, doc_id asc)."""
-    import numpy as np
-    import ray
-    import ray.data
-
-    ref = ray.put(_matched_orig_sets(sf_dir))
-    parts = (ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                   columns=["doc_id", "n_chars"])
-             .map_batches(_SortByFieldStage, fn_constructor_args=[ref],
-                          batch_format="pyarrow", concurrency=(1, 4)))
     rows: dict[int, list[tuple[int, int]]] = {}
-    for b in parts.iter_batches(batch_format="pyarrow"):
+    for b in _n_chars_scan(sf_dir, _SortByFieldStage):
         for qid, did, nc in zip(b["query_id"].to_pylist(),
                                 b["doc_id"].to_pylist(),
                                 b["n_chars"].to_pylist()):
             rows.setdefault(qid, []).append((-nc, did))
-    out_q, out_r, out_d, out_n = [], [], [], []
-    for qid in sorted(rows):
-        for rank, (neg, did) in enumerate(sorted(rows[qid])[:SORT_TOP_K],
-                                          start=1):
-            out_q.append(qid); out_r.append(rank)
-            out_d.append(did); out_n.append(-neg)
-    return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                     "rank": pa.array(out_r, pa.int64()),
-                     "doc_id": pa.array(out_d, pa.int64()),
-                     "n_chars": pa.array(out_n, pa.int64())})
+    return _table([(qid, rank, did, -neg) for qid in sorted(rows)
+                   for rank, (neg, did) in enumerate(
+                       sorted(rows[qid])[:SORT_TOP_K], start=1)],
+                  "query_id rank doc_id n_chars")
 
 
 def _bm25_sort_sql() -> str:
-    m = _MATCHED_SQL_CTE.format(values=_q_values(REFERENCE_QUERIES))
-    return f"""
-WITH tok AS (
-  SELECT doc_id, unnest(regexp_extract_all(lower(text), '{TOKEN_PATTERN}')) AS term
-  FROM documents),
-{m},
+    return f"""{_MATCHED_SQL},
 ranked AS (
   SELECT m.query_id, d.doc_id, d.n_chars,
          row_number() OVER (PARTITION BY m.query_id
@@ -3536,27 +2582,17 @@ FROM ranked WHERE rank <= {SORT_TOP_K}
 RANGE_EDGES = (200, 350)  # buckets: [0,200) [200,350) [350,inf)
 
 
-class _RangeAggStage(_BroadcastStage):
+class _RangeAggStage(_NCharsStage):
     """Per-batch (query_id, bucket, n) partial counts — ≤ queries × 3
     rows per batch."""
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        import numpy as np
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        nch = t["n_chars"].to_numpy(zero_copy_only=False)
-        out_q, out_b, out_n = [], [], []
-        for qid, sids in self.sets.items():
-            _, hit = self._probe(ids, sids)
-            if not hit.any():
-                continue
-            bucket = np.digitize(nch[hit], RANGE_EDGES)
-            for b in np.unique(bucket):
-                out_q.append(qid)
-                out_b.append(int(b))
-                out_n.append(int((bucket == b).sum()))
-        return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                         "bucket_i": pa.array(out_b, pa.int64()),
-                         "n": pa.array(out_n, pa.int64())})
+    SPEC = "query_id bucket_i n"
+
+    @staticmethod
+    def rows(qid, ids, nch):
+        bucket = np.digitize(nch, RANGE_EDGES)
+        return [(qid, int(b), int((bucket == b).sum()))
+                for b in np.unique(bucket)]
 
 
 _BUCKET_NAMES = (f"lt{RANGE_EDGES[0]}",
@@ -3569,36 +2605,20 @@ def bm25_range_agg(sf_dir: str):
     numeric field): matched docs per query bucketed by n_chars into
     [0,{RANGE_EDGES[0]}), [{RANGE_EDGES[0]},{RANGE_EDGES[1]}),
     [{RANGE_EDGES[1]},∞)."""
-    import ray
-    import ray.data
-
-    ref = ray.put(_matched_orig_sets(sf_dir))
-    parts = (ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                   columns=["doc_id", "n_chars"])
-             .map_batches(_RangeAggStage, fn_constructor_args=[ref],
-                          batch_format="pyarrow", concurrency=(1, 4)))
     acc: dict[tuple[int, int], int] = {}
-    for b in parts.iter_batches(batch_format="pyarrow"):
+    for b in _n_chars_scan(sf_dir, _RangeAggStage):
         for qid, bi, n in zip(b["query_id"].to_pylist(),
                               b["bucket_i"].to_pylist(),
                               b["n"].to_pylist()):
             acc[(qid, bi)] = acc.get((qid, bi), 0) + n
-    keys = sorted(acc)
-    return pa.table({
-        "query_id": pa.array([k[0] for k in keys], pa.int64()),
-        "bucket": pa.array([_BUCKET_NAMES[k[1]] for k in keys],
-                           pa.string()),
-        "n_docs": pa.array([acc[k] for k in keys], pa.int64())})
+    return _table([(qid, _BUCKET_NAMES[bi], acc[(qid, bi)])
+                   for qid, bi in sorted(acc)],
+                  "query_id bucket:str n_docs")
 
 
 def _bm25_range_agg_sql() -> str:
-    m = _MATCHED_SQL_CTE.format(values=_q_values(REFERENCE_QUERIES))
     lo, hi = RANGE_EDGES
-    return f"""
-WITH tok AS (
-  SELECT doc_id, unnest(regexp_extract_all(lower(text), '{TOKEN_PATTERN}')) AS term
-  FROM documents),
-{m}
+    return f"""{_MATCHED_SQL}
 SELECT m.query_id,
        CASE WHEN d.n_chars < {lo} THEN '{_BUCKET_NAMES[0]}'
             WHEN d.n_chars < {hi} THEN '{_BUCKET_NAMES[1]}'
@@ -3609,27 +2629,16 @@ GROUP BY 1, 2
 """
 
 
-class _StatsAggStage(_BroadcastStage):
+class _StatsAggStage(_NCharsStage):
     """Per-batch (query_id, n, mn, mx, sm) partials — one row per
     query per batch."""
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        import numpy as np
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        nch = t["n_chars"].to_numpy(zero_copy_only=False)
-        out = {"query_id": [], "n": [], "mn": [], "mx": [], "sm": []}
-        for qid, sids in self.sets.items():
-            _, hit = self._probe(ids, sids)
-            if not hit.any():
-                continue
-            v = nch[hit]
-            out["query_id"].append(qid)
-            out["n"].append(len(v))
-            out["mn"].append(int(v.min()))
-            out["mx"].append(int(v.max()))
-            out["sm"].append(int(v.sum()))
-        return pa.table({k: pa.array(vs, pa.int64())
-                         for k, vs in out.items()})
+    SPEC = "query_id n mn mx sm"
+
+    @staticmethod
+    def rows(qid, ids, nch):
+        return [(qid, len(nch), int(nch.min()), int(nch.max()),
+                 int(nch.sum()))]
 
 
 def bm25_stats_agg(sf_dir: str):
@@ -3637,17 +2646,8 @@ def bm25_stats_agg(sf_dir: str):
     count/min/max/sum of n_chars over each query's matched docs, plus
     avg as exact parts-per-million (integer — the sum and count are
     exact, so the scaled ratio is bit-deterministic)."""
-    import numpy as np
-    import ray
-    import ray.data
-
-    ref = ray.put(_matched_orig_sets(sf_dir))
-    parts = (ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                   columns=["doc_id", "n_chars"])
-             .map_batches(_StatsAggStage, fn_constructor_args=[ref],
-                          batch_format="pyarrow", concurrency=(1, 4)))
     acc: dict[int, list[int]] = {}
-    for b in parts.iter_batches(batch_format="pyarrow"):
+    for b in _n_chars_scan(sf_dir, _StatsAggStage):
         for qid, n, mn, mx, sm in zip(b["query_id"].to_pylist(),
                                       b["n"].to_pylist(),
                                       b["mn"].to_pylist(),
@@ -3678,12 +2678,7 @@ def bm25_stats_agg(sf_dir: str):
 
 
 def _bm25_stats_agg_sql() -> str:
-    m = _MATCHED_SQL_CTE.format(values=_q_values(REFERENCE_QUERIES))
-    return f"""
-WITH tok AS (
-  SELECT doc_id, unnest(regexp_extract_all(lower(text), '{TOKEN_PATTERN}')) AS term
-  FROM documents),
-{m}
+    return f"""{_MATCHED_SQL}
 SELECT m.query_id,
        count(*)                    AS n_docs,
        CAST(min(d.n_chars) AS BIGINT) AS min_chars,
@@ -3710,67 +2705,15 @@ def bm25_top_hits(sf_dir: str):
     as field collapsing with k>1 kept per group per batch; the driver
     merge keeps the global top-{TOP_HITS_PER_GROUP} per (query, lang).
     Emitted as (query_id, lang, hit_rank, doc_id)."""
-    import numpy as np
-    import ray
-    import ray.data
-
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    qs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for qid, ranked in _reference_text_results(s):
-        ids = np.array([d for d, _ in ranked], dtype=np.int64)
-        sc = np.array([x for _, x in ranked], dtype=np.float64)
-        order = np.argsort(ids)
-        qs[qid] = (ids[order], sc[order])
-    ref = ray.put(qs)
-    files = mf.docs_files(root, mf.current_epoch(root))
-    parts = ray.data.read_parquet(files,
-                                  columns=["doc_id", "lang", "path"]) \
-        .map_batches(_GroupTopHitsStage,
-                     fn_constructor_args=[ref, TOP_HITS_PER_GROUP],
-                     batch_format="pyarrow", concurrency=(1, 4))
-    best: dict[tuple[int, str], list[tuple[float, int]]] = {}
-    for b in parts.iter_batches(batch_format="pyarrow"):
-        for qid, lang, sc, og in zip(b["query_id"].to_pylist(),
-                                     b["lang"].to_pylist(),
-                                     b["score"].to_pylist(),
-                                     b["orig_id"].to_pylist()):
-            lst = best.setdefault((qid, lang), [])
-            lst.append((-sc, og))
-            lst.sort()
-            del lst[TOP_HITS_PER_GROUP:]
-    out_q, out_l, out_r, out_d = [], [], [], []
-    for (qid, lang) in sorted(best):
-        for rank, (_, og) in enumerate(best[(qid, lang)], start=1):
-            out_q.append(qid); out_l.append(lang)
-            out_r.append(rank); out_d.append(og)
-    return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                     "lang": pa.array(out_l, pa.string()),
-                     "hit_rank": pa.array(out_r, pa.int64()),
-                     "doc_id": pa.array(out_d, pa.int64())})
+    best = _group_top_hits(sf_dir, TOP_HITS_PER_GROUP)
+    return _table([(qid, lang, rank, og) for qid, lang in sorted(best)
+                   for rank, (_, og) in enumerate(best[(qid, lang)],
+                                                  start=1)],
+                  "query_id lang:str hit_rank doc_id")
 
 
 def _bm25_top_hits_sql() -> str:
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-scores AS (
-  SELECT q.query_id, tf.doc_id, {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id),
-js AS (SELECT sc.query_id, sc.doc_id, sc.score, d.lang
-       FROM scores sc JOIN documents d ON d.doc_id = sc.doc_id),
-ranked AS (
-  SELECT query_id, lang, doc_id,
-         row_number() OVER (PARTITION BY query_id, lang
-                            ORDER BY score DESC, doc_id) AS hit_rank
-  FROM js)
-SELECT query_id, lang, hit_rank, doc_id
+    return f"""{_GROUP_RANKED_SQL}SELECT query_id, lang, hit_rank, doc_id
 FROM ranked WHERE hit_rank <= {TOP_HITS_PER_GROUP}
 """
 
@@ -3793,10 +2736,7 @@ def index_term_stats(sf_dir: str):
 
 
 INDEX_STATS_SQL = f"""
-WITH tok AS (
-  SELECT doc_id, unnest(regexp_extract_all(lower(text), '{TOKEN_PATTERN}')) AS term
-  FROM documents),
-tf AS (SELECT doc_id, term, count(*) AS tf FROM tok GROUP BY doc_id, term)
+{_base_ctes()}
 SELECT (SELECT count(*) FROM documents)       AS n_docs,
        (SELECT count(*) FROM tok)             AS total_tokens,
        (SELECT count(DISTINCT term) FROM tok) AS n_terms,
@@ -3810,7 +2750,7 @@ def corpus_docs_table(sf_dir: str):
     root = _ensure_index(sf_dir)
     tabs = [pq.read_table(f, columns=["repo", "path", "commit", "lang",
                                       "length", "content_sha256"])
-            for f in mf.docs_files(root, mf.current_epoch(root))]
+            for f in _docs_files(root)]
     t = pa.concat_tables(tabs)
     sha_hex = [binascii.hexlify(x).decode() for x in t["content_sha256"].to_pylist()]
     return pa.table({"repo": t["repo"], "path": t["path"],
@@ -3831,29 +2771,16 @@ def bm25_rank_eval(sf_dir: str) -> pa.Table:
     none), plus the judgment-set size.  Both sides compute the same
     1/rank and hits/10 divisions on the same integers, so the doubles
     are bit-identical."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    idmap = _orig_id_map(root)
+    run = _Run(sf_dir)
+    s, k, idmap = run.s, run.k, run.idmap
     out = []
     for qid, terms in REFERENCE_QUERIES:
-        full = s.search(terms, k=s.n_docs or 1)
-        rel = {idmap[d] for d, _ in
-               s.search(terms, k=s.n_docs or 1, operator="and")}
-        window = _rank_rows([(qid, full)], idmap, TOP_K)
+        rel = {idmap[d] for d, _ in s.search(terms, k=k, operator="and")}
+        window = _rank_rows([(qid, s.search(terms, k=k))], idmap, TOP_K)
         hit_ranks = [rank for (_, rank, oid) in window if oid in rel]
-        out.append({
-            "query_id": qid,
-            "n_relevant": len(rel),
-            "p_at_10": len(hit_ranks) / 10.0,
-            "rr": (1.0 / min(hit_ranks)) if hit_ranks else 0.0,
-        })
-    return pa.table({
-        "query_id": pa.array([r["query_id"] for r in out], pa.int64()),
-        "n_relevant": pa.array([r["n_relevant"] for r in out], pa.int64()),
-        "p_at_10": pa.array([r["p_at_10"] for r in out], pa.float64()),
-        "rr": pa.array([r["rr"] for r in out], pa.float64()),
-    })
+        out.append((qid, len(rel), len(hit_ranks) / 10.0,
+                    (1.0 / min(hit_ranks)) if hit_ranks else 0.0))
+    return _table(out, "query_id n_relevant p_at_10:f64 rr:f64")
 
 
 _SPAN_FIRST_END = 5
@@ -3864,41 +2791,17 @@ def bm25_span_first_documents(sf_dir: str) -> pa.Table:
     occur within the document's first {END} tokens; survivors keep the
     term's plain BM25 contribution (membership gates, never rescales).
     Full-depth + original-id re-rank like every fulltext query."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_span_first(terms[0], _SPAN_FIRST_END,
-                                         k=s.n_docs or 1))
-               for qid, terms in REFERENCE_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, REFERENCE_QUERIES, lambda s, k, terms:
+                   s.search_span_first(terms[0], _SPAN_FIRST_END, k=k))
 
 
 def _span_first_sql() -> str:
-    firsts = [(qid, [terms[0]]) for qid, terms in REFERENCE_QUERIES]
-    return f"""
-{_base_ctes(with_positions=True)},
-q(query_id, term) AS (VALUES {_q_values(firsts)}),
-member AS (
+    return _member_sql(f"""span_docs AS (
   SELECT q.query_id, tok.doc_id
   FROM q JOIN tok ON tok.term = q.term
   GROUP BY q.query_id, tok.doc_id
-  HAVING min(tok.i) <= {_SPAN_FIRST_END}),
-scores AS (
-  SELECT m.query_id, m.doc_id, {_SCORE_SUM}
-  FROM member m
-  JOIN q  ON q.query_id = m.query_id
-  JOIN tf ON tf.term = q.term AND tf.doc_id = m.doc_id
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = m.doc_id
-  CROSS JOIN stats s
-  GROUP BY m.query_id, m.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+  HAVING min(tok.i) <= {_SPAN_FIRST_END})""",
+                       [(qid, [terms[0]]) for qid, terms in REFERENCE_QUERIES])
 
 
 # Named term-filters for the adjacency-matrix aggregation.
@@ -3919,11 +2822,7 @@ def adjacency_matrix_documents(sf_dir: str) -> pa.Table:
     posting read per filter term — the docs table is never scanned);
     intersections are sorted-array intersects on the driver, bounded
     by the filters' dfs."""
-    import numpy as np
-
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
+    s = _Run(sf_dir).s
     sets = {name: s.matched_doc_ids([term])
             for name, term in ADJACENCY_FILTERS}
     keys, counts = [], []
@@ -3997,9 +2896,6 @@ def percolate_phrase_documents(sf_dir: str):
     (i+1 chained self-joins)."""
     import re
 
-    import numpy as np
-    import pyarrow.compute as pc
-
     from mee_ray.pipelines.text import _read_docs
 
     pats = {
@@ -4059,46 +2955,32 @@ def phrase_suggest_documents(sf_dir: str) -> pa.Table:
     candidate rule (levenshtein ≤ 1), bigram counts (positional
     self-join on i+1) and score tree.  Emitted as
     (query_id, rank, suggestion, score)."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    out_q, out_r, out_s, out_sc = [], [], [], []
-    for qid, t1, t2 in PHRASE_SUGGEST_QUERIES:
-        ranked = s.suggest_phrase(
-            [t1, t2], n=_PHRASE_SUGGEST_N,
-            max_candidates=_PHRASE_SUGGEST_CANDS)
-        for rank, (score, words) in enumerate(ranked, start=1):
-            out_q.append(qid); out_r.append(rank)
-            out_s.append(" ".join(words)); out_sc.append(score)
-    return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                     "rank": pa.array(out_r, pa.int64()),
-                     "suggestion": pa.array(out_s, pa.string()),
-                     "score": pa.array(out_sc, pa.float64())})
+    s = _Run(sf_dir).s
+    return _table([(qid, rank, " ".join(words), score)
+                   for qid, t1, t2 in PHRASE_SUGGEST_QUERIES
+                   for rank, (score, words) in enumerate(s.suggest_phrase(
+                       [t1, t2], n=_PHRASE_SUGGEST_N,
+                       max_candidates=_PHRASE_SUGGEST_CANDS), start=1)],
+                  "query_id rank suggestion:str score:f64")
 
 
 def _phrase_suggest_sql() -> str:
     qvals = ", ".join(f"({qid}, '{t1}', '{t2}')"
                       for qid, t1, t2 in PHRASE_SUGGEST_QUERIES)
-    C = _PHRASE_SUGGEST_CANDS
-    return f"""
-{_base_ctes(with_positions=True)},
-q(query_id, qt1, qt2) AS (VALUES {qvals}),
+    # c1 / c2: each slot's candidates, df-ranked and capped
+    cands = ",\n".join(f"""c{i} AS (SELECT query_id, term FROM (
+         SELECT q.query_id, df.term,
+                row_number() OVER (PARTITION BY q.query_id
+                                   ORDER BY df.df DESC, df.term) AS rk
+         FROM q JOIN df ON levenshtein(df.term, q.qt{i}) <= 1)
+       WHERE rk <= {_PHRASE_SUGGEST_CANDS})""" for i in (1, 2))
+    return f"""{_sql_head(
+        q=f"q(query_id, qt1, qt2) AS (VALUES {qvals})", positions=True)},
 tfsum AS (SELECT term, count(*) AS c FROM tok GROUP BY term),
 big AS (SELECT a.term AS t1, b.term AS t2, count(*) AS c
         FROM tok a JOIN tok b ON b.doc_id = a.doc_id AND b.i = a.i + 1
         GROUP BY a.term, b.term),
-c1 AS (SELECT query_id, term FROM (
-         SELECT q.query_id, df.term,
-                row_number() OVER (PARTITION BY q.query_id
-                                   ORDER BY df.df DESC, df.term) AS rk
-         FROM q JOIN df ON levenshtein(df.term, q.qt1) <= 1)
-       WHERE rk <= {C}),
-c2 AS (SELECT query_id, term FROM (
-         SELECT q.query_id, df.term,
-                row_number() OVER (PARTITION BY q.query_id
-                                   ORDER BY df.df DESC, df.term) AS rk
-         FROM q JOIN df ON levenshtein(df.term, q.qt2) <= 1)
-       WHERE rk <= {C}),
+{cands},
 scored AS (
   SELECT c1.query_id, c1.term AS w1, c2.term AS w2,
          round(ln(CAST(u1.c AS DOUBLE) / s.total_tokens)
@@ -4135,15 +3017,11 @@ def bm25_explain_documents(sf_dir: str, top_n: int = _EXPLAIN_TOP_N
     the one per-row float case the repo's bit-determinism discipline
     can't cover (rank tables are immune — a 1-ULP score wiggle doesn't
     reorder; a raw float column isn't)."""
-    import numpy as np
-
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    idmap = _orig_id_map(root)
-    q_ids, d_ids, t_col, tf_col, df_col, c_col = [], [], [], [], [], []
+    run = _Run(sf_dir)
+    s, idmap = run.s, run.idmap
+    rows = []
     for qid, terms in REFERENCE_QUERIES:
-        ranked = s.search(terms, k=s.n_docs or 1)
+        ranked = s.search(terms, k=run.k)
         if not ranked:
             continue
         # the driver-facing rank order is (score desc, ORIGINAL id) —
@@ -4152,44 +3030,18 @@ def bm25_explain_documents(sf_dir: str, top_n: int = _EXPLAIN_TOP_N
         eng = np.array([d for d, _ in ranked], dtype=np.int64)
         orig = np.array([idmap[int(d)] for d in eng], dtype=np.int64)
         sc = np.array([x for _, x in ranked], dtype=np.float64)
-        order = np.lexsort((orig, -sc))[:top_n]
-        for j in order:
+        for j in np.lexsort((orig, -sc))[:top_n]:
             ex = s.explain(terms, int(eng[j]))
-            for term in sorted(ex):
-                info = ex[term]
-                q_ids.append(qid)
-                d_ids.append(int(orig[j]))
-                t_col.append(term)
-                tf_col.append(int(info["tf"]))
-                df_col.append(int(info["df"]))
-                c_col.append(round(info["contribution"], 10))
-    return pa.table({"query_id": pa.array(q_ids, pa.int64()),
-                     "doc_id": pa.array(d_ids, pa.int64()),
-                     "term": pa.array(t_col, pa.string()),
-                     "tf": pa.array(tf_col, pa.int64()),
-                     "df": pa.array(df_col, pa.int64()),
-                     "contribution": pa.array(c_col, pa.float64())})
+            rows += [(qid, int(orig[j]), term, int(ex[term]["tf"]),
+                      int(ex[term]["df"]),
+                      round(ex[term]["contribution"], 10))
+                     for term in sorted(ex)]
+    return _table(rows, "query_id doc_id term:str tf df contribution:f64")
 
 
 def _bm25_explain_sql() -> str:
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-scores AS (
-  SELECT q.query_id, tf.doc_id, {_SCORE_SUM}
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id),
-topn AS (
-  SELECT query_id, doc_id
-  FROM (SELECT query_id, doc_id,
-               row_number() OVER (PARTITION BY query_id
-                                  ORDER BY score DESC, doc_id) AS rank
-        FROM scores)
-  WHERE rank <= {_EXPLAIN_TOP_N})
+    return _ranked_sql(post=f"""topn AS (
+{_top_sql(k=_EXPLAIN_TOP_N, cols="query_id, doc_id")})""", tail=f"""\
 SELECT q.query_id, t3.doc_id, q.term,
        CAST(tf.tf AS BIGINT) AS tf,
        CAST(df.df AS BIGINT) AS df,
@@ -4200,8 +3052,7 @@ JOIN tf ON tf.term = q.term AND tf.doc_id = t3.doc_id
 JOIN df ON df.term = q.term
 JOIN dl ON dl.doc_id = t3.doc_id
 CROSS JOIN stats s
-ORDER BY q.query_id, t3.doc_id, q.term
-"""
+ORDER BY q.query_id, t3.doc_id, q.term""")
 
 
 # span_not: include-term docs with NO exclude occurrence within dist
@@ -4224,47 +3075,20 @@ def bm25_span_not_documents(sf_dir: str) -> pa.Table:
     survivors keep the include term's plain BM25 contribution
     (membership gates, never rescales).  Full-depth + original-id
     re-rank like every fulltext query."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
-    results = [(qid, s.search_span_not(inc, exc, dist,
-                                       k=s.n_docs or 1))
-               for qid, inc, exc, dist in SPAN_NOT_QUERIES]
-    return _rank_table(results, _orig_id_map(root))
+    return _ranked(sf_dir, SPAN_NOT_QUERIES, lambda s, k, inc, exc, dist:
+                   s.search_span_not(inc, exc, dist, k=k))
 
 
 def _bm25_span_not_sql() -> str:
-    members = "\n  UNION ALL\n  ".join(
-        f"SELECT DISTINCT {qid} AS query_id, ti.doc_id\n"
-        f"  FROM tok ti\n"
-        f"  WHERE ti.term = '{inc}' AND NOT EXISTS (\n"
-        f"    SELECT 1 FROM tok te\n"
-        f"    WHERE te.doc_id = ti.doc_id AND te.term = '{exc}'\n"
-        f"      AND abs(te.i - ti.i) <= {dist})"
-        for qid, inc, exc, dist in SPAN_NOT_QUERIES)
-    qvals = _q_values([(qid, [inc])
-                       for qid, inc, _exc, _d in SPAN_NOT_QUERIES])
-    return f"""
-{_base_ctes(with_positions=True)},
-q(query_id, term) AS (VALUES {qvals}),
-member AS (
-  {members}),
-scores AS (
-  SELECT m.query_id, m.doc_id, {_SCORE_SUM}
-  FROM member m
-  JOIN q  ON q.query_id = m.query_id
-  JOIN tf ON tf.term = q.term AND tf.doc_id = m.doc_id
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = m.doc_id
-  CROSS JOIN stats s
-  GROUP BY m.query_id, m.doc_id)
-SELECT query_id, rank, doc_id
-FROM (SELECT query_id, doc_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY score DESC, doc_id) AS rank
-      FROM scores)
-WHERE rank <= {TOP_K}
-"""
+    return _span_scored_sql(
+        [f"SELECT DISTINCT {qid} AS query_id, ti.doc_id\n"
+         f"  FROM tok ti\n"
+         f"  WHERE ti.term = '{inc}' AND NOT EXISTS (\n"
+         f"    SELECT 1 FROM tok te\n"
+         f"    WHERE te.doc_id = ti.doc_id AND te.term = '{exc}'\n"
+         f"      AND abs(te.i - ti.i) <= {dist})"
+         for qid, inc, exc, dist in SPAN_NOT_QUERIES],
+        [(qid, [inc]) for qid, inc, _exc, _d in SPAN_NOT_QUERIES])
 
 
 _RARE_MAX_DF = 100
@@ -4325,26 +3149,18 @@ def bm25_termvectors(sf_dir: str) -> pa.Table:
     (chunk-df sums, no posting decode — the term_df path MLT uses).
     The stored-field fetch is a pruned, filtered source read (doc_id
     pushdown), never a table scan."""
-    from mee_ray.query import Searcher
-    root = _ensure_index(sf_dir)
-    s = Searcher(root)
+    s = _Run(sf_dir).s
     t = pq.read_table(f"{sf_dir}/documents.parquet",
                       columns=["doc_id", "text"],
                       filters=[("doc_id", "<", _TV_DOCS)])
     tok = s._tokenizer()
-    rows_d, rows_t, rows_tf, rows_df = [], [], [], []
+    rows = []
     for did, text in sorted(zip(t["doc_id"].to_pylist(),
                                 t["text"].to_pylist())):
         counts = tok.counts(text or "")
-        for term in sorted(counts):
-            rows_d.append(did)
-            rows_t.append(term)
-            rows_tf.append(counts[term])
-            rows_df.append(s.term_df(term))
-    return pa.table({"doc_id": pa.array(rows_d, pa.int64()),
-                     "term": pa.array(rows_t, pa.string()),
-                     "tf": pa.array(rows_tf, pa.int64()),
-                     "df": pa.array(rows_df, pa.int64())})
+        rows += [(did, term, counts[term], s.term_df(term))
+                 for term in sorted(counts)]
+    return _table(rows, "doc_id term:str tf df")
 
 
 def _termvectors_sql() -> str:
@@ -4360,42 +3176,24 @@ ORDER BY tf.doc_id, tf.term
 
 
 def _rank_eval_sql() -> str:
-    return f"""
-{_base_ctes()},
-q(query_id, term) AS (VALUES {_q_values(REFERENCE_QUERIES)}),
-qa AS (SELECT query_id, count(*) AS arity FROM q GROUP BY 1),
-scored AS (
-  SELECT q.query_id, tf.doc_id,
-         {_SCORE_SUM},
-         count(*) AS n_matched
-  FROM q
-  JOIN tf ON tf.term = q.term
-  JOIN df ON df.term = q.term
-  JOIN dl ON dl.doc_id = tf.doc_id
-  CROSS JOIN stats s
-  GROUP BY q.query_id, tf.doc_id),
-rel AS (
+    return _ranked_sql(**_N_MATCHED, name="scored", post=f"""rel AS (
   SELECT sc.query_id, sc.doc_id
-  FROM scored sc JOIN qa ON qa.query_id = sc.query_id
-  WHERE sc.n_matched = qa.arity),
+  FROM scored sc JOIN qn ON qn.query_id = sc.query_id
+  WHERE sc.n_matched = qn.n_terms),
 nrel AS (SELECT query_id, CAST(count(*) AS BIGINT) AS n_relevant
          FROM rel GROUP BY query_id),
 win AS (
   SELECT r.query_id, r.rank, rel.doc_id IS NOT NULL AS is_rel
-  FROM (SELECT query_id, doc_id,
-               row_number() OVER (PARTITION BY query_id
-                                  ORDER BY score DESC, doc_id) AS rank
-        FROM scored) r
-  LEFT JOIN rel ON rel.query_id = r.query_id AND rel.doc_id = r.doc_id
-  WHERE r.rank <= {TOP_K})
+  FROM ({_top_sql("scored", cols="query_id, doc_id, rank")}) r
+  LEFT JOIN rel ON rel.query_id = r.query_id AND rel.doc_id = r.doc_id)""",
+        tail="""\
 SELECT w.query_id,
        coalesce(n.n_relevant, 0) AS n_relevant,
        CAST(sum(CASE WHEN w.is_rel THEN 1 ELSE 0 END) AS DOUBLE) / 10.0
          AS p_at_10,
        coalesce(max(CASE WHEN w.is_rel THEN 1.0 / w.rank END), 0.0) AS rr
 FROM win w LEFT JOIN nrel n ON n.query_id = w.query_id
-GROUP BY w.query_id, n.n_relevant
-"""
+GROUP BY w.query_id, n.n_relevant""")
 
 
 CORPUS_DOCS_SQL = f"""
@@ -4428,7 +3226,6 @@ def mget_documents(sf_dir: str) -> pa.Table:
     want_arr_list = sorted(want)
 
     def pick(t: pa.Table) -> pa.Table:
-        import numpy as np
         orig = np.array([_orig_id(p) for p in t["path"].to_pylist()],
                         dtype=np.int64)
         keep = np.isin(orig, np.array(want_arr_list, dtype=np.int64))
@@ -4441,7 +3238,7 @@ def mget_documents(sf_dir: str) -> pa.Table:
             "n_tokens": t["length"].cast(pa.int64()),
             "sha_hex": pa.array(sha, pa.string())})
 
-    files = mf.docs_files(root, mf.current_epoch(root))
+    files = _docs_files(root)
     got = pa.concat_tables(list(
         ray.data.read_parquet(files,
                               columns=["path", "lang", "length",
@@ -4606,9 +3403,9 @@ QUERIES = {
 
 ORACLE = {
     "analyze_tokens_documents": ANALYZE_SQL,
-    "bm25_topk_documents": _bm25_sql(),
+    "bm25_topk_documents": _ranked_sql(),
     "bm25_search_template_documents":
-        _bm25_sql(_rendered_template_queries()),
+        _ranked_sql(_rendered_template_queries()),
     "bm25_conjunctive_documents": _bm25_conj_sql(),
     "bm25_phrase_documents": _bm25_phrase_sql(),
     "bm25_span_near_documents": _bm25_span_near_sql(),
@@ -4638,7 +3435,7 @@ ORACLE = {
     "bm25_decay_documents": _bm25_decay_sql(),
     "bm25_constant_score_documents": _bm25_constant_score_sql(),
     # same ranking contract as bm25_topk — the plumbing differs
-    "bm25_batch_rank_documents": _bm25_sql(),
+    "bm25_batch_rank_documents": _ranked_sql(),
     "bm25_min_match_documents": _bm25_min_match_sql(),
     "bm25_terms_set_documents": _bm25_terms_set_sql(),
     "bm25_match_bool_prefix_documents": _bm25_match_bool_prefix_sql(),
@@ -4653,7 +3450,7 @@ ORACLE = {
     "bm25_weighted_documents": _bm25_weighted_sql(),
     "bm25_mlt_documents": _bm25_mlt_sql(),
     "bm25_dismax_documents": _bm25_dismax_sql(),
-    "bm25_search_after_documents": _bm25_search_after_sql(),
+    "bm25_search_after_documents": _ranked_sql(k=PAGED_K),
     "bm25_significant_terms": _bm25_sig_terms_sql(),
     "bm25_match_counts": _bm25_counts_sql(),
     "bm25_rank_eval": _rank_eval_sql(),

@@ -47,8 +47,8 @@ class TextStats:
     (ST-style state, reference commonhandler.py:593-628).  Shipped as
     an INSTANCE to stateless tasks — regex compile is ~us, so tasks
     beat an actor pool's multi-second ramp-up; switch to
-    map_batches(Cls, concurrency=N) if the state ever grows heavy
-    (model weights, BPE merges)."""
+    map_batches(Cls, **stages.actor_pool(N)) if the state ever grows
+    heavy (model weights, BPE merges)."""
 
     def __init__(self):
         import re
@@ -1976,11 +1976,12 @@ def bpe_tokenize_documents(sf_dir: str):
             wf[w] = wf.get(w, 0) + 1
     ranks = {p: i for i, p in enumerate(_fit_bpe(wf))}
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
+    from mee_ray.stages import actor_pool
+    n = max(2, int(ray.cluster_resources().get("CPU", 8)) // 4)
     return (_read_docs(sf_dir, ["doc_id", "text"])
             .map_batches(BPEStage, fn_constructor_args=(ranks,),
-                         concurrency=max(2, cpus // 4),
-                         batch_format="pyarrow", zero_copy_batch=True))
+                         batch_format="pyarrow", zero_copy_batch=True,
+                         **actor_pool(n, n)))
 
 
 # ------------------------------------------- weighted mixture sample --

@@ -28,6 +28,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from mee_ray.stages import actor_pool
+
 
 def _int_columns(t: pa.Table, names: tuple, rows: list) -> pa.Table:
     """doc_id + one int64 column per name from per-payload row tuples."""
@@ -131,7 +133,7 @@ def multimodal_wav_real(sf_dir: str):
             .map_batches(_wav_payloads, batch_format="pyarrow",
                          zero_copy_batch=True)
             .map_batches(WavMetaDecode, batch_format="pyarrow",
-                         batch_size=256, concurrency=(1, 4)))
+                         batch_size=256, **actor_pool(4)))
 
 
 WAV_REAL_SQL = """
@@ -252,7 +254,7 @@ def _png_stage(sf_dir: str, stage, batch_size: int = 256):
             .map_batches(_png_payloads, batch_format="pyarrow",
                          zero_copy_batch=True)
             .map_batches(stage, batch_format="pyarrow",
-                         batch_size=batch_size, concurrency=(1, 4)))
+                         batch_size=batch_size, **actor_pool(4)))
 
 
 def multimodal_png_real(sf_dir: str):

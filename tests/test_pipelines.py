@@ -72,6 +72,8 @@ SQL_CHECKED = [
     "bm25_fuzzy_documents", "bm25_min_match_documents",
     "substring_dedup_spans_documents",
     "bm25_weighted_documents", "bm25_mlt_documents",
+    "bm25_decay_documents", "bm25_pinned_documents",
+    "bm25_rank_feature_documents", "bm25_simple_query_string",
     "bm25_dismax_documents", "bm25_search_after_documents",
     "bm25_significant_terms", "bm25_match_counts",
     "percolate_documents", "term_suggest_documents",
