@@ -33,6 +33,7 @@ from mee_ray.config import EngineConfig, TokenizerConfig
 from mee_ray.corpus import documents_as_corpus
 from mee_ray.pipelines.text import TOKEN_PATTERN
 from mee_ray import manifest as mf
+from mee_ray.stages import table as _table
 
 # Fixed reference query set over the documents vocabulary.
 REFERENCE_QUERIES: list[tuple[int, list[str]]] = [
@@ -95,18 +96,6 @@ def _orig_id_map(root: str) -> dict[int, int]:
 
 def _docs_files(root: str) -> list[str]:
     return mf.docs_files(root, mf.current_epoch(root))
-
-
-_TYPES = {"": pa.int64(), "str": pa.string(), "f64": pa.float64()}
-
-
-def _table(rows, spec: str) -> pa.Table:
-    """Row tuples → a table whose columns ``spec`` names in order, each
-    ``name`` (int64), ``name:str`` or ``name:f64``."""
-    names = [c.partition(":") for c in spec.split()]
-    cols = list(zip(*rows)) if rows else [()] * len(names)
-    return pa.table({n: pa.array(list(c), _TYPES[t])
-                     for (n, _, t), c in zip(names, cols)})
 
 
 def _rank_rows(query_results, idmap: dict[int, int], cap: int,

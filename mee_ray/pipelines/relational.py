@@ -9,6 +9,21 @@ rounded on both sides (sum order differs across engines), while
 per-row float arithmetic is left unrounded (bit-deterministic when the
 expression tree matches).
 
+Adding a query: state only its predicate, keys and finish, and take
+every mechanic from the helpers below —
+  ``_read`` / ``_dim`` (pruned Ray / driver reads), ``_map`` (one
+  pyarrow batch function), ``_cents_of`` / ``_int_scaled`` (SQL
+  ``CAST(round(x * 100) AS BIGINT)``, oracle side ``_cents_sql``),
+  ``_fold`` (per-batch combiner + one Ray groupby), ``_collect`` (the
+  driver collect, typed and answered on empty input),
+  ``_sorted_map`` + ``positions_in_sorted`` (broadcast dimension
+  probes), ``_by_bucket`` (the per-key window shuffle),
+  ``_cent_hist`` / ``_order_stat`` (exact quantiles) and
+  ``stages.hash_join`` (the one large×large join);
+then add the name to ``QUERIES`` and ``ORACLE``, and to
+``tests/test_pipelines.py::SQL_CHECKED``.  ``tests/test_empty_inputs.py``
+runs every name on zero-row tables against its oracle.
+
 Reference capability map (SURVEY.md §2):
   M1/M2 filters → filter_ops_events;  M3 projection + M5/M6 scalar
   functions → scalar_funcs_lineitem / filter_project_revenue;
@@ -27,31 +42,214 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from mee_ray.ids import positions_in_sorted
+from mee_ray.stages import hash_join
+from mee_ray.stages import schema as _schema
+from mee_ray.stages import table as _table
+
+_N_BUCKETS = 64      # shuffle groups of every per-key window operator
+_DAY_US = 86_400_000_000
+_WEEK_US = 7 * _DAY_US
+
 
 def _read(sf_dir: str, table: str, columns=None):
     import ray.data
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
+def _dim(sf_dir: str, table: str, columns: str) -> pa.Table:
+    """A dimension table read whole on the driver (small by design)."""
+    import pyarrow.parquet as pq
+    return pq.read_table(f"{sf_dir}/{table}.parquet", columns=columns.split())
+
+
+def _np(col) -> np.ndarray:
+    return col if isinstance(col, np.ndarray) else \
+        col.to_numpy(zero_copy_only=False)
+
+
+def _ones(n: int) -> pa.Array:
+    return pa.array(np.ones(n, np.int64))
+
+
+def _map(ds, fn):
+    """``fn`` over every batch of ``ds`` as a pyarrow table."""
+    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _cents_of(col, scale: float = 100.0):
+    """SQL ``CAST(round(col * scale) AS BIGINT)`` exactly — the module's
+    one rounding contract.  pc.round(half_towards_infinity) IS SQL
+    round()'s half away from zero; floor(x + 0.5) is not (a double one
+    ulp below a .5 boundary has x + 0.5 round UP to it in FP), nor is
+    pyarrow's default half-to-even.  Money sums run over these per-row
+    integers, so no partial/shuffle merge order can move a total across
+    a rounding boundary.  The options object is built per call (it does
+    not pickle into Ray Data transform fns)."""
+    return pc.cast(pc.round(pc.multiply(col, pa.scalar(float(scale))),
+                            options=pc.RoundOptions(
+                                round_mode="half_towards_infinity")),
+                   pa.int64())
+
+
 def _int_scaled(t: pa.Table, cols: dict[str, float]) -> pa.Table:
     """Replace float aggregate columns by BIGINT fixed-point values
-    (``rint(x * scale)``).  Float aggregates differ across engines by
-    summation order (ULPs), and even `round(x, 2)` can yield doubles
+    (``_cents_of(x, scale)``).  Float aggregates differ across engines
+    by summation order (ULPs), and even `round(x, 2)` can yield doubles
     differing by 1 ULP between pyarrow and DuckDB for the same decimal
-    — integers make the driver's value-hash stable.  SQL mirror:
-    ``CAST(round(x * scale) AS BIGINT)``."""
+    — integers make the driver's value-hash stable."""
     for name, scale in cols.items():
-        i = t.schema.get_field_index(name)
-        # pc.round(half_towards_infinity) == SQL round() EXACTLY —
-        # floor(abs(x)+0.5) is not: a double one ulp below a .5
-        # boundary has x+0.5 round UP to the boundary in FP, rounding
-        # where SQL doesn't
-        v = pc.cast(pc.round(
-            pc.multiply(t[name], pa.scalar(float(scale))),
-            options=pc.RoundOptions(round_mode="half_towards_infinity")),
-            pa.int64())
-        t = t.set_column(i, name, v)
+        t = t.set_column(t.schema.get_field_index(name), name,
+                         _cents_of(t[name], scale))
     return t
+
+
+def _revenue(t: pa.Table):
+    """``l_extendedprice * (1 - l_discount)`` per row."""
+    return pc.multiply(t["l_extendedprice"],
+                       pc.subtract(pa.scalar(1.0), t["l_discount"]))
+
+
+def _cents_sql(expr: str) -> str:
+    """The oracle mirror of ``_cents_of``."""
+    return f"CAST(round({expr} * 100) AS BIGINT)"
+
+
+_VALUE_CENTS = _cents_sql("value")
+_PRICE_CENTS = _cents_sql("l_extendedprice")
+_REV_CENTS = _cents_sql("l_extendedprice * (1 - l_discount)")
+
+
+def _collect(ds, spec: str) -> pa.Table:
+    """The one driver collect, for results small by construction
+    (reduced aggregates, top-k survivors): every non-empty batch of
+    ``ds`` as the ``spec`` schema (``stages.schema``: columns selected
+    in order and cast), and a zero-row table of that schema when there
+    is none — an empty Ray groupby yields no batch, or batches without
+    columns."""
+    s = _schema(spec)
+    return pa.concat_tables(
+        [b.select(s.names).cast(s) for b in
+         ds.iter_batches(batch_format="pyarrow", batch_size=None)
+         if b.num_rows] or [s.empty_table()])
+
+
+def _fold(ds, partial, keys: str, aggs: str):
+    """The grouped partial-aggregate fold.  ``partial(batch)`` returns
+    the ``keys`` columns and one per-row value column per ``aggs``
+    entry (``name``: sum, ``name:min``, ``name:max``); each batch is
+    pre-aggregated per key with pyarrow, so one row per key per batch
+    crosses the exchange, and one Ray groupby(keys) folds the partials
+    into the lazy Dataset ``keys + aggs``.  With no keys it is the
+    global fold: a dict name → value (None when no row contributed,
+    SQL's NULL)."""
+    from ray.data.aggregate import Max, Min, Sum
+    ks = keys.split()
+    ops = [(n, op or "sum") for n, _, op in
+           (a.partition(":") for a in aggs.split())]
+
+    def combine(t: pa.Table) -> pa.Table:
+        return (partial(t).group_by(ks).aggregate(ops)
+                .rename_columns(ks + [n for n, _ in ops]))
+
+    folds = [{"sum": Sum, "min": Min, "max": Max}[op](n, alias_name=n)
+             for n, op in ops]
+    parts = _map(ds, combine)
+    return parts.groupby(ks).aggregate(*folds) if ks else \
+        parts.aggregate(*folds)
+
+
+def _sorted_map(keys, *values) -> tuple[np.ndarray, ...]:
+    """A broadcast dimension map: the int64 ``keys`` sorted, each value
+    column aligned.  Probe it with ``_probe``: a dangling key must drop
+    its row (inner join), never take the nearest key's values."""
+    k = _np(keys).astype(np.int64)
+    order = np.argsort(k, kind="stable")
+    return (k[order],) + tuple(_np(v)[order] for v in values)
+
+
+def _probe(smap: tuple, ids: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(hit mask, each value column at ``ids``) of a ``_sorted_map``;
+    a missed id carries an arbitrary value that the caller drops."""
+    keys, *values = smap
+    pos, hit = positions_in_sorted(ids, keys)
+    if not len(keys):
+        return (hit, *(np.zeros(len(ids), v.dtype) for v in values))
+    return (hit, *(v[pos] for v in values))
+
+
+def _has_rows(sf_dir: str, tables: str) -> bool:
+    """Whether every named input table has rows (parquet metadata)."""
+    import pyarrow.parquet as pq
+    return all(pq.ParquetFile(f"{sf_dir}/{t}.parquet").metadata.num_rows
+               for t in tables.split())
+
+
+def _join(sf_dir: str, tables: str, left, right, on: str, right_on: str):
+    """``stages.hash_join`` of two sides read from ``tables``.  Ray's
+    hash join fails when a side has no rows at all (its aggregator
+    builds a partition without columns), so on an empty input table
+    the answer is the empty inner join: ``left`` with no rows."""
+    if not _has_rows(sf_dir, tables):
+        return left.limit(0)
+    return hash_join(left, right, on, right_on)
+
+
+def _top(t: pa.Table, sort_keys: list, k: int) -> pa.Table:
+    return t.take(pc.sort_indices(t, sort_keys=sort_keys)[:k])
+
+
+def _by_bucket(ds, key: str, fn):
+    """The per-key window shuffle: ``key`` hashes into ``_N_BUCKETS``
+    groups and ``fn`` resolves every key of a group in one vectorized
+    pass.  Grouping by the raw key would make one Python map_groups
+    call per key (thousands of tiny groups, measured 4× slower)."""
+    def bucket(t: pa.Table) -> pa.Table:
+        return t.append_column("bucket", pa.array(
+            _np(t[key]) % _N_BUCKETS, pa.int64()))
+    return (_map(ds, bucket).groupby("bucket")
+            .map_groups(fn, batch_format="pyarrow"))
+
+
+def _cent_hist(sf_dir: str, key: str = "event_type:str",
+               columns=("event_type", "value"),
+               key_of=lambda t: t["event_type"]) -> pa.Table:
+    """events.value as the exact (key, cent) → cnt histogram, collected
+    and sorted by (key, cent).  The only exchange carries distinct
+    (key, cent) pairs — bounded by the value range, not the row count
+    — and the order statistics finish on the driver."""
+    name = key.partition(":")[0]
+
+    def partial(t: pa.Table) -> pa.Table:
+        return pa.table({name: key_of(t), "cent": _cents_of(t["value"]),
+                         "cnt": _ones(t.num_rows)})
+    t = _collect(_fold(_read(sf_dir, "events", list(columns)), partial,
+                       f"{name} cent", "cnt"), f"{key} cent cnt")
+    return t.sort_by([(name, "ascending"), ("cent", "ascending")])
+
+
+def _groups(t: pa.Table, key: str):
+    """(key, cents, counts) per key of a sorted ``_cent_hist`` table."""
+    ks = np.asarray(t[key].to_pylist(), dtype=object)
+    cents, cnts = _np(t["cent"]), _np(t["cnt"])
+    for v in sorted(set(ks.tolist())):
+        m = ks == v
+        yield v, cents[m], cnts[m]
+
+
+def _order_stat(cents: np.ndarray, counts: np.ndarray, q: float) -> int:
+    """The exact discrete quantile over a cent-sorted histogram: the
+    smallest cent whose running count reaches ceil(q·n) (SQL: min(CASE
+    WHEN run >= ceil(q * n) THEN cent END))."""
+    run = np.cumsum(counts)
+    return int(cents[np.searchsorted(run, math.ceil(q * int(run[-1])))])
+
+
+def _order_stat_sql(q: float, col: str) -> str:
+    """The oracle mirror of ``_order_stat`` over running counts ``run``
+    and group sizes ``n``."""
+    return (f"CAST(min(CASE WHEN run >= CAST(ceil({q} * n) AS BIGINT) "
+            f"THEN {col} END) AS BIGINT)")
 
 
 # ---------------------------------------------------------------- Q1 --
@@ -61,73 +259,42 @@ def q1_pricing_summary(sf_dir: str):
     pyarrow group_by combiners, then a small groupby of partials — the
     pre-aggregate-before-shuffle pattern (what the reference pushes to
     MySQL per-row via executeSQL, common.py:150-169, done right)."""
-    from ray.data.aggregate import Sum
-
     cutoff = pa.scalar(np.datetime64("1998-09-02", "us"))
 
     def partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.less_equal(t["l_shipdate"], cutoff))
-        if t.num_rows == 0:
-            return pa.table({"l_returnflag": pa.array([], pa.string()),
-                             "l_linestatus": pa.array([], pa.string()),
-                             "s_qty": pa.array([], pa.float64()),
-                             "s_base": pa.array([], pa.int64()),
-                             "s_disc": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        # money sums in PER-ROW integer cents: integer addition is
-        # order-independent, so partial/shuffle merge order can never
-        # move a result across a rounding boundary (a float-summed
-        # total differed from DuckDB by one cent at sf0.001).
-        # half_towards_infinity == SQL round()'s half-away-from-zero.
-        half_away = pc.RoundOptions(round_mode="half_towards_infinity")
-        disc_price = pc.multiply(t["l_extendedprice"],
-                                 pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        disc_cents = pc.cast(pc.round(pc.multiply(disc_price, pa.scalar(100.0)),
-                                      options=half_away), pa.int64())
-        base_cents = pc.cast(pc.round(pc.multiply(t["l_extendedprice"],
-                                                  pa.scalar(100.0)),
-                                      options=half_away), pa.int64())
-        t = (t.append_column("disc_cents", disc_cents)
-             .append_column("base_cents", base_cents))
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("l_quantity", "sum"), ("base_cents", "sum"),
-             ("disc_cents", "sum"), ("l_quantity", "count")])
-        return g.rename_columns(["l_returnflag", "l_linestatus", "s_qty",
-                                 "s_base", "s_disc", "n"])
+        return pa.table({
+            "l_returnflag": t["l_returnflag"],
+            "l_linestatus": t["l_linestatus"], "sum_qty": t["l_quantity"],
+            "sum_base_price": _cents_of(t["l_extendedprice"]),
+            "sum_disc_price": _cents_of(_revenue(t)),
+            "count_order": _ones(t.num_rows)})
 
-    li = _read(sf_dir, "lineitem",
-               ["l_returnflag", "l_linestatus", "l_quantity",
-                "l_extendedprice", "l_discount", "l_shipdate"])
-    partials = li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    agg = partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("s_qty", alias_name="sum_qty"),
-        Sum("s_base", alias_name="sum_base_price"),
-        Sum("s_disc", alias_name="sum_disc_price"),
-        Sum("n", alias_name="count_order"))
+    agg = _fold(_read(sf_dir, "lineitem",
+                      ["l_returnflag", "l_linestatus", "l_quantity",
+                       "l_extendedprice", "l_discount", "l_shipdate"]),
+                partial, "l_returnflag l_linestatus",
+                "sum_qty sum_base_price sum_disc_price count_order")
 
     def finish(t: pa.Table) -> pa.Table:
-        t = t.append_column("avg_qty", pc.divide(t["sum_qty"],
-                                                 pc.cast(t["count_order"], pa.float64())))
+        n = pc.cast(t["count_order"], pa.float64())
+        t = t.append_column("avg_qty", pc.divide(t["sum_qty"], n))
         # avg_price from the exact integer cent sum: cents/row × 1e4
         # equals price × 1e6 scale, and the ratio of two exactly-
         # representable integers is bit-deterministic
-        t = t.append_column("avg_price",
-                            pc.divide(pc.cast(t["sum_base_price"],
-                                              pa.float64()),
-                                      pc.cast(t["count_order"],
-                                              pa.float64())))
+        t = t.append_column("avg_price", pc.divide(
+            pc.cast(t["sum_base_price"], pa.float64()), n))
         return _int_scaled(t, {"sum_qty": 1, "avg_qty": 1e6,
                                "avg_price": 1e4})
 
     return agg.map_batches(finish, batch_format="pyarrow")
 
 
-Q1_SQL = """
+Q1_SQL = f"""
 WITH c AS (
   SELECT l_returnflag, l_linestatus, l_quantity,
-         CAST(round(l_extendedprice * 100) AS BIGINT) AS base_cents,
-         CAST(round(l_extendedprice * (1 - l_discount) * 100) AS BIGINT)
-           AS disc_cents
+         {_cents_sql("l_extendedprice")} AS base_cents,
+         {_REV_CENTS} AS disc_cents
   FROM lineitem WHERE l_shipdate <= TIMESTAMP '1998-09-02'
 )
 SELECT l_returnflag, l_linestatus,
@@ -153,16 +320,13 @@ def filter_project_revenue(sf_dir: str):
                        pc.and_(pc.greater_equal(t["l_discount"], pa.scalar(0.05)),
                                pc.less_equal(t["l_discount"], pa.scalar(0.07))))
         t = t.filter(mask)
-        rev = pc.multiply(t["l_extendedprice"],
-                          pc.subtract(pa.scalar(1.0), t["l_discount"]))
         return pa.table({"l_orderkey": t["l_orderkey"],
                          "l_linenumber": t["l_linenumber"],
-                         "revenue": rev})
+                         "revenue": _revenue(t)})
 
-    return _read(sf_dir, "lineitem",
-                 ["l_orderkey", "l_linenumber", "l_quantity", "l_extendedprice",
-                  "l_discount", "l_shipdate"]).map_batches(
-        f, batch_format="pyarrow", zero_copy_batch=True)
+    return _map(_read(sf_dir, "lineitem",
+                      ["l_orderkey", "l_linenumber", "l_quantity",
+                       "l_extendedprice", "l_discount", "l_shipdate"]), f)
 
 
 FILTER_PROJECT_SQL = """
@@ -184,50 +348,31 @@ def join_revenue_by_nation(sf_dir: str):
     reference does this join as one MySQL query per document,
     commonhandler.py:388-418)."""
     import ray
-    import pyarrow.parquet as pq
-    from ray.data.aggregate import Count, Sum
 
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_nationkey"])
-    nat = pq.read_table(f"{sf_dir}/nation.parquet",
-                        columns=["n_nationkey", "n_name"])
-    nk_to_name = dict(zip(nat["n_nationkey"].to_pylist(), nat["n_name"].to_pylist()))
-    ck = cust["c_custkey"].to_numpy(zero_copy_only=False)
-    cnames = np.array([nk_to_name[k] for k in
-                       cust["c_nationkey"].to_pylist()], dtype=object)
-    order_idx = np.argsort(ck)
-    ref = ray.put((ck[order_idx], cnames[order_idx]))
+    nat = _dim(sf_dir, "nation", "n_nationkey n_name")
+    cust = _dim(sf_dir, "customer", "c_custkey c_nationkey")
+    nk_to_name = dict(zip(nat["n_nationkey"].to_pylist(),
+                          nat["n_name"].to_pylist()))
+    ref = ray.put(_sorted_map(cust["c_custkey"], np.array(
+        [nk_to_name[k] for k in cust["c_nationkey"].to_pylist()],
+        dtype=object)))
 
     def lookup(t: pa.Table) -> pa.Table:
-        keys, names = ray.get(ref)
-        ok = t["o_custkey"].to_numpy(zero_copy_only=False)
-        pos = np.minimum(np.searchsorted(keys, ok),
-                         max(0, len(keys) - 1))
         # inner-join semantics like the oracle: a dangling o_custkey
         # must DROP the row, not credit the nearest customer's nation
-        hit = (keys[pos] == ok) if len(keys) else \
-            np.zeros(len(ok), dtype=bool)
+        hit, names = _probe(ray.get(ref), _np(t["o_custkey"]))
         t = t.filter(pa.array(hit))
-        pos = pos[hit]
-        # per-row integer cents: money sums stay order-independent
-        # (half_towards_infinity == SQL round)
-        cents = pc.cast(pc.round(
-            pc.multiply(t["o_totalprice"], pa.scalar(100.0)),
-            options=pc.RoundOptions(round_mode="half_towards_infinity")),
-            pa.int64())
-        return pa.table({"n_name": pa.array(names[pos].tolist(), pa.string()),
-                         "cents": cents})
+        return pa.table({"n_name": pa.array(names[hit].tolist(), pa.string()),
+                         "total_revenue_cents": _cents_of(t["o_totalprice"]),
+                         "n_orders": _ones(t.num_rows)})
 
-    return (_read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-            .map_batches(lookup, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("n_name")
-            .aggregate(Sum("cents", alias_name="total_revenue_cents"),
-                       Count(alias_name="n_orders")))
+    return _fold(_read(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
+                 lookup, "n_name", "total_revenue_cents n_orders")
 
 
-JOIN_NATION_SQL = """
+JOIN_NATION_SQL = f"""
 SELECT n_name,
-       CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT)
+       CAST(sum({_cents_sql("o_totalprice")}) AS BIGINT)
          AS total_revenue_cents,
        count(*) AS n_orders
 FROM orders JOIN customer ON o_custkey = c_custkey
@@ -242,18 +387,13 @@ def order_lineitem_rollup(sf_dir: str):
     """J2 one-to-many rollup (nested-doc analog, commonhandler.py:367-386):
     per-order aggregate with per-batch combiners (sums of integral
     doubles are exact, so no rounding is needed)."""
-    from ray.data.aggregate import Sum
-
     def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("l_orderkey").aggregate(
-            [("l_quantity", "sum"), ("l_quantity", "count")])
-        return g.rename_columns(["l_orderkey", "s_qty", "n"])
+        return pa.table({"l_orderkey": t["l_orderkey"],
+                         "n_items": _ones(t.num_rows),
+                         "sum_qty": t["l_quantity"]})
 
-    return (_read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-            .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("l_orderkey")
-            .aggregate(Sum("n", alias_name="n_items"),
-                       Sum("s_qty", alias_name="sum_qty")))
+    return _fold(_read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]),
+                 partial, "l_orderkey", "n_items sum_qty")
 
 
 ROLLUP_SQL = """
@@ -267,23 +407,15 @@ def agg_pushdown_counts(sf_dir: str):
     (...)` per master row against MySQL (common.py:150-169,
     index_carteam_user.yml:165-181); here it is one grouped aggregate
     with conditional counters."""
-    from ray.data.aggregate import Sum
-
     def partial(t: pa.Table) -> pa.Table:
-        is_open = pc.cast(pc.equal(t["o_orderstatus"], pa.scalar("O")), pa.int64())
-        is_fin = pc.cast(pc.equal(t["o_orderstatus"], pa.scalar("F")), pa.int64())
-        t2 = pa.table({"o_custkey": t["o_custkey"], "one": pa.array(
-            np.ones(t.num_rows, dtype=np.int64)), "is_open": is_open, "is_fin": is_fin})
-        g = t2.group_by("o_custkey").aggregate(
-            [("one", "sum"), ("is_open", "sum"), ("is_fin", "sum")])
-        return g.rename_columns(["o_custkey", "n_orders", "n_open", "n_finished"])
+        st = t["o_orderstatus"]
+        return pa.table({
+            "o_custkey": t["o_custkey"], "n_orders": _ones(t.num_rows),
+            "n_open": pc.cast(pc.equal(st, pa.scalar("O")), pa.int64()),
+            "n_finished": pc.cast(pc.equal(st, pa.scalar("F")), pa.int64())})
 
-    return (_read(sf_dir, "orders", ["o_custkey", "o_orderstatus"])
-            .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("o_custkey")
-            .aggregate(Sum("n_orders", alias_name="n_orders"),
-                       Sum("n_open", alias_name="n_open"),
-                       Sum("n_finished", alias_name="n_finished")))
+    return _fold(_read(sf_dir, "orders", ["o_custkey", "o_orderstatus"]),
+                 partial, "o_custkey", "n_orders n_open n_finished")
 
 
 AGG_PUSHDOWN_SQL = """
@@ -311,9 +443,10 @@ FROM orders ORDER BY o_totalprice DESC, o_orderkey LIMIT 10
 
 def distinct_priorities(sf_dir: str):
     """Set op: distinct values (shuffle)."""
-    ds = _read(sf_dir, "orders", ["o_orderpriority"])
-    vals = sorted(ds.unique("o_orderpriority"))
-    return pa.table({"o_orderpriority": pa.array(vals, pa.string())})
+    vals = _read(sf_dir, "orders", ["o_orderpriority"]).unique(
+        "o_orderpriority")
+    return pa.table({"o_orderpriority": pa.array(sorted(vals or []),
+                                                 pa.string())})
 
 
 DISTINCT_SQL = "SELECT DISTINCT o_orderpriority FROM orders"
@@ -331,36 +464,19 @@ def json_extract_events(sf_dir: str):
     per-(event_type) partials cross the exchange."""
     import json as _json
 
-    from ray.data.aggregate import Max, Sum
-
     def partial(t: pa.Table) -> pa.Table:
         # events whose JSON lacks k are invisible (SQL: WHERE k IS NOT
         # NULL) — the NULL-group semantics of sum/max don't survive a
         # partial-aggregate plan, so exclusion is the exact contract
         raw = [_json.loads(s).get("k") for s in t["props"].to_pylist()]
-        keep = pa.array([v is not None for v in raw])
-        ks = np.array([v for v in raw if v is not None], dtype=np.int64)
-        t2 = pa.table({"event_type": t["event_type"].filter(keep),
-                       "k": pa.array(ks, pa.int64()),
-                       "one": pa.array(np.ones(len(ks), np.int64))})
-        g = t2.group_by("event_type").aggregate(
-            [("one", "sum"), ("k", "sum"), ("k", "max")])
-        return g.rename_columns(["event_type", "n", "sum_k", "max_k"])
+        keep = pa.array([v is not None for v in raw], pa.bool_())
+        ks = pa.array([v for v in raw if v is not None], pa.int64())
+        return pa.table({"event_type": t["event_type"].filter(keep),
+                         "n": _ones(len(ks)), "sum_k": ks, "max_k": ks})
 
-    out = (_read(sf_dir, "events", ["event_type", "props"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("sum_k", alias_name="sum_k"),
-                      Max("max_k", alias_name="max_k")))
-    t = pa.concat_tables(list(out.iter_batches(batch_format="pyarrow")))
-    t = pa.table({"event_type": t["event_type"],
-                  "n": t["n"].cast(pa.int64()),
-                  "sum_k": t["sum_k"].cast(pa.int64()),
-                  "max_k": t["max_k"].cast(pa.int64())})
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("event_type", "ascending")]))
+    return _collect(_fold(_read(sf_dir, "events", ["event_type", "props"]),
+                          partial, "event_type", "n sum_k max_k:max"),
+                    "event_type:str n sum_k max_k").sort_by("event_type")
 
 
 JSON_EXTRACT_SQL = """
@@ -390,9 +506,8 @@ def filter_ops_events(sf_dir: str):
                     pc.less(t["value"], pa.scalar(95.0))))
         return t.filter(mask).select(["event_id", "user_id", "event_type", "value"])
 
-    return _read(sf_dir, "events",
-                 ["event_id", "user_id", "event_type", "value"]).map_batches(
-        f, batch_format="pyarrow", zero_copy_batch=True)
+    return _map(_read(sf_dir, "events",
+                      ["event_id", "user_id", "event_type", "value"]), f)
 
 
 FILTER_OPS_SQL = """
@@ -417,10 +532,9 @@ def scalar_funcs_lineitem(sf_dir: str):
                          "charge": charge, "qty_over": qty_over,
                          "disc_mag": disc_mag})
 
-    return _read(sf_dir, "lineitem",
-                 ["l_orderkey", "l_linenumber", "l_quantity", "l_extendedprice",
-                  "l_discount", "l_tax"]).map_batches(
-        f, batch_format="pyarrow", zero_copy_batch=True)
+    return _map(_read(sf_dir, "lineitem",
+                      ["l_orderkey", "l_linenumber", "l_quantity",
+                       "l_extendedprice", "l_discount", "l_tax"]), f)
 
 
 SCALAR_FUNCS_SQL = """
@@ -450,10 +564,9 @@ def scalar_dsl_lineitem(sf_dir: str):
             cols[name] = fn(t)
         return pa.table(cols)
 
-    return _read(sf_dir, "lineitem",
-                 ["l_orderkey", "l_linenumber", "l_quantity",
-                  "l_discount", "l_tax"]).map_batches(
-        f, batch_format="pyarrow", zero_copy_batch=True)
+    return _map(_read(sf_dir, "lineitem",
+                      ["l_orderkey", "l_linenumber", "l_quantity",
+                       "l_discount", "l_tax"]), f)
 
 
 SCALAR_DSL_SQL = """
@@ -467,35 +580,28 @@ FROM lineitem
 
 # --------------------------------------- latest-wins / windows / CDC --
 
-def session_windows_events(sf_dir: str, gap_minutes: int = 30,
-                           n_buckets: int = 64):
+SESSION_GAP_US = 30 * 60 * 1_000_000        # SESSION_SQL's 30 minutes
+
+
+def session_windows_events(sf_dir: str):
     """Gap-based sessionization (SURVEY.md §2.9 streaming semantics):
     per user, a new session starts when the gap to the previous event
-    exceeds ``gap_minutes``.
-
-    Shuffle granularity: grouping by RAW user_id makes one Python
-    map_groups call per user (thousands of tiny groups — measured 4×
-    slower); instead users hash into ``n_buckets`` shuffle keys and
-    each group handles MANY users in one vectorized pass (new-session
-    mask = user-change OR gap, then diff/cumsum — no per-event loop)."""
-    gap_us = gap_minutes * 60 * 1_000_000
-
-    def bucket(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket",
-                               pa.array(uid % n_buckets, pa.int64()))
+    exceeds 30 minutes.  Each ``_by_bucket`` group handles MANY users
+    in one vectorized pass (new-session mask = user-change OR gap,
+    then diff/cumsum — no per-event loop)."""
 
     def sessions(g: pa.Table) -> pa.Table:
         order = pc.sort_indices(g, sort_keys=[("user_id", "ascending"),
                                               ("ts", "ascending"),
                                               ("event_id", "ascending")])
         g = g.take(order)
-        uid = g["user_id"].to_numpy(zero_copy_only=False)
-        us = g["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
+        uid = _np(g["user_id"])
+        us = _np(g["ts"].cast(pa.int64()))
         n = len(uid)
         new_sess = np.ones(n, dtype=bool)
         if n > 1:
-            new_sess[1:] = (uid[1:] != uid[:-1]) | (np.diff(us) > gap_us)
+            new_sess[1:] = ((uid[1:] != uid[:-1])
+                            | (np.diff(us) > SESSION_GAP_US))
         starts = np.flatnonzero(new_sess)
         ends = np.append(starts[1:], n) - 1
         # per-user 1-based session numbering: global session ordinal
@@ -512,53 +618,39 @@ def session_windows_events(sf_dir: str, gap_minutes: int = 30,
             "duration_us": pa.array(us[ends] - us[starts], pa.int64()),
         })
 
-    return (_read(sf_dir, "events", ["user_id", "event_id", "ts"])
-            .map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("bucket").map_groups(sessions, batch_format="pyarrow"))
+    return _by_bucket(_read(sf_dir, "events", ["user_id", "event_id", "ts"]),
+                      "user_id", sessions)
 
 
-def asof_join_purchase_click(sf_dir: str, n_buckets: int = 64):
+def asof_join_purchase_click(sf_dir: str):
     """AS-OF join — a custom operator Ray Data lacks (task brief):
     each purchase event joins the LATEST click of the same user at or
     before its timestamp.
 
-    Plan: one groupby(user-bucket) shuffle co-locates each user's
-    purchases and clicks; inside a group both sides sort once and a
-    vectorized ``np.searchsorted`` finds every purchase's predecessor
-    click (no per-row loop, no window re-scan).  Partitioning
-    assumption documented per the brief: correctness requires both
-    sides of one user in one group — guaranteed by bucketing on
-    user_id alone."""
+    Plan: one ``_by_bucket`` shuffle co-locates each user's purchases
+    and clicks; inside a group both sides sort once and a vectorized
+    ``np.searchsorted`` finds every purchase's predecessor click (no
+    per-row loop, no window re-scan).  Partitioning assumption
+    documented per the brief: correctness requires both sides of one
+    user in one group — guaranteed by bucketing on user_id alone."""
 
-    def bucket(t: pa.Table) -> pa.Table:
-        mask = pc.is_in(t["event_type"],
-                        value_set=pa.array(["purchase", "click"]))
-        t = t.filter(mask)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(uid % n_buckets, pa.int64()))
+    def purchases_and_clicks(t: pa.Table) -> pa.Table:
+        return t.filter(pc.is_in(t["event_type"],
+                                 value_set=pa.array(["purchase", "click"])))
 
     def asof(g: pa.Table) -> pa.Table:
         # vectorized membership (a Python loop over every event string
         # was the dominant non-vectorized cost in this operator)
-        is_p = pc.fill_null(
-            pc.equal(g["event_type"], pa.scalar("purchase")),
-            False).to_numpy(zero_copy_only=False)
-        uid = g["user_id"].to_numpy(zero_copy_only=False)
-        us = g["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
+        is_p = _np(pc.fill_null(
+            pc.equal(g["event_type"], pa.scalar("purchase")), False))
+        uid = _np(g["user_id"])
+        us = _np(g["ts"].cast(pa.int64()))
+        eid = _np(g["event_id"])
 
         # clicks sorted by (user, ts, event_id): ties on ts resolve to
         # the largest event_id — mirrored in the oracle's dedup CTE
         ci = np.flatnonzero(~is_p)
         pi = np.flatnonzero(is_p)
-        if len(pi) == 0:
-            return pa.table({
-                "user_id": pa.array([], pa.int64()),
-                "purchase_id": pa.array([], pa.int64()),
-                "purchase_us": pa.array([], pa.int64()),
-                "click_id": pa.array([], pa.int64()),
-                "gap_us": pa.array([], pa.int64()),
-            })
         corder = ci[np.lexsort((eid[ci], us[ci], uid[ci]))]
         cu, cts, cid = uid[corder], us[corder], eid[corder]
         porder = pi[np.lexsort((eid[pi], us[pi], uid[pi]))]
@@ -590,9 +682,9 @@ def asof_join_purchase_click(sf_dir: str, n_buckets: int = 64):
             "gap_us": pa.array(gap_us),
         })
 
-    return (_read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"])
-            .map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("bucket").map_groups(asof, batch_format="pyarrow"))
+    return _by_bucket(_map(_read(sf_dir, "events",
+                                 ["user_id", "event_id", "ts", "event_type"]),
+                           purchases_and_clicks), "user_id", asof)
 
 
 ASOF_SQL = """
@@ -639,49 +731,30 @@ FROM numbered
 GROUP BY user_id, session_id
 """
 
-def latest_event_per_user(sf_dir: str, n_buckets: int = 64):
+def latest_event_per_user(sf_dir: str):
     """U3 latest-wins by (ts, event_id) per key — the delta
     last-writer-wins semantic (SURVEY.md §2.9).
 
-    Same shuffle discipline as session_windows_events: users hash into
-    ``n_buckets`` groups (not one tiny Python group per user) and each
-    group resolves MANY users in one vectorized pass — sort by
-    (user, ts, event_id), keep each user's last row via a boundary
-    mask.  Per-batch combiners shrink the exchange to ≤1 row per user
-    per batch before the groupby."""
+    The session_windows_events shuffle: each ``_by_bucket`` group
+    resolves MANY users in one vectorized pass — sort by (user, ts,
+    event_id), keep each user's last row via a boundary mask.  The
+    same pass as a per-batch combiner shrinks the exchange to ≤1 row
+    per user per batch first."""
 
-    def bucket_and_combine(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((t["event_id"].to_numpy(zero_copy_only=False),
-                            t["ts"].cast(pa.int64())
-                            .to_numpy(zero_copy_only=False), uid))
-        t = t.take(pa.array(order))
+    def last_per_user(t: pa.Table) -> pa.Table:
+        uid = _np(t["user_id"])
+        order = np.lexsort((_np(t["event_id"]),
+                            _np(t["ts"].cast(pa.int64())), uid))
         uid = uid[order]
         last = np.ones(len(uid), dtype=bool)
         last[:-1] = uid[1:] != uid[:-1]
-        t = t.filter(pa.array(last))
-        return t.append_column(
-            "bucket", pa.array(t["user_id"].to_numpy(zero_copy_only=False)
-                               % n_buckets, pa.int64()))
+        return t.take(pa.array(order)).filter(pa.array(last))
 
-    def latest_of_bucket(g: pa.Table) -> pa.Table:
-        uid = g["user_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((g["event_id"].to_numpy(zero_copy_only=False),
-                            g["ts"].cast(pa.int64())
-                            .to_numpy(zero_copy_only=False), uid))
-        g = g.take(pa.array(order))
-        uid = uid[order]
-        last = np.ones(len(uid), dtype=bool)
-        last[:-1] = uid[1:] != uid[:-1]
-        return g.filter(pa.array(last)).select(
-            ["user_id", "event_id", "event_type", "value"])
-
-    return (_read(sf_dir, "events", ["user_id", "event_id", "ts",
-                                     "event_type", "value"])
-            .map_batches(bucket_and_combine, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("bucket")
-            .map_groups(latest_of_bucket, batch_format="pyarrow"))
+    return _by_bucket(
+        _map(_read(sf_dir, "events", ["user_id", "event_id", "ts",
+                                      "event_type", "value"]), last_per_user),
+        "user_id", lambda g: last_per_user(g).select(
+            ["user_id", "event_id", "event_type", "value"]))
 
 
 LATEST_SQL = """
@@ -695,48 +768,27 @@ def tumbling_window_events(sf_dir: str):
     """Streaming-shaped tumbling window (1h) as a grouped aggregate —
     Ray Data has no watermarks; the event-time bucket IS the key
     (SURVEY.md §2.9)."""
-    from ray.data.aggregate import Count, Sum
+    def partial(t: pa.Table) -> pa.Table:
+        # per-batch COMBINER over (user, hour) keys: only one row per
+        # key per batch crosses the exchange, summed in integer cents
+        us = _np(t["ts"].cast(pa.int64()))
+        return pa.table({"user_id": t["user_id"],
+                         "hour_bucket": pa.array(us // 3_600_000_000,
+                                                 pa.int64()),
+                         "n_events": _ones(len(us)),
+                         "sum_value_cents": _cents_of(t["value"])})
 
-    def bucket(t: pa.Table) -> pa.Table:
-        # per-batch COMBINER: pre-aggregate (user, hour) partials with
-        # pyarrow's C++ group_by before the shuffle — only one row per
-        # key per batch crosses the exchange.  Sum in integer cents so
-        # partial-sum order cannot perturb the float result
-        # (half_towards_infinity == SQL round; np.rint's half-to-even
-        # diverges on exact .5 products).
-        us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        cents = pc.cast(pc.round(
-            pc.multiply(t["value"], pa.scalar(100.0)),
-            options=pc.RoundOptions(round_mode="half_towards_infinity")),
-            pa.int64()).to_numpy(zero_copy_only=False)
-        part = pa.table({"user_id": t["user_id"],
-                         "hour_bucket": pa.array(us // 3_600_000_000, pa.int64()),
-                         "cents": pa.array(cents)})
-        g = part.group_by(["user_id", "hour_bucket"]).aggregate(
-            [("cents", "count"), ("cents", "sum")])
-        return g.rename_columns(["user_id", "hour_bucket", "n_part",
-                                 "cents_part"])
-
-    out = (_read(sf_dir, "events", ["user_id", "ts", "value"])
-           .map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True)
-           .groupby(["user_id", "hour_bucket"])
-           .aggregate(Sum("n_part", alias_name="n_events"),
-                      Sum("cents_part", alias_name="sum_value_cents")))
-
-    def finish(t: pa.Table) -> pa.Table:
-        return t.set_column(t.schema.get_field_index("n_events"), "n_events",
-                            t["n_events"].cast(pa.int64()))
-
-    return out.map_batches(finish, batch_format="pyarrow")
+    return _fold(_read(sf_dir, "events", ["user_id", "ts", "value"]),
+                 partial, "user_id hour_bucket", "n_events sum_value_cents")
 
 
-TUMBLING_SQL = """
+TUMBLING_SQL = f"""
 -- floor() division: DuckDB's integer // truncates toward zero, while
 -- the engine's numpy // floors — they differ on pre-1970 timestamps
 SELECT user_id,
        CAST(floor(epoch_us(ts) / 3600000000.0) AS BIGINT) AS hour_bucket,
        count(*) AS n_events,
-       CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT) AS sum_value_cents
+       CAST(sum({_VALUE_CENTS}) AS BIGINT) AS sum_value_cents
 FROM events GROUP BY user_id, hour_bucket
 """
 
@@ -744,21 +796,15 @@ FROM events GROUP BY user_id, hour_bucket
 def event_type_routing(sf_dir: str):
     """M10 trigger routing (INSERT|UPDATE|DELETE bitmask,
     modules/handlers/__init__.py:37-52) as a vectorized CASE + count."""
-    from ray.data.aggregate import Sum
-
     def f(t: pa.Table) -> pa.Table:
-        et = t["event_type"].to_numpy(zero_copy_only=False)
+        et = _np(t["event_type"])
         route = np.select([np.isin(et, ["signup", "purchase"]),
                            np.isin(et, ["click", "view"])],
                           ["mutate", "read"], default="other")
-        t2 = pa.table({"route": pa.array(route.tolist(), pa.string()),
-                       "one": pa.array(np.ones(len(et), dtype=np.int64))})
-        return (t2.group_by("route").aggregate([("one", "sum")])
-                .rename_columns(["route", "n"]))
+        return pa.table({"route": pa.array(route.tolist(), pa.string()),
+                         "n": _ones(len(et))})
 
-    return (_read(sf_dir, "events", ["event_type"])
-            .map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("route").aggregate(Sum("n", alias_name="n")))
+    return _fold(_read(sf_dir, "events", ["event_type"]), f, "route", "n")
 
 
 ROUTING_SQL = """
@@ -773,9 +819,7 @@ FROM events GROUP BY route
 # --------------------------------------------------- semi/anti join --
 
 def _custkey_set(sf_dir: str) -> np.ndarray:
-    import pyarrow.parquet as pq
-    ck = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey"])
-    keys = ck["c_custkey"].to_numpy(zero_copy_only=False)
+    keys = _np(_dim(sf_dir, "customer", "c_custkey")["c_custkey"])
     return np.sort(keys[keys < 100])
 
 
@@ -783,29 +827,17 @@ def _events_by_membership(sf_dir: str, keep_members: bool):
     """Broadcast key-set semi/anti join (the guide's Bloom/keyset
     pattern): no shuffle of the fact table."""
     import ray
-    from ray.data.aggregate import Sum
 
     ref = ray.put(_custkey_set(sf_dir))
 
     def f(t: pa.Table) -> pa.Table:
-        keys = ray.get(ref)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        member = np.isin(uid, keys)
+        member = np.isin(_np(t["user_id"]), ray.get(ref))
         t = t.filter(pa.array(member if keep_members else ~member))
-        g = (pa.table({"event_type": t["event_type"],
-                       "one": pa.array(np.ones(t.num_rows, dtype=np.int64))})
-             .group_by("event_type").aggregate([("one", "sum")]))
-        return g.rename_columns(["event_type", "n"])
+        return pa.table({"event_type": t["event_type"],
+                         "n": _ones(t.num_rows)})
 
-    out = (_read(sf_dir, "events", ["user_id", "event_type"])
-           .map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
-           .groupby("event_type").aggregate(Sum("n", alias_name="n")))
-    # tiny result; materialize with a guaranteed schema (an empty Ray
-    # groupby result otherwise drops the column names entirely)
-    schema = pa.schema([("event_type", pa.string()), ("n", pa.int64())])
-    batches = [b.cast(schema) for b in out.iter_batches(batch_format="pyarrow",
-                                                        batch_size=1 << 20)]
-    return pa.concat_tables(batches or [schema.empty_table()])
+    return _collect(_fold(_read(sf_dir, "events", ["user_id", "event_type"]),
+                          f, "event_type", "n"), "event_type:str n")
 
 
 def semi_join_events_customers(sf_dir: str):
@@ -840,64 +872,15 @@ def quantiles_events(sf_dir: str):
     row count), and a tiny driver finish does cumsum + threshold.  The
     quantile rule is order-statistic-exact and SQL-expressible: the
     smallest cent whose running count reaches ceil(q·n)."""
-    from ray.data.aggregate import Sum
-
-    def cent_counts(t: pa.Table) -> pa.Table:
-        # half_towards_infinity == SQL round()'s half-away-from-zero
-        # (pyarrow's default half_to_even would diverge on exact .5)
-        cents = pc.cast(pc.round(pc.multiply(t["value"], 100.0),
-                                 options=pc.RoundOptions(
-                                     round_mode="half_towards_infinity")),
-                        pa.int64())
-        g = (pa.table({"event_type": t["event_type"], "cent": cents})
-             .group_by(["event_type", "cent"]).aggregate([([], "count_all")]))
-        return g.rename_columns(["event_type", "cent", "n_part"])
-
-    hist = (_read(sf_dir, "events", ["event_type", "value"])
-            .map_batches(cent_counts, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby(["event_type", "cent"])
-            .aggregate(Sum("n_part", alias_name="cnt")))
-    blocks = list(hist.iter_batches(batch_format="pyarrow",
-                                    batch_size=1 << 20))
-    if not blocks:
-        return pa.table({"event_type": pa.array([], pa.string()),
-                         "n": pa.array([], pa.int64()),
-                         "p50_cents": pa.array([], pa.int64()),
-                         "p90_cents": pa.array([], pa.int64()),
-                         "p99_cents": pa.array([], pa.int64())})
-    t = pa.concat_tables(blocks)
-    ets = np.asarray(t["event_type"].to_pylist(), dtype=object)
-    cents = t["cent"].to_numpy(zero_copy_only=False)
-    cnts = t["cnt"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((cents, ets))
-    ets, cents, cnts = ets[order], cents[order], cnts[order]
-    out = {"event_type": [], "n": [], "p50_cents": [], "p90_cents": [],
-           "p99_cents": []}
-    import math
-    for et in sorted(set(ets.tolist())):
-        m = ets == et
-        c, k = cents[m], cnts[m]
-        run = np.cumsum(k)
-        n = int(run[-1])
-        out["event_type"].append(et)
-        out["n"].append(n)
-        for q, col in ((0.5, "p50_cents"), (0.9, "p90_cents"),
-                       (0.99, "p99_cents")):
-            need = math.ceil(q * n)
-            out[col].append(int(c[np.searchsorted(run, need)]))
-    return pa.table({
-        "event_type": pa.array(out["event_type"], pa.string()),
-        "n": pa.array(out["n"], pa.int64()),
-        "p50_cents": pa.array(out["p50_cents"], pa.int64()),
-        "p90_cents": pa.array(out["p90_cents"], pa.int64()),
-        "p99_cents": pa.array(out["p99_cents"], pa.int64()),
-    })
+    rows = [(et, int(k.sum()), *(_order_stat(c, k, q)
+                                 for q in (0.5, 0.9, 0.99)))
+            for et, c, k in _groups(_cent_hist(sf_dir), "event_type")]
+    return _table(rows, "event_type:str n p50_cents p90_cents p99_cents")
 
 
-QUANTILES_SQL = """
+QUANTILES_SQL = f"""
 WITH c AS (
-  SELECT event_type, CAST(round(value * 100) AS BIGINT) AS cent
+  SELECT event_type, {_VALUE_CENTS} AS cent
   FROM events
 ), tot AS (
   SELECT event_type, count(*) AS n FROM c GROUP BY event_type
@@ -907,9 +890,9 @@ WITH c AS (
   FROM c GROUP BY event_type, cent
 )
 SELECT tot.event_type, tot.n,
-  CAST(min(CASE WHEN run >= CAST(ceil(0.5  * n) AS BIGINT) THEN cent END) AS BIGINT) AS p50_cents,
-  CAST(min(CASE WHEN run >= CAST(ceil(0.9  * n) AS BIGINT) THEN cent END) AS BIGINT) AS p90_cents,
-  CAST(min(CASE WHEN run >= CAST(ceil(0.99 * n) AS BIGINT) THEN cent END) AS BIGINT) AS p99_cents
+  {_order_stat_sql(0.5, "cent")} AS p50_cents,
+  {_order_stat_sql(0.9, "cent")} AS p90_cents,
+  {_order_stat_sql(0.99, "cent")} AS p99_cents
 FROM cum JOIN tot USING (event_type)
 GROUP BY tot.event_type, tot.n
 """
@@ -926,64 +909,36 @@ def extended_stats_events(sf_dir: str):
     bit-equal.  Σcents² stays well inside int64 here (|cent| ≤ ~10⁵ ⇒
     10¹⁰/row); a 100-TB run would split the square into hi/lo int64
     lanes or a float128 lane — documented, not needed at bench scale."""
-    from ray.data.aggregate import Max, Min, Sum
-
     def partial(t: pa.Table) -> pa.Table:
-        cents = _cents_of(t["value"])
-        sq = pc.multiply(cents, cents)
-        g = (pa.table({"event_type": t["event_type"], "c": cents,
-                       "sq": sq})
-             .group_by("event_type")
-             .aggregate([("c", "count"), ("c", "sum"), ("sq", "sum"),
-                         ("c", "min"), ("c", "max")]))
-        return g.rename_columns(["event_type", "n_p", "s_p", "sq_p",
-                                 "mn_p", "mx_p"])
+        c = _cents_of(t["value"])
+        return pa.table({"event_type": t["event_type"],
+                         "n": _ones(t.num_rows), "sum_cents": c,
+                         "sumsq_cents": pc.multiply(c, c),
+                         "min_cents": c, "max_cents": c})
 
-    agg = (_read(sf_dir, "events", ["event_type", "value"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n_p", alias_name="n"),
-                      Sum("s_p", alias_name="sum_cents"),
-                      Sum("sq_p", alias_name="sumsq_cents"),
-                      Min("mn_p", alias_name="min_cents"),
-                      Max("mx_p", alias_name="max_cents")))
-    blocks = list(agg.iter_batches(batch_format="pyarrow"))
-    cols = ["event_type", "n", "sum_cents", "sumsq_cents", "min_cents",
-            "max_cents", "avg_cents", "variance_cents", "std_cents"]
-    if not blocks:
-        return pa.table({c: pa.array([], pa.string() if c == "event_type"
-                                     else pa.float64() if "_cents" in c
-                                     and c not in ("sum_cents",
-                                                   "sumsq_cents",
-                                                   "min_cents",
-                                                   "max_cents")
-                                     else pa.int64()) for c in cols})
-    t = pa.concat_tables(blocks).sort_by("event_type")
-    n = t["n"].to_numpy(zero_copy_only=False).astype(np.float64)
-    s = t["sum_cents"].to_numpy(zero_copy_only=False).astype(np.float64)
-    sq = t["sumsq_cents"].to_numpy(zero_copy_only=False
-                                   ).astype(np.float64)
-    mean = s / n
+    t = _collect(_fold(_read(sf_dir, "events", ["event_type", "value"]),
+                       partial, "event_type",
+                       "n sum_cents sumsq_cents min_cents:min max_cents:max"),
+                 "event_type:str n sum_cents sumsq_cents min_cents max_cents"
+                 ).sort_by("event_type")
+    n = _np(t["n"]).astype(np.float64)
+    mean = _np(t["sum_cents"]).astype(np.float64) / n
     # clamp: Σc²/n − mean² can round to −ε on a (near-)constant group
     # once Σc² is large; DuckDB's sqrt(−ε) hard-errors and numpy's is
     # NaN, so both sides clamp with the same greatest(var, 0) form
-    var = np.maximum(sq / n - mean * mean, 0.0)
-    return pa.table({
-        "event_type": t["event_type"],
-        "n": t["n"], "sum_cents": t["sum_cents"],
-        "sumsq_cents": t["sumsq_cents"],
-        "min_cents": t["min_cents"], "max_cents": t["max_cents"],
-        "avg_cents": pa.array(mean, pa.float64()),
-        "variance_cents": pa.array(var, pa.float64()),
-        "std_cents": pa.array(np.sqrt(var), pa.float64())})
+    var = np.maximum(_np(t["sumsq_cents"]).astype(np.float64) / n
+                     - mean * mean, 0.0)
+    for name, v in (("avg_cents", mean), ("variance_cents", var),
+                    ("std_cents", np.sqrt(var))):
+        t = t.append_column(name, pa.array(v, pa.float64()))
+    return t
 
 
 # the float finish is written with the engine's exact op order —
 # (Σc²/n) − (Σc/n)·(Σc/n) — so IEEE determinism gives bit-equality
-EXTENDED_STATS_SQL = """
+EXTENDED_STATS_SQL = f"""
 WITH c AS (
-  SELECT event_type, CAST(round(value * 100) AS BIGINT) AS cent
+  SELECT event_type, {_VALUE_CENTS} AS cent
   FROM events),
 agg AS (
   SELECT event_type,
@@ -1012,65 +967,20 @@ def mad_events(sf_dir: str):
     only shuffle carries distinct (type, cent) pairs — the deviation
     histogram is derived on the driver from that same bounded table
     (re-bucketing |cent − med| needs no second pass over the data)."""
-    from ray.data.aggregate import Sum
-
-    def cent_counts(t: pa.Table) -> pa.Table:
-        cents = _cents_of(t["value"])
-        g = (pa.table({"event_type": t["event_type"], "cent": cents})
-             .group_by(["event_type", "cent"])
-             .aggregate([([], "count_all")]))
-        return g.rename_columns(["event_type", "cent", "n_part"])
-
-    hist = (_read(sf_dir, "events", ["event_type", "value"])
-            .map_batches(cent_counts, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby(["event_type", "cent"])
-            .aggregate(Sum("n_part", alias_name="cnt")))
-    blocks = list(hist.iter_batches(batch_format="pyarrow",
-                                    batch_size=1 << 20))
-    if not blocks:
-        return pa.table({"event_type": pa.array([], pa.string()),
-                         "n": pa.array([], pa.int64()),
-                         "median_cents": pa.array([], pa.int64()),
-                         "mad_cents": pa.array([], pa.int64())})
-    import math
-    t = pa.concat_tables(blocks)
-    ets = np.asarray(t["event_type"].to_pylist(), dtype=object)
-    cents = t["cent"].to_numpy(zero_copy_only=False)
-    cnts = t["cnt"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((cents, ets))
-    ets, cents, cnts = ets[order], cents[order], cnts[order]
-
-    def order_stat(c: np.ndarray, k: np.ndarray, q: float) -> int:
-        run = np.cumsum(k)
-        need = math.ceil(q * int(run[-1]))
-        return int(c[np.searchsorted(run, need)])
-
-    out = {"event_type": [], "n": [], "median_cents": [],
-           "mad_cents": []}
-    for et in sorted(set(ets.tolist())):
-        m = ets == et
-        c, k = cents[m], cnts[m]
-        med = order_stat(c, k, 0.5)
+    rows = []
+    for et, c, k in _groups(_cent_hist(sf_dir), "event_type"):
+        med = _order_stat(c, k, 0.5)
         dev = np.abs(c - med)
         dorder = np.argsort(dev, kind="stable")
-        dev, dk = dev[dorder], k[dorder]
-        uniq, first = np.unique(dev, return_index=True)
-        dcnt = np.add.reduceat(dk, first)
-        out["event_type"].append(et)
-        out["n"].append(int(k.sum()))
-        out["median_cents"].append(med)
-        out["mad_cents"].append(order_stat(uniq, dcnt, 0.5))
-    return pa.table({
-        "event_type": pa.array(out["event_type"], pa.string()),
-        "n": pa.array(out["n"], pa.int64()),
-        "median_cents": pa.array(out["median_cents"], pa.int64()),
-        "mad_cents": pa.array(out["mad_cents"], pa.int64())})
+        uniq, first = np.unique(dev[dorder], return_index=True)
+        rows.append((et, int(k.sum()), med, _order_stat(
+            uniq, np.add.reduceat(k[dorder], first), 0.5)))
+    return _table(rows, "event_type:str n median_cents mad_cents")
 
 
-MAD_SQL = """
+MAD_SQL = f"""
 WITH c AS (
-  SELECT event_type, CAST(round(value * 100) AS BIGINT) AS cent
+  SELECT event_type, {_VALUE_CENTS} AS cent
   FROM events),
 tot AS (SELECT event_type, count(*) AS n FROM c GROUP BY event_type),
 cum AS (
@@ -1080,8 +990,7 @@ cum AS (
   FROM c GROUP BY event_type, cent),
 med AS (
   SELECT cum.event_type,
-         CAST(min(CASE WHEN run >= CAST(ceil(0.5 * n) AS BIGINT)
-                       THEN cent END) AS BIGINT) AS med
+         {_order_stat_sql(0.5, "cent")} AS med
   FROM cum JOIN tot USING (event_type)
   GROUP BY cum.event_type),
 dev AS (
@@ -1093,8 +1002,7 @@ dcum AS (
            AS run
   FROM dev GROUP BY event_type, d)
 SELECT tot.event_type, tot.n, med.med AS median_cents,
-       CAST(min(CASE WHEN run >= CAST(ceil(0.5 * n) AS BIGINT)
-                     THEN d END) AS BIGINT) AS mad_cents
+       {_order_stat_sql(0.5, "d")} AS mad_cents
 FROM dcum
 JOIN tot USING (event_type)
 JOIN med ON med.event_type = dcum.event_type
@@ -1112,36 +1020,32 @@ def top_metrics_events(sf_dir: str):
 
     def argmax_per_type(t: pa.Table) -> pa.Table:
         et = np.asarray(t["event_type"].to_pylist(), dtype=object)
-        order = np.lexsort((t["event_id"].to_numpy(zero_copy_only=False),
-                            t["ts"].cast(pa.int64())
-                            .to_numpy(zero_copy_only=False), et))
-        t = t.take(pa.array(order))
+        order = np.lexsort((_np(t["event_id"]),
+                            _np(t["ts"].cast(pa.int64())), et))
         et = et[order]
         last = np.ones(len(et), dtype=bool)
         last[:-1] = et[1:] != et[:-1]
-        return t.filter(pa.array(last))
+        return t.take(pa.array(order)).filter(pa.array(last))
 
     def finish(g: pa.Table) -> pa.Table:
         g = argmax_per_type(g)
-        cents = _cents_of(g["value"])
         return pa.table({"event_type": g["event_type"],
                          "top_ts_us": g["ts"].cast(pa.int64()),
                          "top_event_id": g["event_id"],
-                         "top_value_cents": cents})
+                         "top_value_cents": _cents_of(g["value"])})
 
-    return (_read(sf_dir, "events", ["event_type", "event_id", "ts",
-                                     "value"])
-            .map_batches(argmax_per_type, batch_format="pyarrow",
-                         zero_copy_batch=True)
+    return (_map(_read(sf_dir, "events",
+                       ["event_type", "event_id", "ts", "value"]),
+                 argmax_per_type)
             .groupby("event_type")
             .map_groups(finish, batch_format="pyarrow"))
 
 
-TOP_METRICS_SQL = """
+TOP_METRICS_SQL = f"""
 SELECT event_type,
        epoch_us(ts) AS top_ts_us,
        event_id AS top_event_id,
-       CAST(round(value * 100) AS BIGINT) AS top_value_cents
+       {_VALUE_CENTS} AS top_value_cents
 FROM (SELECT *, row_number() OVER (PARTITION BY event_type
                                    ORDER BY ts DESC, event_id DESC)
                   AS rn
@@ -1161,45 +1065,31 @@ _AUTO_HIST_LADDER_US = [60_000_000, 300_000_000, 1_800_000_000,
 _AUTO_HIST_TARGET = 40
 
 
-def auto_date_histogram_events(sf_dir: str,
-                               target_buckets: int = _AUTO_HIST_TARGET):
+def auto_date_histogram_events(sf_dir: str):
     """ES ``auto_date_histogram``: pick the SMALLEST interval from a
     fixed ladder whose floor-grid bucket count over [min ts, max ts]
-    stays ≤ ``target_buckets``, then one date_histogram at that
+    stays ≤ ``_AUTO_HIST_TARGET``, then one date_histogram at that
     interval.  The min/max probe is one tiny aggregate (metadata-
     scale); the choice rule — ``floor(mx/iv) − floor(mn/iv) + 1 ≤
-    target``, largest ladder entry as fallback — is deterministic and
-    mirrored verbatim in SQL."""
-    import ray.data
-    from ray.data.aggregate import Max, Min, Sum
+    target``, largest ladder entry as fallback (and on empty input) —
+    is deterministic and mirrored verbatim in SQL."""
+    from ray.data.aggregate import Max, Min
 
-    def to_us(t: pa.Table) -> pa.Table:
-        return pa.table({"us": t["ts"].cast(pa.int64())})
-
-    bounds = (_read(sf_dir, "events", ["ts"])
-              .map_batches(to_us, batch_format="pyarrow",
-                           zero_copy_batch=True)
+    bounds = (_map(_read(sf_dir, "events", ["ts"]),
+                   lambda t: pa.table({"us": t["ts"].cast(pa.int64())}))
               .aggregate(Min("us"), Max("us")))
-    mn, mx = int(bounds["min(us)"]), int(bounds["max(us)"])
-    iv = _AUTO_HIST_LADDER_US[-1]
-    for cand_iv in _AUTO_HIST_LADDER_US:
-        if mx // cand_iv - mn // cand_iv + 1 <= target_buckets:
-            iv = cand_iv
-            break
+    mn, mx = bounds["min(us)"], bounds["max(us)"]
+    iv = next((v for v in _AUTO_HIST_LADDER_US if mn is not None
+               and int(mx) // v - int(mn) // v + 1 <= _AUTO_HIST_TARGET),
+              _AUTO_HIST_LADDER_US[-1])
 
-    def bucket(t: pa.Table) -> pa.Table:
-        us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        part = pa.table({"bucket_us": pa.array((us // iv) * iv,
-                                               pa.int64())})
-        g = part.group_by("bucket_us").aggregate([([], "count_all")])
-        return g.rename_columns(["bucket_us", "n_part"])
+    def partial(t: pa.Table) -> pa.Table:
+        us = _np(t["ts"].cast(pa.int64()))
+        return pa.table({"bucket_us": pa.array((us // iv) * iv, pa.int64()),
+                         "n_events": _ones(len(us))})
 
-    out = (_read(sf_dir, "events", ["ts"])
-           .map_batches(bucket, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("bucket_us")
-           .aggregate(Sum("n_part", alias_name="n_events")))
-    return out.map_batches(
+    return _fold(_read(sf_dir, "events", ["ts"]), partial, "bucket_us",
+                 "n_events").map_batches(
         lambda t: t.append_column(
             "interval_us", pa.array([iv] * len(t), pa.int64())),
         batch_format="pyarrow")
@@ -1227,21 +1117,22 @@ GROUP BY 1, 3
 AUTO_DATE_HISTOGRAM_SQL = _auto_hist_sql()
 
 
-def topk_orders_per_customer(sf_dir: str, k: int = 3,
-                             n_buckets: int = 64):
-    """Windowed ranking (§2.7 depth): each customer's top-k orders by
+_TOPK_PER_CUST = 3
+
+
+def topk_orders_per_customer(sf_dir: str):
+    """Windowed ranking (§2.7 depth): each customer's top-3 orders by
     (o_totalprice DESC, o_orderkey ASC), with the rank emitted.
 
-    Same bucketed-vectorized shuffle discipline as sessionization:
-    per-batch combiners keep ≤k rows per customer per batch, customers
-    hash into n_buckets groups, and each group ranks MANY customers in
-    one lexsort + segmented-cumcount pass — no per-customer Python."""
+    The sessionization shuffle: per-batch combiners keep ≤3 rows per
+    customer per batch, and each ``_by_bucket`` group ranks MANY
+    customers in one lexsort + segmented-cumcount pass — no
+    per-customer Python."""
 
-    def topk_of(t: pa.Table, with_bucket: bool) -> pa.Table:
-        cust = t["o_custkey"].to_numpy(zero_copy_only=False)
-        price = t["o_totalprice"].to_numpy(zero_copy_only=False)
-        okey = t["o_orderkey"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((okey, -price, cust))
+    def topk_of(t: pa.Table) -> pa.Table:
+        cust = _np(t["o_custkey"])
+        order = np.lexsort((_np(t["o_orderkey"]), -_np(t["o_totalprice"]),
+                            cust))
         cust_s = cust[order]
         new = np.ones(len(cust_s), dtype=bool)
         new[1:] = cust_s[1:] != cust_s[:-1]
@@ -1249,39 +1140,26 @@ def topk_orders_per_customer(sf_dir: str, k: int = 3,
         pos = np.arange(len(cust_s))
         start = np.maximum.accumulate(np.where(new, pos, 0))
         rank = pos - start + 1
-        keep = rank <= k
-        t = t.take(pa.array(order[keep]))
-        t = t.append_column("rank", pa.array(rank[keep], pa.int64()))
-        if with_bucket:
-            t = t.append_column(
-                "bucket", pa.array(t["o_custkey"]
-                                   .to_numpy(zero_copy_only=False)
-                                   % n_buckets, pa.int64()))
-        return t
+        keep = rank <= _TOPK_PER_CUST
+        return t.take(pa.array(order[keep])).append_column(
+            "rank", pa.array(rank[keep], pa.int64()))
 
-    def combine(t: pa.Table) -> pa.Table:
-        return topk_of(t, with_bucket=True).drop_columns(["rank"])
-
-    def finish(g: pa.Table) -> pa.Table:
-        return topk_of(g, with_bucket=False).select(
-            ["o_custkey", "rank", "o_orderkey", "o_totalprice"])
-
-    return (_read(sf_dir, "orders",
-                  ["o_custkey", "o_orderkey", "o_totalprice"])
-            .map_batches(combine, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("bucket")
-            .map_groups(finish, batch_format="pyarrow"))
+    return _by_bucket(
+        _map(_read(sf_dir, "orders",
+                   ["o_custkey", "o_orderkey", "o_totalprice"]),
+             lambda t: topk_of(t).drop_columns(["rank"])),
+        "o_custkey", lambda g: topk_of(g).select(
+            ["o_custkey", "rank", "o_orderkey", "o_totalprice"]))
 
 
-TOPK_PER_CUST_SQL = """
+TOPK_PER_CUST_SQL = f"""
 SELECT o_custkey, rank, o_orderkey, o_totalprice
 FROM (SELECT o_custkey, o_orderkey, o_totalprice,
              row_number() OVER (PARTITION BY o_custkey
                                 ORDER BY o_totalprice DESC, o_orderkey)
                AS rank
       FROM orders)
-WHERE rank <= 3
+WHERE rank <= {_TOPK_PER_CUST}
 """
 
 
@@ -1298,47 +1176,24 @@ def hopping_window_events(sf_dir: str):
     ≤ windows×keys partial rows, never windows×events — then one
     small groupby finishes.  Money in integer cents so partial-sum
     order cannot perturb the result (same discipline as tumbling)."""
-    from ray.data.aggregate import Sum
+    def partial(t: pa.Table) -> pa.Table:
+        hop = _np(t["ts"].cast(pa.int64())) // HOP_US
+        cents = _cents_of(t["value"])
+        return pa.concat_tables([
+            pa.table({"win_start_hop": pa.array(hop - i, pa.int64()),
+                      "n_events": _ones(len(hop)),
+                      "sum_value_cents": cents})
+            for i in range(WINDOW_HOPS)])
 
-    def combine(t: pa.Table) -> pa.Table:
-        us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        hop = us // HOP_US
-        cents = pc.cast(pc.round(
-            pc.multiply(t["value"], pa.scalar(100.0)),
-            options=pc.RoundOptions(round_mode="half_towards_infinity")),
-            pa.int64()).to_numpy(zero_copy_only=False)
-        parts = []
-        for i in range(WINDOW_HOPS):
-            parts.append(pa.table({
-                "win_start_hop": pa.array(hop - i, pa.int64()),
-                "one": pa.array(np.ones(len(us), dtype=np.int64)),
-                "cents": pa.array(cents)}))
-        g = (pa.concat_tables(parts).group_by("win_start_hop")
-             .aggregate([("one", "sum"), ("cents", "sum")]))
-        return g.rename_columns(["win_start_hop", "n_part", "cents_part"])
-
-    out = (_read(sf_dir, "events", ["ts", "value"])
-           .map_batches(combine, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("win_start_hop")
-           .aggregate(Sum("n_part", alias_name="n_events"),
-                      Sum("cents_part", alias_name="sum_value_cents")))
-
-    def finish(t: pa.Table) -> pa.Table:
-        for c in ("n_events", "sum_value_cents"):
-            i = t.schema.get_field_index(c)
-            t = t.set_column(i, c, t[c].cast(pa.int64()))
-        return t
-
-    return out.map_batches(finish, batch_format="pyarrow")
+    return _fold(_read(sf_dir, "events", ["ts", "value"]), partial,
+                 "win_start_hop", "n_events sum_value_cents")
 
 
-HOPPING_SQL = """
+HOPPING_SQL = f"""
 SELECT (CAST(floor(epoch_us(ts) / 600000000.0) AS BIGINT) - offs.i)
            AS win_start_hop,
        count(*) AS n_events,
-       CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
-           AS sum_value_cents
+       CAST(sum({_VALUE_CENTS}) AS BIGINT) AS sum_value_cents
 FROM events CROSS JOIN (VALUES (0), (1), (2)) AS offs(i)
 GROUP BY win_start_hop
 """
@@ -1363,25 +1218,18 @@ def range_join_orders_bands(sf_dir: str):
     per-row loop); output is one row per (order, band) match."""
 
     def probe(t: pa.Table) -> pa.Table:
-        v = t["o_totalprice"].to_numpy(zero_copy_only=False)
-        outs = []
+        v = _np(t["o_totalprice"])
+        outs = [_table([], "o_orderkey band:str o_totalprice:f64")]
         for band, lo, hi in PRICE_BANDS:
-            mask = (v >= lo) & (v < hi)
-            if mask.any():
-                m = t.filter(pa.array(mask))
-                outs.append(pa.table({
-                    "o_orderkey": m["o_orderkey"],
-                    "band": pa.array([band] * m.num_rows, pa.string()),
-                    "o_totalprice": m["o_totalprice"]}))
-        if not outs:
-            return pa.table({"o_orderkey": pa.array([], pa.int64()),
-                             "band": pa.array([], pa.string()),
-                             "o_totalprice": pa.array([], pa.float64())})
+            m = t.filter(pa.array((v >= lo) & (v < hi)))
+            outs.append(pa.table({
+                "o_orderkey": m["o_orderkey"],
+                "band": pa.array([band] * m.num_rows, pa.string()),
+                "o_totalprice": m["o_totalprice"]}))
         return pa.concat_tables(outs)
 
-    return (_read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-            .map_batches(probe, batch_format="pyarrow",
-                         zero_copy_batch=True))
+    return _map(_read(sf_dir, "orders", ["o_orderkey", "o_totalprice"]),
+                probe)
 
 
 RANGE_JOIN_SQL = """
@@ -1395,23 +1243,16 @@ JOIN (VALUES ('budget', 0.0, 100000.0),
 """
 
 
-def event_gaps_per_user(sf_dir: str, n_buckets: int = 64):
+def event_gaps_per_user(sf_dir: str):
     """lag()-style gap computation: per user, time since the previous
     event (ordered by ts, event_id).  Needs each user's full history
-    co-located, so users hash into ``n_buckets`` groups (one shuffle)
-    and each group resolves MANY users in one vectorized lexsort +
-    boundary-mask pass — the session_windows shuffle discipline, never
+    co-located: one ``_by_bucket`` shuffle, and each group resolves
+    MANY users in one vectorized lexsort + boundary-mask pass, never
     one Python group per user."""
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket",
-                               pa.array(uid % n_buckets, pa.int64()))
-
     def gaps(g: pa.Table) -> pa.Table:
-        uid = g["user_id"].to_numpy(zero_copy_only=False)
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
-        us = g["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
+        uid, eid = _np(g["user_id"]), _np(g["event_id"])
+        us = _np(g["ts"].cast(pa.int64()))
         order = np.lexsort((eid, us, uid))
         uid, eid, us = uid[order], eid[order], us[order]
         first = np.ones(len(uid), dtype=bool)
@@ -1429,11 +1270,8 @@ def event_gaps_per_user(sf_dir: str, n_buckets: int = 64):
             "gap_us": pa.array(gap, mask=first),
         })
 
-    return (_read(sf_dir, "events", ["event_id", "user_id", "ts"])
-            .map_batches(add_bucket, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("bucket")
-            .map_groups(gaps, batch_format="pyarrow"))
+    return _by_bucket(_read(sf_dir, "events", ["event_id", "user_id", "ts"]),
+                      "user_id", gaps)
 
 
 LAG_SQL = """
@@ -1445,59 +1283,39 @@ WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
 """
 
 
-def shuffle_join_lineitem_orders(sf_dir: str,
-                                 num_partitions: int | None = None):
-    """Large×large co-partitioned hash join: lineitem ⋈ orders on
-    orderkey via Ray Data's native hash-shuffle join — both sides are
-    hash-partitioned on the key into ``num_partitions`` co-located
-    partitions and each partition joins independently, so peak memory
-    is bounded by the largest single partition, never a whole side.
-    The broadcast-join family above (J1/semi/anti) covers the
-    small-side case; this is the path when BOTH sides exceed
-    object-store broadcast (the reference's per-row MySQL lookups,
-    modules/handlers/v1/commonhandler.py:406, have no large×large
-    story at all — each probe is one round-trip).
+def _revenue_rows(t: pa.Table) -> pa.Table:
+    """A joined lineitem ⋈ orders row as SHUFFLE_JOIN_SQL selects it."""
+    return pa.table({"l_orderkey": t["l_orderkey"],
+                     "l_linenumber": t["l_linenumber"],
+                     "revenue": _revenue(t),
+                     "o_orderdate": t["o_orderdate"],
+                     "o_orderpriority": t["o_orderpriority"]})
 
-    Scale notes: size ``num_partitions`` ≈ input_bytes /
-    target_partition_bytes (both sides stream through the exchange —
-    nothing materializes driver-side); a single hot key concentrates
-    its partition, the engine's salting approach (ids.py) is the
-    documented mitigation.  Row-level output: every joined row is
-    value-checked by the driver (revenue per lineitem + the matched
-    order's date and priority)."""
-    import ray
+
+def shuffle_join_lineitem_orders(sf_dir: str):
+    """Large×large co-partitioned hash join: lineitem ⋈ orders on
+    orderkey via Ray Data's native hash-shuffle join
+    (``stages.hash_join``) — both sides are hash-partitioned on the
+    key into co-located partitions and each partition joins
+    independently, so peak memory is bounded by the largest single
+    partition, never a whole side.  The broadcast-join family above
+    (J1/semi/anti) covers the small-side case; this is the path when
+    BOTH sides exceed object-store broadcast (the reference's per-row
+    MySQL lookups, modules/handlers/v1/commonhandler.py:406, have no
+    large×large story at all — each probe is one round-trip).
+
+    Scale notes: both sides stream through the exchange — nothing
+    materializes driver-side; a single hot key concentrates its
+    partition, the salted join below is the mitigation.  Row-level
+    output: every joined row is value-checked by the driver (revenue
+    per lineitem + the matched order's date and priority)."""
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_linenumber", "l_extendedprice",
                 "l_discount"])
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderdate", "o_orderpriority"])
-    # The aggregator pool must NOT consume every CPU slot: Ray Data
-    # spawns one long-lived aggregator actor per partition (1 CPU each
-    # by default), and on a small cluster the pool grabs every slot
-    # and deadlocks against the upstream read/map tasks (observed live
-    # at num_cpus=4: 4/4 CPUs held by aggregators, "2+ pending tasks"
-    # forever).  Default the partition count to cpus // 2 with 0.5-CPU
-    # aggregators so the pool holds at most a quarter of the cluster
-    # and producers always have slots; at real scale callers pass
-    # num_partitions explicitly (≈ input_bytes / target_partition_
-    # bytes) on a cluster wide enough to hold the pool.
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = max(2, cpus // 2)
-    j = li.join(orders, join_type="inner", num_partitions=num_partitions,
-                on=("l_orderkey",), right_on=("o_orderkey",),
-                aggregator_ray_remote_args={"num_cpus": 0.5})
-
-    def finish(t: pa.Table) -> pa.Table:
-        rev = pc.multiply(t["l_extendedprice"],
-                          pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        return pa.table({"l_orderkey": t["l_orderkey"],
-                         "l_linenumber": t["l_linenumber"],
-                         "revenue": rev,
-                         "o_orderdate": t["o_orderdate"],
-                         "o_orderpriority": t["o_orderpriority"]})
-
-    return j.map_batches(finish, batch_format="pyarrow")
+    return _map(_join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
+                      "o_orderkey"), _revenue_rows)
 
 
 SHUFFLE_JOIN_SQL = """
@@ -1516,86 +1334,48 @@ def q3_shipping_priority(sf_dir: str):
     filtered orders, then per-batch top-10 combiners + a ≤10-rows-per-
     block driver merge — the full ranking never materializes."""
     import ray
-    from ray.data.aggregate import Sum
 
     cutoff = pa.scalar(np.datetime64("1995-03-15", "us"))
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    ckeys = np.sort(np.concatenate([
-        b["c_custkey"].to_numpy(zero_copy_only=False)
-        for b in cust.map_batches(
-            lambda t: t.filter(pc.equal(t["c_mktsegment"],
-                                        pa.scalar("BUILDING")))
-                       .select(["c_custkey"]),
-            batch_format="pyarrow", zero_copy_batch=True)
-        .iter_batches(batch_format="pyarrow")] or
-        [np.empty(0, np.int64)]))
-    ckeys_ref = ray.put(ckeys)
+    cust = _dim(sf_dir, "customer", "c_custkey c_mktsegment")
+    ckeys_ref = ray.put(np.sort(_np(cust.filter(pc.equal(
+        cust["c_mktsegment"], "BUILDING"))["c_custkey"])))
 
     def filter_orders(t: pa.Table) -> pa.Table:
-        ck = ray.get(ckeys_ref)
-        keep = pc.and_(pc.less(t["o_orderdate"], cutoff),
-                       pa.array(np.isin(
-                           t["o_custkey"].to_numpy(zero_copy_only=False),
-                           ck)))
+        keep = pc.and_(pc.less(t["o_orderdate"], cutoff), pa.array(
+            np.isin(_np(t["o_custkey"]), ray.get(ckeys_ref))))
         return t.filter(keep).select(
             ["o_orderkey", "o_orderdate", "o_orderpriority"])
 
-    orders = (_read(sf_dir, "orders",
-                    ["o_orderkey", "o_custkey", "o_orderdate",
-                     "o_orderpriority"])
-              .map_batches(filter_orders, batch_format="pyarrow",
-                           zero_copy_batch=True))
-
     def li_partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.greater(t["l_shipdate"], cutoff))
-        half_away = pc.RoundOptions(round_mode="half_towards_infinity")
-        cents = pc.cast(pc.round(pc.multiply(
-            pc.multiply(t["l_extendedprice"],
-                        pc.subtract(pa.scalar(1.0), t["l_discount"])),
-            pa.scalar(100.0)), options=half_away), pa.int64())
-        part = pa.table({"l_orderkey": t["l_orderkey"], "cents": cents})
-        g = part.group_by("l_orderkey").aggregate([("cents", "sum")])
-        return g.rename_columns(["l_orderkey", "cents"])
+        return (pa.table({"l_orderkey": t["l_orderkey"],
+                          "cents": _cents_of(_revenue(t))})
+                .group_by("l_orderkey").aggregate([("cents", "sum")])
+                .rename_columns(["l_orderkey", "cents"]))
 
-    li = (_read(sf_dir, "lineitem",
-                ["l_orderkey", "l_extendedprice", "l_discount",
-                 "l_shipdate"])
-          .map_batches(li_partial, batch_format="pyarrow",
-                       zero_copy_batch=True))
-
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    j = li.join(orders, join_type="inner",
-                num_partitions=max(2, cpus // 2),
-                on=("l_orderkey",), right_on=("o_orderkey",),
-                aggregator_ray_remote_args={"num_cpus": 0.5})
-
-    agg = (j.groupby(["l_orderkey", "o_orderdate", "o_orderpriority"])
-           .aggregate(Sum("cents", alias_name="revenue_cents")))
-
-    def topk_part(t: pa.Table) -> pa.Table:
-        t = t.select(["l_orderkey", "o_orderdate", "o_orderpriority",
-                      "revenue_cents"])
-        idx = pc.sort_indices(t, sort_keys=[
-            ("revenue_cents", "descending"), ("o_orderdate", "ascending"),
-            ("l_orderkey", "ascending")])[:10]
-        return t.take(idx)
-
-    parts = agg.map_batches(topk_part, batch_format="pyarrow")
-    merged = pa.concat_tables(
-        list(parts.iter_batches(batch_format="pyarrow")))
-    idx = pc.sort_indices(merged, sort_keys=[
-        ("revenue_cents", "descending"), ("o_orderdate", "ascending"),
-        ("l_orderkey", "ascending")])[:10]
-    out = merged.take(idx)
-    return out.set_column(
-        out.schema.get_field_index("revenue_cents"), "revenue_cents",
-        out["revenue_cents"].cast(pa.int64()))
+    orders = _map(_read(sf_dir, "orders", ["o_orderkey", "o_custkey",
+                                           "o_orderdate", "o_orderpriority"]),
+                  filter_orders)
+    li = _map(_read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice",
+                                         "l_discount", "l_shipdate"]),
+              li_partial)
+    j = _join(sf_dir, "customer orders lineitem", li, orders,
+              "l_orderkey", "o_orderkey")
+    keys = "l_orderkey o_orderdate o_orderpriority"
+    agg = _fold(j, lambda t: pa.table({
+        **{k: t[k] for k in keys.split()}, "revenue_cents": t["cents"]}),
+        keys, "revenue_cents")
+    top = [("revenue_cents", "descending"), ("o_orderdate", "ascending"),
+           ("l_orderkey", "ascending")]
+    # per-batch top-10 combiners, then a ≤10-rows-per-block driver merge
+    return _top(_collect(_map(agg, lambda t: _top(t, top, 10)),
+                         "l_orderkey o_orderdate:ts o_orderpriority:str "
+                         "revenue_cents"), top, 10)
 
 
-Q3_SQL = """
+Q3_SQL = f"""
 SELECT l_orderkey, o_orderdate, o_orderpriority,
-       CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 100)
-                     AS BIGINT)) AS BIGINT) AS revenue_cents
+       CAST(sum({_REV_CENTS}) AS BIGINT) AS revenue_cents
 FROM customer
 JOIN orders   ON c_custkey = o_custkey
 JOIN lineitem ON l_orderkey = o_orderkey
@@ -1619,66 +1399,37 @@ def q18_large_volume_customers(sf_dir: str):
     (tiny) survivor set is what joins — the aggregate-then-join order
     is the whole point at scale."""
     import ray
-    from ray.data.aggregate import Sum
 
     def li_partial(t: pa.Table) -> pa.Table:
-        qty = pc.cast(pc.round(t["l_quantity"], options=pc.RoundOptions(
-            round_mode="half_towards_infinity")), pa.int64())
-        part = pa.table({"l_orderkey": t["l_orderkey"], "qty": qty})
-        g = part.group_by("l_orderkey").aggregate([("qty", "sum")])
-        return g.rename_columns(["l_orderkey", "qty"])
+        return pa.table({"l_orderkey": t["l_orderkey"],
+                         "total_qty": _cents_of(t["l_quantity"], 1)})
 
-    per_order = (_read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-                 .map_batches(li_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-                 .groupby("l_orderkey")
-                 .aggregate(Sum("qty", alias_name="total_qty")))
-
-    big = per_order.map_batches(
-        lambda t: t.filter(pc.greater(t["total_qty"],
-                                      pa.scalar(Q18_MIN_QTY))),
-        batch_format="pyarrow")
+    per_order = _fold(_read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]),
+                      li_partial, "l_orderkey", "total_qty")
     # survivors are few (HAVING prunes hard) — one bounded driver
     # gather, then broadcast lookups against the dimension tables
-    parts = list(big.iter_batches(batch_format="pyarrow"))
-    if not parts:
-        return pa.table({"c_name": pa.array([], pa.string()),
-                         "o_orderkey": pa.array([], pa.int64()),
-                         "o_orderdate": pa.array([], pa.timestamp("us")),
-                         "total_qty": pa.array([], pa.int64())})
-    bt = pa.concat_tables(parts)
-    keys = set(bt["l_orderkey"].to_pylist())
+    bt = _collect(_map(per_order, lambda t: t.filter(pc.greater(
+        t["total_qty"], pa.scalar(Q18_MIN_QTY)))), "l_orderkey total_qty")
     qty = dict(zip(bt["l_orderkey"].to_pylist(),
                    bt["total_qty"].to_pylist()))
-    keys_ref = ray.put(np.array(sorted(keys), dtype=np.int64))
+    keys_ref = ray.put(np.array(sorted(qty), dtype=np.int64))
 
     def match_orders(t: pa.Table) -> pa.Table:
-        ks = ray.get(keys_ref)
-        return t.filter(pa.array(np.isin(
-            t["o_orderkey"].to_numpy(zero_copy_only=False), ks)))
+        return t.filter(pa.array(np.isin(_np(t["o_orderkey"]),
+                                         ray.get(keys_ref))))
 
-    ot = pa.concat_tables(list(
-        _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
-        .map_batches(match_orders, batch_format="pyarrow",
-                     zero_copy_batch=True)
-        .iter_batches(batch_format="pyarrow")))
-    ct = pa.concat_tables(list(
-        _read(sf_dir, "customer", ["c_custkey", "c_name"])
-        .iter_batches(batch_format="pyarrow")))
-    cname = dict(zip(ct["c_custkey"].to_pylist(),
-                     ct["c_name"].to_pylist()))
+    ot = _collect(_map(_read(sf_dir, "orders",
+                             ["o_orderkey", "o_custkey", "o_orderdate"]),
+                       match_orders), "o_orderkey o_custkey o_orderdate:ts")
+    ct = _dim(sf_dir, "customer", "c_custkey c_name")
+    cname = dict(zip(ct["c_custkey"].to_pylist(), ct["c_name"].to_pylist()))
     rows = sorted(
-        ((-qty[ok], ok, cname.get(ck), od)
-         for ok, ck, od in zip(ot["o_orderkey"].to_pylist(),
-                               ot["o_custkey"].to_pylist(),
-                               ot["o_orderdate"].to_pylist())),
-    )[:100]
-    return pa.table({
-        "c_name": pa.array([r[2] for r in rows], pa.string()),
-        "o_orderkey": pa.array([r[1] for r in rows], pa.int64()),
-        "o_orderdate": pa.array([r[3] for r in rows],
-                                pa.timestamp("us")),
-        "total_qty": pa.array([-r[0] for r in rows], pa.int64())})
+        (-qty[ok], ok, cname.get(ck), od)
+        for ok, ck, od in zip(ot["o_orderkey"].to_pylist(),
+                              ot["o_custkey"].to_pylist(),
+                              ot["o_orderdate"].to_pylist()))[:100]
+    return _table([(r[2], r[1], r[3], -r[0]) for r in rows],
+                  "c_name:str o_orderkey o_orderdate:ts total_qty")
 
 
 Q18_SQL = f"""
@@ -1701,8 +1452,7 @@ SALT_FACTOR = 8
 HOT_KEY_COUNT = 16
 
 
-def salted_join_lineitem_orders(sf_dir: str,
-                                num_partitions: int | None = None):
+def salted_join_lineitem_orders(sf_dir: str):
     """The shuffle join with EXPLICIT hot-key salting — the skew
     mitigation the north rule asks for, demonstrated end-to-end and
     oracle-checked equal to the unsalted plan.  Hot keys (detected on
@@ -1719,6 +1469,8 @@ def salted_join_lineitem_orders(sf_dir: str,
                 "l_discount"])
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderdate", "o_orderpriority"])
+    if not _has_rows(sf_dir, "lineitem orders"):
+        return li.limit(0)             # the empty inner join
 
     # detection sample must not be the file head (parquet is written
     # in key order — a head sample only ever sees the lowest keys):
@@ -1727,62 +1479,29 @@ def salted_join_lineitem_orders(sf_dir: str,
     # BALANCE; the joined rows are identical for any hot set.
     sample = (li.random_sample(0.2, seed=13)
               .take_batch(65536, batch_format="pyarrow"))
-    keys, counts = np.unique(
-        sample["l_orderkey"].to_numpy(zero_copy_only=False),
-        return_counts=True)
-    hot = keys[np.argsort(-counts)[:HOT_KEY_COUNT]]
-    hot_ref = ray.put(np.sort(hot))
+    keys, counts = np.unique(_np(sample["l_orderkey"]), return_counts=True)
+    hot_ref = ray.put(np.sort(keys[np.argsort(-counts)[:HOT_KEY_COUNT]]))
 
     def salt_probe(t: pa.Table) -> pa.Table:
-        h = ray.get(hot_ref)
-        ok = t["l_orderkey"].to_numpy(zero_copy_only=False)
-        ln = t["l_linenumber"].to_numpy(zero_copy_only=False)
-        is_hot = np.isin(ok, h)
-        salt = np.where(is_hot, ln % SALT_FACTOR, 0)
+        ok = _np(t["l_orderkey"])
+        salt = np.where(np.isin(ok, ray.get(hot_ref)),
+                        _np(t["l_linenumber"]) % SALT_FACTOR, 0)
         return t.append_column(
             "jk", pa.array(ok * SALT_FACTOR + salt, pa.int64()))
 
     def replicate_build(t: pa.Table) -> pa.Table:
-        h = ray.get(hot_ref)
-        ok = t["o_orderkey"].to_numpy(zero_copy_only=False)
-        is_hot = np.isin(ok, h)
-        cold = t.filter(pa.array(~is_hot))
-        cold = cold.append_column(
-            "jk", pa.array(
-                cold["o_orderkey"].to_numpy(zero_copy_only=False)
-                * SALT_FACTOR, pa.int64()))
-        hot_rows = t.filter(pa.array(is_hot))
-        if hot_rows.num_rows == 0:
-            return cold
-        reps = []
-        hk = hot_rows["o_orderkey"].to_numpy(zero_copy_only=False)
-        for salt in range(SALT_FACTOR):
-            reps.append(hot_rows.append_column(
-                "jk", pa.array(hk * SALT_FACTOR + salt, pa.int64())))
-        return pa.concat_tables([cold, *reps], promote_options="none")
+        ok = _np(t["o_orderkey"])
+        is_hot = np.isin(ok, ray.get(hot_ref))
+        # cold rows once with salt 0, hot rows once per salt
+        return pa.concat_tables([
+            t.filter(pa.array(m)).append_column(
+                "jk", pa.array(ok[m] * SALT_FACTOR + salt, pa.int64()))
+            for salt, m in [(0, ~is_hot)] + [(s, is_hot) for s in
+                                             range(SALT_FACTOR)]])
 
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = max(2, cpus // 2)
-    j = (li.map_batches(salt_probe, batch_format="pyarrow",
-                        zero_copy_batch=True)
-         .join(orders.map_batches(replicate_build,
-                                  batch_format="pyarrow",
-                                  zero_copy_batch=True),
-               join_type="inner", num_partitions=num_partitions,
-               on=("jk",),
-               aggregator_ray_remote_args={"num_cpus": 0.5}))
-
-    def finish(t: pa.Table) -> pa.Table:
-        rev = pc.multiply(t["l_extendedprice"],
-                          pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        return pa.table({"l_orderkey": t["l_orderkey"],
-                         "l_linenumber": t["l_linenumber"],
-                         "revenue": rev,
-                         "o_orderdate": t["o_orderdate"],
-                         "o_orderpriority": t["o_orderpriority"]})
-
-    return j.map_batches(finish, batch_format="pyarrow")
+    return _map(hash_join(_map(li, salt_probe),
+                          _map(orders, replicate_build), "jk"),
+                _revenue_rows)
 
 
 def distinct_users_per_event_type(sf_dir: str):
@@ -1792,32 +1511,15 @@ def distinct_users_per_event_type(sf_dir: str):
     per-batch per-type counts into a tiny second groupby.  This is
     the canonical two-shuffle exact-distinct plan; the HLL sketch
     (hll_distinct_counts) is the one-shuffle approximate variant."""
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Count
 
-    def pair_dedup(t: pa.Table) -> pa.Table:
-        return (t.select(["event_type", "user_id"])
-                .group_by(["event_type", "user_id"]).aggregate([]))
-
-    pairs = (_read(sf_dir, "events", ["event_type", "user_id"])
-             .map_batches(pair_dedup, batch_format="pyarrow",
-                          zero_copy_batch=True)
+    pairs = (_map(_read(sf_dir, "events", ["event_type", "user_id"]),
+                  lambda t: t.group_by(["event_type", "user_id"]).aggregate([]))
              .groupby(["event_type", "user_id"])
              .aggregate(Count(alias_name="_n")))
-
-    def per_type_partial(t: pa.Table) -> pa.Table:
-        g = (t.select(["event_type"])
-             .group_by("event_type").aggregate([("event_type", "count")]))
-        return g.rename_columns(["event_type", "n_part"])
-
-    agg = (pairs.map_batches(per_type_partial, batch_format="pyarrow")
-           .groupby("event_type")
-           .aggregate(Sum("n_part", alias_name="n_users")))
-
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.table({"event_type": t["event_type"],
-                         "n_users": pc.cast(t["n_users"], pa.int64())})
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return _fold(pairs, lambda t: pa.table({"event_type": t["event_type"],
+                                            "n_users": _ones(t.num_rows)}),
+                 "event_type", "n_users")
 
 
 DISTINCT_USERS_SQL = """
@@ -1826,31 +1528,24 @@ FROM events GROUP BY event_type
 """
 
 
-def running_total_orders(sf_dir: str, n_buckets: int = 64):
+def running_total_orders(sf_dir: str):
     """Cumulative window sum: per customer, running total of order
-    price (cents) ordered by (o_orderdate, o_orderkey).  Customers
-    hash into ``n_buckets`` groups (one shuffle); each group resolves
-    MANY customers in one vectorized lexsort + segmented-cumsum pass
-    (the event_gaps_per_user discipline — never one Python group per
-    key).  Integer cents keep the running sums exact."""
+    price (cents) ordered by (o_orderdate, o_orderkey).  One
+    ``_by_bucket`` shuffle; each group resolves MANY customers in one
+    vectorized lexsort + segmented-cumsum pass (the event_gaps_per_user
+    discipline — never one Python group per key).  Integer cents keep
+    the running sums exact."""
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        ck = t["o_custkey"].to_numpy(zero_copy_only=False)
-        cents = pc.cast(pc.round(
-            pc.multiply(t["o_totalprice"], pa.scalar(100.0)),
-            options=pc.RoundOptions(round_mode="half_towards_infinity")),
-            pa.int64())
+    def with_cents(t: pa.Table) -> pa.Table:
         return pa.table({"o_orderkey": t["o_orderkey"],
                          "o_custkey": t["o_custkey"],
                          "o_orderdate": t["o_orderdate"],
-                         "cents": cents,
-                         "bucket": pa.array(ck % n_buckets, pa.int64())})
+                         "cents": _cents_of(t["o_totalprice"])})
 
     def cumsum(g: pa.Table) -> pa.Table:
-        ck = g["o_custkey"].to_numpy(zero_copy_only=False)
-        ok = g["o_orderkey"].to_numpy(zero_copy_only=False)
-        od = g["o_orderdate"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        cents = g["cents"].to_numpy(zero_copy_only=False)
+        ck, ok = _np(g["o_custkey"]), _np(g["o_orderkey"])
+        od = _np(g["o_orderdate"].cast(pa.int64()))
+        cents = _np(g["cents"])
         order = np.lexsort((ok, od, ck))
         ck, ok, cents = ck[order], ok[order], cents[order]
         first = np.ones(len(ck), dtype=bool)
@@ -1863,17 +1558,15 @@ def running_total_orders(sf_dir: str, n_buckets: int = 64):
                          "o_custkey": pa.array(ck),
                          "running_cents": pa.array(cs - base, type=pa.int64())})
 
-    return (_read(sf_dir, "orders",
-                  ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
-            .map_batches(add_bucket, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("bucket")
-            .map_groups(cumsum, batch_format="pyarrow"))
+    return _by_bucket(_map(_read(sf_dir, "orders", ["o_orderkey", "o_custkey",
+                                                    "o_orderdate",
+                                                    "o_totalprice"]),
+                           with_cents), "o_custkey", cumsum)
 
 
-RUNNING_TOTAL_SQL = """
+RUNNING_TOTAL_SQL = f"""
 SELECT o_orderkey, o_custkey,
-       CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT))
+       CAST(sum({_cents_sql("o_totalprice")})
          OVER (PARTITION BY o_custkey ORDER BY o_orderdate, o_orderkey)
          AS BIGINT) AS running_cents
 FROM orders
@@ -1918,64 +1611,49 @@ FROM orders
 
 # ------------------------------------------- rollup / pivot / dates --
 
-def rollup_pricing_totals(sf_dir: str):
-    """GROUP BY ROLLUP(l_returnflag, l_linestatus): base cells plus
-    per-flag subtotals plus the grand total, NULL-marked like SQL
-    ROLLUP.  The super-aggregate levels are derived from the already-
+def _grouping_sets(sf_dir: str, sets) -> pa.Table:
+    """GROUP BY ROLLUP / CUBE over (l_returnflag, l_linestatus): the
+    base cells plus one NULL-marked super-aggregate row per cell of
+    each grouping set in ``sets`` (``(keep_flag, keep_status)``
+    pairs).  Every level derives on the driver from the already-
     reduced base aggregate (|flags|×|statuses| rows — never a second
     pass over lineitem), so the only wide operation is the one small
     groupby shuffle."""
-    from ray.data.aggregate import Sum
+    spec = "l_returnflag:str l_linestatus:str sum_qty count_order"
 
     def partial(t: pa.Table) -> pa.Table:
-        # half_towards_infinity == SQL round()'s half-away-from-zero
-        # (pyarrow's default half-to-even diverges on exact .5)
-        qty = pc.cast(pc.round(t["l_quantity"], options=pc.RoundOptions(
-            round_mode="half_towards_infinity")), pa.int64())
-        part = pa.table({"l_returnflag": t["l_returnflag"],
+        return pa.table({"l_returnflag": t["l_returnflag"],
                          "l_linestatus": t["l_linestatus"],
-                         "qty": qty})
-        g = part.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("qty", "sum"), ("qty", "count")])
-        return g.rename_columns(["l_returnflag", "l_linestatus", "q", "n"])
+                         "sum_qty": _cents_of(t["l_quantity"], 1),
+                         "count_order": _ones(t.num_rows)})
 
-    base = (_read(sf_dir, "lineitem",
-                  ["l_returnflag", "l_linestatus", "l_quantity"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby(["l_returnflag", "l_linestatus"])
-            .aggregate(Sum("q", alias_name="sum_qty"),
-                       Sum("n", alias_name="count_order")))
+    base = _collect(_fold(_read(sf_dir, "lineitem", ["l_returnflag",
+                                                     "l_linestatus",
+                                                     "l_quantity"]),
+                          partial, "l_returnflag l_linestatus",
+                          "sum_qty count_order"), spec)
+    rows = list(zip(*(base[c].to_pylist() for c in base.column_names)))
+    if not rows:
+        # SQL ROLLUP/CUBE on an empty table still emits the grand-total
+        # row: (NULL, NULL, NULL sum, 0 count)
+        return _table([(None, None, None, 0)], spec)
+    out = list(rows)
+    for keep_flag, keep_status in sets:
+        acc: dict = {}
+        for f, st, q, n in rows:
+            a = acc.setdefault((f if keep_flag else None,
+                                st if keep_status else None), [0, 0])
+            a[0] += q
+            a[1] += n
+        out += [(*k, q, n) for k, (q, n) in acc.items()]
+    return _table(out, spec)
 
-    def widen(t: pa.Table) -> pa.Table:
-        # runs on the reduced aggregate after repartition(1)
-        if t.num_rows == 0:
-            # SQL ROLLUP on an empty table still emits the grand-total
-            # row: (NULL, NULL, NULL sum, 0 count)
-            return pa.table({
-                "l_returnflag": pa.array([None], pa.string()),
-                "l_linestatus": pa.array([None], pa.string()),
-                "sum_qty": pa.array([None], pa.int64()),
-                "count_order": pa.array([0], pa.int64())})
-        rows = list(zip(t["l_returnflag"].to_pylist(),
-                        t["l_linestatus"].to_pylist(),
-                        t["sum_qty"].to_pylist(),
-                        t["count_order"].to_pylist()))
-        per_flag: dict[str, list[int]] = {}
-        for f, _, q, n in rows:
-            a = per_flag.setdefault(f, [0, 0])
-            a[0] += q; a[1] += n
-        out = rows + [(f, None, a[0], a[1])
-                      for f, a in per_flag.items()]
-        out.append((None, None, sum(a[0] for a in per_flag.values()),
-                    sum(a[1] for a in per_flag.values())))
-        return pa.table({
-            "l_returnflag": pa.array([r[0] for r in out], pa.string()),
-            "l_linestatus": pa.array([r[1] for r in out], pa.string()),
-            "sum_qty": pa.array([r[2] for r in out], pa.int64()),
-            "count_order": pa.array([r[3] for r in out], pa.int64())})
 
-    return base.repartition(1).map_batches(widen, batch_format="pyarrow")
+def rollup_pricing_totals(sf_dir: str):
+    """GROUP BY ROLLUP(l_returnflag, l_linestatus): base cells plus
+    per-flag subtotals plus the grand total, NULL-marked like SQL
+    ROLLUP (``_grouping_sets``)."""
+    return _grouping_sets(sf_dir, [(True, False), (False, False)])
 
 
 ROLLUP_TOTALS_SQL = """
@@ -1993,41 +1671,25 @@ def date_histogram_events(sf_dir: str):
     emitted with zero counts.  Gap fill runs on the reduced per-day
     aggregate (≤ a few thousand rows for years of data), vectorized
     with searchsorted."""
-    from ray.data.aggregate import Sum
+    def partial(t: pa.Table) -> pa.Table:
+        us = _np(t["ts"].cast(pa.int64()))
+        return pa.table({"day_bucket": pa.array(us // _DAY_US, pa.int64()),
+                         "n_events": _ones(len(us)),
+                         "sum_value_cents": _cents_of(t["value"])})
 
-    def bucket(t: pa.Table) -> pa.Table:
-        us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        cents = pc.cast(pc.round(
-            pc.multiply(t["value"], pa.scalar(100.0)),
-            options=pc.RoundOptions(round_mode="half_towards_infinity")),
-            pa.int64())
-        part = pa.table({"day_bucket": pa.array(us // 86_400_000_000,
-                                                pa.int64()),
-                         "cents": cents})
-        g = part.group_by(["day_bucket"]).aggregate(
-            [("cents", "count"), ("cents", "sum")])
-        return g.rename_columns(["day_bucket", "n_part", "cents_part"])
-
-    agg = (_read(sf_dir, "events", ["ts", "value"])
-           .map_batches(bucket, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("day_bucket")
-           .aggregate(Sum("n_part", alias_name="n_events"),
-                      Sum("cents_part", alias_name="sum_value_cents")))
+    agg = _fold(_read(sf_dir, "events", ["ts", "value"]), partial,
+                "day_bucket", "n_events sum_value_cents")
 
     def fill(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"day_bucket": pa.array([], pa.int64()),
-                             "n_events": pa.array([], pa.int64()),
-                             "sum_value_cents": pa.array([], pa.int64())})
-        d = t["day_bucket"].to_numpy(zero_copy_only=False)
-        n = t["n_events"].to_numpy(zero_copy_only=False)
-        s = t["sum_value_cents"].to_numpy(zero_copy_only=False)
+        if not t.num_rows:
+            return _table([], "day_bucket n_events sum_value_cents")
+        d = _np(t["day_bucket"])
         full = np.arange(d.min(), d.max() + 1, dtype=np.int64)
+        pos = np.searchsorted(full, d)
         nf = np.zeros(full.size, np.int64)
         sf = np.zeros(full.size, np.int64)
-        pos = np.searchsorted(full, d)
-        nf[pos] = n; sf[pos] = s
+        nf[pos] = _np(t["n_events"])
+        sf[pos] = _np(t["sum_value_cents"])
         return pa.table({"day_bucket": pa.array(full),
                          "n_events": pa.array(nf),
                          "sum_value_cents": pa.array(sf)})
@@ -2035,159 +1697,120 @@ def date_histogram_events(sf_dir: str):
     return agg.repartition(1).map_batches(fill, batch_format="pyarrow")
 
 
-def composite_agg_events(sf_dir: str, page_size: int = 64):
+_COMPOSITE_PAGE = 64
+
+
+def composite_agg_events(sf_dir: str):
     """ES composite aggregation with after-key paging: buckets keyed
     (event_type asc, day asc) carrying doc count + exact integer-cent
-    value sums.  Each page is a STATELESS distributed recompute with
-    the after-cursor pushed into the per-batch combiner — rows at or
-    before the cursor never enter a partial aggregate, so per-page
-    work shrinks as paging advances (the ES composite contract:
-    deterministic key order, no server-side scroll state).  Returns
-    the stitched pages, which must reconstruct the full GROUP BY
-    bit-exactly — exactly what the SQL oracle checks."""
-    from ray.data.aggregate import Sum
+    value sums, pages of ``_COMPOSITE_PAGE``.  Each page is a
+    STATELESS distributed recompute with the after-cursor pushed into
+    the per-batch combiner — rows at or before the cursor never enter
+    a partial aggregate, so per-page work shrinks as paging advances
+    (the ES composite contract: deterministic key order, no
+    server-side scroll state).  Returns the stitched pages, which must
+    reconstruct the full GROUP BY bit-exactly — exactly what the SQL
+    oracle checks."""
+    spec = "event_type:str day_bucket n_events sum_value_cents"
 
-    def make_bucket(after):
-        def day_of(tbl: pa.Table) -> pa.Array:
+    def after_cursor(after):
+        def partial(t: pa.Table) -> pa.Table:
             # numpy floor division, NOT pc.divide (trunc-toward-zero):
             # pre-epoch timestamps must bucket like date_histogram and
             # the oracle's floor()
-            us = tbl["ts"].cast(pa.int64()).to_numpy(
-                zero_copy_only=False)
-            return pa.array(us // 86_400_000_000, pa.int64())
+            p = pa.table({"event_type": t["event_type"],
+                          "day_bucket": pa.array(
+                              _np(t["ts"].cast(pa.int64())) // _DAY_US,
+                              pa.int64()),
+                          "n_events": _ones(t.num_rows),
+                          "sum_value_cents": _cents_of(t["value"])})
+            if after is None:
+                return p
+            a_et, a_day = after
+            return p.filter(pc.or_(
+                pc.greater(p["event_type"], pa.scalar(a_et)),
+                pc.and_(pc.equal(p["event_type"], pa.scalar(a_et)),
+                        pc.greater(p["day_bucket"], pa.scalar(a_day)))))
+        return partial
 
-        def bucket(t: pa.Table) -> pa.Table:
-            day = day_of(t)
-            if after is not None:
-                a_et, a_day = after
-                keep = pc.or_(
-                    pc.greater(t["event_type"], pa.scalar(a_et)),
-                    pc.and_(pc.equal(t["event_type"], pa.scalar(a_et)),
-                            pc.greater(day, pa.scalar(a_day))))
-                t = t.filter(keep)
-                day = day_of(t)
-            cents = pc.cast(pc.round(
-                pc.multiply(t["value"], pa.scalar(100.0)),
-                options=pc.RoundOptions(
-                    round_mode="half_towards_infinity")), pa.int64())
-            part = pa.table({"event_type": t["event_type"],
-                             "day_bucket": day.cast(pa.int64()),
-                             "cents": cents})
-            g = part.group_by(["event_type", "day_bucket"]).aggregate(
-                [("cents", "count"), ("cents", "sum")])
-            return g.rename_columns(["event_type", "day_bucket",
-                                     "n_part", "cents_part"])
-        return bucket
-
-    pages = []
-    after = None
+    pages, after = [], None
     while True:
-        agg = (_read(sf_dir, "events", ["ts", "event_type", "value"])
-               .map_batches(make_bucket(after), batch_format="pyarrow",
-                            zero_copy_batch=True)
-               .groupby(["event_type", "day_bucket"])
-               .aggregate(Sum("n_part", alias_name="n_events"),
-                          Sum("cents_part",
-                              alias_name="sum_value_cents")))
-        batches = list(agg.iter_batches(batch_format="pyarrow"))
-        t = pa.concat_tables(batches) if batches else None
-        if t is None or t.num_rows == 0:
+        t = _collect(_fold(_read(sf_dir, "events", ["ts", "event_type",
+                                                    "value"]),
+                           after_cursor(after), "event_type day_bucket",
+                           "n_events sum_value_cents"), spec)
+        if not t.num_rows:
             break
-        t = t.take(pc.sort_indices(t, sort_keys=[
-            ("event_type", "ascending"), ("day_bucket", "ascending")]))
-        page = t.slice(0, page_size)
-        pages.append(page)
-        if t.num_rows <= page_size:
+        t = t.sort_by([("event_type", "ascending"),
+                       ("day_bucket", "ascending")])
+        pages.append(t.slice(0, _COMPOSITE_PAGE))
+        if t.num_rows <= _COMPOSITE_PAGE:
             break
-        after = (page["event_type"][-1].as_py(),
-                 int(page["day_bucket"][-1].as_py()))
-    if not pages:
-        return pa.table({"event_type": pa.array([], pa.string()),
-                         "day_bucket": pa.array([], pa.int64()),
-                         "n_events": pa.array([], pa.int64()),
-                         "sum_value_cents": pa.array([], pa.int64())})
-    out = pa.concat_tables(pages)
-    return pa.table({"event_type": out["event_type"],
-                     "day_bucket": out["day_bucket"].cast(pa.int64()),
-                     "n_events": out["n_events"].cast(pa.int64()),
-                     "sum_value_cents":
-                         out["sum_value_cents"].cast(pa.int64())})
+        after = (pages[-1]["event_type"][-1].as_py(),
+                 int(pages[-1]["day_bucket"][-1].as_py()))
+    return pa.concat_tables(pages or [_schema(spec).empty_table()])
 
 
-COMPOSITE_AGG_SQL = """
+COMPOSITE_AGG_SQL = f"""
 SELECT event_type,
        CAST(floor(epoch_us(ts) / 86400000000.0) AS BIGINT) AS day_bucket,
        CAST(count(*) AS BIGINT) AS n_events,
-       CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
-         AS sum_value_cents
+       CAST(sum({_VALUE_CENTS}) AS BIGINT) AS sum_value_cents
 FROM events
 GROUP BY event_type, day_bucket
 ORDER BY event_type, day_bucket
 """
 
 
-DATE_HISTOGRAM_SQL = """
+# the gap-filled daily histogram hist(d, n, s): the oracle prologue of
+# date_histogram and of every pipeline agg parented by it
+_DAILY_HIST_CTES = f"""
 WITH b AS (
   SELECT CAST(floor(epoch_us(ts) / 86400000000.0) AS BIGINT) AS d,
-         CAST(round(value * 100) AS BIGINT) AS cents
+         {_VALUE_CENTS} AS cents
   FROM events),
 agg AS (SELECT d, count(*) AS n, CAST(sum(cents) AS BIGINT) AS s
         FROM b GROUP BY d),
 days AS (SELECT unnest(generate_series((SELECT min(d) FROM agg),
-                                       (SELECT max(d) FROM agg))) AS d)
-SELECT days.d AS day_bucket,
-       coalesce(agg.n, 0) AS n_events,
-       coalesce(agg.s, 0) AS sum_value_cents
-FROM days LEFT JOIN agg ON agg.d = days.d
+                                       (SELECT max(d) FROM agg))) AS d),
+hist AS (SELECT days.d, CAST(coalesce(agg.n, 0) AS BIGINT) AS n,
+                CAST(coalesce(agg.s, 0) AS BIGINT) AS s
+         FROM days LEFT JOIN agg ON agg.d = days.d)"""
+
+DATE_HISTOGRAM_SQL = f"""{_DAILY_HIST_CTES}
+SELECT d AS day_bucket, n AS n_events, s AS sum_value_cents FROM hist
 """
+
+
+def _daily(sf_dir: str):
+    """The gap-filled daily histogram collected on the driver, day-
+    sorted: (day, n_events, sum_value_cents) arrays — the O(days)
+    table every histogram-parented pipeline agg finishes on, never a
+    second pass over events."""
+    t = _collect(date_histogram_events(sf_dir),
+                 "day_bucket n_events sum_value_cents").sort_by("day_bucket")
+    return _np(t["day_bucket"]), _np(t["n_events"]), \
+        _np(t["sum_value_cents"])
 
 
 def derivative_events(sf_dir: str):
     """ES ``derivative`` pipeline aggregation: day-over-day change of
-    the gap-filled daily event count.  The parent histogram is the
-    distributed date_histogram; the derivative itself is one
-    vectorized diff over the REDUCED per-day table (O(days)), exactly
-    like the moving-window pipeline agg.  The first bucket has no
+    the gap-filled daily event count — one vectorized diff over the
+    reduced per-day table (``_daily``).  The first bucket has no
     predecessor — ES emits no derivative there; we emit NULL so every
     day keeps its row (min_doc_count=0 shape)."""
-
-    def diff(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"day_bucket": pa.array([], pa.int64()),
-                             "n_events": pa.array([], pa.int64()),
-                             "deriv": pa.array([], pa.int64())})
-        d = t["day_bucket"].to_numpy(zero_copy_only=False)
-        n = t["n_events"].to_numpy(zero_copy_only=False)
-        order = np.argsort(d)
-        d, n = d[order], n[order]
-        deriv = np.empty(len(n), dtype=np.int64)
-        deriv[1:] = n[1:] - n[:-1]
-        mask = np.ones(len(n), dtype=bool)
-        mask[0] = False            # no predecessor for the first day
-        return pa.table({"day_bucket": pa.array(d, pa.int64()),
-                         "n_events": pa.array(n, pa.int64()),
-                         "deriv": pa.array(np.where(mask, deriv, 0),
-                                           pa.int64(), mask=~mask)})
-
-    return (date_histogram_events(sf_dir)
-            .repartition(1)
-            .map_batches(diff, batch_format="pyarrow"))
+    d, n, _ = _daily(sf_dir)
+    deriv = np.zeros(len(n), dtype=np.int64)
+    deriv[1:] = n[1:] - n[:-1]
+    return pa.table({"day_bucket": pa.array(d, pa.int64()),
+                     "n_events": pa.array(n, pa.int64()),
+                     "deriv": pa.array(deriv, pa.int64(),
+                                       mask=np.arange(len(n)) == 0)})
 
 
-DERIVATIVE_SQL = """
-WITH b AS (
-  SELECT CAST(floor(epoch_us(ts) / 86400000000.0) AS BIGINT) AS d
-  FROM events),
-agg AS (SELECT d, count(*) AS n FROM b GROUP BY d),
-days AS (SELECT unnest(generate_series((SELECT min(d) FROM agg),
-                                       (SELECT max(d) FROM agg))) AS d),
-hist AS (SELECT days.d AS day_bucket,
-                coalesce(agg.n, 0) AS n_events
-         FROM days LEFT JOIN agg ON agg.d = days.d)
-SELECT day_bucket,
-       CAST(n_events AS BIGINT) AS n_events,
-       CAST(n_events - lag(n_events) OVER (ORDER BY day_bucket)
-            AS BIGINT) AS deriv
+DERIVATIVE_SQL = f"""{_DAILY_HIST_CTES}
+SELECT d AS day_bucket, n AS n_events,
+       CAST(n - lag(n) OVER (ORDER BY d) AS BIGINT) AS deriv
 FROM hist
 """
 
@@ -2203,46 +1826,19 @@ def serial_diff_events(sf_dir: str):
     a lagged predecessor emit NULL, keeping every day's row.  Runs on
     the REDUCED per-day table: one vectorized shifted subtraction,
     O(days)."""
+    d, n, _ = _daily(sf_dir)
     lag = SERIAL_DIFF_LAG
-
-    def sdiff(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"day_bucket": pa.array([], pa.int64()),
-                             "n_events": pa.array([], pa.int64()),
-                             "sdiff": pa.array([], pa.int64())})
-        d = t["day_bucket"].to_numpy(zero_copy_only=False)
-        n = t["n_events"].to_numpy(zero_copy_only=False)
-        order = np.argsort(d)
-        d, n = d[order], n[order]
-        out = np.zeros(len(n), dtype=np.int64)
-        mask = np.zeros(len(n), dtype=bool)
-        if len(n) > lag:
-            out[lag:] = n[lag:] - n[:-lag]
-            mask[lag:] = True
-        return pa.table({"day_bucket": pa.array(d, pa.int64()),
-                         "n_events": pa.array(n, pa.int64()),
-                         "sdiff": pa.array(out, pa.int64(),
-                                           mask=~mask)})
-
-    return (date_histogram_events(sf_dir)
-            .repartition(1)
-            .map_batches(sdiff, batch_format="pyarrow"))
+    out = np.zeros(len(n), dtype=np.int64)
+    out[lag:] = n[lag:] - n[:-lag] if len(n) > lag else 0
+    return pa.table({"day_bucket": pa.array(d, pa.int64()),
+                     "n_events": pa.array(n, pa.int64()),
+                     "sdiff": pa.array(out, pa.int64(),
+                                       mask=np.arange(len(n)) < lag)})
 
 
-SERIAL_DIFF_SQL = f"""
-WITH b AS (
-  SELECT CAST(floor(epoch_us(ts) / 86400000000.0) AS BIGINT) AS d
-  FROM events),
-agg AS (SELECT d, count(*) AS n FROM b GROUP BY d),
-days AS (SELECT unnest(generate_series((SELECT min(d) FROM agg),
-                                       (SELECT max(d) FROM agg))) AS d),
-hist AS (SELECT days.d AS day_bucket,
-                coalesce(agg.n, 0) AS n_events
-         FROM days LEFT JOIN agg ON agg.d = days.d)
-SELECT day_bucket,
-       CAST(n_events AS BIGINT) AS n_events,
-       CAST(n_events - lag(n_events, {SERIAL_DIFF_LAG})
-                       OVER (ORDER BY day_bucket) AS BIGINT) AS sdiff
+SERIAL_DIFF_SQL = f"""{_DAILY_HIST_CTES}
+SELECT d AS day_bucket, n AS n_events,
+       CAST(n - lag(n, {SERIAL_DIFF_LAG}) OVER (ORDER BY d) AS BIGINT) AS sdiff
 FROM hist
 """
 
@@ -2257,48 +1853,20 @@ def bucket_script_events(sf_dir: str):
     histogram is the distributed aggregation); the mean is one more
     reduction over O(days) rows, never a second corpus pass."""
 
-    def script(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"day_bucket": pa.array([], pa.int64()),
-                             "n_events": pa.array([], pa.int64()),
-                             "avg_cents": pa.array([], pa.float64())})
-        d = t["day_bucket"].to_numpy(zero_copy_only=False)
-        n = t["n_events"].to_numpy(zero_copy_only=False)
-        s = t["sum_value_cents"].to_numpy(zero_copy_only=False)
-        # bucket_selector: count > mean daily count (float64 compare,
-        # mirrored by the oracle's avg())
-        mean = n.sum() / len(n)
-        keep = n > mean
-        d, n, s = d[keep], n[keep], s[keep]
-        avg = s.astype(np.float64) / n
-        return pa.table({"day_bucket": pa.array(d, pa.int64()),
-                         "n_events": pa.array(n, pa.int64()),
-                         "avg_cents": pa.array(avg, pa.float64())})
-
-    return (date_histogram_events(sf_dir)
-            .repartition(1)
-            .map_batches(script, batch_format="pyarrow"))
+    d, n, s = _daily(sf_dir)
+    # bucket_selector: count > mean daily count (float64 compare,
+    # mirrored by the oracle's avg())
+    keep = n > n.sum() / len(n) if len(n) else n > 0
+    return pa.table({"day_bucket": pa.array(d[keep], pa.int64()),
+                     "n_events": pa.array(n[keep], pa.int64()),
+                     "avg_cents": pa.array(s[keep].astype(np.float64)
+                                           / n[keep], pa.float64())})
 
 
-BUCKET_SCRIPT_SQL = """
-WITH b AS (
-  SELECT CAST(floor(epoch_us(ts) / 86400000000.0) AS BIGINT) AS d,
-         CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events),
-agg AS (SELECT d, count(*) AS n, CAST(sum(cents) AS BIGINT) AS s
-        FROM b GROUP BY d),
-days AS (SELECT unnest(generate_series((SELECT min(d) FROM agg),
-                                       (SELECT max(d) FROM agg))) AS d),
-hist AS (SELECT days.d AS day_bucket,
-                coalesce(agg.n, 0) AS n_events,
-                coalesce(agg.s, 0) AS s
-         FROM days LEFT JOIN agg ON agg.d = days.d)
-SELECT day_bucket,
-       CAST(n_events AS BIGINT) AS n_events,
-       CAST(s AS DOUBLE) / n_events AS avg_cents
+BUCKET_SCRIPT_SQL = f"""{_DAILY_HIST_CTES}
+SELECT d AS day_bucket, n AS n_events, CAST(s AS DOUBLE) / n AS avg_cents
 FROM hist
-WHERE n_events > (SELECT CAST(sum(n_events) AS DOUBLE) / count(*)
-                  FROM hist)
+WHERE n > (SELECT CAST(sum(n) AS DOUBLE) / count(*) FROM hist)
 """
 
 
@@ -2313,48 +1881,24 @@ def moving_window_events(sf_dir: str):
     as date_histogram_events); a sliding-window cumsum-difference is
     O(days), vectorized.  Integer cents keep the sums exact."""
 
-    hist = date_histogram_events(sf_dir)
+    d, n, s = _daily(sf_dir)
+    # gap-filled histogram ⇒ consecutive days ⇒ ROWS window == RANGE
+    # window; trailing sum = cumsum(i) - cumsum(i - w)
+    w = MOVING_DAYS
 
-    def slide(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"day_bucket": pa.array([], pa.int64()),
-                             "n_7d": pa.array([], pa.int64()),
-                             "sum_cents_7d": pa.array([], pa.int64())})
-        d = t["day_bucket"].to_numpy(zero_copy_only=False)
-        order = np.argsort(d)
-        d = d[order]
-        n = t["n_events"].to_numpy(zero_copy_only=False)[order]
-        s = t["sum_value_cents"].to_numpy(zero_copy_only=False)[order]
-        # gap-filled histogram ⇒ consecutive days ⇒ ROWS window ==
-        # RANGE window; trailing sum = cumsum(i) - cumsum(i - w)
-        w = MOVING_DAYS
+    def trail(vals: np.ndarray) -> np.ndarray:
+        c = np.cumsum(vals)
+        out = c.copy()
+        if len(c) > w:
+            out[w:] = c[w:] - c[:-w]
+        return out
 
-        def trail(vals: np.ndarray) -> np.ndarray:
-            c = np.cumsum(vals)
-            out = c.copy()
-            if len(c) > w:
-                out[w:] = c[w:] - c[:-w]
-            return out
-
-        n7, s7 = trail(n), trail(s)
-        return pa.table({"day_bucket": pa.array(d),
-                         "n_7d": pa.array(n7, type=pa.int64()),
-                         "sum_cents_7d": pa.array(s7, type=pa.int64())})
-
-    return hist.repartition(1).map_batches(slide, batch_format="pyarrow")
+    return pa.table({"day_bucket": pa.array(d, pa.int64()),
+                     "n_7d": pa.array(trail(n), type=pa.int64()),
+                     "sum_cents_7d": pa.array(trail(s), type=pa.int64())})
 
 
-MOVING_WINDOW_SQL = f"""
-WITH b AS (
-  SELECT CAST(floor(epoch_us(ts) / 86400000000.0) AS BIGINT) AS d,
-         CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events),
-agg AS (SELECT d, count(*) AS n, CAST(sum(cents) AS BIGINT) AS s
-        FROM b GROUP BY d),
-days AS (SELECT unnest(generate_series((SELECT min(d) FROM agg),
-                                       (SELECT max(d) FROM agg))) AS d),
-hist AS (SELECT days.d, coalesce(agg.n, 0) AS n, coalesce(agg.s, 0) AS s
-         FROM days LEFT JOIN agg ON agg.d = days.d)
+MOVING_WINDOW_SQL = f"""{_DAILY_HIST_CTES}
 SELECT d AS day_bucket,
        CAST(sum(n) OVER w AS BIGINT) AS n_7d,
        CAST(sum(s) OVER w AS BIGINT) AS sum_cents_7d
@@ -2373,19 +1917,11 @@ def pivot_orders_status(sf_dir: str):
     """PIVOT: one row per o_orderpriority, one count column per
     o_orderstatus (fixed F/O/P column set).  Per-batch (priority,
     status) combiners → small groupby → widen on the reduced table."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = (t.select(["o_orderpriority", "o_orderstatus"])
-             .group_by(["o_orderpriority", "o_orderstatus"])
-             .aggregate([("o_orderstatus", "count")]))
-        return g.rename_columns(["o_orderpriority", "o_orderstatus", "n"])
-
-    agg = (_read(sf_dir, "orders", ["o_orderpriority", "o_orderstatus"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby(["o_orderpriority", "o_orderstatus"])
-           .aggregate(Sum("n", alias_name="n")))
+    agg = _fold(_read(sf_dir, "orders", ["o_orderpriority", "o_orderstatus"]),
+                lambda t: pa.table({"o_orderpriority": t["o_orderpriority"],
+                                    "o_orderstatus": t["o_orderstatus"],
+                                    "n": _ones(t.num_rows)}),
+                "o_orderpriority o_orderstatus", "n")
 
     def widen(t: pa.Table) -> pa.Table:
         counts: dict[str, dict[str, int]] = {}
@@ -2420,59 +1956,10 @@ FROM orders GROUP BY o_orderpriority
 def cube_pricing_totals(sf_dir: str):
     """GROUP BY CUBE(l_returnflag, l_linestatus): the four grouping
     classes (base cells, per-flag, per-status, grand total), NULL-
-    marked like SQL CUBE.  Same discipline as ROLLUP: every super-
-    aggregate level derives from the already-reduced base aggregate —
-    one small groupby shuffle total."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        qty = pc.cast(pc.round(t["l_quantity"], options=pc.RoundOptions(
-            round_mode="half_towards_infinity")), pa.int64())
-        part = pa.table({"l_returnflag": t["l_returnflag"],
-                         "l_linestatus": t["l_linestatus"],
-                         "qty": qty})
-        g = part.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("qty", "sum"), ("qty", "count")])
-        return g.rename_columns(["l_returnflag", "l_linestatus", "q", "n"])
-
-    base = (_read(sf_dir, "lineitem",
-                  ["l_returnflag", "l_linestatus", "l_quantity"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby(["l_returnflag", "l_linestatus"])
-            .aggregate(Sum("q", alias_name="sum_qty"),
-                       Sum("n", alias_name="count_order")))
-
-    def widen(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({
-                "l_returnflag": pa.array([None], pa.string()),
-                "l_linestatus": pa.array([None], pa.string()),
-                "sum_qty": pa.array([None], pa.int64()),
-                "count_order": pa.array([0], pa.int64())})
-        rows = list(zip(t["l_returnflag"].to_pylist(),
-                        t["l_linestatus"].to_pylist(),
-                        t["sum_qty"].to_pylist(),
-                        t["count_order"].to_pylist()))
-        per_flag: dict[str, list[int]] = {}
-        per_status: dict[str, list[int]] = {}
-        for f, st, q, n in rows:
-            a = per_flag.setdefault(f, [0, 0])
-            a[0] += q; a[1] += n
-            b = per_status.setdefault(st, [0, 0])
-            b[0] += q; b[1] += n
-        out = rows
-        out += [(f, None, a[0], a[1]) for f, a in per_flag.items()]
-        out += [(None, st, b[0], b[1]) for st, b in per_status.items()]
-        out.append((None, None, sum(a[0] for a in per_flag.values()),
-                    sum(a[1] for a in per_flag.values())))
-        return pa.table({
-            "l_returnflag": pa.array([r[0] for r in out], pa.string()),
-            "l_linestatus": pa.array([r[1] for r in out], pa.string()),
-            "sum_qty": pa.array([r[2] for r in out], pa.int64()),
-            "count_order": pa.array([r[3] for r in out], pa.int64())})
-
-    return base.repartition(1).map_batches(widen, batch_format="pyarrow")
+    marked like SQL CUBE — the ROLLUP plan (``_grouping_sets``) with
+    one more grouping set."""
+    return _grouping_sets(sf_dir, [(True, False), (False, True),
+                                   (False, False)])
 
 
 CUBE_TOTALS_SQL = """
@@ -2535,13 +2022,10 @@ def q6_forecast_revenue(sf_dir: str):
     no-shuffle degenerate case — per-batch filters + integer-cent
     partial sums, one global Sum.  At 100 TB this is a single
     streaming pass; nothing ever concentrates."""
-    from ray.data.aggregate import Sum
-
     lo = pa.scalar(np.datetime64("1996-01-01", "us"))
     hi = pa.scalar(np.datetime64("1997-01-01", "us"))
 
     def partial(t: pa.Table) -> pa.Table:
-        half_away = pc.RoundOptions(round_mode="half_towards_infinity")
         keep = pc.and_(
             pc.and_(pc.greater_equal(t["l_shipdate"], lo),
                     pc.less(t["l_shipdate"], hi)),
@@ -2551,29 +2035,21 @@ def q6_forecast_revenue(sf_dir: str):
                                           pa.scalar(0.07))),
                     pc.less(t["l_quantity"], pa.scalar(24.0))))
         t = t.filter(keep)
-        cents = pc.cast(pc.round(pc.multiply(
-            pc.multiply(t["l_extendedprice"], t["l_discount"]),
-            pa.scalar(100.0)), options=half_away), pa.int64())
-        s = pc.sum(cents).as_py() or 0
-        return pa.table({"cents": pa.array([s], pa.int64()),
-                         "n": pa.array([t.num_rows], pa.int64())})
+        return pa.table({"revenue_cents": _cents_of(pc.multiply(
+                             t["l_extendedprice"], t["l_discount"])),
+                         "n_items": _ones(t.num_rows)})
 
-    agg = (_read(sf_dir, "lineitem",
-                 ["l_shipdate", "l_discount", "l_quantity",
-                  "l_extendedprice"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .aggregate(Sum("cents", alias_name="revenue_cents"),
-                      Sum("n", alias_name="n_items")))
-    return pa.table({
-        "revenue_cents": pa.array([int(agg["revenue_cents"] or 0)],
-                                  pa.int64()),
-        "n_items": pa.array([int(agg["n_items"] or 0)], pa.int64())})
+    agg = _fold(_read(sf_dir, "lineitem", ["l_shipdate", "l_discount",
+                                           "l_quantity", "l_extendedprice"]),
+                partial, "", "revenue_cents n_items")
+    # no qualifying row: SQL's sum is NULL, its count 0
+    return _table([(agg["revenue_cents"], agg["n_items"] or 0)],
+                  "revenue_cents n_items")
 
 
-Q6_SQL = """
-SELECT CAST(sum(CAST(round(l_extendedprice * l_discount * 100)
-                     AS BIGINT)) AS BIGINT) AS revenue_cents,
+Q6_SQL = f"""
+SELECT CAST(sum({_cents_sql("l_extendedprice * l_discount")})
+            AS BIGINT) AS revenue_cents,
        count(*) AS n_items
 FROM lineitem
 WHERE l_shipdate >= TIMESTAMP '1996-01-01'
@@ -2593,54 +2069,32 @@ def q14_promo_revenue(sf_dir: str):
     share is a single division of two exact integer-cent sums, so the
     scaled ratio is bit-deterministic."""
     import ray
-    from ray.data.aggregate import Sum
 
     lo = pa.scalar(np.datetime64("1997-09-01", "us"))
     hi = pa.scalar(np.datetime64("1997-10-01", "us"))
-
-    pt = pa.concat_tables(list(
-        _read(sf_dir, "part", ["p_partkey", "p_type"])
-        .iter_batches(batch_format="pyarrow")))
-    order = pc.sort_indices(pt["p_partkey"])
-    keys = pt["p_partkey"].take(order).to_numpy(zero_copy_only=False)
-    promo = pc.starts_with(pt["p_type"].take(order).combine_chunks(),
-                           "PROMO").to_numpy(zero_copy_only=False)
-    dim_ref = ray.put((keys, promo))
+    pt = _dim(sf_dir, "part", "p_partkey p_type")
+    dim_ref = ray.put(_sorted_map(pt["p_partkey"],
+                                  pc.starts_with(pt["p_type"], "PROMO")))
 
     def partial(t: pa.Table) -> pa.Table:
-        half_away = pc.RoundOptions(round_mode="half_towards_infinity")
-        ks, pr = ray.get(dim_ref)
-        keep = pc.and_(pc.greater_equal(t["l_shipdate"], lo),
-                       pc.less(t["l_shipdate"], hi))
-        t = t.filter(keep)
-        cents = pc.cast(pc.round(pc.multiply(
-            pc.multiply(t["l_extendedprice"],
-                        pc.subtract(pa.scalar(1.0), t["l_discount"])),
-            pa.scalar(100.0)), options=half_away), pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        pk = t["l_partkey"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(ks, pk)
-        pos = np.clip(pos, 0, len(ks) - 1)
-        is_promo = (ks[pos] == pk) & pr[pos]
-        return pa.table({
-            "promo_cents": pa.array([int(cents[is_promo].sum())],
-                                    pa.int64()),
-            "total_cents": pa.array([int(cents.sum())], pa.int64())})
+        t = t.filter(pc.and_(pc.greater_equal(t["l_shipdate"], lo),
+                             pc.less(t["l_shipdate"], hi)))
+        cents = _np(_cents_of(_revenue(t)))
+        hit, promo = _probe(ray.get(dim_ref), _np(t["l_partkey"]))
+        return pa.table({"promo_cents": np.where(hit & promo, cents, 0),
+                         "total_cents": cents})
 
-    agg = (_read(sf_dir, "lineitem",
-                 ["l_partkey", "l_extendedprice", "l_discount",
-                  "l_shipdate"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .aggregate(Sum("promo_cents", alias_name="promo_cents"),
-                      Sum("total_cents", alias_name="total_cents")))
-    pc_, tc = int(agg["promo_cents"] or 0), int(agg["total_cents"] or 0)
+    agg = _fold(_read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice",
+                                           "l_discount", "l_shipdate"]),
+                partial, "", "promo_cents total_cents")
+    pc_, tc = agg["promo_cents"], agg["total_cents"]
     # floor(x+0.5) = the oracle's half-away round() for this ≥ 0 ratio
-    # (np.round is half-to-even — the percentile_ranks exactness rule)
-    share = int(np.floor(1e6 * 100.0 * pc_ / tc + 0.5)) if tc else 0
-    return pa.table({"promo_cents": pa.array([pc_], pa.int64()),
-                     "total_cents": pa.array([tc], pa.int64()),
-                     "promo_share_ppm": pa.array([share], pa.int64())})
+    # (np.round is half-to-even — the percentile_ranks exactness rule);
+    # no row at all: SQL's sums and ratio are NULL
+    share = (None if tc is None else
+             int(np.floor(1e6 * 100.0 * pc_ / tc + 0.5)) if tc else 0)
+    return _table([(pc_, tc, share)],
+                  "promo_cents total_cents promo_share_ppm")
 
 
 def funnel_events(sf_dir: str):
@@ -2653,39 +2107,26 @@ def funnel_events(sf_dir: str):
     strictly-after constraint against the previous stage — no
     per-user Python loop.  Only one (n_view, n_click, n_purchase) row
     per bucket crosses the final exchange."""
-    from ray.data.aggregate import Sum
-
-    N_BUCKETS = 64
     STAGES = ("view", "click", "purchase")
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t["event_type"],
-                              value_set=pa.array(STAGES)))
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "__bucket": pa.array(uid % N_BUCKETS, pa.int64()),
-            "user_id": t["user_id"],
-            "ts": t["ts"].cast(pa.int64()),
-            "event_type": t["event_type"]})
+    def stage_events(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_in(t["event_type"], value_set=pa.array(STAGES)))
+        return pa.table({"user_id": t["user_id"],
+                         "ts": t["ts"].cast(pa.int64()),
+                         "event_type": t["event_type"]})
 
     def funnel_bucket(g: pa.Table) -> pa.Table:
-        u = g["user_id"].to_numpy(zero_copy_only=False)
-        ts = g["ts"].to_numpy(zero_copy_only=False)
+        u = _np(g["user_id"])
+        ts = _np(g["ts"])
         et = np.asarray(g["event_type"].to_pylist())
 
         def first_after(stage: str, prev_users, prev_t):
             m = et == stage
             su, sts = u[m], ts[m]
             if prev_users is not None:
-                if len(prev_users) == 0 or len(su) == 0:
-                    return (np.empty(0, np.int64),
-                            np.empty(0, np.int64))
-                pos = np.clip(np.searchsorted(prev_users, su),
-                              0, len(prev_users) - 1)
-                ok = (prev_users[pos] == su) & (sts > prev_t[pos])
+                pos, hit = positions_in_sorted(su, prev_users)
+                ok = hit & (sts > prev_t[pos]) if len(prev_users) else hit
                 su, sts = su[ok], sts[ok]
-            if len(su) == 0:
-                return np.empty(0, np.int64), np.empty(0, np.int64)
             o = np.lexsort((sts, su))
             su, sts = su[o], sts[o]
             first = np.ones(len(su), dtype=bool)
@@ -2695,24 +2136,15 @@ def funnel_events(sf_dir: str):
         users_v, t1 = first_after("view", None, None)
         users_c, t2 = first_after("click", users_v, t1)
         users_p, _ = first_after("purchase", users_c, t2)
-        return pa.table({
-            "n_view": pa.array([len(users_v)], pa.int64()),
-            "n_click": pa.array([len(users_c)], pa.int64()),
-            "n_purchase": pa.array([len(users_p)], pa.int64())})
+        return pa.table({"n_view": [len(users_v)], "n_click": [len(users_c)],
+                         "n_purchase": [len(users_p)]})
 
-    agg = (_read(sf_dir, "events", ["user_id", "ts", "event_type"])
-           .map_batches(add_bucket, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("__bucket")
-           .map_groups(funnel_bucket, batch_format="pyarrow")
-           .aggregate(Sum("n_view", alias_name="n_view"),
-                      Sum("n_click", alias_name="n_click"),
-                      Sum("n_purchase", alias_name="n_purchase")))
-    return pa.table({
-        "n_view": pa.array([int(agg["n_view"] or 0)], pa.int64()),
-        "n_click": pa.array([int(agg["n_click"] or 0)], pa.int64()),
-        "n_purchase": pa.array([int(agg["n_purchase"] or 0)],
-                               pa.int64())})
+    cols = "n_view n_click n_purchase"
+    agg = _fold(_by_bucket(_map(_read(sf_dir, "events",
+                                      ["user_id", "ts", "event_type"]),
+                                stage_events), "user_id", funnel_bucket),
+                lambda t: t, "", cols)
+    return _table([tuple(int(agg[c] or 0) for c in cols.split())], cols)
 
 
 FUNNEL_SQL = """
@@ -2746,59 +2178,29 @@ def ks_test_events(sf_dir: str):
     support table (bounded by the value domain × scale, NOT by corpus
     rows).  p-value intentionally omitted (needs exp(); see the DSIR
     ln() note — transcendentals don't value-hash across engines)."""
-    from ray.data.aggregate import Sum
-
     A, B = "view", "purchase"
 
     def partial(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t["event_type"],
-                              value_set=pa.array([A, B])))
-        t = _int_scaled(t, {"value": 100})
-        cents = t["value"].to_numpy(zero_copy_only=False)
-        is_a = np.asarray(
-            pc.equal(t["event_type"], pa.scalar(A)).combine_chunks()
-            .to_numpy(zero_copy_only=False), dtype=bool)
-        u, inv = np.unique(cents, return_inverse=True)
-        nv = np.bincount(inv[is_a], minlength=len(u))
-        npur = np.bincount(inv[~is_a], minlength=len(u))
-        return pa.table({"cents": pa.array(u, pa.int64()),
-                         "n_v": pa.array(nv.astype(np.int64)),
-                         "n_p": pa.array(npur.astype(np.int64))})
+        t = t.filter(pc.is_in(t["event_type"], value_set=pa.array([A, B])))
+        is_a = pc.cast(pc.equal(t["event_type"], pa.scalar(A)), pa.int64())
+        return pa.table({"cents": _cents_of(t["value"]), "n_v": is_a,
+                         "n_p": pc.subtract(pa.scalar(1, pa.int64()), is_a)})
 
-    g = (_read(sf_dir, "events", ["event_type", "value"])
-         .map_batches(partial, batch_format="pyarrow",
-                      zero_copy_batch=True)
-         .groupby("cents")
-         .aggregate(Sum("n_v", alias_name="n_v"),
-                    Sum("n_p", alias_name="n_p")))
-    empty = pa.table({"cents": pa.array([], pa.int64()),
-                      "n_v": pa.array([], pa.int64()),
-                      "n_p": pa.array([], pa.int64())})
-    t = pa.concat_tables(
-        list(g.iter_batches(batch_format="pyarrow", batch_size=1 << 20))
-        or [empty])
-    cents = t["cents"].to_numpy(zero_copy_only=False)
-    order = np.argsort(cents, kind="stable")
-    nv = t["n_v"].to_numpy(zero_copy_only=False)[order]
-    npp = t["n_p"].to_numpy(zero_copy_only=False)[order]
-    cv, cp = np.cumsum(nv), np.cumsum(npp)
+    t = _collect(_fold(_read(sf_dir, "events", ["event_type", "value"]),
+                       partial, "cents", "n_v n_p"),
+                 "cents n_v n_p").sort_by("cents")
+    cv, cp = np.cumsum(_np(t["n_v"])), np.cumsum(_np(t["n_p"]))
     if not len(cv):
         # no event of either class: the oracle's empty cross join
-        return pa.table({"n_view": pa.array([], pa.int64()),
-                         "n_purchase": pa.array([], pa.int64()),
-                         "d_num": pa.array([], pa.int64()),
-                         "d": pa.array([], pa.float64())})
+        return _table([], "n_view n_purchase d_num d:f64")
     tot_v, tot_p = int(cv[-1]), int(cp[-1])
     d_num = int(np.abs(cv * tot_p - cp * tot_v).max())
     d = (d_num / float(tot_v * tot_p)) if tot_v and tot_p else 0.0
-    return pa.table({"n_view": pa.array([tot_v], pa.int64()),
-                     "n_purchase": pa.array([tot_p], pa.int64()),
-                     "d_num": pa.array([d_num], pa.int64()),
-                     "d": pa.array([d], pa.float64())})
+    return _table([(tot_v, tot_p, d_num, d)], "n_view n_purchase d_num d:f64")
 
 
-KS_TEST_SQL = """
-WITH c AS (SELECT CAST(round(value * 100) AS BIGINT) AS cents,
+KS_TEST_SQL = f"""
+WITH c AS (SELECT {_VALUE_CENTS} AS cents,
                   event_type
            FROM events WHERE event_type IN ('view', 'purchase')),
 g AS (SELECT cents,
@@ -2825,9 +2227,6 @@ GROUP BY tot.nv, tot.np
 """
 
 
-_WEEK_US = 7 * 86_400_000_000
-
-
 def retention_cohorts_events(sf_dir: str):
     """Cohort retention (the product-analytics transform ES ships as a
     `transform` + date_histogram pivot): cohort_week = the ISO-epoch
@@ -2838,22 +2237,12 @@ def retention_cohorts_events(sf_dir: str):
     shuffle, the funnel pattern); inside a bucket everything is
     lexsort + boundary masks, and only bounded (cohort, offset, count)
     partials cross the final exchange."""
-    from ray.data.aggregate import Sum
-
-    N_BUCKETS = 64
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        wk = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) \
-            // _WEEK_US
-        return pa.table({
-            "__bucket": pa.array(uid % N_BUCKETS, pa.int64()),
-            "user_id": pa.array(uid, pa.int64()),
-            "wk": pa.array(wk, pa.int64())})
+    def user_weeks(t: pa.Table) -> pa.Table:
+        return pa.table({"user_id": t["user_id"], "wk": pa.array(
+            _np(t["ts"].cast(pa.int64())) // _WEEK_US, pa.int64())})
 
     def cohort_bucket(g: pa.Table) -> pa.Table:
-        u = g["user_id"].to_numpy(zero_copy_only=False)
-        wk = g["wk"].to_numpy(zero_copy_only=False)
+        u, wk = _np(g["user_id"]), _np(g["wk"])
         order = np.lexsort((wk, u))
         u, wk = u[order], wk[order]
         first = np.ones(len(u), dtype=bool)
@@ -2865,21 +2254,16 @@ def retention_cohorts_events(sf_dir: str):
         dedup[1:] = (u[1:] != u[:-1]) | (wk[1:] != wk[:-1])
         du, dwk = u[dedup], wk[dedup]
         cw = cohort_of_user[np.searchsorted(users, du)]
-        off = dwk - cw
-        key = cw * 10_000 + off             # offsets ≪ 10k by range
+        key = cw * 10_000 + (dwk - cw)      # offsets ≪ 10k by range
         ukey, cnt = np.unique(key, return_counts=True)
         return pa.table({
             "cohort_week": pa.array(ukey // 10_000, pa.int64()),
             "week_offset": pa.array(ukey % 10_000, pa.int64()),
             "n_users": pa.array(cnt.astype(np.int64))})
 
-    return (_read(sf_dir, "events", ["user_id", "ts"])
-            .map_batches(add_bucket, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("__bucket")
-            .map_groups(cohort_bucket, batch_format="pyarrow")
-            .groupby(["cohort_week", "week_offset"])
-            .aggregate(Sum("n_users", alias_name="n_users")))
+    return _fold(_by_bucket(_map(_read(sf_dir, "events", ["user_id", "ts"]),
+                                 user_weeks), "user_id", cohort_bucket),
+                 lambda t: t, "cohort_week week_offset", "n_users")
 
 
 RETENTION_SQL = f"""
@@ -2904,14 +2288,8 @@ def percentile_ranks_events(sf_dir: str):
     query.  Exact: per-batch (n_le per target, n_total) integer
     combiners (one tiny row per batch crosses the exchange), one
     driver division rounded to ppm identically on both sides."""
-    from ray.data.aggregate import Sum
-
     def partial(t: pa.Table) -> pa.Table:
-        half_away = pc.RoundOptions(round_mode="half_towards_infinity")
-        cents = pc.cast(pc.round(pc.multiply(t["value"],
-                                             pa.scalar(100.0)),
-                                 options=half_away), pa.int64()) \
-            .to_numpy(zero_copy_only=False)
+        cents = _np(_cents_of(t["value"]))
         return pa.table({
             "value_cents": pa.array(PR_TARGETS_CENTS, pa.int64()),
             "n_le": pa.array([int((cents <= v).sum())
@@ -2919,30 +2297,18 @@ def percentile_ranks_events(sf_dir: str):
             "n_total": pa.array([len(cents)] * len(PR_TARGETS_CENTS),
                                 pa.int64())})
 
-    agg = (_read(sf_dir, "events", ["value"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("value_cents")
-           .aggregate(Sum("n_le", alias_name="n_le"),
-                      Sum("n_total", alias_name="n_total")))
-    t = pa.concat_tables(list(agg.iter_batches(batch_format="pyarrow")))
-    v = t["value_cents"].to_numpy(zero_copy_only=False)
-    n_le = t["n_le"].to_numpy(zero_copy_only=False)
-    n_tot = t["n_total"].to_numpy(zero_copy_only=False)
+    t = _collect(_fold(_read(sf_dir, "events", ["value"]), partial,
+                       "value_cents", "n_le n_total"),
+                 "value_cents n_le n_total").sort_by("value_cents")
     # np.round is half-to-even; SQL round() is half-away — ppm ≥ 0 so
     # floor(x + 0.5) IS half-away here (the repo's exactness rule)
-    ppm = np.floor(1_000_000.0 * n_le / np.maximum(n_tot, 1) + 0.5) \
-        .astype(np.int64)
-    out = pa.table({"value_cents": pa.array(v, pa.int64()),
-                    "n_le": pa.array(n_le, pa.int64()),
-                    "n_total": pa.array(n_tot, pa.int64()),
-                    "rank_ppm": pa.array(ppm, pa.int64())})
-    return out.take(pc.sort_indices(out, sort_keys=[
-        ("value_cents", "ascending")]))
+    ppm = np.floor(1_000_000.0 * _np(t["n_le"])
+                   / np.maximum(_np(t["n_total"]), 1) + 0.5)
+    return t.append_column("rank_ppm", pa.array(ppm.astype(np.int64)))
 
 
 PERCENTILE_RANKS_SQL = f"""
-WITH c AS (SELECT CAST(round(value * 100) AS BIGINT) AS cents
+WITH c AS (SELECT {_VALUE_CENTS} AS cents
            FROM events),
 t(v) AS (VALUES {", ".join(f"({v})" for v in PR_TARGETS_CENTS)}),
 agg AS (
@@ -2969,115 +2335,68 @@ def q7_volume_shipping(sf_dir: str):
     cust_nation, year) for the two nation pairs, exact integer
     cents."""
     import ray
-    from ray.data.aggregate import Sum
 
     n1, n2 = "NATION_3", "NATION_19"
     lo = pa.scalar(np.datetime64("1996-01-01", "us"))
     hi = pa.scalar(np.datetime64("1998-01-01", "us"))
 
-    import pyarrow.parquet as _pq
-    nat = _pq.read_table(f"{sf_dir}/nation.parquet",
-                         columns=["n_nationkey", "n_name"])
+    nat = _dim(sf_dir, "nation", "n_nationkey n_name")
     nmap = dict(zip(nat["n_nationkey"].to_pylist(),
                     nat["n_name"].to_pylist()))
-    sup = _pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey", "s_nationkey"])
-    cus = _pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_nationkey"])
-
     # broadcast compact int64 key→nationkey maps (the Q5 precedent);
     # names resolve ONCE on the tiny final aggregate, never per row —
     # a |customer|-sized unicode broadcast is pure object-store waste
-    rev = {v: k for k, v in nmap.items()}
-    nk1, nk2 = rev[n1], rev[n2]
-
-    def sorted_map(keys_arr, nk_arr):
-        k = keys_arr.to_numpy(zero_copy_only=False)
-        order = np.argsort(k)
-        nk = nk_arr.to_numpy(zero_copy_only=False).astype(np.int64)
-        return k[order], nk[order]
-
-    s_keys, s_nk = sorted_map(sup["s_suppkey"], sup["s_nationkey"])
-    c_keys, c_nk = sorted_map(cus["c_custkey"], cus["c_nationkey"])
-    dim_ref = ray.put((s_keys, s_nk, c_keys, c_nk))
+    nk1, nk2 = ({v: k for k, v in nmap.items()}.get(n, -1) for n in (n1, n2))
+    sup = _dim(sf_dir, "supplier", "s_suppkey s_nationkey")
+    cus = _dim(sf_dir, "customer", "c_custkey c_nationkey")
+    dim_ref = ray.put((_sorted_map(sup["s_suppkey"], sup["s_nationkey"]),
+                       _sorted_map(cus["c_custkey"], cus["c_nationkey"])))
 
     def li_partial(t: pa.Table) -> pa.Table:
-        keep = pc.and_(pc.greater_equal(t["l_shipdate"], lo),
-                       pc.less(t["l_shipdate"], hi))
-        t = t.filter(keep)
-        half_away = pc.RoundOptions(round_mode="half_towards_infinity")
-        cents = pc.cast(pc.round(pc.multiply(pc.multiply(
-            t["l_extendedprice"],
-            pc.subtract(pa.scalar(1.0), t["l_discount"])),
-            pa.scalar(100.0)), options=half_away), pa.int64())
-        year = pc.year(t["l_shipdate"]).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
+        t = t.filter(pc.and_(pc.greater_equal(t["l_shipdate"], lo),
+                             pc.less(t["l_shipdate"], hi)))
         return pa.table({"l_orderkey": t["l_orderkey"],
                          "l_suppkey": t["l_suppkey"],
-                         "cents": cents,
-                         "l_year": pa.array(year, pa.int64())})
-
-    li = (_read(sf_dir, "lineitem",
-                ["l_orderkey", "l_suppkey", "l_extendedprice",
-                 "l_discount", "l_shipdate"])
-          .map_batches(li_partial, batch_format="pyarrow",
-                       zero_copy_batch=True))
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    j = li.join(orders, join_type="inner",
-                num_partitions=max(2, cpus // 2),
-                on=("l_orderkey",), right_on=("o_orderkey",),
-                aggregator_ray_remote_args={"num_cpus": 0.5})
+                         "cents": _cents_of(_revenue(t)),
+                         "l_year": pc.year(t["l_shipdate"]).cast(pa.int64())})
 
     def rev_partial(t: pa.Table) -> pa.Table:
-        sk, snk, ck, cnk = ray.get(dim_ref)
-        sup_k = t["l_suppkey"].to_numpy(zero_copy_only=False)
-        cus_k = t["o_custkey"].to_numpy(zero_copy_only=False)
-        spos = np.clip(np.searchsorted(sk, sup_k), 0, len(sk) - 1)
-        cpos = np.clip(np.searchsorted(ck, cus_k), 0, len(ck) - 1)
-        s_nat = snk[spos]
-        c_nat = cnk[cpos]
-        ok = (((s_nat == nk1) & (c_nat == nk2))
-              | ((s_nat == nk2) & (c_nat == nk1)))
-        ok &= (sk[spos] == sup_k) & (ck[cpos] == cus_k)
-        t2 = pa.table({"supp_nk": pa.array(s_nat[ok], pa.int64()),
-                       "cust_nk": pa.array(c_nat[ok], pa.int64()),
-                       "l_year": t["l_year"].filter(pa.array(ok)),
-                       "cents": t["cents"].filter(pa.array(ok))})
-        g = t2.group_by(["supp_nk", "cust_nk", "l_year"]) \
-              .aggregate([("cents", "sum")])
-        return g.rename_columns(["supp_nk", "cust_nk",
-                                 "l_year", "cents_part"])
+        smap, cmap = ray.get(dim_ref)
+        s_hit, s_nat = _probe(smap, _np(t["l_suppkey"]))
+        c_hit, c_nat = _probe(cmap, _np(t["o_custkey"]))
+        ok = pa.array(s_hit & c_hit & (((s_nat == nk1) & (c_nat == nk2))
+                                       | ((s_nat == nk2) & (c_nat == nk1))))
+        return pa.table({"supp_nk": pa.array(s_nat, pa.int64()).filter(ok),
+                         "cust_nk": pa.array(c_nat, pa.int64()).filter(ok),
+                         "l_year": t["l_year"].filter(ok),
+                         "revenue_cents": t["cents"].filter(ok)})
 
-    agg = (j.map_batches(rev_partial, batch_format="pyarrow")
-           .groupby(["supp_nk", "cust_nk", "l_year"])
-           .aggregate(Sum("cents_part", alias_name="revenue_cents")))
-    batches = list(agg.iter_batches(batch_format="pyarrow"))
-    if not batches:
-        return pa.table({"supp_nation": pa.array([], pa.string()),
-                         "cust_nation": pa.array([], pa.string()),
-                         "l_year": pa.array([], pa.int64()),
-                         "revenue_cents": pa.array([], pa.int64())})
-    t = pa.concat_tables(batches)
+    li = _map(_read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey",
+                                         "l_extendedprice", "l_discount",
+                                         "l_shipdate"]), li_partial)
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    j = _join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
+              "o_orderkey")
+    t = _collect(_fold(j, rev_partial, "supp_nk cust_nk l_year",
+                       "revenue_cents"),
+                 "supp_nk cust_nk l_year revenue_cents")
     t = pa.table({"supp_nation": pa.array(
                       [nmap[x] for x in t["supp_nk"].to_pylist()],
                       pa.string()),
                   "cust_nation": pa.array(
                       [nmap[x] for x in t["cust_nk"].to_pylist()],
                       pa.string()),
-                  "l_year": t["l_year"].cast(pa.int64()),
-                  "revenue_cents": t["revenue_cents"].cast(pa.int64())})
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("supp_nation", "ascending"), ("cust_nation", "ascending"),
-        ("l_year", "ascending")]))
+                  "l_year": t["l_year"],
+                  "revenue_cents": t["revenue_cents"]})
+    return t.sort_by([("supp_nation", "ascending"),
+                      ("cust_nation", "ascending"), ("l_year", "ascending")])
 
 
-Q7_SQL = """
+Q7_SQL = f"""
 SELECT s_nat.n_name AS supp_nation,
        c_nat.n_name AS cust_nation,
        CAST(year(l_shipdate) AS BIGINT) AS l_year,
-       CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 100)
-                     AS BIGINT)) AS BIGINT) AS revenue_cents
+       CAST(sum({_REV_CENTS}) AS BIGINT) AS revenue_cents
 FROM lineitem
 JOIN orders   ON o_orderkey = l_orderkey
 JOIN customer ON c_custkey = o_custkey
@@ -3108,136 +2427,75 @@ def q8_market_share(sf_dir: str):
     identical division the oracle performs, so the ratio is
     bit-identical, and both sums ship in the output anyway."""
     import ray
-    from ray.data.aggregate import Sum
-
-    import pyarrow.parquet as _pq
 
     target_nation, region_name, p_type = "NATION_3", "ASIA", "PROMO"
     lo = pa.scalar(np.datetime64("1995-01-01", "us"))
     hi = pa.scalar(np.datetime64("1997-01-01", "us"))
 
-    nat = _pq.read_table(f"{sf_dir}/nation.parquet",
-                         columns=["n_nationkey", "n_name", "n_regionkey"])
-    reg = _pq.read_table(f"{sf_dir}/region.parquet",
-                         columns=["r_regionkey", "r_name"])
-    rkey = {r: k for k, r in zip(reg["r_regionkey"].to_pylist(),
-                                 reg["r_name"].to_pylist())}[region_name]
+    nat = _dim(sf_dir, "nation", "n_nationkey n_name n_regionkey")
+    reg = _dim(sf_dir, "region", "r_regionkey r_name")
+    rkeys = reg.filter(pc.equal(reg["r_name"], region_name))["r_regionkey"]
+    region_nations = np.sort(_np(nat.filter(pc.is_in(
+        nat["n_regionkey"], value_set=rkeys.combine_chunks()))["n_nationkey"]
+        ).astype(np.int64))
     nk_target = {n: k for k, n in zip(nat["n_nationkey"].to_pylist(),
-                                      nat["n_name"].to_pylist())}[target_nation]
-    region_nations = np.sort(np.array(
-        [k for k, rk in zip(nat["n_nationkey"].to_pylist(),
-                            nat["n_regionkey"].to_pylist()) if rk == rkey],
-        dtype=np.int64))
-
-    part = _pq.read_table(f"{sf_dir}/part.parquet",
-                          columns=["p_partkey", "p_type"])
-    pkeys = np.sort(part.filter(pc.equal(part["p_type"], p_type))
-                    ["p_partkey"].to_numpy(zero_copy_only=False)
-                    .astype(np.int64))
-    sup = _pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey", "s_nationkey"])
-    cus = _pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_nationkey"])
-
-    def _sorted_map(keys_arr, val_arr):
-        k = keys_arr.to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(k)
-        return k[order], (val_arr.to_numpy(zero_copy_only=False)
-                          .astype(np.int64)[order])
-
-    s_keys, s_nk = _sorted_map(sup["s_suppkey"], sup["s_nationkey"])
-    c_keys, c_nk = _sorted_map(cus["c_custkey"], cus["c_nationkey"])
-    dim_ref = ray.put((pkeys, s_keys, s_nk, c_keys, c_nk,
+                                      nat["n_name"].to_pylist())
+                 }.get(target_nation, -1)
+    part = _dim(sf_dir, "part", "p_partkey p_type")
+    pkeys = np.sort(_np(part.filter(pc.equal(part["p_type"], p_type))
+                        ["p_partkey"]).astype(np.int64))
+    sup = _dim(sf_dir, "supplier", "s_suppkey s_nationkey")
+    cus = _dim(sf_dir, "customer", "c_custkey c_nationkey")
+    dim_ref = ray.put((pkeys,
+                       _sorted_map(sup["s_suppkey"], sup["s_nationkey"]),
+                       _sorted_map(cus["c_custkey"], cus["c_nationkey"]),
                        region_nations))
 
     def li_partial(t: pa.Table) -> pa.Table:
-        pk, sk, snk, _, _, _ = ray.get(dim_ref)
-        lp = t["l_partkey"].to_numpy(zero_copy_only=False)
-        if len(pk):
-            pos = np.clip(np.searchsorted(pk, lp), 0, len(pk) - 1)
-            keep = pk[pos] == lp
-        else:
-            keep = np.zeros(len(lp), dtype=bool)
-        t = t.filter(pa.array(keep))
-        half_away = pc.RoundOptions(round_mode="half_towards_infinity")
-        cents = pc.cast(pc.round(pc.multiply(pc.multiply(
-            t["l_extendedprice"],
-            pc.subtract(pa.scalar(1.0), t["l_discount"])),
-            pa.scalar(100.0)), options=half_away), pa.int64())
-        sup_k = t["l_suppkey"].to_numpy(zero_copy_only=False)
-        spos = np.clip(np.searchsorted(sk, sup_k), 0, len(sk) - 1)
-        is_target = (sk[spos] == sup_k) & (snk[spos] == nk_target)
+        pk, smap, _, _ = ray.get(dim_ref)
+        t = t.filter(pa.array(positions_in_sorted(_np(t["l_partkey"]), pk)[1]))
+        s_hit, s_nat = _probe(smap, _np(t["l_suppkey"]))
         return pa.table({"l_orderkey": t["l_orderkey"],
-                         "cents": cents,
-                         "is_target": pa.array(is_target)})
+                         "cents": _cents_of(_revenue(t)),
+                         "is_target": pa.array(s_hit & (s_nat == nk_target))})
 
     def ord_partial(t: pa.Table) -> pa.Table:
-        keep = pc.and_(pc.greater_equal(t["o_orderdate"], lo),
-                       pc.less(t["o_orderdate"], hi))
-        t = t.filter(keep)
-        year = pc.year(t["o_orderdate"]).cast(pa.int64())
+        t = t.filter(pc.and_(pc.greater_equal(t["o_orderdate"], lo),
+                             pc.less(t["o_orderdate"], hi)))
         return pa.table({"o_orderkey": t["o_orderkey"],
                          "o_custkey": t["o_custkey"],
-                         "o_year": year})
-
-    li = (_read(sf_dir, "lineitem",
-                ["l_orderkey", "l_partkey", "l_suppkey",
-                 "l_extendedprice", "l_discount"])
-          .map_batches(li_partial, batch_format="pyarrow",
-                       zero_copy_batch=True))
-    orders = (_read(sf_dir, "orders",
-                    ["o_orderkey", "o_custkey", "o_orderdate"])
-              .map_batches(ord_partial, batch_format="pyarrow",
-                           zero_copy_batch=True))
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    j = li.join(orders, join_type="inner",
-                num_partitions=max(2, cpus // 2),
-                on=("l_orderkey",), right_on=("o_orderkey",),
-                aggregator_ray_remote_args={"num_cpus": 0.5})
+                         "o_year": pc.year(t["o_orderdate"]).cast(pa.int64())})
 
     def share_partial(t: pa.Table) -> pa.Table:
-        _, _, _, ck, cnk, rnat = ray.get(dim_ref)
-        cus_k = t["o_custkey"].to_numpy(zero_copy_only=False)
-        cpos = np.clip(np.searchsorted(ck, cus_k), 0, len(ck) - 1)
-        c_nat = cnk[cpos]
-        rpos = np.clip(np.searchsorted(rnat, c_nat), 0, len(rnat) - 1)
-        ok = (ck[cpos] == cus_k) & (rnat[rpos] == c_nat)
-        cents = t["cents"].to_numpy(zero_copy_only=False)[ok]
-        is_t = t["is_target"].to_numpy(zero_copy_only=False)[ok]
-        year = t["o_year"].to_numpy(zero_copy_only=False)[ok]
-        t2 = pa.table({"o_year": pa.array(year, pa.int64()),
-                       "nat": pa.array(np.where(is_t, cents, 0),
-                                       pa.int64()),
-                       "tot": pa.array(cents, pa.int64())})
-        g = t2.group_by("o_year").aggregate([("nat", "sum"),
-                                             ("tot", "sum")])
-        return g.rename_columns(["o_year", "nat_part", "tot_part"])
+        _, _, cmap, rnat = ray.get(dim_ref)
+        c_hit, c_nat = _probe(cmap, _np(t["o_custkey"]))
+        ok = c_hit & np.isin(c_nat, rnat)
+        cents = _np(t["cents"])[ok]
+        return pa.table({"o_year": pa.array(_np(t["o_year"])[ok], pa.int64()),
+                         "nation_cents": pa.array(np.where(
+                             _np(t["is_target"])[ok], cents, 0), pa.int64()),
+                         "total_cents": pa.array(cents, pa.int64())})
 
-    agg = (j.map_batches(share_partial, batch_format="pyarrow")
-           .groupby("o_year")
-           .aggregate(Sum("nat_part", alias_name="nation_cents"),
-                      Sum("tot_part", alias_name="total_cents")))
-    batches = list(agg.iter_batches(batch_format="pyarrow"))
-    if not batches:
-        return pa.table({"o_year": pa.array([], pa.int64()),
-                         "nation_cents": pa.array([], pa.int64()),
-                         "total_cents": pa.array([], pa.int64()),
-                         "mkt_share": pa.array([], pa.float64())})
-    t = pa.concat_tables(batches)
-    nc = t["nation_cents"].cast(pa.int64())
-    tc = t["total_cents"].cast(pa.int64())
-    share = pc.divide(nc.cast(pa.float64()), tc.cast(pa.float64()))
-    t = pa.table({"o_year": t["o_year"].cast(pa.int64()),
-                  "nation_cents": nc, "total_cents": tc,
-                  "mkt_share": share})
-    return t.take(pc.sort_indices(t, sort_keys=[("o_year", "ascending")]))
+    li = _map(_read(sf_dir, "lineitem", ["l_orderkey", "l_partkey",
+                                         "l_suppkey", "l_extendedprice",
+                                         "l_discount"]), li_partial)
+    orders = _map(_read(sf_dir, "orders",
+                        ["o_orderkey", "o_custkey", "o_orderdate"]),
+                  ord_partial)
+    j = _join(sf_dir, "lineitem orders part", li, orders, "l_orderkey",
+              "o_orderkey")
+    t = _collect(_fold(j, share_partial, "o_year",
+                       "nation_cents total_cents"),
+                 "o_year nation_cents total_cents").sort_by("o_year")
+    return t.append_column("mkt_share", pc.divide(
+        pc.cast(t["nation_cents"], pa.float64()),
+        pc.cast(t["total_cents"], pa.float64())))
 
 
-Q8_SQL = """
+Q8_SQL = f"""
 WITH vol AS (
   SELECT CAST(year(o_orderdate) AS BIGINT) AS o_year,
-         CAST(round(l_extendedprice * (1 - l_discount) * 100)
-              AS BIGINT) AS cents,
+         {_REV_CENTS} AS cents,
          s_nat.n_name AS supp_nation
   FROM lineitem
   JOIN part     ON p_partkey = l_partkey AND p_type = 'PROMO'
@@ -3262,7 +2520,10 @@ FROM vol GROUP BY o_year ORDER BY o_year
 # ---------------------------------------------------- TPC-H Q21 shape --
 
 
-def q21_waiting_suppliers(sf_dir: str, late_days: int = 365):
+_Q21_LATE_DAYS = 365          # Q21_SQL's INTERVAL 365 DAY
+
+
+def q21_waiting_suppliers(sf_dir: str):
     """TPC-H Q21 shape (suppliers who kept orders waiting): for
     finished multi-supplier orders, find the supplier who was the
     ONLY late one — the EXISTS(other supplier) / NOT EXISTS(other
@@ -3271,54 +2532,28 @@ def q21_waiting_suppliers(sf_dir: str, late_days: int = 365):
 
     ADAPTED PREDICATE (documented): the reference TPC-H lateness
     l_receiptdate > l_commitdate uses columns this corpus does not
-    carry; here late = l_shipdate > o_orderdate + ``late_days`` days.
-    The operator composition (fact⋈fact join, per-order correlated
+    carry; here late = l_shipdate > o_orderdate + 365 days.  The
+    operator composition (fact⋈fact join, per-order correlated
     quantifiers, per-supplier count) is the point, and the oracle
     applies the identical predicate.
 
-    Vectorized per bucket: lexsort (orderkey, suppkey) → per-pair
-    any-late collapse → per-order distinct/late counts → emit the
-    lone late supplier of each qualifying order."""
-    import ray
-    from ray.data.aggregate import Sum
+    Vectorized per ``_by_bucket`` group of orders: lexsort (orderkey,
+    suppkey) → per-pair any-late collapse → per-order distinct/late
+    counts → emit the lone late supplier of each qualifying order."""
+    late = np.timedelta64(_Q21_LATE_DAYS, "D")
 
-    import pyarrow.parquet as _pq
+    def finished(t: pa.Table) -> pa.Table:
+        return t.filter(pc.equal(t["o_orderstatus"], "F")).select(
+            ["o_orderkey", "o_orderdate"])
 
-    late = np.timedelta64(late_days, "D")
-
-    def ord_f(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t["o_orderstatus"], "F"))
-        return t.select(["o_orderkey", "o_orderdate"])
-
-    orders = (_read(sf_dir, "orders",
-                    ["o_orderkey", "o_orderdate", "o_orderstatus"])
-              .map_batches(ord_f, batch_format="pyarrow",
-                           zero_copy_batch=True))
-    li = _read(sf_dir, "lineitem",
-               ["l_orderkey", "l_suppkey", "l_shipdate"])
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    j = li.join(orders, join_type="inner",
-                num_partitions=max(2, cpus // 2),
-                on=("l_orderkey",), right_on=("o_orderkey",),
-                aggregator_ray_remote_args={"num_cpus": 0.5})
-
-    N_BUCKETS = 64
-
-    def bucket(t: pa.Table) -> pa.Table:
-        ok = t["l_orderkey"].to_numpy(zero_copy_only=False)
-        ship = t["l_shipdate"].to_numpy(zero_copy_only=False)
-        odate = t["o_orderdate"].to_numpy(zero_copy_only=False)
-        is_late = (ship > odate + late)
-        return pa.table({
-            "bucket": pa.array((ok % N_BUCKETS).astype(np.int32)),
-            "l_orderkey": pa.array(ok, pa.int64()),
-            "l_suppkey": t["l_suppkey"],
-            "late": pa.array(is_late.astype(np.int8))})
+    def flag_late(t: pa.Table) -> pa.Table:
+        is_late = _np(t["l_shipdate"]) > _np(t["o_orderdate"]) + late
+        return pa.table({"l_orderkey": t["l_orderkey"],
+                         "l_suppkey": t["l_suppkey"],
+                         "late": pa.array(is_late.astype(np.int8))})
 
     def lone_late_of_group(g: pa.Table) -> pa.Table:
-        ok = g["l_orderkey"].to_numpy(zero_copy_only=False)
-        sk = g["l_suppkey"].to_numpy(zero_copy_only=False)
-        lt = g["late"].to_numpy(zero_copy_only=False)
+        ok, sk, lt = _np(g["l_orderkey"]), _np(g["l_suppkey"]), _np(g["late"])
         order = np.lexsort((sk, ok))
         ok, sk, lt = ok[order], sk[order], lt[order]
         # collapse to one row per (order, supplier): any-late
@@ -3333,32 +2568,26 @@ def q21_waiting_suppliers(sf_dir: str, late_days: int = 365):
         n_late = np.add.reduceat(p_lt, ostart)
         seg = np.cumsum(np.r_[False, p_ok[1:] != p_ok[:-1]])
         keep = (p_lt == 1) & (n_supp[seg] >= 2) & (n_late[seg] == 1)
-        t2 = pa.table({"l_suppkey": pa.array(p_sk[keep], pa.int64()),
-                       "one": pa.array(np.ones(int(keep.sum()),
-                                               dtype=np.int64))})
-        g2 = t2.group_by("l_suppkey").aggregate([("one", "sum")])
-        return g2.rename_columns(["l_suppkey", "wait_part"])
+        return pa.table({"l_suppkey": pa.array(p_sk[keep], pa.int64()),
+                         "numwait": _ones(int(keep.sum()))})
 
-    agg = (j.map_batches(bucket, batch_format="pyarrow")
-           .groupby("bucket")
-           .map_groups(lone_late_of_group, batch_format="pyarrow")
-           .groupby("l_suppkey")
-           .aggregate(Sum("wait_part", alias_name="numwait")))
-    batches = list(agg.iter_batches(batch_format="pyarrow"))
-    sup = _pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey", "s_name"])
-    smap = dict(zip(sup["s_suppkey"].to_pylist(),
-                    sup["s_name"].to_pylist()))
-    if not batches:
-        return pa.table({"s_name": pa.array([], pa.string()),
-                         "numwait": pa.array([], pa.int64())})
-    t = pa.concat_tables(batches)
+    orders = _map(_read(sf_dir, "orders",
+                        ["o_orderkey", "o_orderdate", "o_orderstatus"]),
+                  finished)
+    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_shipdate"])
+    j = _join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
+              "o_orderkey")
+    t = _collect(_fold(_by_bucket(_map(j, flag_late), "l_orderkey",
+                                  lone_late_of_group),
+                       lambda t: t, "l_suppkey", "numwait"),
+                 "l_suppkey numwait")
+    sup = _dim(sf_dir, "supplier", "s_suppkey s_name")
+    smap = dict(zip(sup["s_suppkey"].to_pylist(), sup["s_name"].to_pylist()))
     t = pa.table({"s_name": pa.array(
                       [smap[k] for k in t["l_suppkey"].to_pylist()],
                       pa.string()),
-                  "numwait": t["numwait"].cast(pa.int64())})
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("numwait", "descending"), ("s_name", "ascending")]))
+                  "numwait": t["numwait"]})
+    return t.sort_by([("numwait", "descending"), ("s_name", "ascending")])
 
 
 Q21_SQL = """
@@ -3391,62 +2620,36 @@ def q15_top_supplier(sf_dir: str):
     the max and the equality filter run on the reduced table — the
     'create view + where total = (select max)' plan with no second
     scan of the fact table."""
-    from ray.data.aggregate import Sum
-
     lo = pa.scalar(np.datetime64("1996-01-01", "us"))
     hi = pa.scalar(np.datetime64("1996-04-01", "us"))
 
     def partial(t: pa.Table) -> pa.Table:
-        half_away = pc.RoundOptions(round_mode="half_towards_infinity")
-        keep = pc.and_(pc.greater_equal(t["l_shipdate"], lo),
-                       pc.less(t["l_shipdate"], hi))
-        t = t.filter(keep)
-        cents = pc.cast(pc.round(pc.multiply(pc.multiply(
-            t["l_extendedprice"],
-            pc.subtract(pa.scalar(1.0), t["l_discount"])),
-            pa.scalar(100.0)), options=half_away), pa.int64())
-        t2 = pa.table({"l_suppkey": t["l_suppkey"], "cents": cents})
-        g = t2.group_by("l_suppkey").aggregate([("cents", "sum")])
-        return g.rename_columns(["l_suppkey", "cents_part"])
+        t = t.filter(pc.and_(pc.greater_equal(t["l_shipdate"], lo),
+                             pc.less(t["l_shipdate"], hi)))
+        return pa.table({"l_suppkey": t["l_suppkey"],
+                         "total_revenue_cents": _cents_of(_revenue(t))})
 
-    agg = (_read(sf_dir, "lineitem",
-                 ["l_suppkey", "l_extendedprice", "l_discount",
-                  "l_shipdate"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("l_suppkey")
-           .aggregate(Sum("cents_part", alias_name="total_revenue_cents")))
-    batches = list(agg.iter_batches(batch_format="pyarrow"))
-    if not batches:
-        return pa.table({"s_suppkey": pa.array([], pa.int64()),
-                         "s_name": pa.array([], pa.string()),
-                         "total_revenue_cents": pa.array([], pa.int64())})
-    t = pa.concat_tables(batches)
-    rev = t["total_revenue_cents"].to_numpy(zero_copy_only=False)
-    best = t.filter(pa.array(rev == rev.max()))
-    import pyarrow.parquet as _pq
-    sup = _pq.read_table(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"],
-        filters=[("s_suppkey", "in",
-                  sorted(best["l_suppkey"].to_pylist()))])
-    smap = dict(zip(sup["s_suppkey"].to_pylist(),
-                    sup["s_name"].to_pylist()))
-    out = pa.table({
-        "s_suppkey": best["l_suppkey"].cast(pa.int64()),
-        "s_name": pa.array([smap[x] for x
-                            in best["l_suppkey"].to_pylist()],
+    t = _collect(_fold(_read(sf_dir, "lineitem", ["l_suppkey",
+                                                  "l_extendedprice",
+                                                  "l_discount", "l_shipdate"]),
+                       partial, "l_suppkey", "total_revenue_cents"),
+                 "l_suppkey total_revenue_cents")
+    rev = t["total_revenue_cents"]
+    best = t.filter(pc.equal(rev, pc.max(rev)))
+    sup = _dim(sf_dir, "supplier", "s_suppkey s_name")
+    smap = dict(zip(sup["s_suppkey"].to_pylist(), sup["s_name"].to_pylist()))
+    return pa.table({
+        "s_suppkey": best["l_suppkey"],
+        "s_name": pa.array([smap[x] for x in best["l_suppkey"].to_pylist()],
                            pa.string()),
-        "total_revenue_cents":
-            best["total_revenue_cents"].cast(pa.int64())})
-    return out.take(pc.sort_indices(out, sort_keys=[
-        ("s_suppkey", "ascending")]))
+        "total_revenue_cents": best["total_revenue_cents"]}
+        ).sort_by("s_suppkey")
 
 
-Q15_SQL = """
+Q15_SQL = f"""
 WITH revenue AS (
   SELECT l_suppkey AS supplier_no,
-         CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 100)
-                       AS BIGINT)) AS BIGINT) AS total_revenue_cents
+         CAST(sum({_REV_CENTS}) AS BIGINT) AS total_revenue_cents
   FROM lineitem
   WHERE l_shipdate >= TIMESTAMP '1996-01-01'
     AND l_shipdate <  TIMESTAMP '1996-04-01'
@@ -3470,106 +2673,60 @@ def q17_small_quantity_revenue(sf_dir: str):
     division — quantities carried ×100).  Revenue of qualifying rows
     ÷ 7, returned as exact integer milli-cents-per-7."""
     import ray
-    from ray.data.aggregate import Sum
 
-    brand = "Brand#23"
+    pt = _dim(sf_dir, "part", "p_partkey p_brand")
+    bref = ray.put(np.sort(_np(pt.filter(pc.equal(
+        pt["p_brand"], "Brand#23"))["p_partkey"])))
 
-    pt = pa.concat_tables(list(
-        _read(sf_dir, "part", ["p_partkey", "p_brand"])
-        .iter_batches(batch_format="pyarrow")))
-    keep = pc.equal(pt["p_brand"], brand)
-    bkeys = np.sort(pt.filter(keep)["p_partkey"].to_numpy(
-        zero_copy_only=False))
-    bref = ray.put(bkeys)
+    def q100_of(t: pa.Table) -> np.ndarray:
+        return np.floor(_np(t["l_quantity"]) * 100.0 + 0.5).astype(np.int64)
 
     def q_partial(t: pa.Table) -> pa.Table:
-        bk = ray.get(bref)
-        pk = t["l_partkey"].to_numpy(zero_copy_only=False)
-        if len(bk) == 0:
-            hit = np.zeros(len(pk), dtype=bool)
-        else:
-            pos = np.clip(np.searchsorted(bk, pk), 0, len(bk) - 1)
-            hit = bk[pos] == pk
-        q100 = np.floor(t["l_quantity"].to_numpy(
-            zero_copy_only=False) * 100.0 + 0.5).astype(np.int64)
-        t2 = pa.table({"l_partkey": pa.array(pk[hit], pa.int64()),
-                       "q100": pa.array(q100[hit], pa.int64()),
-                       "one": pa.array(np.ones(int(hit.sum()),
-                                               np.int64))})
-        g = t2.group_by("l_partkey").aggregate(
-            [("q100", "sum"), ("one", "sum")])
-        return g.rename_columns(["l_partkey", "sum_q100", "n"])
+        pk = _np(t["l_partkey"])
+        hit = positions_in_sorted(pk, ray.get(bref))[1]
+        return pa.table({"l_partkey": pa.array(pk[hit], pa.int64()),
+                         "sum_q100": pa.array(q100_of(t)[hit], pa.int64()),
+                         "n": _ones(int(hit.sum()))})
 
     # pass 1 reads only the two columns it uses; l_extendedprice is
     # decoded only by the revenue pass
-    avg_batches = list(
-        (_read(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
-         .map_batches(q_partial, batch_format="pyarrow",
-                      zero_copy_batch=True)
-         .groupby("l_partkey")
-         .aggregate(Sum("sum_q100", alias_name="sum_q100"),
-                    Sum("n", alias_name="n")))
-        .iter_batches(batch_format="pyarrow"))
-    if not avg_batches:   # brand matches nothing → sum is 0, like the
-        return pa.table({  # oracle's coalesce(sum(cents), 0)
-            "sum_cents": pa.array([0], pa.int64()),
-            "avg_yearly_millicents": pa.array([0], pa.int64())})
-    avg_t = pa.concat_tables(avg_batches)
-    ak = avg_t["l_partkey"].to_numpy(zero_copy_only=False)
-    order = np.argsort(ak)
-    avg_ref = ray.put((
-        ak[order],
-        avg_t["sum_q100"].to_numpy(zero_copy_only=False)[order],
-        avg_t["n"].to_numpy(zero_copy_only=False)[order]))
+    avg_t = _collect(_fold(_read(sf_dir, "lineitem",
+                                 ["l_partkey", "l_quantity"]),
+                           q_partial, "l_partkey", "sum_q100 n"),
+                     "l_partkey sum_q100 n")
+    if not avg_t.num_rows:   # brand matches nothing → sum is 0, like the
+        return _table([(0, 0)],   # oracle's coalesce(sum(cents), 0)
+                      "sum_cents avg_yearly_millicents")
+    avg_ref = ray.put(_sorted_map(avg_t["l_partkey"], avg_t["sum_q100"],
+                                  avg_t["n"]))
 
     def rev_partial(t: pa.Table) -> pa.Table:
-        keys, sq, n = ray.get(avg_ref)
-        pk = t["l_partkey"].to_numpy(zero_copy_only=False)
-        if len(keys) == 0:
-            hit = np.zeros(len(pk), dtype=bool)
-            pos = np.zeros(len(pk), dtype=np.int64)
-        else:
-            pos = np.clip(np.searchsorted(keys, pk), 0, len(keys) - 1)
-            hit = keys[pos] == pk
-        q100 = np.floor(t["l_quantity"].to_numpy(
-            zero_copy_only=False) * 100.0 + 0.5).astype(np.int64)
+        hit, sq, n = _probe(ray.get(avg_ref), _np(t["l_partkey"]))
         # qty < 0.2·avg  ⇔  q100/100 < (sq/100)/(5n)  ⇔  5·q100·n < sq
-        ok = hit & (5 * q100 * n[pos] < sq[pos])
-        half_away = pc.RoundOptions(round_mode="half_towards_infinity")
-        cents = pc.cast(pc.round(pc.multiply(
-            t["l_extendedprice"], pa.scalar(100.0)),
-            options=half_away), pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        return pa.table({"cents": pa.array([int(cents[ok].sum())],
-                                           pa.int64())})
+        ok = hit & (5 * q100_of(t) * n < sq)
+        return pa.table({"cents": _np(_cents_of(t["l_extendedprice"]))[ok]})
 
-    agg = (_read(sf_dir, "lineitem",
-                 ["l_partkey", "l_quantity", "l_extendedprice"])
-           .map_batches(rev_partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .aggregate(Sum("cents", alias_name="cents")))
-    total = int(agg["cents"] or 0)
+    total = _fold(_read(sf_dir, "lineitem", ["l_partkey", "l_quantity",
+                                             "l_extendedprice"]),
+                  rev_partial, "", "cents")["cents"] or 0
     # avg yearly = sum/7: carry ×1000 to stay integer-exact
-    half = np.floor(1000.0 * total / 7.0 + 0.5)
-    return pa.table({"sum_cents": pa.array([total], pa.int64()),
-                     "avg_yearly_millicents":
-                         pa.array([int(half)], pa.int64())})
+    return _table([(int(total), int(np.floor(1000.0 * total / 7.0 + 0.5)))],
+                  "sum_cents avg_yearly_millicents")
 
 
-Q17_SQL = """
+Q17_SQL = f"""
 WITH avg_q AS (
   SELECT l_partkey,
-         CAST(sum(CAST(round(l_quantity * 100) AS BIGINT)) AS BIGINT)
-           AS sum_q100,
+         CAST(sum({_cents_sql("l_quantity")}) AS BIGINT) AS sum_q100,
          CAST(count(*) AS BIGINT) AS n
   FROM lineitem JOIN part ON p_partkey = l_partkey
   WHERE p_brand = 'Brand#23'
   GROUP BY l_partkey),
 hits AS (
-  SELECT CAST(round(l_extendedprice * 100) AS BIGINT) AS cents
+  SELECT {_cents_sql("l_extendedprice")} AS cents
   FROM lineitem
   JOIN avg_q ON avg_q.l_partkey = lineitem.l_partkey
-  WHERE 5 * CAST(round(l_quantity * 100) AS BIGINT) * n < sum_q100)
+  WHERE 5 * {_cents_sql("l_quantity")} * n < sum_q100)
 SELECT CAST(coalesce(sum(cents), 0) AS BIGINT) AS sum_cents,
        CAST(round(1000.0 * coalesce(sum(cents), 0) / 7.0) AS BIGINT)
          AS avg_yearly_millicents
@@ -3587,44 +2744,23 @@ def q13_customer_distribution(sf_dir: str):
     materialized left join ever exists.  (Adapted predicate: this
     corpus has no o_comment — non-urgent orders play the 'not special
     requests' role.)"""
-    from ray.data.aggregate import Sum
-
     def o_partial(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.invert(pc.equal(t["o_orderpriority"],
-                                        "1-URGENT")))
-        g = (t.select(["o_custkey"]).group_by("o_custkey")
-             .aggregate([("o_custkey", "count")]))
-        return g.rename_columns(["o_custkey", "n"])
+        t = t.filter(pc.invert(pc.equal(t["o_orderpriority"], "1-URGENT")))
+        return pa.table({"o_custkey": t["o_custkey"],
+                         "c_count": _ones(t.num_rows)})
 
-    counts = (_read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-              .map_batches(o_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-              .groupby("o_custkey")
-              .aggregate(Sum("n", alias_name="c_count")))
-
-    def hist_partial(t: pa.Table) -> pa.Table:
-        g = (t.select(["c_count"]).group_by("c_count")
-             .aggregate([("c_count", "count")]))
-        return g.rename_columns(["c_count", "n"])
-
-    hist = (counts.map_batches(hist_partial, batch_format="pyarrow")
-            .groupby("c_count").aggregate(Sum("n", alias_name="custdist")))
-    empty = pa.table({"c_count": pa.array([], pa.int64()),
-                      "custdist": pa.array([], pa.int64())})
-    batches = list(hist.iter_batches(batch_format="pyarrow"))
+    counts = _fold(_read(sf_dir, "orders", ["o_custkey", "o_orderpriority"]),
+                   o_partial, "o_custkey", "c_count")
     # all orders filtered away → empty aggregate, distribution is one
     # all-zero bucket (the left join keeps every customer)
-    t = pa.concat_tables(batches) if batches else empty
-    n_cust = _read(sf_dir, "customer", ["c_custkey"]).count()
-    matched = int(pc.sum(t["custdist"]).as_py() or 0)
-    t = pa.table({"c_count": t["c_count"].cast(pa.int64()),
-                  "custdist": t["custdist"].cast(pa.int64())})
-    if n_cust - matched > 0:
-        t = pa.concat_tables([t, pa.table({
-            "c_count": pa.array([0], pa.int64()),
-            "custdist": pa.array([n_cust - matched], pa.int64())})])
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("custdist", "descending"), ("c_count", "descending")]))
+    t = _collect(_fold(counts, lambda t: pa.table({
+        "c_count": t["c_count"], "custdist": _ones(t.num_rows)}),
+        "c_count", "custdist"), "c_count custdist")
+    n_zero = (_read(sf_dir, "customer", ["c_custkey"]).count()
+              - int(pc.sum(t["custdist"]).as_py() or 0))
+    if n_zero > 0:
+        t = pa.concat_tables([t, _table([(0, n_zero)], "c_count custdist")])
+    return t.sort_by([("custdist", "descending"), ("c_count", "descending")])
 
 
 Q13_SQL = """
@@ -3650,55 +2786,33 @@ def q19_discounted_revenue(sf_dir: str):
     as vectorized masks over the probed dimension — the fact table
     never shuffles and the result is one exact integer-cent sum."""
     import ray
-    from ray.data.aggregate import Sum
 
-    pt = pa.concat_tables(list(
-        _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"])
-        .iter_batches(batch_format="pyarrow")))
-    order = pc.sort_indices(pt["p_partkey"])
-    keys = pt["p_partkey"].take(order).to_numpy(zero_copy_only=False)
-    brand = np.asarray(pt["p_brand"].take(order).to_pylist())
-    size = pt["p_size"].take(order).to_numpy(zero_copy_only=False)
-    dim_ref = ray.put((keys, brand, size))
-
+    pt = _dim(sf_dir, "part", "p_partkey p_brand p_size")
+    dim_ref = ray.put(_sorted_map(pt["p_partkey"], pt["p_brand"],
+                                  pt["p_size"]))
     branches = (("Brand#12", 1, 15, 1.0, 11.0),
                 ("Brand#23", 1, 25, 10.0, 20.0),
                 ("Brand#34", 1, 35, 20.0, 30.0))
 
     def partial(t: pa.Table) -> pa.Table:
-        half_away = pc.RoundOptions(round_mode="half_towards_infinity")
-        ks, br, sz = ray.get(dim_ref)
-        pk = t["l_partkey"].to_numpy(zero_copy_only=False)
-        pos = np.clip(np.searchsorted(ks, pk), 0, max(len(ks) - 1, 0))
-        hit = ks[pos] == pk if len(ks) else np.zeros(len(pk), dtype=bool)
-        qty = t["l_quantity"].to_numpy(zero_copy_only=False)
-        mask = np.zeros(len(pk), dtype=bool)
+        hit, br, sz = _probe(ray.get(dim_ref), _np(t["l_partkey"]))
+        qty = _np(t["l_quantity"])
+        mask = np.zeros(len(qty), dtype=bool)
         for b, s_lo, s_hi, q_lo, q_hi in branches:
-            mask |= (hit & (br[pos] == b)
-                     & (sz[pos] >= s_lo) & (sz[pos] <= s_hi)
+            mask |= (hit & (br == b) & (sz >= s_lo) & (sz <= s_hi)
                      & (qty >= q_lo) & (qty <= q_hi))
-        cents = pc.cast(pc.round(pc.multiply(pc.multiply(
-            t["l_extendedprice"],
-            pc.subtract(pa.scalar(1.0), t["l_discount"])),
-            pa.scalar(100.0)), options=half_away), pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        return pa.table({"revenue_cents":
-                         pa.array([int(cents[mask].sum())], pa.int64())})
+        return pa.table({"revenue_cents": _np(_cents_of(_revenue(t)))[mask]})
 
-    agg = (_read(sf_dir, "lineitem",
-                 ["l_partkey", "l_quantity", "l_extendedprice",
-                  "l_discount"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .aggregate(Sum("revenue_cents", alias_name="revenue_cents")))
-    return pa.table({"revenue_cents":
-                     pa.array([int(agg["revenue_cents"] or 0)],
-                              pa.int64())})
+    # no qualifying row: SQL's sum is NULL
+    return _table([(_fold(_read(sf_dir, "lineitem",
+                                ["l_partkey", "l_quantity",
+                                 "l_extendedprice", "l_discount"]),
+                          partial, "", "revenue_cents")["revenue_cents"],)],
+                  "revenue_cents")
 
 
-Q19_SQL = """
-SELECT CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 100)
-                     AS BIGINT)) AS BIGINT) AS revenue_cents
+Q19_SQL = f"""
+SELECT CAST(sum({_REV_CENTS}) AS BIGINT) AS revenue_cents
 FROM lineitem JOIN part ON p_partkey = l_partkey
 WHERE (p_brand = 'Brand#12' AND p_size BETWEEN 1 AND 15
        AND l_quantity BETWEEN 1 AND 11)
@@ -3722,89 +2836,52 @@ def q22_sales_opportunity(sf_dir: str):
     this corpus — nationkey plays the country-code role, urgent
     orders play the existing-business role.)"""
     import ray
-    from ray.data.aggregate import Sum
-
-    def cents_of(col) -> np.ndarray:
-        # RoundOptions constructed inside the task fn — the pyarrow
-        # options object does not pickle into Ray Data transform fns
-        half_away = pc.RoundOptions(round_mode="half_towards_infinity")
-        return pc.cast(pc.round(pc.multiply(col, pa.scalar(100.0)),
-                                options=half_away), pa.int64()) \
-            .to_numpy(zero_copy_only=False)
 
     def bal_partial(t: pa.Table) -> pa.Table:
-        cents = cents_of(t["c_acctbal"])
+        cents = _np(_cents_of(t["c_acctbal"]))
         pos = cents > 0
-        return pa.table({"s": pa.array([int(cents[pos].sum())], pa.int64()),
-                         "n": pa.array([int(pos.sum())], pa.int64())})
+        return pa.table({"s": cents[pos], "n": pos[pos].astype(np.int64)})
 
-    agg = (_read(sf_dir, "customer", ["c_acctbal"])
-           .map_batches(bal_partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .aggregate(Sum("s", alias_name="s"), Sum("n", alias_name="n")))
-    s_total, n_total = int(agg["s"] or 0), int(agg["n"] or 0)
+    bal = _fold(_read(sf_dir, "customer", ["c_acctbal"]), bal_partial, "",
+                "s n")
+    s_total, n_total = int(bal["s"] or 0), int(bal["n"] or 0)
 
     def u_partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["o_orderpriority"], "1-URGENT"))
         return pa.table({"o_custkey": pc.unique(t["o_custkey"])})
 
-    urgent_parts = [b["o_custkey"].to_numpy(zero_copy_only=False)
-                    for b in _read(sf_dir, "orders",
-                                   ["o_custkey", "o_orderpriority"])
-                    .map_batches(u_partial, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-                    .iter_batches(batch_format="pyarrow")]
-    urgent = (np.unique(np.concatenate(urgent_parts)) if urgent_parts
-              else np.empty(0, dtype=np.int64))
-    urgent_ref = ray.put(urgent)
+    urgent_ref = ray.put(np.unique(_np(_collect(_map(
+        _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"]), u_partial),
+        "o_custkey")["o_custkey"])))
 
     def partial(t: pa.Table) -> pa.Table:
-        u = ray.get(urgent_ref)
-        cents = cents_of(t["c_acctbal"])
-        ck = t["c_custkey"].to_numpy(zero_copy_only=False)
-        if len(u):
-            pos = np.clip(np.searchsorted(u, ck), 0, len(u) - 1)
-            has_urgent = u[pos] == ck
-        else:
-            has_urgent = np.zeros(len(ck), dtype=bool)
+        cents = _np(_cents_of(t["c_acctbal"]))
+        has_urgent = positions_in_sorted(_np(t["c_custkey"]),
+                                         ray.get(urgent_ref))[1]
         keep = (cents * n_total > s_total) & ~has_urgent
-        t2 = pa.table({"c_nationkey": t["c_nationkey"].filter(
-                           pa.array(keep)),
-                       "cents": pa.array(cents[keep], pa.int64()),
-                       "one": pa.array(np.ones(int(keep.sum()),
-                                               dtype=np.int64))})
-        g = t2.group_by("c_nationkey").aggregate(
-            [("one", "sum"), ("cents", "sum")])
-        return g.rename_columns(["c_nationkey", "numcust",
-                                 "totacctbal_cents"])
+        return pa.table({"c_nationkey": t["c_nationkey"].filter(
+                             pa.array(keep)),
+                         "numcust": _ones(int(keep.sum())),
+                         "totacctbal_cents": pa.array(cents[keep],
+                                                      pa.int64())})
 
-    out = (_read(sf_dir, "customer",
-                 ["c_custkey", "c_nationkey", "c_acctbal"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("c_nationkey")
-           .aggregate(Sum("numcust", alias_name="numcust"),
-                      Sum("totacctbal_cents",
-                          alias_name="totacctbal_cents")))
-    t = pa.concat_tables(list(out.iter_batches(batch_format="pyarrow")))
-    t = pa.table({"c_nationkey": t["c_nationkey"].cast(pa.int64()),
-                  "numcust": t["numcust"].cast(pa.int64()),
-                  "totacctbal_cents":
-                      t["totacctbal_cents"].cast(pa.int64())})
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("c_nationkey", "ascending")]))
+    return _collect(_fold(_read(sf_dir, "customer",
+                                ["c_custkey", "c_nationkey", "c_acctbal"]),
+                          partial, "c_nationkey", "numcust totacctbal_cents"),
+                    "c_nationkey numcust totacctbal_cents"
+                    ).sort_by("c_nationkey")
 
 
-Q22_SQL = """
+Q22_SQL = f"""
 WITH bal AS (
   SELECT CAST(sum(CASE WHEN cents > 0 THEN cents ELSE 0 END) AS BIGINT) AS s,
          CAST(sum(CASE WHEN cents > 0 THEN 1 ELSE 0 END) AS BIGINT) AS n
-  FROM (SELECT CAST(round(c_acctbal * 100) AS BIGINT) AS cents
+  FROM (SELECT {_cents_sql("c_acctbal")} AS cents
         FROM customer)),
 eligible AS (
-  SELECT c_nationkey, CAST(round(c_acctbal * 100) AS BIGINT) AS cents
+  SELECT c_nationkey, {_cents_sql("c_acctbal")} AS cents
   FROM customer, bal
-  WHERE CAST(round(c_acctbal * 100) AS BIGINT) * bal.n > bal.s
+  WHERE {_cents_sql("c_acctbal")} * bal.n > bal.s
     AND NOT EXISTS (SELECT 1 FROM orders o
                     WHERE o.o_custkey = c_custkey
                       AND o.o_orderpriority = '1-URGENT'))
@@ -3817,10 +2894,9 @@ ORDER BY c_nationkey
 """
 
 
-Q14_SQL = """
+Q14_SQL = f"""
 WITH c AS (
-  SELECT CAST(round(l_extendedprice * (1 - l_discount) * 100) AS BIGINT)
-           AS cents,
+  SELECT {_REV_CENTS} AS cents,
          p_type LIKE 'PROMO%' AS is_promo
   FROM lineitem JOIN part ON p_partkey = l_partkey
   WHERE l_shipdate >= TIMESTAMP '1997-09-01'
@@ -3848,113 +2924,63 @@ def q5_local_supplier_volume(sf_dir: str):
     largest and is reduced to a custkey→nationkey int map before
     broadcast."""
     import ray
-    from ray.data.aggregate import Sum
 
     lo = pa.scalar(np.datetime64("1996-01-01", "us"))
     hi = pa.scalar(np.datetime64("1997-01-01", "us"))
 
-    region = pa.concat_tables(list(
-        _read(sf_dir, "region").iter_batches(batch_format="pyarrow")))
-    asia = region.filter(pc.equal(region["r_name"], "ASIA"))
-    rkey = asia["r_regionkey"][0].as_py()
-    nat = pa.concat_tables(list(
-        _read(sf_dir, "nation").iter_batches(batch_format="pyarrow")))
-    nat_in_region = nat.filter(pc.equal(nat["n_regionkey"],
-                                        pa.scalar(rkey, pa.int32())))
-    nkeys = nat_in_region["n_nationkey"].to_numpy(zero_copy_only=False)
-    nnames = nat_in_region["n_name"].to_pylist()
-    name_of = dict(zip(nkeys.tolist(), nnames))
-
-    def _sorted_map(ds, kcol, vcol):
-        t = pa.concat_tables(list(
-            ds.iter_batches(batch_format="pyarrow")))
-        order = pc.sort_indices(t[kcol])
-        return (t[kcol].take(order).to_numpy(zero_copy_only=False),
-                t[vcol].take(order).to_numpy(zero_copy_only=False)
-                .astype(np.int64))
-
-    ck, cn = _sorted_map(_read(sf_dir, "customer",
-                               ["c_custkey", "c_nationkey"]),
-                         "c_custkey", "c_nationkey")
-    sk, sn = _sorted_map(_read(sf_dir, "supplier",
-                               ["s_suppkey", "s_nationkey"]),
-                         "s_suppkey", "s_nationkey")
-    dim_ref = ray.put((ck, cn, sk, sn, np.sort(nkeys).astype(np.int64)))
+    region = _dim(sf_dir, "region", "r_regionkey r_name")
+    nat = _dim(sf_dir, "nation", "n_nationkey n_name n_regionkey")
+    nat = nat.filter(pc.is_in(nat["n_regionkey"], value_set=region.filter(
+        pc.equal(region["r_name"], "ASIA"))["r_regionkey"].combine_chunks()))
+    nkeys = _np(nat["n_nationkey"])
+    name_of = dict(zip(nkeys.tolist(), nat["n_name"].to_pylist()))
+    cus = _dim(sf_dir, "customer", "c_custkey c_nationkey")
+    sup = _dim(sf_dir, "supplier", "s_suppkey s_nationkey")
+    dim_ref = ray.put((_sorted_map(cus["c_custkey"], cus["c_nationkey"]),
+                       _sorted_map(sup["s_suppkey"], sup["s_nationkey"]),
+                       np.sort(nkeys)))
 
     def filter_orders(t: pa.Table) -> pa.Table:
         keep = pc.and_(pc.greater_equal(t["o_orderdate"], lo),
                        pc.less(t["o_orderdate"], hi))
         return t.filter(keep).select(["o_orderkey", "o_custkey"])
 
-    orders = (_read(sf_dir, "orders",
-                    ["o_orderkey", "o_custkey", "o_orderdate"])
-              .map_batches(filter_orders, batch_format="pyarrow",
-                           zero_copy_batch=True))
-
     def li_project(t: pa.Table) -> pa.Table:
-        half_away = pc.RoundOptions(round_mode="half_towards_infinity")
-        cents = pc.cast(pc.round(pc.multiply(
-            pc.multiply(t["l_extendedprice"],
-                        pc.subtract(pa.scalar(1.0), t["l_discount"])),
-            pa.scalar(100.0)), options=half_away), pa.int64())
         return pa.table({"l_orderkey": t["l_orderkey"],
                          "l_suppkey": t["l_suppkey"],
-                         "cents": cents})
-
-    li = (_read(sf_dir, "lineitem",
-                ["l_orderkey", "l_suppkey", "l_extendedprice",
-                 "l_discount"])
-          .map_batches(li_project, batch_format="pyarrow",
-                       zero_copy_batch=True))
-
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    j = li.join(orders, join_type="inner",
-                num_partitions=max(2, cpus // 2),
-                on=("l_orderkey",), right_on=("o_orderkey",),
-                aggregator_ray_remote_args={"num_cpus": 0.5})
+                         "cents": _cents_of(_revenue(t))})
 
     def local_partial(t: pa.Table) -> pa.Table:
-        from mee_ray.ids import positions_in_sorted
-        ck_, cn_, sk_, sn_, nk_ = ray.get(dim_ref)
-        if ck_.size == 0 or sk_.size == 0:
-            return pa.table({"nationkey": pa.array([], pa.int64()),
-                             "cents": pa.array([], pa.int64())})
-        cust = t["o_custkey"].to_numpy(zero_copy_only=False)
-        supp = t["l_suppkey"].to_numpy(zero_copy_only=False)
+        cmap, smap, nk = ray.get(dim_ref)
         # checked probes (inner-join semantics): a dangling key drops
         # the row, never credits the lexically nearest customer /
-        # supplier's nation (and an out-of-range key cannot IndexError)
-        cpos, chit = positions_in_sorted(cust, ck_)
-        spos, shit = positions_in_sorted(supp, sk_)
-        cnat = cn_[cpos]
-        snat = sn_[spos]
-        keep = chit & shit & (cnat == snat) & np.isin(cnat, nk_)
-        if not keep.any():
-            return pa.table({"nationkey": pa.array([], pa.int64()),
-                             "cents": pa.array([], pa.int64())})
-        part = pa.table({
-            "nationkey": pa.array(cnat[keep], pa.int64()),
-            "cents": t["cents"].filter(pa.array(keep))})
-        g = part.group_by("nationkey").aggregate([("cents", "sum")])
-        return g.rename_columns(["nationkey", "cents"])
+        # supplier's nation
+        chit, cnat = _probe(cmap, _np(t["o_custkey"]))
+        shit, snat = _probe(smap, _np(t["l_suppkey"]))
+        keep = chit & shit & (cnat == snat) & np.isin(cnat, nk)
+        return pa.table({"nationkey": pa.array(cnat[keep], pa.int64()),
+                         "revenue_cents": t["cents"].filter(pa.array(keep))})
 
-    agg = (j.map_batches(local_partial, batch_format="pyarrow")
-           .groupby("nationkey")
-           .aggregate(Sum("cents", alias_name="revenue_cents")))
-    t = pa.concat_tables(list(
-        agg.iter_batches(batch_format="pyarrow")))
-    names = pa.array([name_of[k] for k in
-                      t["nationkey"].to_pylist()], pa.string())
-    out = pa.table({"n_name": names,
-                    "revenue_cents": t["revenue_cents"].cast(pa.int64())})
-    return out.take(pc.sort_indices(out, sort_keys=[
-        ("revenue_cents", "descending"), ("n_name", "ascending")]))
+    orders = _map(_read(sf_dir, "orders",
+                        ["o_orderkey", "o_custkey", "o_orderdate"]),
+                  filter_orders)
+    li = _map(_read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey",
+                                         "l_extendedprice", "l_discount"]),
+              li_project)
+    j = _join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
+              "o_orderkey")
+    t = _collect(_fold(j, local_partial, "nationkey", "revenue_cents"),
+                 "nationkey revenue_cents")
+    return pa.table({"n_name": pa.array([name_of[k] for k in
+                                         t["nationkey"].to_pylist()],
+                                        pa.string()),
+                     "revenue_cents": t["revenue_cents"]}).sort_by(
+        [("revenue_cents", "descending"), ("n_name", "ascending")])
 
 
-Q5_SQL = """
+Q5_SQL = f"""
 SELECT n_name,
-       CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 100)
-                     AS BIGINT)) AS BIGINT) AS revenue_cents
+       CAST(sum({_REV_CENTS}) AS BIGINT) AS revenue_cents
 FROM customer
 JOIN orders   ON c_custkey  = o_custkey
 JOIN lineitem ON l_orderkey = o_orderkey
@@ -3980,23 +3006,13 @@ def q4_order_priority(sf_dir: str):
     the priority histogram is a tiny groupby.  (Adapted predicate:
     this corpus has no commit/receipt dates — 'a lineitem shipped
     after the order date' plays the late-lineitem role.)"""
-    import ray
-    from ray.data.aggregate import Max, Sum
-
     lo = pa.scalar(np.datetime64("1996-07-01", "us"))
     hi = pa.scalar(np.datetime64("1996-10-01", "us"))
 
-    def li_partial(t: pa.Table) -> pa.Table:
-        g = (t.select(["l_orderkey", "l_shipdate"])
-             .group_by("l_orderkey")
-             .aggregate([("l_shipdate", "max")]))
-        return g.rename_columns(["l_orderkey", "max_ship"])
-
-    witness = (_read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
-               .map_batches(li_partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-               .groupby("l_orderkey")
-               .aggregate(Max("max_ship", alias_name="max_ship")))
+    witness = _fold(_read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]),
+                    lambda t: pa.table({"l_orderkey": t["l_orderkey"],
+                                        "max_ship": t["l_shipdate"]}),
+                    "l_orderkey", "max_ship:max")
 
     def filter_orders(t: pa.Table) -> pa.Table:
         keep = pc.and_(pc.greater_equal(t["o_orderdate"], lo),
@@ -4004,33 +3020,19 @@ def q4_order_priority(sf_dir: str):
         return t.filter(keep).select(
             ["o_orderkey", "o_orderdate", "o_orderpriority"])
 
-    orders = (_read(sf_dir, "orders",
-                    ["o_orderkey", "o_orderdate", "o_orderpriority"])
-              .map_batches(filter_orders, batch_format="pyarrow",
-                           zero_copy_batch=True))
-
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    j = orders.join(witness, join_type="inner",
-                    num_partitions=max(2, cpus // 2),
-                    on=("o_orderkey",), right_on=("l_orderkey",),
-                    aggregator_ray_remote_args={"num_cpus": 0.5})
-
     def count_partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.greater(t["max_ship"], t["o_orderdate"]))
-        g = (t.select(["o_orderpriority"])
-             .group_by("o_orderpriority")
-             .aggregate([("o_orderpriority", "count")]))
-        return g.rename_columns(["o_orderpriority", "n"])
+        return pa.table({"o_orderpriority": t["o_orderpriority"],
+                         "order_count": _ones(t.num_rows)})
 
-    agg = (j.map_batches(count_partial, batch_format="pyarrow")
-           .groupby("o_orderpriority")
-           .aggregate(Sum("n", alias_name="order_count")))
-    t = pa.concat_tables(list(
-        agg.iter_batches(batch_format="pyarrow")))
-    t = pa.table({"o_orderpriority": t["o_orderpriority"],
-                  "order_count": t["order_count"].cast(pa.int64())})
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("o_orderpriority", "ascending")]))
+    orders = _map(_read(sf_dir, "orders",
+                        ["o_orderkey", "o_orderdate", "o_orderpriority"]),
+                  filter_orders)
+    j = _join(sf_dir, "orders lineitem", orders, witness, "o_orderkey",
+              "l_orderkey")
+    return _collect(_fold(j, count_partial, "o_orderpriority", "order_count"),
+                    "o_orderpriority:str order_count"
+                    ).sort_by("o_orderpriority")
 
 
 Q4_SQL = """
@@ -4055,68 +3057,38 @@ def q10_returned_items(sf_dir: str):
     the per-customer rollup is a second small groupby, and only the
     ≤20 survivors touch the (broadcastable) customer/nation dimension
     names."""
-    import ray
-    from ray.data.aggregate import Sum
-
     lo = pa.scalar(np.datetime64("1996-01-01", "us"))
     hi = pa.scalar(np.datetime64("1996-04-01", "us"))
 
     def li_partial(t: pa.Table) -> pa.Table:
-        half_away = pc.RoundOptions(round_mode="half_towards_infinity")
         t = t.filter(pc.equal(t["l_returnflag"], "R"))
-        cents = pc.cast(pc.round(pc.multiply(
-            pc.multiply(t["l_extendedprice"],
-                        pc.subtract(pa.scalar(1.0), t["l_discount"])),
-            pa.scalar(100.0)), options=half_away), pa.int64())
-        part = pa.table({"l_orderkey": t["l_orderkey"], "cents": cents})
-        g = part.group_by("l_orderkey").aggregate([("cents", "sum")])
-        return g.rename_columns(["l_orderkey", "cents"])
-
-    li = (_read(sf_dir, "lineitem",
-                ["l_orderkey", "l_returnflag", "l_extendedprice",
-                 "l_discount"])
-          .map_batches(li_partial, batch_format="pyarrow",
-                       zero_copy_batch=True))
+        return (pa.table({"l_orderkey": t["l_orderkey"],
+                          "cents": _cents_of(_revenue(t))})
+                .group_by("l_orderkey").aggregate([("cents", "sum")])
+                .rename_columns(["l_orderkey", "cents"]))
 
     def filter_orders(t: pa.Table) -> pa.Table:
         keep = pc.and_(pc.greater_equal(t["o_orderdate"], lo),
                        pc.less(t["o_orderdate"], hi))
         return t.filter(keep).select(["o_orderkey", "o_custkey"])
 
-    orders = (_read(sf_dir, "orders",
-                    ["o_orderkey", "o_custkey", "o_orderdate"])
-              .map_batches(filter_orders, batch_format="pyarrow",
-                           zero_copy_batch=True))
+    li = _map(_read(sf_dir, "lineitem", ["l_orderkey", "l_returnflag",
+                                         "l_extendedprice", "l_discount"]),
+              li_partial)
+    orders = _map(_read(sf_dir, "orders",
+                        ["o_orderkey", "o_custkey", "o_orderdate"]),
+                  filter_orders)
+    j = _join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
+              "o_orderkey")
+    per_cust = _fold(j, lambda t: pa.table({"o_custkey": t["o_custkey"],
+                                            "revenue_cents": t["cents"]}),
+                     "o_custkey", "revenue_cents")
+    by = [("revenue_cents", "descending"), ("o_custkey", "ascending")]
+    top = _top(_collect(_map(per_cust, lambda t: _top(t, by, 20)),
+                        "o_custkey revenue_cents"), by, 20)
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    j = li.join(orders, join_type="inner",
-                num_partitions=max(2, cpus // 2),
-                on=("l_orderkey",), right_on=("o_orderkey",),
-                aggregator_ray_remote_args={"num_cpus": 0.5})
-
-    per_cust = (j.groupby("o_custkey")
-                .aggregate(Sum("cents", alias_name="revenue_cents")))
-
-    def topk_part(t: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(t, sort_keys=[
-            ("revenue_cents", "descending"),
-            ("o_custkey", "ascending")])[:20]
-        return t.take(idx).select(["o_custkey", "revenue_cents"])
-
-    parts = per_cust.map_batches(topk_part, batch_format="pyarrow")
-    merged = pa.concat_tables(list(
-        parts.iter_batches(batch_format="pyarrow")))
-    idx = pc.sort_indices(merged, sort_keys=[
-        ("revenue_cents", "descending"), ("o_custkey", "ascending")])[:20]
-    top = merged.take(idx)
-
-    cust = pa.concat_tables(list(
-        _read(sf_dir, "customer",
-              ["c_custkey", "c_name", "c_nationkey"])
-        .iter_batches(batch_format="pyarrow")))
-    nat = pa.concat_tables(list(
-        _read(sf_dir, "nation", ["n_nationkey", "n_name"])
-        .iter_batches(batch_format="pyarrow")))
+    cust = _dim(sf_dir, "customer", "c_custkey c_name c_nationkey")
+    nat = _dim(sf_dir, "nation", "n_nationkey n_name")
     cmap = {k: (nm, nk) for k, nm, nk in zip(
         cust["c_custkey"].to_pylist(), cust["c_name"].to_pylist(),
         cust["c_nationkey"].to_pylist())}
@@ -4124,16 +3096,15 @@ def q10_returned_items(sf_dir: str):
                     nat["n_name"].to_pylist()))
     cks = top["o_custkey"].to_pylist()
     return pa.table({
-        "c_custkey": pa.array(cks, pa.int64()),
+        "c_custkey": top["o_custkey"],
         "c_name": pa.array([cmap[k][0] for k in cks], pa.string()),
         "n_name": pa.array([nmap[cmap[k][1]] for k in cks], pa.string()),
-        "revenue_cents": top["revenue_cents"].cast(pa.int64())})
+        "revenue_cents": top["revenue_cents"]})
 
 
-Q10_SQL = """
+Q10_SQL = f"""
 SELECT c_custkey, c_name, n_name,
-       CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 100)
-                     AS BIGINT)) AS BIGINT) AS revenue_cents
+       CAST(sum({_REV_CENTS}) AS BIGINT) AS revenue_cents
 FROM customer
 JOIN orders   ON c_custkey  = o_custkey
 JOIN lineitem ON l_orderkey = o_orderkey
@@ -4158,49 +3129,19 @@ def matrix_stats_lineitem(sf_dir: str):
     sums beyond int64 (≳10^18 — petabyte-scale cent squares) the fold
     would switch to a two-limb accumulator; DuckDB's HUGEINT already
     covers the oracle side."""
-    from ray.data.aggregate import Sum
-
     def partial(t: pa.Table) -> pa.Table:
-        half_away = pc.RoundOptions(round_mode="half_towards_infinity")
-        x = pc.cast(pc.round(t["l_quantity"]), pa.int64())
-        y = pc.cast(pc.round(pc.multiply(
-            t["l_extendedprice"], pa.scalar(100.0)),
-            options=half_away), pa.int64())
-        t2 = pa.table({
-            "l_returnflag": t["l_returnflag"],
-            "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            "sx": x, "sy": y,
-            "sxx": pc.multiply(x, x),
-            "syy": pc.multiply(y, y),
-            "sxy": pc.multiply(x, y)})
-        g = t2.group_by("l_returnflag").aggregate(
-            [("n", "sum"), ("sx", "sum"), ("sy", "sum"),
-             ("sxx", "sum"), ("syy", "sum"), ("sxy", "sum")])
-        return g.rename_columns(["l_returnflag", "n", "sx", "sy",
-                                 "sxx", "syy", "sxy"])
+        x = _cents_of(t["l_quantity"], 1)
+        y = _cents_of(t["l_extendedprice"])
+        return pa.table({"l_returnflag": t["l_returnflag"],
+                         "n": _ones(t.num_rows), "sx": x, "sy": y,
+                         "sxx": pc.multiply(x, x), "syy": pc.multiply(y, y),
+                         "sxy": pc.multiply(x, y)})
 
-    agg = (_read(sf_dir, "lineitem",
-                 ["l_returnflag", "l_quantity", "l_extendedprice"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("l_returnflag")
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("sx", alias_name="sx"),
-                      Sum("sy", alias_name="sy"),
-                      Sum("sxx", alias_name="sxx"),
-                      Sum("syy", alias_name="syy"),
-                      Sum("sxy", alias_name="sxy")))
-    batches = list(agg.iter_batches(batch_format="pyarrow"))
-    EMPTY = pa.table({"l_returnflag": pa.array([], pa.string()),
-                      "n": pa.array([], pa.int64()),
-                      "mean_qty": pa.array([], pa.float64()),
-                      "mean_cents": pa.array([], pa.float64()),
-                      "covariance": pa.array([], pa.float64()),
-                      "correlation": pa.array([], pa.float64())})
-    if not batches:
-        return EMPTY
-    t = pa.concat_tables(batches)
-    import math
+    t = _collect(_fold(_read(sf_dir, "lineitem", ["l_returnflag",
+                                                  "l_quantity",
+                                                  "l_extendedprice"]),
+                       partial, "l_returnflag", "n sx sy sxx syy sxy"),
+                 "l_returnflag:str n sx sy sxx syy sxy")
     rows = []
     for r in t.to_pylist():
         n = float(r["n"])
@@ -4212,30 +3153,24 @@ def matrix_stats_lineitem(sf_dir: str):
         corr = (n * sxy - sx * sy) / den if den > 0 else 0.0
         rows.append((r["l_returnflag"], int(r["n"]), sx / n, sy / n,
                      cov, corr))
-    rows.sort()
-    return pa.table({
-        "l_returnflag": pa.array([x[0] for x in rows], pa.string()),
-        "n": pa.array([x[1] for x in rows], pa.int64()),
-        "mean_qty": pa.array([x[2] for x in rows], pa.float64()),
-        "mean_cents": pa.array([x[3] for x in rows], pa.float64()),
-        "covariance": pa.array([x[4] for x in rows], pa.float64()),
-        "correlation": pa.array([x[5] for x in rows], pa.float64())})
+    return _table(sorted(rows), "l_returnflag:str n mean_qty:f64 "
+                  "mean_cents:f64 covariance:f64 correlation:f64")
 
 
-MATRIX_STATS_SQL = """
+MATRIX_STATS_SQL = f"""
 WITH m AS (
   SELECT l_returnflag,
          CAST(count(*) AS DOUBLE) AS n,
          CAST(sum(CAST(round(l_quantity) AS BIGINT)) AS DOUBLE) AS sx,
-         CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT))
+         CAST(sum({_PRICE_CENTS})
               AS DOUBLE) AS sy,
          CAST(sum(CAST(round(l_quantity) AS BIGINT)
                   * CAST(round(l_quantity) AS BIGINT)) AS DOUBLE) AS sxx,
-         CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                  * CAST(round(l_extendedprice * 100) AS BIGINT))
+         CAST(sum({_PRICE_CENTS}
+                  * {_PRICE_CENTS})
               AS DOUBLE) AS syy,
          CAST(sum(CAST(round(l_quantity) AS BIGINT)
-                  * CAST(round(l_extendedprice * 100) AS BIGINT))
+                  * {_PRICE_CENTS})
               AS DOUBLE) AS sxy
   FROM lineitem GROUP BY l_returnflag)
 SELECT l_returnflag, CAST(n AS BIGINT) AS n,
@@ -4257,48 +3192,28 @@ def weighted_avg_lineitem(sf_dir: str):
     one tiny groupby, the float division applied ONCE to the exact
     integers with the oracle's identical tree (bit-exact values, no
     rounding)."""
-    from ray.data.aggregate import Sum
-
     def partial(t: pa.Table) -> pa.Table:
-        half_away = pc.RoundOptions(round_mode="half_towards_infinity")
-        q = pc.cast(pc.round(t["l_quantity"]), pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(
-            t["l_extendedprice"], pa.scalar(100.0)),
-            options=half_away), pa.int64())
-        t2 = pa.table({"l_returnflag": t["l_returnflag"],
-                       "wsum": pc.multiply(cents, q), "w": q})
-        g = t2.group_by("l_returnflag").aggregate(
-            [("wsum", "sum"), ("w", "sum")])
-        return g.rename_columns(["l_returnflag", "wsum_p", "w_p"])
+        q = _cents_of(t["l_quantity"], 1)
+        return pa.table({"l_returnflag": t["l_returnflag"],
+                         "wsum": pc.multiply(_cents_of(t["l_extendedprice"]),
+                                             q), "w": q})
 
-    agg = (_read(sf_dir, "lineitem",
-                 ["l_returnflag", "l_quantity", "l_extendedprice"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("l_returnflag")
-           .aggregate(Sum("wsum_p", alias_name="wsum"),
-                      Sum("w_p", alias_name="w")))
-    batches = list(agg.iter_batches(batch_format="pyarrow"))
-    if not batches:
-        return pa.table({"l_returnflag": pa.array([], pa.string()),
-                         "total_weight": pa.array([], pa.int64()),
-                         "weighted_avg_cents": pa.array([], pa.float64())})
-    t = pa.concat_tables(batches)
-    rows = sorted((r["l_returnflag"], int(r["w"]),
-                   float(r["wsum"]) / float(r["w"]))
-                  for r in t.to_pylist())
-    return pa.table({
-        "l_returnflag": pa.array([x[0] for x in rows], pa.string()),
-        "total_weight": pa.array([x[1] for x in rows], pa.int64()),
-        "weighted_avg_cents": pa.array([x[2] for x in rows],
-                                       pa.float64())})
+    t = _collect(_fold(_read(sf_dir, "lineitem", ["l_returnflag",
+                                                  "l_quantity",
+                                                  "l_extendedprice"]),
+                       partial, "l_returnflag", "wsum w"),
+                 "l_returnflag:str wsum w")
+    return _table(sorted((r["l_returnflag"], int(r["w"]),
+                          float(r["wsum"]) / float(r["w"]))
+                         for r in t.to_pylist()),
+                  "l_returnflag:str total_weight weighted_avg_cents:f64")
 
 
-WEIGHTED_AVG_SQL = """
+WEIGHTED_AVG_SQL = f"""
 SELECT l_returnflag,
        CAST(sum(CAST(round(l_quantity) AS BIGINT)) AS BIGINT)
          AS total_weight,
-       CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
+       CAST(sum({_PRICE_CENTS}
                 * CAST(round(l_quantity) AS BIGINT)) AS DOUBLE)
        / CAST(sum(CAST(round(l_quantity) AS BIGINT)) AS DOUBLE)
          AS weighted_avg_cents
@@ -4322,58 +3237,31 @@ def q12_priority_classes(sf_dir: str):
     (1-URGENT / 2-HIGH) vs the rest, for one ship year.  Partial
     counts fold inside map_batches; the final groupby moves ≤
     #statuses × #partitions tiny rows."""
-    import ray
-    from ray.data.aggregate import Sum
-
     lo = pa.scalar(np.datetime64("1997-01-01", "us"))
     hi = pa.scalar(np.datetime64("1998-01-01", "us"))
 
     def li_filter(t: pa.Table) -> pa.Table:
         keep = pc.and_(pc.greater_equal(t["l_shipdate"], lo),
                        pc.less(t["l_shipdate"], hi))
-        t = t.filter(keep)
-        return t.select(["l_orderkey", "l_linestatus"])
-
-    li = (_read(sf_dir, "lineitem", ["l_orderkey", "l_linestatus",
-                                     "l_shipdate"])
-          .map_batches(li_filter, batch_format="pyarrow",
-                       zero_copy_batch=True))
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    j = li.join(orders, join_type="inner",
-                num_partitions=max(2, cpus // 2),
-                on=("l_orderkey",), right_on=("o_orderkey",),
-                aggregator_ray_remote_args={"num_cpus": 0.5})
+        return t.filter(keep).select(["l_orderkey", "l_linestatus"])
 
     def partial(t: pa.Table) -> pa.Table:
-        hi_m = pc.is_in(t["o_orderpriority"],
-                        value_set=pa.array(["1-URGENT", "2-HIGH"]))
-        hi_i = pc.cast(hi_m, pa.int64())
-        lo_i = pc.subtract(pa.scalar(1, pa.int64()), hi_i)
-        t2 = pa.table({"l_linestatus": t["l_linestatus"],
-                       "hi": hi_i, "lo": lo_i})
-        g = t2.group_by("l_linestatus").aggregate(
-            [("hi", "sum"), ("lo", "sum")])
-        return g.rename_columns(["l_linestatus", "hi_part", "lo_part"])
+        hi_i = pc.cast(pc.is_in(t["o_orderpriority"], value_set=pa.array(
+            ["1-URGENT", "2-HIGH"])), pa.int64())
+        return pa.table({"l_linestatus": t["l_linestatus"],
+                         "high_line_count": hi_i,
+                         "low_line_count": pc.subtract(
+                             pa.scalar(1, pa.int64()), hi_i)})
 
-    agg = (j.map_batches(partial, batch_format="pyarrow")
-           .groupby("l_linestatus")
-           .aggregate(Sum("hi_part", alias_name="high_line_count"),
-                      Sum("lo_part", alias_name="low_line_count")))
-
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "l_linestatus": t["l_linestatus"],
-            "high_line_count": pc.cast(t["high_line_count"], pa.int64()),
-            "low_line_count": pc.cast(t["low_line_count"], pa.int64())})
-
-    batches = list(agg.map_batches(finish, batch_format="pyarrow")
-                   .iter_batches(batch_format="pyarrow"))
-    if not batches:
-        return pa.table({"l_linestatus": pa.array([], pa.string()),
-                         "high_line_count": pa.array([], pa.int64()),
-                         "low_line_count": pa.array([], pa.int64())})
-    return pa.concat_tables(batches).sort_by("l_linestatus")
+    li = _map(_read(sf_dir, "lineitem", ["l_orderkey", "l_linestatus",
+                                         "l_shipdate"]), li_filter)
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
+    j = _join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
+              "o_orderkey")
+    return _collect(_fold(j, partial, "l_linestatus",
+                          "high_line_count low_line_count"),
+                    "l_linestatus:str high_line_count low_line_count"
+                    ).sort_by("l_linestatus")
 
 
 Q12_SQL = """
@@ -4402,94 +3290,50 @@ def q9_product_profit(sf_dir: str):
     (supplier nation, order year).  lineitem ⋈ orders is the one
     shuffle (o_orderdate must ride the join); part and supplier→nation
     collapse to broadcast probe maps like Q5/Q7."""
-    import pyarrow.parquet as _pq
     import ray
-    from ray.data.aggregate import Sum
 
-    part = _pq.read_table(f"{sf_dir}/part.parquet",
-                          columns=["p_partkey", "p_name"])
-    pk = part.filter(pc.match_substring(part["p_name"], "widget"))[
-        "p_partkey"].to_numpy(zero_copy_only=False)
-    pk = np.sort(pk)
-    nat = _pq.read_table(f"{sf_dir}/nation.parquet",
-                         columns=["n_nationkey", "n_name"])
+    part = _dim(sf_dir, "part", "p_partkey p_name")
+    pk = np.sort(_np(part.filter(pc.match_substring(
+        part["p_name"], "widget"))["p_partkey"]))
+    nat = _dim(sf_dir, "nation", "n_nationkey n_name")
     nmap = dict(zip(nat["n_nationkey"].to_pylist(),
                     nat["n_name"].to_pylist()))
-    sup = _pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey", "s_nationkey"])
-    sk = sup["s_suppkey"].to_numpy(zero_copy_only=False)
-    order = np.argsort(sk)
-    s_keys = sk[order]
-    s_nk = sup["s_nationkey"].to_numpy(zero_copy_only=False) \
-        .astype(np.int64)[order]
-    dim_ref = ray.put((pk, s_keys, s_nk))
+    sup = _dim(sf_dir, "supplier", "s_suppkey s_nationkey")
+    dim_ref = ray.put((pk, _sorted_map(sup["s_suppkey"], sup["s_nationkey"])))
 
     def li_partial(t: pa.Table) -> pa.Table:
-        from mee_ray.ids import positions_in_sorted
-        keys, skeys, snk = ray.get(dim_ref)
-        if skeys.size == 0:
-            keys = keys[:0]      # no suppliers ⇒ no joinable rows
-        lp = t["l_partkey"].to_numpy(zero_copy_only=False)
-        _, ok = positions_in_sorted(lp, keys)
-        t = t.filter(pa.array(ok))
-        half_away = pc.RoundOptions(round_mode="half_towards_infinity")
-        cents = pc.cast(pc.round(pc.multiply(pc.multiply(
-            t["l_extendedprice"],
-            pc.subtract(pa.scalar(1.0), t["l_discount"])),
-            pa.scalar(100.0)), options=half_away), pa.int64())
-        sup_k = t["l_suppkey"].to_numpy(zero_copy_only=False)
+        keys, smap = ray.get(dim_ref)
+        t = t.filter(pa.array(positions_in_sorted(_np(t["l_partkey"]),
+                                                  keys)[1]))
         # checked probe: a dangling l_suppkey drops (inner join), it
         # must not inherit the nearest supplier's nation
-        spos, sok = positions_in_sorted(sup_k, skeys)
-        out = pa.table({"l_orderkey": t["l_orderkey"],
-                        "nat_k": pa.array(snk[spos], pa.int64()),
-                        "cents": cents})
-        if not sok.all():
-            out = out.filter(pa.array(sok))
-        return out
+        hit, nat_k = _probe(smap, _np(t["l_suppkey"]))
+        return pa.table({"l_orderkey": t["l_orderkey"],
+                         "nat_k": pa.array(nat_k, pa.int64()),
+                         "cents": _cents_of(_revenue(t))}
+                        ).filter(pa.array(hit))
 
-    li = (_read(sf_dir, "lineitem",
-                ["l_orderkey", "l_partkey", "l_suppkey",
-                 "l_extendedprice", "l_discount"])
-          .map_batches(li_partial, batch_format="pyarrow",
-                       zero_copy_batch=True))
+    li = _map(_read(sf_dir, "lineitem", ["l_orderkey", "l_partkey",
+                                         "l_suppkey", "l_extendedprice",
+                                         "l_discount"]), li_partial)
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    j = li.join(orders, join_type="inner",
-                num_partitions=max(2, cpus // 2),
-                on=("l_orderkey",), right_on=("o_orderkey",),
-                aggregator_ray_remote_args={"num_cpus": 0.5})
-
-    def rev_partial(t: pa.Table) -> pa.Table:
-        year = pc.year(t["o_orderdate"]).cast(pa.int64())
-        t2 = pa.table({"nat_k": t["nat_k"], "o_year": year,
-                       "cents": t["cents"]})
-        g = t2.group_by(["nat_k", "o_year"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["nat_k", "o_year", "cents_part"])
-
-    agg = (j.map_batches(rev_partial, batch_format="pyarrow")
-           .groupby(["nat_k", "o_year"])
-           .aggregate(Sum("cents_part", alias_name="profit_cents")))
-    batches = list(agg.iter_batches(batch_format="pyarrow"))
-    if not batches:
-        return pa.table({"nation": pa.array([], pa.string()),
-                         "o_year": pa.array([], pa.int64()),
-                         "profit_cents": pa.array([], pa.int64())})
-    t = pa.concat_tables(batches)
+    j = _join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
+              "o_orderkey")
+    t = _collect(_fold(j, lambda t: pa.table({
+        "nat_k": t["nat_k"], "o_year": pc.year(t["o_orderdate"]).cast(
+            pa.int64()), "profit_cents": t["cents"]}),
+        "nat_k o_year", "profit_cents"), "nat_k o_year profit_cents")
     t = pa.table({"nation": pa.array(
                       [nmap[x] for x in t["nat_k"].to_pylist()],
                       pa.string()),
-                  "o_year": t["o_year"].cast(pa.int64()),
-                  "profit_cents": t["profit_cents"].cast(pa.int64())})
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("nation", "ascending"), ("o_year", "descending")]))
+                  "o_year": t["o_year"], "profit_cents": t["profit_cents"]})
+    return t.sort_by([("nation", "ascending"), ("o_year", "descending")])
 
 
-Q9_SQL = """
+Q9_SQL = f"""
 SELECT n_name AS nation,
        CAST(year(o_orderdate) AS BIGINT) AS o_year,
-       CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 100)
-                     AS BIGINT)) AS BIGINT) AS profit_cents
+       CAST(sum({_REV_CENTS}) AS BIGINT) AS profit_cents
 FROM lineitem
 JOIN orders   ON o_orderkey = l_orderkey
 JOIN part     ON p_partkey  = l_partkey
@@ -4514,84 +3358,43 @@ def q16_supplier_part_cnt(sf_dir: str):
     groupby finishes the global dedup and a second tiny groupby
     counts — the canonical two-shuffle exact-distinct plan
     (distinct_users_per_event_type precedent)."""
-    import pyarrow.parquet as _pq
     import ray
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Count
 
-    part = _pq.read_table(
-        f"{sf_dir}/part.parquet",
-        columns=["p_partkey", "p_brand", "p_type", "p_size"])
-    keep = pc.and_(pc.and_(
+    part = _dim(sf_dir, "part", "p_partkey p_brand p_type p_size")
+    part = part.filter(pc.and_(pc.and_(
         pc.not_equal(part["p_brand"], "Brand#13"),
         pc.not_equal(part["p_type"], "PROMO")),
         pc.is_in(part["p_size"],
-                 value_set=pa.array([1, 14, 23, 45],
-                                    part["p_size"].type)))
-    part = part.filter(keep)
-    pk = part["p_partkey"].to_numpy(zero_copy_only=False)
-    order = np.argsort(pk)
-    p_keys = pk[order]
-    p_attrs = part.take(pa.array(order))
-    sup = _pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey", "s_name"])
-    bad = np.sort(sup.filter(pc.match_like(sup["s_name"], "%7"))[
-        "s_suppkey"].to_numpy(zero_copy_only=False))
-    dim_ref = ray.put((p_keys,
-                       p_attrs["p_brand"].to_numpy(zero_copy_only=False),
-                       p_attrs["p_type"].to_numpy(zero_copy_only=False),
-                       p_attrs["p_size"].to_numpy(zero_copy_only=False),
-                       bad))
+                 value_set=pa.array([1, 14, 23, 45], part["p_size"].type))))
+    sup = _dim(sf_dir, "supplier", "s_suppkey s_name")
+    bad = np.sort(_np(sup.filter(pc.match_like(sup["s_name"], "%7"))
+                      ["s_suppkey"]))
+    dim_ref = ray.put((_sorted_map(part["p_partkey"], part["p_brand"],
+                                   part["p_type"], part["p_size"]), bad))
+    cls = ["p_brand", "p_type", "p_size"]
 
     def class_pairs(t: pa.Table) -> pa.Table:
-        keys, brand, ptype, size, badk = ray.get(dim_ref)
-        lp = t["l_partkey"].to_numpy(zero_copy_only=False)
-        ls = t["l_suppkey"].to_numpy(zero_copy_only=False)
-        if len(keys) == 0:
-            ok = np.zeros(len(lp), dtype=bool)
-            pos = np.zeros(len(lp), dtype=np.int64)
-        else:
-            pos = np.clip(np.searchsorted(keys, lp), 0, len(keys) - 1)
-            ok = keys[pos] == lp
-        if len(badk):
-            bpos = np.clip(np.searchsorted(badk, ls), 0, len(badk) - 1)
-            ok &= badk[bpos] != ls
-        pos, ls = pos[ok], ls[ok]
-        t2 = pa.table({"p_brand": pa.array(brand[pos]),
-                       "p_type": pa.array(ptype[pos]),
-                       "p_size": pa.array(size[pos]),
-                       "l_suppkey": pa.array(ls)})
-        return t2.group_by(
-            ["p_brand", "p_type", "p_size", "l_suppkey"]).aggregate([])
+        pmap, badk = ray.get(dim_ref)
+        ls = _np(t["l_suppkey"])
+        ok, brand, ptype, size = _probe(pmap, _np(t["l_partkey"]))
+        ok &= ~positions_in_sorted(ls, badk)[1]
+        t2 = pa.table({"p_brand": pa.array(brand[ok]),
+                       "p_type": pa.array(ptype[ok]),
+                       "p_size": pa.array(size[ok]),
+                       "l_suppkey": pa.array(ls[ok])})
+        return t2.group_by(cls + ["l_suppkey"]).aggregate([])
 
-    pairs = (_read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
-             .map_batches(class_pairs, batch_format="pyarrow",
-                          zero_copy_batch=True)
-             .groupby(["p_brand", "p_type", "p_size", "l_suppkey"])
+    pairs = (_map(_read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]),
+                  class_pairs)
+             .groupby(cls + ["l_suppkey"])
              .aggregate(Count(alias_name="_n")))
-
-    def per_class_partial(t: pa.Table) -> pa.Table:
-        g = (t.select(["p_brand", "p_type", "p_size"])
-             .group_by(["p_brand", "p_type", "p_size"])
-             .aggregate([("p_brand", "count")]))
-        return g.rename_columns(["p_brand", "p_type", "p_size", "n_part"])
-
-    agg = (pairs.map_batches(per_class_partial, batch_format="pyarrow")
-           .groupby(["p_brand", "p_type", "p_size"])
-           .aggregate(Sum("n_part", alias_name="supplier_cnt")))
-    batches = list(agg.iter_batches(batch_format="pyarrow"))
-    if not batches:
-        return pa.table({"p_brand": pa.array([], pa.string()),
-                         "p_type": pa.array([], pa.string()),
-                         "p_size": pa.array([], pa.int64()),
-                         "supplier_cnt": pa.array([], pa.int64())})
-    t = pa.concat_tables(batches)
-    t = pa.table({"p_brand": t["p_brand"],
-                  "p_type": t["p_type"],
-                  "p_size": t["p_size"].cast(pa.int64()),
-                  "supplier_cnt": t["supplier_cnt"].cast(pa.int64())})
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("supplier_cnt", "descending"), ("p_brand", "ascending"),
-        ("p_type", "ascending"), ("p_size", "ascending")]))
+    return _collect(_fold(pairs, lambda t: pa.table(
+        {**{c: t[c] for c in cls}, "supplier_cnt": _ones(t.num_rows)}),
+        " ".join(cls), "supplier_cnt"),
+        "p_brand:str p_type:str p_size supplier_cnt").sort_by(
+        [("supplier_cnt", "descending"), ("p_brand", "ascending"),
+         ("p_type", "ascending"), ("p_size", "ascending")])
 
 
 Q16_SQL = """
@@ -4611,52 +3414,38 @@ ORDER BY supplier_cnt DESC, p_brand, p_type, p_size
 # (value of a part = its lineitem revenue; partsupp stands replaced)
 
 
-def q11_important_parts(sf_dir: str, ppm: int = 600):
+_Q11_PPM = 600                # Q11_SQL's threshold: 600 ppm of the total
+
+
+def q11_important_parts(sf_dir: str):
     """TPC-H Q11 shape (important stock): per-part total value with a
     HAVING threshold against a GLOBAL scalar aggregate — keep parts
-    whose value exceeds ``ppm``/1e6 of the total.  Per-batch partial
-    sums → one groupby; the global total is the sum of the (|part|-
-    sized, tiny) aggregate itself; threshold compares integers exactly
-    (value_cents × 1e6 > total_cents × ppm), no float epsilon."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        half_away = pc.RoundOptions(round_mode="half_towards_infinity")
-        cents = pc.cast(pc.round(pc.multiply(
-            t["l_extendedprice"], pa.scalar(100.0)),
-            options=half_away), pa.int64())
-        t2 = pa.table({"l_partkey": t["l_partkey"], "cents": cents})
-        g = t2.group_by("l_partkey").aggregate([("cents", "sum")])
-        return g.rename_columns(["l_partkey", "cents_part"])
-
-    agg = (_read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("l_partkey")
-           .aggregate(Sum("cents_part", alias_name="value_cents")))
-    batches = list(agg.iter_batches(batch_format="pyarrow"))
-    if not batches:
-        return pa.table({"l_partkey": pa.array([], pa.int64()),
-                         "value_cents": pa.array([], pa.int64())})
-    t = pa.concat_tables(batches)
-    vals = t["value_cents"].to_numpy(zero_copy_only=False).astype(np.int64)
-    total = int(vals.sum())
-    keep = vals.astype(object) * 1_000_000 > total * ppm
-    t = pa.table({"l_partkey": t["l_partkey"].cast(pa.int64()),
-                  "value_cents": t["value_cents"].cast(pa.int64())}
-                 ).filter(pa.array(keep.astype(bool)))
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("value_cents", "descending"), ("l_partkey", "ascending")]))
+    whose value exceeds ``_Q11_PPM``/1e6 of the total.  Per-batch
+    partial sums → one groupby; the global total is the sum of the
+    (|part|-sized, tiny) aggregate itself; threshold compares integers
+    exactly (value_cents × 1e6 > total_cents × ppm), no float
+    epsilon."""
+    t = _collect(_fold(_read(sf_dir, "lineitem", ["l_partkey",
+                                                  "l_extendedprice"]),
+                       lambda t: pa.table({
+                           "l_partkey": t["l_partkey"],
+                           "value_cents": _cents_of(t["l_extendedprice"])}),
+                       "l_partkey", "value_cents"),
+                 "l_partkey value_cents")
+    vals = _np(t["value_cents"]).astype(np.int64)
+    keep = vals.astype(object) * 1_000_000 > int(vals.sum()) * _Q11_PPM
+    return t.filter(pa.array(keep.astype(bool))).sort_by(
+        [("value_cents", "descending"), ("l_partkey", "ascending")])
 
 
-Q11_SQL = """
+Q11_SQL = f"""
 SELECT l_partkey,
-       CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT))
+       CAST(sum({_PRICE_CENTS})
             AS BIGINT) AS value_cents
 FROM lineitem
 GROUP BY l_partkey
-HAVING sum(CAST(round(l_extendedprice * 100) AS BIGINT)) * 1000000
-       > (SELECT sum(CAST(round(l_extendedprice * 100) AS BIGINT))
+HAVING sum({_PRICE_CENTS}) * 1000000
+       > (SELECT sum({_PRICE_CENTS})
           FROM lineitem) * 600
 ORDER BY value_cents DESC, l_partkey
 """
@@ -4673,67 +3462,39 @@ def q20_excess_suppliers(sf_dir: str):
     (≤ |supplier| rows); the global average is computed on that tiny
     aggregate and the comparison is integer-exact
     (2 × qty × n_suppliers > total)."""
-    import pyarrow.parquet as _pq
     import ray
-    from ray.data.aggregate import Sum
 
-    part = _pq.read_table(f"{sf_dir}/part.parquet",
-                          columns=["p_partkey", "p_name"])
-    pk = np.sort(part.filter(pc.match_like(part["p_name"], "red %"))[
-        "p_partkey"].to_numpy(zero_copy_only=False))
-    pk_ref = ray.put(pk)
+    part = _dim(sf_dir, "part", "p_partkey p_name")
+    pk_ref = ray.put(np.sort(_np(part.filter(pc.match_like(
+        part["p_name"], "red %"))["p_partkey"])))
     lo = pa.scalar(np.datetime64("1997-01-01", "us"))
     hi = pa.scalar(np.datetime64("1998-01-01", "us"))
 
     def partial(t: pa.Table) -> pa.Table:
-        keys = ray.get(pk_ref)
-        keep = pc.and_(pc.greater_equal(t["l_shipdate"], lo),
-                       pc.less(t["l_shipdate"], hi))
-        t = t.filter(keep)
-        lp = t["l_partkey"].to_numpy(zero_copy_only=False)
-        if len(keys) == 0:
-            ok = np.zeros(len(lp), dtype=bool)
-        else:
-            pos = np.clip(np.searchsorted(keys, lp), 0, len(keys) - 1)
-            ok = keys[pos] == lp
-        t = t.filter(pa.array(ok))
+        t = t.filter(pc.and_(pc.greater_equal(t["l_shipdate"], lo),
+                             pc.less(t["l_shipdate"], hi)))
+        t = t.filter(pa.array(positions_in_sorted(_np(t["l_partkey"]),
+                                                  ray.get(pk_ref))[1]))
         # l_quantity values are integral doubles — the sum is exact in
         # any order, so int64 quantities survive the shuffle losslessly
-        q = pc.cast(pc.round(t["l_quantity"]), pa.int64())
-        t2 = pa.table({"l_suppkey": t["l_suppkey"], "q": q})
-        g = t2.group_by("l_suppkey").aggregate([("q", "sum")])
-        return g.rename_columns(["l_suppkey", "q_part"])
+        return pa.table({"l_suppkey": t["l_suppkey"],
+                         "qty": pc.cast(pc.round(t["l_quantity"]),
+                                        pa.int64())})
 
-    agg = (_read(sf_dir, "lineitem",
-                 ["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("l_suppkey")
-           .aggregate(Sum("q_part", alias_name="qty")))
-    batches = list(agg.iter_batches(batch_format="pyarrow"))
-    EMPTY = pa.table({"s_name": pa.array([], pa.string()),
-                      "n_name": pa.array([], pa.string())})
-    if not batches:
-        return EMPTY
-    t = pa.concat_tables(batches)
-    qty = t["qty"].to_numpy(zero_copy_only=False).astype(np.int64)
-    n = len(qty)
-    total = int(qty.sum())
-    keep = 2 * qty.astype(object) * n > total
-    winners = t.filter(pa.array(keep.astype(bool)))["l_suppkey"] \
-        .to_pylist()
-    sup = _pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey", "s_name", "s_nationkey"])
-    nat = _pq.read_table(f"{sf_dir}/nation.parquet",
-                         columns=["n_nationkey", "n_name"])
+    t = _collect(_fold(_read(sf_dir, "lineitem", ["l_partkey", "l_suppkey",
+                                                  "l_quantity", "l_shipdate"]),
+                       partial, "l_suppkey", "qty"), "l_suppkey qty")
+    qty = _np(t["qty"]).astype(np.int64)
+    keep = 2 * qty.astype(object) * len(qty) > int(qty.sum())
+    winners = t.filter(pa.array(keep.astype(bool)))["l_suppkey"].to_pylist()
+    sup = _dim(sf_dir, "supplier", "s_suppkey s_name s_nationkey")
+    nat = _dim(sf_dir, "nation", "n_nationkey n_name")
     nmap = dict(zip(nat["n_nationkey"].to_pylist(),
                     nat["n_name"].to_pylist()))
     smap = {k: (nm, nmap[nk]) for k, nm, nk in
             zip(sup["s_suppkey"].to_pylist(), sup["s_name"].to_pylist(),
                 sup["s_nationkey"].to_pylist())}
-    rows = sorted(smap[k] for k in winners)
-    return pa.table({"s_name": pa.array([r[0] for r in rows], pa.string()),
-                     "n_name": pa.array([r[1] for r in rows], pa.string())})
+    return _table(sorted(smap[k] for k in winners), "s_name:str n_name:str")
 
 
 Q20_SQL = """
@@ -4765,97 +3526,59 @@ def q2_min_cost_supplier(sf_dir: str):
     part's global minimum (the correlated-min subquery; ties kept,
     as in Q2).  Per-batch partial mins → one groupby on the composite
     key; the argmin-per-part runs on the tiny aggregate."""
-    import pyarrow.parquet as _pq
     import ray
-    from ray.data.aggregate import Min
 
-    part = _pq.read_table(f"{sf_dir}/part.parquet",
-                          columns=["p_partkey", "p_name", "p_type"])
+    part = _dim(sf_dir, "part", "p_partkey p_name p_type")
     part = part.filter(pc.equal(part["p_type"], "LARGE"))
-    pk = part["p_partkey"].to_numpy(zero_copy_only=False)
-    order = np.argsort(pk)
-    p_keys = pk[order]
-    pname = {int(k): n for k, n in zip(part["p_partkey"].to_pylist(),
-                                       part["p_name"].to_pylist())}
-    nat = _pq.read_table(f"{sf_dir}/nation.parquet",
-                         columns=["n_nationkey", "n_name", "n_regionkey"])
-    reg = _pq.read_table(f"{sf_dir}/region.parquet",
-                         columns=["r_regionkey", "r_name"])
-    eu = {reg["r_regionkey"][i].as_py() for i in range(reg.num_rows)
-          if reg["r_name"][i].as_py() == "EUROPE"}
-    eu_nat = {nat["n_nationkey"][i].as_py(): nat["n_name"][i].as_py()
-              for i in range(nat.num_rows)
-              if nat["n_regionkey"][i].as_py() in eu}
-    sup = _pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey", "s_name", "s_nationkey"])
+    pname = dict(zip(part["p_partkey"].to_pylist(),
+                     part["p_name"].to_pylist()))
+    nat = _dim(sf_dir, "nation", "n_nationkey n_name n_regionkey")
+    reg = _dim(sf_dir, "region", "r_regionkey r_name")
+    eu = set(reg.filter(pc.equal(reg["r_name"], "EUROPE"))
+             ["r_regionkey"].to_pylist())
+    eu_nat = {k: n for k, n, r in zip(nat["n_nationkey"].to_pylist(),
+                                      nat["n_name"].to_pylist(),
+                                      nat["n_regionkey"].to_pylist())
+              if r in eu}
+    sup = _dim(sf_dir, "supplier", "s_suppkey s_name s_nationkey")
     s_info = {k: (nm, eu_nat[nk]) for k, nm, nk in
               zip(sup["s_suppkey"].to_pylist(), sup["s_name"].to_pylist(),
                   sup["s_nationkey"].to_pylist()) if nk in eu_nat}
-    sk = np.sort(np.array(sorted(s_info), dtype=np.int64))
-    dim_ref = ray.put((p_keys, sk))
+    dim_ref = ray.put((np.sort(_np(part["p_partkey"])),
+                       np.array(sorted(s_info), dtype=np.int64)))
 
     def partial(t: pa.Table) -> pa.Table:
         keys, skeys = ray.get(dim_ref)
-        lp = t["l_partkey"].to_numpy(zero_copy_only=False)
-        ls = t["l_suppkey"].to_numpy(zero_copy_only=False)
-        ok = np.zeros(len(lp), dtype=bool)
-        if len(keys) and len(skeys):
-            pos = np.clip(np.searchsorted(keys, lp), 0, len(keys) - 1)
-            spos = np.clip(np.searchsorted(skeys, ls), 0, len(skeys) - 1)
-            ok = (keys[pos] == lp) & (skeys[spos] == ls)
-        t = t.filter(pa.array(ok))
-        half_away = pc.RoundOptions(round_mode="half_towards_infinity")
-        unit = pc.cast(pc.round(pc.multiply(pc.divide(
-            t["l_extendedprice"], t["l_quantity"]),
-            pa.scalar(100.0)), options=half_away), pa.int64())
-        t2 = pa.table({"l_partkey": t["l_partkey"],
-                       "l_suppkey": t["l_suppkey"], "unit": unit})
-        g = t2.group_by(["l_partkey", "l_suppkey"]).aggregate(
-            [("unit", "min")])
-        return g.rename_columns(["l_partkey", "l_suppkey", "unit_part"])
+        t = t.filter(pa.array(
+            positions_in_sorted(_np(t["l_partkey"]), keys)[1]
+            & positions_in_sorted(_np(t["l_suppkey"]), skeys)[1]))
+        return pa.table({"l_partkey": t["l_partkey"],
+                         "l_suppkey": t["l_suppkey"],
+                         "unit_cents": _cents_of(pc.divide(
+                             t["l_extendedprice"], t["l_quantity"]))})
 
-    agg = (_read(sf_dir, "lineitem",
-                 ["l_partkey", "l_suppkey", "l_extendedprice",
-                  "l_quantity"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby(["l_partkey", "l_suppkey"])
-           .aggregate(Min("unit_part", alias_name="unit_cents")))
-    batches = list(agg.iter_batches(batch_format="pyarrow"))
-    EMPTY = pa.table({"p_partkey": pa.array([], pa.int64()),
-                      "p_name": pa.array([], pa.string()),
-                      "s_name": pa.array([], pa.string()),
-                      "n_name": pa.array([], pa.string()),
-                      "min_unit_cents": pa.array([], pa.int64())})
-    if not batches:
-        return EMPTY
-    t = pa.concat_tables(batches)
+    t = _collect(_fold(_read(sf_dir, "lineitem", ["l_partkey", "l_suppkey",
+                                                  "l_extendedprice",
+                                                  "l_quantity"]),
+                       partial, "l_partkey l_suppkey", "unit_cents:min"),
+                 "l_partkey l_suppkey unit_cents")
     # argmin-with-ties per part on the tiny aggregate
-    pkv = t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    skv = t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    uv = t["unit_cents"].to_numpy(zero_copy_only=False).astype(np.int64)
+    pkv, skv, uv = (_np(t[c]) for c in t.column_names)
     o = np.lexsort((skv, uv, pkv))
     pkv, skv, uv = pkv[o], skv[o], uv[o]
-    first = np.concatenate(([True], pkv[1:] != pkv[:-1]))
-    gmin = uv[first]                       # per-part min (groups sorted)
-    gid = np.cumsum(first) - 1
-    keep = uv == gmin[gid]
-    pkv, skv, uv = pkv[keep], skv[keep], uv[keep]
-    rows = sorted(
-        (int(p), pname[int(p)], s_info[int(s)][0], s_info[int(s)][1],
-         int(u)) for p, s, u in zip(pkv, skv, uv))
-    return pa.table({
-        "p_partkey": pa.array([r[0] for r in rows], pa.int64()),
-        "p_name": pa.array([r[1] for r in rows], pa.string()),
-        "s_name": pa.array([r[2] for r in rows], pa.string()),
-        "n_name": pa.array([r[3] for r in rows], pa.string()),
-        "min_unit_cents": pa.array([r[4] for r in rows], pa.int64())})
+    first = np.ones(len(pkv), dtype=bool)
+    first[1:] = pkv[1:] != pkv[:-1]
+    keep = uv == uv[first][np.cumsum(first) - 1]
+    return _table(sorted(
+        (int(p), pname[int(p)], *s_info[int(s)], int(u))
+        for p, s, u in zip(pkv[keep], skv[keep], uv[keep])),
+        "p_partkey p_name:str s_name:str n_name:str min_unit_cents")
 
 
-Q2_SQL = """
+Q2_SQL = f"""
 WITH unit AS (
   SELECT l_partkey, l_suppkey,
-         min(CAST(round(l_extendedprice / l_quantity * 100) AS BIGINT))
+         min({_cents_sql("l_extendedprice / l_quantity")})
            AS unit_cents
   FROM lineitem
   JOIN part     ON p_partkey = l_partkey
@@ -4901,41 +3624,29 @@ def has_child_orders(sf_dir: str):
     partial row per (batch, orderkey) BEFORE the exchange, the global
     groupby carries only partials, and the parent fetch is the
     co-partitioned hash join — nothing materializes driver-side."""
-    import ray
-    from ray.data.aggregate import Max, Sum
-
     def partial(t: pa.Table) -> pa.Table:
         mask = pc.and_(pc.is_in(t["l_returnflag"],
                                 value_set=pa.array(["R"])),
                        pc.greater(t["l_quantity"], pa.scalar(25.0)))
         t = t.filter(mask)
-        rev = pc.multiply(t["l_extendedprice"],
-                          pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        cents = pc.cast(pc.floor(pc.add(pc.multiply(rev, pa.scalar(100.0)),
+        cents = pc.cast(pc.floor(pc.add(pc.multiply(_revenue(t),
+                                                    pa.scalar(100.0)),
                                         pa.scalar(0.5))), pa.int64())
         # argmax-with-tiebreak pack: maximize (cents, -linenumber);
         # linenumber is 1..7 so (8 - ln) fits in 3 bits
         packed = pc.add(pc.multiply(cents, pa.scalar(8, pa.int64())),
                         pc.subtract(pa.scalar(8, pa.int64()),
                                     pc.cast(t["l_linenumber"], pa.int64())))
-        t2 = pa.table({"l_orderkey": t["l_orderkey"],
-                       "one": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-                       "cents": cents, "packed": packed})
-        g = t2.group_by("l_orderkey").aggregate(
-            [("one", "sum"), ("cents", "max"), ("cents", "sum"),
-             ("packed", "max")])
-        return g.rename_columns(["l_orderkey", "n", "mx", "sm", "pk"])
+        return pa.table({"l_orderkey": t["l_orderkey"],
+                         "n_matching": _ones(t.num_rows),
+                         "score_max_cents": cents, "score_sum_cents": cents,
+                         "pk": packed})
 
-    agg = (_read(sf_dir, "lineitem",
-                 ["l_orderkey", "l_linenumber", "l_returnflag", "l_quantity",
-                  "l_extendedprice", "l_discount"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("l_orderkey")
-           .aggregate(Sum("n", alias_name="n_matching"),
-                      Max("mx", alias_name="score_max_cents"),
-                      Sum("sm", alias_name="score_sum_cents"),
-                      Max("pk", alias_name="pk")))
+    agg = _fold(_read(sf_dir, "lineitem",
+                      ["l_orderkey", "l_linenumber", "l_returnflag",
+                       "l_quantity", "l_extendedprice", "l_discount"]),
+                partial, "l_orderkey",
+                "n_matching score_max_cents:max score_sum_cents pk:max")
 
     def min_children(t: pa.Table) -> pa.Table:
         t = t.filter(pc.greater_equal(
@@ -4949,25 +3660,12 @@ def has_child_orders(sf_dir: str):
 
     parents = _read(sf_dir, "orders",
                     ["o_orderkey", "o_orderdate", "o_orderpriority"])
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    j = (agg.map_batches(min_children, batch_format="pyarrow")
-         .join(parents, join_type="inner",
-               num_partitions=max(2, cpus // 2),
-               on=("l_orderkey",), right_on=("o_orderkey",),
-               aggregator_ray_remote_args={"num_cpus": 0.5}))
-
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderkey": t["l_orderkey"],
-            "o_orderdate": t["o_orderdate"],
-            "o_orderpriority": t["o_orderpriority"],
-            "n_matching": t["n_matching"],
-            "score_max_cents": t["score_max_cents"],
-            "score_sum_cents": t["score_sum_cents"],
-            "best_child_linenumber": t["best_child_linenumber"],
-        })
-
-    return j.map_batches(finish, batch_format="pyarrow")
+    j = _join(sf_dir, "lineitem orders", _map(agg, min_children), parents,
+              "l_orderkey", "o_orderkey")
+    cols = ["o_orderdate", "o_orderpriority", "n_matching",
+            "score_max_cents", "score_sum_cents", "best_child_linenumber"]
+    return _map(j, lambda t: pa.table(
+        {"o_orderkey": t["l_orderkey"], **{c: t[c] for c in cols}}))
 
 
 HAS_CHILD_SQL = f"""
@@ -4997,8 +3695,6 @@ def has_parent_lineitems(sf_dir: str):
     parent's score (totalprice cents).  The parent side filters BEFORE
     the exchange — only matching parents enter the co-partitioned
     join."""
-    import ray
-
     def parent_query(t: pa.Table) -> pa.Table:
         mask = pc.and_(pc.equal(t["o_orderpriority"],
                                 pa.scalar("1-URGENT")),
@@ -5011,25 +3707,15 @@ def has_parent_lineitems(sf_dir: str):
         return pa.table({"o_orderkey": t["o_orderkey"],
                          "parent_score_cents": cents})
 
-    parents = (_read(sf_dir, "orders",
-                     ["o_orderkey", "o_orderpriority", "o_totalprice"])
-               .map_batches(parent_query, batch_format="pyarrow",
-                            zero_copy_batch=True))
+    parents = _map(_read(sf_dir, "orders",
+                         ["o_orderkey", "o_orderpriority", "o_totalprice"]),
+                   parent_query)
     children = _read(sf_dir, "lineitem",
                      ["l_orderkey", "l_linenumber", "l_returnflag"])
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    j = children.join(parents, join_type="inner",
-                      num_partitions=max(2, cpus // 2),
-                      on=("l_orderkey",), right_on=("o_orderkey",),
-                      aggregator_ray_remote_args={"num_cpus": 0.5})
-
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.table({"l_orderkey": t["l_orderkey"],
-                         "l_linenumber": t["l_linenumber"],
-                         "l_returnflag": t["l_returnflag"],
-                         "parent_score_cents": t["parent_score_cents"]})
-
-    return j.map_batches(finish, batch_format="pyarrow")
+    return _map(_join(sf_dir, "lineitem orders", children, parents,
+                      "l_orderkey", "o_orderkey"),
+                lambda t: t.select(["l_orderkey", "l_linenumber",
+                                    "l_returnflag", "parent_score_cents"]))
 
 
 HAS_PARENT_SQL = """
@@ -5046,19 +3732,6 @@ WHERE o_orderpriority = '1-URGENT' AND o_totalprice > 150000
 # surfaces, each with the exact-integer partial-aggregate discipline
 # (cents cross the exchange, never raw doubles) and a SQL mirror.
 
-_DAY_US = 86_400_000_000
-# (_WEEK_US is defined once, above retention_cohorts_events)
-
-
-def _cents_of(col: pa.ChunkedArray) -> pa.ChunkedArray:
-    """SQL ``CAST(round(value * 100) AS BIGINT)`` exactly (half away
-    from zero) — the module's one cents-rounding contract, shared by
-    extended_stats/mad/top_metrics and the ES agg family."""
-    return pc.cast(pc.round(pc.multiply(col, 100.0),
-                            options=pc.RoundOptions(
-                                round_mode="half_towards_infinity")),
-                   pa.int64())
-
 
 def filters_agg_events(sf_dir: str):
     """ES ``filters`` aggregation with ``other_bucket``: one NAMED
@@ -5070,31 +3743,30 @@ def filters_agg_events(sf_dir: str):
     land in several); each batch emits exactly one 4-row partial
     (count + exact cents sum per bucket), so the exchange carries 4
     rows per batch regardless of input size."""
-    from ray.data.aggregate import Sum
-
     names = ["high_value", "clicks", "weekend", "other"]
 
     def partial(t: pa.Table) -> pa.Table:
-        us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _np(t["ts"].cast(pa.int64()))
         dow = (us // _DAY_US + 3) % 7
-        value = t["value"].to_numpy(zero_copy_only=False)
-        cents = _cents_of(t["value"]).to_numpy(zero_copy_only=False)
-        et_click = pc.equal(t["event_type"], pa.scalar("click")) \
-            .to_numpy(zero_copy_only=False)
-        masks = [value >= 100.0, et_click, dow >= 5]
+        value = _np(t["value"])
+        cents = _np(_cents_of(t["value"]))
+        masks = [value >= 100.0,
+                 _np(pc.equal(t["event_type"], pa.scalar("click"))),
+                 dow >= 5]
         masks.append(~(masks[0] | masks[1] | masks[2]))
         return pa.table({
             "bucket": pa.array(names, pa.string()),
-            "n_part": pa.array([int(m.sum()) for m in masks], pa.int64()),
-            "s_part": pa.array([int(cents[m].sum()) for m in masks],
-                               pa.int64())})
+            "n_events": pa.array([int(m.sum()) for m in masks], pa.int64()),
+            "sum_value_cents": pa.array([int(cents[m].sum()) for m in masks],
+                                        pa.int64())})
 
-    return (_read(sf_dir, "events", ["ts", "event_type", "value"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("bucket")
-            .aggregate(Sum("n_part", alias_name="n_events"),
-                       Sum("s_part", alias_name="sum_value_cents")))
+    # every bucket is answered, with 0s on empty input (the oracle's
+    # UNION ALL of coalesced aggregates)
+    return _materialize_range_agg(
+        _fold(_read(sf_dir, "events", ["ts", "event_type", "value"]),
+              partial, "bucket", "n_events sum_value_cents"),
+        {"bucket": pa.array(names, pa.string())},
+        ["n_events", "sum_value_cents"])
 
 
 def _filters_sql() -> str:
@@ -5111,7 +3783,7 @@ def _filters_sql() -> str:
         f"FROM c WHERE {cond}"
         for name, cond in arms.items()]
     return ("WITH c AS (SELECT event_type, value, "
-            "CAST(round(value * 100) AS BIGINT) AS cent, "
+            f"{_VALUE_CENTS} AS cent, "
             f"(epoch_us(ts) // {_DAY_US} + 3) % 7 AS dow FROM events)\n"
             + "\nUNION ALL\n".join(selects))
 
@@ -5121,43 +3793,27 @@ FILTERS_AGG_SQL = _filters_sql()
 _MULTI_TERMS_K = 10
 
 
-def multi_terms_events(sf_dir: str, k: int = _MULTI_TERMS_K):
+def multi_terms_events(sf_dir: str):
     """ES ``multi_terms`` aggregation: buckets keyed by the TUPLE
     (event_type, day-of-week), ordered by doc count desc (key asc as
-    the deterministic tie-break ES applies), top ``k`` only, each
-    carrying count + exact cents sum.  Bucket space is the key-tuple
-    cross product (|types| × 7) — the final sort runs on that
-    metadata-scale table, not on events."""
-    from ray.data.aggregate import Sum
+    the deterministic tie-break ES applies), top ``_MULTI_TERMS_K``
+    only, each carrying count + exact cents sum.  Bucket space is the
+    key-tuple cross product (|types| × 7) — the final sort runs on
+    that metadata-scale table, not on events."""
 
     def partial(t: pa.Table) -> pa.Table:
-        us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        g = (pa.table({"event_type": t["event_type"],
-                       "dow": pa.array((us // _DAY_US + 3) % 7,
-                                       pa.int64()),
-                       "cent": _cents_of(t["value"])})
-             .group_by(["event_type", "dow"])
-             .aggregate([([], "count_all"), ("cent", "sum")]))
-        return g.rename_columns(["event_type", "dow", "n_part",
-                                 "s_part"])
+        us = _np(t["ts"].cast(pa.int64()))
+        return pa.table({"event_type": t["event_type"],
+                         "dow": pa.array((us // _DAY_US + 3) % 7, pa.int64()),
+                         "n_events": _ones(len(us)),
+                         "sum_value_cents": _cents_of(t["value"])})
 
-    agg = (_read(sf_dir, "events", ["ts", "event_type", "value"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby(["event_type", "dow"])
-           .aggregate(Sum("n_part", alias_name="n_events"),
-                      Sum("s_part", alias_name="sum_value_cents")))
-    blocks = list(agg.iter_batches(batch_format="pyarrow"))
-    t = pa.concat_tables(blocks) if blocks else pa.table(
-        {"event_type": pa.array([], pa.string()),
-         "dow": pa.array([], pa.int64()),
-         "n_events": pa.array([], pa.int64()),
-         "sum_value_cents": pa.array([], pa.int64())})
+    t = _collect(_fold(_read(sf_dir, "events", ["ts", "event_type", "value"]),
+                       partial, "event_type dow", "n_events sum_value_cents"),
+                 "event_type:str dow n_events sum_value_cents")
     et = np.asarray(t["event_type"].to_pylist(), dtype=object)
-    dow = t["dow"].to_numpy(zero_copy_only=False)
-    n = t["n_events"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((dow, et, -n))[:k]
-    t = t.take(pa.array(order))
+    order = np.lexsort((_np(t["dow"]), et, -_np(t["n_events"])))
+    t = t.take(pa.array(order[:_MULTI_TERMS_K]))
     return t.add_column(0, "rank",
                         pa.array(np.arange(1, len(t) + 1), pa.int64()))
 
@@ -5167,7 +3823,7 @@ WITH b AS (
   SELECT event_type,
          (epoch_us(ts) // {_DAY_US} + 3) % 7 AS dow,
          count(*) AS n_events,
-         CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
+         CAST(sum({_VALUE_CENTS}) AS BIGINT)
            AS sum_value_cents
   FROM events GROUP BY 1, 2)
 SELECT CAST(row_number() OVER (ORDER BY n_events DESC, event_type, dow)
@@ -5230,27 +3886,19 @@ def date_range_agg_events(sf_dir: str):
     tail around {_DATE_RANGE_EDGES}.  Contiguous edges make the bucket
     id one ``searchsorted`` per batch; every batch emits exactly one
     4-row partial like filters_agg."""
-    from ray.data.aggregate import Sum
-
     edges = np.asarray(_DATE_RANGE_EDGES, dtype=np.int64)
-    n_b = len(edges) + 1
-    labels = {"bucket": pa.array([f"r{i}" for i in range(n_b)],
+    labels = {"bucket": pa.array([f"r{i}" for i in range(len(edges) + 1)],
                                  pa.string()),
               "from_us": pa.array([None] + _DATE_RANGE_EDGES, pa.int64()),
               "to_us": pa.array(_DATE_RANGE_EDGES + [None], pa.int64())}
     partial = _range_bucket_partial(
-        edges, labels,
-        lambda t: t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False),
-        lambda t: _cents_of(t["value"]).to_numpy(zero_copy_only=False))
-
-    ds = (_read(sf_dir, "events", ["ts", "value"])
-          .map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-          .groupby(["bucket", "from_us", "to_us"])
-          .aggregate(Sum("n_part", alias_name="n_events"),
-                     Sum("s_part", alias_name="sum_value_cents")))
-    return _materialize_range_agg(ds, labels,
-                                  ["n_events", "sum_value_cents"])
+        edges, labels, lambda t: _np(t["ts"].cast(pa.int64())),
+        lambda t: _np(_cents_of(t["value"])))
+    aggs = ["n_events", "sum_value_cents"]
+    return _materialize_range_agg(
+        _fold(_read(sf_dir, "events", ["ts", "value"]),
+              lambda t: partial(t).rename_columns([*labels, *aggs]),
+              " ".join(labels), " ".join(aggs)), labels, aggs)
 
 
 def _date_range_sql() -> str:
@@ -5268,7 +3916,7 @@ def _date_range_sql() -> str:
         selects.append(
             f"SELECT 'r{i}' AS bucket, {lo_s} AS from_us, "
             f"{hi_s} AS to_us, count(*) AS n_events, "
-            f"CAST(coalesce(sum(CAST(round(value * 100) AS BIGINT)), 0)"
+            f"CAST(coalesce(sum({_VALUE_CENTS}), 0)"
             f" AS BIGINT) AS sum_value_cents "
             f"FROM events WHERE {' AND '.join(conds)}")
     return "\nUNION ALL\n".join(selects)
@@ -5304,25 +3952,18 @@ def ip_range_events(sf_dir: str):
     derived 32-bit address, one searchsorted + bincount partial per
     batch (the shared range-bucket combiner); dotted-quad labels are
     rendered from the shared constants on both sides."""
-    from ray.data.aggregate import Sum
-
     edges = np.asarray(_IP_EDGES, dtype=np.int64)
-    n_b = len(edges) + 1
     bounds = list(zip([None] + _IP_EDGES, _IP_EDGES + [None]))
     labels = {
-        "bucket": pa.array([f"b{i}" for i in range(n_b)], pa.string()),
-        "from_ip": pa.array([_dotted(lo) for lo, _ in bounds],
-                            pa.string()),
-        "to_ip": pa.array([_dotted(hi) for _, hi in bounds],
-                          pa.string())}
+        "bucket": pa.array([f"b{i}" for i in range(len(bounds))],
+                           pa.string()),
+        "from_ip": pa.array([_dotted(lo) for lo, _ in bounds], pa.string()),
+        "to_ip": pa.array([_dotted(hi) for _, hi in bounds], pa.string())}
     partial = _range_bucket_partial(edges, labels, _derived_ip)
-
-    ds = (_read(sf_dir, "events", ["user_id"])
-          .map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-          .groupby(["bucket", "from_ip", "to_ip"])
-          .aggregate(Sum("n_part", alias_name="cnt")))
-    return _materialize_range_agg(ds, labels, ["cnt"])
+    return _materialize_range_agg(
+        _fold(_read(sf_dir, "events", ["user_id"]),
+              lambda t: partial(t).rename_columns([*labels, "cnt"]),
+              " ".join(labels), "cnt"), labels, ["cnt"])
 
 
 _IP_EXPR = (f"((CAST(user_id AS HUGEINT) % 4294967296) * {_KNUTH_M})"
@@ -5357,28 +3998,20 @@ def ip_prefix_events(sf_dir: str):
     the derived 32-bit address by its first octet.  Per-batch partial
     is one np.unique over ``addr >> 24`` (≤256 rows whatever the batch
     size); labels render from the octet on both sides."""
-    from ray.data.aggregate import Sum
-
     def partial(t: pa.Table) -> pa.Table:
-        octet = _derived_ip(t) >> 24
-        vals, cnts = np.unique(octet, return_counts=True)
+        vals, cnts = np.unique(_derived_ip(t) >> 24, return_counts=True)
         return pa.table({"octet": pa.array(vals, pa.int64()),
-                         "n_part": pa.array(cnts, pa.int64())})
+                         "cnt": pa.array(cnts, pa.int64())})
 
     def finish(t: pa.Table) -> pa.Table:
-        oct_ = t["octet"].to_numpy(zero_copy_only=False)
         return pa.table({
             "octet": t["octet"],
-            "prefix": pa.array([f"{o}.0.0.0/8" for o in oct_],
+            "prefix": pa.array([f"{o}.0.0.0/8" for o in _np(t["octet"])],
                                pa.string()),
             "cnt": t["cnt"]})
 
-    return (_read(sf_dir, "events", ["user_id"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("octet")
-            .aggregate(Sum("n_part", alias_name="cnt"))
-            .map_batches(finish, batch_format="pyarrow"))
+    return _fold(_read(sf_dir, "events", ["user_id"]), partial, "octet",
+                 "cnt").map_batches(finish, batch_format="pyarrow")
 
 
 IP_PREFIX_SQL = f"""
@@ -5409,18 +4042,15 @@ def children_agg_orders(sf_dir: str):
         n = t.num_rows
         return pa.table({"o_orderkey": t["o_orderkey"],
                          "prio": t["o_orderpriority"],
-                         "np": pa.array(np.ones(n, np.int64)),
+                         "np": _ones(n),
                          "nc": pa.array(np.zeros(n, np.int64)),
                          "qc": pa.array(np.zeros(n, np.int64))})
 
     def child_rows(t: pa.Table) -> pa.Table:
-        qc = _cents_of(t["l_quantity"])
-        g = (pa.table({"o_orderkey": t["l_orderkey"],
-                       "one": pa.array(np.ones(t.num_rows, np.int64)),
-                       "qc": qc})
-             .group_by("o_orderkey")
-             .aggregate([("one", "sum"), ("qc", "sum")]))
-        g = g.rename_columns(["o_orderkey", "nc", "qc"])
+        g = (pa.table({"o_orderkey": t["l_orderkey"], "nc": _ones(t.num_rows),
+                       "qc": _cents_of(t["l_quantity"])})
+             .group_by("o_orderkey").aggregate([("nc", "sum"), ("qc", "sum")])
+             .rename_columns(["o_orderkey", "nc", "qc"]))
         n = g.num_rows
         return pa.table({"o_orderkey": g["o_orderkey"],
                          # "" sorts below every real priority, so the
@@ -5429,14 +4059,10 @@ def children_agg_orders(sf_dir: str):
                          "np": pa.array(np.zeros(n, np.int64)),
                          "nc": g["nc"], "qc": g["qc"]})
 
-    both = (_read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-            .map_batches(parent_rows, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .union(_read(sf_dir, "lineitem",
-                         ["l_orderkey", "l_quantity"])
-                   .map_batches(child_rows, batch_format="pyarrow",
-                                zero_copy_batch=True)))
-
+    both = _map(_read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"]),
+                parent_rows).union(
+        _map(_read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]),
+             child_rows))
     per_order = (both.groupby("o_orderkey")
                  .aggregate(Max("prio", alias_name="prio"),
                             Sum("np", alias_name="np"),
@@ -5447,39 +4073,20 @@ def children_agg_orders(sf_dir: str):
         # np == 0 would be an orphan child (no parent row) — outside
         # the parent relation, like the oracle's FROM orders LEFT JOIN
         t = t.filter(pc.greater(t["np"], pa.scalar(0)))
-        has = pc.cast(pc.greater(t["nc"], pa.scalar(0)), pa.int64())
-        g = (pa.table({"o_orderpriority": t["prio"],
-                       "one": pc.cast(t["np"], pa.int64()),
-                       "has": has,
-                       "nc": pc.cast(t["nc"], pa.int64()),
-                       "qc": pc.cast(t["qc"], pa.int64())})
-             .group_by("o_orderpriority")
-             .aggregate([("one", "sum"), ("has", "sum"),
-                         ("nc", "sum"), ("qc", "sum")]))
-        return g.rename_columns(
-            ["o_orderpriority", "p_part", "h_part", "c_part", "q_part"])
-
-    def finish(t: pa.Table) -> pa.Table:
         return pa.table({
-            "o_orderpriority": t["o_orderpriority"],
-            "n_parents": pc.cast(t["n_parents"], pa.int64()),
+            "o_orderpriority": t["prio"],
+            "n_parents": pc.cast(t["np"], pa.int64()),
             "n_parents_with_children": pc.cast(
-                t["n_parents_with_children"], pa.int64()),
-            "n_children": pc.cast(t["n_children"], pa.int64()),
-            "sum_child_qty_cents": pc.cast(t["sum_child_qty_cents"],
-                                           pa.int64())})
+                pc.greater(t["nc"], pa.scalar(0)), pa.int64()),
+            "n_children": pc.cast(t["nc"], pa.int64()),
+            "sum_child_qty_cents": pc.cast(t["qc"], pa.int64())})
 
-    return (per_order.map_batches(prio_partial, batch_format="pyarrow")
-            .groupby("o_orderpriority")
-            .aggregate(Sum("p_part", alias_name="n_parents"),
-                       Sum("h_part",
-                           alias_name="n_parents_with_children"),
-                       Sum("c_part", alias_name="n_children"),
-                       Sum("q_part", alias_name="sum_child_qty_cents"))
-            .map_batches(finish, batch_format="pyarrow"))
+    return _fold(per_order, prio_partial, "o_orderpriority",
+                 "n_parents n_parents_with_children n_children "
+                 "sum_child_qty_cents")
 
 
-CHILDREN_AGG_SQL = """
+CHILDREN_AGG_SQL = f"""
 SELECT o.o_orderpriority,
        CAST(count(*) AS BIGINT) AS n_parents,
        CAST(count(c.n_children) AS BIGINT) AS n_parents_with_children,
@@ -5488,7 +4095,7 @@ SELECT o.o_orderpriority,
          AS sum_child_qty_cents
 FROM orders o
 LEFT JOIN (SELECT l_orderkey, count(*) AS n_children,
-                  sum(CAST(round(l_quantity * 100) AS BIGINT))
+                  sum({_cents_sql("l_quantity")})
                     AS qty_cents
            FROM lineitem GROUP BY l_orderkey) c
   ON c.l_orderkey = o.o_orderkey
@@ -5507,21 +4114,15 @@ def parent_agg_lineitem(sf_dir: str):
     attach is the bucketed union-groupby with Max-as-OR merge, so the
     plan is schema-stable on degenerate inputs and ships one bounded
     row per parent."""
-    from ray.data.aggregate import Max, Sum
+    from ray.data.aggregate import Max
 
     li = _read(sf_dir, "lineitem", ["l_returnflag", "l_orderkey"])
-    flags = sorted(
-        b["l_returnflag"]
-        for t in (li.groupby("l_returnflag").count()
-                  .iter_batches(batch_format="pyarrow"))
-        for b in t.to_pylist())
+    flags = sorted(_collect(li.groupby("l_returnflag").count(),
+                            "l_returnflag:str")["l_returnflag"].to_pylist())
     hcols = [f"h{i}" for i in range(len(flags))]
-    empty = pa.schema([("l_returnflag", pa.string()),
-                       ("n_parents", pa.int64()),
-                       ("sum_parent_price_cents", pa.int64())])
+    spec = "l_returnflag:str n_parents sum_parent_price_cents"
     if not flags:
-        import ray.data
-        return ray.data.from_arrow(empty.empty_table())
+        return _table([], spec)
 
     def child_rows(t: pa.Table) -> pa.Table:
         fl = t["l_returnflag"]
@@ -5542,61 +4143,38 @@ def parent_agg_lineitem(sf_dir: str):
         for h in hcols:
             cols[h] = pa.array(np.zeros(n, np.int64))
         cols["pcents"] = _cents_of(t["o_totalprice"])
-        cols["np"] = pa.array(np.ones(n, np.int64))
+        cols["np"] = _ones(n)
         return pa.table(cols)
 
-    both = (li.map_batches(child_rows, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .union(_read(sf_dir, "orders",
-                         ["o_orderkey", "o_totalprice"])
-                   .map_batches(parent_rows, batch_format="pyarrow",
-                                zero_copy_batch=True)))
-
+    both = _map(li, child_rows).union(
+        _map(_read(sf_dir, "orders", ["o_orderkey", "o_totalprice"]),
+             parent_rows))
     per_order = (both.groupby("o_orderkey")
-                 .aggregate(*([Max(h, alias_name=h) for h in hcols]
-                              + [Max("pcents", alias_name="pcents"),
-                                 Max("np", alias_name="np")])))
+                 .aggregate(*[Max(c, alias_name=c)
+                              for c in hcols + ["pcents", "np"]]))
 
     def flag_partial(t: pa.Table) -> pa.Table:
         # np == 0 → orphan child rows with no parent in orders: not a
         # parent to aggregate (the oracle's inner join drops them)
         t = t.filter(pc.greater(t["np"], pa.scalar(0)))
-        outs = []
-        for f, h in zip(flags, hcols):
-            hv = pc.cast(t[h], pa.int64())
-            outs.append(pa.table({
-                "l_returnflag": pa.array([f], pa.string()),
-                "n_part": pa.array(
-                    [pc.sum(hv).as_py() or 0], pa.int64()),
-                "c_part": pa.array(
-                    [pc.sum(pc.multiply(hv, pc.cast(
-                        t["pcents"], pa.int64()))).as_py() or 0],
-                    pa.int64())}))
-        return pa.concat_tables(outs)
+        pcents = pc.cast(t["pcents"], pa.int64())
+        return _table([(f, pc.sum(pc.cast(t[h], pa.int64())).as_py() or 0,
+                        pc.sum(pc.multiply(pc.cast(t[h], pa.int64()),
+                                           pcents)).as_py() or 0)
+                       for f, h in zip(flags, hcols)], spec)
 
-    def finish(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater(t["n_parents"], pa.scalar(0)))
-        return pa.table({
-            "l_returnflag": t["l_returnflag"],
-            "n_parents": pc.cast(t["n_parents"], pa.int64()),
-            "sum_parent_price_cents": pc.cast(
-                t["sum_parent_price_cents"], pa.int64())})
-
-    return (per_order.map_batches(flag_partial, batch_format="pyarrow")
-            .groupby("l_returnflag")
-            .aggregate(Sum("n_part", alias_name="n_parents"),
-                       Sum("c_part",
-                           alias_name="sum_parent_price_cents"))
-            .map_batches(finish, batch_format="pyarrow"))
+    return _map(_fold(per_order, flag_partial, "l_returnflag",
+                      "n_parents sum_parent_price_cents"),
+                lambda t: t.filter(pc.greater(t["n_parents"], pa.scalar(0))))
 
 
-PARENT_AGG_SQL = """
+PARENT_AGG_SQL = f"""
 SELECT l_returnflag,
        CAST(count(*) AS BIGINT) AS n_parents,
        CAST(sum(pcents) AS BIGINT) AS sum_parent_price_cents
 FROM (SELECT DISTINCT l_returnflag, l_orderkey FROM lineitem) p
 JOIN (SELECT o_orderkey,
-             CAST(round(o_totalprice * 100) AS BIGINT) AS pcents
+             {_cents_sql("o_totalprice")} AS pcents
       FROM orders) o
   ON o.o_orderkey = p.l_orderkey
 GROUP BY l_returnflag ORDER BY l_returnflag
@@ -5615,40 +4193,18 @@ def missing_agg_events(sf_dir: str):
     derived optional field, how many carry it, and the exact cents
     sum over the present side.  One vectorized mask per batch; only
     (event_type, 3×int64) partials cross the exchange."""
-    from ray.data.aggregate import Sum
-
     def partial(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        present = (eid % _MISSING_MOD) >= _MISSING_LT
-        cents = _cents_of(t["value"]).to_numpy(zero_copy_only=False)
-        g = (pa.table({
-            "event_type": t["event_type"],
-            "miss": pa.array((~present).astype(np.int64)),
-            "pres": pa.array(present.astype(np.int64)),
-            "c": pa.array(np.where(present, cents, 0))})
-             .group_by("event_type")
-             .aggregate([("miss", "sum"), ("pres", "sum"),
-                         ("c", "sum")]))
-        return g.rename_columns(
-            ["event_type", "m_part", "p_part", "c_part"])
-
-    def finish(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+        present = (_np(t["event_id"]) % _MISSING_MOD) >= _MISSING_LT
+        cents = _np(_cents_of(t["value"]))
         return pa.table({
             "event_type": t["event_type"],
-            "n_missing": pc.cast(t["n_missing"], pa.int64()),
-            "n_present": pc.cast(t["n_present"], pa.int64()),
-            "sum_present_cents": pc.cast(t["sum_present_cents"],
-                                         pa.int64())})
+            "n_missing": pa.array((~present).astype(np.int64)),
+            "n_present": pa.array(present.astype(np.int64)),
+            "sum_present_cents": pa.array(np.where(present, cents, 0))})
 
-    return (_read(sf_dir, "events", ["event_id", "event_type", "value"])
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("event_type")
-            .aggregate(Sum("m_part", alias_name="n_missing"),
-                       Sum("p_part", alias_name="n_present"),
-                       Sum("c_part", alias_name="sum_present_cents"))
-            .map_batches(finish, batch_format="pyarrow"))
+    return _fold(_read(sf_dir, "events", ["event_id", "event_type", "value"]),
+                 partial, "event_type",
+                 "n_missing n_present sum_present_cents")
 
 
 MISSING_AGG_SQL = f"""
@@ -5658,7 +4214,7 @@ SELECT event_type,
        CAST(sum(CASE WHEN event_id % {_MISSING_MOD} >= {_MISSING_LT}
                      THEN 1 ELSE 0 END) AS BIGINT) AS n_present,
        CAST(sum(CASE WHEN event_id % {_MISSING_MOD} >= {_MISSING_LT}
-                     THEN CAST(round(value * 100) AS BIGINT)
+                     THEN {_VALUE_CENTS}
                      ELSE 0 END) AS BIGINT) AS sum_present_cents
 FROM events GROUP BY event_type ORDER BY event_type
 """
@@ -5669,38 +4225,29 @@ def rate_agg_events(sf_dir: str):
     date_histogram: per epoch-week bucket, count, exact cents sum, and
     the day-rate = sum / 7 — ONE float division applied identically on
     both sides of the oracle, so the doubles are bit-equal."""
-    from ray.data.aggregate import Sum
-
     def partial(t: pa.Table) -> pa.Table:
-        us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        g = (pa.table({"week_us": pa.array((us // _WEEK_US) * _WEEK_US,
-                                           pa.int64()),
-                       "cent": _cents_of(t["value"])})
-             .group_by("week_us")
-             .aggregate([([], "count_all"), ("cent", "sum")]))
-        return g.rename_columns(["week_us", "n_part", "s_part"])
-
-    agg = (_read(sf_dir, "events", ["ts", "value"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("week_us")
-           .aggregate(Sum("n_part", alias_name="n_events"),
-                      Sum("s_part", alias_name="sum_value_cents")))
+        us = _np(t["ts"].cast(pa.int64()))
+        return pa.table({"week_us": pa.array((us // _WEEK_US) * _WEEK_US,
+                                             pa.int64()),
+                         "n_events": _ones(len(us)),
+                         "sum_value_cents": _cents_of(t["value"])})
 
     def finish(t: pa.Table) -> pa.Table:
         rate = pc.divide(pc.cast(t["sum_value_cents"], pa.float64()),
                          pa.scalar(7.0))
         return t.append_column("rate_cents_per_day", rate)
 
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return _fold(_read(sf_dir, "events", ["ts", "value"]), partial,
+                 "week_us", "n_events sum_value_cents").map_batches(
+        finish, batch_format="pyarrow")
 
 
 RATE_AGG_SQL = f"""
 SELECT (epoch_us(ts) // {_WEEK_US}) * {_WEEK_US} AS week_us,
        count(*) AS n_events,
-       CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
+       CAST(sum({_VALUE_CENTS}) AS BIGINT)
          AS sum_value_cents,
-       CAST(sum(CAST(round(value * 100) AS BIGINT)) AS DOUBLE) / 7.0
+       CAST(sum({_VALUE_CENTS}) AS DOUBLE) / 7.0
          AS rate_cents_per_day
 FROM events GROUP BY 1
 """
@@ -5715,52 +4262,26 @@ def cumulative_cardinality_events(sf_dir: str):
     distinct user per batch, plus the daily count histogram.  The
     cumulative sum runs on the day-bucket table (bounded by corpus
     time span — metadata-scale), never on events."""
-    from ray.data.aggregate import Min, Sum
+    def day_of(t: pa.Table) -> pa.Array:
+        return pa.array(_np(t["ts"].cast(pa.int64())) // _DAY_US, pa.int64())
 
-    def day_counts(t: pa.Table) -> pa.Table:
-        us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        g = (pa.table({"day": pa.array(us // _DAY_US, pa.int64())})
-             .group_by("day").aggregate([([], "count_all")]))
-        return g.rename_columns(["day", "n_part"])
-
-    def first_seen_partial(t: pa.Table) -> pa.Table:
-        us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        g = (pa.table({"user_id": t["user_id"],
-                       "day": pa.array(us // _DAY_US, pa.int64())})
-             .group_by("user_id").aggregate([("day", "min")]))
-        return g.rename_columns(["user_id", "day_p"])
-
-    days = (_read(sf_dir, "events", ["ts"])
-            .map_batches(day_counts, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("day").aggregate(Sum("n_part",
-                                          alias_name="n_events")))
-    first = (_read(sf_dir, "events", ["ts", "user_id"])
-             .map_batches(first_seen_partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-             .groupby("user_id").aggregate(Min("day_p",
-                                               alias_name="day")))
-
-    def new_user_counts(t: pa.Table) -> pa.Table:
-        g = (t.select(["day"]).group_by("day")
-             .aggregate([([], "count_all")]))
-        return g.rename_columns(["day", "nu_part"])
-
-    new_users = (first.map_batches(new_user_counts,
-                                   batch_format="pyarrow")
-                 .groupby("day").aggregate(Sum("nu_part",
-                                               alias_name="new_users")))
-
-    dt = pa.concat_tables(list(days.iter_batches(
-        batch_format="pyarrow"))).sort_by("day")
-    nt = pa.concat_tables(list(new_users.iter_batches(
-        batch_format="pyarrow")))
+    days = _collect(_fold(_read(sf_dir, "events", ["ts"]),
+                          lambda t: pa.table({"day": day_of(t),
+                                              "n_events": _ones(t.num_rows)}),
+                          "day", "n_events"), "day n_events").sort_by("day")
+    first = _fold(_read(sf_dir, "events", ["ts", "user_id"]),
+                  lambda t: pa.table({"user_id": t["user_id"],
+                                      "day": day_of(t)}),
+                  "user_id", "day:min")
+    nt = _collect(_fold(first, lambda t: pa.table({
+        "day": t["day"], "new_users": _ones(t.num_rows)}), "day", "new_users"),
+        "day new_users")
     nu_map = dict(zip(nt["day"].to_pylist(), nt["new_users"].to_pylist()))
-    day = dt["day"].to_numpy(zero_copy_only=False)
+    day = _np(days["day"])
     nu = np.array([nu_map.get(int(d), 0) for d in day], dtype=np.int64)
     return pa.table({
         "bucket_us": pa.array(day * _DAY_US, pa.int64()),
-        "n_events": dt["n_events"],
+        "n_events": days["n_events"],
         "new_users": pa.array(nu, pa.int64()),
         "cum_users": pa.array(np.cumsum(nu), pa.int64())})
 
@@ -5785,44 +4306,35 @@ _SAMPLER_PER_SOURCE = 3
 _SAMPLER_SIZE = 50
 
 
-def diversified_sample_documents(sf_dir: str,
-                                 per_source: int = _SAMPLER_PER_SOURCE,
-                                 sample: int = _SAMPLER_SIZE):
+def diversified_sample_documents(sf_dir: str):
     """ES ``diversified_sampler`` aggregation, made deterministic:
     walk documents in global order (n_chars DESC, doc_id ASC — "best
-    first"), keep a doc only while fewer than ``per_source`` docs of
-    its source are kept, stop after ``sample``.  Equivalent closed
-    form (provable because docs are only ever skipped for the source
-    cap): survivors = within-source rank ≤ per_source, then the first
-    ``sample`` survivors in global order.  The per-source top-k is the
-    same combiner/finish discipline as topk_orders_per_customer; only
-    |sources| × per_source rows reach the driver for the final
-    (bounded) cut."""
+    first"), keep a doc only while fewer than ``_SAMPLER_PER_SOURCE``
+    docs of its source are kept, stop after ``_SAMPLER_SIZE``.
+    Equivalent closed form (provable because docs are only ever
+    skipped for the source cap): survivors = within-source rank ≤
+    per_source, then the first ``_SAMPLER_SIZE`` survivors in global
+    order.  The per-source top-k is the same combiner/finish
+    discipline as topk_orders_per_customer; only |sources| ×
+    per_source rows reach the driver for the final (bounded) cut."""
 
     def topk_per_source(t: pa.Table) -> pa.Table:
         src = np.asarray(t["source"].to_pylist(), dtype=object)
-        order = np.lexsort((t["doc_id"].to_numpy(zero_copy_only=False),
-                            -t["n_chars"].to_numpy(zero_copy_only=False),
-                            src))
+        order = np.lexsort((_np(t["doc_id"]), -_np(t["n_chars"]), src))
         src_s = src[order]
         new = np.ones(len(src_s), dtype=bool)
         new[1:] = src_s[1:] != src_s[:-1]
         pos = np.arange(len(src_s))
         start = np.maximum.accumulate(np.where(new, pos, 0))
-        keep = pos - start < per_source
-        return t.take(pa.array(order[keep]))
+        return t.take(pa.array(order[pos - start < _SAMPLER_PER_SOURCE]))
 
-    survivors = (_read(sf_dir, "documents",
-                       ["doc_id", "source", "n_chars"])
-                 .map_batches(topk_per_source, batch_format="pyarrow",
-                              zero_copy_batch=True)
+    t = _collect(_map(_read(sf_dir, "documents",
+                            ["doc_id", "source", "n_chars"]), topk_per_source)
                  .groupby("source")
-                 .map_groups(topk_per_source, batch_format="pyarrow"))
-    t = pa.concat_tables(list(survivors.iter_batches(
-        batch_format="pyarrow")))
-    order = np.lexsort((t["doc_id"].to_numpy(zero_copy_only=False),
-                        -t["n_chars"].to_numpy(zero_copy_only=False)))
-    t = t.take(pa.array(order[:sample]))
+                 .map_groups(topk_per_source, batch_format="pyarrow"),
+                 "doc_id source:str n_chars")
+    order = np.lexsort((_np(t["doc_id"]), -_np(t["n_chars"])))
+    t = t.take(pa.array(order[:_SAMPLER_SIZE]))
     return t.add_column(0, "rank",
                         pa.array(np.arange(1, len(t) + 1), pa.int64()))
 
@@ -5854,58 +4366,35 @@ def string_stats_documents(sf_dir: str):
     driver from the final histogram summed in codepoint order; it is
     a rounded float aggregate (module convention — sum order across
     engines differs by ULPs, ×10⁶-and-round makes the hash stable)."""
-    from ray.data.aggregate import Max, Min, Sum
-
     def len_partial(t: pa.Table) -> pa.Table:
         ln = pc.utf8_length(t["text"])
-        g = (pa.table({"lang": t["lang"], "ln": ln})
-             .group_by("lang")
-             .aggregate([([], "count_all"), ("ln", "sum"),
-                         ("ln", "min"), ("ln", "max")]))
-        return g.rename_columns(["lang", "n_p", "s_p", "mn_p", "mx_p"])
+        return pa.table({"lang": t["lang"], "n_docs": _ones(t.num_rows),
+                         "sum_len": ln, "min_len": ln, "max_len": ln})
 
     def char_partial(t: pa.Table) -> pa.Table:
-        langs, cps, cnts = [], [], []
-        for lang, text in zip(t["lang"].to_pylist(),
-                              t["text"].to_pylist()):
+        langs, cps, cnts = ([np.empty(0, dt)] for dt in (object, np.int64,
+                                                         np.int64))
+        for lang, text in zip(t["lang"].to_pylist(), t["text"].to_pylist()):
             # per-doc decode is vectorized (numpy over utf-32 bytes);
             # only (lang, codepoint, count) rows leave the batch
-            arr = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-            u, c = np.unique(arr, return_counts=True)
+            u, c = np.unique(np.frombuffer(text.encode("utf-32-le"),
+                                           dtype=np.uint32),
+                             return_counts=True)
             langs.append(np.full(len(u), lang, dtype=object))
             cps.append(u.astype(np.int64))
-            cnts.append(c.astype(np.int64))
-        if not langs:
-            return pa.table({"lang": pa.array([], pa.string()),
-                             "cp": pa.array([], pa.int64()),
-                             "c_p": pa.array([], pa.int64())})
-        g = (pa.table({"lang": pa.array(np.concatenate(langs)),
-                       "cp": pa.array(np.concatenate(cps)),
-                       "c": pa.array(np.concatenate(cnts))})
-             .group_by(["lang", "cp"]).aggregate([("c", "sum")]))
-        return g.rename_columns(["lang", "cp", "c_p"])
+            cnts.append(c)
+        return pa.table({"lang": pa.array(np.concatenate(langs), pa.string()),
+                         "cp": pa.array(np.concatenate(cps)),
+                         "cnt": pa.array(np.concatenate(cnts))})
 
-    lens = (_read(sf_dir, "documents", ["lang", "text"])
-            .map_batches(len_partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("lang")
-            .aggregate(Sum("n_p", alias_name="n_docs"),
-                       Sum("s_p", alias_name="sum_len"),
-                       Min("mn_p", alias_name="min_len"),
-                       Max("mx_p", alias_name="max_len")))
-    hist = (_read(sf_dir, "documents", ["lang", "text"])
-            .map_batches(char_partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby(["lang", "cp"])
-            .aggregate(Sum("c_p", alias_name="cnt")))
-
-    lt = pa.concat_tables(list(lens.iter_batches(
-        batch_format="pyarrow"))).sort_by("lang")
-    ht = pa.concat_tables(list(hist.iter_batches(
-        batch_format="pyarrow")))
+    lt = _collect(_fold(_read(sf_dir, "documents", ["lang", "text"]),
+                        len_partial, "lang",
+                        "n_docs sum_len min_len:min max_len:max"),
+                  "lang:str n_docs sum_len min_len max_len").sort_by("lang")
+    ht = _collect(_fold(_read(sf_dir, "documents", ["lang", "text"]),
+                        char_partial, "lang cp", "cnt"), "lang:str cp cnt")
     hl = np.asarray(ht["lang"].to_pylist(), dtype=object)
-    hcp = ht["cp"].to_numpy(zero_copy_only=False)
-    hc = ht["cnt"].to_numpy(zero_copy_only=False)
+    hcp, hc = _np(ht["cp"]), _np(ht["cnt"])
     n_distinct, ent_micro = [], []
     for lang in lt["lang"].to_pylist():
         m = hl == lang
@@ -5916,21 +4405,17 @@ def string_stats_documents(sf_dir: str):
             n_distinct.append(0)
             ent_micro.append(0)
             continue
-        order = np.argsort(cp)
-        c = c[order]
+        c = c[np.argsort(cp)]
         total = c.sum()
         # H = log2(N) − Σ c·log2(c) / N, summed in codepoint order
         h = np.log2(total) - float(np.dot(c, np.log2(c))) / total
         n_distinct.append(int(m.sum()))
         ent_micro.append(int(np.floor(h * 1e6 + 0.5)))
-    return pa.table({
-        "lang": lt["lang"], "n_docs": lt["n_docs"],
-        "sum_len": lt["sum_len"], "min_len": lt["min_len"],
-        "max_len": lt["max_len"],
-        "avg_len": pc.divide(pc.cast(lt["sum_len"], pa.float64()),
-                             pc.cast(lt["n_docs"], pa.float64())),
-        "n_distinct_chars": pa.array(n_distinct, pa.int64()),
-        "entropy_microbits": pa.array(ent_micro, pa.int64())})
+    return lt.append_column("avg_len", pc.divide(
+        pc.cast(lt["sum_len"], pa.float64()),
+        pc.cast(lt["n_docs"], pa.float64()))).append_column(
+        "n_distinct_chars", pa.array(n_distinct, pa.int64())).append_column(
+        "entropy_microbits", pa.array(ent_micro, pa.int64()))
 
 
 STRING_STATS_SQL = """
@@ -5971,59 +4456,21 @@ def boxplot_events(sf_dir: str):
     (4·cent vs 4·q ∓ 6·IQR) so the 1.5× factor never leaves the
     integers.  The only shuffle carries distinct (type, cent) pairs —
     the same bounded histogram exchange as mad_events."""
-    from ray.data.aggregate import Sum
-
-    def cent_counts(t: pa.Table) -> pa.Table:
-        g = (pa.table({"event_type": t["event_type"],
-                       "cent": _cents_of(t["value"])})
-             .group_by(["event_type", "cent"])
-             .aggregate([([], "count_all")]))
-        return g.rename_columns(["event_type", "cent", "n_part"])
-
-    hist = (_read(sf_dir, "events", ["event_type", "value"])
-            .map_batches(cent_counts, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby(["event_type", "cent"])
-            .aggregate(Sum("n_part", alias_name="cnt")))
-    import math
-    t = pa.concat_tables(list(hist.iter_batches(
-        batch_format="pyarrow", batch_size=1 << 20)))
-    ets = np.asarray(t["event_type"].to_pylist(), dtype=object)
-    cents = t["cent"].to_numpy(zero_copy_only=False)
-    cnts = t["cnt"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((cents, ets))
-    ets, cents, cnts = ets[order], cents[order], cnts[order]
-    out = {k: [] for k in ("event_type", "n", "min_cents", "max_cents",
-                           "q1_cents", "q2_cents", "q3_cents",
-                           "lower_whisker_cents",
-                           "upper_whisker_cents")}
-    for et in sorted(set(ets.tolist())):
-        m = ets == et
-        c, k = cents[m], cnts[m]
-        run = np.cumsum(k)
-        n = int(run[-1])
-        q1, q2, q3 = (int(c[np.searchsorted(run, math.ceil(q * n))])
-                      for q in (0.25, 0.5, 0.75))
+    rows = []
+    for et, c, k in _groups(_cent_hist(sf_dir), "event_type"):
+        q1, q2, q3 = (_order_stat(c, k, q) for q in (0.25, 0.5, 0.75))
         iqr = q3 - q1
         lo_ok = 4 * c >= 4 * q1 - 6 * iqr
         hi_ok = 4 * c <= 4 * q3 + 6 * iqr
-        out["event_type"].append(et)
-        out["n"].append(n)
-        out["min_cents"].append(int(c[0]))
-        out["max_cents"].append(int(c[-1]))
-        out["q1_cents"].append(q1)
-        out["q2_cents"].append(q2)
-        out["q3_cents"].append(q3)
-        out["lower_whisker_cents"].append(int(c[lo_ok].min()))
-        out["upper_whisker_cents"].append(int(c[hi_ok].max()))
-    return pa.table({k: pa.array(v, pa.string() if k == "event_type"
-                                 else pa.int64())
-                     for k, v in out.items()})
+        rows.append((et, int(k.sum()), int(c[0]), int(c[-1]), q1, q2, q3,
+                     int(c[lo_ok].min()), int(c[hi_ok].max())))
+    return _table(rows, "event_type:str n min_cents max_cents q1_cents "
+                  "q2_cents q3_cents lower_whisker_cents upper_whisker_cents")
 
 
-BOXPLOT_SQL = """
+BOXPLOT_SQL = f"""
 WITH c AS (
-  SELECT event_type, CAST(round(value * 100) AS BIGINT) AS cent
+  SELECT event_type, {_VALUE_CENTS} AS cent
   FROM events),
 tot AS (SELECT event_type, count(*) AS n,
                min(cent) AS min_cents, max(cent) AS max_cents
@@ -6035,12 +4482,9 @@ cum AS (
   FROM c GROUP BY event_type, cent),
 q AS (
   SELECT cum.event_type,
-         CAST(min(CASE WHEN run >= CAST(ceil(0.25 * n) AS BIGINT)
-                       THEN cent END) AS BIGINT) AS q1_cents,
-         CAST(min(CASE WHEN run >= CAST(ceil(0.5 * n) AS BIGINT)
-                       THEN cent END) AS BIGINT) AS q2_cents,
-         CAST(min(CASE WHEN run >= CAST(ceil(0.75 * n) AS BIGINT)
-                       THEN cent END) AS BIGINT) AS q3_cents
+         {_order_stat_sql(0.25, "cent")} AS q1_cents,
+         {_order_stat_sql(0.5, "cent")} AS q2_cents,
+         {_order_stat_sql(0.75, "cent")} AS q3_cents
   FROM cum JOIN tot USING (event_type)
   GROUP BY cum.event_type),
 w AS (
@@ -6065,8 +4509,7 @@ _HIST_INTERVAL = 2500              # cents
 _HIST_OFFSET = 300
 
 
-def histogram_events(sf_dir: str, interval: int = _HIST_INTERVAL,
-                     offset: int = _HIST_OFFSET):
+def histogram_events(sf_dir: str):
     """ES numeric ``histogram`` aggregation with ``offset`` and
     ``min_doc_count: 0``: bucket key = offset + interval·⌊(cent −
     offset)/interval⌋ (true floor division, negative-safe), count +
@@ -6074,37 +4517,30 @@ def histogram_events(sf_dir: str, interval: int = _HIST_INTERVAL,
     min and max occupied keys (the gap fill runs on the bounded
     bucket table on the driver, mirroring the oracle's range() join,
     never on events)."""
-    from ray.data.aggregate import Sum
+    iv, off = _HIST_INTERVAL, _HIST_OFFSET
 
     def partial(t: pa.Table) -> pa.Table:
-        cents = _cents_of(t["value"]).to_numpy(zero_copy_only=False)
-        key = offset + interval * ((cents - offset) // interval)
-        g = (pa.table({"key_cents": pa.array(key, pa.int64()),
-                       "cent": pa.array(cents, pa.int64())})
-             .group_by("key_cents")
-             .aggregate([([], "count_all"), ("cent", "sum")]))
-        return g.rename_columns(["key_cents", "n_part", "s_part"])
+        cents = _cents_of(t["value"])
+        return pa.table({"key_cents": pa.array(
+                             off + iv * ((_np(cents) - off) // iv), pa.int64()),
+                         "n_events": _ones(t.num_rows),
+                         "sum_value_cents": cents})
 
-    agg = (_read(sf_dir, "events", ["value"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("key_cents")
-           .aggregate(Sum("n_part", alias_name="n_events"),
-                      Sum("s_part", alias_name="sum_value_cents")))
-    t = pa.concat_tables(list(agg.iter_batches(
-        batch_format="pyarrow"))).sort_by("key_cents")
+    t = _collect(_fold(_read(sf_dir, "events", ["value"]), partial,
+                       "key_cents", "n_events sum_value_cents"),
+                 "key_cents n_events sum_value_cents").sort_by("key_cents")
     if not len(t):
         return t
-    keys = t["key_cents"].to_numpy(zero_copy_only=False)
-    full = np.arange(keys[0], keys[-1] + 1, interval, dtype=np.int64)
+    keys = _np(t["key_cents"])
+    full = np.arange(keys[0], keys[-1] + 1, iv, dtype=np.int64)
     # every occupied key sits exactly on the arange grid by
     # construction (key = offset + interval*floor), so a direct
     # scatter fills the gaps
-    idx = (keys - full[0]) // interval
+    idx = (keys - full[0]) // iv
     n = np.zeros(len(full), dtype=np.int64)
     s = np.zeros(len(full), dtype=np.int64)
-    n[idx] = t["n_events"].to_numpy(zero_copy_only=False)
-    s[idx] = t["sum_value_cents"].to_numpy(zero_copy_only=False)
+    n[idx] = _np(t["n_events"])
+    s[idx] = _np(t["sum_value_cents"])
     return pa.table({"key_cents": pa.array(full, pa.int64()),
                      "n_events": pa.array(n, pa.int64()),
                      "sum_value_cents": pa.array(s, pa.int64())})
@@ -6112,7 +4548,7 @@ def histogram_events(sf_dir: str, interval: int = _HIST_INTERVAL,
 
 HISTOGRAM_SQL = f"""
 WITH c AS (
-  SELECT CAST(round(value * 100) AS BIGINT) AS cent FROM events),
+  SELECT {_VALUE_CENTS} AS cent FROM events),
 b AS (
   SELECT {_HIST_OFFSET} + {_HIST_INTERVAL} *
            CAST(floor((cent - {_HIST_OFFSET})
@@ -6141,45 +4577,33 @@ def _event_type_cents_agg(sf_dir: str) -> pa.Table:
     """Shared exact per-event_type (count, cents-sum) exchange:
     int64 partials inside map_batches, one |types|-row groupby —
     the bucket table every terms-agg pipeline stage starts from."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = (pa.table({"event_type": t["event_type"],
-                       "cent": _cents_of(t["value"])})
-             .group_by("event_type")
-             .aggregate([([], "count_all"), ("cent", "sum")]))
-        return g.rename_columns(["event_type", "n_part", "s_part"])
-
-    agg = (_read(sf_dir, "events", ["event_type", "value"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n_part", alias_name="n_events"),
-                      Sum("s_part", alias_name="sum_value_cents")))
-    return pa.concat_tables(list(agg.iter_batches(
-        batch_format="pyarrow")))
+    return _collect(_fold(_read(sf_dir, "events", ["event_type", "value"]),
+                          lambda t: pa.table({
+                              "event_type": t["event_type"],
+                              "n_events": _ones(t.num_rows),
+                              "sum_value_cents": _cents_of(t["value"])}),
+                          "event_type", "n_events sum_value_cents"),
+                    "event_type:str n_events sum_value_cents")
 
 
-def bucket_sort_events(sf_dir: str, from_: int = _BUCKET_SORT_FROM,
-                       size: int = _BUCKET_SORT_SIZE):
+def bucket_sort_events(sf_dir: str):
     """ES ``bucket_sort`` pipeline aggregation over the event_type
     terms agg: order buckets by exact cents sum DESC (event_type ASC
-    as the deterministic tie-break), skip ``from``, keep ``size`` —
-    the truncation runs on the bucket table (|types| rows), the
-    events-sized work is one combined groupby."""
+    as the deterministic tie-break), skip ``_BUCKET_SORT_FROM``, keep
+    ``_BUCKET_SORT_SIZE`` — the truncation runs on the bucket table
+    (|types| rows), the events-sized work is one combined groupby."""
+    lo, hi = _BUCKET_SORT_FROM, _BUCKET_SORT_FROM + _BUCKET_SORT_SIZE
     t = _event_type_cents_agg(sf_dir)
     et = np.asarray(t["event_type"].to_pylist(), dtype=object)
-    s = t["sum_value_cents"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((et, -s))[from_:from_ + size]
-    t = t.take(pa.array(order))
-    return t.add_column(0, "rank", pa.array(
-        np.arange(from_ + 1, from_ + 1 + len(t)), pa.int64()))
+    t = t.take(pa.array(np.lexsort((et, -_np(t["sum_value_cents"])))[lo:hi]))
+    return t.add_column(0, "rank", pa.array(np.arange(lo + 1, lo + 1 + len(t)),
+                                            pa.int64()))
 
 
 BUCKET_SORT_SQL = f"""
 WITH b AS (
   SELECT event_type, count(*) AS n_events,
-         CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
+         CAST(sum({_VALUE_CENTS}) AS BIGINT)
            AS sum_value_cents
   FROM events GROUP BY event_type)
 SELECT CAST(row_number() OVER (ORDER BY sum_value_cents DESC,
@@ -6212,10 +4636,10 @@ def normalize_events(sf_dir: str):
                      "sum_ppm": pa.array(s_ppm, pa.int64())})
 
 
-NORMALIZE_SQL = """
+NORMALIZE_SQL = f"""
 WITH b AS (
   SELECT event_type, count(*) AS n_events,
-         CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
+         CAST(sum({_VALUE_CENTS}) AS BIGINT)
            AS sum_value_cents
   FROM events GROUP BY event_type)
 SELECT event_type, n_events, sum_value_cents,
@@ -6230,79 +4654,41 @@ FROM b ORDER BY event_type
 _MOVPCT_WINDOW = 7
 
 
-def moving_percentiles_events(sf_dir: str,
-                              window: int = _MOVPCT_WINDOW):
+def moving_percentiles_events(sf_dir: str):
     """ES ``moving_percentiles`` pipeline aggregation — EXACT (ES
     merges per-bucket TDigest sketches): for each day of the
     gap-filled daily histogram, the p50/p90 of ``value`` over the
-    trailing ``window`` days (partial at the head, NULL on an empty
-    window), as the discrete order statistic mad_events uses.  The
-    only shuffle carries distinct (day, cent) pairs — per-day
-    histograms ARE the mergeable sketch, so the windowed merge runs
-    on the bounded bucket table on the driver, never on events."""
-    from ray.data.aggregate import Sum
-
-    def cent_counts(t: pa.Table) -> pa.Table:
-        us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        g = (pa.table({"day": pa.array(us // _DAY_US, pa.int64()),
-                       "cent": _cents_of(t["value"])})
-             .group_by(["day", "cent"])
-             .aggregate([([], "count_all")]))
-        return g.rename_columns(["day", "cent", "n_part"])
-
-    hist = (_read(sf_dir, "events", ["ts", "value"])
-            .map_batches(cent_counts, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby(["day", "cent"])
-            .aggregate(Sum("n_part", alias_name="cnt")))
-    import math
-    t = pa.concat_tables(list(hist.iter_batches(
-        batch_format="pyarrow", batch_size=1 << 20)))
-    empty = pa.table({"bucket_us": pa.array([], pa.int64()),
-                      "n_window": pa.array([], pa.int64()),
-                      "p50_cents": pa.array([], pa.int64()),
-                      "p90_cents": pa.array([], pa.int64())})
-    if not len(t):
-        return empty
-    day = t["day"].to_numpy(zero_copy_only=False)
-    cent = t["cent"].to_numpy(zero_copy_only=False)
-    cnt = t["cnt"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((cent, day))
-    day, cent, cnt = day[order], cent[order], cnt[order]
-    full = np.arange(day.min(), day.max() + 1, dtype=np.int64)
+    trailing ``_MOVPCT_WINDOW`` days (partial at the head, NULL on an
+    empty window), as the discrete order statistic ``_order_stat``.
+    The only shuffle carries distinct (day, cent) pairs — per-day
+    histograms ARE the mergeable sketch, so the windowed merge runs on
+    the bounded bucket table on the driver, never on events."""
+    t = _cent_hist(sf_dir, "day", ["ts", "value"], lambda t: pa.array(
+        _np(t["ts"].cast(pa.int64())) // _DAY_US, pa.int64()))
+    day, cent, cnt = _np(t["day"]), _np(t["cent"]), _np(t["cnt"])
+    full = np.arange(day.min(), day.max() + 1, dtype=np.int64) \
+        if len(day) else day
     starts = np.searchsorted(day, full)          # row range per day
     ends = np.searchsorted(day, full, side="right")
-    out_n, out_p50, out_p90 = [], [], []
+    rows = []
     for i in range(len(full)):
-        lo = starts[max(0, i - window + 1)]
-        hi = ends[i]
-        c, k = cent[lo:hi], cnt[lo:hi]
+        lo = starts[max(0, i - _MOVPCT_WINDOW + 1)]
+        c, k = cent[lo:ends[i]], cnt[lo:ends[i]]
         if not len(c):
-            out_n.append(0)
-            out_p50.append(None)
-            out_p90.append(None)
+            rows.append((int(full[i]) * _DAY_US, 0, None, None))
             continue
         co = np.argsort(c, kind="stable")
-        c, k = c[co], k[co]
-        uniq, first = np.unique(c, return_index=True)
-        kk = np.add.reduceat(k, first)
-        run = np.cumsum(kk)
-        n = int(run[-1])
-        out_n.append(n)
-        out_p50.append(int(uniq[np.searchsorted(
-            run, math.ceil(0.5 * n))]))
-        out_p90.append(int(uniq[np.searchsorted(
-            run, math.ceil(0.9 * n))]))
-    return pa.table({"bucket_us": pa.array(full * _DAY_US, pa.int64()),
-                     "n_window": pa.array(out_n, pa.int64()),
-                     "p50_cents": pa.array(out_p50, pa.int64()),
-                     "p90_cents": pa.array(out_p90, pa.int64())})
+        uniq, first = np.unique(c[co], return_index=True)
+        kk = np.add.reduceat(k[co], first)
+        rows.append((int(full[i]) * _DAY_US, int(kk.sum()),
+                     _order_stat(uniq, kk, 0.5), _order_stat(uniq, kk, 0.9)))
+    return _table(rows, "bucket_us n_window p50_cents p90_cents")
 
 
 MOVING_PERCENTILES_SQL = f"""
 WITH c AS (
   SELECT epoch_us(ts) // {_DAY_US} AS day,
-         CAST(round(value * 100) AS BIGINT) AS cent
+         {_VALUE_CENTS} AS cent
   FROM events),
 span AS (SELECT min(day) AS lo, max(day) AS hi FROM c),
 grid AS (
@@ -6318,10 +4704,8 @@ cum AS (
   FROM win GROUP BY day, cent),
 pct AS (
   SELECT cum.day,
-         CAST(min(CASE WHEN run >= CAST(ceil(0.5 * n) AS BIGINT)
-                       THEN cent END) AS BIGINT) AS p50_cents,
-         CAST(min(CASE WHEN run >= CAST(ceil(0.9 * n) AS BIGINT)
-                       THEN cent END) AS BIGINT) AS p90_cents
+         {_order_stat_sql(0.5, "cent")} AS p50_cents,
+         {_order_stat_sql(0.9, "cent")} AS p90_cents
   FROM cum JOIN tot USING (day)
   GROUP BY cum.day)
 SELECT grid.day * {_DAY_US} AS bucket_us,
@@ -6352,29 +4736,18 @@ def t_test_events(sf_dir: str):
     t statistic and Welch degrees-of-freedom are ONE float finish on
     those exact integers, with the oracle's identical tree (all-DOUBLE
     so no int64 S² overflow at any scale)."""
-    from ray.data.aggregate import Sum
-
     keep = pa.array([_TTEST_A, _TTEST_B], pa.string())
 
     def partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_in(t["event_type"], value_set=keep))
-        cents = _cents_of(t["value"])
-        g = (pa.table({"event_type": t["event_type"], "c": cents,
-                       "sq": pc.multiply(cents, cents)})
-             .group_by("event_type")
-             .aggregate([("c", "count"), ("c", "sum"), ("sq", "sum")]))
-        return g.rename_columns(["event_type", "n_p", "s_p", "sq_p"])
+        c = _cents_of(t["value"])
+        return pa.table({"event_type": t["event_type"],
+                         "n": _ones(t.num_rows), "s": c,
+                         "sq": pc.multiply(c, c)})
 
-    agg = (_read(sf_dir, "events", ["event_type", "value"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n_p", alias_name="n"),
-                      Sum("s_p", alias_name="s"),
-                      Sum("sq_p", alias_name="sq")))
-    rows = {r["event_type"]: r for r in
-            pa.concat_tables(list(agg.iter_batches(
-                batch_format="pyarrow"))).to_pylist()}
+    rows = {r["event_type"]: r for r in _collect(
+        _fold(_read(sf_dir, "events", ["event_type", "value"]), partial,
+              "event_type", "n s sq"), "event_type:str n s sq").to_pylist()}
     a = rows.get(_TTEST_A, {"n": None, "s": None, "sq": None})
     b = rows.get(_TTEST_B, {"n": None, "s": None, "sq": None})
 
@@ -6417,7 +4790,7 @@ def t_test_events(sf_dir: str):
 
 T_TEST_SQL = f"""
 WITH c AS (
-  SELECT event_type, CAST(round(value * 100) AS BIGINT) AS cent
+  SELECT event_type, {_VALUE_CENTS} AS cent
   FROM events
   WHERE event_type IN ('{_TTEST_A}', '{_TTEST_B}')),
 agg AS (
@@ -6456,31 +4829,6 @@ FROM se
 """
 
 
-def _daily_counts(sf_dir: str):
-    """Day-sorted (day, count) arrays off the shared distributed
-    gap-filled date_histogram — the O(days) driver table every
-    histogram-parented pipeline agg starts from."""
-    hist = pa.concat_tables(list(date_histogram_events(sf_dir)
-                                 .iter_batches(batch_format="pyarrow")))
-    d = hist["day_bucket"].to_numpy(zero_copy_only=False)
-    n = hist["n_events"].to_numpy(zero_copy_only=False)
-    order = np.argsort(d)
-    return d[order], n[order]
-
-
-# the matching oracle prologue: gap-filled daily counts (shared by
-# STATS_BUCKET_SQL / CHANGE_POINT_SQL; same CTE shape as DERIVATIVE_SQL)
-_DAILY_HIST_CTES = """
-WITH b AS (
-  SELECT CAST(floor(epoch_us(ts) / 86400000000.0) AS BIGINT) AS d
-  FROM events),
-agg AS (SELECT d, count(*) AS n FROM b GROUP BY d),
-days AS (SELECT unnest(generate_series((SELECT min(d) FROM agg),
-                                       (SELECT max(d) FROM agg))) AS d),
-hist AS (SELECT days.d, CAST(coalesce(agg.n, 0) AS BIGINT) AS n
-         FROM days LEFT JOIN agg ON agg.d = days.d)"""
-
-
 def stats_bucket_events(sf_dir: str):
     """ES sibling pipeline aggregations over the gap-filled daily
     date_histogram — ``stats_bucket`` (count/min/max/sum/avg of the
@@ -6489,19 +4837,15 @@ def stats_bucket_events(sf_dir: str):
     ``min_bucket``/``max_bucket`` keys (first day attaining each
     extreme).  Driver work is O(days) on the already-reduced bucket
     table; the events-sized work is the shared date_histogram."""
-    d, n = _daily_counts(sf_dir)
+    d, n, _ = _daily(sf_dir)
     nb = len(n)
-    srt = np.sort(n)
-    p50 = int(srt[math.ceil(0.5 * nb) - 1])
-    return pa.table({
-        "n_buckets": pa.array([nb], pa.int64()),
-        "min_n": pa.array([int(n.min())], pa.int64()),
-        "max_n": pa.array([int(n.max())], pa.int64()),
-        "sum_n": pa.array([int(n.sum())], pa.int64()),
-        "avg_n": pa.array([float(int(n.sum()) / nb)], pa.float64()),
-        "p50_n": pa.array([p50], pa.int64()),
-        "min_day": pa.array([int(d[np.argmin(n)])], pa.int64()),
-        "max_day": pa.array([int(d[np.argmax(n)])], pa.int64())})
+    spec = "n_buckets min_n max_n sum_n avg_n:f64 p50_n min_day max_day"
+    if not nb:                 # the oracle's one all-NULL row, count 0
+        return _table([(0,) + (None,) * 7], spec)
+    return _table([(nb, int(n.min()), int(n.max()), int(n.sum()),
+                    float(int(n.sum()) / nb),
+                    int(np.sort(n)[math.ceil(0.5 * nb) - 1]),
+                    int(d[np.argmin(n)]), int(d[np.argmax(n)]))], spec)
 
 
 STATS_BUCKET_SQL = f"""
@@ -6535,39 +4879,27 @@ def scripted_metric_events(sf_dir: str):
     reduce = the global groupby sum.  Raw values never cross the
     exchange — exactly ES's state→combine→reduce contract, with the
     repo's exact-cents discipline instead of float accumulation."""
-    from ray.data.aggregate import Sum
     from mee_ray.functions import compile_expr
 
     expr = compile_expr(f"min(value, echo({_SCRIPTED_CAP}))")
 
     def partial(t: pa.Table) -> pa.Table:
-        capped = expr(t)
-        g = (pa.table({"event_type": t["event_type"],
-                       "c": _cents_of(capped)})
-             .group_by("event_type")
-             .aggregate([("c", "count"), ("c", "sum")]))
-        return g.rename_columns(["event_type", "n_p", "s_p"])
+        return pa.table({"event_type": t["event_type"],
+                         "n": _ones(t.num_rows),
+                         "sum_capped_cents": _cents_of(expr(t))})
 
-    agg = (_read(sf_dir, "events", ["event_type", "value"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n_p", alias_name="n"),
-                      Sum("s_p", alias_name="sum_capped_cents")))
-    t = pa.concat_tables(list(agg.iter_batches(
-        batch_format="pyarrow"))).sort_by("event_type")
-    n = t["n"].to_numpy(zero_copy_only=False).astype(np.float64)
-    s = t["sum_capped_cents"].to_numpy(zero_copy_only=False
-                                       ).astype(np.float64)
-    return t.append_column("avg_capped_cents",
-                           pa.array(s / n, pa.float64()))
+    t = _collect(_fold(_read(sf_dir, "events", ["event_type", "value"]),
+                       partial, "event_type", "n sum_capped_cents"),
+                 "event_type:str n sum_capped_cents").sort_by("event_type")
+    return t.append_column("avg_capped_cents", pa.array(
+        _np(t["sum_capped_cents"]).astype(np.float64)
+        / _np(t["n"]).astype(np.float64), pa.float64()))
 
 
 SCRIPTED_METRIC_SQL = f"""
 WITH c AS (
   SELECT event_type,
-         CAST(round(least(value, {_SCRIPTED_CAP}) * 100) AS BIGINT)
-           AS cent
+         {_cents_sql(f"least(value, {_SCRIPTED_CAP})")} AS cent
   FROM events)
 SELECT event_type, count(*) AS n,
        CAST(sum(cent) AS BIGINT) AS sum_capped_cents,
@@ -6585,7 +4917,7 @@ def change_point_events(sf_dir: str):
     exact integers (Python bigints here, HUGEINT in the oracle —
     the square exceeds int64 at scale).  Ties break on the earlier
     day.  Driver work is O(days) over the reduced bucket table."""
-    d, n = _daily_counts(sf_dir)
+    d, n, _ = _daily(sf_dir)
     total = int(n.sum())
     nb = len(n)
     cols = ["change_day", "score", "n_before", "n_after",
@@ -6642,37 +4974,24 @@ FROM scored ORDER BY score DESC, change_day LIMIT 1
 _VWH_BUCKETS = 5
 
 
-def variable_width_histogram_events(sf_dir: str,
-                                    buckets: int = _VWH_BUCKETS):
+def variable_width_histogram_events(sf_dir: str):
     """ES ``variable_width_histogram`` — deterministic exact variant
     (ES's is an order-dependent streaming clusterer): bucket
-    boundaries sit at the {buckets}−1 LARGEST gaps between consecutive
-    distinct cents (ties → the lower cent wins), yielding the same
-    natural-break clustering the ES agg approximates.  The only
-    shuffle carries the distinct-cent histogram (bounded); min/max/
-    count/centroid per bucket all derive from that table on the
+    boundaries sit at the ``_VWH_BUCKETS`` − 1 LARGEST gaps between
+    consecutive distinct cents (ties → the lower cent wins), yielding
+    the same natural-break clustering the ES agg approximates.  The
+    only shuffle carries the distinct-cent histogram (bounded); min/
+    max/count/centroid per bucket all derive from that table on the
     driver."""
-    from ray.data.aggregate import Sum
-
-    def cent_counts(t: pa.Table) -> pa.Table:
-        g = (pa.table({"cent": _cents_of(t["value"])})
-             .group_by("cent").aggregate([([], "count_all")]))
-        return g.rename_columns(["cent", "n_part"])
-
-    hist = (_read(sf_dir, "events", ["value"])
-            .map_batches(cent_counts, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("cent").aggregate(Sum("n_part", alias_name="cnt")))
-    t = pa.concat_tables(list(hist.iter_batches(
-        batch_format="pyarrow"))).sort_by("cent")
-    c = t["cent"].to_numpy(zero_copy_only=False)
-    k = t["cnt"].to_numpy(zero_copy_only=False)
+    t = _collect(_fold(_read(sf_dir, "events", ["value"]),
+                       lambda t: pa.table({"cent": _cents_of(t["value"]),
+                                           "cnt": _ones(t.num_rows)}),
+                       "cent", "cnt"), "cent cnt").sort_by("cent")
+    c, k = _np(t["cent"]), _np(t["cnt"])
     gaps = c[1:] - c[:-1]           # gap i belongs to upper cent c[i+1]
-    nb = min(buckets - 1, len(gaps))
-    # top nb gaps, ties to the LOWER upper-cent: sort by (-gap, cent)
-    top = np.lexsort((c[1:], -gaps))[:nb]
-    bnd = np.sort(c[1:][top])
-    bucket = np.searchsorted(bnd, c, side="right")
+    # top gaps, ties to the LOWER upper-cent: sort by (-gap, cent)
+    top = np.lexsort((c[1:], -gaps))[:min(_VWH_BUCKETS - 1, len(gaps))]
+    bucket = np.searchsorted(np.sort(c[1:][top]), c, side="right")
     g = (pa.table({"bucket": pa.array(bucket, pa.int64()),
                    "cent": pa.array(c, pa.int64()),
                    "cnt": pa.array(k, pa.int64()),
@@ -6683,8 +5002,8 @@ def variable_width_histogram_events(sf_dir: str,
          .rename_columns(["bucket", "min_cents", "max_cents",
                           "n_events", "wsum"])
          .sort_by("bucket"))
-    n = g["n_events"].to_numpy(zero_copy_only=False).astype(np.float64)
-    w = g["wsum"].to_numpy(zero_copy_only=False).astype(np.float64)
+    n = _np(g["n_events"]).astype(np.float64)
+    w = _np(g["wsum"]).astype(np.float64)
     return (g.drop_columns(["wsum"])
             .append_column("centroid_cents",
                            pa.array(w / n, pa.float64())))
@@ -6692,7 +5011,7 @@ def variable_width_histogram_events(sf_dir: str,
 
 VARIABLE_WIDTH_HISTOGRAM_SQL = f"""
 WITH c AS (
-  SELECT CAST(round(value * 100) AS BIGINT) AS cent FROM events),
+  SELECT {_VALUE_CENTS} AS cent FROM events),
 dist AS (SELECT cent, count(*) AS cnt FROM c GROUP BY cent),
 gaps AS (
   SELECT cent, cent - lag(cent) OVER (ORDER BY cent) AS g
@@ -6763,14 +5082,13 @@ def frequent_item_sets_events(sf_dir: str):
              .materialize())        # consumed twice: pair counts + count
 
     def pair_counts(t: pa.Table) -> pa.Table:
-        m = t["mask"].to_numpy(zero_copy_only=False)
-        cnts = [int(((m >> i) & (m >> j) & 1).sum()) for i, j in pairs]
+        m = _np(t["mask"])
         return pa.table({"pair": pa.array(range(len(pairs)), pa.int64()),
-                         "n_part": pa.array(cnts, pa.int64())})
+                         "support": pa.array([int(((m >> i) & (m >> j) & 1)
+                                                  .sum()) for i, j in pairs],
+                                             pa.int64())})
 
-    agg = (masks.map_batches(pair_counts, batch_format="pyarrow")
-           .groupby("pair").aggregate(Sum("n_part", alias_name="support")))
-    t = pa.concat_tables(list(agg.iter_batches(batch_format="pyarrow")))
+    t = _collect(_fold(masks, pair_counts, "pair", "support"), "pair support")
     n_users = int(masks.count())
     thresh = math.ceil(_FIS_MIN_SUPPORT_RATIO * n_users)
     p = t["pair"].to_numpy(zero_copy_only=False)
@@ -6861,10 +5179,7 @@ def _fis_pair_explosion(sf_dir: str, vocab: list[str]) -> pa.Table:
            .map_groups(pairs_of_group, batch_format="pyarrow")
            .groupby(["a", "b"])
            .aggregate(Sum("n_part", alias_name="support")))
-    parts = list(agg.iter_batches(batch_format="pyarrow"))
-    t = pa.concat_tables(parts) if parts else pa.table(
-        {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-         "support": pa.array([], pa.int64())})
+    t = _collect(agg, "a b support")
     n_users = int(items.groupby("user_id").count().count())
     thresh = math.ceil(_FIS_MIN_SUPPORT_RATIO * n_users)
     a = t["a"].to_numpy(zero_copy_only=False)
@@ -6909,35 +5224,26 @@ def random_sampler_events(sf_dir: str):
     exchange.  ids pre-reduce mod {mod} before the multiply —
     congruent (identical sample) and overflow-free at any id
     magnitude."""
-    from ray.data.aggregate import Sum
-
     def partial(t: pa.Table) -> pa.Table:
-        ids = t["event_id"].to_numpy(zero_copy_only=False)
-        keep = (((ids % _SAMPLER_MOD) * _SAMPLER_MULT)
-                % _SAMPLER_MOD < _SAMPLER_RATE_PML)
-        t = t.filter(pa.array(keep))
-        g = (pa.table({"event_type": t["event_type"],
-                       "c": _cents_of(t["value"])})
-             .group_by("event_type")
-             .aggregate([("c", "count"), ("c", "sum")]))
-        return g.rename_columns(["event_type", "n_p", "s_p"])
+        ids = _np(t["event_id"])
+        t = t.filter(pa.array(((ids % _SAMPLER_MOD) * _SAMPLER_MULT)
+                              % _SAMPLER_MOD < _SAMPLER_RATE_PML))
+        return pa.table({"event_type": t["event_type"],
+                         "n_sampled": _ones(t.num_rows),
+                         "sum_sampled_cents": _cents_of(t["value"])})
 
-    agg = (_read(sf_dir, "events", ["event_id", "event_type", "value"])
-           .map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-           .groupby("event_type")
-           .aggregate(Sum("n_p", alias_name="n_sampled"),
-                      Sum("s_p", alias_name="sum_sampled_cents")))
-    t = pa.concat_tables(list(agg.iter_batches(
-        batch_format="pyarrow"))).sort_by("event_type")
-    scale = _SAMPLER_MOD // _SAMPLER_RATE_PML
-    return t.append_column(
-        "est_n", pc.multiply(t["n_sampled"], pa.scalar(scale, pa.int64())))
+    t = _collect(_fold(_read(sf_dir, "events", ["event_id", "event_type",
+                                                "value"]),
+                       partial, "event_type", "n_sampled sum_sampled_cents"),
+                 "event_type:str n_sampled sum_sampled_cents"
+                 ).sort_by("event_type")
+    return t.append_column("est_n", pc.multiply(t["n_sampled"], pa.scalar(
+        _SAMPLER_MOD // _SAMPLER_RATE_PML, pa.int64())))
 
 
 RANDOM_SAMPLER_SQL = f"""
 WITH s AS (
-  SELECT event_type, CAST(round(value * 100) AS BIGINT) AS cent
+  SELECT event_type, {_VALUE_CENTS} AS cent
   FROM events
   WHERE ((event_id % {_SAMPLER_MOD}) * {_SAMPLER_MULT}) % {_SAMPLER_MOD}
         < {_SAMPLER_RATE_PML})

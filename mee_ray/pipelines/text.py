@@ -19,6 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from mee_ray.pipelines.gramhash import i32_offsets
+from mee_ray.stages import hash_join
 
 TOKEN_PATTERN = "[a-z0-9_]+"
 STOP_PATTERNS = {
@@ -1533,7 +1534,6 @@ def passage_dedup_documents(sf_dir: str):
     The retired string-key path's output is frozen as
     tests/golden/passage_dedup_sf0001.parquet, still asserted
     bit-identical in test_gramhash.py."""
-    import ray
     from ray.data.aggregate import Count, Sum
 
     def explode_hashed(t: pa.Table) -> pa.Table:
@@ -1549,12 +1549,7 @@ def passage_dedup_documents(sf_dir: str):
 
     counts = passages().groupby("passage").aggregate(
         Count(alias_name="c"))
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    joined = passages().join(
-        counts, join_type="inner",
-        num_partitions=max(2, cpus // 2),
-        on=("passage",),
-        aggregator_ray_remote_args={"num_cpus": 0.5})
+    joined = hash_join(passages(), counts, "passage")
 
     def per_doc_partial(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

@@ -4,8 +4,10 @@ A pool whose actors each ask for a whole CPU takes the only CPU that
 its feeding read tasks need, and the pipeline stalls forever.  The
 check runs in a subprocess with its own ``ray.init(num_cpus=1)`` (the
 test session's Ray is shared and multi-CPU), one multimodal decode
-stage and one fulltext broadcast stage, under an in-process alarm
-that shuts Ray down cleanly and exits 3 when no result arrives.
+stage, one fulltext broadcast stage and two hash joins (whose
+aggregator actors are a pool too, ``stages.hash_join``), under an
+in-process alarm that shuts Ray down cleanly and exits 3 when no
+result arrives.
 """
 
 import os
@@ -46,6 +48,16 @@ CHILD = textwrap.dedent(f"""
         print("stats", stats.num_rows, sum(stats["n_docs"].to_pylist()),
               round(time.time() - t0, 1))
         assert len(png) > 0 and stats.num_rows > 0
+        # hash joins: the aggregator pool must not hold the only CPU
+        from mee_ray.pipelines.relational import q12_priority_classes
+        from mee_ray.pipelines.text import passage_dedup_documents
+        t0 = time.time()
+        q12 = q12_priority_classes({SF!r})
+        print("q12", q12.num_rows, round(time.time() - t0, 1))
+        t0 = time.time()
+        dedup = passage_dedup_documents({SF!r}).to_pandas()
+        print("dedup", len(dedup), round(time.time() - t0, 1))
+        assert q12.num_rows > 0 and len(dedup) > 0
     except TimeoutError as ex:
         print(ex)
         code = 3

@@ -44,6 +44,9 @@ SQL_CHECKED = [
     "q1_pricing_summary", "filter_project_revenue", "join_revenue_by_nation",
     "order_lineitem_rollup", "agg_pushdown_counts", "topk_orders",
     "distinct_priorities", "filter_ops_events", "scalar_funcs_lineitem",
+    "scalar_dsl_lineitem", "session_windows_events",
+    "asof_join_purchase_click", "quantiles_events",
+    "topk_orders_per_customer",
     "latest_event_per_user", "tumbling_window_events", "event_type_routing",
     "semi_join_events_customers", "anti_join_events_customers",
     "dsir_weights_documents", "dsir_select_documents",
