@@ -795,6 +795,7 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             m = _mf.load_manifest(args.index, name)
             n_live, avgdl = _mf.live_stats(m)
+            last = (m.get("deltas") or [{}])[-1]
             seg_b = sum(int(s.get("bytes", 0))
                         for s in m.get("segments", []))
             epochs[name] = {
@@ -806,9 +807,10 @@ def main(argv: list[str] | None = None) -> int:
                 "tombstones": sum(int(d.get("n_deleted", 0))
                                   for d in m.get("deltas", [])),
                 "event_watermark": m.get("event_watermark", 0),
-                # the layer timings of the newest delta record
-                "last_delta_seconds": (m.get("deltas") or [{}])[-1]
-                .get("seconds"),
+                # the newest delta record's layer timings, and how
+                # many files its key lookup read from disk
+                "last_delta_seconds": last.get("seconds"),
+                "last_delta_key_lookup_reads": last.get("key_lookup_reads"),
                 "store_positions": bool(m.get("store_positions")),
                 "store_source": bool(m.get("store_source")),
             }

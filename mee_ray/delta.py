@@ -23,7 +23,7 @@ applies (adds, DELETEs, no-op upsert bumps) is a row of its delta
 record's ``key_seqs.parquet``, compaction and reindex fold those into
 the new epoch's ``key_seqs.parquet``, and keys in neither were last
 written at or below the snapshot floor ``base_event_seq``
-(``manifest.key_seq_table`` reads it).  At-least-once redelivery,
+(``manifest.key_seq_table`` folds it whole).  At-least-once redelivery,
 offset rewinds, and out-of-order batch arrival all resolve to the
 same final state as seq-ordered delivery — the guarantee the
 reference gets from processing a key's events in partition order
@@ -43,9 +43,16 @@ segment file per record (``deltas/delta-NNNNNN/segments.parquet``)
 whose rows are sorted by (part, term, salt): readers and compaction
 find each shard's or part's rows from its ``part`` column.  Each
 record carries the seconds its layers took (``seconds``: key_lookup,
-tokenize, encode, write).  Every docs-table lookup here (the batch's
-live keys, delete_by_query's key fetch, update_by_query's row fetch)
-is one ``manifest.live_doc_rows`` read.
+tokenize, encode, write) and ``key_lookup_reads``, the files its key
+lookup had to read from disk.
+
+The key lookup is ``manifest.live_key_index``: the batch's keys probe
+each docs file's, tombstone file's and key_seqs file's decoded state,
+kept per file identity in ``wand.CACHE``, and every file written here
+puts its own state there, so in steady state a batch reads no file.
+The docs fetches of delete_by_query and update_by_query are
+``manifest.live_doc_rows`` reads.  Both live in ``manifest``, the one
+docs reader module.
 """
 
 from __future__ import annotations
@@ -55,7 +62,6 @@ import time
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
@@ -64,49 +70,6 @@ from mee_ray.build import (DocTokenize, ExplodeTriples, encode_segment,
                            write_segment)
 from mee_ray.config import EngineConfig, resolve_index_config
 from mee_ray.ids import doc_id_of
-
-
-def _paths_of(keys: set) -> pa.Array:
-    return pa.array(sorted({p for _, p in keys}), pa.string())
-
-
-def _rows_for_keys(t: pa.Table, keys: set) -> pa.Table:
-    """Rows of ``t`` whose (repo, path) is in ``keys``: a vectorized
-    path pre-filter, then an exact key check on the few survivors."""
-    t = t.filter(pc.is_in(t["path"], value_set=_paths_of(keys)))
-    return t.filter(pa.array(
-        [k in keys for k in zip(t["repo"].to_pylist(),
-                                t["path"].to_pylist())], pa.bool_()))
-
-
-def _live_key_index(index_root: str, manifest: dict,
-                    keys: set[tuple[str, str]]) -> tuple[dict, dict]:
-    """Returns ``(live, key_seqs)`` for the given keys:
-
-    * ``live``: (repo, path) → (doc_id, length) of the currently-live
-      doc, from ``manifest.live_doc_rows`` (the newest live row per
-      key — rows come oldest source first).
-    * ``key_seqs``: (repo, path) → last EVENT seq that wrote the key,
-      from ``manifest.key_seq_table``.  Keys absent here have never
-      been written past the base floor.
-
-    The docs read pushes a filter on the batch's paths down into the
-    scan; it is still O(docs) per batch, because docs files are not
-    partitioned by key."""
-    # missing="raise": a silently skipped source would turn an UPDATE
-    # of a key living in that file into a duplicate (no tombstone for
-    # the old version) and a DELETE into a no-op
-    t = _rows_for_keys(mf.live_doc_rows(
-        index_root, manifest, ["repo", "path", "length"],
-        pads.field("path").isin(_paths_of(keys))), keys)
-    live = {(r, p): (did, ln) for r, p, did, ln in zip(
-        t["repo"].to_pylist(), t["path"].to_pylist(),
-        t["doc_id"].to_pylist(), t["length"].to_pylist())}
-
-    ks = _rows_for_keys(mf.key_seq_table(index_root, manifest), keys)
-    key_seqs = dict(zip(zip(ks["repo"].to_pylist(), ks["path"].to_pylist()),
-                        ks["event_seq"].to_pylist()))
-    return live, key_seqs
 
 
 def apply_delta(events, index_root: str, cfg: EngineConfig | None = None,
@@ -176,7 +139,7 @@ def _apply_delta_locked(events, index_root: str,
         final[key] = {k: rows[k][i] for k in rows}
 
     t0 = time.perf_counter()
-    live, key_seqs = _live_key_index(index_root, manifest, set(final))
+    live, key_seqs, reads = mf.live_key_index(index_root, manifest, final)
     seconds = {"key_lookup": time.perf_counter() - t0}
     base_floor = mf.base_event_seq(manifest)
 
@@ -229,7 +192,7 @@ def _apply_delta_locked(events, index_root: str,
                 "n_added": 0, "n_deleted": 0, "n_stale": n_stale,
                 "sum_dl_added": 0, "sum_dl_deleted": 0,
                 "tombstones": None, "added_docs": None, "key_seqs": None,
-                "segments": []}
+                "segments": [], "key_lookup_reads": reads}
 
     seq_no = len(manifest.get("deltas", [])) + 1
     ddir = os.path.join(edir, "deltas", f"delta-{seq_no:06d}")
@@ -242,10 +205,15 @@ def _apply_delta_locked(events, index_root: str,
     os.makedirs(ddir)
     t0 = time.perf_counter()
 
+    # every file written here also keeps its decoded state in the
+    # process cache (mf.keep_file_state), so the next batch's key
+    # lookup reads nothing
     tomb_path = os.path.join(ddir, "tombstones.parquet")
     tmp = tomb_path + ".tmp"
-    pq.write_table(pa.table({"doc_id": pa.array(tomb_ids, pa.int64())}), tmp)
+    tomb_tbl = pa.table({"doc_id": pa.array(tomb_ids, pa.int64())})
+    pq.write_table(tomb_tbl, tmp)
     os.replace(tmp, tomb_path)
+    mf.keep_file_state("tombstones", tomb_path, tomb_tbl)
 
     ks_path = os.path.join(ddir, "key_seqs.parquet")
     repos, paths, seqs = zip(*key_seq_rows)
@@ -259,6 +227,7 @@ def _apply_delta_locked(events, index_root: str,
         "n_added": 0, "n_deleted": len(tomb_ids), "n_stale": n_stale,
         "sum_dl_added": 0,
         "sum_dl_deleted": int(sum(tomb_dls)),
+        "key_lookup_reads": reads,
     }
     seconds.update(tokenize=0.0, encode=0.0,
                    write=time.perf_counter() - t0)
@@ -304,6 +273,7 @@ def _apply_delta_locked(events, index_root: str,
             docs_tbl = docs_tbl.append_column("content", add_tbl["content"])
         pq.write_table(docs_tbl, tmp)
         os.replace(tmp, added_docs_path)
+        mf.keep_file_state("docs_keys", added_docs_path, docs_tbl)
         if seg.num_rows:
             seg_path = os.path.join(ddir, "segments.parquet")
             write_segment(seg, seg_path)
@@ -332,7 +302,7 @@ def _keys_for_doc_ids(index_root: str, manifest: dict,
     bounded by the caller's query dfs, so driver-side collection is
     bounded by the match's blast radius."""
     # missing="raise": a silently-skipped source would turn a matched
-    # doc's deletion into a silent no-op (the _live_key_index stance)
+    # doc's deletion into a silent no-op (the live_key_index stance)
     t = mf.live_doc_rows(index_root, manifest, ["repo", "path"],
                          _doc_id_filter(doc_ids))
     return sorted(set(zip(t["repo"].to_pylist(), t["path"].to_pylist())))

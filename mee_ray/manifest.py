@@ -37,8 +37,20 @@ import time
 def _atomic_write_json(path: str, obj: dict) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as f:
-        json.dump(obj, f, indent=1, sort_keys=True)
+        # compact, not indented: json.dump with an indent always runs
+        # the pure-Python encoder; dumps without one runs the C encoder
+        f.write(json.dumps(obj, sort_keys=True))
     os.replace(tmp, path)
+
+
+def file_identity(path: str) -> tuple:
+    """A file's identity: its path plus the (st_dev, st_ino, st_size,
+    st_mtime_ns) fingerprint, so a file rebuilt at the same path is a
+    different file and never meets the old file's cached state.  Every
+    per-file entry of ``wand.CACHE`` (segments, tombstones, the key
+    lookup's tables) is keyed on it."""
+    st = os.stat(path)
+    return (path, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
 
 
 def segment_file_name(part: int) -> str:
@@ -524,27 +536,22 @@ def _key_seq_schema():
 
 
 def write_key_seqs(path: str, table) -> None:
-    """Atomically write a (repo, path, event_seq) key_seqs file."""
+    """Atomically write a (repo, path, event_seq) key_seqs file, and
+    keep its key-lookup state (:func:`keep_file_state`)."""
     import pyarrow.parquet as pq
     tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(table.cast(_key_seq_schema()), tmp)
+    table = table.cast(_key_seq_schema())
+    pq.write_table(table, tmp)
     os.replace(tmp, path)
+    keep_file_state("key_seqs", path, table)
 
 
-def key_seq_table(index_root: str, manifest: dict):
-    """THE per-key LWW memory of a snapshot: (repo, path, event_seq),
-    the max seq over every applied write to the key, sorted by key.
-
-    Folds the epoch-level ``key_seqs.parquet`` (what compaction and
-    reindex carried forward) with every delta record's key_seqs file
-    (one row per write the batch applied: adds, DELETEs and no-op
-    upsert bumps) in one vectorized Arrow group_by.  A key absent here
-    was last written at or below ``base_event_seq``.  A record whose
-    file is gone fails loudly: lost memory lets a redelivered older
-    event beat a newer one (fsck checks the same file set)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
+def _key_seq_files(index_root: str, manifest: dict) -> list[str]:
+    """The snapshot's key_seqs files, oldest first: the epoch's (when
+    compaction or reindex wrote one), then every delta record's.  A
+    record whose file is gone fails loudly: lost memory lets a
+    redelivered older event beat a newer one (fsck checks the same
+    file set)."""
     files = []
     epoch_ks = os.path.join(epoch_dir(index_root, manifest["epoch"]),
                             "key_seqs.parquet")
@@ -556,6 +563,25 @@ def key_seq_table(index_root: str, manifest: dict):
                 f"delta record {d.get('seq')} key_seqs file missing: "
                 f"{d['key_seqs']} — index is inconsistent; run fsck")
         files.append(d["key_seqs"])
+    return files
+
+
+def key_seq_table(index_root: str, manifest: dict):
+    """THE per-key LWW memory of a snapshot, whole: (repo, path,
+    event_seq), the max seq over every applied write to the key, sorted
+    by key — what compaction and reindex fold.
+
+    Folds the epoch-level ``key_seqs.parquet`` (what compaction and
+    reindex carried forward) with every delta record's key_seqs file
+    (one row per write the batch applied: adds, DELETEs and no-op
+    upsert bumps) in one vectorized Arrow group_by.  A key absent here
+    was last written at or below ``base_event_seq``.  apply_delta needs
+    the memory of its batch's keys only, and asks
+    :func:`live_key_index`."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    files = _key_seq_files(index_root, manifest)
     schema = _key_seq_schema()
     if not files:
         return schema.empty_table()
@@ -630,49 +656,171 @@ def tombstone_index(manifest: dict):
     tombstone) that stays correct across compactions and catch-up
     replays — record seqs are renumbered together at carry-over, so
     relative order is preserved."""
+    return _tombstones(manifest)[0]
+
+
+def _tombstones(manifest: dict):
+    """(:func:`tombstone_index`, number of tombstone files read now)."""
     import numpy as np
-    import pyarrow.parquet as pq
 
-    from mee_ray.wand import CACHE
-
-    ids_l, seq_l = [], []
+    ids_l, seq_l, reads = [], [], 0
     for d in manifest.get("deltas", []):
         p = d.get("tombstones")
         if p:
             try:
-                st = os.stat(p)
+                # read once per file identity, so a reopen costs
+                # nothing per already-seen delta record
+                ids, n = file_state("tombstones", p)
             except FileNotFoundError:
                 # silently skipping would resurrect deleted docs (and a
                 # compact run would bake their postings back in) —
-                # corruption must fail loudly, like _live_key_index
+                # corruption must fail loudly, like live_key_index
                 raise FileNotFoundError(
                     f"delta record {d.get('seq')} tombstones file "
                     f"missing: {p} — index is inconsistent; run fsck"
                 ) from None
-            # read once per file identity, so a reopen costs nothing
-            # per already-seen delta record
-            key = ("tombstones", p, st.st_dev, st.st_ino, st.st_size,
-                   st.st_mtime_ns)
-            ids = CACHE.get(key)
-            if ids is None:
-                ids = pq.read_table(p, columns=["doc_id"])["doc_id"] \
-                    .to_numpy(zero_copy_only=False).astype(np.int64)
-                ids = CACHE.put(key, ids, ids.nbytes)
+            reads += n
             ids_l.append(ids)
             seq_l.append(np.full(len(ids), d["seq"], dtype=np.int64))
     if not ids_l:
         z = np.empty(0, dtype=np.int64)
-        return z, z.copy()
+        return (z, z.copy()), reads
     # the last record naming an id wins: unique over the reversed log
     ids = np.concatenate(ids_l)[::-1]
     seqs = np.concatenate(seq_l)[::-1]
     uniq, first = np.unique(ids, return_index=True)
-    return uniq, seqs[first]
+    return (uniq, seqs[first]), reads
 
 
-def live_posting_mask(ids, source_seq: int, tomb_ids, tomb_seqs):
-    """Boolean mask of ids from ``source_seq`` that are live under the
-    sequenced-tombstone rule (vectorized: searchsorted lookup)."""
+# --- decoded per-file state of the delta key lookup ------------------------
+#
+# Docs files, tombstones and key_seqs files are immutable once written,
+# so what apply_delta's key lookup needs of each is decoded once per
+# process into wand.CACHE under the file's identity: a tombstone file's
+# doc_ids; a docs file's (key, doc_id, length); a key_seqs file's
+# (key, event_seq).  ``key`` is repo + "\0" + path: neither a repo name
+# nor a git path holds a NUL, so key equality is (repo, path) equality.
+
+def _keyed(t, columns: list[str]):
+    """``t``'s ``key`` column, then its ``columns``."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    return pa.table({
+        "key": pc.binary_join_element_wise(t["repo"], t["path"], "\0"),
+        **{c: t[c] for c in columns}})
+
+
+# kind → (columns read, decode of a table holding them)
+_FILE_STATE = {
+    "tombstones": (["doc_id"], lambda t: t["doc_id"].to_numpy(
+        zero_copy_only=False).astype("int64")),
+    "docs_keys": (["doc_id", "repo", "path", "length"],
+                  lambda t: _keyed(t, ["doc_id", "length"])),
+    "key_seqs": (["repo", "path", "event_seq"],
+                 lambda t: _keyed(t, ["event_seq"])),
+}
+
+
+def file_state(kind: str, path: str):
+    """(the ``kind`` state of the file at ``path``, 1 if it was read
+    from disk now else 0).  Each entry is charged its array bytes; one
+    larger than the cache budget is served but not kept."""
+    import pyarrow.parquet as pq
+
+    from mee_ray.wand import CACHE
+
+    key = (kind, *file_identity(path))
+    got = CACHE.get(key)
+    if got is not None:
+        return got, 0
+    columns, decode = _FILE_STATE[kind]
+    # ParquetFile.read: without read_table's dataset set-up, which
+    # costs more than decoding a small file
+    with pq.ParquetFile(path) as pf:
+        got = decode(pf.read(columns=columns))
+    return CACHE.put(key, got, got.nbytes), 1
+
+
+def keep_file_state(kind: str, path: str, table) -> None:
+    """Write-through: cache the ``kind`` state of ``table``, which the
+    caller has just written to ``path`` (after its ``os.replace``), so
+    the next reader of the file reads nothing."""
+    from mee_ray.wand import CACHE
+
+    got = _FILE_STATE[kind][1](table)
+    CACHE.put((kind, *file_identity(path)), got, got.nbytes)
+
+
+def live_key_index(index_root: str, manifest: dict,
+                   keys) -> tuple[dict, dict, int]:
+    """apply_delta's key lookup: ``(live, key_seqs, reads)`` for the
+    (repo, path) ``keys`` of one batch.
+
+    * ``live``: key → (doc_id, length) of its live doc, the newest
+      live row over :func:`docs_sources` (liveness:
+      :func:`live_posting_mask`).
+    * ``key_seqs``: key → the last event seq that wrote it, the max
+      over the snapshot's key_seqs files (:func:`key_seq_table` without
+      the fold of every other key).  A key absent here was last written
+      at or below ``base_event_seq``.
+    * ``reads``: how many files had to be read from disk (0 when every
+      file's state is cached: :func:`file_state`).
+
+    The batch's keys are one ``is_in`` value set, probed once against
+    the cached key columns of every file of a kind, chunk by chunk:
+    exact string equality."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    by_key = {f"{r}\0{p}": (r, p) for r, p in keys}
+    want = pa.array(list(by_key), pa.string())
+    (tomb_ids, tomb_seqs), reads = _tombstones(manifest)
+
+    def hits(kind, paths):
+        """(the rows of the files' states holding a batch key, in file
+        order, and the index in ``paths`` of each row's file)."""
+        nonlocal reads
+        tables = []
+        for p in paths:
+            t, n = file_state(kind, p)
+            reads += n
+            tables.append(t)
+        if not tables:
+            return None, None
+        t = pa.concat_tables(tables, promote_options="permissive")
+        rows = np.flatnonzero(pc.is_in(t["key"], value_set=want)
+                              .to_numpy(zero_copy_only=False))
+        ends = np.cumsum([x.num_rows for x in tables])
+        return t.take(rows), np.searchsorted(ends, rows, side="right")
+
+    # missing="raise": a silently skipped source would turn an UPDATE
+    # of a key living in that file into a duplicate (no tombstone for
+    # the old version) and a DELETE into a no-op
+    sources = docs_sources(index_root, manifest)
+    live: dict = {}
+    t, src = hits("docs_keys", [f for f, _ in sources])
+    if t is not None:
+        seqs = np.array([seq for _, seq in sources], np.int64)[src]
+        t = t.filter(pa.array(live_posting_mask(
+            t["doc_id"].to_numpy(zero_copy_only=False), seqs,
+            tomb_ids, tomb_seqs)))
+        # rows come oldest source first: a key's newest live row wins
+        live.update(zip(t["key"].to_pylist(), zip(
+            t["doc_id"].to_pylist(), t["length"].to_pylist())))
+    key_seqs: dict = {}
+    t, _ = hits("key_seqs", _key_seq_files(index_root, manifest))
+    if t is not None:
+        for k, s in zip(t["key"].to_pylist(), t["event_seq"].to_pylist()):
+            key_seqs[k] = max(s, key_seqs.get(k, s))
+    return ({by_key[k]: v for k, v in live.items()},
+            {by_key[k]: v for k, v in key_seqs.items()}, reads)
+
+
+def live_posting_mask(ids, source_seq, tomb_ids, tomb_seqs):
+    """Boolean mask of ids from ``source_seq`` (one seq, or one per id)
+    that are live under the sequenced-tombstone rule (vectorized:
+    searchsorted lookup)."""
     import numpy as np
 
     if len(tomb_ids) == 0 or len(ids) == 0:
@@ -788,7 +936,8 @@ def _delta_layout_errors(path: str, n_parts: int) -> list[str]:
 def docs_sources(index_root: str, manifest: dict,
                  missing: str = "raise") -> list[tuple[str, int]]:
     """THE liveness-ordered docs-source walk under :func:`live_doc_rows`
-    (every stored-field lookup), ``merge.compact_docs`` and reindex's
+    (every stored-field lookup), :func:`live_key_index` (apply_delta's
+    key lookup), ``merge.compact_docs`` and reindex's
     ``build.live_docs_dataset``: the epoch's base docs files at source
     seq 0, then each delta record's added-docs file at its seq.  A row
     from source s is live iff no tombstone for its id has seq > s
@@ -829,9 +978,12 @@ def _docs_schema():
 
 def live_doc_rows(index_root: str, manifest: dict, columns: list[str],
                   where=None, missing: str = "raise", tombstones=None):
-    """THE docs-table lookup: the live docs rows matching ``where`` (a
-    ``pyarrow.dataset`` expression, pushed down into the scan), as one
-    table of ``doc_id`` + ``columns`` + ``source_seq``.
+    """The stored-field lookup (get_doc, filtered-alias ids,
+    delete/update_by_query fetches): the live docs rows matching
+    ``where`` (a ``pyarrow.dataset`` expression, pushed down into the
+    scan), as one table of ``doc_id`` + ``columns`` + ``source_seq``.
+    It reads the docs files on every call; apply_delta's per-batch key
+    lookup is :func:`live_key_index`, over cached per-file state.
 
     The base docs files (source 0) are one multithreaded dataset scan;
     each delta record's added-docs file follows at its seq, so rows

@@ -2079,9 +2079,10 @@ def q14_promo_revenue(sf_dir: str):
     def partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.and_(pc.greater_equal(t["l_shipdate"], lo),
                              pc.less(t["l_shipdate"], hi)))
-        cents = _np(_cents_of(_revenue(t)))
         hit, promo = _probe(ray.get(dim_ref), _np(t["l_partkey"]))
-        return pa.table({"promo_cents": np.where(hit & promo, cents, 0),
+        # the inner join: a lineitem with no part row counts nowhere
+        cents = _np(_cents_of(_revenue(t)))[hit]
+        return pa.table({"promo_cents": np.where(promo[hit], cents, 0),
                          "total_cents": cents})
 
     agg = _fold(_read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice",

@@ -70,15 +70,6 @@ from mee_ray.scoring import idf, top_k_select
 from mee_ray.wand import DecodedCache, WandStats
 
 
-def _file_identity(path: str) -> tuple:
-    """A segment file's identity: its path plus the (st_dev, st_ino,
-    st_size, st_mtime_ns) fingerprint — the rule CachedSearcher applies
-    to manifests — so a file rebuilt at the same path is a different
-    segment and never meets the old file's cached state."""
-    st = os.stat(path)
-    return (path, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
-
-
 # open segments by identity, alive while any reader holds one (so an
 # unreferenced file's handle closes and gc_epochs frees its space)
 _SEGMENTS: "weakref.WeakValueDictionary[tuple, _Segment]" = \
@@ -112,12 +103,12 @@ class _Segment:
 
     @staticmethod
     def open(path: str) -> "_Segment":
-        key = _file_identity(path)
+        key = mf.file_identity(path)
         with _SEGMENTS_LOCK:
             seg = _SEGMENTS.get(key)
         if seg is None:
             pf = pq.ParquetFile(path)
-            if _file_identity(path) != key:
+            if mf.file_identity(path) != key:
                 raise RuntimeError(f"segment {path} changed while opening")
             with _SEGMENTS_LOCK:
                 seg = _SEGMENTS.setdefault(key, _Segment(key, pf))

@@ -4,6 +4,7 @@ Each ``relational.QUERIES`` name runs on zero-row copies of the sf0.001
 tables (same schemas) and must equal its DuckDB oracle on the same
 copies: the same rows, and the same columns when the result is a
 ``pa.Table`` (a zero-row lazy Dataset carries no schema to compare).
+A crafted two-row lineitem checks Q14's inner join with part.
 """
 
 import duckdb
@@ -46,3 +47,36 @@ def test_empty_input_matches_oracle(ray_session, empty_sf, empty_ducks,
     if len(ref):
         pd.testing.assert_frame_equal(_canon(mine), _canon(ref),
                                       check_dtype=False, check_exact=True)
+
+
+@pytest.mark.parametrize("n_dangling", [1, 2])
+def test_q14_drops_lineitems_without_a_part(ray_session, tmp_path,
+                                            n_dangling):
+    """Q14 inner-joins part: a lineitem whose l_partkey has no part row
+    counts in neither sum, and a window of only such rows is SQL's
+    NULLs."""
+    from datetime import datetime
+
+    part = pq.read_table(f"{SF}/part.parquet")
+    li = pq.read_table(f"{SF}/lineitem.parquet").slice(0, 2)
+    known = part["p_partkey"].to_pylist()
+    keys = known[:2 - n_dangling] + [max(known) + 1 + i
+                                     for i in range(n_dangling)]
+    li = li.set_column(
+        li.schema.get_field_index("l_partkey"), "l_partkey",
+        pa.array(keys, li.schema.field("l_partkey").type))
+    li = li.set_column(
+        li.schema.get_field_index("l_shipdate"), "l_shipdate",
+        pa.array([datetime(1997, 9, 15)] * 2,
+                 li.schema.field("l_shipdate").type))
+    pq.write_table(li, str(tmp_path / "lineitem.parquet"))
+    pq.write_table(part, str(tmp_path / "part.parquet"))
+    con = duckdb.connect()
+    for t in ("lineitem", "part"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"'{tmp_path}/{t}.parquet'")
+    mine = _to_pandas(relational.q14_promo_revenue(str(tmp_path)))
+    ref = con.execute(relational.Q14_SQL).df()
+    assert ref["total_cents"].isna().all() == (n_dangling == 2)
+    pd.testing.assert_frame_equal(_canon(mine), _canon(ref),
+                                  check_dtype=False, check_exact=True)

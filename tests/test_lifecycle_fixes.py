@@ -484,8 +484,6 @@ def test_live_key_index_newest_source_and_key_seqs(built_index, ray_session):
     import shutil
     import tempfile
 
-    from mee_ray.delta import _live_key_index
-
     with tempfile.TemporaryDirectory() as td:
         root = os.path.join(td, "idx")
         shutil.copytree(built_index["index_root"], root)
@@ -498,7 +496,7 @@ def test_live_key_index_newest_source_and_key_seqs(built_index, ray_session):
             {"seq": 2, "type": "DELETE", "repo": sorted(keys)[1][0],
              "path": sorted(keys)[1][1]}]), root)
         m = mf.load_manifest(root)
-        live, key_seqs = _live_key_index(root, m, keys)
+        live, key_seqs, _ = mf.live_key_index(root, m, keys)
         assert live[k0][0] == doc_id_of(k0[0], k0[1], "e" * 40)
         assert sorted(keys)[1] not in live            # DELETEd
         assert len(live) == len(keys) - 1
