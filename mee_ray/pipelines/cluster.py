@@ -34,10 +34,11 @@ Scale shape (the 100-TB lens):
 
 from __future__ import annotations
 
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from mee_ray.pipelines.gramhash import unique_rows
 
 _N_BUCKETS = 64
 _EDGE_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
@@ -56,17 +57,6 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 def _edges_table(a: np.ndarray, b: np.ndarray) -> pa.Table:
     return pa.table({"a": pa.array(a.astype(np.int64), pa.int64()),
                      "b": pa.array(b.astype(np.int64), pa.int64())})
-
-
-def _unique_pairs(a: np.ndarray, b: np.ndarray):
-    """Sort-dedupe an (a, b) pair multiset (both int64)."""
-    if len(a) == 0:
-        return a, b
-    order = np.lexsort((b, a))
-    a, b = a[order], b[order]
-    keep = np.ones(len(a), dtype=bool)
-    keep[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    return a[keep], b[keep]
 
 
 def _large_star(edges):
@@ -130,7 +120,7 @@ def _small_star(edges):
         keep = v > m                                 # (m, v) for v != m
         out_a = np.concatenate([m[keep], seg_min])
         out_b = np.concatenate([v[keep], u[starts]])  # plus (m, u)
-        return _edges_table(*_unique_pairs(out_a, out_b))
+        return _edges_table(*unique_rows(out_a, out_b))
 
     return (edges.map_batches(to_bucketed, batch_format="pyarrow",
                               zero_copy_batch=True)
@@ -153,7 +143,7 @@ def _global_dedup(edges):
     def dedup_group(g: pa.Table) -> pa.Table:
         a = g["a"].to_numpy(zero_copy_only=False)
         b = g["b"].to_numpy(zero_copy_only=False)
-        return _edges_table(*_unique_pairs(a, b))
+        return _edges_table(*unique_rows(a, b))
 
     return (edges.map_batches(to_bucketed, batch_format="pyarrow",
                               zero_copy_batch=True)
@@ -285,7 +275,7 @@ def gram_dup_edges_ds(docs, n: int = 8, max_df: int = 50):
         th = token_hash64(flat)
         didx, _, g = gram_hash64(th, lens, n)
         dids = t["doc_id"].to_numpy(zero_copy_only=False)
-        d, g = _unique_pairs(dids[didx], g)    # per-doc distinct grams
+        d, g = unique_rows(dids[didx], g)    # per-doc distinct grams
         bucket = (_mix64(g) % np.uint64(_N_BUCKETS)).astype(np.int32)
         return pa.table({"bucket": pa.array(bucket),
                          "g": pa.array(g, pa.int64()),
@@ -294,7 +284,7 @@ def gram_dup_edges_ds(docs, n: int = 8, max_df: int = 50):
     def star_edges(t: pa.Table, cap: int = max_df) -> pa.Table:
         g = t["g"].to_numpy(zero_copy_only=False)
         d = t["doc_id"].to_numpy(zero_copy_only=False)
-        g, d = _unique_pairs(g, d)      # distinct (gram, doc)
+        g, d = unique_rows(g, d)      # distinct (gram, doc)
         if len(g) == 0:
             return pa.Table.from_pylist([], schema=_EDGE_SCHEMA)
         starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])

@@ -40,7 +40,7 @@ Provenance: replaces nothing in the reference (ioduduk/mee dedups by
 _id upsert only — modules/handlers/v1/commonhandler.py:68-83); the
 rolling-hash idea is the standard Rabin-Karp window fold, also used
 (in a DuckDB-matchable fixed-point form) by the DSIR feature hasher
-(text.py:2534).
+(``text._DsirGramBase``).
 """
 
 from __future__ import annotations
@@ -67,6 +67,20 @@ def i32_offsets(cum: np.ndarray) -> np.ndarray:
             f"int32 ListArray offset range; reduce batch_size (or "
             f"switch this site to pa.large_list)")
     return cum.astype(np.int32)
+
+
+def unique_rows(*keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct rows of equal-length int key columns ``(a, b[,
+    c])``, sorted with ``a`` most significant — the one sort-and-dedupe
+    of the dedup family (per-doc distinct terms and grams, distinct
+    edges and pair halves)."""
+    if len(keys[0]) == 0:
+        return keys
+    order = np.lexsort(keys[::-1])
+    keys = tuple(k[order] for k in keys)
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = np.any([k[1:] != k[:-1] for k in keys], axis=0)
+    return tuple(k[keep] for k in keys)
 
 
 def mix64(x: np.ndarray) -> np.ndarray:

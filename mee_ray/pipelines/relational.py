@@ -14,8 +14,8 @@ every mechanic from the helpers below —
   ``_read`` / ``_dim`` (pruned Ray / driver reads), ``_map`` (one
   pyarrow batch function), ``_cents_of`` / ``_int_scaled`` (SQL
   ``CAST(round(x * 100) AS BIGINT)``, oracle side ``_cents_sql``),
-  ``_fold`` (per-batch combiner + one Ray groupby), ``_collect`` (the
-  driver collect, typed and answered on empty input),
+  ``_fold`` (per-batch combiner + one Ray groupby), ``stages.collect``
+  (the driver collect, typed and answered on empty input),
   ``_sorted_map`` + ``positions_in_sorted`` (broadcast dimension
   probes), ``_by_bucket`` (the per-key window shuffle),
   ``_cent_hist`` / ``_order_stat`` (exact quantiles) and
@@ -43,7 +43,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from mee_ray.ids import positions_in_sorted
-from mee_ray.stages import hash_join
+from mee_ray.stages import collect, hash_join
 from mee_ray.stages import schema as _schema
 from mee_ray.stages import table as _table
 
@@ -118,20 +118,6 @@ def _cents_sql(expr: str) -> str:
 _VALUE_CENTS = _cents_sql("value")
 _PRICE_CENTS = _cents_sql("l_extendedprice")
 _REV_CENTS = _cents_sql("l_extendedprice * (1 - l_discount)")
-
-
-def _collect(ds, spec: str) -> pa.Table:
-    """The one driver collect, for results small by construction
-    (reduced aggregates, top-k survivors): every non-empty batch of
-    ``ds`` as the ``spec`` schema (``stages.schema``: columns selected
-    in order and cast), and a zero-row table of that schema when there
-    is none — an empty Ray groupby yields no batch, or batches without
-    columns."""
-    s = _schema(spec)
-    return pa.concat_tables(
-        [b.select(s.names).cast(s) for b in
-         ds.iter_batches(batch_format="pyarrow", batch_size=None)
-         if b.num_rows] or [s.empty_table()])
 
 
 def _fold(ds, partial, keys: str, aggs: str):
@@ -223,7 +209,7 @@ def _cent_hist(sf_dir: str, key: str = "event_type:str",
     def partial(t: pa.Table) -> pa.Table:
         return pa.table({name: key_of(t), "cent": _cents_of(t["value"]),
                          "cnt": _ones(t.num_rows)})
-    t = _collect(_fold(_read(sf_dir, "events", list(columns)), partial,
+    t = collect(_fold(_read(sf_dir, "events", list(columns)), partial,
                        f"{name} cent", "cnt"), f"{key} cent cnt")
     return t.sort_by([(name, "ascending"), ("cent", "ascending")])
 
@@ -474,7 +460,7 @@ def json_extract_events(sf_dir: str):
         return pa.table({"event_type": t["event_type"].filter(keep),
                          "n": _ones(len(ks)), "sum_k": ks, "max_k": ks})
 
-    return _collect(_fold(_read(sf_dir, "events", ["event_type", "props"]),
+    return collect(_fold(_read(sf_dir, "events", ["event_type", "props"]),
                           partial, "event_type", "n sum_k max_k:max"),
                     "event_type:str n sum_k max_k").sort_by("event_type")
 
@@ -836,7 +822,7 @@ def _events_by_membership(sf_dir: str, keep_members: bool):
         return pa.table({"event_type": t["event_type"],
                          "n": _ones(t.num_rows)})
 
-    return _collect(_fold(_read(sf_dir, "events", ["user_id", "event_type"]),
+    return collect(_fold(_read(sf_dir, "events", ["user_id", "event_type"]),
                           f, "event_type", "n"), "event_type:str n")
 
 
@@ -916,7 +902,7 @@ def extended_stats_events(sf_dir: str):
                          "sumsq_cents": pc.multiply(c, c),
                          "min_cents": c, "max_cents": c})
 
-    t = _collect(_fold(_read(sf_dir, "events", ["event_type", "value"]),
+    t = collect(_fold(_read(sf_dir, "events", ["event_type", "value"]),
                        partial, "event_type",
                        "n sum_cents sumsq_cents min_cents:min max_cents:max"),
                  "event_type:str n sum_cents sumsq_cents min_cents max_cents"
@@ -1368,7 +1354,7 @@ def q3_shipping_priority(sf_dir: str):
     top = [("revenue_cents", "descending"), ("o_orderdate", "ascending"),
            ("l_orderkey", "ascending")]
     # per-batch top-10 combiners, then a ≤10-rows-per-block driver merge
-    return _top(_collect(_map(agg, lambda t: _top(t, top, 10)),
+    return _top(collect(_map(agg, lambda t: _top(t, top, 10)),
                          "l_orderkey o_orderdate:ts o_orderpriority:str "
                          "revenue_cents"), top, 10)
 
@@ -1408,7 +1394,7 @@ def q18_large_volume_customers(sf_dir: str):
                       li_partial, "l_orderkey", "total_qty")
     # survivors are few (HAVING prunes hard) — one bounded driver
     # gather, then broadcast lookups against the dimension tables
-    bt = _collect(_map(per_order, lambda t: t.filter(pc.greater(
+    bt = collect(_map(per_order, lambda t: t.filter(pc.greater(
         t["total_qty"], pa.scalar(Q18_MIN_QTY)))), "l_orderkey total_qty")
     qty = dict(zip(bt["l_orderkey"].to_pylist(),
                    bt["total_qty"].to_pylist()))
@@ -1418,7 +1404,7 @@ def q18_large_volume_customers(sf_dir: str):
         return t.filter(pa.array(np.isin(_np(t["o_orderkey"]),
                                          ray.get(keys_ref))))
 
-    ot = _collect(_map(_read(sf_dir, "orders",
+    ot = collect(_map(_read(sf_dir, "orders",
                              ["o_orderkey", "o_custkey", "o_orderdate"]),
                        match_orders), "o_orderkey o_custkey o_orderdate:ts")
     ct = _dim(sf_dir, "customer", "c_custkey c_name")
@@ -1627,7 +1613,7 @@ def _grouping_sets(sf_dir: str, sets) -> pa.Table:
                          "sum_qty": _cents_of(t["l_quantity"], 1),
                          "count_order": _ones(t.num_rows)})
 
-    base = _collect(_fold(_read(sf_dir, "lineitem", ["l_returnflag",
+    base = collect(_fold(_read(sf_dir, "lineitem", ["l_returnflag",
                                                      "l_linestatus",
                                                      "l_quantity"]),
                           partial, "l_returnflag l_linestatus",
@@ -1735,7 +1721,7 @@ def composite_agg_events(sf_dir: str):
 
     pages, after = [], None
     while True:
-        t = _collect(_fold(_read(sf_dir, "events", ["ts", "event_type",
+        t = collect(_fold(_read(sf_dir, "events", ["ts", "event_type",
                                                     "value"]),
                            after_cursor(after), "event_type day_bucket",
                            "n_events sum_value_cents"), spec)
@@ -1787,7 +1773,7 @@ def _daily(sf_dir: str):
     sorted: (day, n_events, sum_value_cents) arrays — the O(days)
     table every histogram-parented pipeline agg finishes on, never a
     second pass over events."""
-    t = _collect(date_histogram_events(sf_dir),
+    t = collect(date_histogram_events(sf_dir),
                  "day_bucket n_events sum_value_cents").sort_by("day_bucket")
     return _np(t["day_bucket"]), _np(t["n_events"]), \
         _np(t["sum_value_cents"])
@@ -2187,7 +2173,7 @@ def ks_test_events(sf_dir: str):
         return pa.table({"cents": _cents_of(t["value"]), "n_v": is_a,
                          "n_p": pc.subtract(pa.scalar(1, pa.int64()), is_a)})
 
-    t = _collect(_fold(_read(sf_dir, "events", ["event_type", "value"]),
+    t = collect(_fold(_read(sf_dir, "events", ["event_type", "value"]),
                        partial, "cents", "n_v n_p"),
                  "cents n_v n_p").sort_by("cents")
     cv, cp = np.cumsum(_np(t["n_v"])), np.cumsum(_np(t["n_p"]))
@@ -2298,7 +2284,7 @@ def percentile_ranks_events(sf_dir: str):
             "n_total": pa.array([len(cents)] * len(PR_TARGETS_CENTS),
                                 pa.int64())})
 
-    t = _collect(_fold(_read(sf_dir, "events", ["value"]), partial,
+    t = collect(_fold(_read(sf_dir, "events", ["value"]), partial,
                        "value_cents", "n_le n_total"),
                  "value_cents n_le n_total").sort_by("value_cents")
     # np.round is half-to-even; SQL round() is half-away — ppm ≥ 0 so
@@ -2378,7 +2364,7 @@ def q7_volume_shipping(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     j = _join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
               "o_orderkey")
-    t = _collect(_fold(j, rev_partial, "supp_nk cust_nk l_year",
+    t = collect(_fold(j, rev_partial, "supp_nk cust_nk l_year",
                        "revenue_cents"),
                  "supp_nk cust_nk l_year revenue_cents")
     t = pa.table({"supp_nation": pa.array(
@@ -2485,7 +2471,7 @@ def q8_market_share(sf_dir: str):
                   ord_partial)
     j = _join(sf_dir, "lineitem orders part", li, orders, "l_orderkey",
               "o_orderkey")
-    t = _collect(_fold(j, share_partial, "o_year",
+    t = collect(_fold(j, share_partial, "o_year",
                        "nation_cents total_cents"),
                  "o_year nation_cents total_cents").sort_by("o_year")
     return t.append_column("mkt_share", pc.divide(
@@ -2578,7 +2564,7 @@ def q21_waiting_suppliers(sf_dir: str):
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_shipdate"])
     j = _join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
               "o_orderkey")
-    t = _collect(_fold(_by_bucket(_map(j, flag_late), "l_orderkey",
+    t = collect(_fold(_by_bucket(_map(j, flag_late), "l_orderkey",
                                   lone_late_of_group),
                        lambda t: t, "l_suppkey", "numwait"),
                  "l_suppkey numwait")
@@ -2630,7 +2616,7 @@ def q15_top_supplier(sf_dir: str):
         return pa.table({"l_suppkey": t["l_suppkey"],
                          "total_revenue_cents": _cents_of(_revenue(t))})
 
-    t = _collect(_fold(_read(sf_dir, "lineitem", ["l_suppkey",
+    t = collect(_fold(_read(sf_dir, "lineitem", ["l_suppkey",
                                                   "l_extendedprice",
                                                   "l_discount", "l_shipdate"]),
                        partial, "l_suppkey", "total_revenue_cents"),
@@ -2691,7 +2677,7 @@ def q17_small_quantity_revenue(sf_dir: str):
 
     # pass 1 reads only the two columns it uses; l_extendedprice is
     # decoded only by the revenue pass
-    avg_t = _collect(_fold(_read(sf_dir, "lineitem",
+    avg_t = collect(_fold(_read(sf_dir, "lineitem",
                                  ["l_partkey", "l_quantity"]),
                            q_partial, "l_partkey", "sum_q100 n"),
                      "l_partkey sum_q100 n")
@@ -2754,7 +2740,7 @@ def q13_customer_distribution(sf_dir: str):
                    o_partial, "o_custkey", "c_count")
     # all orders filtered away → empty aggregate, distribution is one
     # all-zero bucket (the left join keeps every customer)
-    t = _collect(_fold(counts, lambda t: pa.table({
+    t = collect(_fold(counts, lambda t: pa.table({
         "c_count": t["c_count"], "custdist": _ones(t.num_rows)}),
         "c_count", "custdist"), "c_count custdist")
     n_zero = (_read(sf_dir, "customer", ["c_custkey"]).count()
@@ -2851,7 +2837,7 @@ def q22_sales_opportunity(sf_dir: str):
         t = t.filter(pc.equal(t["o_orderpriority"], "1-URGENT"))
         return pa.table({"o_custkey": pc.unique(t["o_custkey"])})
 
-    urgent_ref = ray.put(np.unique(_np(_collect(_map(
+    urgent_ref = ray.put(np.unique(_np(collect(_map(
         _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"]), u_partial),
         "o_custkey")["o_custkey"])))
 
@@ -2866,7 +2852,7 @@ def q22_sales_opportunity(sf_dir: str):
                          "totacctbal_cents": pa.array(cents[keep],
                                                       pa.int64())})
 
-    return _collect(_fold(_read(sf_dir, "customer",
+    return collect(_fold(_read(sf_dir, "customer",
                                 ["c_custkey", "c_nationkey", "c_acctbal"]),
                           partial, "c_nationkey", "numcust totacctbal_cents"),
                     "c_nationkey numcust totacctbal_cents"
@@ -2970,7 +2956,7 @@ def q5_local_supplier_volume(sf_dir: str):
               li_project)
     j = _join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
               "o_orderkey")
-    t = _collect(_fold(j, local_partial, "nationkey", "revenue_cents"),
+    t = collect(_fold(j, local_partial, "nationkey", "revenue_cents"),
                  "nationkey revenue_cents")
     return pa.table({"n_name": pa.array([name_of[k] for k in
                                          t["nationkey"].to_pylist()],
@@ -3031,7 +3017,7 @@ def q4_order_priority(sf_dir: str):
                   filter_orders)
     j = _join(sf_dir, "orders lineitem", orders, witness, "o_orderkey",
               "l_orderkey")
-    return _collect(_fold(j, count_partial, "o_orderpriority", "order_count"),
+    return collect(_fold(j, count_partial, "o_orderpriority", "order_count"),
                     "o_orderpriority:str order_count"
                     ).sort_by("o_orderpriority")
 
@@ -3085,7 +3071,7 @@ def q10_returned_items(sf_dir: str):
                                             "revenue_cents": t["cents"]}),
                      "o_custkey", "revenue_cents")
     by = [("revenue_cents", "descending"), ("o_custkey", "ascending")]
-    top = _top(_collect(_map(per_cust, lambda t: _top(t, by, 20)),
+    top = _top(collect(_map(per_cust, lambda t: _top(t, by, 20)),
                         "o_custkey revenue_cents"), by, 20)
 
     cust = _dim(sf_dir, "customer", "c_custkey c_name c_nationkey")
@@ -3138,7 +3124,7 @@ def matrix_stats_lineitem(sf_dir: str):
                          "sxx": pc.multiply(x, x), "syy": pc.multiply(y, y),
                          "sxy": pc.multiply(x, y)})
 
-    t = _collect(_fold(_read(sf_dir, "lineitem", ["l_returnflag",
+    t = collect(_fold(_read(sf_dir, "lineitem", ["l_returnflag",
                                                   "l_quantity",
                                                   "l_extendedprice"]),
                        partial, "l_returnflag", "n sx sy sxx syy sxy"),
@@ -3199,7 +3185,7 @@ def weighted_avg_lineitem(sf_dir: str):
                          "wsum": pc.multiply(_cents_of(t["l_extendedprice"]),
                                              q), "w": q})
 
-    t = _collect(_fold(_read(sf_dir, "lineitem", ["l_returnflag",
+    t = collect(_fold(_read(sf_dir, "lineitem", ["l_returnflag",
                                                   "l_quantity",
                                                   "l_extendedprice"]),
                        partial, "l_returnflag", "wsum w"),
@@ -3259,7 +3245,7 @@ def q12_priority_classes(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     j = _join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
               "o_orderkey")
-    return _collect(_fold(j, partial, "l_linestatus",
+    return collect(_fold(j, partial, "l_linestatus",
                           "high_line_count low_line_count"),
                     "l_linestatus:str high_line_count low_line_count"
                     ).sort_by("l_linestatus")
@@ -3320,7 +3306,7 @@ def q9_product_profit(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
     j = _join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
               "o_orderkey")
-    t = _collect(_fold(j, lambda t: pa.table({
+    t = collect(_fold(j, lambda t: pa.table({
         "nat_k": t["nat_k"], "o_year": pc.year(t["o_orderdate"]).cast(
             pa.int64()), "profit_cents": t["cents"]}),
         "nat_k o_year", "profit_cents"), "nat_k o_year profit_cents")
@@ -3390,7 +3376,7 @@ def q16_supplier_part_cnt(sf_dir: str):
                   class_pairs)
              .groupby(cls + ["l_suppkey"])
              .aggregate(Count(alias_name="_n")))
-    return _collect(_fold(pairs, lambda t: pa.table(
+    return collect(_fold(pairs, lambda t: pa.table(
         {**{c: t[c] for c in cls}, "supplier_cnt": _ones(t.num_rows)}),
         " ".join(cls), "supplier_cnt"),
         "p_brand:str p_type:str p_size supplier_cnt").sort_by(
@@ -3426,7 +3412,7 @@ def q11_important_parts(sf_dir: str):
     (|part|-sized, tiny) aggregate itself; threshold compares integers
     exactly (value_cents × 1e6 > total_cents × ppm), no float
     epsilon."""
-    t = _collect(_fold(_read(sf_dir, "lineitem", ["l_partkey",
+    t = collect(_fold(_read(sf_dir, "lineitem", ["l_partkey",
                                                   "l_extendedprice"]),
                        lambda t: pa.table({
                            "l_partkey": t["l_partkey"],
@@ -3482,7 +3468,7 @@ def q20_excess_suppliers(sf_dir: str):
                          "qty": pc.cast(pc.round(t["l_quantity"]),
                                         pa.int64())})
 
-    t = _collect(_fold(_read(sf_dir, "lineitem", ["l_partkey", "l_suppkey",
+    t = collect(_fold(_read(sf_dir, "lineitem", ["l_partkey", "l_suppkey",
                                                   "l_quantity", "l_shipdate"]),
                        partial, "l_suppkey", "qty"), "l_suppkey qty")
     qty = _np(t["qty"]).astype(np.int64)
@@ -3558,7 +3544,7 @@ def q2_min_cost_supplier(sf_dir: str):
                          "unit_cents": _cents_of(pc.divide(
                              t["l_extendedprice"], t["l_quantity"]))})
 
-    t = _collect(_fold(_read(sf_dir, "lineitem", ["l_partkey", "l_suppkey",
+    t = collect(_fold(_read(sf_dir, "lineitem", ["l_partkey", "l_suppkey",
                                                   "l_extendedprice",
                                                   "l_quantity"]),
                        partial, "l_partkey l_suppkey", "unit_cents:min"),
@@ -3809,7 +3795,7 @@ def multi_terms_events(sf_dir: str):
                          "n_events": _ones(len(us)),
                          "sum_value_cents": _cents_of(t["value"])})
 
-    t = _collect(_fold(_read(sf_dir, "events", ["ts", "event_type", "value"]),
+    t = collect(_fold(_read(sf_dir, "events", ["ts", "event_type", "value"]),
                        partial, "event_type dow", "n_events sum_value_cents"),
                  "event_type:str dow n_events sum_value_cents")
     et = np.asarray(t["event_type"].to_pylist(), dtype=object)
@@ -4118,7 +4104,7 @@ def parent_agg_lineitem(sf_dir: str):
     from ray.data.aggregate import Max
 
     li = _read(sf_dir, "lineitem", ["l_returnflag", "l_orderkey"])
-    flags = sorted(_collect(li.groupby("l_returnflag").count(),
+    flags = sorted(collect(li.groupby("l_returnflag").count(),
                             "l_returnflag:str")["l_returnflag"].to_pylist())
     hcols = [f"h{i}" for i in range(len(flags))]
     spec = "l_returnflag:str n_parents sum_parent_price_cents"
@@ -4266,7 +4252,7 @@ def cumulative_cardinality_events(sf_dir: str):
     def day_of(t: pa.Table) -> pa.Array:
         return pa.array(_np(t["ts"].cast(pa.int64())) // _DAY_US, pa.int64())
 
-    days = _collect(_fold(_read(sf_dir, "events", ["ts"]),
+    days = collect(_fold(_read(sf_dir, "events", ["ts"]),
                           lambda t: pa.table({"day": day_of(t),
                                               "n_events": _ones(t.num_rows)}),
                           "day", "n_events"), "day n_events").sort_by("day")
@@ -4274,7 +4260,7 @@ def cumulative_cardinality_events(sf_dir: str):
                   lambda t: pa.table({"user_id": t["user_id"],
                                       "day": day_of(t)}),
                   "user_id", "day:min")
-    nt = _collect(_fold(first, lambda t: pa.table({
+    nt = collect(_fold(first, lambda t: pa.table({
         "day": t["day"], "new_users": _ones(t.num_rows)}), "day", "new_users"),
         "day new_users")
     nu_map = dict(zip(nt["day"].to_pylist(), nt["new_users"].to_pylist()))
@@ -4329,7 +4315,7 @@ def diversified_sample_documents(sf_dir: str):
         start = np.maximum.accumulate(np.where(new, pos, 0))
         return t.take(pa.array(order[pos - start < _SAMPLER_PER_SOURCE]))
 
-    t = _collect(_map(_read(sf_dir, "documents",
+    t = collect(_map(_read(sf_dir, "documents",
                             ["doc_id", "source", "n_chars"]), topk_per_source)
                  .groupby("source")
                  .map_groups(topk_per_source, batch_format="pyarrow"),
@@ -4388,11 +4374,11 @@ def string_stats_documents(sf_dir: str):
                          "cp": pa.array(np.concatenate(cps)),
                          "cnt": pa.array(np.concatenate(cnts))})
 
-    lt = _collect(_fold(_read(sf_dir, "documents", ["lang", "text"]),
+    lt = collect(_fold(_read(sf_dir, "documents", ["lang", "text"]),
                         len_partial, "lang",
                         "n_docs sum_len min_len:min max_len:max"),
                   "lang:str n_docs sum_len min_len max_len").sort_by("lang")
-    ht = _collect(_fold(_read(sf_dir, "documents", ["lang", "text"]),
+    ht = collect(_fold(_read(sf_dir, "documents", ["lang", "text"]),
                         char_partial, "lang cp", "cnt"), "lang:str cp cnt")
     hl = np.asarray(ht["lang"].to_pylist(), dtype=object)
     hcp, hc = _np(ht["cp"]), _np(ht["cnt"])
@@ -4527,7 +4513,7 @@ def histogram_events(sf_dir: str):
                          "n_events": _ones(t.num_rows),
                          "sum_value_cents": cents})
 
-    t = _collect(_fold(_read(sf_dir, "events", ["value"]), partial,
+    t = collect(_fold(_read(sf_dir, "events", ["value"]), partial,
                        "key_cents", "n_events sum_value_cents"),
                  "key_cents n_events sum_value_cents").sort_by("key_cents")
     if not len(t):
@@ -4578,7 +4564,7 @@ def _event_type_cents_agg(sf_dir: str) -> pa.Table:
     """Shared exact per-event_type (count, cents-sum) exchange:
     int64 partials inside map_batches, one |types|-row groupby —
     the bucket table every terms-agg pipeline stage starts from."""
-    return _collect(_fold(_read(sf_dir, "events", ["event_type", "value"]),
+    return collect(_fold(_read(sf_dir, "events", ["event_type", "value"]),
                           lambda t: pa.table({
                               "event_type": t["event_type"],
                               "n_events": _ones(t.num_rows),
@@ -4746,7 +4732,7 @@ def t_test_events(sf_dir: str):
                          "n": _ones(t.num_rows), "s": c,
                          "sq": pc.multiply(c, c)})
 
-    rows = {r["event_type"]: r for r in _collect(
+    rows = {r["event_type"]: r for r in collect(
         _fold(_read(sf_dir, "events", ["event_type", "value"]), partial,
               "event_type", "n s sq"), "event_type:str n s sq").to_pylist()}
     a = rows.get(_TTEST_A, {"n": None, "s": None, "sq": None})
@@ -4889,7 +4875,7 @@ def scripted_metric_events(sf_dir: str):
                          "n": _ones(t.num_rows),
                          "sum_capped_cents": _cents_of(expr(t))})
 
-    t = _collect(_fold(_read(sf_dir, "events", ["event_type", "value"]),
+    t = collect(_fold(_read(sf_dir, "events", ["event_type", "value"]),
                        partial, "event_type", "n sum_capped_cents"),
                  "event_type:str n sum_capped_cents").sort_by("event_type")
     return t.append_column("avg_capped_cents", pa.array(
@@ -4984,7 +4970,7 @@ def variable_width_histogram_events(sf_dir: str):
     only shuffle carries the distinct-cent histogram (bounded); min/
     max/count/centroid per bucket all derive from that table on the
     driver."""
-    t = _collect(_fold(_read(sf_dir, "events", ["value"]),
+    t = collect(_fold(_read(sf_dir, "events", ["value"]),
                        lambda t: pa.table({"cent": _cents_of(t["value"]),
                                            "cnt": _ones(t.num_rows)}),
                        "cent", "cnt"), "cent cnt").sort_by("cent")
@@ -5089,7 +5075,7 @@ def frequent_item_sets_events(sf_dir: str):
                                                   .sum()) for i, j in pairs],
                                              pa.int64())})
 
-    t = _collect(_fold(masks, pair_counts, "pair", "support"), "pair support")
+    t = collect(_fold(masks, pair_counts, "pair", "support"), "pair support")
     n_users = int(masks.count())
     thresh = math.ceil(_FIS_MIN_SUPPORT_RATIO * n_users)
     p = t["pair"].to_numpy(zero_copy_only=False)
@@ -5180,7 +5166,7 @@ def _fis_pair_explosion(sf_dir: str, vocab: list[str]) -> pa.Table:
            .map_groups(pairs_of_group, batch_format="pyarrow")
            .groupby(["a", "b"])
            .aggregate(Sum("n_part", alias_name="support")))
-    t = _collect(agg, "a b support")
+    t = collect(agg, "a b support")
     n_users = int(items.groupby("user_id").count().count())
     thresh = math.ceil(_FIS_MIN_SUPPORT_RATIO * n_users)
     a = t["a"].to_numpy(zero_copy_only=False)
@@ -5233,7 +5219,7 @@ def random_sampler_events(sf_dir: str):
                          "n_sampled": _ones(t.num_rows),
                          "sum_sampled_cents": _cents_of(t["value"])})
 
-    t = _collect(_fold(_read(sf_dir, "events", ["event_id", "event_type",
+    t = collect(_fold(_read(sf_dir, "events", ["event_id", "event_type",
                                                 "value"]),
                        partial, "event_type", "n_sampled sum_sampled_cents"),
                  "event_type:str n_sampled sum_sampled_cents"

@@ -7,6 +7,24 @@ nature and are verified by dedicated pytest oracles instead.
 
 All regex patterns are written once here and embedded verbatim in the
 SQL so Python `re` and DuckDB RE2 see the same pattern.
+
+Adding a query: state only its own rule, and take every mechanic from
+the helpers below —
+  ``_read_docs`` (the one documents read), ``_term_ids`` (tokenize to
+  per-doc term ids; token counts alone are ``tokenize_flat``'s
+  ``lens``), ``gramhash.unique_rows`` (the one sort-and-dedupe of
+  ``(a, b[, c])`` keys), ``_gram_sets`` (per-doc k-gram hash sets with
+  the short-doc rule), ``_lists`` (the one list-column builder, int64
+  offsets), ``_pair_jaccard`` (exact set Jaccard of row pairs),
+  ``_dup_windows`` (windows exact-matched corpus-wide),
+  ``stages.collect`` (the typed driver collect, answered on empty
+  input), ``_md5_hex`` (the fingerprint), ``_dsir_weights`` and
+  ``_top_k`` (the DSIR weights and the bounded top-k merge);
+fixed sizes are module constants (a test that needs another value
+monkeypatches the constant).  Then add the name to ``QUERIES`` (and
+its SQL to ``ORACLE``, and to ``tests/test_pipelines.py::SQL_CHECKED``).
+``tests/test_empty_inputs.py`` runs every name on a zero-row and a
+tiny corpus.
 """
 
 from __future__ import annotations
@@ -18,8 +36,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from mee_ray.pipelines.gramhash import i32_offsets
-from mee_ray.stages import hash_join
+from mee_ray.pipelines.gramhash import (_FNV, _SIGN_MASK, gram_hash64,
+                                        mix64, token_hash64,
+                                        tokenize_flat, unique_rows)
+from mee_ray.stages import collect, schema, table
 
 TOKEN_PATTERN = "[a-z0-9_]+"
 STOP_PATTERNS = {
@@ -43,6 +63,31 @@ def _read_docs(sf_dir: str, columns=None):
     return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
 
 
+def _term_ids(col):
+    """Tokenize a text column to term ids: ``(didx, tid, dictionary,
+    lens)`` — the doc index and the dictionary id of every token
+    (int64, document-major), the distinct terms (first-seen order) and
+    the tokens per doc.  ``tokenize_flat`` returns one combined array
+    whatever the column's chunking."""
+    flat, didx, lens = tokenize_flat(col)
+    d = pc.dictionary_encode(flat)
+    return (didx, d.indices.to_numpy(zero_copy_only=False)
+            .astype(np.int64), d.dictionary, lens)
+
+
+def _lists(counts, values) -> pa.LargeListArray:
+    """``values`` cut into one list per row, ``counts[i]`` long."""
+    offsets = np.r_[0, np.cumsum(counts, dtype=np.int64)]
+    return pa.LargeListArray.from_arrays(pa.array(offsets, pa.int64()),
+                                         values)
+
+
+def _md5_hex(col) -> pa.Array:
+    """``md5(coalesce(text, ''))`` as hex per row — the fingerprint."""
+    return pa.array([hashlib.md5((x or "").encode()).hexdigest()
+                     for x in col.to_pylist()], pa.string())
+
+
 class TextStats:
     """Per-task stateful stage: compiled regexes once per instance
     (ST-style state, reference commonhandler.py:593-628).  Shipped as
@@ -64,11 +109,8 @@ class TextStats:
 
 def doc_token_counts(sf_dir: str):
     def stage(t: pa.Table) -> pa.Table:
-        # vectorized count: one Arrow tokenize chain, no per-row regex
-        from mee_ray.pipelines.gramhash import tokenize_flat
-        _, _, lens = tokenize_flat(t["text"], mode="regex")
         return pa.table({"doc_id": t["doc_id"],
-                         "n_tokens": pa.array(lens, pa.int64())})
+                         "n_tokens": tokenize_flat(t["text"])[2]})
 
     return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
         stage, batch_format="pyarrow", zero_copy_batch=True)
@@ -82,42 +124,22 @@ FROM documents
 
 # ------------------------------------------------ term df (tokenize) --
 
-class DfPartialStage(TextStats):
-    """Per-batch partial document frequency: one row per term with the
-    count of batch docs containing it (terms deduped per doc).  The
-    core tokenize-and-count stage, shared by doc_term_df and the
-    significant_text foreground pass."""
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        # vectorized: Arrow tokenize + dictionary factorize, per-doc
-        # distinct via one pair sort, df via bincount over term ids —
-        # no per-row Counter, no Python per token
-        from mee_ray.pipelines.gramhash import tokenize_flat
-        flat, didx, _ = tokenize_flat(t["text"], mode="regex")
-        if len(flat) == 0:
-            return pa.table({"term": pa.array([], pa.string()),
-                             "df_part": pa.array([], pa.int64())})
-        d = pc.dictionary_encode(flat.combine_chunks()
-                                 if isinstance(flat, pa.ChunkedArray)
-                                 else flat)
-        tid = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((tid, didx))
-        d2, t2 = didx[order], tid[order]
-        keep = np.ones(len(d2), dtype=bool)
-        keep[1:] = (d2[1:] != d2[:-1]) | (t2[1:] != t2[:-1])
-        df = np.bincount(t2[keep], minlength=len(d.dictionary))
-        # sorted term order (the legacy contract)
-        uniq = d.dictionary.to_numpy(zero_copy_only=False)
-        srt = np.argsort(uniq, kind="stable")
-        return pa.table({"term": pa.array(uniq[srt], pa.string()),
-                         "df_part": pa.array(df[srt].astype(np.int64),
-                                             pa.int64())})
+def _df_partial(t: pa.Table) -> pa.Table:
+    """Per-batch partial document frequency: one row per term (sorted)
+    with the count of batch docs containing it — the bincount of the
+    per-doc distinct term ids.  The core tokenize-and-count stage,
+    shared by doc_term_df and the significant_text foreground pass."""
+    didx, tid, dic, _ = _term_ids(t["text"])
+    df = np.bincount(unique_rows(didx, tid)[1], minlength=len(dic))
+    srt = pc.sort_indices(dic)
+    return pa.table({"term": dic.take(srt),
+                     "df_part": pa.array(df, pa.int64()).take(srt)})
 
 
 def _df_over(ds, alias: str):
     """tokenize → groupby(term) df over a Dataset with a text column."""
     from ray.data.aggregate import Sum
-    return (ds.map_batches(DfPartialStage(), batch_format="pyarrow")
+    return (ds.map_batches(_df_partial, batch_format="pyarrow")
             .groupby("term").aggregate(Sum("df_part", alias_name=alias)))
 
 
@@ -141,8 +163,7 @@ GROUP BY term
 def doc_fingerprint(sf_dir: str):
     """M11/identity analog: stable per-doc content fingerprint."""
     def f(t: pa.Table) -> pa.Table:
-        fp = [hashlib.md5(x.encode()).hexdigest() for x in t["text"].to_pylist()]
-        return pa.table({"doc_id": t["doc_id"], "fp": pa.array(fp, pa.string())})
+        return pa.table({"doc_id": t["doc_id"], "fp": _md5_hex(t["text"])})
 
     return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
         f, batch_format="pyarrow", zero_copy_batch=True)
@@ -157,8 +178,7 @@ def dedup_exact(sf_dir: str):
     from ray.data.aggregate import Count, Min
 
     def f(t: pa.Table) -> pa.Table:
-        fp = [hashlib.md5(x.encode()).hexdigest() for x in t["text"].to_pylist()]
-        return pa.table({"fp": pa.array(fp, pa.string()), "doc_id": t["doc_id"]})
+        return pa.table({"fp": _md5_hex(t["text"]), "doc_id": t["doc_id"]})
 
     return (_read_docs(sf_dir, ["doc_id", "text"])
             .map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
@@ -178,43 +198,25 @@ FROM documents GROUP BY fp
 def doc_quality_scores(sf_dir: str):
     """Quality scoring: token counts, type-token ratio, average token
     length — per-row float division (bit-deterministic vs SQL)."""
-    class Stage(TextStats):
-        def __call__(self, t: pa.Table) -> pa.Table:
-            # vectorized: one Arrow tokenize, codepoint lengths via
-            # utf8_length, distinct-per-doc via one pair sort
-            from mee_ray.pipelines.gramhash import tokenize_flat
-            flat, didx, lens = tokenize_flat(t["text"], mode="regex")
-            n = len(t)
-            n_tok = lens.astype(np.int64)
-            wl = pc.utf8_length(flat).to_numpy(zero_copy_only=False) \
-                if len(flat) else np.zeros(0, np.int64)
-            tot_len = np.bincount(didx, weights=wl, minlength=n) \
-                .astype(np.int64)
-            if len(flat):
-                d = pc.dictionary_encode(
-                    flat.combine_chunks()
-                    if isinstance(flat, pa.ChunkedArray) else flat)
-                tid = d.indices.to_numpy(zero_copy_only=False) \
-                    .astype(np.int64)
-                order = np.lexsort((tid, didx))
-                d2, t2 = didx[order], tid[order]
-                keep = np.ones(len(d2), dtype=bool)
-                keep[1:] = (d2[1:] != d2[:-1]) | (t2[1:] != t2[:-1])
-                n_uniq = np.bincount(d2[keep], minlength=n) \
-                    .astype(np.int64)
-            else:
-                n_uniq = np.zeros(n, dtype=np.int64)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ttr = np.where(n_tok > 0, n_uniq / n_tok, 0.0)
-                avg_len = np.where(n_tok > 0, tot_len / n_tok, 0.0)
-            return pa.table({"doc_id": t["doc_id"],
-                             "n_tokens": pa.array(n_tok),
-                             "n_uniq": pa.array(n_uniq),
-                             "ttr": pa.array(ttr, pa.float64()),
-                             "avg_tok_len": pa.array(avg_len, pa.float64())})
+    def stage(t: pa.Table) -> pa.Table:
+        # codepoint lengths per distinct term, gathered per token
+        didx, tid, dic, n_tok = _term_ids(t["text"])
+        n = len(t)
+        wl = pc.utf8_length(dic).to_numpy(zero_copy_only=False)
+        tot_len = np.bincount(didx, weights=wl[tid], minlength=n) \
+            .astype(np.int64)
+        n_uniq = np.bincount(unique_rows(didx, tid)[0], minlength=n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ttr = np.where(n_tok > 0, n_uniq / n_tok, 0.0)
+            avg_len = np.where(n_tok > 0, tot_len / n_tok, 0.0)
+        return pa.table({"doc_id": t["doc_id"],
+                         "n_tokens": pa.array(n_tok),
+                         "n_uniq": pa.array(n_uniq),
+                         "ttr": pa.array(ttr, pa.float64()),
+                         "avg_tok_len": pa.array(avg_len, pa.float64())})
 
     return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
-        Stage(), batch_format="pyarrow")
+        stage, batch_format="pyarrow")
 
 
 QUALITY_SQL = f"""
@@ -332,7 +334,6 @@ def _shingles(tokens: list[str], k: int = 3) -> set[int]:
     :func:`_shingles_batch` (same gramhash kernel, so a doc's set is
     identical whether computed alone or inside a batch).  Docs shorter
     than ``k`` tokens contribute one whole-doc shingle."""
-    from mee_ray.pipelines.gramhash import gram_hash64, token_hash64
     if not tokens:
         return set()
     th = token_hash64(pa.array(tokens, pa.string()))
@@ -341,52 +342,56 @@ def _shingles(tokens: list[str], k: int = 3) -> set[int]:
     return set(g.tolist())
 
 
-def _shingles_batch(col, k: int = 3):
-    """Vectorized :func:`_shingles` over a batch's text column.
-
-    Returns ``(didx, g)``: int64 doc index + shingle hash, deduped per
-    doc — the flat form every consumer (segmented minhash, list-array
-    build) wants.  One Arrow tokenize + one SipHash pass per unique
-    token + one FNV window fold; the short-doc rule (< k tokens → one
-    whole-doc shingle) runs one extra fold per distinct short length
-    (≤ k−1 of them)."""
-    from mee_ray.pipelines.gramhash import (_FNV, _SIGN_MASK,
-                                            gram_hash64, token_hash64,
-                                            tokenize_flat)
-    flat, _, lens = tokenize_flat(col, mode="regex")
-    th = token_hash64(flat)
+def _gram_sets(th: np.ndarray, lens: np.ndarray, k: int):
+    """Per-doc DEDUPED k-gram hash sets from document-major unit
+    hashes ``th`` (tokens or codepoints, ``lens`` per doc): every
+    k-unit window folded by the gramhash kernel, and a doc shorter
+    than ``k`` units (but non-empty) one whole-doc gram — one extra
+    fold per distinct short length (≤ k−1 of them).  Returns ``(didx,
+    g)`` doc-major, ``g`` sorted unique within each doc."""
     didx, _, g = gram_hash64(th, lens, k)
     doc_start = np.cumsum(lens) - lens
     parts_d, parts_g = [didx], [g]
     for L in range(1, k):
         sel = np.flatnonzero(lens == L)
-        if not len(sel):
-            continue
-        starts = doc_start[sel]
-        acc = th[starts].copy()
+        acc = th[doc_start[sel]]
         for j in range(1, L):
-            acc = acc * _FNV ^ th[starts + j]
+            acc = acc * _FNV ^ th[doc_start[sel] + j]
         parts_d.append(sel)
         parts_g.append((acc & _SIGN_MASK).astype(np.int64))
-    d = np.concatenate(parts_d)
-    gg = np.concatenate(parts_g)
-    if len(d):
-        order = np.lexsort((gg, d))
-        d, gg = d[order], gg[order]
-        keep = np.ones(len(d), dtype=bool)
-        keep[1:] = (d[1:] != d[:-1]) | (gg[1:] != gg[:-1])
-        d, gg = d[keep], gg[keep]
-    return d, gg
+    return unique_rows(np.concatenate(parts_d), np.concatenate(parts_g))
 
 
-def _shingle_lists(col, k: int = 3) -> pa.ListArray:
+def _shingles_batch(col, k: int = 3):
+    """Vectorized :func:`_shingles` over a batch's text column:
+    ``(didx, g)``, the deduped token-k-shingle hashes per doc — one
+    Arrow tokenize, one SipHash per unique token, :func:`_gram_sets`."""
+    flat, _, lens = tokenize_flat(col)
+    return _gram_sets(token_hash64(flat), lens, k)
+
+
+def _shingle_lists(col, k: int = 3) -> pa.LargeListArray:
     """``_shingles_batch`` packed as a list<int64> array, one list per
     input row (empty list for shingle-free docs)."""
     d, g = _shingles_batch(col, k)
-    counts = np.bincount(d, minlength=len(col)).astype(np.int32)
-    offsets = i32_offsets(np.concatenate([[0], np.cumsum(counts)]))
-    return pa.ListArray.from_arrays(pa.array(offsets, pa.int32()),
-                                    pa.array(g, pa.int64()))
+    return _lists(np.bincount(d, minlength=len(col)), pa.array(g, pa.int64()))
+
+
+def _pair_jaccard(lists, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Exact Jaccard of the set pairs ``(lists[left[i]],
+    lists[right[i]])`` (each list duplicate-free): one segmented
+    duplicate count over the pair-concatenated gram streams — a value
+    in both sets occurs twice in its pair's stream.  Two empty sets
+    score 1.0."""
+    n = len(left)
+    taken = lists.take(pa.array(np.r_[left, right], pa.int64()))
+    pidx = np.repeat(np.r_[np.arange(n), np.arange(n)],
+                     pc.list_value_length(taken).to_numpy(
+                         zero_copy_only=False))
+    vals = pc.list_flatten(taken).to_numpy(zero_copy_only=False)
+    union = np.bincount(unique_rows(pidx, vals)[0], minlength=n)
+    inter = np.bincount(pidx, minlength=n) - union
+    return np.where(union > 0, inter / np.maximum(union, 1), 1.0)
 
 
 class MinHashStage(TextStats):
@@ -432,7 +437,6 @@ class MinHashStage(TextStats):
         # deterministic function of the band's signature slice; the
         # legacy path used interpreter-salted hash(tuple), which this
         # replaces with a cross-process-stable fold).
-        from mee_ray.pipelines.gramhash import _FNV, _SIGN_MASK
         rows_per_band = self.N_HASHES // self.N_BANDS
         sig = self.signatures_batch(t["text"]).astype(np.uint64)
         n = len(t)
@@ -451,17 +455,10 @@ class MinHashStage(TextStats):
                                               pa.int64())})
 
 
-def _empty_lists(n: int) -> pa.ListArray:
-    return pa.ListArray.from_arrays(
-        np.zeros(n + 1, dtype=np.int32), pa.array([], pa.int64()))
+MINHASH_JACCARD = 0.2     # verified pairs below this Jaccard are dropped
 
 
-def _list_lengths(col: pa.ListArray) -> np.ndarray:
-    off = col.offsets.to_numpy(zero_copy_only=False)
-    return np.diff(off)
-
-
-def minhash_lsh_candidates(sf_dir: str, jaccard_threshold: float = 0.2):
+def minhash_lsh_candidates(sf_dir: str):
     """MinHash-LSH near-dup: shingle→minhash→band → groupby(band,key)
     → candidate pairs → exact-Jaccard verify, fully distributed in
     THREE shuffles total (band groupby + two bucketed groupbys).
@@ -480,31 +477,20 @@ def minhash_lsh_candidates(sf_dir: str, jaccard_threshold: float = 0.2):
     per-batch partials, ray.put-broadcast once; false positives just
     ship some extra text, false negatives are impossible).  A 100-TB
     run sizes BLOOM_BITS to its candidate estimate."""
-    import itertools
-
     import ray
 
-    from mee_ray.pipelines.cluster import _mix64, _N_BUCKETS
+    from mee_ray.pipelines.cluster import _N_BUCKETS
 
     docs = _read_docs(sf_dir, ["doc_id", "text"])
     sig = docs.map_batches(MinHashStage(), batch_format="pyarrow")
 
-    def pairs_of_group(g: pa.Table) -> pa.Table:
+    def pairs_of_group(g: pa.Table, cap=_MAX_ALLPAIRS_GROUP) -> pa.Table:
+        # a degenerate bucket (empty/boilerplate docs share one
+        # signature) would be O(N²) in ONE task: emit a STAR to the
+        # smallest id instead — O(N) edges that keep every member
+        # connected to the component a dedup clustering consumes
         ids = sorted(set(g["doc_id"].to_pylist()))
-        if len(ids) > _MAX_ALLPAIRS_GROUP:
-            # degenerate bucket (empty/boilerplate docs share one
-            # signature): all-pairs is O(N²) in ONE task.  Emit a STAR
-            # to the smallest id instead — O(N) edges that keep every
-            # member connected to the component, which is what a dedup
-            # clustering consumes; pairwise scores inside a degenerate
-            # bucket are near-identical by construction.
-            a = [ids[0]] * (len(ids) - 1)
-            return pa.table({"a": pa.array(a, pa.int64()),
-                             "b": pa.array(ids[1:], pa.int64())})
-        a, b = [], []
-        for x, y in itertools.combinations(ids, 2):
-            a.append(x); b.append(y)
-        return pa.table({"a": pa.array(a, pa.int64()), "b": pa.array(b, pa.int64())})
+        return table(_pairs(ids, len(ids) > cap), "a b")
 
     cand = sig.groupby(["band", "band_key"]).map_groups(
         pairs_of_group, batch_format="pyarrow").materialize()
@@ -532,7 +518,7 @@ def minhash_lsh_candidates(sf_dir: str, jaccard_threshold: float = 0.2):
         maybe = bits[_bloom_positions(ids.astype(np.uint64))].all(axis=1)
         t = t.filter(pa.array(maybe))
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        bk = (_mix64(ids) % np.uint64(_N_BUCKETS)).astype(np.int32)
+        bk = (mix64(ids) % np.uint64(_N_BUCKETS)).astype(np.int32)
         return pa.table({"bucket": pa.array(bk),
                          "a": pa.array(ids, pa.int64()),
                          "b": pa.array(np.full(len(ids), -1), pa.int64()),
@@ -544,7 +530,7 @@ def minhash_lsh_candidates(sf_dir: str, jaccard_threshold: float = 0.2):
         b = t["b"].to_numpy(zero_copy_only=False)
         n = len(a)
         key = np.concatenate([a, b])
-        bk = (_mix64(key) % np.uint64(_N_BUCKETS)).astype(np.int32)
+        bk = (mix64(key) % np.uint64(_N_BUCKETS)).astype(np.int32)
         aa = np.concatenate([a, a])
         bb = np.concatenate([b, b])
         side = np.concatenate([np.zeros(n, np.int8), np.ones(n, np.int8)])
@@ -555,44 +541,29 @@ def minhash_lsh_candidates(sf_dir: str, jaccard_threshold: float = 0.2):
                          "side": pa.array(side)})
 
     def attach_shingles(g: pa.Table) -> pa.Table:
-        empty = pa.table({"bucket": pa.array([], pa.int32()),
-                          "a": pa.array([], pa.int64()),
-                          "b": pa.array([], pa.int64()),
-                          "sh": _empty_lists(0),
-                          "side": pa.array([], pa.int8())})
         g = g.combine_chunks()
         side = g["side"].to_numpy(zero_copy_only=False)
         a = g["a"].to_numpy(zero_copy_only=False)
         b = g["b"].to_numpy(zero_copy_only=False)
         prow = np.flatnonzero(side != 2)
         drow = np.flatnonzero(side == 2)
-        if not len(prow) or not len(drow):
-            return empty
         # dedupe band-duplicate halves: (a, b, side) is unique after
         # this, and identical halves always land in the same bucket
-        pa_, pb_, ps_ = a[prow], b[prow], side[prow]
-        order = np.lexsort((ps_, pb_, pa_))
-        pa_, pb_, ps_ = pa_[order], pb_[order], ps_[order]
-        keep = np.ones(len(order), dtype=bool)
-        keep[1:] = ((pa_[1:] != pa_[:-1]) | (pb_[1:] != pb_[:-1])
-                    | (ps_[1:] != ps_[:-1]))
-        pa_, pb_, ps_ = pa_[keep], pb_[keep], ps_[keep]
+        pa_, pb_, ps_ = unique_rows(a[prow], b[prow], side[prow])
         keyv = np.where(ps_ == 0, pa_, pb_)
         dids = a[drow]
         dorder = np.argsort(dids, kind="stable")
         drow, dids = drow[dorder], dids[dorder]
-        pos = np.clip(np.searchsorted(dids, keyv), 0, len(dids) - 1)
-        ok = dids[pos] == keyv
-        pa_, pb_, ps_, pos = pa_[ok], pb_[ok], ps_[ok], pos[ok]
-        if not len(pa_):
-            return empty
+        ok = np.isin(keyv, dids)
+        pa_, pb_, ps_ = pa_[ok], pb_[ok], ps_[ok]
+        pos = np.searchsorted(dids, keyv[ok])
         # shingle only the docs some half actually references
         # (vectorized — same kernel as the signature stage)
         need = np.unique(pos)
         sh_arr = _shingle_lists(
             g["text"].take(pa.array(drow[need], pa.int64())))
         sel = np.searchsorted(need, pos)
-        bk2 = ((_mix64(pa_) ^ _mix64(pb_))
+        bk2 = ((mix64(pa_) ^ mix64(pb_))
                % np.uint64(_N_BUCKETS)).astype(np.int32)
         return pa.table({"bucket": pa.array(bk2),
                          "a": pa.array(pa_, pa.int64()),
@@ -600,7 +571,8 @@ def minhash_lsh_candidates(sf_dir: str, jaccard_threshold: float = 0.2):
                          "sh": sh_arr.take(pa.array(sel, pa.int64())),
                          "side": pa.array(ps_)})
 
-    def join_halves_jaccard(g: pa.Table) -> pa.Table:
+    def join_halves_jaccard(g: pa.Table,
+                            threshold=MINHASH_JACCARD) -> pa.Table:
         g = g.combine_chunks()
         a = g["a"].to_numpy(zero_copy_only=False)
         b = g["b"].to_numpy(zero_copy_only=False)
@@ -614,24 +586,8 @@ def minhash_lsh_candidates(sf_dir: str, jaccard_threshold: float = 0.2):
             m = ((a2[1:] == a2[:-1]) & (b2[1:] == b2[:-1])
                  & (s2[:-1] == 0) & (s2[1:] == 1))
         ia = order[:-1][m]
-        ib = order[1:][m]
-        sa = g["sh"].take(pa.array(ia, pa.int64())).combine_chunks()
-        sb = g["sh"].take(pa.array(ib, pa.int64())).combine_chunks()
-        n = len(sa)
-        la, lb = _list_lengths(sa), _list_lengths(sb)
-        flat = np.concatenate([sa.flatten().to_numpy(zero_copy_only=False),
-                               sb.flatten().to_numpy(zero_copy_only=False)])
-        pidx = np.concatenate([np.repeat(np.arange(n), la),
-                               np.repeat(np.arange(n), lb)])
-        sorder = np.lexsort((flat, pidx))
-        p, s = pidx[sorder], flat[sorder]
-        dup = (p[1:] == p[:-1]) & (s[1:] == s[:-1])
-        inter = np.zeros(n, dtype=np.int64)
-        np.add.at(inter, p[1:][dup], 1)
-        union = la + lb - inter
-        j = np.where(union > 0, inter / np.maximum(union, 1), 1.0)
-        j = np.round(j, 6)
-        keep = j >= jaccard_threshold
+        j = np.round(_pair_jaccard(g["sh"], ia, order[1:][m]), 6)
+        keep = j >= threshold
         take_k = pa.array(ia[keep], pa.int64())
         return pa.table({"a": g["a"].take(take_k),
                          "b": g["b"].take(take_k),
@@ -647,7 +603,7 @@ def minhash_lsh_candidates(sf_dir: str, jaccard_threshold: float = 0.2):
             .map_groups(join_halves_jaccard, batch_format="pyarrow"))
 
 
-class SimHashStage(TextStats):
+class SimHashStage:
     """SimHash per doc from token hashes (stable crc-based).
 
     Effective width is 63 bits: bit 63 is masked off so the signature
@@ -656,46 +612,29 @@ class SimHashStage(TextStats):
     hamming 0 — one bit of discrimination traded for the simple
     storage type, well inside the sketch's approximate contract."""
 
-    def simhash(self, text: str) -> int:
-        """Scalar form (tests / one-off callers); the batch path below
-        is the vectorized equivalent."""
-        return int(self._simhash_batch([self.tokens(text)])[0])
-
     # max docs×vocab cells for the dense counts-matrix fast path
     # (16M float64 cells ≈ 128 MB transient)
     _DENSE_LIMIT = 1 << 24
 
-    def _simhash_batch(self, toks: list[list[str]]) -> np.ndarray:
-        """SimHash for many docs in one shot.  Each UNIQUE token string
-        in the batch is crc-hashed once (np.unique memo); per-doc ±1
-        accumulation is then either a counts-matrix × ±1 BLAS matmul
-        when docs×vocab is small, or 64 weighted bincounts over the flat
-        token stream otherwise (acc = 2·ones − len per bit lane) — never
-        a per-token Python loop.  Both paths are exact: every count and
-        partial sum stays far below 2^53 so the float64 arithmetic is
-        integer-exact."""
-        n = len(toks)
-        lens = np.fromiter((len(tk) for tk in toks), dtype=np.int64, count=n)
-        flat = [w for tk in toks for w in tk]
-        if not flat:
-            return np.zeros(n, dtype=np.int64)
-        import pandas as pd
-        inv, uniq = pd.factorize(np.array(flat, dtype=object))
-        return self._simhash_core(n, lens, inv, uniq)
-
-    def _simhash_core(self, n: int, lens: np.ndarray, inv: np.ndarray,
-                      uniq) -> np.ndarray:
+    def __call__(self, t: pa.Table) -> pa.Table:
+        """Each UNIQUE token is crc-hashed once; per-doc ±1
+        accumulation is either a counts-matrix × ±1 BLAS matmul when
+        docs×vocab is small, or 64 weighted bincounts over the flat
+        token stream otherwise (acc = 2·ones − len per bit lane) —
+        never a per-token Python loop.  Both paths are exact: every
+        count and partial sum stays far below 2^53, so the float64
+        arithmetic is integer-exact."""
         import zlib
+        didx, inv, dic, lens = _term_ids(t["text"])
+        n, U = len(t), len(dic)
         h = np.fromiter(
             ((zlib.crc32(w.encode()) << 32) | zlib.crc32(w[::-1].encode())
-             for w in uniq), dtype=np.uint64, count=len(uniq))
-        U = len(uniq)
-        didx = np.repeat(np.arange(n), lens)
+             for w in dic.to_pylist()), dtype=np.uint64, count=U)
         if n * U <= self._DENSE_LIMIT:
             shifts = np.arange(64, dtype=np.uint64)
             pm = (2 * ((h[:, None] >> shifts[None, :]) & np.uint64(1))
                   .astype(np.int64)) - 1          # (uniq, 64) of ±1
-            counts = np.bincount(didx * U + inv.astype(np.int64),
+            counts = np.bincount(didx * U + inv,
                                  minlength=n * U).reshape(n, U)
             acc = np.rint(counts.astype(np.float64)
                           @ pm.astype(np.float64)).astype(np.int64)
@@ -709,24 +648,7 @@ class SimHashStage(TextStats):
         out = ((acc > 0).astype(np.uint64)
                << np.arange(64, dtype=np.uint64)).sum(axis=1,
                                                       dtype=np.uint64)
-        return (out & np.uint64(0x7FFFFFFFFFFFFFFF)).astype(np.int64)
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        # Arrow tokenize + C factorize; crc per UNIQUE token happens in
-        # _simhash_core exactly as in the list path, so signatures are
-        # bit-identical to SimHashStage.simhash (asserted in tests).
-        from mee_ray.pipelines.gramhash import tokenize_flat
-        flat, _, lens = tokenize_flat(t["text"], mode="regex")
-        n = len(t)
-        if len(flat) == 0:
-            sig = np.zeros(n, dtype=np.int64)
-        else:
-            d = pc.dictionary_encode(flat.combine_chunks()
-                                     if isinstance(flat, pa.ChunkedArray)
-                                     else flat)
-            inv = d.indices.to_numpy(zero_copy_only=False)
-            uniq = d.dictionary.to_numpy(zero_copy_only=False)
-            sig = self._simhash_core(n, lens, inv, uniq)
+        sig = (out & np.uint64(0x7FFFFFFFFFFFFFFF)).astype(np.int64)
         return pa.table({"doc_id": t["doc_id"],
                          "simhash": pa.array(sig, pa.int64())})
 
@@ -736,8 +658,17 @@ def simhash_signatures(sf_dir: str):
         SimHashStage(), batch_format="pyarrow")
 
 
-def simhash_dup_pairs(sf_dir: str, max_hamming: int = 3,
-                      max_group: int | None = None):
+SIMHASH_MAX_HAMMING = 3    # pairs within this many differing bits
+
+
+def _pairs(ids: list, star: bool) -> list:
+    """Candidate pairs over sorted ``ids``: every pair, or (a
+    degenerate group) a star to the smallest id."""
+    return [(ids[0], y) for y in ids[1:]] if star else \
+        list(itertools.combinations(ids, 2))
+
+
+def simhash_dup_pairs(sf_dir: str):
     """SimHash near-dup pairs via 4×16-bit band buckets (a pair within
     hamming ≤ 3 of 64 bits must agree on ≥1 of 4 bands).
 
@@ -746,8 +677,6 @@ def simhash_dup_pairs(sf_dir: str, max_hamming: int = 3,
     shuffle, pairs are emitted per group, and a second small groupby on
     (a, b) dedupes pairs that collide in several bands — no driver-side
     signature materialization."""
-    import itertools
-
     from ray.data.aggregate import Min
 
     sig = simhash_signatures(sf_dir)
@@ -765,15 +694,21 @@ def simhash_dup_pairs(sf_dir: str, max_hamming: int = 3,
                          "doc_id": pa.array(rep_ids.astype(np.int64)),
                          "simhash": pa.array(rep_hs.astype(np.int64))})
 
-    EMPTY = pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                       ("hamming", pa.int64())])
-
-    cap = _MAX_ALLPAIRS_GROUP if max_group is None else max_group
-
-    def pairs_of_group(g: pa.Table, mh=max_hamming, cap=cap) -> pa.Table:
+    def pairs_of_group(g: pa.Table, mh=SIMHASH_MAX_HAMMING,
+                       cap=_MAX_ALLPAIRS_GROUP) -> pa.Table:
         uniq = {int(d): int(h) for d, h in zip(g["doc_id"].to_pylist(),
                                                g["simhash"].to_pylist())}
-        if len(uniq) > cap:
+        out = []
+
+        def close(ids, star):
+            for x, y in _pairs(ids, star):
+                d = bin(uniq[x] ^ uniq[y]).count("1")
+                if d <= mh:
+                    out.append((x, y, d))
+
+        if len(uniq) <= cap:
+            close(sorted(uniq), False)
+        else:
             # degenerate bucket (e.g. all-zero simhash of token-free
             # docs).  A bucket only guarantees 16 shared bits, NOT
             # identical signatures, so a naive star-to-smallest drops
@@ -790,38 +725,11 @@ def simhash_dup_pairs(sf_dir: str, max_hamming: int = 3,
             by_sig: dict[int, list[int]] = {}
             for d in sorted(uniq):
                 by_sig.setdefault(uniq[d], []).append(d)
-            out_a, out_b, out_d = [], [], []
             for members in by_sig.values():
-                rep = members[0]
-                for y in members[1:]:
-                    out_a.append(rep); out_b.append(y); out_d.append(0)
+                close(members, True)
             reps = sorted(m[0] for m in by_sig.values())
-            if len(reps) <= cap:
-                for x, y in itertools.combinations(reps, 2):
-                    d = int(bin(uniq[x] ^ uniq[y]).count("1"))
-                    if d <= mh:
-                        out_a.append(x); out_b.append(y); out_d.append(d)
-            else:
-                rep0 = reps[0]
-                for y in reps[1:]:
-                    d = int(bin(uniq[rep0] ^ uniq[y]).count("1"))
-                    if d <= mh:
-                        out_a.append(rep0); out_b.append(y); out_d.append(d)
-            if not out_a:
-                return pa.Table.from_pylist([], schema=EMPTY)
-            return pa.table({"a": pa.array(out_a, pa.int64()),
-                             "b": pa.array(out_b, pa.int64()),
-                             "hamming": pa.array(out_d, pa.int64())})
-        out_a, out_b, out_d = [], [], []
-        for x, y in itertools.combinations(sorted(uniq), 2):
-            d = int(bin(uniq[x] ^ uniq[y]).count("1"))
-            if d <= mh:
-                out_a.append(x); out_b.append(y); out_d.append(d)
-        if not out_a:
-            return pa.Table.from_pylist([], schema=EMPTY)
-        return pa.table({"a": pa.array(out_a, pa.int64()),
-                         "b": pa.array(out_b, pa.int64()),
-                         "hamming": pa.array(out_d, pa.int64())})
+            close(reps, len(reps) > cap)
+        return table(out, "a b hamming")
 
     pairs = (sig.map_batches(band_rows, batch_format="pyarrow")
              .groupby(["band", "bucket"])
@@ -842,36 +750,10 @@ def _char_gram_sets_batch(texts: list, n: int):
     ``n`` chars (but non-empty) contribute one whole-string gram (the
     _shingles short-doc rule); empty texts contribute nothing.
     Returns (didx, g) doc-major, g sorted unique within each doc."""
-    from mee_ray.pipelines.gramhash import (_FNV, _SIGN_MASK,
-                                            gram_hash64, mix64)
     texts = [x or "" for x in texts]
     lens = np.fromiter((len(x) for x in texts), np.int64, len(texts))
-    joined = "".join(texts)
-    cp = np.frombuffer(joined.encode("utf-32-le"),
-                       np.uint32).astype(np.uint64)
-    th = mix64(cp)
-    didx, _, g = gram_hash64(th, lens, n)
-    doc_start = np.cumsum(lens) - lens
-    parts_d, parts_g = [didx], [g]
-    for L in range(1, n):
-        sel = np.flatnonzero(lens == L)
-        if not len(sel):
-            continue
-        starts = doc_start[sel]
-        acc = th[starts].copy()
-        for j in range(1, L):
-            acc = acc * _FNV ^ th[starts + j]
-        parts_d.append(sel)
-        parts_g.append((acc & _SIGN_MASK).astype(np.int64))
-    d = np.concatenate(parts_d)
-    gg = np.concatenate(parts_g)
-    if len(d):
-        order = np.lexsort((gg, d))
-        d, gg = d[order], gg[order]
-        keep = np.ones(len(d), dtype=bool)
-        keep[1:] = (d[1:] != d[:-1]) | (gg[1:] != gg[:-1])
-        d, gg = d[keep], gg[keep]
-    return d, gg
+    cp = np.frombuffer("".join(texts).encode("utf-32-le"), np.uint32)
+    return _gram_sets(mix64(cp.astype(np.uint64)), lens, n)
 
 
 ADJ_SAMPLE_TARGET = 4096   # expected boundary-sample size, corpus-independent
@@ -890,7 +772,6 @@ def _adjacency_boundaries(ds, n_docs: int, n_parts: int = 64,
     except possibly the LAST contains its boundary doc — the
     invariant the single-hop ghost stitch in ngram_jaccard_adjacent
     relies on (no empty interior parts to hop over)."""
-    from mee_ray.pipelines.gramhash import mix64
     if n_docs <= 0:
         return np.empty(0, np.int64)
     rate = min(1.0, target / n_docs)
@@ -902,12 +783,9 @@ def _adjacency_boundaries(ds, n_docs: int, n_parts: int = 64,
         m = mix64(ids) <= thr
         return pa.table({"doc_id": pa.array(ids[m], pa.int64())})
 
-    parts = list(ds.map_batches(keep, batch_format="pyarrow",
-                                zero_copy_batch=True)
-                 .iter_batches(batch_format="pyarrow"))
-    chunks = [p["doc_id"].to_numpy(zero_copy_only=False) for p in parts]
-    ids = np.unique(np.concatenate(chunks)) if chunks \
-        else np.empty(0, np.int64)
+    ids = np.unique(collect(ds.map_batches(
+        keep, batch_format="pyarrow", zero_copy_batch=True), "doc_id")
+        ["doc_id"].to_numpy(zero_copy_only=False))
     if len(ids) == 0:
         return np.empty(0, np.int64)
     cut = np.round(np.linspace(0, len(ids) - 1,
@@ -916,7 +794,11 @@ def _adjacency_boundaries(ds, n_docs: int, n_parts: int = 64,
     return np.unique(ids[cut])
 
 
-def ngram_jaccard_adjacent(sf_dir: str, n: int = 5, n_parts: int = 64):
+NGRAM_N = 5          # char-gram length (the oracle's substr(t, i, 5))
+NGRAM_PARTS = 64     # range partitions of the adjacency shuffle
+
+
+def ngram_jaccard_adjacent(sf_dir: str):
     """Character-n-gram Jaccard for adjacent doc_id pairs.
 
     Distributed shape (no corpus-sized driver state — VERDICT r4 #2):
@@ -934,22 +816,18 @@ def ngram_jaccard_adjacent(sf_dir: str, n: int = 5, n_parts: int = 64):
     pair gram streams never leave their group."""
     import pyarrow.dataset as pads
 
-    EMPTY = pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                       ("jaccard5", pa.float64())])
+    EMPTY = schema("a b jaccard5:f64").empty_table()
     n_docs = pads.dataset(f"{sf_dir}/documents.parquet").count_rows()
     if n_docs < 2:
-        return pa.Table.from_pylist([], schema=EMPTY)
+        return EMPTY
     bd = _adjacency_boundaries(_read_docs(sf_dir, ["doc_id"]),
-                               n_docs, n_parts)
+                               n_docs, NGRAM_PARTS)
 
-    def to_part_rows(t: pa.Table, n=n, bd=bd) -> pa.Table:
+    def to_part_rows(t: pa.Table, n=NGRAM_N, bd=bd) -> pa.Table:
         dids = t["doc_id"].to_numpy(zero_copy_only=False)
         didx, g = _char_gram_sets_batch(t["text"].to_pylist(), n)
-        counts = np.bincount(didx, minlength=len(t)).astype(np.int64)
-        lists = pa.ListArray.from_arrays(
-            pa.array(i32_offsets(np.r_[0, np.cumsum(counts)]),
-                     pa.int32()),
-            pa.array(g, pa.int64()))
+        lists = _lists(np.bincount(didx, minlength=len(t)),
+                       pa.array(g, pa.int64()))
         part = bd.searchsorted(dids, side="left").astype(np.int32)
         # single-hop ghosts: per part present in THIS batch, the
         # max-doc row is a candidate predecessor for part+1 (the
@@ -981,7 +859,7 @@ def ngram_jaccard_adjacent(sf_dir: str, n: int = 5, n_parts: int = 64):
         dids = t["doc_id"].to_numpy(zero_copy_only=False)
         real = np.flatnonzero(role == 0)
         if len(real) == 0:
-            return pa.Table.from_pylist([], schema=EMPTY)
+            return EMPTY
         order = real[np.argsort(dids[real])]
         ghosts = np.flatnonzero(role == 1)
         left, right = order[:-1], order[1:]
@@ -989,26 +867,7 @@ def ngram_jaccard_adjacent(sf_dir: str, n: int = 5, n_parts: int = 64):
             gmax = ghosts[np.argmax(dids[ghosts])]
             left = np.r_[gmax, left]
             right = np.r_[order[0], right]
-        if len(left) == 0:
-            return pa.Table.from_pylist([], schema=EMPTY)
-        grams = t["grams"].combine_chunks()
-        glen = np.diff(grams.offsets.to_numpy(zero_copy_only=False))
-        P = len(left)
-        rows = np.r_[left, right]
-        taken = grams.take(pa.array(rows, pa.int64()))
-        if isinstance(taken, pa.ChunkedArray):
-            taken = taken.combine_chunks()
-        gv = taken.flatten().to_numpy(zero_copy_only=False)
-        pidx = np.repeat(np.r_[np.arange(P), np.arange(P)], glen[rows])
-        o2 = np.lexsort((gv, pidx))
-        pv, vv = pidx[o2], gv[o2]
-        dup = np.zeros(len(vv), dtype=np.int64)
-        if len(vv) > 1:
-            dup[1:] = (pv[1:] == pv[:-1]) & (vv[1:] == vv[:-1])
-        inter = np.zeros(P, dtype=np.int64)
-        np.add.at(inter, pv, dup)
-        union = glen[left] + glen[right] - inter
-        jac = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
+        jac = _pair_jaccard(t["grams"], left, right)
         return pa.table({"a": pa.array(dids[left], pa.int64()),
                          "b": pa.array(dids[right], pa.int64()),
                          "jaccard5": pa.array(jac, pa.float64())})
@@ -1019,8 +878,11 @@ def ngram_jaccard_adjacent(sf_dir: str, n: int = 5, n_parts: int = 64):
             .map_groups(jaccard_of_group, batch_format="pyarrow"))
 
 
-def stratified_sample_documents(sf_dir: str, k: int = 20,
-                                n_buckets: int = 16):
+STRATIFIED_K = 20          # documents per language stratum
+_STRATIFIED_BUCKETS = 16   # shuffle groups the strata hash into
+
+
+def stratified_sample_documents(sf_dir: str):
     """Deterministic stratified sampling — k documents per language
     stratum, a first-class training-data-pipeline need (balance
     languages before training).
@@ -1033,7 +895,8 @@ def stratified_sample_documents(sf_dir: str, k: int = 20,
     ranking: per-batch combiners keep ≤k rows per stratum, strata hash
     into buckets, one vectorized lexsort pass per group."""
 
-    def topk_of(t: pa.Table, with_bucket: bool) -> pa.Table:
+    def topk_of(t: pa.Table, with_bucket: bool, k=STRATIFIED_K,
+                n_buckets=_STRATIFIED_BUCKETS) -> pa.Table:
         did = t["doc_id"].to_numpy(zero_copy_only=False)
         # pre-reduce mod 2^32 before the multiply: congruent (same h
         # for every id), and the product stays < 2^64 so the SQL
@@ -1121,8 +984,6 @@ def pii_scrub_documents(sf_dir: str):
     replace_substring_regex passes (email → ip → phone, same order as
     the oracle — the kinds can't overlap but the order is still
     pinned)."""
-    import pyarrow.compute as pc
-
     def f(t: pa.Table) -> pa.Table:
         from functools import reduce
         did = t["doc_id"]
@@ -1201,55 +1062,38 @@ def repetition_scores_documents(sf_dir: str):
     frequent bigram (high → boilerplate/repetitive text a training-
     data pipeline drops).  Float ratios are single divisions of exact
     integer counts — bit-identical to the oracle's DOUBLE division."""
-    class Stage(TextStats):
-        def __call__(self, t: pa.Table) -> pa.Table:
-            # vectorized: token ids once, distinct-per-doc and
-            # top-bigram-run via two sorts — identical float results
-            # (same single divisions of the same exact integers)
-            from mee_ray.pipelines.gramhash import tokenize_flat
-            flat, didx, lens = tokenize_flat(t["text"], mode="regex")
-            n = len(t)
-            n_tok = lens.astype(np.int64)
-            uniq_c = np.zeros(n, dtype=np.int64)
-            top = np.zeros(n, dtype=np.int64)
-            if len(flat):
-                d = pc.dictionary_encode(
-                    flat.combine_chunks()
-                    if isinstance(flat, pa.ChunkedArray) else flat)
-                tid = d.indices.to_numpy(zero_copy_only=False) \
-                    .astype(np.int64)
-                U = len(d.dictionary)
-                order = np.lexsort((tid, didx))
-                d2, t2 = didx[order], tid[order]
-                keep = np.ones(len(d2), dtype=bool)
-                keep[1:] = (d2[1:] != d2[:-1]) | (t2[1:] != t2[:-1])
-                uniq_c = np.bincount(d2[keep], minlength=n) \
-                    .astype(np.int64)
-                bs = np.flatnonzero(didx[1:] == didx[:-1])
-                if len(bs):
-                    bd, bk = didx[bs], tid[bs] * U + tid[bs + 1]
-                    o2 = np.lexsort((bk, bd))
-                    bd2, bk2 = bd[o2], bk[o2]
-                    r = np.flatnonzero(np.r_[
-                        True, (bd2[1:] != bd2[:-1])
-                        | (bk2[1:] != bk2[:-1])])
-                    rl = np.diff(np.r_[r, len(bd2)])
-                    rd = bd2[r]
-                    ds = np.flatnonzero(np.r_[True, rd[1:] != rd[:-1]])
-                    top[rd[ds]] = np.maximum.reduceat(rl, ds)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                uniq_ratio = np.where(n_tok > 0, uniq_c / n_tok, 0.0)
-                frac = np.where(n_tok > 1,
-                                top / np.maximum(n_tok - 1, 1), 0.0)
-            return pa.table({"doc_id": t["doc_id"],
-                             "n_tokens": pa.array(n_tok, pa.int64()),
-                             "uniq_ratio": pa.array(uniq_ratio,
-                                                    pa.float64()),
-                             "top_bigram_frac": pa.array(frac,
-                                                         pa.float64())})
+    def stage(t: pa.Table) -> pa.Table:
+        # token ids once, distinct-per-doc and top-bigram-run via
+        # two sorts — identical float results (same single
+        # divisions of the same exact integers)
+        didx, tid, dic, n_tok = _term_ids(t["text"])
+        n = len(t)
+        uniq_c = np.bincount(unique_rows(didx, tid)[0], minlength=n)
+        top = np.zeros(n, dtype=np.int64)
+        bs = np.flatnonzero(didx[1:] == didx[:-1])
+        if len(bs):
+            bd, bk = didx[bs], tid[bs] * len(dic) + tid[bs + 1]
+            o2 = np.lexsort((bk, bd))
+            bd2, bk2 = bd[o2], bk[o2]
+            r = np.flatnonzero(np.r_[True, (bd2[1:] != bd2[:-1])
+                                     | (bk2[1:] != bk2[:-1])])
+            rl = np.diff(np.r_[r, len(bd2)])
+            rd = bd2[r]
+            ds = np.flatnonzero(np.r_[True, rd[1:] != rd[:-1]])
+            top[rd[ds]] = np.maximum.reduceat(rl, ds)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            uniq_ratio = np.where(n_tok > 0, uniq_c / n_tok, 0.0)
+            frac = np.where(n_tok > 1,
+                            top / np.maximum(n_tok - 1, 1), 0.0)
+        return pa.table({"doc_id": t["doc_id"],
+                         "n_tokens": pa.array(n_tok, pa.int64()),
+                         "uniq_ratio": pa.array(uniq_ratio,
+                                                pa.float64()),
+                         "top_bigram_frac": pa.array(frac,
+                                                     pa.float64())})
 
     return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
-        Stage(), batch_format="pyarrow")
+        stage, batch_format="pyarrow")
 
 
 REPETITION_SQL = f"""
@@ -1310,7 +1154,6 @@ class GopherRulesStage(TextStats):
         count_substring, the stopword rule from one tokenize +
         is_in + per-doc distinct — no Python per row (bit-parity with
         :meth:`scalar_call` asserted in test_pipelines.py)."""
-        from mee_ray.pipelines.gramhash import tokenize_flat
         col = pc.fill_null(t["text"], "")
         n = len(t)
 
@@ -1358,23 +1201,11 @@ class GopherRulesStage(TextStats):
                     zero_copy_only=False)).astype(np.int64)
 
         # distinct stopwords per doc (tokens, not raw words)
-        tf_, td_ = _flat(pc.split_pattern_regex(
-            pc.utf8_lower(col), "[^a-z0-9_]+"), keep_empty=False)
-        stops = pa.array(list(_GOPHER_STOPS), pa.string())
-        ii = pc.index_in(tf_, value_set=stops)
-        mask = pc.is_valid(ii).to_numpy(zero_copy_only=False) \
-            .astype(bool)
-        sid = pc.fill_null(ii, -1).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        sd, sv = td_[mask], sid[mask]
-        if len(sd):
-            order = np.lexsort((sv, sd))
-            sd, sv = sd[order], sv[order]
-            keep = np.ones(len(sd), dtype=bool)
-            keep[1:] = (sd[1:] != sd[:-1]) | (sv[1:] != sv[:-1])
-            nstop = np.bincount(sd[keep], minlength=n)
-        else:
-            nstop = np.zeros(n, dtype=np.int64)
+        didx, tid, dic, _ = _term_ids(col)
+        stop = pc.is_in(dic, value_set=pa.array(_GOPHER_STOPS)) \
+            .to_numpy(zero_copy_only=False)[tid]
+        nstop = np.bincount(unique_rows(didx[stop], tid[stop])[0],
+                            minlength=n)
 
         r_wc = (nw >= 50) & (nw <= 100_000)
         r_wlen = (nw > 0) & (3 * nw <= total) & (total <= 10 * nw)
@@ -1490,27 +1321,47 @@ FROM m
 PASSAGE_LEN = 8
 
 
-def _stride_windows(toks: list[str]) -> list[str]:
-    """THE engine-side window definition (non-overlapping
-    {PASSAGE_LEN}-token windows, trailing partial dropped) — must stay
+def _stride_window_hashes(col):
+    """(didx, h) of every non-overlapping {PASSAGE_LEN}-token window
+    (trailing partial dropped) — the engine-side window definition,
     in lockstep with the shared SQL ``pas`` CTE; passage dedup and the
     contamination check both build on it."""
-    return [" ".join(toks[lo:lo + PASSAGE_LEN])
-            for lo in range(0, len(toks) - PASSAGE_LEN + 1,
-                            PASSAGE_LEN)]
-
-
-def _stride_window_hashes(col):
-    """(didx, h) of every non-overlapping {PASSAGE_LEN}-token window —
-    the vectorized (hashed) form of :func:`_stride_windows`, one
-    stride-{PASSAGE_LEN} kernel fold per batch."""
-    from mee_ray.pipelines.gramhash import (gram_hash64, token_hash64,
-                                            tokenize_flat)
-    flat, _, lens = tokenize_flat(col, mode="regex")
-    th = token_hash64(flat)
-    didx, _, h = gram_hash64(th, lens, PASSAGE_LEN,
+    flat, _, lens = tokenize_flat(col)
+    didx, _, h = gram_hash64(token_hash64(flat), lens, PASSAGE_LEN,
                              stride=PASSAGE_LEN)
     return didx, h
+
+
+_DUP_BUCKETS = 512       # window-hash buckets: sized so one bucket's
+                         # windows fit a worker; scale with the cluster
+
+
+def _dup_windows(sf_dir: str, windows):
+    """Windows exact-matched CORPUS-WIDE: ``windows(batch)`` returns
+    one row per window, an int64 ``gram`` hash plus the columns the
+    query keeps, and every row comes back with ``dup`` (the window
+    occurs more than once anywhere).  ONE shuffle: rows bucket by
+    mix64(gram), so all copies of a window meet in one group, where a
+    vectorized np.unique count marks them — no join operator, no
+    second exchange, and a corpus without windows is just no rows."""
+    def explode(t: pa.Table) -> pa.Table:
+        w = windows(t)
+        g = w["gram"].to_numpy(zero_copy_only=False)
+        return w.append_column("bucket", pa.array(
+            (mix64(g) % np.uint64(_DUP_BUCKETS)).astype(np.int64)))
+
+    def mark(g: pa.Table) -> pa.Table:
+        # int64 gram keys: np.unique is a radix-ish C sort
+        _, inv, cnt = np.unique(g["gram"].to_numpy(zero_copy_only=False),
+                                return_inverse=True, return_counts=True)
+        return g.drop_columns(["gram", "bucket"]).append_column(
+            "dup", pa.array(cnt[inv] > 1))
+
+    return (_read_docs(sf_dir, ["doc_id", "text"])
+            .map_batches(explode, batch_format="pyarrow",
+                         zero_copy_batch=True)
+            .groupby("bucket")
+            .map_groups(mark, batch_format="pyarrow"))
 
 
 def passage_dedup_documents(sf_dir: str):
@@ -1523,49 +1374,37 @@ def passage_dedup_documents(sf_dir: str):
     anywhere.  Output (doc_id, n_passages, n_dup_passages) — pure
     integer counts, so the oracle compare is exact.
 
-    Shape at scale: explode → groupby(passage) count → co-partitioned
-    hash join back on passage → per-doc re-aggregate.  The exploded
-    stream feeds two consumers and is recomputed rather than
-    materialized (tokenize is cheap; a corpus-sized mid-pipeline
-    materialization is not).  The join key is a 64-bit rolling window
-    hash (the gramhash kernel, vectorized explode, fixed-width
-    exchange records); counts are identical to string keys up to
-    64-bit collisions (which only mark one extra window duplicated).
+    Shape at scale: explode → :func:`_dup_windows` (one bucketed
+    shuffle marks each window duplicated or not) → per-doc
+    re-aggregate.  The window key is a 64-bit rolling window hash (the
+    gramhash kernel, vectorized explode, fixed-width exchange
+    records); counts are identical to string keys up to 64-bit
+    collisions (which only mark one extra window duplicated).
     The retired string-key path's output is frozen as
     tests/golden/passage_dedup_sf0001.parquet, still asserted
     bit-identical in test_gramhash.py."""
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
-    def explode_hashed(t: pa.Table) -> pa.Table:
+    def windows(t: pa.Table) -> pa.Table:
         didx, h = _stride_window_hashes(t["text"])
         dids = t["doc_id"].to_numpy(zero_copy_only=False)
         return pa.table({"doc_id": pa.array(dids[didx], pa.int64()),
-                         "passage": pa.array(h, pa.int64())})
-
-    def passages(): return (_read_docs(sf_dir, ["doc_id", "text"])
-                            .map_batches(explode_hashed,
-                                         batch_format="pyarrow",
-                                         zero_copy_batch=True))
-
-    counts = passages().groupby("passage").aggregate(
-        Count(alias_name="c"))
-    joined = hash_join(passages(), counts, "passage")
+                         "gram": pa.array(h, pa.int64())})
 
     def per_doc_partial(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        dup = pc.cast(pc.greater(t["c"], pa.scalar(1)), pa.int64())
-        part = pa.table({"doc_id": t["doc_id"], "dup": dup})
+        part = pa.table({"doc_id": t["doc_id"],
+                         "dup": pc.cast(t["dup"], pa.int64())})
         g = part.group_by("doc_id").aggregate(
             [("dup", "count"), ("dup", "sum")])
         return g.rename_columns(["doc_id", "n_part", "dup_part"])
 
-    agg = (joined.map_batches(per_doc_partial, batch_format="pyarrow")
+    agg = (_dup_windows(sf_dir, windows)
+           .map_batches(per_doc_partial, batch_format="pyarrow")
            .groupby("doc_id")
            .aggregate(Sum("n_part", alias_name="n_passages"),
                       Sum("dup_part", alias_name="n_dup_passages")))
 
     def finish(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         return pa.table({
             "doc_id": t["doc_id"],
             "n_passages": pc.cast(t["n_passages"], pa.int64()),
@@ -1607,7 +1446,7 @@ def contamination_check_documents(sf_dir: str):
 
     Windows are 64-bit kernel hashes — the broadcast set is
     8 B/window and the scan is a vectorized sorted-array membership
-    probe (np.searchsorted), no Python per row; identical to string
+    probe (np.isin), no Python per row; identical to string
     windows up to hash collisions.  The retired string-set loop's
     output is frozen as tests/golden/contamination_sf0001.parquet,
     still asserted bit-identical in test_gramhash.py."""
@@ -1623,27 +1462,16 @@ def contamination_check_documents(sf_dir: str):
         keep = first & (dids[didx] % 97 == 0)
         return pa.table({"passage": pa.array(h[keep], pa.int64())})
 
-    bench_arr = np.unique(np.concatenate(
-        [b["passage"].to_numpy(zero_copy_only=False)
-         for b in (_read_docs(sf_dir, ["doc_id", "text"])
-                   .map_batches(bench_windows_h,
-                                batch_format="pyarrow",
-                                zero_copy_batch=True)
-                   .iter_batches(batch_format="pyarrow"))]
-        or [np.zeros(0, np.int64)]))
-    bench_ref = ray.put(bench_arr)
+    bench_ref = ray.put(np.unique(collect(
+        _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
+            bench_windows_h, batch_format="pyarrow", zero_copy_batch=True),
+        "passage")["passage"].to_numpy(zero_copy_only=False)))
 
     def scan_h(t: pa.Table) -> pa.Table:
-        ba = ray.get(bench_ref)
         didx, h = _stride_window_hashes(t["text"])
         dids = t["doc_id"].to_numpy(zero_copy_only=False)
-        if len(ba) and len(h):
-            pos = np.searchsorted(ba, h)
-            hit = ba[np.clip(pos, 0, len(ba) - 1)] == h
-        else:
-            hit = np.zeros(len(h), dtype=bool)
-        n = np.bincount(didx[hit], minlength=len(t)) \
-            if hit.any() else np.zeros(len(t), np.int64)
+        n = np.bincount(didx[np.isin(h, ray.get(bench_ref))],
+                        minlength=len(t))
         nz = np.flatnonzero(n)
         return pa.table({"doc_id": pa.array(dids[nz], pa.int64()),
                          "n_contaminated": pa.array(
@@ -1674,8 +1502,6 @@ GROUP BY p.doc_id
 
 
 SPAN_GRAM = 12
-_SPAN_BUCKETS = 512      # gram-hash buckets: sized so one bucket's
-                         # windows fit a worker; scale with the cluster
 
 
 def substring_dedup_spans_documents(sf_dir: str):
@@ -1692,12 +1518,10 @@ def substring_dedup_spans_documents(sf_dir: str):
     1-based token offsets, span_end one past the last covered token —
     the ranges a dedup pass would cut before training.
 
-    Shape at scale: explode → ONE gram-bucketed shuffle (bucket =
-    crc32(gram) % {_SPAN_BUCKETS}) → per-bucket VECTORIZED dup filter
-    (sort + run-length, the minhash-verify half-row-bucket implicit
-    semi-join — same-gram rows are co-located by construction, so no
-    join operator and no second exchange) → per-doc island merge in
-    map_groups (vectorized; per-group state is one position array).
+    Shape at scale: explode → :func:`_dup_windows` (ONE gram-bucketed
+    shuffle, per-bucket vectorized dup count) → keep the duplicated
+    starts → per-doc island merge in map_groups (vectorized;
+    per-group state is one position array).
 
     The shuffle key is a 64-bit rolling gram hash (the
     :mod:`mee_ray.pipelines.gramhash` kernel — Arrow tokenize, one
@@ -1711,35 +1535,13 @@ def substring_dedup_spans_documents(sf_dir: str):
     tests/golden/substring_spans_sf0001.parquet, still asserted
     bit-identical in test_gramhash.py."""
 
-    def explode_hashed(t: pa.Table) -> pa.Table:
-        from mee_ray.pipelines.gramhash import (gram_hash64, mix64,
-                                                token_hash64,
-                                                tokenize_flat)
-        flat, _, lens = tokenize_flat(t["text"], mode="regex")
-        th = token_hash64(flat)
-        didx, pos, g = gram_hash64(th, lens, SPAN_GRAM)
+    def windows(t: pa.Table) -> pa.Table:
+        flat, _, lens = tokenize_flat(t["text"])
+        didx, pos, g = gram_hash64(token_hash64(flat), lens, SPAN_GRAM)
         dids = t["doc_id"].to_numpy(zero_copy_only=False)
-        bucket = (mix64(g) % np.uint64(_SPAN_BUCKETS)).astype(np.int64)
         return pa.table({"doc_id": pa.array(dids[didx], pa.int64()),
                          "pos": pa.array(pos + 1, pa.int64()),
-                         "gram": pa.array(g, pa.int64()),
-                         "bucket": pa.array(bucket)})
-
-    def dup_filter(g: pa.Table) -> pa.Table:
-        # int64 gram keys: np.unique is a radix-ish C sort.
-        grams = g["gram"].to_numpy(zero_copy_only=False)
-        _, inv, cnt = np.unique(grams, return_inverse=True,
-                                return_counts=True)
-        keep = cnt[inv] > 1
-        return pa.table({"doc_id": g["doc_id"].filter(pa.array(keep)),
-                         "pos": g["pos"].filter(pa.array(keep))})
-
-    joined = (_read_docs(sf_dir, ["doc_id", "text"])
-              .map_batches(explode_hashed,
-                           batch_format="pyarrow",
-                           zero_copy_batch=True)
-              .groupby("bucket")
-              .map_groups(dup_filter, batch_format="pyarrow"))
+                         "gram": pa.array(g, pa.int64())})
 
     def merge(g: pa.Table) -> pa.Table:
         pos = np.sort(g["pos"].to_numpy(zero_copy_only=False))
@@ -1756,7 +1558,9 @@ def substring_dedup_spans_documents(sf_dir: str):
                          "span_end": pa.array(ends.astype(np.int64)),
                          "n_windows": pa.array(nwin.astype(np.int64))})
 
-    return (joined.select_columns(["doc_id", "pos"])
+    return (_dup_windows(sf_dir, windows)
+            .map_batches(lambda t: t.filter(t["dup"]).select(
+                ["doc_id", "pos"]), batch_format="pyarrow")
             .groupby("doc_id")
             .map_groups(merge, batch_format="pyarrow"))
 
@@ -1819,8 +1623,7 @@ def lm_score_documents(sf_dir: str):
         for a, b in zip(toks, toks[1:]):
             big[(a, b)] = big.get((a, b), 0) + 1
             uni[a] = uni.get(a, 0) + 1
-    vsize = max(1, len({t for x in sample["text"].to_pylist()
-                        for t in st.tokens(x)}))
+    vsize = max(1, len(_term_ids(sample["text"])[2]))
     model_ref = ray.put((big, uni, vsize))
 
     def score(t: pa.Table) -> pa.Table:
@@ -1962,13 +1765,11 @@ def bpe_tokenize_documents(sf_dir: str):
 
     from mee_ray.pipelines.sampling import hash_sample
 
-    st = TextStats()
     sample = hash_sample(_read_docs(sf_dir, ["doc_id", "text"]),
                          BPE_SAMPLE_DOCS, "doc_id")
-    wf: dict = {}
-    for x in sample["text"].to_pylist():
-        for w in st.tokens(x):
-            wf[w] = wf.get(w, 0) + 1
+    _, tid, dic, _ = _term_ids(sample["text"])
+    wf = dict(zip(dic.to_pylist(),
+                  np.bincount(tid, minlength=len(dic)).tolist()))
     ranks = {p: i for i, p in enumerate(_fit_bpe(wf))}
 
     from mee_ray.stages import actor_pool
@@ -1999,30 +1800,29 @@ def _mix_rate_expr() -> str:
     return f"100 + 150 * (CAST(substr(source, 4) AS BIGINT) % 5)"
 
 
+def _mix_keep(t: pa.Table, rate: np.ndarray) -> pa.Table:
+    """The rows of ``t`` whose Knuth hash of doc_id falls below their
+    per-row ``rate`` (‰), with the rate as ``rate_pml``.  The id is
+    pre-reduced mod MIX_MOD before the multiply (congruent, same
+    sample) so intermediates stay bounded at any id magnitude — the
+    stratified-sample / random-sampler / geo-key discipline."""
+    ids = t["doc_id"].to_numpy(zero_copy_only=False)
+    keep = ((ids % MIX_MOD) * KNUTH_MULT) % MIX_MOD < rate
+    return t.filter(pa.array(keep)).append_column(
+        "rate_pml", pa.array(rate[keep], pa.int64()))
+
+
 def training_mix_sample(sf_dir: str):
     """Weighted mixture sampling across sources: each source srcN is
     sampled at 100+150·(N mod 5) per mille by a deterministic
     multiplicative hash of doc_id — one streaming map_batches pass, no
     shuffle, no RNG state."""
-    import ray.data
-
     def sample(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
         src_num = np.array([int(s[3:]) for s in
                             t["source"].to_pylist()], dtype=np.int64)
-        rate = 100 + 150 * (src_num % 5)
-        # pre-reduce mod MIX_MOD before the multiply (congruent, same
-        # sample) so intermediates stay bounded at any id magnitude —
-        # the stratified-sample / random-sampler / geo-key discipline
-        h = ((ids % MIX_MOD) * KNUTH_MULT) % MIX_MOD
-        keep = h < rate
-        kept = t.filter(pa.array(keep))
-        return pa.table({"doc_id": kept["doc_id"],
-                         "source": kept["source"],
-                         "rate_pml": pa.array(rate[keep], pa.int64())})
+        return _mix_keep(t, 100 + 150 * (src_num % 5))
 
-    return (ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                  columns=["doc_id", "source"])
+    return (_read_docs(sf_dir, ["doc_id", "source"])
             .map_batches(sample, batch_format="pyarrow",
                          zero_copy_batch=True))
 
@@ -2054,30 +1854,20 @@ def temperature_mix_documents(sf_dir: str):
     corpus-sized exchange."""
     import math
 
-    import ray.data
     from ray.data.aggregate import Count
 
-    counts = (ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                    columns=["lang"])
+    counts = (_read_docs(sf_dir, ["lang"])
               .groupby("lang").aggregate(Count(alias_name="c")))
     w = {r["lang"]: int(math.floor(1_000_000 * math.sqrt(r["c"])))
          for r in counts.take_all()}       # bounded by |langs|
-    wmin = min(w.values())
+    wmin = min(w.values(), default=0)      # no docs: no rates to draw
     rates = {s: min(1000, (1000 * wmin) // ws) for s, ws in w.items()}
 
     def sample(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        rate = np.array([rates[s] for s in t["lang"].to_pylist()],
-                        dtype=np.int64)
-        h = ((ids % MIX_MOD) * KNUTH_MULT) % MIX_MOD
-        keep = h < rate
-        kept = t.filter(pa.array(keep))
-        return pa.table({"doc_id": kept["doc_id"],
-                         "lang": kept["lang"],
-                         "rate_pml": pa.array(rate[keep], pa.int64())})
+        return _mix_keep(t, np.array([rates[s] for s in
+                                      t["lang"].to_pylist()], np.int64))
 
-    return (ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                  columns=["doc_id", "lang"])
+    return (_read_docs(sf_dir, ["doc_id", "lang"])
             .map_batches(sample, batch_format="pyarrow",
                          zero_copy_batch=True))
 
@@ -2116,7 +1906,7 @@ _U64 = 1 << 64
 _I63 = (1 << 63) - 1
 
 
-def training_shuffle_order(sf_dir: str, seed: int = SHUFFLE_SEED):
+def training_shuffle_order(sf_dir: str):
     """Seeded deterministic shuffle order over the documents table:
     ``shuffle_key = ((doc_id + seed) · SHUFFLE_MULT) mod 2⁶⁴``
     (odd-constant multiplication is a bijection mod 2⁶⁴, so keys are
@@ -2124,9 +1914,7 @@ def training_shuffle_order(sf_dir: str, seed: int = SHUFFLE_SEED):
     ``shard = key % SHUFFLE_SHARDS``; ``shard_pos`` = rank within the
     shard by (key, doc_id) — doc_id breaks the (rare) truncation
     ties, keeping the order total and retry-stable."""
-    import ray.data
-
-    def keyed(t: pa.Table) -> pa.Table:
+    def keyed(t: pa.Table, seed=SHUFFLE_SEED) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         k = ((ids.astype(np.uint64) + np.uint64(seed))
              * np.uint64(SHUFFLE_MULT)) & np.uint64(_I63)
@@ -2144,8 +1932,7 @@ def training_shuffle_order(sf_dir: str, seed: int = SHUFFLE_SEED):
         pos[order] = np.arange(1, len(order) + 1)
         return g.append_column("shard_pos", pa.array(pos, pa.int64()))
 
-    return (ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                  columns=["doc_id"])
+    return (_read_docs(sf_dir, ["doc_id"])
             .map_batches(keyed, batch_format="pyarrow",
                          zero_copy_batch=True)
             .groupby("shard")
@@ -2200,14 +1987,12 @@ def bloom_build(ds) -> "np.ndarray":
     bitwise-OR merge on the driver — the merge order is irrelevant,
     so retries/parallelism can't change the filter."""
     bits = np.zeros(BLOOM_BITS, dtype=bool)
-    for b in ds.map_batches(
-            lambda t: pa.table({"pos": pa.array(np.unique(
-                _bloom_positions(t["doc_id"].to_numpy(
-                    zero_copy_only=False).astype(np.uint64))),
-                pa.int64())}),
-            batch_format="pyarrow",
-            zero_copy_batch=True).iter_batches(batch_format="pyarrow"):
-        bits[b["pos"].to_numpy(zero_copy_only=False)] = True
+    bits[collect(ds.map_batches(
+        lambda t: pa.table({"pos": np.unique(_bloom_positions(
+            t["doc_id"].to_numpy(zero_copy_only=False)
+            .astype(np.uint64)))}),
+        batch_format="pyarrow", zero_copy_batch=True), "pos")
+         ["pos"].to_numpy(zero_copy_only=False)] = True
     return bits
 
 
@@ -2219,10 +2004,8 @@ def bloom_membership_documents(sf_dir: str):
     probe set = false positives, so the output doubles as a live FP
     measurement."""
     import ray
-    import ray.data
 
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "source"])
+    docs = _read_docs(sf_dir, ["doc_id", "source"])
     seen = docs.map_batches(
         lambda t: t.filter(pc.equal(pc.bit_wise_and(t["doc_id"], 1), 0)),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -2233,10 +2016,6 @@ def bloom_membership_documents(sf_dir: str):
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         odd = ids % 2 == 1
         t = t.filter(pa.array(odd))
-        if t.num_rows == 0:
-            return pa.table({"source": pa.array([], pa.string()),
-                             "n_probed": pa.array([], pa.int64()),
-                             "n_flagged": pa.array([], pa.int64())})
         pos = _bloom_positions(
             t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64))
         hit = bits[pos].all(axis=1)
@@ -2247,21 +2026,13 @@ def bloom_membership_documents(sf_dir: str):
             [("one", "sum"), ("hit", "sum")])
         return g.rename_columns(["source", "n_probed", "n_flagged"])
 
-    parts = docs.map_batches(probe, batch_format="pyarrow",
-                             zero_copy_batch=True)
-    acc: dict[str, list[int]] = {}
-    for b in parts.iter_batches(batch_format="pyarrow"):
-        for s, n, f in zip(b["source"].to_pylist(),
-                           b["n_probed"].to_pylist(),
-                           b["n_flagged"].to_pylist()):
-            cur = acc.setdefault(s, [0, 0])
-            cur[0] += n
-            cur[1] += f
-    srcs = sorted(acc)
-    return pa.table({
-        "source": pa.array(srcs, pa.string()),
-        "n_probed": pa.array([acc[s][0] for s in srcs], pa.int64()),
-        "n_flagged": pa.array([acc[s][1] for s in srcs], pa.int64())})
+    parts = collect(docs.map_batches(probe, batch_format="pyarrow",
+                                     zero_copy_batch=True),
+                    "source:str n_probed n_flagged")
+    return (parts.group_by("source")
+            .aggregate([("n_probed", "sum"), ("n_flagged", "sum")])
+            .rename_columns(["source", "n_probed", "n_flagged"])
+            .sort_by("source"))
 
 
 # ------------------------------------------- sequence chunking -------
@@ -2281,49 +2052,32 @@ def chunk_documents(sf_dir: str):
     collected."""
     stride = CHUNK_TOKENS - CHUNK_OVERLAP
 
-    class Stage(TextStats):
-        def __call__(self, t: pa.Table) -> pa.Table:
-            # vectorized: window enumeration in numpy, token gather +
-            # binary_join in Arrow — no Python per row or per chunk
-            from mee_ray.pipelines.gramhash import tokenize_flat
-            flat, _, lens_d = tokenize_flat(t["text"], mode="regex")
-            dids = t["doc_id"].to_numpy(zero_copy_only=False)
-            nwin = (lens_d + stride - 1) // stride      # 0 for empty
-            W = int(nwin.sum())
-            if W == 0:
-                return pa.table({
-                    "doc_id": pa.array([], pa.int64()),
-                    "chunk_id": pa.array([], pa.int64()),
-                    "chunk_start": pa.array([], pa.int64()),
-                    "n_tokens": pa.array([], pa.int64()),
-                    "chunk_text": pa.array([], pa.string())})
-            wdoc = np.repeat(np.arange(len(lens_d)), nwin)
-            wloc = np.arange(W, dtype=np.int64) \
-                - np.repeat(np.cumsum(nwin) - nwin, nwin)
-            wstart = wloc * stride
-            wlen = np.minimum(CHUNK_TOKENS, lens_d[wdoc] - wstart)
-            doc_start = np.cumsum(lens_d) - lens_d
-            gstart = doc_start[wdoc] + wstart
-            total = int(wlen.sum())
-            local = np.arange(total, dtype=np.int64) \
-                - np.repeat(np.cumsum(wlen) - wlen, wlen)
-            idx = np.repeat(gstart, wlen) + local
-            if isinstance(flat, pa.ChunkedArray):
-                flat = flat.combine_chunks()
-            vals = flat.take(pa.array(idx, pa.int64()))
-            off = pa.array(i32_offsets(np.r_[0, np.cumsum(wlen)]),
-                           pa.int32())
-            texts = pc.binary_join(
-                pa.ListArray.from_arrays(off, vals), " ")
-            return pa.table({
-                "doc_id": pa.array(dids[wdoc], pa.int64()),
-                "chunk_id": pa.array(wloc, pa.int64()),
-                "chunk_start": pa.array(wstart + 1, pa.int64()),
-                "n_tokens": pa.array(wlen.astype(np.int64), pa.int64()),
-                "chunk_text": texts})
+    def stage(t: pa.Table) -> pa.Table:
+        # vectorized: window enumeration in numpy, token gather +
+        # binary_join in Arrow — no Python per row or per chunk
+        flat, _, lens_d = tokenize_flat(t["text"])
+        dids = t["doc_id"].to_numpy(zero_copy_only=False)
+        nwin = (lens_d + stride - 1) // stride      # 0 for empty
+        W = int(nwin.sum())
+        wdoc = np.repeat(np.arange(len(lens_d)), nwin)
+        wloc = np.arange(W, dtype=np.int64) \
+            - np.repeat(np.cumsum(nwin) - nwin, nwin)
+        wstart = wloc * stride
+        wlen = np.minimum(CHUNK_TOKENS, lens_d[wdoc] - wstart)
+        doc_start = np.cumsum(lens_d) - lens_d
+        local = np.arange(int(wlen.sum()), dtype=np.int64) \
+            - np.repeat(np.cumsum(wlen) - wlen, wlen)
+        idx = np.repeat(doc_start[wdoc] + wstart, wlen) + local
+        vals = flat.take(pa.array(idx, pa.int64()))
+        return pa.table({
+            "doc_id": pa.array(dids[wdoc], pa.int64()),
+            "chunk_id": pa.array(wloc, pa.int64()),
+            "chunk_start": pa.array(wstart + 1, pa.int64()),
+            "n_tokens": pa.array(wlen, pa.int64()),
+            "chunk_text": pc.binary_join(_lists(wlen, vals), " ")})
 
     return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
-        Stage(), batch_format="pyarrow")
+        stage, batch_format="pyarrow")
 
 
 CHUNK_SQL = f"""
@@ -2359,25 +2113,18 @@ def curated_ids_dataset(sf_dir: str):
     is constant per fingerprint group."""
     from ray.data.aggregate import Min
 
-    class Stage(TextStats):
-        def __call__(self, t: pa.Table) -> pa.Table:
-            t = t.filter(pc.equal(t["lang"], "en"))
-            # vectorized length gate BEFORE the md5 loop: only
-            # survivors pay the (oracle-mandated md5(text)) C call
-            from mee_ray.pipelines.gramhash import tokenize_flat
-            _, _, lens = tokenize_flat(t["text"], mode="regex")
-            keep = lens >= CURATE_MIN_TOKENS
-            t = t.filter(pa.array(keep))
-            fps = [hashlib.md5(x.encode()).hexdigest()
-                   for x in t["text"].to_pylist()]
-            return pa.table({"fp": pa.array(fps, pa.string()),
-                             "doc_id": t["doc_id"],
-                             "n_tokens": pa.array(
-                                 lens[keep].astype(np.int64),
-                                 pa.int64())})
+    def stage(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.equal(t["lang"], "en"))
+        # vectorized length gate BEFORE the md5 loop: only survivors
+        # pay the (oracle-mandated md5(text)) C call
+        lens = tokenize_flat(t["text"])[2]
+        keep = lens >= CURATE_MIN_TOKENS
+        t = t.filter(pa.array(keep))
+        return pa.table({"fp": _md5_hex(t["text"]), "doc_id": t["doc_id"],
+                         "n_tokens": pa.array(lens[keep], pa.int64())})
 
     return (_read_docs(sf_dir, ["doc_id", "text", "lang"])
-            .map_batches(Stage(), batch_format="pyarrow",
+            .map_batches(stage, batch_format="pyarrow",
                          zero_copy_batch=True)
             .groupby("fp")
             .aggregate(Min("doc_id", alias_name="doc_id"),
@@ -2388,16 +2135,8 @@ def curate_documents(sf_dir: str):
     """The composed curation chain of a training-data pipeline (the
     C4 shape) as a driver table — see :func:`curated_ids_dataset` for
     the streaming form this wraps."""
-    surv = curated_ids_dataset(sf_dir)
-    batches = list(surv.iter_batches(batch_format="pyarrow"))
-    if not batches:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "n_tokens": pa.array([], pa.int64())})
-    t = pa.concat_tables(batches).select(["doc_id", "n_tokens"])
-    t = pa.table({"doc_id": t["doc_id"].cast(pa.int64()),
-                  "n_tokens": t["n_tokens"].cast(pa.int64())})
-    return t.take(pc.sort_indices(t, sort_keys=[
-        ("doc_id", "ascending")]))
+    return collect(curated_ids_dataset(sf_dir),
+                   "doc_id n_tokens").sort_by("doc_id")
 
 
 CURATE_SQL = f"""
@@ -2440,40 +2179,26 @@ def pack_training_sequences(sf_dir: str):
     then a broadcast of the tiny per-block offsets) — the same
     documented scale path as dense_rank's range-partition+offset."""
 
-    class Count(TextStats):
-        def __call__(self, t: pa.Table) -> pa.Table:
-            n = [len(self.tokens(x)) for x in t["text"].to_pylist()]
-            return pa.table({"doc_id": t["doc_id"], "lang": t["lang"],
-                             "n_tokens": pa.array(n, pa.int64())})
+    def count(t: pa.Table) -> pa.Table:
+        return pa.table({"doc_id": t["doc_id"], "lang": t["lang"],
+                         "n_tokens": tokenize_flat(t["text"])[2]})
 
     def pack_group(g: pa.Table) -> pa.Table:
-        d = g["doc_id"].to_numpy(zero_copy_only=False)
+        g = g.sort_by("doc_id")
         n = g["n_tokens"].to_numpy(zero_copy_only=False)
-        langs = g["lang"].to_pylist()
-        order = np.argsort(d, kind="stable")
-        d, n = d[order], n[order]
-        langs = [langs[i] for i in order]
         start = np.concatenate(([0], np.cumsum(n)[:-1]))
-        return pa.table({
-            "doc_id": pa.array(d, pa.int64()),
-            "lang": pa.array(langs, pa.string()),
-            "n_tokens": pa.array(n, pa.int64()),
-            "seq_id": pa.array(start // PACK_BUDGET, pa.int64()),
-            "seq_offset": pa.array(start % PACK_BUDGET, pa.int64())})
+        return g.append_column(
+            "seq_id", pa.array(start // PACK_BUDGET, pa.int64())
+        ).append_column("seq_offset",
+                        pa.array(start % PACK_BUDGET, pa.int64()))
 
-    parts = list(_read_docs(sf_dir, ["doc_id", "lang", "text"])
-                 .map_batches(Count(), batch_format="pyarrow",
-                              zero_copy_batch=True)
-                 .groupby("lang")
-                 .map_groups(pack_group, batch_format="pyarrow")
-                 .iter_batches(batch_format="pyarrow"))
-    out = pa.concat_tables(parts) if parts else pa.table(
-        {"doc_id": pa.array([], pa.int64()),
-         "lang": pa.array([], pa.string()),
-         "n_tokens": pa.array([], pa.int64()),
-         "seq_id": pa.array([], pa.int64()),
-         "seq_offset": pa.array([], pa.int64())})
-    return out.sort_by([("lang", "ascending"), ("doc_id", "ascending")])
+    return collect(_read_docs(sf_dir, ["doc_id", "lang", "text"])
+                   .map_batches(count, batch_format="pyarrow",
+                                zero_copy_batch=True)
+                   .groupby("lang")
+                   .map_groups(pack_group, batch_format="pyarrow"),
+                   "doc_id lang:str n_tokens seq_id seq_offset").sort_by(
+        [("lang", "ascending"), ("doc_id", "ascending")])
 
 
 PACK_SQL = f"""
@@ -2501,14 +2226,12 @@ _CAT_PREFIX = 4
 
 
 def categorize_topk(t: pa.Table, k: int = 20) -> pa.Table:
-    """Top-k categories by (n_docs DESC, category ASC) — a TOTAL
-    order (categories unique post-groupby), so per-batch partials of
-    globally-aggregated rows compose exactly (partial-compose fuzz in
-    test_pipelines.py)."""
-    cats = np.asarray(t["category"].to_pylist(), dtype=object)
-    n = t["n_docs"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((cats, -n))[:k]
-    return t.take(pa.array(order))
+    """Top-k categories by (n_docs DESC, category ASC, NULL last) — a
+    TOTAL order (categories unique post-groupby), so per-batch partials
+    of globally-aggregated rows compose exactly (partial-compose fuzz
+    in test_pipelines.py)."""
+    return t.sort_by([("n_docs", "descending"),
+                      ("category", "ascending")]).slice(0, k)
 
 
 def categorize_text_documents(sf_dir: str):
@@ -2522,47 +2245,31 @@ def categorize_text_documents(sf_dir: str):
     bounded category table."""
     from ray.data.aggregate import Min, Sum
 
-    class Stage(TextStats):
-        def __call__(self, t: pa.Table) -> pa.Table:
-            # vectorized: token filter (length>1, digit-free) as Arrow
-            # masks, per-doc prefix via within-doc rank, category text
-            # via binary_join — no Python per row
-            from mee_ray.pipelines.gramhash import tokenize_flat
-            flat, didx, _ = tokenize_flat(t["text"], mode="regex")
-            n = len(t)
-            if len(flat):
-                if isinstance(flat, pa.ChunkedArray):
-                    flat = flat.combine_chunks()
-                ok = (pc.greater(pc.utf8_length(flat), 1)
-                      .to_numpy(zero_copy_only=False)
-                      & ~pc.match_substring_regex(flat, "[0-9]")
-                      .to_numpy(zero_copy_only=False)).astype(bool)
-                flat, didx = flat.filter(pa.array(ok)), didx[ok]
-                cnt = np.bincount(didx, minlength=n)
-                rank = np.arange(len(didx)) \
-                    - np.repeat(np.cumsum(cnt) - cnt, cnt)
-                head = rank < _CAT_PREFIX
-                flat, didx = flat.filter(pa.array(head)), didx[head]
-                kept = np.bincount(didx, minlength=n)
-            else:
-                kept = np.zeros(n, dtype=np.int64)
-            off = pa.array(i32_offsets(np.r_[0, np.cumsum(kept)]),
-                           pa.int32())
-            cats = pc.binary_join(pa.ListArray.from_arrays(off, flat),
-                                  " ")
-            g = (pa.table({"category": cats,
-                           "doc_id": t["doc_id"]})
-                 .group_by("category")
-                 .aggregate([([], "count_all"), ("doc_id", "min")]))
-            return g.rename_columns(["category", "n_part", "mn_part"])
+    def stage(t: pa.Table) -> pa.Table:
+        # vectorized: token filter (length>1, digit-free) as Arrow
+        # masks, per-doc prefix via within-doc rank, category text via
+        # binary_join — no Python per row
+        flat, didx, _ = tokenize_flat(t["text"])
+        n = len(t)
+        ok = pc.and_(pc.greater(pc.utf8_length(flat), 1),
+                     pc.invert(pc.match_substring_regex(flat, "[0-9]")))
+        flat, didx = flat.filter(ok), didx[ok.to_numpy(zero_copy_only=False)]
+        cnt = np.bincount(didx, minlength=n)
+        head = np.arange(len(didx)) \
+            - np.repeat(np.cumsum(cnt) - cnt, cnt) < _CAT_PREFIX
+        kept = np.bincount(didx[head], minlength=n)
+        cats = pc.binary_join(_lists(kept, flat.filter(pa.array(head))),
+                              " ")
+        g = (pa.table({"category": cats, "doc_id": t["doc_id"]})
+             .group_by("category")
+             .aggregate([([], "count_all"), ("doc_id", "min")]))
+        return g.rename_columns(["category", "n_part", "mn_part"])
 
     agg = (_read_docs(sf_dir, ["doc_id", "text"])
-           .map_batches(Stage(), batch_format="pyarrow")
+           .map_batches(stage, batch_format="pyarrow")
            .groupby("category")
            .aggregate(Sum("n_part", alias_name="n_docs"),
                       Min("mn_part", alias_name="min_doc_id")))
-
-    top20 = categorize_topk
 
     # the groupby output carries GLOBAL per-category counts, so a
     # per-batch partial top-20 by the total order (n_docs DESC,
@@ -2571,13 +2278,15 @@ def categorize_text_documents(sf_dir: str):
     # driver as ≤ 20 rows per block instead of the whole category
     # table (VERDICT r4 #3; bounded-driver-state test in
     # test_pipelines.py)
-    parts = list(agg.map_batches(top20, batch_format="pyarrow")
-                 .iter_batches(batch_format="pyarrow"))
-    if not parts:
-        return pa.table({"category": pa.array([], pa.string()),
-                         "n_docs": pa.array([], pa.int64()),
-                         "min_doc_id": pa.array([], pa.int64())})
-    return top20(pa.concat_tables(parts).combine_chunks())
+    def top(t: pa.Table) -> pa.Table:
+        # "" is a doc with no token left: SQL's array_to_string([]) NULL
+        c = t["category"]
+        return categorize_topk(t.set_column(
+            0, "category", pc.if_else(pc.equal(c, ""), None, c)))
+
+    return categorize_topk(collect(
+        agg.map_batches(top, batch_format="pyarrow"),
+        "category:str n_docs min_doc_id"))
 
 
 CATEGORIZE_SQL = f"""
@@ -2611,34 +2320,26 @@ def significant_text_documents(sf_dir: str):
     counts with the oracle's tree.  Term tables are vocabulary-
     bounded; the foreground exchange carries only matching distinct
     texts."""
-    from collections import Counter
-
     import pyarrow.parquet as pq
-    from ray.data.aggregate import Sum
 
-    class FgStage(TextStats):
-        def __call__(self, t: pa.Table) -> pa.Table:
-            # vectorized membership: tokenize once, equality mask,
-            # per-doc any() via bincount
-            from mee_ray.pipelines.gramhash import tokenize_flat
-            flat, didx, _ = tokenize_flat(t["text"], mode="regex")
-            hit = pc.equal(flat, pa.scalar(_SIGTEXT_TERM)) \
-                .to_numpy(zero_copy_only=False).astype(bool)
-            keep = np.bincount(didx[hit], minlength=len(t)) > 0
-            return t.filter(pa.array(keep))
+    def fg_stage(t: pa.Table) -> pa.Table:
+        # vectorized membership: tokenize once, equality mask, per-doc
+        # any() via bincount
+        flat, didx, _ = tokenize_flat(t["text"])
+        hit = pc.equal(flat, pa.scalar(_SIGTEXT_TERM)) \
+            .to_numpy(zero_copy_only=False).astype(bool)
+        return t.filter(pa.array(
+            np.bincount(didx[hit], minlength=len(t)) > 0))
 
     fg_texts = (_read_docs(sf_dir, ["text"])
-                .map_batches(FgStage(), batch_format="pyarrow")
+                .map_batches(fg_stage, batch_format="pyarrow")
                 .groupby("text").count()
                 .drop_columns(["count()"])
                 .materialize())          # query-bounded distinct texts
     fg_total = fg_texts.count()
 
-    fg = pa.concat_tables(list(
-        _df_over(fg_texts, "fg_count")
-        .iter_batches(batch_format="pyarrow")))
-    bg = pa.concat_tables(list(doc_term_df(sf_dir)
-                               .iter_batches(batch_format="pyarrow")))
+    fg = collect(_df_over(fg_texts, "fg_count"), "term:str fg_count")
+    bg = collect(doc_term_df(sf_dir), "term:str df")
     bg_total = int(pq.read_metadata(
         f"{sf_dir}/documents.parquet").num_rows)
     bg_map = dict(zip(bg["term"].to_pylist(),
@@ -2698,31 +2399,21 @@ def dataset_summary_documents(sf_dir: str):
     empty-text docs.  Everything is an int64 partial (token counts per
     batch, fingerprint counts through one groupby), so the oracle is
     exact; the output is bounded by |langs| × |sources|."""
-    import hashlib as _hl
+    from ray.data.aggregate import Count, Max, Min, Sum
 
-    import ray.data
-    from ray.data.aggregate import Max, Min, Sum
-
-    class Stage(TextStats):
-        def __call__(self, t: pa.Table) -> pa.Table:
-            texts = t["text"].to_pylist()
-            n_tok = np.fromiter(
-                (len(self.tokens(x or "")) for x in texts),
-                dtype=np.int64, count=len(t))
-            fp = pa.array([_hl.md5((x or "").encode()).hexdigest()
-                           for x in texts], pa.string())
-            empty = pc.equal(pc.binary_length(
-                pc.coalesce(t["text"], pa.scalar(""))), 0)
-            return pa.table({
-                "lang": t["lang"], "source": t["source"], "fp": fp,
-                "n_tok": pa.array(n_tok),
-                "is_empty": pc.cast(empty, pa.int64())})
+    def stage(t: pa.Table) -> pa.Table:
+        empty = pc.equal(pc.binary_length(
+            pc.coalesce(t["text"], pa.scalar(""))), 0)
+        return pa.table({
+            "lang": t["lang"], "source": t["source"],
+            "fp": _md5_hex(t["text"]),
+            "n_tok": tokenize_flat(t["text"])[2],
+            "is_empty": pc.cast(empty, pa.int64())})
 
     rows = _read_docs(sf_dir, ["text", "lang", "source"]).map_batches(
-        Stage(), batch_format="pyarrow")
+        stage, batch_format="pyarrow")
     # duplicate members: fingerprint groupby (the dedup shuffle), then
     # per-stratum totals — group keys bounded by distinct texts
-    from ray.data.aggregate import Count
     per_fp = rows.groupby(["lang", "source", "fp"]).aggregate(
         Count(alias_name="members"),
         Sum("n_tok", alias_name="n_tok_sum"),
@@ -2795,41 +2486,26 @@ _TERMS_EB_SHARD_SIZE = 10
 _TERMS_EB_SHARDS = 4
 
 
-def terms_error_bounds_documents(sf_dir: str, size: int = _TERMS_EB_SIZE,
-                                 shard_size: int = _TERMS_EB_SHARD_SIZE,
-                                 n_shards: int = _TERMS_EB_SHARDS):
-    import ray.data
+def terms_error_bounds_documents(sf_dir: str):
     from ray.data.aggregate import Sum
 
-    class Stage(TextStats):
-        def __call__(self, t: pa.Table) -> pa.Table:
-            import pandas as pd
-            ids = t["doc_id"].to_numpy(zero_copy_only=False)
-            terms, didx = [], []
-            for i, x in enumerate(t["text"].to_pylist()):
-                ts = sorted(set(self.tokens(x or "")))
-                terms.extend(ts)
-                didx.extend([i] * len(ts))
-            if not terms:
-                return pa.table({"shard": pa.array([], pa.int64()),
-                                 "term": pa.array([], pa.string()),
-                                 "df": pa.array([], pa.int64())})
-            didx = np.array(didx, dtype=np.int64)
-            shard = ids[didx] % n_shards
-            inv, uniq = pd.factorize(np.array(terms, dtype=object))
-            key = shard * len(uniq) + inv
-            ukey, cnt = np.unique(key, return_counts=True)
-            return pa.table({
-                "shard": pa.array(ukey // len(uniq), pa.int64()),
-                "term": pa.array([uniq[j] for j in ukey % len(uniq)],
-                                 pa.string()),
-                "df": pa.array(cnt.astype(np.int64))})
+    def stage(t: pa.Table) -> pa.Table:
+        # per-batch (shard, term) df over each doc's distinct terms
+        didx, tid, dic, _ = _term_ids(t["text"])
+        didx, tid = unique_rows(didx, tid)
+        shard = t["doc_id"].to_numpy(zero_copy_only=False)[didx] \
+            % _TERMS_EB_SHARDS
+        U = max(len(dic), 1)
+        ukey, cnt = np.unique(shard * U + tid, return_counts=True)
+        return pa.table({"shard": pa.array(ukey // U, pa.int64()),
+                         "term": dic.take(pa.array(ukey % U)),
+                         "df": pa.array(cnt, pa.int64())})
 
     def shard_topk(g: pa.Table) -> pa.Table:
         g = g.combine_chunks()
         df = g["df"].to_numpy(zero_copy_only=False)
         terms = np.array(g["term"].to_pylist(), dtype=object)
-        order = np.lexsort((terms, -df))[:shard_size]
+        order = np.lexsort((terms, -df))[:_TERMS_EB_SHARD_SIZE]
         n = len(order)
         return pa.table({
             "shard": g["shard"].take(pa.array(order, pa.int64())),
@@ -2838,12 +2514,12 @@ def terms_error_bounds_documents(sf_dir: str, size: int = _TERMS_EB_SIZE,
             "n_terms_in_shard": pa.array([len(g)] * n, pa.int64())})
 
     top = (_read_docs(sf_dir, ["doc_id", "text"])
-           .map_batches(Stage(), batch_format="pyarrow")
+           .map_batches(stage, batch_format="pyarrow")
            .groupby(["shard", "term"])
            .aggregate(Sum("df", alias_name="df"))
            .groupby("shard")
            .map_groups(shard_topk, batch_format="pyarrow"))
-    # coordinator merge over a table bounded at n_shards × shard_size
+    # coordinator merge over a table bounded at shards × shard size
     rows = top.take_all()
     by_shard: dict[int, dict] = {}
     for r in rows:
@@ -2851,7 +2527,8 @@ def terms_error_bounds_documents(sf_dir: str, size: int = _TERMS_EB_SIZE,
                                 {"terms": {}, "n": int(r["n_terms_in_shard"])})
         s["terms"][r["term"]] = int(r["df"])
     last = {s: (min(d["terms"].values())
-                if len(d["terms"]) == shard_size and d["n"] > shard_size
+                if len(d["terms"]) == _TERMS_EB_SHARD_SIZE
+                and d["n"] > _TERMS_EB_SHARD_SIZE
                 else 0)
             for s, d in by_shard.items()}
     cand = sorted({t for d in by_shard.values() for t in d["terms"]})
@@ -2862,7 +2539,7 @@ def terms_error_bounds_documents(sf_dir: str, size: int = _TERMS_EB_SIZE,
                   if term not in d["terms"])
         out.append((term, dc, err))
     out.sort(key=lambda r: (-r[1], r[0]))
-    out = out[:size]
+    out = out[:_TERMS_EB_SIZE]
     return pa.table({
         "term": pa.array([r[0] for r in out], pa.string()),
         "doc_count": pa.array([r[1] for r in out], pa.int64()),
@@ -2941,14 +2618,13 @@ def _dsir_bucket(g: str) -> int:
     return a % _DSIR_BUCKETS
 
 
-class _DsirGramBase(TextStats):
+class _DsirGramBase:
     """Shared tokenize→gram→bucket kernel, fully vectorized while
     staying bit-identical to the oracle's string rolling hash (see
     :meth:`_kp`); per-unique-token state persists across the task's
     batches (the ST1 cache pattern)."""
 
     def __init__(self):
-        super().__init__()
         self._memo: dict[str, tuple[int, int]] = {}
 
     def _kp(self, t: str) -> tuple[int, int]:
@@ -2971,29 +2647,18 @@ class _DsirGramBase(TextStats):
 
     def doc_buckets_col(self, col):
         """(didx, bucket_per_gram, gram_count_per_doc) for one batch."""
-        from mee_ray.pipelines.gramhash import tokenize_flat
-        flat, didx_t, lens_t = tokenize_flat(col, mode="regex")
-        lens = np.where(lens_t > 0, 2 * lens_t - 1, 0).astype(np.int64)
-        if len(flat) == 0:
-            return (np.zeros(0, np.int64), np.zeros(0, np.int64), lens)
-        d = pc.dictionary_encode(flat.combine_chunks()
-                                 if isinstance(flat, pa.ChunkedArray)
-                                 else flat)
-        inv = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        uniq = d.dictionary.to_numpy(zero_copy_only=False)
-        kp = np.empty((len(uniq), 2), dtype=np.int64)
-        for i, u in enumerate(uniq):
-            kp[i] = self._kp(u)
+        didx_t, inv, dic, lens_t = _term_ids(col)
+        kp = np.array([self._kp(u) for u in dic.to_pylist()],
+                      np.int64).reshape(-1, 2)
         Kt, Pt = kp[inv, 0], kp[inv, 1]
         MOD = _DSIR_HASH_MOD
         Ht = (7 * Pt + Kt) % MOD                     # unigram hashes
-        starts = np.flatnonzero(didx_t[1:] == didx_t[:-1]) \
-            if len(didx_t) > 1 else np.zeros(0, np.int64)
+        starts = np.flatnonzero(didx_t[1:] == didx_t[:-1])
         Hb = (((Ht[starts] * 31 + 32) % MOD) * Pt[starts + 1]
               + Kt[starts + 1]) % MOD               # "a b" bigrams
         didx = np.concatenate([didx_t, didx_t[starts]])
         bk = np.concatenate([Ht, Hb]) % _DSIR_BUCKETS
-        return didx, bk, lens
+        return didx, bk, np.where(lens_t > 0, 2 * lens_t - 1, 0)
 
 
 class _DsirCountStage(_DsirGramBase):
@@ -3006,8 +2671,7 @@ class _DsirCountStage(_DsirGramBase):
             .to_numpy(zero_copy_only=False), dtype=bool)
         didx, bk, _ = self.doc_buckets_col(t["text"])
         cr = np.bincount(bk, minlength=_DSIR_BUCKETS)
-        ct = np.bincount(bk[is_t[didx]], minlength=_DSIR_BUCKETS) \
-            if len(bk) else np.zeros(_DSIR_BUCKETS, np.int64)
+        ct = np.bincount(bk[is_t[didx]], minlength=_DSIR_BUCKETS)
         nz = np.flatnonzero(cr)
         return pa.table({"bucket": pa.array(nz, pa.int64()),
                          "ct": pa.array(ct[nz].astype(np.int64)),
@@ -3032,56 +2696,59 @@ class _DsirScoreStage(_DsirGramBase):
         # weights ≤ SCALE and n_grams ≤ ~1e5 per doc: every partial sum
         # stays far below 2^53, so the float64 bincount is integer-exact
         score = np.bincount(didx, weights=self._w[bk].astype(np.float64),
-                            minlength=n) if len(bk) else np.zeros(n)
+                            minlength=n)
         return pa.table({"doc_id": t["doc_id"],
                          "n_feats": pa.array(lens, pa.int64()),
                          "score": pa.array(np.rint(score).astype(np.int64),
                                            pa.int64())})
 
 
+def _dsir_weights(docs):
+    """Pass A over ``docs``: the per-bucket weights
+    floor(SCALE·(ct+1)/(cr+1)) from one ≤10k-key groupby, ray.put
+    once for the score stage."""
+    import ray
+    from ray.data.aggregate import Sum
+
+    gc = collect(docs.map_batches(_DsirCountStage(), batch_format="pyarrow")
+                 .groupby("bucket")
+                 .aggregate(Sum("ct", alias_name="ct"),
+                            Sum("cr", alias_name="cr")), "bucket ct cr")
+    w = np.zeros(_DSIR_BUCKETS, dtype=np.int64)
+    w[gc["bucket"].to_numpy()] = ((_DSIR_SCALE * (gc["ct"].to_numpy() + 1))
+                                  // (gc["cr"].to_numpy() + 1))
+    return ray.put(w)
+
+
 def dsir_weights_documents(sf_dir: str):
     """DSIR per-doc importance scores (target = lang='en' docs, raw =
     the whole corpus).  See the block comment above for the exactness
     and scale contract."""
-    import ray
-
-    from ray.data.aggregate import Sum
-
     docs = _read_docs(sf_dir, ["doc_id", "text", "lang"])
-    gc = (docs.map_batches(_DsirCountStage(), batch_format="pyarrow")
-          .groupby("bucket")
-          .aggregate(Sum("ct", alias_name="ct"),
-                     Sum("cr", alias_name="cr")))
-    w = np.zeros(_DSIR_BUCKETS, dtype=np.int64)
-    for r in gc.take_all():  # ≤10k rows by construction — bounded
-        w[r["bucket"]] = (_DSIR_SCALE * (r["ct"] + 1)) // (r["cr"] + 1)
-    w_ref = ray.put(w)
-    return docs.map_batches(_DsirScoreStage(w_ref),
+    return docs.map_batches(_DsirScoreStage(_dsir_weights(docs)),
                             batch_format="pyarrow")
 
 
-def _topk_partial(t: pa.Table, k: int) -> pa.Table:
-    """The (score DESC, doc_id ASC) partial-top-k kernel shared by
-    every selection stage in this module — one definition so a
-    tie-break fix cannot miss a copy."""
-    t = t.combine_chunks()
-    sc = t["score"].to_numpy(zero_copy_only=False)
-    d = t["doc_id"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((d, -sc))[:k]
-    return t.take(pa.array(order, pa.int64()))
+DSIR_TOP_K = 100     # documents the resampling keeps
 
 
-def dsir_select_documents(sf_dir: str, k: int = 100):
-    """The resampling step: exact top-k docs by (score DESC, doc_id) —
+def _top_k(ds):
+    """The exact top DSIR_TOP_K rows by (score DESC, doc_id ASC):
     per-batch partial top-k, single bounded final merge (the
     geo_distance_topk pattern; never a full corpus sort)."""
-    def topk_partial(t: pa.Table) -> pa.Table:
-        return _topk_partial(t, k)
+    def part(t: pa.Table, k=DSIR_TOP_K) -> pa.Table:
+        t = t.combine_chunks()
+        order = np.lexsort((t["doc_id"].to_numpy(zero_copy_only=False),
+                            -t["score"].to_numpy(zero_copy_only=False)))
+        return t.take(pa.array(order[:k], pa.int64()))
 
-    return (dsir_weights_documents(sf_dir)
-            .map_batches(topk_partial, batch_format="pyarrow")
-            .repartition(1)
-            .map_batches(topk_partial, batch_format="pyarrow"))
+    return (ds.map_batches(part, batch_format="pyarrow").repartition(1)
+            .map_batches(part, batch_format="pyarrow"))
+
+
+def dsir_select_documents(sf_dir: str):
+    """The resampling step: :func:`_top_k` of the DSIR scores."""
+    return _top_k(dsir_weights_documents(sf_dir))
 
 
 _DSIR_GRAMS_CTE = f"""
@@ -3129,7 +2796,7 @@ SELECT * FROM scores ORDER BY score DESC, doc_id LIMIT 100
 
 # ------------------------- composed chain II: quality → importance ---
 
-def quality_training_mix_documents(sf_dir: str, k: int = 100):
+def quality_training_mix_documents(sf_dir: str):
     """Composed curation chain II (the quality-then-importance shape a
     training-mix pipeline actually runs): the Gopher wlen and alpha
     rules plus lang='en' gate the corpus (rule_stop deliberately NOT
@@ -3140,21 +2807,9 @@ def quality_training_mix_documents(sf_dir: str, k: int = 100):
     standard two-phase DSIR protocol; selection is the bounded
     partial-top-k merge.  The oracle nests the two ops' FULL SQL as
     subqueries — compositionality holds on both sides."""
-    import ray
-
-    from ray.data.aggregate import Sum
-
     docs = _read_docs(sf_dir, ["doc_id", "text", "lang"])
-    gc = (docs.map_batches(_DsirCountStage(), batch_format="pyarrow")
-          .groupby("bucket")
-          .aggregate(Sum("ct", alias_name="ct"),
-                     Sum("cr", alias_name="cr")))
-    w = np.zeros(_DSIR_BUCKETS, dtype=np.int64)
-    for r in gc.take_all():
-        w[r["bucket"]] = (_DSIR_SCALE * (r["ct"] + 1)) // (r["cr"] + 1)
-    w_ref = ray.put(w)
     g_stage = GopherRulesStage()
-    s_stage = _DsirScoreStage(w_ref)
+    s_stage = _DsirScoreStage(_dsir_weights(docs))
 
     def stage(t: pa.Table) -> pa.Table:
         flags = g_stage(t)
@@ -3165,13 +2820,7 @@ def quality_training_mix_documents(sf_dir: str, k: int = 100):
                        is_en)
         return scores.filter(keep)
 
-    def topk_partial(t: pa.Table) -> pa.Table:
-        return _topk_partial(t, k)
-
-    return (docs.map_batches(stage, batch_format="pyarrow")
-            .map_batches(topk_partial, batch_format="pyarrow")
-            .repartition(1)
-            .map_batches(topk_partial, batch_format="pyarrow"))
+    return _top_k(docs.map_batches(stage, batch_format="pyarrow"))
 
 
 QUALITY_MIX_SQL = f"""

@@ -1,9 +1,10 @@
 """Ray Data stages, and the plumbing every pipeline family shares: the
 one sizing rule of every actor pool (these stages, the fulltext
 broadcast scans, BPE): :func:`actor_pool`; the one sizing rule of every
-hash-shuffle join (relational, text): :func:`hash_join`; and the
-column-spec tables query results are built from: :func:`schema`,
-:func:`table`."""
+hash-shuffle join (relational): :func:`hash_join`; the column-spec
+tables query results are built from: :func:`schema`, :func:`table`;
+and the one typed driver collect of a small result (relational,
+text): :func:`collect`."""
 
 import pyarrow as pa
 
@@ -24,6 +25,19 @@ def table(rows, spec: str) -> pa.Table:
     cols = list(zip(*rows)) if rows else [()] * len(s)
     return pa.table([pa.array(list(c), f.type) for f, c in zip(s, cols)],
                     schema=s)
+
+
+def collect(ds, spec: str) -> pa.Table:
+    """The one driver collect, for results small by construction
+    (reduced aggregates, top-k survivors): every non-empty batch of
+    ``ds`` as the ``spec`` schema (columns selected in order and cast),
+    and a zero-row table of that schema when there is none — an empty
+    Ray groupby yields no batch, or batches without columns."""
+    s = schema(spec)
+    return pa.concat_tables(
+        [b.select(s.names).cast(s) for b in
+         ds.iter_batches(batch_format="pyarrow", batch_size=None)
+         if b.num_rows] or [s.empty_table()])
 
 
 def actor_pool(max_size: int, min_size: int = 1) -> dict:

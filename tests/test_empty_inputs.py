@@ -1,10 +1,14 @@
-"""Every relational query answers zero-row inputs.
+"""Every relational and text query answers zero-row and tiny inputs.
 
 Each ``relational.QUERIES`` name runs on zero-row copies of the sf0.001
 tables (same schemas) and must equal its DuckDB oracle on the same
 copies: the same rows, and the same columns when the result is a
 ``pa.Table`` (a zero-row lazy Dataset carries no schema to compare).
-A crafted two-row lineitem checks Q14's inner join with part.
+A crafted two-row lineitem checks Q14's inner join with part.  Each
+``text.QUERIES`` name runs on a zero-row ``documents`` table and on a
+6-doc corpus of texts of at most 3 tokens (no passage, no shingle
+window, no foreground term): it must equal its oracle when it has
+one, and return without raising when it is rows-only.
 """
 
 import duckdb
@@ -13,7 +17,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from mee_ray.pipelines import relational
+from mee_ray.pipelines import relational, text
 from test_pipelines import SF, TABLES, _canon, _to_pandas
 
 
@@ -35,18 +39,59 @@ def empty_ducks(empty_sf):
     return con
 
 
-@pytest.mark.parametrize("name", sorted(relational.QUERIES))
-def test_empty_input_matches_oracle(ray_session, empty_sf, empty_ducks,
-                                    name):
-    res = relational.QUERIES[name](empty_sf)
+def _assert_matches(res, ref):
     mine = _to_pandas(res)
-    ref = empty_ducks.execute(relational.ORACLE[name]).df()
     assert len(mine) == len(ref)
     if isinstance(res, pa.Table):
         assert sorted(mine.columns) == sorted(ref.columns)
     if len(ref):
         pd.testing.assert_frame_equal(_canon(mine), _canon(ref),
                                       check_dtype=False, check_exact=True)
+
+
+@pytest.mark.parametrize("name", sorted(relational.QUERIES))
+def test_empty_input_matches_oracle(ray_session, empty_sf, empty_ducks,
+                                    name):
+    _assert_matches(relational.QUERIES[name](empty_sf),
+                    empty_ducks.execute(relational.ORACLE[name]).df())
+
+
+TINY_TEXTS = ["the fast key", "the fast key", "", "a b", "join",
+              "Data row"]
+
+
+@pytest.fixture(scope="session")
+def docs_sfs(tmp_path_factory):
+    """{"empty": dir, "tiny": dir}, each with one documents.parquet of
+    the sf0.001 schema."""
+    schema = pq.read_schema(f"{SF}/documents.parquet")
+    tiny = pa.table({
+        "doc_id": pa.array(range(len(TINY_TEXTS)), pa.int64()),
+        "text": TINY_TEXTS,
+        "lang": ["en", "en", "de", "fr", "en", "es"],
+        "source": ["src0", "src0", "src1", "src2", "src3", "src4"],
+        "n_chars": pa.array([len(x) for x in TINY_TEXTS], pa.int64())},
+        schema=schema)
+    out = {}
+    for kind, t in (("empty", schema.empty_table()), ("tiny", tiny)):
+        d = tmp_path_factory.mktemp(f"docs_{kind}")
+        pq.write_table(t, str(d / "documents.parquet"))
+        out[kind] = str(d)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["empty", "tiny"])
+@pytest.mark.parametrize("name", sorted(text.QUERIES))
+def test_text_query_on_small_corpus(ray_session, docs_sfs, kind, name):
+    sf = docs_sfs[kind]
+    res = text.QUERIES[name](sf)
+    if name not in text.ORACLE:
+        _to_pandas(res)
+        return
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
+                f"'{sf}/documents.parquet'")
+    _assert_matches(res, con.execute(text.ORACLE[name]).df())
 
 
 @pytest.mark.parametrize("n_dangling", [1, 2])

@@ -4,10 +4,10 @@ A pool whose actors each ask for a whole CPU takes the only CPU that
 its feeding read tasks need, and the pipeline stalls forever.  The
 check runs in a subprocess with its own ``ray.init(num_cpus=1)`` (the
 test session's Ray is shared and multi-CPU), one multimodal decode
-stage, one fulltext broadcast stage and two hash joins (whose
-aggregator actors are a pool too, ``stages.hash_join``), under an
-in-process alarm that shuts Ray down cleanly and exits 3 when no
-result arrives.
+stage, one fulltext broadcast stage, one hash join (q12, whose
+aggregator actors are a pool too, ``stages.hash_join``) and the
+passage dedup's bucketed shuffle, under an in-process alarm that shuts
+Ray down cleanly and exits 3 when no result arrives.
 """
 
 import os

@@ -285,7 +285,7 @@ def test_minhash_candidates_against_bruteforce(entry_mod, ray_session):
     import pyarrow.parquet as pq
     from mee_ray.pipelines.text import TextStats, _shingles, minhash_lsh_candidates
 
-    out = minhash_lsh_candidates(SF, jaccard_threshold=0.2).to_pandas()
+    out = minhash_lsh_candidates(SF).to_pandas()
     got = {(a, b) for a, b in zip(out.a, out.b)}
 
     t = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"])
@@ -309,7 +309,7 @@ def test_simhash_pairs_are_truly_close(entry_mod, ray_session):
     from mee_ray.pipelines.text import simhash_dup_pairs, simhash_signatures
     sig = simhash_signatures(SF).to_pandas()
     hmap = dict(zip(sig.doc_id, sig.simhash))
-    pairs = simhash_dup_pairs(SF, max_hamming=3).to_pandas()
+    pairs = simhash_dup_pairs(SF).to_pandas()
     for a, b, d in zip(pairs.a, pairs.b, pairs.hamming):
         assert bin(int(hmap[a]) ^ int(hmap[b])).count("1") == d <= 3
 
@@ -479,7 +479,7 @@ def test_simhash_pairs_complete_vs_bruteforce(entry_mod, ray_session):
         d = bin(int(hmap[a]) ^ int(hmap[b])).count("1")
         if d <= 3:
             brute.add((a, b, d))
-    got = simhash_dup_pairs(SF, max_hamming=3).to_pandas()
+    got = simhash_dup_pairs(SF).to_pandas()
     assert set(zip(got.a, got.b, got.hamming)) == brute
 
 
@@ -594,7 +594,8 @@ def test_repetition_zero_token_doc_matches_oracle(ray_session, tmp_path):
 
 
 def test_simhash_degenerate_bucket_preserves_components(ray_session,
-                                                        tmp_path):
+                                                        tmp_path,
+                                                        monkeypatch):
     """Oversized band buckets group by FULL signature: identical-sig
     members star losslessly and cross-sig pairs go through group
     representatives — every exact-mode near-dup pair must stay in the
@@ -603,6 +604,7 @@ def test_simhash_degenerate_bucket_preserves_components(ray_session,
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    from mee_ray.pipelines import text
     from mee_ray.pipelines.text import simhash_dup_pairs, simhash_signatures
 
     texts, ids = [], []
@@ -622,7 +624,8 @@ def test_simhash_degenerate_bucket_preserves_components(ray_session,
     sig = simhash_signatures(sf).to_pandas()
     hmap = dict(zip(sig.doc_id, sig.simhash))
     exact = simhash_dup_pairs(sf).to_pandas()          # buckets < 1024
-    capped = simhash_dup_pairs(sf, max_group=8).to_pandas()
+    monkeypatch.setattr(text, "_MAX_ALLPAIRS_GROUP", 8)
+    capped = simhash_dup_pairs(sf).to_pandas()
 
     # soundness: every capped pair really is within the budget
     for a, b in zip(capped.a, capped.b):
@@ -1103,7 +1106,8 @@ def test_categorize_unbounded_prefix_fixture(ray_session, tmp_path):
         assert categorize_topk(pa.concat_tables(parts)).equals(whole)
 
 
-def test_adjacency_boundaries_bounded_driver_state(ray_session, tmp_path):
+def test_adjacency_boundaries_bounded_driver_state(ray_session, tmp_path,
+                                                   monkeypatch):
     """ngram_jaccard_adjacent driver state is O(sample + parts), not
     O(n_docs) (VERDICT r4 #2): the deterministic mix64-threshold
     boundary sample keeps ~target ids from a 50k corpus (loose 4x
@@ -1116,6 +1120,7 @@ def test_adjacency_boundaries_bounded_driver_state(ray_session, tmp_path):
     import pyarrow.parquet as pq
     import ray.data
 
+    from mee_ray.pipelines import text
     from mee_ray.pipelines.text import (_adjacency_boundaries,
                                         _char_gram_sets_batch,
                                         ngram_jaccard_adjacent)
@@ -1146,7 +1151,8 @@ def test_adjacency_boundaries_bounded_driver_state(ray_session, tmp_path):
     pq.write_table(pa.table({"doc_id": pa.array(dids),
                              "text": pa.array(texts, pa.string())}),
                    str(tmp_path / "documents.parquet"))
-    got = ngram_jaccard_adjacent(str(tmp_path), n_parts=8)
+    monkeypatch.setattr(text, "NGRAM_PARTS", 8)
+    got = ngram_jaccard_adjacent(str(tmp_path))
     if hasattr(got, "iter_batches"):
         got = pa.concat_tables(list(
             got.iter_batches(batch_format="pyarrow")))
