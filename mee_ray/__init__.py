@@ -5,9 +5,10 @@ A from-scratch reimagining of the *capability* of the reference system
 maintenance — full rebuild with atomic alias publish, incremental delta
 application, resumable state) as an engine that OWNS the inverted index:
 
-- build path: ``ray.data.read_parquet(corpus)`` → two fused
-  ``map_batches`` passes (slim docs table; tokenize→explode straight
-  into the partitioned groupby shuffle) → compressed posting-list
+- build path: ``ray.data.read_parquet(corpus)`` → ONE fused
+  ``map_batches`` tokenize pass (slim docs table + a posting-row
+  exchange on disk) → the exchange through the partitioned groupby
+  shuffle → compressed posting-list
   segments (delta + varint, per-block max-impact metadata) → epoch
   manifest → atomic CURRENT pointer swap (the analog of mee's ES alias
   swap, reference services/updateservice.py:252-310).

@@ -85,10 +85,12 @@ class EngineConfig:
     # materialized in one encode task).
     num_shards: int = 8
     parts_per_shard: int = 4
-    # Run THE pass-2 all-to-all in `shuffle_waves` sequential waves
-    # (wave w keeps only the terms whose shard % waves == w): peak
-    # shuffle spill drops to ~1/waves of the posting volume at the
-    # cost of re-running the (cheap, fused) tokenize+explode per wave.
+    # Run THE segments-stage all-to-all in `shuffle_waves` sequential
+    # waves (wave w keeps only the exchange rows whose shard % waves ==
+    # w): peak shuffle spill drops to ~1/waves of the posting volume.
+    # Each wave reads only its shards' row groups of the exchange
+    # (build.write_exchange), so the waves together read it about once
+    # and nothing is re-tokenized.
     # Routing is a pure function of the term and doc_id, so segments
     # are byte-identical to a single-wave build (asserted in
     # test_build_fingerprint.py::test_shuffle_waves_identity).  The

@@ -264,13 +264,11 @@ def _apply_delta_locked(events, index_root: str,
         t0 = time.perf_counter()
         added_docs_path = os.path.join(ddir, "added_docs.parquet")
         tmp = added_docs_path + ".tmp"
-        docs_tbl = tok_tbl.select(mf.DOCS_COLUMNS)
-        if cfg.store_source:
-            # source-enabled index (manifest-pinned): added docs carry
-            # their raw content like the base rows, so get-with-source
-            # and reindex stay complete across deltas (tok_tbl keeps
-            # add_tbl's row order)
-            docs_tbl = docs_tbl.append_column("content", add_tbl["content"])
+        # a source-enabled index (manifest-pinned) keeps added docs'
+        # raw content like the base rows, so get-with-source and
+        # reindex stay complete across deltas
+        docs_tbl = tok_tbl.select(
+            mf.DOCS_COLUMNS + (["content"] if cfg.store_source else []))
         pq.write_table(docs_tbl, tmp)
         os.replace(tmp, added_docs_path)
         mf.keep_file_state("docs_keys", added_docs_path, docs_tbl)

@@ -49,6 +49,52 @@ def term_hash(term: str) -> int:
     return zlib.crc32(term.encode())
 
 
+def _crc32_table() -> np.ndarray:
+    c = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        c = np.where(c & 1, (c >> 1) ^ np.uint32(0xEDB88320), c >> 1)
+    return c
+
+
+_CRC32_TABLE = _crc32_table()
+# longer strings are hashed one by one, so one very long token costs
+# one zlib call, not one numpy step per byte for a single string
+_VECTOR_CRC_MAX_BYTES = 64
+
+
+def term_hashes(terms) -> np.ndarray:
+    """:func:`term_hash` of every string of the Arrow string array
+    ``terms``, as int64: the CRC-32 table walk one byte position at a
+    time over all strings at once, read off the utf-8 data buffer (no
+    Python strings).  Bit-equal to ``term_hash`` per string
+    (tests/test_one_tokenize.py)."""
+    if isinstance(terms, pa.ChunkedArray):
+        terms = terms.combine_chunks()
+    n = len(terms)
+    width = np.int64 if pa.types.is_large_string(terms.type) else np.int32
+    offs = np.frombuffer(terms.buffers()[1], width)[
+        terms.offset:terms.offset + n + 1].astype(np.int64)
+    buf = terms.buffers()[2]
+    data = (np.frombuffer(buf, np.uint8) if buf is not None
+            else np.empty(0, np.uint8))
+    lens = np.diff(offs)
+    # longest first, so the strings still running at byte j are a prefix
+    short = np.flatnonzero(lens <= _VECTOR_CRC_MAX_BYTES)
+    order = short[np.argsort(-lens[short], kind="stable")]
+    neg_len = -lens[order]
+    start = offs[order]
+    crc = np.full(len(order), 0xFFFFFFFF, dtype=np.uint32)
+    for j in range(int(-neg_len[0]) if len(order) else 0):
+        k = np.searchsorted(neg_len, -j)
+        c = crc[:k]
+        crc[:k] = _CRC32_TABLE[(c ^ data[start[:k] + j]) & 0xFF] ^ (c >> 8)
+    out = np.empty(n, dtype=np.int64)
+    out[order] = crc ^ np.uint32(0xFFFFFFFF)
+    for i in np.flatnonzero(lens > _VECTOR_CRC_MAX_BYTES):
+        out[i] = zlib.crc32(data[offs[i]:offs[i + 1]])
+    return out
+
+
 def salt_of(doc_id: int, salt_factor: int) -> int:
     """Contiguous-range salt: top log2(salt_factor) bits of the 63-bit id."""
     shift = 63 - (salt_factor.bit_length() - 1)

@@ -609,8 +609,8 @@ def reset_on_fingerprint_change(edir: str, name: str, fp: dict) -> None:
     fingerprint.  The outputs stay for the resume when it matches, or
     when the dir has no fingerprint at all (nothing to compare).  When
     it differs, or is missing while another writer's is present (its
-    debris), ``docs/``, ``segments/``, ``_state.json`` and
-    ``key_seqs.parquet`` are cleared.  ``fp`` is then recorded
+    debris), ``docs/``, ``exchange/``, ``segments/``, ``_state.json``
+    and ``key_seqs.parquet`` are cleared.  ``fp`` is then recorded
     atomically."""
     os.makedirs(edir, exist_ok=True)
     path = os.path.join(edir, name)
@@ -623,7 +623,7 @@ def reset_on_fingerprint_change(edir: str, name: str, fp: dict) -> None:
         return
     if old is not None or any(os.path.exists(os.path.join(edir, n))
                               for n in _FINGERPRINTS):
-        for sub in ("docs", "segments"):
+        for sub in ("docs", "exchange", "segments"):
             shutil.rmtree(os.path.join(edir, sub), ignore_errors=True)
         for fn in ("_state.json", "key_seqs.parquet"):
             try:
@@ -741,14 +741,18 @@ def file_state(kind: str, path: str):
     return CACHE.put(key, got, got.nbytes), 1
 
 
-def keep_file_state(kind: str, path: str, table) -> None:
+def keep_file_state(kind: str, path: str, table=None, *,
+                    state=None) -> None:
     """Write-through: cache the ``kind`` state of ``table``, which the
-    caller has just written to ``path`` (after its ``os.replace``), so
-    the next reader of the file reads nothing."""
+    caller has just written to ``path`` (after its ``os.replace``), or
+    ``state`` itself when the caller holds it decoded already (a copy
+    of a file keeps its source's), so the next reader of the file
+    reads nothing."""
     from mee_ray.wand import CACHE
 
-    got = _FILE_STATE[kind][1](table)
-    CACHE.put((kind, *file_identity(path)), got, got.nbytes)
+    if state is None:
+        state = _FILE_STATE[kind][1](table)
+    CACHE.put((kind, *file_identity(path)), state, state.nbytes)
 
 
 def live_key_index(index_root: str, manifest: dict,
@@ -1027,7 +1031,9 @@ _EPOCH_HOUSEKEEPING = {"manifest.json", "_state.json", "metrics.json",
 def fsck_repair(index_root: str) -> dict:
     """Conservative debris repair across every MANIFESTED epoch:
 
-    * delete ``*.tmp.*`` leftovers of crashed atomic writes;
+    * delete ``*.tmp.*`` leftovers of crashed atomic writes: files,
+      and the staged dirs (``docs.tmp.<pid>``, ``exchange.tmp.<pid>``)
+      a crashed build never renamed into place;
     * delete parquet files under ``segments/`` / ``deltas/*/``
       directories that NO manifest in the root references (catch-up
       carries delta records across epochs, so references are gathered
@@ -1080,6 +1086,11 @@ def _fsck_repair_locked(index_root: str) -> dict:
     rebuilt: list[str] = []
     for name, m in manifested.items():
         edir = epoch_dir(index_root, name)
+        for sub in sorted(os.listdir(edir)):
+            path = os.path.join(edir, sub)
+            if ".tmp." in sub and os.path.isdir(path):
+                shutil.rmtree(path)
+                removed.append(path)
         for path in glob.glob(os.path.join(edir, "**"), recursive=True):
             if not os.path.isfile(path):
                 continue

@@ -135,23 +135,35 @@ def compact_docs(index_root: str, manifest: dict, tombstones,
     live rows (every column, so ``content`` stays) when some are dead,
     nothing when none is.  The deltas' live added docs go together into
     ``docs-{n_base:05d}.parquet``.  Names are deterministic, so a retry
-    overwrites a crash's files."""
+    overwrites a crash's files.  Every file written keeps its key
+    lookup state (``mf.keep_file_state``), so the first apply_delta
+    after the compaction reads no docs file."""
     n_base, added = 0, []
     for f, seq in mf.docs_sources(index_root, manifest):
-        t = pq.read_table(f, columns=None if seq else ["doc_id"])
-        keep = mf.live_posting_mask(t["doc_id"].to_numpy(), seq, *tombstones)
         if seq:
-            added.append(t.filter(pa.array(keep)))
+            t = pq.read_table(f)
+            added.append(t.filter(pa.array(mf.live_posting_mask(
+                t["doc_id"].to_numpy(), seq, *tombstones))))
             continue
+        # the base file's key state: usually cached by earlier lookups
+        state, _ = mf.file_state("docs_keys", f)
+        keep = mf.live_posting_mask(state["doc_id"].to_numpy(), seq,
+                                    *tombstones)
         dst = os.path.join(docs_dir, f"docs-{n_base:05d}.parquet")
         n_base += 1
         if keep.all():
             _put_file(dst, f)
         elif keep.any():
             _put_file(dst, pq.read_table(f).filter(pa.array(keep)))
+            state = state.filter(pa.array(keep))
+        else:
+            continue
+        mf.keep_file_state("docs_keys", dst, state=state)
     if sum(t.num_rows for t in added):
-        _put_file(os.path.join(docs_dir, f"docs-{n_base:05d}.parquet"),
-                  pa.concat_tables(added))
+        t = pa.concat_tables(added)
+        dst = os.path.join(docs_dir, f"docs-{n_base:05d}.parquet")
+        _put_file(dst, t)
+        mf.keep_file_state("docs_keys", dst, t)
 
 
 def _live(t: pa.Table, seq: int, tombstones) -> pa.Table:

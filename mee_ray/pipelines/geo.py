@@ -41,6 +41,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from mee_ray import stages
+
 _KNUTH = 2654435761
 _LAT_MOD = 180000001
 _LON_MOD = 360000001
@@ -62,14 +64,6 @@ def _coords(t: pa.Table):
     lon = (((eid % _LON_MOD) * 40503 + (uid % _LON_MOD) * _KNUTH)
            % _LON_MOD) - 180_000_000
     return lat, lon
-
-
-def _collect(ds, schema: pa.Schema) -> pa.Table:
-    """Materialize a small aggregate result, returning a TYPED empty
-    table when the plan yields zero batches (pa.concat_tables([])
-    raises — the _rank_merge gotcha, vector.py)."""
-    tabs = list(ds.iter_batches(batch_format="pyarrow"))
-    return pa.concat_tables(tabs) if tabs else schema.empty_table()
 
 
 def _read_events(sf_dir: str):
@@ -109,8 +103,7 @@ def geo_bounding_box_events(sf_dir: str) -> pa.Table:
           .map_batches(partial, batch_format="pyarrow")
           .groupby("event_type")
           .aggregate(Sum("c_part", alias_name="cnt")))
-    t = _collect(ds, pa.schema([("event_type", pa.string()),
-                                ("cnt", pa.int64())]))
+    t = stages.collect(ds, "event_type:str cnt")
     return t.sort_by("event_type")
 
 
@@ -149,11 +142,7 @@ def geo_grid_events(sf_dir: str) -> pa.Table:
           .aggregate(Sum("c_part", alias_name="cnt"),
                      Sum("lat_part", alias_name="lat_sum"),
                      Sum("lon_part", alias_name="lon_sum")))
-    t = _collect(ds, pa.schema([("cell_lat", pa.int64()),
-                                ("cell_lon", pa.int64()),
-                                ("cnt", pa.int64()),
-                                ("lat_sum", pa.int64()),
-                                ("lon_sum", pa.int64())]))
+    t = stages.collect(ds, "cell_lat cell_lon cnt lat_sum lon_sum")
     return t.sort_by([("cell_lat", "ascending"), ("cell_lon", "ascending")])
 
 
@@ -190,10 +179,7 @@ def geo_centroid_events(sf_dir: str) -> pa.Table:
           .aggregate(Sum("c_part", alias_name="cnt"),
                      Sum("lat_part", alias_name="lat_sum"),
                      Sum("lon_part", alias_name="lon_sum")))
-    t = _collect(ds, pa.schema([("event_type", pa.string()),
-                                ("cnt", pa.int64()),
-                                ("lat_sum", pa.int64()),
-                                ("lon_sum", pa.int64())]))
+    t = stages.collect(ds, "event_type:str cnt lat_sum lon_sum")
     return t.sort_by("event_type")
 
 
@@ -225,8 +211,7 @@ def geo_distance_count_events(sf_dir: str) -> pa.Table:
           .map_batches(partial, batch_format="pyarrow")
           .groupby("event_type")
           .aggregate(Sum("c_part", alias_name="cnt")))
-    t = _collect(ds, pa.schema([("event_type", pa.string()),
-                                ("cnt", pa.int64())]))
+    t = stages.collect(ds, "event_type:str cnt")
     return t.sort_by("event_type")
 
 
@@ -257,8 +242,7 @@ def geo_distance_topk_events(sf_dir: str) -> pa.Table:
           .map_batches(partial, batch_format="pyarrow")
           .sort(["d2", "event_id"])
           .limit(_TOPK))
-    return _collect(ds, pa.schema([("event_id", pa.int64()),
-                                   ("d2", pa.int64())]))
+    return stages.collect(ds, "event_id d2")
 
 
 GEO_DIST_TOPK_SQL = _COORDS_CTE + f"""
@@ -296,8 +280,7 @@ def geo_polygon_events(sf_dir: str) -> pa.Table:
           .map_batches(partial, batch_format="pyarrow")
           .groupby("event_type")
           .aggregate(Sum("c_part", alias_name="cnt")))
-    t = _collect(ds, pa.schema([("event_type", pa.string()),
-                                ("cnt", pa.int64())]))
+    t = stages.collect(ds, "event_type:str cnt")
     return t.sort_by("event_type")
 
 
@@ -367,9 +350,7 @@ def geo_line_events(sf_dir: str) -> pa.Table:
                        zero_copy_batch=True)
           .groupby("user_id")
           .map_groups(finish, batch_format="pyarrow"))
-    t = _collect(ds, pa.schema([("user_id", pa.int64()),
-                                ("n_points", pa.int64()),
-                                ("track", pa.string())]))
+    t = stages.collect(ds, "user_id n_points track:str")
     return t.sort_by("user_id")
 
 
@@ -417,11 +398,7 @@ def geo_bounds_events(sf_dir: str) -> pa.Table:
                      Max("lat_hi", alias_name="max_lat"),
                      Min("lon_lo", alias_name="min_lon"),
                      Max("lon_hi", alias_name="max_lon")))
-    t = _collect(ds, pa.schema([("event_type", pa.string()),
-                                ("min_lat", pa.int64()),
-                                ("max_lat", pa.int64()),
-                                ("min_lon", pa.int64()),
-                                ("max_lon", pa.int64())]))
+    t = stages.collect(ds, "event_type:str min_lat max_lat min_lon max_lon")
     return t.sort_by("event_type")
 
 

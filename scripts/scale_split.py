@@ -230,8 +230,10 @@ def stage_engine(n_files, positions, n_deletes):
     kw = (dict(object_store_memory=42_000_000_000,
                _system_config={"local_fs_capacity_threshold": 0.98})
           if big else {})      # smaller points keep Ray's host-sized
-    ray.init(address="local", num_cpus=32, include_dashboard=False,
-             logging_level="ERROR", **kw)
+    # one Ray CPU per CPU this process may run on: a fixed count
+    # oversubscribes a smaller host (N task heaps on fewer cores)
+    ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
+             include_dashboard=False, logging_level="ERROR", **kw)
     import ray.data
     ray.data.DataContext.get_current().enable_progress_bars = False
     import pyarrow as pa

@@ -702,12 +702,10 @@ def test_catchup_rebuild_refuses_changed_hot_set(ray_session, tmp_path):
         assert s.search(q, 10) == oi.search(q, 10), q
 
 
-def test_hot_set_df_sample(ray_session, monkeypatch):
+def test_hot_set_df_sample(ray_session, tmp_path, monkeypatch):
     """Past the sample size, df is counted on the doc_id-hash sample
     doc_id & (R-1) == 0 and scaled by R; R is the power of two that
     keeps the sample within (size/2, size] docs."""
-    import ray.data
-
     from mee_ray import build
     from mee_ray.tokenizer import Tokenizer
 
@@ -733,8 +731,11 @@ def test_hot_set_df_sample(ray_session, monkeypatch):
     want = sorted(t for t, n in df.items()
                   if n * rate > 20 and t != "def")
     assert want        # the sample is non-empty and something is hot
-    got = build.hot_df_terms(ray.data.from_arrow(_corpus_table(docs)),
-                             len(docs), cfg)
+    # the build counts df from its exchange rows, one per (doc, term)
+    xfile = str(tmp_path / "x.parquet")
+    pq.write_table(build.exchange_rows(
+        build.DocTokenize(cfg)(_corpus_table(docs)), cfg), xfile)
+    got = build.hot_df_terms([xfile], len(docs), cfg)
     assert got == want
 
 
