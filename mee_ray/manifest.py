@@ -79,6 +79,12 @@ def write_manifest(index_root: str, epoch: str, manifest: dict) -> None:
     _atomic_write_json(manifest_path(index_root, epoch), manifest)
 
 
+class EpochGone(FileNotFoundError):
+    """A reader pinned to an epoch touched a file of it after the epoch
+    was garbage-collected (``gc_epochs``, ``compact(gc_old=True)``):
+    its answers are gone with it, so it must reopen on a live epoch."""
+
+
 def load_manifest(index_root: str, epoch: str | None = None) -> dict:
     if epoch is None:
         epoch = current_epoch(index_root)

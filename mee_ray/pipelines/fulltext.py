@@ -31,6 +31,7 @@ import pyarrow.parquet as pq
 from mee_ray.build import build_index
 from mee_ray.config import EngineConfig, TokenizerConfig
 from mee_ray.corpus import documents_as_corpus
+from mee_ray.pipelines.hybrid import RRF_K, rrf_fuse
 from mee_ray.pipelines.text import TOKEN_PATTERN
 from mee_ray import manifest as mf
 from mee_ray.stages import table as _table
@@ -1933,82 +1934,38 @@ def _bm25_function_score_sql() -> str:
 
 
 RRF_POOL = 50   # per-side candidate pool depth feeding the fusion
-RRF_K0 = 60     # the standard RRF dampening constant
 
 
 def hybrid_rrf_documents(sf_dir: str):
     """Hybrid retrieval with reciprocal-rank fusion: each reference
     query pairs its BM25 text ranking with a cosine kNN ranking over
     the ``embeddings`` table (query vector = the embedding whose
-    vec_id equals the query_id), fused as
-    ``Σ_side 1/({RRF_K0} + rank)`` over each side's top-{RRF_POOL}
+    vec_id equals the query_id), fused by ``hybrid.rrf_fuse`` as
+    ``Σ_side 1/({RRF_K} + rank)`` over each side's top-{RRF_POOL}
     pool — the standard hybrid-search shape (ES rrf retriever analog).
 
     Distributed shape: the text side is the index partials path; the
-    vector side broadcasts the query matrix once and collects
-    per-batch top-{RRF_POOL} partials (bounded transport, the
-    knn_bruteforce pattern).  Fusion itself touches only
-    2 × {RRF_POOL} rows per query.  Emitted as (query_id, rank,
-    doc_id), fused score ties broken by doc_id."""
-    import ray
+    vector side is ``vector._scan_topk`` (the query matrix broadcast
+    once, per-batch top-{RRF_POOL} partials, bounded transport).
+    Fusion itself touches only 2 × {RRF_POOL} rows per query, text
+    side first — the oracle's COALESCE(t) + COALESCE(v) order.
+    Emitted as (query_id, rank, doc_id), fused score ties broken by
+    doc_id."""
+    from mee_ray.pipelines.vector import (_load_queries, _read_emb,
+                                          _scan_topk, _unit_emb)
 
-    from mee_ray.pipelines.vector import _emb_matrix, _read_emb, _unit
-    text_rows = _Run(sf_dir).rows(REFERENCE_QUERIES, _text_search, RRF_POOL)
+    def score(t, q_ids, q_mat):          # every row, the query's own too
+        ids, u = _unit_emb(t)
+        return ids, u @ q_mat.T, None
 
-    qids = sorted(qid for qid, _ in REFERENCE_QUERIES)
-    qt = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                       columns=["vec_id", "embedding"],
-                       filters=[("vec_id", "in", qids)])
-    q_ids, q_mat = _emb_matrix(qt)
-    order = np.argsort(q_ids)
-    q_ids, q_mat = q_ids[order], _unit(q_mat[order])
-    ref = ray.put((q_ids, q_mat))
-
-    def batch_topk(t: pa.Table) -> pa.Table:
-        bq_ids, bq_mat = ray.get(ref)
-        ids, mat = _emb_matrix(t)
-        sims = _unit(mat) @ bq_mat.T
-        out_q, out_n, out_s = [], [], []
-        for qi in range(len(bq_ids)):
-            sv = sims[:, qi]
-            top = np.lexsort((ids, -sv))[:RRF_POOL]
-            out_q.extend([int(bq_ids[qi])] * len(top))
-            out_n.extend(ids[top].tolist())
-            out_s.extend(sv[top].tolist())
-        return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                         "neighbor_id": pa.array(out_n, pa.int64()),
-                         "sim": pa.array(out_s, pa.float64())})
-
-    partials_t = pa.concat_tables(list(
-        _read_emb(sf_dir).map_batches(batch_topk, batch_format="pyarrow",
-                                      zero_copy_batch=True)
-        .iter_batches(batch_format="pyarrow", batch_size=1 << 20)))
-    vq = partials_t["query_id"].to_numpy(zero_copy_only=False)
-    vn = partials_t["neighbor_id"].to_numpy(zero_copy_only=False)
-    vsim = partials_t["sim"].to_numpy(zero_copy_only=False)
-
-    # fuse: RRF contribution per (query, doc); text side added first,
-    # vector side second — the oracle's COALESCE(t)+COALESCE(v) order
-    fused: dict[tuple[int, int], float] = {}
-    for qid, rank, did in text_rows:
-        fused[(qid, did)] = 1.0 / (RRF_K0 + rank)
-    for q in np.unique(vq):
-        m = vq == q
-        vn_q, vs_q = vn[m], vsim[m]
-        order = np.lexsort((vn_q, -vs_q))[:RRF_POOL]
-        for rank, j in enumerate(order, start=1):
-            key = (int(q), int(vn_q[j]))
-            fused[key] = fused.get(key, 0.0) + 1.0 / (RRF_K0 + rank)
-    by_qid: dict[int, list[tuple[int, float]]] = {q: [] for q in qids}
-    for (q, d), sc in fused.items():
-        by_qid[q].append((d, sc))
-    rows = []
-    for qid in qids:
-        items = by_qid[qid]
-        items.sort(key=lambda it: (-it[1], it[0]))
-        rows += [(qid, rank, d)
-                 for rank, (d, _) in enumerate(items[:TOP_K], start=1)]
-    return _table(rows, "query_id rank doc_id")
+    text = _table(_Run(sf_dir).rows(REFERENCE_QUERIES, _text_search,
+                                    RRF_POOL), "query_id rank doc_id")
+    q_ids, q_mat = _load_queries(
+        sf_dir, ("vec_id", "in", sorted(q for q, _ in REFERENCE_QUERIES)))
+    vec = _scan_topk(_read_emb(sf_dir), q_ids, score, RRF_POOL, (q_mat,))
+    vec = vec.rename_columns(["query_id", "rank", "doc_id"])
+    return rrf_fuse([text, vec], TOP_K).select(["query_id", "rank",
+                                                "doc_id"])
 
 
 def _hybrid_rrf_sql() -> str:
@@ -2025,8 +1982,8 @@ v AS ({_top_sql("vsim", **pool)}),
 fused AS (
   SELECT COALESCE(t.query_id, v.query_id) AS query_id,
          COALESCE(t.doc_id, v.doc_id)     AS doc_id,
-         COALESCE(1.0 / ({RRF_K0} + t.r), 0.0)
-         + COALESCE(1.0 / ({RRF_K0} + v.r), 0.0) AS score
+         COALESCE(1.0 / ({RRF_K} + t.r), 0.0)
+         + COALESCE(1.0 / ({RRF_K} + v.r), 0.0) AS score
   FROM t FULL OUTER JOIN v
     ON v.query_id = t.query_id AND v.doc_id = t.doc_id)""")
 

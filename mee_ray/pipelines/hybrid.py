@@ -26,41 +26,42 @@ asserted in tests by an independent driver-side RRF recompute over
 the two component rankings, which are themselves oracle-checked
 (bm25_topk_documents value-exact vs the BM25 SQL tree, knn_bruteforce
 vs KNN_SQL).
+
+:func:`rrf_fuse` is the one fusion of both hybrid names: this module's
+``rrf_hybrid_topk`` and ``fulltext.hybrid_rrf_documents`` (text ranking
+first, so its sums run in the order of that name's SQL oracle).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from mee_ray.stages import table
 
 RRF_K = 60          # the standard k of Cormack et al. / ES default
 
 
-def rrf_fuse(rankings: list[pa.Table], k: int, kconst: int = RRF_K
-             ) -> pa.Table:
+def rrf_fuse(rankings: list[pa.Table], k: int) -> pa.Table:
     """Fuse rank tables with columns (query_id, rank, doc_id) —
-    score(q, d) = Σ_r 1/(kconst + rank_r(q, d)); top-k per query by
-    (score DESC, doc_id ASC).  Pure driver-side math over bounded
-    inputs; one definition shared by the operator and its test."""
+    score(q, d) = Σ_r 1/(RRF_K + rank_r(q, d)), summed in ``rankings``
+    order; top-k per query by (score DESC, doc_id ASC).  Pure
+    driver-side math over bounded inputs; one definition shared by
+    both hybrid names (rrf_hybrid_topk, fulltext.hybrid_rrf_documents)
+    and the test."""
     qs: dict[int, dict[int, float]] = {}
     for t in rankings:
         for q, r, d in zip(t["query_id"].to_pylist(),
                            t["rank"].to_pylist(),
                            t["doc_id"].to_pylist()):
             qs.setdefault(q, {}).setdefault(d, 0.0)
-            qs[q][d] += 1.0 / (kconst + r)
-    out_q, out_r, out_d, out_s = [], [], [], []
+            qs[q][d] += 1.0 / (RRF_K + r)
+    rows = []
     for q in sorted(qs):
         items = sorted(qs[q].items(), key=lambda kv: (-kv[1], kv[0]))
-        for rank, (d, sc) in enumerate(items[:k], start=1):
-            out_q.append(q)
-            out_r.append(rank)
-            out_d.append(d)
-            out_s.append(sc)
-    return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                     "rank": pa.array(out_r, pa.int64()),
-                     "doc_id": pa.array(out_d, pa.int64()),
-                     "rrf_score": pa.array(out_s, pa.float64())})
+        rows += [(q, rank, d, sc)
+                 for rank, (d, sc) in enumerate(items[:k], start=1)]
+    return table(rows, "query_id rank doc_id rrf_score:f64")
 
 
 def rrf_hybrid_topk(sf_dir: str, k: int = 10) -> pa.Table:
@@ -76,10 +77,6 @@ def rrf_hybrid_topk(sf_dir: str, k: int = 10) -> pa.Table:
     vec = knn_bruteforce(sf_dir, n_queries=len(REFERENCE_QUERIES), k=k)
     # align: vector query_id v pairs with text qid v+1; rename the
     # neighbor column into the shared (query_id, rank, doc_id) shape
-    vec = pa.table({
-        "query_id": pa.array(
-            np.asarray(vec["query_id"].to_pylist(), np.int64) + 1,
-            pa.int64()),
-        "rank": vec["rank"],
-        "doc_id": vec["neighbor_id"]})
+    vec = pa.table({"query_id": pc.add(vec["query_id"], 1),
+                    "rank": vec["rank"], "doc_id": vec["neighbor_id"]})
     return rrf_fuse([text, vec], k)

@@ -1247,10 +1247,20 @@ class Searcher(QueryPlanner):
     def _shard(self, s: int) -> _ShardIndex:
         got = self._shards.get(s)
         if got is None:
-            got = self._shards[s] = _ShardIndex(
-                self._files_by_shard.get(s, []),
-                (s * self._pps, (s + 1) * self._pps), self._delta_files,
-                self._file_hints, self._file_seqs)
+            try:
+                got = _ShardIndex(
+                    self._files_by_shard.get(s, []),
+                    (s * self._pps, (s + 1) * self._pps),
+                    self._delta_files, self._file_hints, self._file_seqs)
+            except FileNotFoundError as e:
+                # shards open lazily: a shard first touched after this
+                # snapshot's epoch was garbage-collected finds no files
+                raise mf.EpochGone(
+                    f"epoch {self.manifest['epoch']!r} of "
+                    f"{self.index_root} was garbage-collected while this "
+                    f"Searcher was pinned to it ({e.filename}); reopen the "
+                    "Searcher on a live epoch") from e
+            self._shards[s] = got
         return got
 
     def owns(self, shard: int) -> bool:

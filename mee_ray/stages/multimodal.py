@@ -13,9 +13,9 @@ typed output schema:
 - video: each decoded PNG scanline is one frame, every 4th is sampled
   (:class:`PngFrameSample`);
 - retrieval: a 64-bin integer histogram of the decoded pixels
-  (:class:`PngEmbed`) scored against a broadcast query matrix, with the
-  per-batch top-k and driver merge of the ANN family
-  (``vector._local_topk`` / ``vector._rank_merge``).
+  (:class:`PngEmbed`) scored against a broadcast query matrix through
+  the ANN family's one embedding scan (``vector._scan_topk``: per-batch
+  segmented top-k, driver rank merge).
 
 The synthesized signals are integer formulas of doc_id, so decoded
 metadata, sample statistics, sampled-frame sums and retrieval ranks are
@@ -363,33 +363,18 @@ def multimodal_retrieval(sf_dir: str, n_queries: int = 5, k: int = 10):
     the dot products are exact in float64 and RETRIEVAL_SQL, which
     rebuilds them from the pixel formula, yields the same bits.  Output
     is the rank table (query_id, rank, doc_id)."""
-    import ray
+    from mee_ray.pipelines.vector import _scan_topk
 
-    from mee_ray.pipelines.vector import _local_topk, _rank_merge
+    def score(t, q_ids, q_mat):
+        d = PngEmbed.matrix(t)
+        return (t["doc_id"].to_numpy(),
+                (d @ q_mat.T) / np.sqrt((d * d).sum(axis=1))[:, None], None)
 
     q_ids = _smallest_doc_ids(f"{sf_dir}/documents.parquet", n_queries)
     q_mat = PngEmbed.matrix(PngEmbed()(_png_payloads(
         pa.table({"doc_id": pa.array(q_ids, pa.int64())}))))
-    q_ref = ray.put((q_ids, q_mat))
-
-    def batch_topk(t: pa.Table) -> pa.Table:
-        ids_q, mat_q = ray.get(q_ref)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        d = PngEmbed.matrix(t)
-        scores = (d @ mat_q.T) / np.sqrt((d * d).sum(axis=1))[:, None]
-        out_q, out_n, out_s = [], [], []
-        for j, qid in enumerate(ids_q.tolist()):
-            cand_ids, cand_s = _local_topk(ids, scores[:, j], k)
-            out_q.extend([qid] * len(cand_ids))
-            out_n.extend(cand_ids.tolist())
-            out_s.extend(cand_s.tolist())
-        return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                         "neighbor_id": pa.array(out_n, pa.int64()),
-                         "sim": pa.array(out_s, pa.float64())})
-
-    partials = _png_stage(sf_dir, PngEmbed, batch_size=128).map_batches(
-        batch_topk, batch_format="pyarrow")
-    return _rank_merge(partials, k).rename_columns(
+    return _scan_topk(_png_stage(sf_dir, PngEmbed, batch_size=128), q_ids,
+                      score, k, (q_mat,)).rename_columns(
         ["query_id", "rank", "doc_id"])
 
 

@@ -22,8 +22,9 @@ Scale shape:
   assignment is one map_batches pass; cluster files are written by a
   groupby(cluster) — one task per cluster, atomic tmp+rename.
 * search: probe the ``nprobe`` nearest centroids and read ONLY those
-  clusters' files (+ the delta log's adds, which carry their cluster
-  id) — transfer is O(probed clusters), never the index.
+  clusters' base files — transfer is O(probed clusters), never the
+  index.  The delta log's adds (which carry their cluster id) and
+  tombstones are read once per searcher (``_LiveRows``).
 * delta: upserts are assigned to clusters with the EPOCH's centroids
   (an index's geometry is frozen at build; re-fitting is a rebuild,
   exactly like the text tokenizer being manifest-pinned).
@@ -41,18 +42,14 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from mee_ray import manifest as mf
+from mee_ray.pipelines.vector import IVFIndex, _emb_matrix, _nearest, _unit
+from mee_ray.stages import collect
 
 
 def _write_manifest(root: str, epoch: str, m: dict) -> None:
     os.makedirs(mf.epoch_dir(root, epoch), exist_ok=True)
     mf.write_manifest(root, epoch,
                       {k: v for k, v in m.items() if k != "epoch"})
-
-
-def _unit(mat: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(mat, axis=1, keepdims=True)
-    n[n == 0] = 1.0
-    return mat / n
 
 
 def _cluster_table(vec_ids: np.ndarray, mat: np.ndarray) -> pa.Table:
@@ -62,28 +59,28 @@ def _cluster_table(vec_ids: np.ndarray, mat: np.ndarray) -> pa.Table:
                               pa.list_(pa.float32()))})
 
 
-def _read_vecs(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-    ids = t["vec_id"].to_numpy(zero_copy_only=False)
-    mat = np.stack(t["embedding"].to_numpy(zero_copy_only=False)) \
-        if t.num_rows else np.empty((0, 0), dtype=np.float32)
-    return ids, mat.astype(np.float64)
+def _write_cluster(cdir: str, cl: int, ids: np.ndarray,
+                   mat: np.ndarray) -> None:
+    """One cluster file, rows in vec_id order, atomic tmp+rename."""
+    order = np.argsort(ids, kind="stable")
+    dst = os.path.join(cdir, f"cluster-{cl:05d}.parquet")
+    tmp = dst + f".tmp.{os.getpid()}"
+    pq.write_table(_cluster_table(ids[order], mat[order]), tmp)
+    os.replace(tmp, dst)
+
+
+def _last_per_id(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted unique ids, row of each one's LAST occurrence): one
+    ``np.unique`` over the reversed log — last writer wins."""
+    uniq, first = np.unique(ids[::-1], return_index=True)
+    return uniq, len(ids) - 1 - first
 
 
 def build_vector_index(emb_ds, root: str, epoch: str,
-                       n_clusters: int = 16,
-                       id_col: str = "vec_id",
-                       emb_col: str = "embedding") -> dict:
+                       n_clusters: int = 16) -> dict:
     """Build + publish an IVF vector index from a Ray Dataset with
-    (``id_col``, ``emb_col``) columns.  Vectors are stored
+    (``vec_id``, ``embedding``) columns.  Vectors are stored
     unit-normalized (cosine ≡ dot thereafter)."""
-    from mee_ray.pipelines.vector import IVFIndex
-
-    if id_col != "vec_id" or emb_col != "embedding":
-        def rename(t: pa.Table) -> pa.Table:
-            return pa.table({"vec_id": t[id_col], "embedding": t[emb_col]})
-        emb_ds = emb_ds.map_batches(rename, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-
     ivf = IVFIndex(n_clusters=n_clusters).fit_dataset(emb_ds)
     cents = _unit(ivf.centroids.astype(np.float64))
 
@@ -91,33 +88,25 @@ def build_vector_index(emb_ds, root: str, epoch: str,
     os.makedirs(cdir, exist_ok=True)
 
     def assign(t: pa.Table) -> pa.Table:
-        ids, mat = _read_vecs(t)
+        ids, mat = _emb_matrix(t)
         u = _unit(mat)
-        cl = np.argmax(u @ cents.T, axis=1).astype(np.int32)
-        out = _cluster_table(ids, u)
-        return out.append_column("cluster", pa.array(cl))
+        return _cluster_table(ids, u).append_column(
+            "cluster", pa.array(_nearest(u, cents).astype(np.int32)))
 
     def write_cluster(g: pa.Table) -> pa.Table:
         cl = int(g["cluster"][0].as_py())
-        ids, mat = _read_vecs(g.drop_columns(["cluster"]))
-        order = np.argsort(ids, kind="stable")
-        dst = os.path.join(cdir, f"cluster-{cl:05d}.parquet")
-        tmp = dst + f".tmp.{os.getpid()}"
-        pq.write_table(_cluster_table(ids[order], mat[order]), tmp)
-        os.replace(tmp, dst)
+        ids, mat = _emb_matrix(g)
+        _write_cluster(cdir, cl, ids, mat)
         return pa.table({"cluster": pa.array([cl], pa.int32()),
                          "n": pa.array([len(ids)], pa.int64())})
 
-    counts = list(emb_ds
-                  .map_batches(assign, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                  .groupby("cluster")
-                  .map_groups(write_cluster, batch_format="pyarrow")
-                  .iter_batches(batch_format="pyarrow"))
-    per_cluster = {}
-    for b in counts:
-        for c, n in zip(b["cluster"].to_pylist(), b["n"].to_pylist()):
-            per_cluster[int(c)] = int(n)
+    counts = collect(emb_ds.map_batches(assign, batch_format="pyarrow",
+                                        zero_copy_batch=True)
+                     .groupby("cluster")
+                     .map_groups(write_cluster, batch_format="pyarrow"),
+                     "cluster n")
+    per_cluster = dict(zip(counts["cluster"].to_pylist(),
+                           counts["n"].to_pylist()))
 
     m = {"format": "vecindex-v1",
          "n_clusters": n_clusters,
@@ -149,17 +138,12 @@ def apply_vector_delta(events: pa.Table, root: str) -> dict:
             shutil.rmtree(ddir)
         os.makedirs(ddir)
 
-        last: dict[int, tuple[str, np.ndarray | None]] = {}
-        for i in range(events.num_rows):
-            vid = int(events["vec_id"][i].as_py())
-            op = events["op"][i].as_py()
-            emb = events["embedding"][i].as_py()
-            last[vid] = (op, None if emb is None
-                         else np.asarray(emb, dtype=np.float64))
-
-        tomb_ids = np.array(sorted(last), dtype=np.int64)
-        ups = [(v, e) for v, (op, e) in sorted(last.items())
-               if op == "UPSERT"]
+        tomb_ids, last = _last_per_id(
+            events["vec_id"].to_numpy().astype(np.int64))
+        up = last[events["op"].to_numpy(zero_copy_only=False)[last]
+                  == "UPSERT"]
+        ids, mat = _emb_matrix(events.select(["vec_id", "embedding"])
+                               .take(up))
         cents = np.asarray(m["centroids"], dtype=np.float64)
 
         tomb_path = os.path.join(ddir, "tombstones.parquet")
@@ -168,75 +152,63 @@ def apply_vector_delta(events: pa.Table, root: str) -> dict:
                                                     pa.int64())}), tmp)
         os.replace(tmp, tomb_path)
 
+        u = _unit(mat)
         adds_path = os.path.join(ddir, "adds.parquet")
-        if ups:
-            ids = np.array([v for v, _ in ups], dtype=np.int64)
-            mat = _unit(np.stack([e for _, e in ups]))
-            cl = np.argmax(mat @ cents.T, axis=1).astype(np.int32)
-            t = _cluster_table(ids, mat).append_column(
-                "cluster", pa.array(cl))
-        else:
-            t = pa.table({"vec_id": pa.array([], pa.int64()),
-                          "embedding": pa.array([], pa.list_(pa.float32())),
-                          "cluster": pa.array([], pa.int32())})
         tmp = adds_path + ".tmp"
-        pq.write_table(t, tmp)
+        pq.write_table(_cluster_table(ids, u).append_column(
+            "cluster", pa.array(_nearest(u, cents).astype(np.int32))), tmp)
         os.replace(tmp, adds_path)
 
         rec = {"seq": seq, "tombstones": tomb_path, "adds": adds_path,
-               "n_upserts": len(ups),
-               "n_deletes": int(len(tomb_ids) - len(ups))}
+               "n_upserts": len(up),
+               "n_deletes": int(len(tomb_ids) - len(up))}
         m["deltas"].append(rec)
         _write_manifest(root, epoch, m)
         return rec
 
 
-class VectorSearcher:
-    """Cosine top-k over a published vector index: probe the
-    ``nprobe`` nearest centroids, read only those clusters' base file
-    + the delta adds routed to them, apply sequenced tombstones,
-    exact dot-product rank.  Stateful (manifest + centroids loaded
-    once) — usable directly or inside a map_batches actor pool."""
+class _LiveRows:
+    """The live rows of one manifest snapshot, cluster by cluster:
+    each cluster's base file of the snapshot's epoch, then the delta
+    adds routed to it in log order, every source filtered by the
+    sequenced tombstones (``mf.live_posting_mask``).  Each delta
+    ``adds`` and ``tombstones`` file is read ONCE, when the snapshot is
+    opened, and its rows grouped by cluster; a base file is read when
+    its cluster is asked for.  The searcher and the compactor read
+    through it."""
 
-    def __init__(self, root: str, epoch: str | None = None):
-        self.root = root
-        self.m = mf.load_manifest(root, epoch)
-        self.cents = np.asarray(self.m["centroids"], dtype=np.float64)
-        self._tomb = self._tombstone_index()
-
-    def _tombstone_index(self):
-        last: dict[int, int] = {}
-        for d in self.m["deltas"]:
-            t = pq.read_table(d["tombstones"], columns=["vec_id"])
-            for v in t["vec_id"].to_pylist():
-                last[v] = d["seq"]
-        if not last:
-            z = np.empty(0, dtype=np.int64)
-            return z, z.copy()
-        ids = np.fromiter(last.keys(), dtype=np.int64, count=len(last))
-        seqs = np.fromiter(last.values(), dtype=np.int64,
-                           count=len(last))
-        order = np.argsort(ids)
-        return ids[order], seqs[order]
-
-    def _cluster_rows(self, cl: int):
-        """(vec_ids, unit matrix) of LIVE rows in one cluster."""
-        parts = []
-        base = os.path.join(mf.epoch_dir(self.root, self.m["epoch"]),
-                            "clusters", f"cluster-{cl:05d}.parquet")
-        if os.path.exists(base):
-            parts.append((0, pq.read_table(base)))
-        for d in self.m["deltas"]:
+    def __init__(self, root: str, m: dict):
+        self.base_dir = os.path.join(mf.epoch_dir(root, m["epoch"]),
+                                     "clusters")
+        deltas = m["deltas"]
+        # sequenced tombstones: each id's LAST tombstoning record
+        t_ids = [pq.read_table(d["tombstones"], columns=["vec_id"])
+                 ["vec_id"].to_numpy() for d in deltas]
+        t_seqs = [np.full(len(t), d["seq"], np.int64)
+                  for t, d in zip(t_ids, deltas)]
+        self.tomb_ids, last = _last_per_id(
+            np.concatenate([np.empty(0, np.int64), *t_ids]))
+        self.tomb_seqs = np.concatenate(
+            [np.empty(0, np.int64), *t_seqs])[last]
+        self.adds: dict[int, list] = {}
+        for d in deltas:
             t = pq.read_table(d["adds"])
-            t = t.filter(pa.compute.equal(t["cluster"], cl)) \
-                if t.num_rows else t
-            if t.num_rows:
-                parts.append((d["seq"], t.drop_columns(["cluster"])))
+            ids, mat = _emb_matrix(t)
+            cl = t["cluster"].to_numpy()
+            for c in np.unique(cl).tolist():
+                self.adds.setdefault(c, []).append(
+                    (d["seq"], ids[cl == c], mat[cl == c]))
+
+    def cluster(self, cl: int) -> tuple[np.ndarray, np.ndarray]:
+        """(vec_ids, matrix) of ``cl``'s live rows; no row → (0, 0)."""
+        parts = list(self.adds.get(cl, ()))
+        base = os.path.join(self.base_dir, f"cluster-{cl:05d}.parquet")
+        if os.path.exists(base):
+            parts.insert(0, (0, *_emb_matrix(pq.read_table(base))))
         ids_l, mat_l = [], []
-        ti, ts = self._tomb
-        for src, t in parts:
-            ids, mat = _read_vecs(t)
-            keep = mf.live_posting_mask(ids, src, ti, ts)
+        for src, ids, mat in parts:
+            keep = mf.live_posting_mask(ids, src, self.tomb_ids,
+                                        self.tomb_seqs)
             if keep.any():
                 ids_l.append(ids[keep])
                 mat_l.append(mat[keep])
@@ -244,15 +216,28 @@ class VectorSearcher:
             return np.empty(0, np.int64), np.empty((0, 0))
         return np.concatenate(ids_l), np.vstack(mat_l)
 
+
+class VectorSearcher:
+    """Cosine top-k over a published vector index: probe the
+    ``nprobe`` nearest centroids, read only those clusters' base file
+    + the delta adds routed to them, apply sequenced tombstones,
+    exact dot-product rank.  Stateful (manifest, centroids and the
+    delta log loaded once) — usable directly or inside a map_batches
+    actor pool."""
+
+    def __init__(self, root: str, epoch: str | None = None):
+        self.m = mf.load_manifest(root, epoch)
+        self.cents = np.asarray(self.m["centroids"], dtype=np.float64)
+        self._live = _LiveRows(root, self.m)
+
     def search(self, qvec, k: int = 10,
                nprobe: int = 4) -> list[tuple[int, float]]:
         q = np.asarray(qvec, dtype=np.float64)
         q = q / (np.linalg.norm(q) or 1.0)
         order = np.argsort(-(self.cents @ q))
-        probes = order[:max(1, min(nprobe, len(order)))]
         ids_l, sc_l = [], []
-        for cl in probes:
-            ids, mat = self._cluster_rows(int(cl))
+        for cl in order[:max(1, min(nprobe, len(order)))].tolist():
+            ids, mat = self._live.cluster(cl)
             if len(ids):
                 ids_l.append(ids)
                 sc_l.append(mat @ q)
@@ -266,62 +251,24 @@ class VectorSearcher:
 
 def _merge_clusters(root: str, m: dict, new_epoch: str) -> dict:
     """Per-cluster local merge of one manifest SNAPSHOT into
-    ``new_epoch``'s clusters dir.  Each delta adds file is read ONCE
-    and its rows grouped by cluster up front (the old per-cluster
-    ``_cluster_rows`` loop re-read every adds file once per cluster —
-    O(clusters × delta files) parquet reads).  Returns per-cluster
-    live counts."""
-    searcher = VectorSearcher.__new__(VectorSearcher)
-    searcher.root, searcher.m = root, m
-    ti, ts = searcher._tombstone_index()
-
-    clusters = {int(c) for c in m["cluster_counts"]}
-    # (seq, ids, mat) per cluster, one read per adds file
-    delta_by_cluster: dict[int, list] = {}
-    for d in m["deltas"]:
-        t = pq.read_table(d["adds"])
-        if not t.num_rows:
-            continue
-        cl_arr = t["cluster"].to_numpy(zero_copy_only=False)
-        ids, mat = _read_vecs(t.drop_columns(["cluster"]))
-        for cl in np.unique(cl_arr):
-            sel = cl_arr == cl
-            delta_by_cluster.setdefault(int(cl), []).append(
-                (d["seq"], ids[sel], mat[sel]))
-            clusters.add(int(cl))
-
+    ``new_epoch``'s clusters dir (each delta adds file read once, see
+    ``_LiveRows``).  Returns per-cluster live counts."""
+    live = _LiveRows(root, m)
     cdir = os.path.join(mf.epoch_dir(root, new_epoch), "clusters")
     os.makedirs(cdir, exist_ok=True)
     per_cluster = {}
-    for cl in sorted(clusters):
-        parts = []
-        base = os.path.join(mf.epoch_dir(root, m["epoch"]), "clusters",
-                            f"cluster-{cl:05d}.parquet")
-        if os.path.exists(base):
-            ids, mat = _read_vecs(pq.read_table(base))
-            parts.append((0, ids, mat))
-        parts.extend(delta_by_cluster.get(cl, ()))
-        ids_l, mat_l = [], []
-        for src, ids, mat in parts:
-            keep = mf.live_posting_mask(ids, src, ti, ts)
-            if keep.any():
-                ids_l.append(ids[keep])
-                mat_l.append(mat[keep])
-        dst = os.path.join(cdir, f"cluster-{cl:05d}.parquet")
-        if not ids_l:
+    for cl in sorted({int(c) for c in m["cluster_counts"]} | set(live.adds)):
+        ids, mat = live.cluster(cl)
+        if not len(ids):
             # a catch-up pass can kill EVERY row of a cluster file a
             # prior pass already wrote into the new dir — leaving it
             # would resurrect those rows (the new epoch carries no
             # tombstones)
+            dst = os.path.join(cdir, f"cluster-{cl:05d}.parquet")
             if os.path.exists(dst):
                 os.remove(dst)
             continue
-        ids = np.concatenate(ids_l)
-        mat = np.vstack(mat_l)
-        order = np.argsort(ids, kind="stable")
-        tmp = dst + f".tmp.{os.getpid()}"
-        pq.write_table(_cluster_table(ids[order], mat[order]), tmp)
-        os.replace(tmp, dst)
+        _write_cluster(cdir, cl, ids, mat)
         per_cluster[cl] = int(len(ids))
     return per_cluster
 

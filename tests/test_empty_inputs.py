@@ -1,4 +1,5 @@
-"""Every relational and text query answers zero-row and tiny inputs.
+"""Every relational, text and vector query answers zero-row and tiny
+inputs.
 
 Each ``relational.QUERIES`` name runs on zero-row copies of the sf0.001
 tables (same schemas) and must equal its DuckDB oracle on the same
@@ -8,7 +9,10 @@ A crafted two-row lineitem checks Q14's inner join with part.  Each
 ``text.QUERIES`` name runs on a zero-row ``documents`` table and on a
 6-doc corpus of texts of at most 3 tokens (no passage, no shingle
 window, no foreground term): it must equal its oracle when it has
-one, and return without raising when it is rows-only.
+one, and return without raising when it is rows-only.  Each
+``vector.QUERIES`` name runs the same way on a zero-row ``embeddings``
+table and on its first 3 vectors (fewer vectors than IVF clusters,
+near-dup assignments or the top-k).
 """
 
 import duckdb
@@ -17,7 +21,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from mee_ray.pipelines import relational, text
+from mee_ray.pipelines import relational, text, vector
 from test_pipelines import SF, TABLES, _canon, _to_pandas
 
 
@@ -92,6 +96,34 @@ def test_text_query_on_small_corpus(ray_session, docs_sfs, kind, name):
     con.execute(f"CREATE VIEW documents AS SELECT * FROM "
                 f"'{sf}/documents.parquet'")
     _assert_matches(res, con.execute(text.ORACLE[name]).df())
+
+
+@pytest.fixture(scope="session")
+def emb_sfs(tmp_path_factory):
+    """{"empty": dir, "three": dir}, each with one embeddings.parquet
+    of the sf0.001 schema: zero rows, and the first 3 vectors."""
+    t = pq.read_table(f"{SF}/embeddings.parquet")
+    out = {}
+    for kind, rows in (("empty", t.schema.empty_table()),
+                       ("three", t.slice(0, 3))):
+        d = tmp_path_factory.mktemp(f"emb_{kind}")
+        pq.write_table(rows, str(d / "embeddings.parquet"))
+        out[kind] = str(d)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["empty", "three"])
+@pytest.mark.parametrize("name", sorted(vector.QUERIES))
+def test_vector_query_on_small_table(ray_session, emb_sfs, kind, name):
+    sf = emb_sfs[kind]
+    res = vector.QUERIES[name](sf)
+    if name not in vector.ORACLE:
+        _to_pandas(res)
+        return
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW embeddings AS SELECT * FROM "
+                f"'{sf}/embeddings.parquet'")
+    _assert_matches(res, con.execute(vector.ORACLE[name]).df())
 
 
 @pytest.mark.parametrize("n_dangling", [1, 2])

@@ -411,7 +411,7 @@ def test_embedding_neardup_exactness(entry_mod, ray_session):
     """Every reported pair's cosine really is ≥ τ (checked directly)."""
     import pyarrow.parquet as pq
     from mee_ray.pipelines.vector import _emb_matrix, _unit, embedding_neardup
-    out = embedding_neardup(SF, threshold=0.35).to_pandas()
+    out = embedding_neardup(SF).to_pandas()
     t = pq.read_table(f"{SF}/embeddings.parquet", columns=["vec_id", "embedding"])
     ids, mat = _emb_matrix(t)
     u = _unit(mat)
@@ -531,7 +531,7 @@ def test_embedding_neardup_recall_floor(entry_mod, ray_session):
     iu = np.triu_indices(len(ids), k=1)
     mask = sims[iu] >= 0.35
     brute = set(zip(ids[iu[0][mask]].tolist(), ids[iu[1][mask]].tolist()))
-    got = embedding_neardup(SF, threshold=0.35).to_pandas()
+    got = embedding_neardup(SF).to_pandas()
     found = set(zip(got.a, got.b)) & brute
     assert len(found) / max(1, len(brute)) >= 0.9
 
@@ -793,12 +793,13 @@ def test_quantile_sketch_rank_error_bound(entry_mod, ducks, ray_session):
                 (row.event_type, q, est, rank, n)
 
 
-def test_knn_filtered_absent_label_is_empty(ray_session):
+def test_knn_filtered_absent_label_is_empty(ray_session, monkeypatch):
     """A filter label matching NO vectors must return an empty result,
     not crash in pa.concat_tables([]) on the driver merge."""
-    from mee_ray.pipelines.vector import knn_filtered
+    from mee_ray.pipelines import vector
 
-    out = knn_filtered("/root/testdata/sf0.001", label=10_000)
+    monkeypatch.setattr(vector, "FILTER_LABEL", 10_000)
+    out = vector.knn_filtered("/root/testdata/sf0.001")
     assert out.num_rows == 0
     assert out.column_names == ["query_id", "rank", "neighbor_id"]
 
