@@ -30,6 +30,17 @@ Scale shape (the 100-TB lens):
   (count, xor-of-hashes) pair of int64s per round.
 * ``materialize()`` between rounds is REQUIRED, not a smell: the next
   round's input must not re-execute the previous rounds' lineage.
+
+Adding a query: state only its own rule and take each mechanic from
+one helper — ``stages.read`` (every scan), ``stages.by_bucket`` over
+``_N_BUCKETS`` groups (every shuffle: star rounds, pair dedup, gram
+co-location, pagerank's per-src edges), ``_runs`` (the run starts of
+sorted keys, shared by both star rounds, the gram stars and the
+out-weights), ``gramhash.unique_rows`` (sort-and-dedupe),
+``_clusters_with_singletons`` (a broadcast ``ids.positions_in_sorted``
+probe of the cluster map over an id scan), ``stages.hash_join``,
+``stages.fold`` and ``stages.collect``; then add the name to
+``QUERIES`` (and ``ORACLE`` when SQL can check it).
 """
 
 from __future__ import annotations
@@ -38,20 +49,16 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from mee_ray.pipelines.gramhash import unique_rows
+from mee_ray import stages
+from mee_ray.ids import positions_in_sorted
+from mee_ray.pipelines.gramhash import (gram_hash64, mix64, token_hash64,
+                                        tokenize_flat, unique_rows)
 
 _N_BUCKETS = 64
-_EDGE_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
-# multiplicative mix for the bucket/probe hashes (splitmix64 constant)
-_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    # single definition lives in gramhash (review finding r4#8 —
-    # two hand-synced copies of the finalizer risked silent bucket
-    # divergence); this alias keeps the historical local name
-    from mee_ray.pipelines.gramhash import mix64
-    return mix64(x)
+def _np(col) -> np.ndarray:
+    return col.to_numpy(zero_copy_only=False)
 
 
 def _edges_table(a: np.ndarray, b: np.ndarray) -> pa.Table:
@@ -59,96 +66,70 @@ def _edges_table(a: np.ndarray, b: np.ndarray) -> pa.Table:
                      "b": pa.array(b.astype(np.int64), pa.int64())})
 
 
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(start of each run, run id of each row) of the runs of equal
+    values in the sorted ``keys``."""
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return np.flatnonzero(new), np.cumsum(new) - 1
+
+
+def _star_round(edges, star):
+    """One star round: the ``(u, v)`` rows bucketed by u, and every
+    node of a bucket resolved by ``star(u, v, *_runs(u))`` over the
+    rows sorted by (u, v)."""
+    def of_group(g: pa.Table) -> pa.Table:
+        u, v = _np(g["u"]), _np(g["v"])
+        order = np.lexsort((v, u))
+        u, v = u[order], v[order]
+        return star(u, v, *_runs(u))
+    return stages.by_bucket(edges, "u", of_group, _N_BUCKETS)
+
+
 def _large_star(edges):
     """One Large-Star round: for every node u, connect each LARGER
     neighbor v to m(u) = min(neighbors(u) + {u}).
 
     Input/output edges are canonical (a < b).  The symmetric view
-    (both directions of every edge) is materialized per batch in the
-    bucket mapper; each bucket group then resolves all of its nodes in
-    one vectorized pass."""
-
+    (both directions of every edge) is materialized per batch; each
+    bucket group then resolves all of its nodes in one vectorized
+    pass."""
     def to_sym(t: pa.Table) -> pa.Table:
-        a = t["a"].to_numpy(zero_copy_only=False)
-        b = t["b"].to_numpy(zero_copy_only=False)
-        u = np.concatenate([a, b])
-        v = np.concatenate([b, a])
-        bucket = (_mix64(u) % np.uint64(_N_BUCKETS)).astype(np.int32)
-        return pa.table({"bucket": pa.array(bucket),
-                         "u": pa.array(u, pa.int64()),
-                         "v": pa.array(v, pa.int64())})
+        a, b = _np(t["a"]), _np(t["b"])
+        return pa.table({"u": pa.array(np.concatenate([a, b]), pa.int64()),
+                         "v": pa.array(np.concatenate([b, a]), pa.int64())})
 
-    def star_of_group(g: pa.Table) -> pa.Table:
-        u = g["u"].to_numpy(zero_copy_only=False)
-        v = g["v"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
-        seg_min = np.minimum(np.minimum.reduceat(v, starts), u[starts])
-        # repeat each segment's m across its rows, keep rows v > u
-        seg_id = np.cumsum(np.r_[False, u[1:] != u[:-1]])
-        m = seg_min[seg_id]
+    def star(u, v, starts, run):
+        m = np.minimum(np.minimum.reduceat(v, starts), u[starts])[run]
         keep = v > u
         return _edges_table(m[keep], v[keep])
 
-    return (edges.map_batches(to_sym, batch_format="pyarrow",
-                              zero_copy_batch=True)
-            .groupby("bucket")
-            .map_groups(star_of_group, batch_format="pyarrow"))
+    return _star_round(edges.map_batches(to_sym, batch_format="pyarrow",
+                                         zero_copy_batch=True), star)
 
 
 def _small_star(edges):
     """One Small-Star round: orient every edge (a < b) toward its
     larger endpoint b; for each b connect all smaller neighbors (and b
     itself) to their minimum."""
-
-    def to_bucketed(t: pa.Table) -> pa.Table:
-        b = t["b"].to_numpy(zero_copy_only=False)
-        bucket = (_mix64(b) % np.uint64(_N_BUCKETS)).astype(np.int32)
-        return pa.table({"bucket": pa.array(bucket),
-                         "u": t["b"], "v": t["a"]})
-
-    def star_of_group(g: pa.Table) -> pa.Table:
-        u = g["u"].to_numpy(zero_copy_only=False)   # larger endpoint
-        v = g["v"].to_numpy(zero_copy_only=False)   # smaller neighbors
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
-        seg_min = np.minimum.reduceat(v, starts)    # all v < u already
-        seg_id = np.cumsum(np.r_[False, u[1:] != u[:-1]])
-        m = seg_min[seg_id]
+    def star(u, v, starts, run):
+        seg_min = np.minimum.reduceat(v, starts)     # all v < u already
+        m = seg_min[run]
         keep = v > m                                 # (m, v) for v != m
-        out_a = np.concatenate([m[keep], seg_min])
-        out_b = np.concatenate([v[keep], u[starts]])  # plus (m, u)
-        return _edges_table(*unique_rows(out_a, out_b))
+        return _edges_table(*unique_rows(
+            np.concatenate([m[keep], seg_min]),
+            np.concatenate([v[keep], u[starts]])))   # plus (m, u)
 
-    return (edges.map_batches(to_bucketed, batch_format="pyarrow",
-                              zero_copy_batch=True)
-            .groupby("bucket")
-            .map_groups(star_of_group, batch_format="pyarrow"))
+    return _star_round(edges.rename_columns({"b": "u", "a": "v"}), star)
 
 
 def _global_dedup(edges):
-    """Exact global pair dedup: same pair always hashes to the same
-    bucket, so a per-bucket sort-dedupe is globally exact."""
-
-    def to_bucketed(t: pa.Table) -> pa.Table:
-        a = t["a"].to_numpy(zero_copy_only=False)
-        b = t["b"].to_numpy(zero_copy_only=False)
-        bucket = (_mix64(_mix64(a) ^ np.uint64(3) * _mix64(b))
-                  % np.uint64(_N_BUCKETS)).astype(np.int32)
-        return pa.table({"bucket": pa.array(bucket),
-                         "a": t["a"], "b": t["b"]})
-
-    def dedup_group(g: pa.Table) -> pa.Table:
-        a = g["a"].to_numpy(zero_copy_only=False)
-        b = g["b"].to_numpy(zero_copy_only=False)
-        return _edges_table(*unique_rows(a, b))
-
-    return (edges.map_batches(to_bucketed, batch_format="pyarrow",
-                              zero_copy_batch=True)
-            .groupby("bucket")
-            .map_groups(dedup_group, batch_format="pyarrow"))
+    """Exact global pair dedup: the same pair always lands in the
+    bucket of its ``b``, so a per-bucket sort-dedupe is globally
+    exact."""
+    return stages.by_bucket(
+        edges, "b", lambda g: _edges_table(*unique_rows(
+            _np(g["a"]), _np(g["b"]))), _N_BUCKETS)
 
 
 def _probe(edges) -> tuple[int, int]:
@@ -157,11 +138,9 @@ def _probe(edges) -> tuple[int, int]:
     folds one small row per block."""
 
     def partial(t: pa.Table) -> pa.Table:
-        a = t["a"].to_numpy(zero_copy_only=False)
-        b = t["b"].to_numpy(zero_copy_only=False)
-        h = _mix64(_mix64(a) + np.uint64(7) * _mix64(b))
+        h = mix64(mix64(_np(t["a"])) + np.uint64(7) * mix64(_np(t["b"])))
         x = np.bitwise_xor.reduce(h) if len(h) else np.uint64(0)
-        return pa.table({"n": pa.array([len(a)], pa.int64()),
+        return pa.table({"n": pa.array([len(h)], pa.int64()),
                          "x": pa.array([int(x)], pa.uint64())})
 
     n, x = 0, 0
@@ -181,8 +160,8 @@ def connected_components(edges, max_iters: int = 50) -> pa.Table:
     and duplicates irrelevant; self-loops ignored).  Returns a
     pa.Table (node, root) covering every node that appears in an edge,
     root = the component's minimum node id.  Nodes absent from the
-    edge set are singletons — callers union those in themselves
-    (see :func:`neardup_gram_clusters` for the bucketed-join pattern).
+    edge set are singletons — callers add those themselves
+    (:func:`_clusters_with_singletons`).
 
     The RESULT is materialized (one row per clustered node — the
     deliverable of the computation, bounded by the duplicate count,
@@ -190,38 +169,26 @@ def connected_components(edges, max_iters: int = 50) -> pa.Table:
     """
 
     def drop_self(t: pa.Table) -> pa.Table:
-        a = t["a"].to_numpy(zero_copy_only=False)
-        b = t["b"].to_numpy(zero_copy_only=False)
+        a, b = _np(t["a"]), _np(t["b"])
         keep = a != b
-        lo = np.minimum(a[keep], b[keep])
-        hi = np.maximum(a[keep], b[keep])
-        return _edges_table(lo, hi)
+        return _edges_table(np.minimum(a[keep], b[keep]),
+                            np.maximum(a[keep], b[keep]))
 
     cur = _global_dedup(
         edges.map_batches(drop_self, batch_format="pyarrow",
                           zero_copy_batch=True)).materialize()
-    prev = _probe(cur)
-    if prev[0] == 0:
-        return pa.Table.from_pylist(
-            [], schema=pa.schema([("node", pa.int64()),
-                                  ("root", pa.int64())]))
-    for _ in range(max_iters):
+    prev, sig, rounds = None, _probe(cur), 0
+    while sig[0] and sig != prev:
+        if rounds == max_iters:
+            raise RuntimeError(f"connected_components: no convergence "
+                               f"in {max_iters} rounds")
         cur = _global_dedup(_small_star(_large_star(cur))).materialize()
-        sig = _probe(cur)
-        if sig == prev:
-            break
-        prev = sig
-    else:
-        raise RuntimeError(
-            f"connected_components: no convergence in {max_iters} rounds")
+        prev, sig, rounds = sig, _probe(cur), rounds + 1
 
     # converged star forest: every edge is (root, node); roots map to
     # themselves
-    parts = [t for t in cur.iter_batches(batch_format="pyarrow")]
-    t = pa.concat_tables(parts) if parts else _edges_table(
-        np.empty(0, np.int64), np.empty(0, np.int64))
-    a = t["a"].to_numpy(zero_copy_only=False)
-    b = t["b"].to_numpy(zero_copy_only=False)
+    t = stages.collect(cur, "a b")
+    a, b = _np(t["a"]), _np(t["b"])
     roots = np.unique(a)
     node = np.concatenate([b, roots])
     root = np.concatenate([a, roots])
@@ -236,9 +203,9 @@ def connected_components(edges, max_iters: int = 50) -> pa.Table:
 def gram_dup_edges(sf_dir: str, n: int = 8, max_df: int = 50):
     """Candidate edges over the full documents table — see
     :func:`gram_dup_edges_ds` (this just binds the source)."""
-    from mee_ray.pipelines.text import _read_docs
-    return gram_dup_edges_ds(_read_docs(sf_dir, ["doc_id", "text"]),
-                             n=n, max_df=max_df)
+    return gram_dup_edges_ds(
+        stages.read(sf_dir, "documents", ["doc_id", "text"]),
+        n=n, max_df=max_df)
 
 
 def gram_dup_edges_ds(docs, n: int = 8, max_df: int = 50):
@@ -268,39 +235,23 @@ def gram_dup_edges_ds(docs, n: int = 8, max_df: int = 50):
     that test_gramhash.py still asserts bit-identity against."""
 
     def explode_hashed(t: pa.Table) -> pa.Table:
-        from mee_ray.pipelines.gramhash import (gram_hash64,
-                                                token_hash64,
-                                                tokenize_flat)
         flat, _, lens = tokenize_flat(t["text"], mode="space")
-        th = token_hash64(flat)
-        didx, _, g = gram_hash64(th, lens, n)
-        dids = t["doc_id"].to_numpy(zero_copy_only=False)
-        d, g = unique_rows(dids[didx], g)    # per-doc distinct grams
-        bucket = (_mix64(g) % np.uint64(_N_BUCKETS)).astype(np.int32)
-        return pa.table({"bucket": pa.array(bucket),
-                         "g": pa.array(g, pa.int64()),
+        didx, _, g = gram_hash64(token_hash64(flat), lens, n)
+        d, g = unique_rows(_np(t["doc_id"])[didx], g)   # per-doc distinct
+        return pa.table({"g": pa.array(g, pa.int64()),
                          "doc_id": pa.array(d, pa.int64())})
 
     def star_edges(t: pa.Table, cap: int = max_df) -> pa.Table:
-        g = t["g"].to_numpy(zero_copy_only=False)
-        d = t["doc_id"].to_numpy(zero_copy_only=False)
-        g, d = unique_rows(g, d)      # distinct (gram, doc)
-        if len(g) == 0:
-            return pa.Table.from_pylist([], schema=_EDGE_SCHEMA)
-        starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
-        sizes = np.diff(np.r_[starts, len(g)])
-        seg_id = np.cumsum(np.r_[False, g[1:] != g[:-1]])
-        seg_min = d[starts]             # d sorted within each gram
-        keep = (sizes[seg_id] >= 2) & (sizes[seg_id] <= cap) \
-            & (d != seg_min[seg_id])
-        return _edges_table(seg_min[seg_id][keep], d[keep])
+        g, d = unique_rows(_np(t["g"]), _np(t["doc_id"]))  # distinct
+        starts, run = _runs(g)
+        sizes = np.diff(np.r_[starts, len(g)])[run]
+        seg_min = d[starts][run]          # d sorted within each gram
+        keep = (sizes >= 2) & (sizes <= cap) & (d != seg_min)
+        return _edges_table(seg_min[keep], d[keep])
 
-    return (docs
-            .map_batches(explode_hashed,
-                         batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("bucket")
-            .map_groups(star_edges, batch_format="pyarrow"))
+    return stages.by_bucket(
+        docs.map_batches(explode_hashed, batch_format="pyarrow",
+                         zero_copy_batch=True), "g", star_edges, _N_BUCKETS)
 
 
 # ------------------------------------------------- driver queries
@@ -310,67 +261,29 @@ def _clusters_with_singletons(sf_dir: str, cc: pa.Table,
                               id_source=None,
                               id_col: str = "doc_id") -> pa.Table:
     """(id, root) for EVERY row of the id table: clustered nodes get
-    their component root, the rest map to themselves.  One bucketed
-    groupby joins the (small) cluster mapping to the (large) id scan —
-    no corpus-sized broadcast.  ``id_source``/``id_col`` override the
-    default documents table (e.g. the embeddings table's vec_id)."""
-    import ray.data
+    their component root, the rest map to themselves.  The cluster
+    mapping ``cc`` (node-sorted, bounded by the duplicate count) is
+    broadcast once and probed by every batch of the id scan — no
+    shuffle.  ``id_source``/``id_col`` override the default documents
+    table (e.g. the embeddings table's vec_id)."""
+    import ray
 
-    from mee_ray.pipelines.text import _read_docs
+    ref = ray.put((_np(cc["node"]), _np(cc["root"])))
+    ids = (id_source if id_source is not None
+           else stages.read(sf_dir, "documents", [id_col]))
 
-    def tag_docs(t: pa.Table) -> pa.Table:
-        d = t[id_col].to_numpy(zero_copy_only=False)
-        bucket = (_mix64(d) % np.uint64(_N_BUCKETS)).astype(np.int32)
-        return pa.table({"bucket": pa.array(bucket),
-                         "doc_id": pa.array(d, pa.int64()),
-                         "root": pa.array(
-                             np.full(len(d), -1, dtype=np.int64)),
-                         "is_map": pa.array(
-                             np.zeros(len(d), dtype=np.int8))})
+    def resolve(t: pa.Table) -> pa.Table:
+        node, root = ray.get(ref)
+        d = _np(t[id_col])
+        pos, hit = positions_in_sorted(d, node)
+        r = d.copy()
+        r[hit] = root[pos[hit]]
+        return pa.table({id_col: pa.array(d, pa.int64()),
+                         "root": pa.array(r, pa.int64())})
 
-    def tag_map(t: pa.Table) -> pa.Table:
-        d = t["node"].to_numpy(zero_copy_only=False)
-        bucket = (_mix64(d) % np.uint64(_N_BUCKETS)).astype(np.int32)
-        return pa.table({"bucket": pa.array(bucket),
-                         "doc_id": pa.array(d, pa.int64()),
-                         "root": t["root"],
-                         "is_map": pa.array(
-                             np.ones(len(d), dtype=np.int8))})
-
-    def resolve(g: pa.Table) -> pa.Table:
-        d = g["doc_id"].to_numpy(zero_copy_only=False)
-        r = g["root"].to_numpy(zero_copy_only=False)
-        is_map = g["is_map"].to_numpy(zero_copy_only=False).astype(bool)
-        mk, mv = d[is_map], r[is_map]
-        order = np.argsort(mk, kind="stable")
-        mk, mv = mk[order], mv[order]
-        dd = d[~is_map]
-        root = dd.copy()
-        if len(mk):
-            pos = np.searchsorted(mk, dd)
-            pos_c = np.clip(pos, 0, len(mk) - 1)
-            hit = mk[pos_c] == dd
-            root[hit] = mv[pos_c[hit]]
-        return pa.table({"doc_id": pa.array(dd, pa.int64()),
-                         "root": pa.array(root, pa.int64())})
-
-    ids_ds = (id_source if id_source is not None
-              else _read_docs(sf_dir, ["doc_id"]))
-    docs_side = ids_ds.map_batches(
-        tag_docs, batch_format="pyarrow", zero_copy_batch=True)
-    map_side = ray.data.from_arrow(cc).map_batches(
-        tag_map, batch_format="pyarrow")
-    both = docs_side.union(map_side)
-    parts = list(both.groupby("bucket")
-                 .map_groups(resolve, batch_format="pyarrow")
-                 .iter_batches(batch_format="pyarrow"))
-    out = pa.concat_tables(parts) if parts else pa.table(
-        {"doc_id": pa.array([], pa.int64()),
-         "root": pa.array([], pa.int64())})
-    out = out.sort_by("doc_id")
-    if id_col != "doc_id":
-        out = out.rename_columns([id_col, "root"])
-    return out
+    return stages.collect(
+        ids.map_batches(resolve, batch_format="pyarrow"),
+        f"{id_col} root").sort_by(id_col)
 
 
 def neardup_gram_clusters(sf_dir: str) -> pa.Table:
@@ -388,10 +301,7 @@ def neardup_representatives(sf_dir: str) -> pa.Table:
     doc_id) per near-dup cluster + all singletons — i.e. the rows a
     dedup stage would feed to training."""
     t = neardup_gram_clusters(sf_dir)
-    d = t["doc_id"].to_numpy(zero_copy_only=False)
-    r = t["root"].to_numpy(zero_copy_only=False)
-    keep = d == r
-    return pa.table({"doc_id": pa.array(d[keep], pa.int64())})
+    return t.filter(pc.equal(t["doc_id"], t["root"])).select(["doc_id"])
 
 
 def embedding_neardup_clusters(sf_dir: str) -> pa.Table:
@@ -408,19 +318,16 @@ def embedding_neardup_clusters(sf_dir: str) -> pa.Table:
     edges = (ray.data.from_arrow(pairs.select(["a", "b"]))
              if isinstance(pairs, pa.Table)
              else pairs.select_columns(["a", "b"]))
-    cc = connected_components(edges)
-    emb_ids = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                                    columns=["vec_id"])
-    return _clusters_with_singletons(sf_dir, cc, id_source=emb_ids,
-                                     id_col="vec_id")
+    return _clusters_with_singletons(
+        sf_dir, connected_components(edges),
+        id_source=stages.read(sf_dir, "embeddings", ["vec_id"]),
+        id_col="vec_id")
 
 
 def minhash_neardup_clusters(sf_dir: str) -> pa.Table:
     """Cluster assignment over the MinHash-LSH verified pair set (the
     probabilistic edge rule; rows-only driver check — the pair
     generator is verified against a brute-force oracle in tests)."""
-    import ray.data
-
     from mee_ray.pipelines.text import minhash_lsh_candidates
     pairs = minhash_lsh_candidates(sf_dir)      # Dataset (distributed verify)
     cc = connected_components(pairs.select_columns(["a", "b"]))
@@ -503,52 +410,46 @@ def pagerank_users(sf_dir: str, iters: int = _PR_ITERS) -> pa.Table:
     tree.  Dangling mass is dropped (the standard simplification),
     documented here and mirrored by the oracle.
 
-    Distribution: edge weights, the out-weight denominator and the
-    join tag are all finalized inside ONE bucketed groupby — the
-    bucket is mix64(src) % {_N_BUCKETS}, so every row of a src lands
-    in the same group and the (src,dst)→w merge and per-src wout sum
-    are group-local (per-batch combiner before the exchange).  The
-    per-iteration rank⋈edge uses the repo's bucketed union-groupby
-    join (co-partition + vectorized searchsorted inside map_groups —
-    the minhash-attach idiom; Ray Data's native join operator
-    currently trips over the empty schema-less blocks aggregate
-    stages emit), contributions reduce with per-bucket int64 partials
-    before the groupby; ranks re-materialize each round (the
-    connected_components lineage-cut pattern).  Edge generation is
-    HOT-TYPE SAFE: the stream groups by (event_type, DAY) — day is
-    monotone in ts, so per-day sorts plus a tiny cross-day boundary
-    stitch (one row per slice, linked per type in a second
-    ≤types×days-row groupby) reproduce the whole-type ordering
-    exactly while no task ever sorts a full type's stream
+    Distribution: edge weights and the out-weight denominator are
+    finalized inside ONE bucketed shuffle on src (``stages.by_bucket``),
+    so every row of a src lands in the same group and the (src,dst)→w
+    merge and per-src wout sum are group-local (per-batch combiner
+    before the exchange).  Each iteration is one ``stages.hash_join``
+    of the edges with the ranks on src, a per-batch contribution map,
+    and one ``stages.fold`` of the contributions per dst; ranks
+    re-materialize each round (the connected_components lineage-cut
+    pattern).  Edge generation is HOT-TYPE SAFE: the stream groups by
+    (event_type, DAY) — day is monotone in ts, so per-day sorts plus a
+    tiny cross-day boundary stitch (one row per slice, linked per type
+    in a second ≤types×days-row groupby) reproduce the whole-type
+    ordering exactly while no task ever sorts a full type's stream
     (test_cluster.py::test_pagerank_hot_type_day_split)."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type", "ts", "event_id",
-                                        "user_id"])
-
-    def _bucket_of(key: np.ndarray) -> np.ndarray:
-        return (_mix64(key) % np.uint64(_N_BUCKETS)).astype(np.int32)
-
+    ev = stages.read(sf_dir, "events",
+                     ["event_type", "ts", "event_id", "user_id"])
     _DAY_US = 86_400_000_000
 
     def add_day(t: pa.Table) -> pa.Table:
-        d = (t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-             // _DAY_US)
+        d = _np(t["ts"].cast(pa.int64())) // _DAY_US
         return t.append_column("day", pa.array(d, pa.int64()))
 
-    def _pair_rows(etype, day, side, src, dst, w) -> pa.Table:
+    def _pair_rows(src, dst, w, side=0, etype="", day=0) -> pa.Table:
         n = len(src)
         return pa.table({
-            "etype": pa.array(etype, pa.string()),
-            "day": pa.array(day, pa.int64()),
+            "etype": pa.array([etype] * n, pa.string()),
+            "day": pa.array(np.full(n, day, np.int64)),
             "side": pa.array(np.full(n, side, np.int8)),
             "src": pa.array(src, pa.int64()),
             "dst": pa.array(dst, pa.int64()),
-            "w_part": pa.array(w, pa.int64()),
-            "bucket": pa.array(_bucket_of(np.asarray(src, np.int64)),
-                               pa.int32())})
+            "w_part": pa.array(w, pa.int64())})
+
+    def links(src: np.ndarray, dst: np.ndarray) -> pa.Table:
+        """The pair rows of the links src[i] → dst[i]: self-loops
+        dropped, duplicate (src, dst) counted."""
+        keep = src != dst
+        t = (pa.table({"src": pa.array(src[keep], pa.int64()),
+                       "dst": pa.array(dst[keep], pa.int64())})
+             .group_by(["src", "dst"]).aggregate([([], "count_all")]))
+        return _pair_rows(_np(t["src"]), _np(t["dst"]), _np(t["count_all"]))
 
     def pairs(g: pa.Table) -> pa.Table:
         """One (event_type, DAY) slice — the hot-type split: a type's
@@ -558,95 +459,33 @@ def pagerank_users(sf_dir: str, iters: int = _PR_ITERS) -> pa.Table:
         Emits intra-day succession pairs pre-combined (side 0) plus
         ONE boundary row (side 1) carrying the slice's first (dst)
         and last (src) user for the cross-day stitch."""
-        ts = g["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
-        uid = g["user_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts))
-        u = uid[order]
-        src, dst = u[:-1], u[1:]
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        # per-batch combiner: merge duplicate (src,dst) before the
-        # exchange, tag with the src bucket
-        t = (pa.table({"src": pa.array(src, pa.int64()),
-                       "dst": pa.array(dst, pa.int64())})
-             .group_by(["src", "dst"]).aggregate([([], "count_all")])
-             .rename_columns(["src", "dst", "w_part"]))
-        intra = _pair_rows(
-            [""] * len(t), np.zeros(len(t), np.int64), 0,
-            t["src"].to_numpy(zero_copy_only=False),
-            t["dst"].to_numpy(zero_copy_only=False),
-            t["w_part"].to_numpy(zero_copy_only=False))
-        bound = _pair_rows(
-            [g["event_type"][0].as_py()],
-            np.array([g["day"][0].as_py()], np.int64), 1,
-            np.array([u[-1]], np.int64),      # slice's LAST user
-            np.array([u[0]], np.int64),       # slice's FIRST user
-            np.ones(1, np.int64))
-        return pa.concat_tables([intra, bound])
+        u = _np(g["user_id"])[np.lexsort((_np(g["event_id"]),
+                                          _np(g["ts"].cast(pa.int64()))))]
+        return pa.concat_tables([links(u[:-1], u[1:]), _pair_rows(
+            [u[-1]], [u[0]], [1], 1, g["event_type"][0].as_py(),
+            g["day"][0].as_py())])
 
     def stitch(g: pa.Table) -> pa.Table:
         """One event_type's boundary rows (≤ one per day — tiny):
         link each day's last user to the next present day's first
-        user, self-loops dropped, duplicates combined — exactly the
-        pairs a whole-type sort would have formed across the cuts."""
-        order = np.argsort(g["day"].to_numpy(zero_copy_only=False),
-                           kind="stable")
-        last = g["src"].to_numpy(zero_copy_only=False)[order]
-        first = g["dst"].to_numpy(zero_copy_only=False)[order]
-        src, dst = last[:-1], first[1:]
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-        t = (pa.table({"src": pa.array(src, pa.int64()),
-                       "dst": pa.array(dst, pa.int64())})
-             .group_by(["src", "dst"]).aggregate([([], "count_all")])
-             .rename_columns(["src", "dst", "w_part"]))
-        return _pair_rows(
-            [""] * len(t), np.zeros(len(t), np.int64), 0,
-            t["src"].to_numpy(zero_copy_only=False),
-            t["dst"].to_numpy(zero_copy_only=False),
-            t["w_part"].to_numpy(zero_copy_only=False))
-
-    # union-row schema for the bucketed joins:
-    # (bucket, key, dst, w, aux, side) — side 0 = edge, 1 = lookup
-    def _row_table(bucket, key, dst, w, aux, side):
-        n = len(key)
-        return pa.table({
-            "bucket": pa.array(bucket, pa.int32()),
-            "key": pa.array(key, pa.int64()),
-            "dst": pa.array(dst if dst is not None
-                            else np.zeros(n, np.int64), pa.int64()),
-            "w": pa.array(w if w is not None
-                          else np.zeros(n, np.int64), pa.int64()),
-            "aux": pa.array(aux, pa.int64()),
-            "side": pa.array(np.full(n, side, np.int8))})
-
-    def tag_lookup(key_col: str, aux_col: str):
-        def f(t: pa.Table) -> pa.Table:
-            k = t[key_col].to_numpy(zero_copy_only=False)
-            return _row_table(_bucket_of(k), k, None, None,
-                              t[aux_col].to_numpy(zero_copy_only=False),
-                              1)
-        return f
+        user — exactly the pairs a whole-type sort would have formed
+        across the cuts."""
+        order = np.argsort(_np(g["day"]), kind="stable")
+        last, first = _np(g["src"])[order], _np(g["dst"])[order]
+        return links(last[:-1], first[1:])
 
     def edge_rows(g: pa.Table) -> pa.Table:
         """One src-bucket: merge (src,dst) partial weights, compute
         each src's out-weight (group-local — the bucket owns ALL rows
-        of its srcs), emit join-tagged edge rows (wout in aux)."""
-        g = (g.select(["src", "dst", "w_part"]).combine_chunks()
-             .group_by(["src", "dst"]).aggregate([("w_part", "sum")]))
-        src = g["src"].to_numpy(zero_copy_only=False)
-        w = g["w_part_sum"].to_numpy(zero_copy_only=False)
-        order = np.argsort(src, kind="stable")
-        ssrc, sw = src[order], w[order]
-        uniq, idx = np.unique(ssrc, return_index=True)
-        sums = np.add.reduceat(sw, idx) if len(sw) else sw
-        wout = np.empty(len(src), np.int64)
-        wout[order] = np.repeat(
-            sums, np.diff(np.append(idx, len(ssrc))))
-        return _row_table(_bucket_of(src), src,
-                          g["dst"].to_numpy(zero_copy_only=False),
-                          w, wout, 0)
+        of its srcs)."""
+        g = (g.group_by(["src", "dst"]).aggregate([("w_part", "sum")])
+             .sort_by("src"))
+        w = _np(g["w_part_sum"])
+        starts, run = _runs(_np(g["src"]))
+        return pa.table({"src": g["src"], "dst": g["dst"],
+                         "w": pa.array(w, pa.int64()),
+                         "wout": pa.array(np.add.reduceat(w, starts)[run]
+                                          if len(w) else w, pa.int64())})
 
     # edge rows with the out-weight denominator attached.  The pair
     # stream is pre-combined per (type, day) slice and materialized
@@ -657,98 +496,53 @@ def pagerank_users(sf_dir: str, iters: int = _PR_ITERS) -> pa.Table:
               .groupby(["event_type", "day"])
               .map_groups(pairs, batch_format="pyarrow")
               .materialize())
-    intra = slices.map_batches(
-        lambda t: t.filter(pc.equal(t["side"], 0)),
-        batch_format="pyarrow", zero_copy_batch=True)
-    stitched = (slices.map_batches(
-        lambda t: t.filter(pc.equal(t["side"], 1)),
-        batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("etype")
-        .map_groups(stitch, batch_format="pyarrow"))
-    ew_tagged = (intra.union(stitched)
-                 .groupby("bucket")
-                 .map_groups(edge_rows, batch_format="pyarrow")
-                 .materialize())
+
+    def side(k: int):
+        return slices.map_batches(lambda t: t.filter(pc.equal(t["side"], k)),
+                                  batch_format="pyarrow",
+                                  zero_copy_batch=True)
+    edges = stages.by_bucket(
+        side(0).union(side(1).groupby("etype").map_groups(
+            stitch, batch_format="pyarrow")),
+        "src", edge_rows, _N_BUCKETS).materialize()
 
     # separate 1-column pruned scan: the ev lineage would re-read all
     # four columns just to project one
-    nodes = (ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                   columns=["user_id"])
+    nodes = (stages.read(sf_dir, "events", ["user_id"])
              .groupby("user_id").count()
              .drop_columns(["count()"])
              .materialize())
     n_nodes = nodes.count()
     if n_nodes == 0:
-        return pa.table({"user_id": pa.array([], pa.int64()),
-                         "rank_fp": pa.array([], pa.int64())})
+        return stages.table([], "user_id rank_fp")
     teleport = (15 * _PR_FP) // (100 * n_nodes)
-    init = _PR_FP // n_nodes
-
     zero_rows = nodes.map_batches(
-        lambda t: pa.table({
-            "user_id": t["user_id"],
-            "c_part": pa.array(np.zeros(t.num_rows, np.int64))}),
+        lambda t: t.append_column("c", pa.array(np.zeros(t.num_rows,
+                                                         np.int64))),
+        batch_format="pyarrow")
+
+    def contrib(t: pa.Table) -> pa.Table:
+        """Each edge's contribution to its dst, at its src's rank."""
+        r, wout, w = _np(t["r"]), _np(t["wout"]), _np(t["w"])
+        return pa.table({"user_id": t["dst"],
+                         "c": pa.array(((r * 85) // (100 * wout)) * w,
+                                       pa.int64())})
+
+    ranks = nodes.map_batches(
+        lambda t: t.append_column("r", pa.array(
+            np.full(t.num_rows, _PR_FP // n_nodes), pa.int64())),
         batch_format="pyarrow").materialize()
-
-    def with_rank(r_fp: int):
-        def f(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "r", pa.array(np.full(t.num_rows, r_fp), pa.int64()))
-        return f
-
-    ranks = nodes.map_batches(with_rank(init),
-                              batch_format="pyarrow").materialize()
-
-    def contrib_group(g: pa.Table) -> pa.Table:
-        """One bucket: edge rows (wout in the aux lane) + rank rows
-        (r in aux); contribution per edge, partial-summed by dst."""
-        g = g.combine_chunks()
-        side = g["side"].to_numpy(zero_copy_only=False)
-        key = g["key"].to_numpy(zero_copy_only=False)
-        er = np.flatnonzero(side == 0)
-        lk = np.flatnonzero(side == 1)
-        empty = pa.table({"user_id": pa.array([], pa.int64()),
-                          "c_part": pa.array([], pa.int64())})
-        if not len(er) or not len(lk):
-            return empty
-        lkk = key[lk]
-        order = np.argsort(lkk, kind="stable")
-        lkk, lko = lkk[order], lk[order]
-        pos = np.clip(np.searchsorted(lkk, key[er]), 0, len(lkk) - 1)
-        ok = lkk[pos] == key[er]
-        er, pos = er[ok], pos[ok]
-        if not len(er):
-            return empty
-        aux = g["aux"].to_numpy(zero_copy_only=False)
-        r = aux[lko[pos]]                       # rank of src
-        wout = aux[er]                          # edge rows carry wout
-        w = g["w"].to_numpy(zero_copy_only=False)[er]
-        dst = g["dst"].to_numpy(zero_copy_only=False)[er]
-        c = ((r * 85) // (100 * wout)) * w
-        t = (pa.table({"user_id": pa.array(dst, pa.int64()),
-                       "c": pa.array(c, pa.int64())})
-             .group_by("user_id").aggregate([("c", "sum")]))
-        return t.rename_columns(["user_id", "c_part"])
-
     for _ in range(iters):
-        inflow = (ew_tagged.union(
-            ranks.map_batches(tag_lookup("user_id", "r"),
-                              batch_format="pyarrow"))
-            .groupby("bucket")
-            .map_groups(contrib_group, batch_format="pyarrow"))
-        ranks = (inflow.union(zero_rows)
-                 .groupby("user_id")
-                 .aggregate(Sum("c_part", alias_name="c"))
-                 .map_batches(
-                     lambda t: pa.table({
-                         "user_id": t["user_id"],
-                         "r": pc.add(t["c"],
-                                     pa.scalar(teleport, pa.int64()))}),
+        inflow = stages.hash_join(edges, ranks, "src", "user_id") \
+            .map_batches(contrib, batch_format="pyarrow")
+        ranks = (stages.fold(inflow.union(zero_rows), lambda t: t,
+                             "user_id", "c")
+                 .map_batches(lambda t: pa.table({
+                     "user_id": t["user_id"],
+                     "r": pc.add(t["c"], pa.scalar(teleport, pa.int64()))}),
                      batch_format="pyarrow")
                  .materialize())
-
-    t = pa.concat_tables(list(ranks.iter_batches(
-        batch_format="pyarrow"))).sort_by("user_id")
+    t = stages.collect(ranks, "user_id r").sort_by("user_id")
     return t.rename_columns(["user_id", "rank_fp"])
 
 

@@ -18,11 +18,25 @@ Here the same declarative shape compiles to ONE Ray Data pipeline:
 * slave join    → broadcast hash join: the small side is `ray.put` once
                   and probed inside `map_batches` (no shuffle; the
                   reference's per-row `%__master.col` lookup, J1)
-* nested        → child `groupby(parent).map_groups` list-of-struct
-                  rollup capped at `limit` (the reference caps nested
-                  at 50 children, commonhandler.py:242-248), broadcast
-                  back onto the master (J2)
+* nested        → child list-of-struct rollup per parent over one
+                  ``stages.by_bucket`` shuffle, capped at `limit` (the
+                  reference caps nested at 50 children,
+                  commonhandler.py:242-248), broadcast back onto the
+                  master as sorted parent keys + one list column (J2)
 * mapping       → rename or compute via the mee_ray.functions DSL (M5)
+
+Both broadcasts are probed the same way: ``ids.positions_in_sorted``
+over the sorted keys, then one ``take`` (a lookup miss takes a null
+index, a nested miss the trailing empty list).  Changes overlay the
+base tables through ``_changed_keys`` (the keys a :class:`SlaveChange`
+touches), ``_without`` and ``_images`` (the drop and the cast steps
+``_overlay_rows`` and ``_overlay_dataset`` share).
+
+Adding a ``queries()`` name: build its documents with
+:func:`build_documents` (or the delta entry points) from a
+:class:`DocSpec`, finish with a vectorized batch map or a
+``stages.fold`` + ``stages.collect``, and add it to ``QUERIES`` and
+``ORACLE``.
 
 Config validation is eager and mirrors the reference's
 IllegalConfigException battery (handlerconfig.py:181-204, 373-374,
@@ -39,6 +53,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from mee_ray import stages
+from mee_ray.ids import isin_sorted, positions_in_sorted
 
 
 class IllegalDocSpec(ValueError):
@@ -144,57 +161,62 @@ def _filter_mask(t: pa.Table, flt: dict) -> pa.Array:
 # ------------------------------------------------------------ builder
 
 
-def _overlay_rows(base: pa.Table, key: str, upserts: pa.Table | None,
-                  delete_keys) -> pa.Table:
-    """Last-writer-wins overlay of changed rows onto a base table:
-    rows whose ``key`` is upserted or deleted are dropped, then the
-    upsert row images are appended — the parquet analog of reading the
+def _changed_keys(change, key: str) -> list:
+    """The sorted ``key`` values a :class:`SlaveChange` touches: its
+    deleted keys and its upserted rows' ``key`` column."""
+    keys = set(change.delete_keys or ())
+    if change.upserts is not None:
+        keys |= set(change.upserts[key].to_pylist())
+    return sorted(keys)
+
+
+def _without(t: pa.Table, key: str, drop: list) -> pa.Table:
+    """The rows of ``t`` whose ``key`` is not in ``drop``."""
+    return t.filter(pc.invert(pc.is_in(
+        t[key], value_set=pa.array(drop, t[key].type))))
+
+
+def _images(change, schema: pa.Schema, cols: list) -> pa.Table | None:
+    """The change's upsert row images as the ``cols`` of ``schema``
+    (None when it upserts nothing)."""
+    if change.upserts is None or not change.upserts.num_rows:
+        return None
+    return change.upserts.select(cols).cast(
+        pa.schema([schema.field(c) for c in cols]))
+
+
+def _overlay_rows(base: pa.Table, key: str, change) -> pa.Table:
+    """Last-writer-wins overlay of a change onto a base table: rows
+    whose ``key`` is upserted or deleted are dropped, then the upsert
+    row images are appended — the parquet analog of reading the
     CURRENT slave-table state the reference gets from MySQL."""
-    drop = set(delete_keys or ())
-    if upserts is not None:
-        drop |= set(upserts[key].to_pylist())
-    if drop:
-        base = base.filter(pc.invert(pc.is_in(
-            base[key], value_set=pa.array(sorted(drop), base[key].type))))
-    if upserts is not None and upserts.num_rows:
-        ups = upserts.select(base.column_names).cast(
-            pa.schema([base.schema.field(c) for c in base.column_names]))
-        base = pa.concat_tables([base, ups])
-    return base
+    base = _without(base, key, _changed_keys(change, key))
+    ups = _images(change, base.schema, base.column_names)
+    return base if ups is None else pa.concat_tables([base, ups])
 
 
 def _overlay_dataset(ds, sf_dir: str, table: str, key_col: str,
                      cols: list, change, upsert_filter=None):
     """Dataset-level LWW overlay — the distributed sibling of
-    :func:`_overlay_rows`, shared by the master and nested paths so
-    the drop/cast/union semantics cannot drift apart: drop base row
-    versions whose ``key_col`` is upserted or deleted, then union the
-    upsert after-images cast to the file schema.  ``upsert_filter``:
-    optional pa.Table → pa.Table applied to the upsert images before
-    the union (the nested path's affected-parents pushdown)."""
+    :func:`_overlay_rows` (same drop and cast steps), shared by the
+    master and nested paths: drop base row versions whose ``key_col``
+    is upserted or deleted, then union the upsert after-images cast to
+    the file schema.  ``upsert_filter``: optional pa.Table → pa.Table
+    applied to the upsert images before the union (the nested path's
+    affected-parents pushdown)."""
     import pyarrow.dataset as pads
 
     import ray.data
-    drop = set(change.delete_keys or ())
-    if change.upserts is not None:
-        drop |= set(change.upserts[key_col].to_pylist())
+    drop = _changed_keys(change, key_col)
     if drop:
-        da = sorted(drop)
-
-        def drop_changed(b: pa.Table, k=key_col, da=da) -> pa.Table:
-            return b.filter(pc.invert(pc.is_in(
-                b[k], value_set=pa.array(da, b[k].type))))
-
-        ds = ds.map_batches(drop_changed, batch_format="pyarrow")
-    if change.upserts is not None and change.upserts.num_rows:
-        fschema = pads.dataset(f"{sf_dir}/{table}.parquet",
-                               format="parquet").schema
-        ups = change.upserts.select(cols).cast(
-            pa.schema([fschema.field(c) for c in cols]))
-        if upsert_filter is not None:
-            ups = upsert_filter(ups)
-        if ups.num_rows:
-            ds = ds.union(ray.data.from_arrow(ups))
+        ds = ds.map_batches(lambda b: _without(b, key_col, drop),
+                            batch_format="pyarrow")
+    ups = _images(change, pads.dataset(f"{sf_dir}/{table}.parquet",
+                                       format="parquet").schema, cols)
+    if ups is not None and upsert_filter is not None:
+        ups = upsert_filter(ups)
+    if ups is not None and ups.num_rows:
+        ds = ds.union(ray.data.from_arrow(ups))
     return ds
 
 
@@ -213,8 +235,7 @@ def _lookup_maps(sf_dir: str, spec: DocSpec, overlays: dict | None = None
         t = pq.read_table(f"{sf_dir}/{j.table}.parquet", columns=cols)
         ch = (overlays or {}).get(j.table)
         if ch is not None:
-            ups = ch.upserts.select(cols) if ch.upserts is not None else None
-            t = _overlay_rows(t, j.key, ups, ch.delete_keys)
+            t = _overlay_rows(t, j.key, ch)
         order = pc.sort_indices(t[j.key])
         keys = t[j.key].take(order).to_numpy(zero_copy_only=False)
         data = {c: t[c].take(order) for c in cols if c != j.key}
@@ -223,27 +244,30 @@ def _lookup_maps(sf_dir: str, spec: DocSpec, overlays: dict | None = None
 
 
 def _nested_maps(sf_dir: str, spec: DocSpec, overlays: dict | None = None,
-                 parent_filter: dict | None = None) -> dict:
-    """Child tables rolled up per parent key → {nested_index:
-    {parent: list_of_subdoc_dicts}} via a Ray groupby.map_groups —
-    the J2 shuffle — then collected for broadcast (children per parent
-    are capped, so the rollup is bounded; at larger-than-driver child
-    tables this broadcast becomes a hash join on the master key).
+                 parent_filter: dict | None = None) -> list:
+    """Child tables rolled up per parent key → one (parent keys sorted,
+    list<struct> column aligned with them plus one trailing empty list)
+    per nested spec, via one bucketed shuffle — the J2 rollup —
+    then collected for broadcast (children per parent are capped, so
+    the rollup is bounded; at larger-than-driver child tables this
+    broadcast becomes a hash join on the master key).  A master probes
+    the keys with ``positions_in_sorted`` and takes its list; a miss
+    takes the trailing empty list.
 
     Incremental mode: ``parent_filter[table]`` restricts the read (and
     the shuffle) to affected parents' children only, and
     ``overlays[table]`` upserts/deletes child rows by the change's
     ``child_key`` identity before the rollup."""
-    import ray.data
+    import pyarrow.dataset as pads
 
-    out = {}
-    for i, n in enumerate(spec.nested):
+    import ray.data
+    out = []
+    for n in spec.nested:
         ch = (overlays or {}).get(n.table)
         pf = (parent_filter or {}).get(n.table)
         cols = sorted(set(n.fields) | {n.parent_key}
                       | ({n.order_by} if n.order_by else set())
                       | ({ch.child_key} if ch is not None else set()))
-        import pyarrow.dataset as pads
         read_kw = {}
         if pf is not None:
             # row-filter pushdown: only affected parents' children leave
@@ -261,68 +285,6 @@ def _nested_maps(sf_dir: str, spec: DocSpec, overlays: dict | None = None,
                                            ups[n.parent_key].type)))
             ds = _overlay_dataset(ds, sf_dir, n.table, ch.child_key,
                                   cols, ch, upsert_filter=parent_push)
-
-        # one Python group per PARENT would be the measured-4×-slower
-        # anti-pattern (see session_windows_events) — parents hash into
-        # buckets and each group rolls up MANY parents in one
-        # vectorized sort + segmented-rank pass
-        N_BUCKETS = 256
-
-        def add_bucket(t: pa.Table, n=n) -> pa.Table:
-            if pa.types.is_integer(t[n.parent_key].type):
-                pk = t[n.parent_key].to_numpy(zero_copy_only=False)
-                b = pk.astype(np.int64) % N_BUCKETS
-            else:
-                # string (or other) parent keys: stable crc32 buckets —
-                # astype(int64) would raise in every rollup task
-                import zlib as _z
-                vals = t[n.parent_key].to_pylist()
-                b = np.fromiter(
-                    (_z.crc32(str(x).encode()) % N_BUCKETS
-                     for x in vals),
-                    dtype=np.int64, count=len(vals))
-            return t.append_column("__bucket", pa.array(b, pa.int64()))
-
-        def rollup_bucket(g: pa.Table, n=n) -> pa.Table:
-            parent = g[n.parent_key].to_numpy(zero_copy_only=False)
-            if n.order_by:
-                ob = g[n.order_by].to_numpy(zero_copy_only=False)
-                order = np.lexsort((ob, parent))
-            else:
-                order = np.argsort(parent, kind="stable")
-            parent_s = parent[order]
-            pos = np.arange(len(parent_s))
-            new = np.ones(len(parent_s), dtype=bool)
-            new[1:] = parent_s[1:] != parent_s[:-1]
-            start = np.maximum.accumulate(np.where(new, pos, 0))
-            keep = (pos - start) < n.limit   # reference's 50-child cap
-            g = g.take(pa.array(order[keep]))
-            parent_k = parent_s[keep]
-            bounds = np.flatnonzero(
-                np.concatenate(([True], parent_k[1:] != parent_k[:-1])))
-            counts = np.diff(np.concatenate((bounds, [len(parent_k)])))
-            field_vals = {f: g[f].to_pylist() for f in n.fields}
-            out_parent, out_subs = [], []
-            row = 0
-            for b, c in zip(bounds, counts):
-                out_parent.append(parent_k[b])
-                out_subs.append([{f: field_vals[f][row + j]
-                                  for f in n.fields} for j in range(c)])
-                row += c
-            return pa.table({
-                "__parent": pa.array(out_parent),
-                "__subs": pa.array(out_subs),
-            })
-
-        rolled = (ds.map_batches(add_bucket, batch_format="pyarrow")
-                  .groupby("__bucket")
-                  .map_groups(rollup_bucket, batch_format="pyarrow"))
-        m = {}
-        for b in rolled.iter_batches(batch_format="pyarrow",
-                                     batch_size=1 << 16):
-            for p, s in zip(b["__parent"].to_pylist(),
-                            b["__subs"].to_pylist()):
-                m[p] = s
         # EXPLICIT output type from the child file schema: an all-miss
         # batch would otherwise infer list<null> while sibling batches
         # infer list<struct<...>>, giving the Dataset conflicting
@@ -331,7 +293,38 @@ def _nested_maps(sf_dir: str, spec: DocSpec, overlays: dict | None = None,
                                format="parquet").schema
         subtype = pa.list_(pa.struct(
             [pa.field(f, fschema.field(f).type) for f in n.fields]))
-        out[i] = (m, subtype)
+
+        def rollup_bucket(g: pa.Table, n=n) -> pa.Table:
+            """Every parent of a bucket in one vectorized sort +
+            segmented-rank pass: children ordered, capped at the
+            reference's ``limit``, cut into one list per parent."""
+            parent = g[n.parent_key].to_numpy(zero_copy_only=False)
+            order = (np.lexsort((g[n.order_by].to_numpy(
+                zero_copy_only=False), parent)) if n.order_by
+                else np.argsort(parent, kind="stable"))
+            parent = parent[order]
+            new = np.ones(len(parent), dtype=bool)
+            new[1:] = parent[1:] != parent[:-1]
+            pos = np.arange(len(parent))
+            keep = (pos - np.maximum.accumulate(np.where(new, pos, 0))
+                    < n.limit)
+            g = g.take(pa.array(order[keep]))
+            starts = np.flatnonzero(new[keep])
+            return pa.table({
+                "parent": pa.array(parent[keep][starts]),
+                "subs": pa.ListArray.from_arrays(
+                    pa.array(np.r_[starts, len(g)], pa.int32()),
+                    pa.StructArray.from_arrays(
+                        [g[f].combine_chunks() for f in n.fields],
+                        names=n.fields))})
+
+        t = stages.collect(
+            stages.by_bucket(ds, n.parent_key, rollup_bucket, 256),
+            pa.schema([("parent", fschema.field(n.parent_key).type),
+                       ("subs", subtype)])).sort_by("parent")
+        out.append((t["parent"].to_numpy(zero_copy_only=False),
+                    pa.concat_arrays([*t["subs"].chunks,
+                                      pa.array([[]], subtype)])))
     return out
 
 
@@ -441,39 +434,24 @@ def build_documents(sf_dir: str, spec: DocSpec,
         for i, j in enumerate(spec.joins):
             keys, data = lookups[i]
             probe = batch[j.master_key].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(keys, probe)
-            pos_c = np.minimum(pos, max(0, len(keys) - 1))
-            hit = (keys[pos_c] == probe) if len(keys) else \
-                np.zeros(len(probe), dtype=bool)
+            pos, hit = positions_in_sorted(probe, keys)
             reset = (_join_reset_keys or {}).get(i)
-            if reset is not None and len(reset):
+            if reset is not None:
                 # on_parent_delete="null": masters referencing a
                 # deleted slave key read null, never a re-evaluated row
-                rp = np.minimum(np.searchsorted(reset, probe),
-                                len(reset) - 1)
-                hit &= reset[rp] != probe
+                hit &= ~isin_sorted(probe, reset)
+            # a miss takes a null index: the missing ⇒ nulls contract
+            idx = pa.array(pos, pa.int64(), mask=~hit)
             for out_f, src in j.fields.items():
-                if len(keys) == 0:
-                    # empty lookup table (e.g. a SlaveChange deleted
-                    # every row): the documented missing ⇒ nulls
-                    # contract — take([0,...]) on a 0-row array would
-                    # raise ArrowIndexError in every task instead
-                    cols[out_f] = pa.nulls(len(probe), data[src].type)
-                    continue
-                taken = data[src].take(pa.array(
-                    np.where(hit, pos_c, 0), pa.int64()))
-                cols[out_f] = pc.if_else(pa.array(hit), taken,
-                                         pa.nulls(len(probe),
-                                                  taken.type))
+                cols[out_f] = data[src].take(idx)
         if nested_ref is not None:
-            nested = ray.get(nested_ref)
-            mkeys = {n.master_key for n in spec.nested}
-            probes = {mk: batch[mk].to_pylist() for mk in mkeys}
-            for i, n in enumerate(spec.nested):
-                m, subtype = nested[i]
-                cols[n.out] = pa.array(
-                    [m.get(p, []) for p in probes[n.master_key]],
-                    type=subtype)
+            for n, (keys, subs) in zip(spec.nested, ray.get(nested_ref)):
+                # a miss takes the trailing empty list
+                pos, hit = positions_in_sorted(
+                    batch[n.master_key].to_numpy(zero_copy_only=False),
+                    keys)
+                cols[n.out] = subs.take(pa.array(
+                    np.where(hit, pos, len(keys)), pa.int64()))
         interp_outs = [f for f, (k, _) in exprs.items() if k == "interp"]
         if interp_outs:
             # namespace = master columns overlaid with computed fields
@@ -555,10 +533,8 @@ def affected_master_keys(sf_dir: str, spec: DocSpec,
         for j in spec.joins:
             if j.table != ch.table:
                 continue
-            keys = set(ch.delete_keys or ())
-            if ch.upserts is not None:
-                keys |= set(ch.upserts[j.key].to_pylist())
-            master_keep.setdefault(j.master_key, set()).update(keys)
+            master_keep.setdefault(j.master_key, set()).update(
+                _changed_keys(ch, j.key))
         for n in spec.nested:
             if n.table != ch.table:
                 continue
@@ -567,15 +543,13 @@ def affected_master_keys(sf_dir: str, spec: DocSpec,
                     f"changes to nested table {ch.table!r} require "
                     f"child_key (a unique child id column)")
             parents = set()
-            ids = set(ch.delete_keys or ())
+            ids = _changed_keys(ch, ch.child_key)
             if ch.upserts is not None:
                 parents |= set(ch.upserts[n.parent_key].to_pylist())
-                ids |= set(ch.upserts[ch.child_key].to_pylist())
             if ids:
                 t = pq.read_table(f"{sf_dir}/{n.table}.parquet",
                                   columns=[ch.child_key, n.parent_key],
-                                  filters=[(ch.child_key, "in",
-                                            sorted(ids))])
+                                  filters=[(ch.child_key, "in", ids)])
                 parents |= set(t[n.parent_key].to_pylist())
             master_keep.setdefault(n.master_key, set()).update(parents)
             nested_parents.setdefault(n.table, set()).update(parents)
@@ -677,9 +651,7 @@ def apply_master_delta(sf_dir: str, spec: DocSpec, change: SlaveChange):
         raise IllegalDocSpec(
             f"apply_master_delta got changes for {change.table!r}, "
             f"spec master is {spec.master!r}")
-    upk = (set(change.upserts[spec.key].to_pylist())
-           if change.upserts is not None else set())
-    affected = upk | set(change.delete_keys or ())
+    affected = set(_changed_keys(change, spec.key))
     # master keys keep their table's own type (string keys are legal;
     # hard-coding int64 made apply_master_delta crash on them)
     key_type = pq.read_schema(
@@ -699,9 +671,7 @@ def apply_master_delta(sf_dir: str, spec: DocSpec, change: SlaveChange):
     base = pq.read_table(f"{sf_dir}/{spec.master}.parquet",
                          columns=need_cols,
                          filters=[(spec.key, "in", sorted(affected))])
-    ups = (change.upserts.select(need_cols)
-           if change.upserts is not None else None)
-    after = _overlay_rows(base, spec.key, ups, change.delete_keys)
+    after = _overlay_rows(base, spec.key, change)
     mask = (_filter_mask(after, spec.filter) if spec.filter
             else pa.array(np.ones(after.num_rows, dtype=bool)))
     passing = after.filter(mask)
@@ -763,21 +733,23 @@ def docbuild_nested_summary(sf_dir: str):
     docs = build_documents(sf_dir, spec)
 
     def flatten(t: pa.Table) -> pa.Table:
-        ids, n, first, last, cents = [], [], [], [], []
-        for cid, subs in zip(t["cust_id"].to_pylist(),
-                             t["orders"].to_pylist()):
-            ids.append(cid)
-            n.append(len(subs))
-            first.append(subs[0]["o_orderkey"] if subs else None)
-            last.append(subs[-1]["o_orderkey"] if subs else None)
-            cents.append(sum(int(round(s["o_totalprice"] * 100))
-                             for s in subs) if subs else None)
+        col = t["orders"].combine_chunks()
+        off = col.offsets.to_numpy(zero_copy_only=False)
+        n = np.diff(off)
+        none = n == 0
+        keys = col.values.field("o_orderkey").to_numpy(zero_copy_only=False)
+        cents = np.r_[0, np.cumsum(stages.cents_of(col.values.field(
+            "o_totalprice")).to_numpy(zero_copy_only=False))]
+        start = np.minimum(off[:-1], len(keys) - 1)
         return pa.table({
-            "cust_id": pa.array(ids, pa.int64()),
+            "cust_id": t["cust_id"].cast(pa.int64()),
             "n_orders": pa.array(n, pa.int64()),
-            "first_orderkey": pa.array(first, pa.int64()),
-            "last_orderkey": pa.array(last, pa.int64()),
-            "spend_cents": pa.array(cents, pa.int64()),
+            "first_orderkey": pa.array(keys[start] if len(keys) else n,
+                                       pa.int64(), mask=none),
+            "last_orderkey": pa.array(keys[off[1:] - 1] if len(keys) else n,
+                                      pa.int64(), mask=none),
+            "spend_cents": pa.array(cents[off[1:]] - cents[off[:-1]],
+                                    pa.int64(), mask=none),
         })
 
     return docs.map_batches(flatten, batch_format="pyarrow")
@@ -1004,25 +976,20 @@ def docbuild_multi_index(sf_dir: str):
     finally:
         os.unlink(path)
 
+    # each census is collected on its own: a Ray union of two grouped
+    # Datasets makes no progress on a 1-CPU cluster
     parts = []
     for idx, typ, spec in mspec:
-        counts = (build_documents(sf_dir, spec)
-                  .groupby("nation_name").count())
-
-        def label(t: pa.Table, idx=idx, typ=typ) -> pa.Table:
-            n = t.num_rows
-            return pa.table({
-                "index_alias": pa.array([idx] * n, pa.string()),
-                "type_name": pa.array([typ] * n, pa.string()),
-                "nation_name": t["nation_name"],
-                "n_docs": t["count()"].cast(pa.int64()),
-            })
-
-        parts.append(counts.map_batches(label, batch_format="pyarrow"))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
-    return out
+        t = stages.collect(stages.fold(
+            build_documents(sf_dir, spec), lambda b: pa.table({
+                "nation_name": b["nation_name"],
+                "n_docs": pa.array(np.ones(b.num_rows, np.int64))}),
+            "nation_name", "n_docs"), "nation_name:str n_docs")
+        parts.append(pa.table({
+            "index_alias": pa.array([idx] * t.num_rows, pa.string()),
+            "type_name": pa.array([typ] * t.num_rows, pa.string()),
+            "nation_name": t["nation_name"], "n_docs": t["n_docs"]}))
+    return pa.concat_tables(parts)
 
 
 DOCBUILD_MULTI_INDEX_SQL = """

@@ -34,6 +34,18 @@ Scale shape: one pruned scan (event_id, user_id, event_type), coords
 materialized per batch and never shuffled; only bounded partials
 cross the exchange (per-type counts / centroid sums, per-cell counts
 — cell grid ≤ 37×73, per-batch top-k candidate rows).
+
+Adding a query: state only its predicate, keys and finish.  The
+helpers: ``_coords`` (the one derivation), ``_in_box`` / ``_d2`` (the
+box and distance predicates), ``_fold(sf_dir, partial, keys, aggs,
+spec)`` (``stages.fold`` of a per-row ``partial(batch, lat, lon)``
+over the events scan, collected as ``spec`` and sorted by the keys),
+``_count_per_type(sf_dir, mask_of)`` with its oracle
+``_count_sql(where)`` (per-event_type counts under a mask), and
+``stages.range_bucket_partial`` + ``stages.range_agg`` (fixed
+ring buckets).  Oracles build on ``_COORDS_CTE`` (``_COORDS_SQL``,
+``_BOX_SQL``, ``_D2_SQL`` are the SQL mirrors); add the name to
+``QUERIES`` and ``ORACLE``.
 """
 
 from __future__ import annotations
@@ -55,6 +67,10 @@ _BOX = {"lat_lo": 10_000_000, "lat_hi": 60_000_000,
 _Q_LAT, _Q_LON = 25_000_000, 50_000_000
 _RADIUS = 40_000_000
 _TOPK = 20
+# convex polygon for the geo_shape query, CCW (lon, lat) microdegrees
+_POLY = [(-60_000_000, -30_000_000), (60_000_000, -50_000_000),
+         (80_000_000, 40_000_000), (-40_000_000, 50_000_000)]
+_POLY_EDGES = list(zip(_POLY, _POLY[1:] + _POLY[:1]))
 
 
 def _coords(t: pa.Table):
@@ -66,54 +82,71 @@ def _coords(t: pa.Table):
     return lat, lon
 
 
-def _read_events(sf_dir: str):
-    import ray.data
-    return ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "event_type"])
+def _in_box(lat, lon) -> np.ndarray:
+    return ((lat >= _BOX["lat_lo"]) & (lat <= _BOX["lat_hi"])
+            & (lon >= _BOX["lon_lo"]) & (lon <= _BOX["lon_hi"]))
 
 
+def _d2(lat, lon) -> np.ndarray:
+    """Squared planar distance to the query point."""
+    return (lat - _Q_LAT) ** 2 + (lon - _Q_LON) ** 2
+
+
+def _events(sf_dir: str, columns=("event_id", "user_id", "event_type")):
+    return stages.read(sf_dir, "events", list(columns))
+
+
+def _fold(sf_dir: str, partial, keys: str, aggs: str, spec: str):
+    """``stages.fold`` of ``partial(batch, lat, lon)`` over the events
+    scan, collected as ``spec`` and sorted by ``keys``."""
+    t = stages.collect(stages.fold(
+        _events(sf_dir), lambda b: partial(b, *_coords(b)), keys, aggs),
+        spec)
+    return t.sort_by([(k, "ascending") for k in keys.split()])
+
+
+def _count_per_type(sf_dir: str, mask_of) -> pa.Table:
+    """Events whose coordinates pass ``mask_of(lat, lon)``, counted per
+    event_type."""
+    def partial(t: pa.Table, lat, lon) -> pa.Table:
+        m = pa.array(mask_of(lat, lon))
+        return pa.table({"event_type": t["event_type"].filter(m),
+                         "cnt": pa.array(np.ones(m.true_count, np.int64))})
+    return _fold(sf_dir, partial, "event_type", "cnt", "event_type:str cnt")
+
+
+# the coordinate derivation in SQL: one definition for every oracle
+_LAT_SQL = f"(((event_id % {_LAT_MOD}) * {_KNUTH}) % {_LAT_MOD})"
+_LON_SQL = (f"(((event_id % {_LON_MOD}) * 40503"
+            f" + (user_id % {_LON_MOD}) * {_KNUTH}) % {_LON_MOD})")
+_COORDS_SQL = (f"{_LAT_SQL} - 90000000 AS lat,"
+               f" {_LON_SQL} - 180000000 AS lon")
 _COORDS_CTE = f"""
 WITH coords AS (
-  SELECT event_type, event_id,
-         (((event_id % {_LAT_MOD}) * {_KNUTH}) % {_LAT_MOD})
-           - 90000000 AS lat,
-         (((event_id % {_LON_MOD}) * 40503
-           + (user_id % {_LON_MOD}) * {_KNUTH}) % {_LON_MOD})
-           - 180000000 AS lon
+  SELECT event_type, event_id, {_COORDS_SQL}
   FROM events)
 """
+_BOX_SQL = (f"lat BETWEEN {_BOX['lat_lo']} AND {_BOX['lat_hi']}"
+            f" AND lon BETWEEN {_BOX['lon_lo']} AND {_BOX['lon_hi']}")
+_D2_SQL = (f"(lat - {_Q_LAT}) * (lat - {_Q_LAT})"
+           f" + (lon - {_Q_LON}) * (lon - {_Q_LON})")
+
+
+def _count_sql(where: str) -> str:
+    """The oracle of :func:`_count_per_type` under ``where``."""
+    return (_COORDS_CTE
+            + "SELECT event_type, CAST(count(*) AS BIGINT) AS cnt\n"
+              f"FROM coords WHERE {where}\n"
+              "GROUP BY event_type ORDER BY event_type")
 
 
 def geo_bounding_box_events(sf_dir: str) -> pa.Table:
     """geo_bounding_box filter + terms agg: events inside the box,
-    counted per event_type.  Per-batch partial counts; only the
-    (event_type, cnt) partials cross the exchange."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        lat, lon = _coords(t)
-        m = ((lat >= _BOX["lat_lo"]) & (lat <= _BOX["lat_hi"])
-             & (lon >= _BOX["lon_lo"]) & (lon <= _BOX["lon_hi"]))
-        g = (pa.table({"event_type": t["event_type"].filter(pa.array(m))})
-             .group_by("event_type").aggregate([([], "count_all")]))
-        return g.rename_columns(["event_type", "c_part"])
-
-    ds = (_read_events(sf_dir)
-          .map_batches(partial, batch_format="pyarrow")
-          .groupby("event_type")
-          .aggregate(Sum("c_part", alias_name="cnt")))
-    t = stages.collect(ds, "event_type:str cnt")
-    return t.sort_by("event_type")
+    counted per event_type."""
+    return _count_per_type(sf_dir, _in_box)
 
 
-GEO_BBOX_SQL = _COORDS_CTE + f"""
-SELECT event_type, CAST(count(*) AS BIGINT) AS cnt
-FROM coords
-WHERE lat BETWEEN {_BOX["lat_lo"]} AND {_BOX["lat_hi"]}
-  AND lon BETWEEN {_BOX["lon_lo"]} AND {_BOX["lon_hi"]}
-GROUP BY event_type ORDER BY event_type
-"""
+GEO_BBOX_SQL = _count_sql(_BOX_SQL)
 
 
 def geo_grid_events(sf_dir: str) -> pa.Table:
@@ -122,28 +155,15 @@ def geo_grid_events(sf_dir: str) -> pa.Table:
     division so floor == truncate in numpy AND SQL), count + centroid
     partial sums per cell.  Cell count is bounded (≤ 37×73), so the
     exchange carries at most one row per (batch, cell)."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        lat, lon = _coords(t)
-        g = (pa.table({
+    def partial(t: pa.Table, lat, lon) -> pa.Table:
+        return pa.table({
             "cell_lat": pa.array((lat + 90_000_000) // _CELL, pa.int64()),
             "cell_lon": pa.array((lon + 180_000_000) // _CELL, pa.int64()),
-            "lat": pa.array(lat, pa.int64()),
-            "lon": pa.array(lon, pa.int64())})
-            .group_by(["cell_lat", "cell_lon"])
-            .aggregate([([], "count_all"), ("lat", "sum"), ("lon", "sum")]))
-        return g.rename_columns(
-            ["cell_lat", "cell_lon", "c_part", "lat_part", "lon_part"])
-
-    ds = (_read_events(sf_dir)
-          .map_batches(partial, batch_format="pyarrow")
-          .groupby(["cell_lat", "cell_lon"])
-          .aggregate(Sum("c_part", alias_name="cnt"),
-                     Sum("lat_part", alias_name="lat_sum"),
-                     Sum("lon_part", alias_name="lon_sum")))
-    t = stages.collect(ds, "cell_lat cell_lon cnt lat_sum lon_sum")
-    return t.sort_by([("cell_lat", "ascending"), ("cell_lon", "ascending")])
+            "cnt": pa.array(np.ones(len(lat), np.int64)),
+            "lat_sum": pa.array(lat, pa.int64()),
+            "lon_sum": pa.array(lon, pa.int64())})
+    return _fold(sf_dir, partial, "cell_lat cell_lon", "cnt lat_sum lon_sum",
+                 "cell_lat cell_lon cnt lat_sum lon_sum")
 
 
 GEO_GRID_SQL = _COORDS_CTE + f"""
@@ -161,26 +181,13 @@ def geo_centroid_events(sf_dir: str) -> pa.Table:
     count (the centroid's numerator/denominator — the IEEE division
     is the caller's one-line finish, kept out of the exchange per the
     repo's exactness discipline)."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        lat, lon = _coords(t)
-        g = (pa.table({"event_type": t["event_type"],
-                       "lat": pa.array(lat, pa.int64()),
-                       "lon": pa.array(lon, pa.int64())})
-             .group_by("event_type")
-             .aggregate([([], "count_all"), ("lat", "sum"), ("lon", "sum")]))
-        return g.rename_columns(
-            ["event_type", "c_part", "lat_part", "lon_part"])
-
-    ds = (_read_events(sf_dir)
-          .map_batches(partial, batch_format="pyarrow")
-          .groupby("event_type")
-          .aggregate(Sum("c_part", alias_name="cnt"),
-                     Sum("lat_part", alias_name="lat_sum"),
-                     Sum("lon_part", alias_name="lon_sum")))
-    t = stages.collect(ds, "event_type:str cnt lat_sum lon_sum")
-    return t.sort_by("event_type")
+    def partial(t: pa.Table, lat, lon) -> pa.Table:
+        return pa.table({"event_type": t["event_type"],
+                         "cnt": pa.array(np.ones(len(lat), np.int64)),
+                         "lat_sum": pa.array(lat, pa.int64()),
+                         "lon_sum": pa.array(lon, pa.int64())})
+    return _fold(sf_dir, partial, "event_type", "cnt lat_sum lon_sum",
+                 "event_type:str cnt lat_sum lon_sum")
 
 
 GEO_CENTROID_SQL = _COORDS_CTE + """
@@ -195,33 +202,11 @@ def geo_distance_count_events(sf_dir: str) -> pa.Table:
     """geo_distance filter: events within the radius of the query
     point (squared-planar test, exact int64), counted per
     event_type."""
-    from ray.data.aggregate import Sum
-
-    r2 = _RADIUS * _RADIUS
-
-    def partial(t: pa.Table) -> pa.Table:
-        lat, lon = _coords(t)
-        d2 = (lat - _Q_LAT) ** 2 + (lon - _Q_LON) ** 2
-        g = (pa.table({"event_type":
-                       t["event_type"].filter(pa.array(d2 <= r2))})
-             .group_by("event_type").aggregate([([], "count_all")]))
-        return g.rename_columns(["event_type", "c_part"])
-
-    ds = (_read_events(sf_dir)
-          .map_batches(partial, batch_format="pyarrow")
-          .groupby("event_type")
-          .aggregate(Sum("c_part", alias_name="cnt")))
-    t = stages.collect(ds, "event_type:str cnt")
-    return t.sort_by("event_type")
+    return _count_per_type(
+        sf_dir, lambda lat, lon: _d2(lat, lon) <= _RADIUS * _RADIUS)
 
 
-GEO_DIST_COUNT_SQL = _COORDS_CTE + f"""
-SELECT event_type, CAST(count(*) AS BIGINT) AS cnt
-FROM coords
-WHERE (lat - {_Q_LAT}) * (lat - {_Q_LAT})
-    + (lon - {_Q_LON}) * (lon - {_Q_LON}) <= {_RADIUS * _RADIUS}
-GROUP BY event_type ORDER BY event_type
-"""
+GEO_DIST_COUNT_SQL = _count_sql(f"{_D2_SQL} <= {_RADIUS * _RADIUS}")
 
 
 def geo_distance_topk_events(sf_dir: str) -> pa.Table:
@@ -231,14 +216,13 @@ def geo_distance_topk_events(sf_dir: str) -> pa.Table:
     over ≤ k·n_batches rows — the knn partial-top-k idiom."""
 
     def partial(t: pa.Table) -> pa.Table:
-        lat, lon = _coords(t)
         eid = t["event_id"].to_numpy(zero_copy_only=False)
-        d2 = (lat - _Q_LAT) ** 2 + (lon - _Q_LON) ** 2
+        d2 = _d2(*_coords(t))
         keep = np.lexsort((eid, d2))[:_TOPK]
         return pa.table({"event_id": pa.array(eid[keep], pa.int64()),
                          "d2": pa.array(d2[keep], pa.int64())})
 
-    ds = (_read_events(sf_dir)
+    ds = (_events(sf_dir)
           .map_batches(partial, batch_format="pyarrow")
           .sort(["d2", "event_id"])
           .limit(_TOPK))
@@ -247,15 +231,9 @@ def geo_distance_topk_events(sf_dir: str) -> pa.Table:
 
 GEO_DIST_TOPK_SQL = _COORDS_CTE + f"""
 SELECT event_id,
-       (lat - {_Q_LAT}) * (lat - {_Q_LAT})
-     + (lon - {_Q_LON}) * (lon - {_Q_LON}) AS d2
+       {_D2_SQL} AS d2
 FROM coords ORDER BY d2, event_id LIMIT {_TOPK}
 """
-
-
-# convex polygon for the geo_shape query, CCW (lon, lat) microdegrees
-_POLY = [(-60_000_000, -30_000_000), (60_000_000, -50_000_000),
-         (80_000_000, 40_000_000), (-40_000_000, 50_000_000)]
 
 
 def geo_polygon_events(sf_dir: str) -> pa.Table:
@@ -264,38 +242,17 @@ def geo_polygon_events(sf_dir: str) -> pa.Table:
     signs — (x2−x1)(py−y1) − (y2−y1)(px−x1) ≥ 0 — pure int64 (products
     ≤ ~1.3e17), so the engine mask and the SQL WHERE share the
     identical condition list; counted per event_type."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        lat, lon = _coords(t)
+    def inside(lat, lon) -> np.ndarray:
         m = np.ones(len(lat), dtype=bool)
-        for (x1, y1), (x2, y2) in zip(_POLY, _POLY[1:] + _POLY[:1]):
-            m &= ((x2 - x1) * (lat - y1)
-                  - (y2 - y1) * (lon - x1)) >= 0
-        g = (pa.table({"event_type": t["event_type"].filter(pa.array(m))})
-             .group_by("event_type").aggregate([([], "count_all")]))
-        return g.rename_columns(["event_type", "c_part"])
-
-    ds = (_read_events(sf_dir)
-          .map_batches(partial, batch_format="pyarrow")
-          .groupby("event_type")
-          .aggregate(Sum("c_part", alias_name="cnt")))
-    t = stages.collect(ds, "event_type:str cnt")
-    return t.sort_by("event_type")
+        for (x1, y1), (x2, y2) in _POLY_EDGES:
+            m &= ((x2 - x1) * (lat - y1) - (y2 - y1) * (lon - x1)) >= 0
+        return m
+    return _count_per_type(sf_dir, inside)
 
 
-def _geo_polygon_sql() -> str:
-    conds = []
-    for (x1, y1), (x2, y2) in zip(_POLY, _POLY[1:] + _POLY[:1]):
-        conds.append(f"({x2 - x1}) * (lat - ({y1}))"
-                     f" - ({y2 - y1}) * (lon - ({x1})) >= 0")
-    return (_COORDS_CTE
-            + "SELECT event_type, CAST(count(*) AS BIGINT) AS cnt\n"
-              "FROM coords WHERE " + "\n  AND ".join(conds)
-            + "\nGROUP BY event_type ORDER BY event_type")
-
-
-GEO_POLYGON_SQL = _geo_polygon_sql()
+GEO_POLYGON_SQL = _count_sql("\n  AND ".join(
+    f"({x2 - x1}) * (lat - ({y1})) - ({y2 - y1}) * (lon - ({x1})) >= 0"
+    for (x1, y1), (x2, y2) in _POLY_EDGES))
 
 
 _LINE_N = 12                      # geo_line size (max points per track)
@@ -311,8 +268,6 @@ def geo_line_events(sf_dir: str) -> pa.Table:
     per user (one lexsort + segment-head mask — no Python loop), so
     the shuffle carries at most batches × users × {_LINE_N} rows, and
     the per-user merge re-sorts that bounded survivor set."""
-
-    import ray.data
 
     def partial(t: pa.Table) -> pa.Table:
         uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -344,8 +299,7 @@ def geo_line_events(sf_dir: str) -> pa.Table:
                          "n_points": pa.array([len(eid)], pa.int64()),
                          "track": pa.array([track], pa.string())})
 
-    ds = (ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                columns=["event_id", "user_id", "ts"])
+    ds = (_events(sf_dir, ("event_id", "user_id", "ts"))
           .map_batches(partial, batch_format="pyarrow",
                        zero_copy_batch=True)
           .groupby("user_id")
@@ -356,12 +310,7 @@ def geo_line_events(sf_dir: str) -> pa.Table:
 
 GEO_LINE_SQL = f"""
 WITH pts AS (
-  SELECT user_id,
-         (((event_id % {_LAT_MOD}) * {_KNUTH}) % {_LAT_MOD})
-           - 90000000 AS lat,
-         (((event_id % {_LON_MOD}) * 40503
-           + (user_id % {_LON_MOD}) * {_KNUTH}) % {_LON_MOD})
-           - 180000000 AS lon,
+  SELECT user_id, {_COORDS_SQL},
          row_number() OVER (PARTITION BY user_id
                             ORDER BY ts, event_id) AS rn
   FROM events)
@@ -378,28 +327,13 @@ def geo_bounds_events(sf_dir: str) -> pa.Table:
     event_type — int64 min/max partials per batch (associative +
     idempotent, so batch boundaries and merge order can't change the
     box)."""
-    from ray.data.aggregate import Max, Min
-
-    def partial(t: pa.Table) -> pa.Table:
-        lat, lon = _coords(t)
-        g = (pa.table({"event_type": t["event_type"],
-                       "lat": pa.array(lat, pa.int64()),
-                       "lon": pa.array(lon, pa.int64())})
-             .group_by("event_type")
-             .aggregate([("lat", "min"), ("lat", "max"),
-                         ("lon", "min"), ("lon", "max")]))
-        return g.rename_columns(
-            ["event_type", "lat_lo", "lat_hi", "lon_lo", "lon_hi"])
-
-    ds = (_read_events(sf_dir)
-          .map_batches(partial, batch_format="pyarrow")
-          .groupby("event_type")
-          .aggregate(Min("lat_lo", alias_name="min_lat"),
-                     Max("lat_hi", alias_name="max_lat"),
-                     Min("lon_lo", alias_name="min_lon"),
-                     Max("lon_hi", alias_name="max_lon")))
-    t = stages.collect(ds, "event_type:str min_lat max_lat min_lon max_lon")
-    return t.sort_by("event_type")
+    def partial(t: pa.Table, lat, lon) -> pa.Table:
+        lat, lon = pa.array(lat, pa.int64()), pa.array(lon, pa.int64())
+        return pa.table({"event_type": t["event_type"], "min_lat": lat,
+                         "max_lat": lat, "min_lon": lon, "max_lon": lon})
+    return _fold(sf_dir, partial, "event_type",
+                 "min_lat:min max_lat:max min_lon:min max_lon:max",
+                 "event_type:str min_lat max_lat min_lon max_lon")
 
 
 GEO_BOUNDS_SQL = _COORDS_CTE + """
@@ -420,40 +354,26 @@ def geo_distance_rings_events(sf_dir: str) -> pa.Table:
     point, from ≤ d < to per bucket.  Squared thresholds keep the
     test int64-exact (d < r ⟺ d² < r²); each batch emits exactly one
     4-row partial via the shared range-bucket combiner."""
-    from ray.data.aggregate import Sum
-
-    from .relational import _materialize_range_agg, _range_bucket_partial
-
     edges2 = np.array([r * r for r in _RINGS], np.int64)
-    n_b = len(_RINGS) + 1
-    labels = {"ring": pa.array([f"ring{i}" for i in range(n_b)],
+    labels = {"ring": pa.array([f"ring{i}" for i in range(len(_RINGS) + 1)],
                                pa.string()),
               "from_r": pa.array([0] + _RINGS, pa.int64()),
               "to_r": pa.array(_RINGS + [None], pa.int64())}
-
-    def d2_of(t: pa.Table) -> np.ndarray:
-        lat, lon = _coords(t)
-        return (lat - _Q_LAT) ** 2 + (lon - _Q_LON) ** 2
-
-    ds = (_read_events(sf_dir)
-          .map_batches(_range_bucket_partial(edges2, labels, d2_of),
-                       batch_format="pyarrow")
-          .groupby(["ring", "from_r", "to_r"])
-          .aggregate(Sum("n_part", alias_name="cnt")))
-    return _materialize_range_agg(ds, labels, ["cnt"]).sort_by("ring")
+    partial = stages.range_bucket_partial(edges2, labels,
+                                          lambda t: _d2(*_coords(t)))
+    ds = stages.fold(_events(sf_dir),
+                     lambda t: partial(t).rename_columns([*labels, "cnt"]),
+                     " ".join(labels), "cnt")
+    return stages.range_agg(ds, labels, ["cnt"]).sort_by("ring")
 
 
 def _geo_rings_sql() -> str:
     bounds = list(zip([0] + _RINGS, _RINGS + [None]))
     selects = []
     for i, (lo, hi) in enumerate(bounds):
-        conds = [f"(lat - {_Q_LAT}) * (lat - {_Q_LAT})"
-                 f" + (lon - {_Q_LON}) * (lon - {_Q_LON})"
-                 f" >= {lo * lo}"]
+        conds = [f"{_D2_SQL} >= {lo * lo}"]
         if hi is not None:
-            conds.append(f"(lat - {_Q_LAT}) * (lat - {_Q_LAT})"
-                         f" + (lon - {_Q_LON}) * (lon - {_Q_LON})"
-                         f" < {hi * hi}")
+            conds.append(f"{_D2_SQL} < {hi * hi}")
         hi_s = "CAST(NULL AS BIGINT)" if hi is None else str(hi)
         selects.append(
             f"SELECT 'ring{i}' AS ring, CAST({lo} AS BIGINT) AS from_r, "
@@ -499,29 +419,16 @@ def zorder_partitions_events(sf_dir: str) -> pa.Table:
     bounding box — the pruning table a partitioned layout consults
     (buckets with n_in_box = 0 are skippable for the box query).
     Per-batch partials are ≤1024 rows regardless of batch size."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        lat, lon = _coords(t)
+    def partial(t: pa.Table, lat, lon) -> pa.Table:
         cx = (lon + 180_000_000) // _ZCELL
         cy = (lat + 90_000_000) // _ZCELL
-        z = _morton_np(cx, cy) >> _ZBUCKET_SHIFT
-        in_box = ((lat >= _BOX["lat_lo"]) & (lat <= _BOX["lat_hi"])
-                  & (lon >= _BOX["lon_lo"]) & (lon <= _BOX["lon_hi"]))
-        u, inv = np.unique(z, return_inverse=True)
-        n = np.bincount(inv, minlength=len(u))
-        nb = np.bincount(inv[in_box], minlength=len(u))
         return pa.table({
-            "zbucket": pa.array(u, pa.int64()),
-            "n_events": pa.array(n.astype(np.int64)),
-            "n_in_box": pa.array(nb.astype(np.int64))})
-
-    return (_read_events(sf_dir)
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("zbucket")
-            .aggregate(Sum("n_events", alias_name="n_events"),
-                       Sum("n_in_box", alias_name="n_in_box")))
+            "zbucket": pa.array(_morton_np(cx, cy) >> _ZBUCKET_SHIFT,
+                                pa.int64()),
+            "n_events": pa.array(np.ones(len(lat), np.int64)),
+            "n_in_box": pa.array(_in_box(lat, lon).astype(np.int64))})
+    return _fold(sf_dir, partial, "zbucket", "n_events n_in_box",
+                 "zbucket n_events n_in_box")
 
 
 ZORDER_SQL = f"""
@@ -533,9 +440,7 @@ cells AS (
   FROM coords),
 z AS (
   SELECT ({_morton_expr("cx", "cy")}) >> {_ZBUCKET_SHIFT} AS zbucket,
-         CASE WHEN lat BETWEEN {_BOX["lat_lo"]} AND {_BOX["lat_hi"]}
-                   AND lon BETWEEN {_BOX["lon_lo"]} AND {_BOX["lon_hi"]}
-              THEN 1 ELSE 0 END AS in_box
+         CASE WHEN {_BOX_SQL} THEN 1 ELSE 0 END AS in_box
   FROM cells)
 SELECT zbucket, CAST(count(*) AS BIGINT) AS n_events,
        CAST(sum(in_box) AS BIGINT) AS n_in_box

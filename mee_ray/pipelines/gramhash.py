@@ -84,8 +84,8 @@ def unique_rows(*keys: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer — THE bucket mix of the repo
-    (cluster._mix64 delegates here)."""
+    """splitmix64 finalizer — THE mix of the repo: every
+    ``stages.by_bucket`` shuffle, the HyperLogLog hash, sampling."""
     z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)

@@ -10,16 +10,20 @@ per-row float arithmetic is left unrounded (bit-deterministic when the
 expression tree matches).
 
 Adding a query: state only its predicate, keys and finish, and take
-every mechanic from the helpers below —
-  ``_read`` / ``_dim`` (pruned Ray / driver reads), ``_map`` (one
-  pyarrow batch function), ``_cents_of`` / ``_int_scaled`` (SQL
-  ``CAST(round(x * 100) AS BIGINT)``, oracle side ``_cents_sql``),
-  ``_fold`` (per-batch combiner + one Ray groupby), ``stages.collect``
-  (the driver collect, typed and answered on empty input),
-  ``_sorted_map`` + ``positions_in_sorted`` (broadcast dimension
-  probes), ``_by_bucket`` (the per-key window shuffle),
-  ``_cent_hist`` / ``_order_stat`` (exact quantiles) and
-  ``stages.hash_join`` (the one large×large join);
+every mechanic from the helpers below (the underscored ones that
+``mee_ray.stages`` owns are imported under the module's local names) —
+  ``_read`` (``stages.read``) / ``_dim`` (pruned Ray / driver reads),
+  ``_map`` (one pyarrow batch function), ``_cents_of``
+  (``stages.cents_of``) / ``_int_scaled`` (SQL ``CAST(round(x * 100)
+  AS BIGINT)``, oracle side ``_cents_sql``), ``_fold``
+  (``stages.fold``: per-batch combiner + one Ray groupby),
+  ``stages.collect`` (the driver collect, typed and answered on empty
+  input), ``_sorted_map`` + ``positions_in_sorted`` (broadcast
+  dimension probes), ``_by_bucket`` (``stages.by_bucket`` over
+  ``_N_BUCKETS`` groups: the per-key window shuffle), ``_cent_hist`` /
+  ``_order_stat`` (exact quantiles), ``stages.range_bucket_partial`` +
+  ``stages.range_agg`` (fixed range buckets) and ``stages.hash_join``
+  (the one large×large join, empty when a side is);
 then add the name to ``QUERIES`` and ``ORACLE``, and to
 ``tests/test_pipelines.py::SQL_CHECKED``.  ``tests/test_empty_inputs.py``
 runs every name on zero-row tables against its oracle.
@@ -43,18 +47,18 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from mee_ray.ids import positions_in_sorted
-from mee_ray.stages import collect, hash_join
+from mee_ray.stages import (collect, hash_join, range_agg,
+                            range_bucket_partial)
+from mee_ray.stages import by_bucket as _by_bucket
+from mee_ray.stages import cents_of as _cents_of
+from mee_ray.stages import fold as _fold
+from mee_ray.stages import read as _read
 from mee_ray.stages import schema as _schema
 from mee_ray.stages import table as _table
 
 _N_BUCKETS = 64      # shuffle groups of every per-key window operator
 _DAY_US = 86_400_000_000
 _WEEK_US = 7 * _DAY_US
-
-
-def _read(sf_dir: str, table: str, columns=None):
-    import ray.data
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 def _dim(sf_dir: str, table: str, columns: str) -> pa.Table:
@@ -75,21 +79,6 @@ def _ones(n: int) -> pa.Array:
 def _map(ds, fn):
     """``fn`` over every batch of ``ds`` as a pyarrow table."""
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _cents_of(col, scale: float = 100.0):
-    """SQL ``CAST(round(col * scale) AS BIGINT)`` exactly — the module's
-    one rounding contract.  pc.round(half_towards_infinity) IS SQL
-    round()'s half away from zero; floor(x + 0.5) is not (a double one
-    ulp below a .5 boundary has x + 0.5 round UP to it in FP), nor is
-    pyarrow's default half-to-even.  Money sums run over these per-row
-    integers, so no partial/shuffle merge order can move a total across
-    a rounding boundary.  The options object is built per call (it does
-    not pickle into Ray Data transform fns)."""
-    return pc.cast(pc.round(pc.multiply(col, pa.scalar(float(scale))),
-                            options=pc.RoundOptions(
-                                round_mode="half_towards_infinity")),
-                   pa.int64())
 
 
 def _int_scaled(t: pa.Table, cols: dict[str, float]) -> pa.Table:
@@ -120,31 +109,6 @@ _PRICE_CENTS = _cents_sql("l_extendedprice")
 _REV_CENTS = _cents_sql("l_extendedprice * (1 - l_discount)")
 
 
-def _fold(ds, partial, keys: str, aggs: str):
-    """The grouped partial-aggregate fold.  ``partial(batch)`` returns
-    the ``keys`` columns and one per-row value column per ``aggs``
-    entry (``name``: sum, ``name:min``, ``name:max``); each batch is
-    pre-aggregated per key with pyarrow, so one row per key per batch
-    crosses the exchange, and one Ray groupby(keys) folds the partials
-    into the lazy Dataset ``keys + aggs``.  With no keys it is the
-    global fold: a dict name → value (None when no row contributed,
-    SQL's NULL)."""
-    from ray.data.aggregate import Max, Min, Sum
-    ks = keys.split()
-    ops = [(n, op or "sum") for n, _, op in
-           (a.partition(":") for a in aggs.split())]
-
-    def combine(t: pa.Table) -> pa.Table:
-        return (partial(t).group_by(ks).aggregate(ops)
-                .rename_columns(ks + [n for n, _ in ops]))
-
-    folds = [{"sum": Sum, "min": Min, "max": Max}[op](n, alias_name=n)
-             for n, op in ops]
-    parts = _map(ds, combine)
-    return parts.groupby(ks).aggregate(*folds) if ks else \
-        parts.aggregate(*folds)
-
-
 def _sorted_map(keys, *values) -> tuple[np.ndarray, ...]:
     """A broadcast dimension map: the int64 ``keys`` sorted, each value
     column aligned.  Probe it with ``_probe``: a dangling key must drop
@@ -164,37 +128,8 @@ def _probe(smap: tuple, ids: np.ndarray) -> tuple[np.ndarray, ...]:
     return (hit, *(v[pos] for v in values))
 
 
-def _has_rows(sf_dir: str, tables: str) -> bool:
-    """Whether every named input table has rows (parquet metadata)."""
-    import pyarrow.parquet as pq
-    return all(pq.ParquetFile(f"{sf_dir}/{t}.parquet").metadata.num_rows
-               for t in tables.split())
-
-
-def _join(sf_dir: str, tables: str, left, right, on: str, right_on: str):
-    """``stages.hash_join`` of two sides read from ``tables``.  Ray's
-    hash join fails when a side has no rows at all (its aggregator
-    builds a partition without columns), so on an empty input table
-    the answer is the empty inner join: ``left`` with no rows."""
-    if not _has_rows(sf_dir, tables):
-        return left.limit(0)
-    return hash_join(left, right, on, right_on)
-
-
 def _top(t: pa.Table, sort_keys: list, k: int) -> pa.Table:
     return t.take(pc.sort_indices(t, sort_keys=sort_keys)[:k])
-
-
-def _by_bucket(ds, key: str, fn):
-    """The per-key window shuffle: ``key`` hashes into ``_N_BUCKETS``
-    groups and ``fn`` resolves every key of a group in one vectorized
-    pass.  Grouping by the raw key would make one Python map_groups
-    call per key (thousands of tiny groups, measured 4× slower)."""
-    def bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("bucket", pa.array(
-            _np(t[key]) % _N_BUCKETS, pa.int64()))
-    return (_map(ds, bucket).groupby("bucket")
-            .map_groups(fn, batch_format="pyarrow"))
 
 
 def _cent_hist(sf_dir: str, key: str = "event_type:str",
@@ -605,7 +540,7 @@ def session_windows_events(sf_dir: str):
         })
 
     return _by_bucket(_read(sf_dir, "events", ["user_id", "event_id", "ts"]),
-                      "user_id", sessions)
+                      "user_id", sessions, _N_BUCKETS)
 
 
 def asof_join_purchase_click(sf_dir: str):
@@ -670,7 +605,8 @@ def asof_join_purchase_click(sf_dir: str):
 
     return _by_bucket(_map(_read(sf_dir, "events",
                                  ["user_id", "event_id", "ts", "event_type"]),
-                           purchases_and_clicks), "user_id", asof)
+                           purchases_and_clicks), "user_id", asof,
+                      _N_BUCKETS)
 
 
 ASOF_SQL = """
@@ -740,7 +676,7 @@ def latest_event_per_user(sf_dir: str):
         _map(_read(sf_dir, "events", ["user_id", "event_id", "ts",
                                       "event_type", "value"]), last_per_user),
         "user_id", lambda g: last_per_user(g).select(
-            ["user_id", "event_id", "event_type", "value"]))
+            ["user_id", "event_id", "event_type", "value"]), _N_BUCKETS)
 
 
 LATEST_SQL = """
@@ -1135,7 +1071,8 @@ def topk_orders_per_customer(sf_dir: str):
                    ["o_custkey", "o_orderkey", "o_totalprice"]),
              lambda t: topk_of(t).drop_columns(["rank"])),
         "o_custkey", lambda g: topk_of(g).select(
-            ["o_custkey", "rank", "o_orderkey", "o_totalprice"]))
+            ["o_custkey", "rank", "o_orderkey", "o_totalprice"]),
+        _N_BUCKETS)
 
 
 TOPK_PER_CUST_SQL = f"""
@@ -1257,7 +1194,7 @@ def event_gaps_per_user(sf_dir: str):
         })
 
     return _by_bucket(_read(sf_dir, "events", ["event_id", "user_id", "ts"]),
-                      "user_id", gaps)
+                      "user_id", gaps, _N_BUCKETS)
 
 
 LAG_SQL = """
@@ -1300,8 +1237,8 @@ def shuffle_join_lineitem_orders(sf_dir: str):
                 "l_discount"])
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderdate", "o_orderpriority"])
-    return _map(_join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
-                      "o_orderkey"), _revenue_rows)
+    return _map(hash_join(li, orders, "l_orderkey", "o_orderkey"),
+                _revenue_rows)
 
 
 SHUFFLE_JOIN_SQL = """
@@ -1345,8 +1282,7 @@ def q3_shipping_priority(sf_dir: str):
     li = _map(_read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice",
                                          "l_discount", "l_shipdate"]),
               li_partial)
-    j = _join(sf_dir, "customer orders lineitem", li, orders,
-              "l_orderkey", "o_orderkey")
+    j = hash_join(li, orders, "l_orderkey", "o_orderkey")
     keys = "l_orderkey o_orderdate o_orderpriority"
     agg = _fold(j, lambda t: pa.table({
         **{k: t[k] for k in keys.split()}, "revenue_cents": t["cents"]}),
@@ -1455,16 +1391,13 @@ def salted_join_lineitem_orders(sf_dir: str):
                 "l_discount"])
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderdate", "o_orderpriority"])
-    if not _has_rows(sf_dir, "lineitem orders"):
-        return li.limit(0)             # the empty inner join
-
     # detection sample must not be the file head (parquet is written
     # in key order — a head sample only ever sees the lowest keys):
     # a seeded row-level random_sample spreads the probe across the
-    # blocks take_batch pulls.  Detection quality only affects
+    # blocks the limit pulls.  Detection quality only affects
     # BALANCE; the joined rows are identical for any hot set.
-    sample = (li.random_sample(0.2, seed=13)
-              .take_batch(65536, batch_format="pyarrow"))
+    sample = collect(li.random_sample(0.2, seed=13).limit(65536),
+                     "l_orderkey")
     keys, counts = np.unique(_np(sample["l_orderkey"]), return_counts=True)
     hot_ref = ray.put(np.sort(keys[np.argsort(-counts)[:HOT_KEY_COUNT]]))
 
@@ -1547,7 +1480,7 @@ def running_total_orders(sf_dir: str):
     return _by_bucket(_map(_read(sf_dir, "orders", ["o_orderkey", "o_custkey",
                                                     "o_orderdate",
                                                     "o_totalprice"]),
-                           with_cents), "o_custkey", cumsum)
+                           with_cents), "o_custkey", cumsum, _N_BUCKETS)
 
 
 RUNNING_TOTAL_SQL = f"""
@@ -2129,7 +2062,8 @@ def funnel_events(sf_dir: str):
     cols = "n_view n_click n_purchase"
     agg = _fold(_by_bucket(_map(_read(sf_dir, "events",
                                       ["user_id", "ts", "event_type"]),
-                                stage_events), "user_id", funnel_bucket),
+                                stage_events), "user_id", funnel_bucket,
+                           _N_BUCKETS),
                 lambda t: t, "", cols)
     return _table([tuple(int(agg[c] or 0) for c in cols.split())], cols)
 
@@ -2249,7 +2183,8 @@ def retention_cohorts_events(sf_dir: str):
             "n_users": pa.array(cnt.astype(np.int64))})
 
     return _fold(_by_bucket(_map(_read(sf_dir, "events", ["user_id", "ts"]),
-                                 user_weeks), "user_id", cohort_bucket),
+                                 user_weeks), "user_id", cohort_bucket,
+                            _N_BUCKETS),
                  lambda t: t, "cohort_week week_offset", "n_users")
 
 
@@ -2362,8 +2297,7 @@ def q7_volume_shipping(sf_dir: str):
                                          "l_extendedprice", "l_discount",
                                          "l_shipdate"]), li_partial)
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    j = _join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
-              "o_orderkey")
+    j = hash_join(li, orders, "l_orderkey", "o_orderkey")
     t = collect(_fold(j, rev_partial, "supp_nk cust_nk l_year",
                        "revenue_cents"),
                  "supp_nk cust_nk l_year revenue_cents")
@@ -2469,8 +2403,7 @@ def q8_market_share(sf_dir: str):
     orders = _map(_read(sf_dir, "orders",
                         ["o_orderkey", "o_custkey", "o_orderdate"]),
                   ord_partial)
-    j = _join(sf_dir, "lineitem orders part", li, orders, "l_orderkey",
-              "o_orderkey")
+    j = hash_join(li, orders, "l_orderkey", "o_orderkey")
     t = collect(_fold(j, share_partial, "o_year",
                        "nation_cents total_cents"),
                  "o_year nation_cents total_cents").sort_by("o_year")
@@ -2562,10 +2495,9 @@ def q21_waiting_suppliers(sf_dir: str):
                         ["o_orderkey", "o_orderdate", "o_orderstatus"]),
                   finished)
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_shipdate"])
-    j = _join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
-              "o_orderkey")
+    j = hash_join(li, orders, "l_orderkey", "o_orderkey")
     t = collect(_fold(_by_bucket(_map(j, flag_late), "l_orderkey",
-                                  lone_late_of_group),
+                                  lone_late_of_group, _N_BUCKETS),
                        lambda t: t, "l_suppkey", "numwait"),
                  "l_suppkey numwait")
     sup = _dim(sf_dir, "supplier", "s_suppkey s_name")
@@ -2954,8 +2886,7 @@ def q5_local_supplier_volume(sf_dir: str):
     li = _map(_read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey",
                                          "l_extendedprice", "l_discount"]),
               li_project)
-    j = _join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
-              "o_orderkey")
+    j = hash_join(li, orders, "l_orderkey", "o_orderkey")
     t = collect(_fold(j, local_partial, "nationkey", "revenue_cents"),
                  "nationkey revenue_cents")
     return pa.table({"n_name": pa.array([name_of[k] for k in
@@ -3015,8 +2946,7 @@ def q4_order_priority(sf_dir: str):
     orders = _map(_read(sf_dir, "orders",
                         ["o_orderkey", "o_orderdate", "o_orderpriority"]),
                   filter_orders)
-    j = _join(sf_dir, "orders lineitem", orders, witness, "o_orderkey",
-              "l_orderkey")
+    j = hash_join(orders, witness, "o_orderkey", "l_orderkey")
     return collect(_fold(j, count_partial, "o_orderpriority", "order_count"),
                     "o_orderpriority:str order_count"
                     ).sort_by("o_orderpriority")
@@ -3065,8 +2995,7 @@ def q10_returned_items(sf_dir: str):
     orders = _map(_read(sf_dir, "orders",
                         ["o_orderkey", "o_custkey", "o_orderdate"]),
                   filter_orders)
-    j = _join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
-              "o_orderkey")
+    j = hash_join(li, orders, "l_orderkey", "o_orderkey")
     per_cust = _fold(j, lambda t: pa.table({"o_custkey": t["o_custkey"],
                                             "revenue_cents": t["cents"]}),
                      "o_custkey", "revenue_cents")
@@ -3243,8 +3172,7 @@ def q12_priority_classes(sf_dir: str):
     li = _map(_read(sf_dir, "lineitem", ["l_orderkey", "l_linestatus",
                                          "l_shipdate"]), li_filter)
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    j = _join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
-              "o_orderkey")
+    j = hash_join(li, orders, "l_orderkey", "o_orderkey")
     return collect(_fold(j, partial, "l_linestatus",
                           "high_line_count low_line_count"),
                     "l_linestatus:str high_line_count low_line_count"
@@ -3304,8 +3232,7 @@ def q9_product_profit(sf_dir: str):
                                          "l_suppkey", "l_extendedprice",
                                          "l_discount"]), li_partial)
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
-    j = _join(sf_dir, "lineitem orders", li, orders, "l_orderkey",
-              "o_orderkey")
+    j = hash_join(li, orders, "l_orderkey", "o_orderkey")
     t = collect(_fold(j, lambda t: pa.table({
         "nat_k": t["nat_k"], "o_year": pc.year(t["o_orderdate"]).cast(
             pa.int64()), "profit_cents": t["cents"]}),
@@ -3647,8 +3574,8 @@ def has_child_orders(sf_dir: str):
 
     parents = _read(sf_dir, "orders",
                     ["o_orderkey", "o_orderdate", "o_orderpriority"])
-    j = _join(sf_dir, "lineitem orders", _map(agg, min_children), parents,
-              "l_orderkey", "o_orderkey")
+    j = hash_join(_map(agg, min_children), parents, "l_orderkey",
+                  "o_orderkey")
     cols = ["o_orderdate", "o_orderpriority", "n_matching",
             "score_max_cents", "score_sum_cents", "best_child_linenumber"]
     return _map(j, lambda t: pa.table(
@@ -3699,8 +3626,7 @@ def has_parent_lineitems(sf_dir: str):
                    parent_query)
     children = _read(sf_dir, "lineitem",
                      ["l_orderkey", "l_linenumber", "l_returnflag"])
-    return _map(_join(sf_dir, "lineitem orders", children, parents,
-                      "l_orderkey", "o_orderkey"),
+    return _map(hash_join(children, parents, "l_orderkey", "o_orderkey"),
                 lambda t: t.select(["l_orderkey", "l_linenumber",
                                     "l_returnflag", "parent_score_cents"]))
 
@@ -3749,7 +3675,7 @@ def filters_agg_events(sf_dir: str):
 
     # every bucket is answered, with 0s on empty input (the oracle's
     # UNION ALL of coalesced aggregates)
-    return _materialize_range_agg(
+    return range_agg(
         _fold(_read(sf_dir, "events", ["ts", "event_type", "value"]),
               partial, "bucket", "n_events sum_value_cents"),
         {"bucket": pa.array(names, pa.string())},
@@ -3827,46 +3753,6 @@ _DATE_RANGE_EDGES = [
     for d in ("2024-01-08", "2024-01-15", "2024-01-22")]
 
 
-def _range_bucket_partial(edges: np.ndarray, labels: dict, key_fn,
-                          weight_fn=None):
-    """Shared [from, to) range-bucket partial — the ES range-agg
-    family's combiner (date_range / ip_range / geo_distance rings):
-    each batch emits exactly ONE (len(edges)+1)-row partial — bucket
-    id via searchsorted(side="right") over the contiguous edges,
-    counts via bincount, optional weight sums via float64 bincount
-    (exact while the per-batch |Σ| < 2^53; the cross-batch sum stays
-    int64 in the groupby)."""
-    n_b = len(edges) + 1
-
-    def partial(t: pa.Table) -> pa.Table:
-        idx = np.searchsorted(edges, key_fn(t), side="right")
-        cols = dict(labels)
-        cols["n_part"] = pa.array(
-            np.bincount(idx, minlength=n_b).astype(np.int64), pa.int64())
-        if weight_fn is not None:
-            cols["s_part"] = pa.array(
-                np.bincount(idx, weights=weight_fn(t).astype(np.float64),
-                            minlength=n_b).astype(np.int64), pa.int64())
-        return pa.table(cols)
-
-    return partial
-
-
-def _materialize_range_agg(ds, labels: dict, agg_names: list) -> pa.Table:
-    """Collect a fixed-bucket range agg.  On zero input batches the
-    map stage never runs, so the engine would emit no rows while the
-    UNION-ALL oracle still emits every bucket with count 0 — mirror
-    that with the statically known zero table."""
-    tabs = list(ds.iter_batches(batch_format="pyarrow"))
-    if tabs:
-        return pa.concat_tables(tabs)
-    n = len(next(iter(labels.values())))
-    cols = dict(labels)
-    for a in agg_names:
-        cols[a] = pa.array([0] * n, pa.int64())
-    return pa.table(cols)
-
-
 def date_range_agg_events(sf_dir: str):
     """ES ``date_range`` aggregation: explicit [from, to) buckets —
     here the unbounded head, two interior weeks, and the unbounded
@@ -3878,11 +3764,11 @@ def date_range_agg_events(sf_dir: str):
                                  pa.string()),
               "from_us": pa.array([None] + _DATE_RANGE_EDGES, pa.int64()),
               "to_us": pa.array(_DATE_RANGE_EDGES + [None], pa.int64())}
-    partial = _range_bucket_partial(
+    partial = range_bucket_partial(
         edges, labels, lambda t: _np(t["ts"].cast(pa.int64())),
         lambda t: _np(_cents_of(t["value"])))
     aggs = ["n_events", "sum_value_cents"]
-    return _materialize_range_agg(
+    return range_agg(
         _fold(_read(sf_dir, "events", ["ts", "value"]),
               lambda t: partial(t).rename_columns([*labels, *aggs]),
               " ".join(labels), " ".join(aggs)), labels, aggs)
@@ -3946,8 +3832,8 @@ def ip_range_events(sf_dir: str):
                            pa.string()),
         "from_ip": pa.array([_dotted(lo) for lo, _ in bounds], pa.string()),
         "to_ip": pa.array([_dotted(hi) for _, hi in bounds], pa.string())}
-    partial = _range_bucket_partial(edges, labels, _derived_ip)
-    return _materialize_range_agg(
+    partial = range_bucket_partial(edges, labels, _derived_ip)
+    return range_agg(
         _fold(_read(sf_dir, "events", ["user_id"]),
               lambda t: partial(t).rename_columns([*labels, "cnt"]),
               " ".join(labels), "cnt"), labels, ["cnt"])

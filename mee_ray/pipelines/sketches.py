@@ -1,4 +1,5 @@
-"""Mergeable cardinality sketch: HyperLogLog distinct counting.
+"""Mergeable sketches: HyperLogLog distinct counts, heavy-hitter term
+summaries and KLL-style quantiles, each beside its exact companion.
 
 Distributed distinct-count WITHOUT a distinct shuffle: each map_batches
 task folds its rows into 2^p max-registers (vectorized numpy — hash,
@@ -9,29 +10,36 @@ boundaries, retries, and merge order cannot change the result).
 Standard error ≈ 1.04/√(2^p) (~1.6 % at p = 12); small cardinalities
 fall back to linear counting over the zero registers, making counts
 below ~2.5·2^p near-exact.  Public-knowledge algorithm (Flajolet et
-al., HyperLogLog; splitmix64 finalizer for the hash).
+al., HyperLogLog; ``gramhash.mix64``, the splitmix64 finalizer, is
+the hash).
 
-The exact companion query (`count(DISTINCT ...)`) is SQL-expressible,
-so the driver gate checks the exact side; the sketch itself is
-verified by error-bound and merge-identity tests.
+The exact companions (``count(DISTINCT ...)``, exact top terms) are
+SQL-expressible, so the oracle gate checks the exact side; the
+sketches themselves are rows-only, verified by error-bound and
+merge-identity tests.
+
+Adding a query: state only its own rule.  The helpers:
+``stages.read`` (every scan), ``DISTINCT_COLUMNS`` (the columns both
+distinct counts answer), ``_term_counts`` (a batch's term counts via
+``text._term_ids``, first-seen order), ``_top_terms`` (the one
+(count desc, term asc) top-k), ``stages.fold`` and ``stages.collect``;
+then add the name to ``QUERIES`` (and ``ORACLE`` when SQL can check
+it).
 """
-
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from mee_ray import stages
+from mee_ray.pipelines.gramhash import mix64
 
 HLL_P = 12                      # 4096 registers ≈ 1.6 % standard error
 _M = 1 << HLL_P
-
-
-def _hash64(v: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer — a well-mixed 64-bit hash, vectorized."""
-    x = v.astype(np.uint64, copy=True)
-    x += np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+# the (table, column) pairs both distinct-count queries answer
+DISTINCT_COLUMNS = [("events", "user_id"), ("events", "event_id"),
+                    ("lineitem", "l_orderkey"), ("orders", "o_custkey")]
 
 
 def _clz64(x: np.ndarray) -> np.ndarray:
@@ -50,7 +58,7 @@ def _clz64(x: np.ndarray) -> np.ndarray:
 
 def hll_fold(values: np.ndarray, registers: np.ndarray) -> np.ndarray:
     """Fold int64/uint64 values into 2^p uint8 registers (in place)."""
-    h = _hash64(values)
+    h = mix64(values)
     idx = (h >> np.uint64(64 - HLL_P)).astype(np.int64)
     w = h << np.uint64(HLL_P)        # remaining 64-p bits, left-aligned
     rho = np.minimum(_clz64(w), 64 - HLL_P).astype(np.uint8) + np.uint8(1)
@@ -76,7 +84,6 @@ def hll_sketch_column(ds, column: str) -> np.ndarray:
     the driver."""
 
     def partial(t: pa.Table, col=column) -> pa.Table:
-        import pyarrow.compute as pc
         reg = np.zeros(_M, dtype=np.uint8)
         # drop nulls ARROW-side: a nullable int64 column converts to
         # float64-with-NaN in numpy (not object), and NaN→uint64 is a
@@ -103,48 +110,34 @@ def hll_distinct_counts(sf_dir: str):
     per column (rows-only: the estimate is approximate by design; the
     exact companions are separate oracle-checked queries and the error
     bound is asserted in tests)."""
-    import ray.data
-
-    specs = [("events", "user_id"), ("events", "event_id"),
-             ("lineitem", "l_orderkey"), ("orders", "o_custkey")]
-    cols, ests = [], []
-    for table, col in specs:
-        ds = ray.data.read_parquet(f"{sf_dir}/{table}.parquet",
-                                   columns=[col])
-        reg = hll_sketch_column(ds, col)
-        cols.append(f"{table}.{col}")
-        ests.append(int(round(hll_estimate(reg))))
-    return pa.table({"column": pa.array(cols, pa.string()),
-                     "hll_estimate": pa.array(ests, pa.int64())})
+    return pa.table({
+        "column": pa.array([f"{t}.{c}" for t, c in DISTINCT_COLUMNS],
+                           pa.string()),
+        "hll_estimate": pa.array([int(round(hll_estimate(hll_sketch_column(
+            stages.read(sf_dir, t, [c]), c)))) for t, c in DISTINCT_COLUMNS],
+            pa.int64())})
 
 
 def exact_distinct_counts(sf_dir: str):
     """Exact distributed companion (groupby-distinct then count) for
     the same columns — SQL-expressible, value-hash-checked."""
-    import ray.data
 
-    specs = [("events", "user_id"), ("events", "event_id"),
-             ("lineitem", "l_orderkey"), ("orders", "o_custkey")]
-    cols, ns = [], []
-    for table, col in specs:
-        ds = ray.data.read_parquet(f"{sf_dir}/{table}.parquet",
-                                   columns=[col])
+    def distinct_part(t: pa.Table) -> pa.Table:
+        # Arrow-native distinct: SQL count(DISTINCT) excludes NULLs,
+        # and numpy's unique would either crash on object arrays
+        # containing None or count NaN as a value
+        c = t.column_names[0]
+        return pa.table({c: pc.unique(pc.drop_null(t[c].combine_chunks()))})
 
-        def distinct_part(t: pa.Table, c=col) -> pa.Table:
-            import pyarrow.compute as pc
-            # Arrow-native distinct: SQL count(DISTINCT) excludes
-            # NULLs, and numpy's unique would either crash on object
-            # arrays containing None or count NaN as a value
-            return pa.table({c: pc.unique(pc.drop_null(
-                t[c].combine_chunks()))})
-
-        uniq = (ds.map_batches(distinct_part, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                .groupby(col).count())
-        cols.append(f"{table}.{col}")
-        ns.append(uniq.count())
-    return pa.table({"column": pa.array(cols, pa.string()),
-                     "n_distinct": pa.array(ns, pa.int64())})
+    return pa.table({
+        "column": pa.array([f"{t}.{c}" for t, c in DISTINCT_COLUMNS],
+                           pa.string()),
+        "n_distinct": pa.array([
+            stages.read(sf_dir, t, [c])
+            .map_batches(distinct_part, batch_format="pyarrow",
+                         zero_copy_batch=True)
+            .groupby(c).count().count() for t, c in DISTINCT_COLUMNS],
+            pa.int64())})
 
 
 EXACT_DISTINCT_SQL = """
@@ -165,57 +158,19 @@ HH_CAPACITY = 512     # per-batch summary size m
 HH_TOPK = 30
 
 
-def _hh_summaries(sf_dir: str):
-    """Per-batch truncated-counter summaries (SpaceSaving-style,
-    Metwally et al.): exact batch term counts cut to the top
-    ``HH_CAPACITY``, plus the count of the heaviest DROPPED term as
-    the batch's error bound.  Each summary is ≤ m rows regardless of
-    batch size — the same bounded-transport discipline as the HLL
-    registers; merge at larger batch counts becomes a tree-reduce."""
-    import re
+def _term_counts(t: pa.Table):
+    """(distinct terms in first-seen order, their counts) of a batch's
+    ``text`` — ``re.findall(TOKEN_PATTERN, text.lower())`` counted."""
+    from mee_ray.pipelines.text import _term_ids
+    _, tid, terms, _ = _term_ids(t["text"])
+    return terms, np.bincount(tid, minlength=len(terms)).astype(np.int64)
 
-    import ray.data
 
-    from mee_ray.pipelines.text import TOKEN_PATTERN
-
-    tok = re.compile(TOKEN_PATTERN)
-
-    def summary(t: pa.Table) -> pa.Table:
-        import os as _os
-        from collections import Counter
-        c: Counter = Counter()
-        for x in t["text"].to_pylist():
-            c.update(tok.findall(x.lower()))
-        items = c.most_common()
-        kept = items[:HH_CAPACITY]
-        err = items[HH_CAPACITY][1] if len(items) > HH_CAPACITY else 0
-        # unique summary id: Ray Data may coalesce several batch
-        # outputs into ONE block, and naively treating a block as one
-        # summary would drop duplicate terms' counts (breaking the
-        # count_max ≥ true-count bound) — the id keeps each summary
-        # self-delimiting through any block re-bundling
-        sid = _os.urandom(8).hex()
-        return pa.table({
-            "sid": pa.array([sid] * len(kept), pa.string()),
-            "term": pa.array([k for k, _ in kept], pa.string()),
-            "cnt": pa.array([v for _, v in kept], pa.int64()),
-            "err": pa.array([err] * len(kept), pa.int64()),
-        })
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["text"])
-    by_sid: dict[str, tuple[dict, int]] = {}
-    for b in (ds.map_batches(summary, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .iter_batches(batch_format="pyarrow", batch_size=None)):
-        sids = b["sid"].to_pylist()
-        terms = b["term"].to_pylist()
-        cnts = b["cnt"].to_numpy(zero_copy_only=False)
-        errs = b["err"].to_numpy(zero_copy_only=False)
-        for sid, term, cnt, err in zip(sids, terms, cnts, errs):
-            m, _ = by_sid.setdefault(sid, ({}, int(err)))
-            m[term] = int(cnt)
-    return list(by_sid.values())
+def _top_terms(t: pa.Table, n: str) -> pa.Table:
+    """The ``HH_TOPK`` rows of ``t`` by (``n`` desc, term asc)."""
+    terms = np.array(t["term"].to_pylist(), dtype=object)
+    order = np.lexsort((terms, -t[n].to_numpy(zero_copy_only=False)))
+    return t.take(pa.array(order[:HH_TOPK], pa.int64()))
 
 
 def heavy_hitters_terms(sf_dir: str):
@@ -225,21 +180,47 @@ def heavy_hitters_terms(sf_dir: str):
     of summaries that kept the term; count_max adds each dropping
     summary's error).  Rows-only by design — the exact companion
     ``exact_top_terms`` is the oracle-checked side, and the bounds
-    invariant is asserted in tests."""
-    summaries = _hh_summaries(sf_dir)
-    lower: dict[str, int] = {}
-    for m, _ in summaries:
-        for term, c in m.items():
-            lower[term] = lower.get(term, 0) + c
-    upper = {}
-    for term in lower:
-        upper[term] = sum(m.get(term, err) for m, err in summaries)
-    ranked = sorted(lower, key=lambda t: (-lower[t], t))[:HH_TOPK]
-    return pa.table({
-        "term": pa.array(ranked, pa.string()),
-        "count_min": pa.array([lower[t] for t in ranked], pa.int64()),
-        "count_max": pa.array([upper[t] for t in ranked], pa.int64()),
-    })
+    invariant is asserted in tests.
+
+    Each batch is one truncated-counter summary (SpaceSaving-style,
+    Metwally et al.): exact batch term counts cut to the top
+    ``HH_CAPACITY`` in ``Counter.most_common`` order (count desc, then
+    first occurrence), plus the count of the heaviest DROPPED term as
+    the batch's error bound.  Each summary is ≤ m rows regardless of
+    batch size — the same bounded-transport discipline as the HLL
+    registers."""
+    import os
+
+    def summary(t: pa.Table) -> pa.Table:
+        terms, c = _term_counts(t)
+        order = np.argsort(-c, kind="stable")
+        kept = order[:HH_CAPACITY]
+        err = int(c[order[HH_CAPACITY]]) if len(c) > HH_CAPACITY else 0
+        # unique summary id: Ray Data may coalesce several batch
+        # outputs into ONE block, and naively treating a block as one
+        # summary would drop duplicate terms' counts (breaking the
+        # count_max ≥ true-count bound) — the id keeps each summary
+        # self-delimiting through any block re-bundling
+        return pa.table({
+            "sid": pa.array([os.urandom(8).hex()] * len(kept), pa.string()),
+            "term": terms.take(pa.array(kept, pa.int64())),
+            "cnt": pa.array(c[kept], pa.int64()),
+            "err": pa.array(np.full(len(kept), err, np.int64))})
+
+    rows = stages.collect(
+        stages.read(sf_dir, "documents", ["text"]).map_batches(
+            summary, batch_format="pyarrow", zero_copy_batch=True),
+        "sid:str term:str cnt err")
+    # count_max = count_min + the errors of the summaries that dropped
+    # the term = count_min + (all errors − the keeping summaries' ones)
+    total_err = pc.sum(rows.group_by("sid").aggregate([("err", "max")])
+                       ["err_max"]).as_py() or 0
+    per = rows.group_by("term").aggregate([("cnt", "sum"), ("err", "sum")])
+    low = per["cnt_sum"].to_numpy(zero_copy_only=False)
+    return _top_terms(pa.table({
+        "term": per["term"], "count_min": pa.array(low, pa.int64()),
+        "count_max": pa.array(low + total_err - per["err_sum"].to_numpy(
+            zero_copy_only=False), pa.int64())}), "count_min")
 
 
 def exact_top_terms(sf_dir: str):
@@ -248,47 +229,15 @@ def exact_top_terms(sf_dir: str):
     the groupby every term lives in exactly one block, so the union of
     per-block top-k contains the global top-k and the driver merges a
     few k-row partials."""
-    import re
-
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from mee_ray.pipelines.text import TOKEN_PATTERN
-
-    tok = re.compile(TOKEN_PATTERN)
-
     def counts(t: pa.Table) -> pa.Table:
-        from collections import Counter
-        c: Counter = Counter()
-        for x in t["text"].to_pylist():
-            c.update(tok.findall(x.lower()))
-        items = sorted(c.items())
-        return pa.table({"term": pa.array([k for k, _ in items], pa.string()),
-                         "n_part": pa.array([v for _, v in items], pa.int64())})
+        terms, c = _term_counts(t)
+        return pa.table({"term": terms, "n": pa.array(c, pa.int64())})
 
-    def local_topk(t: pa.Table) -> pa.Table:
-        import numpy as np
-        n = t["n"].to_numpy(zero_copy_only=False)
-        terms = np.array(t["term"].to_pylist(), dtype=object)
-        order = np.lexsort((terms, -n))[:HH_TOPK]
-        return t.take(pa.array(order))
-
-    grouped = (ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                     columns=["text"])
-               .map_batches(counts, batch_format="pyarrow",
-                            zero_copy_batch=True)
-               .groupby("term").aggregate(Sum("n_part", alias_name="n"))
-               .map_batches(local_topk, batch_format="pyarrow"))
-    parts = list(grouped.iter_batches(batch_format="pyarrow",
-                                      batch_size=None))
-    t = (pa.concat_tables(parts) if parts
-         else pa.table({"term": pa.array([], pa.string()),
-                        "n": pa.array([], pa.int64())}))
-    import numpy as np
-    n = t["n"].to_numpy(zero_copy_only=False)
-    terms = np.array(t["term"].to_pylist(), dtype=object)
-    order = np.lexsort((terms, -n))[:HH_TOPK]
-    t = t.take(pa.array(order))
+    t = _top_terms(stages.collect(
+        stages.fold(stages.read(sf_dir, "documents", ["text"]), counts,
+                    "term", "n")
+        .map_batches(lambda b: _top_terms(b, "n"), batch_format="pyarrow"),
+        "term:str n"), "n")
     return t.append_column("rank", pa.array(
         np.arange(1, t.num_rows + 1), pa.int64()))
 
@@ -383,10 +332,7 @@ def quantile_sketch_events(sf_dir: str):
     rank-error bound is asserted in tests).  Per-batch partials are
     (event_type, level, values) rows; the driver folds sketches, not
     data."""
-    import ray.data
-
     def partial(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         out_k, out_l, out_v = [], [], []
         tt = pa.table({"k": t["event_type"], "v": t["value"]})
         for key in pc.unique(tt["k"]).to_pylist():
@@ -406,8 +352,7 @@ def quantile_sketch_events(sf_dir: str):
 
     sketches: dict[str, list[np.ndarray]] = {}
     parities: dict[str, int] = {}
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type", "value"])
+    ds = stages.read(sf_dir, "events", ["event_type", "value"])
     for b in (ds.map_batches(partial, batch_format="pyarrow",
                              zero_copy_batch=True)
               .iter_batches(batch_format="pyarrow")):

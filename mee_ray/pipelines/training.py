@@ -12,8 +12,8 @@ cluster.gram_dup_edges_ds / connected_components, export.export_training_shards
 the driver at any step:
 
 * the curated survivor set is a Dataset, joined to the docs table by
-  a hash-bucketed groupby semi-join (no survivor-id broadcast — the
-  survivor set is corpus-sized);
+  a ``left_semi`` hash join (``stages.hash_join``; no survivor-id
+  broadcast — the survivor set is corpus-sized);
 * near-dup clustering reads that same curated Dataset; its output
   (the clustered-node → root map) is bounded by the DUPLICATE count,
   not the corpus, so the drop-set of non-representative nodes is the
@@ -31,54 +31,13 @@ import shutil
 import numpy as np
 import pyarrow as pa
 
-from mee_ray.pipelines.cluster import (_mix64, _N_BUCKETS,
-                                       connected_components,
-                                       gram_dup_edges_ds)
+from mee_ray import stages
+from mee_ray.ids import isin_sorted
+from mee_ray.pipelines.cluster import connected_components, gram_dup_edges_ds
 
 _GRAM_N = 8
 _GRAM_MAX_DF = 50
 _N_SHARDS = 16
-
-
-def _semi_join_docs(docs, ids):
-    """docs ⋉ ids by doc_id via ONE bucketed groupby — both sides are
-    Datasets; neither is broadcast.  ``docs`` must carry (doc_id,
-    text); ``ids`` carries doc_id (other columns ignored)."""
-
-    def tag(is_member_side: bool):
-        def fn(t: pa.Table) -> pa.Table:
-            d = t["doc_id"].to_numpy(zero_copy_only=False)
-            bucket = (_mix64(d) % np.uint64(_N_BUCKETS)).astype(np.int32)
-            text = (t["text"] if not is_member_side
-                    else pa.array([""] * len(d), pa.string()))
-            return pa.table({
-                "bucket": pa.array(bucket),
-                "doc_id": pa.array(d, pa.int64()),
-                "text": text,
-                "is_member": pa.array(
-                    np.full(len(d), is_member_side, dtype=np.int8))})
-        return fn
-
-    def probe(g: pa.Table) -> pa.Table:
-        d = g["doc_id"].to_numpy(zero_copy_only=False)
-        m = g["is_member"].to_numpy(zero_copy_only=False).astype(bool)
-        members = np.sort(d[m])
-        rows = ~m
-        dd = d[rows]
-        keep = np.zeros(len(dd), dtype=bool)
-        if len(members):
-            pos = np.clip(np.searchsorted(members, dd),
-                          0, len(members) - 1)
-            keep = members[pos] == dd
-        out = g.filter(pa.array(rows)).filter(pa.array(keep))
-        return out.select(["doc_id", "text"])
-
-    docs_side = docs.map_batches(tag(False), batch_format="pyarrow",
-                                 zero_copy_batch=True)
-    ids_side = ids.map_batches(tag(True), batch_format="pyarrow")
-    return (docs_side.union(ids_side)
-            .groupby("bucket")
-            .map_groups(probe, batch_format="pyarrow"))
 
 
 def corpus_to_training_shards(sf_dir: str) -> pa.Table:
@@ -87,10 +46,12 @@ def corpus_to_training_shards(sf_dir: str) -> pa.Table:
     import ray
 
     from mee_ray.pipelines.export import export_training_shards
-    from mee_ray.pipelines.text import _read_docs, curated_ids_dataset
+    from mee_ray.pipelines.text import curated_ids_dataset
 
     ids = curated_ids_dataset(sf_dir).select_columns(["doc_id"])
-    cur = _semi_join_docs(_read_docs(sf_dir, ["doc_id", "text"]), ids)
+    cur = stages.hash_join(stages.read(sf_dir, "documents",
+                                       ["doc_id", "text"]),
+                           ids, "doc_id", join_type="left_semi")
     # clustering consumes `cur` a second time: materialize the curated
     # stream once rather than re-running filter+dedup per consumer
     cur = cur.materialize()
@@ -103,12 +64,8 @@ def corpus_to_training_shards(sf_dir: str) -> pa.Table:
     drop_ref = ray.put(dropped)
 
     def drop_non_reps(t: pa.Table) -> pa.Table:
-        d = t["doc_id"].to_numpy(zero_copy_only=False)
-        dr = ray.get(drop_ref)
-        if not len(dr):
-            return t
-        pos = np.clip(np.searchsorted(dr, d), 0, len(dr) - 1)
-        return t.filter(pa.array(dr[pos] != d))
+        return t.filter(pa.array(~isin_sorted(
+            t["doc_id"].to_numpy(zero_copy_only=False), ray.get(drop_ref))))
 
     kept = cur.map_batches(drop_non_reps, batch_format="pyarrow",
                            zero_copy_batch=True)

@@ -212,27 +212,23 @@ def vecindex_topk(sf_dir: str):
     cosine over the float32-quantized stored vectors, so ranks match
     the SQL oracle wherever neighbors aren't closer than ~1e-7 apart
     (random embeddings: never).  Same query/tie-break convention as
-    knn_bruteforce; the index is built once per source fingerprint and
-    reused (the engine's stage-checkpoint stance)."""
-    import hashlib
-    import os
+    knn_bruteforce.  The index lives in a temporary directory removed
+    when the call returns, so no call leaves an index behind."""
+    import tempfile
 
-    from mee_ray import manifest as mf
     from mee_ray.vecindex import VectorSearcher, build_vector_index
 
-    st = os.stat(f"{sf_dir}/embeddings.parquet")
-    tag = hashlib.sha1(f"{sf_dir}|{st.st_size}_{st.st_mtime_ns}"
-                       .encode()).hexdigest()[:16]
-    root = f"/tmp/mee_vec_index/{tag}"
-    if mf.current_epoch(root) is None:
+    rows = []
+    with tempfile.TemporaryDirectory(prefix="mee_vec_index-") as root:
         build_vector_index(_read_emb(sf_dir), root, "ep1",
                            n_clusters=IVF_CLUSTERS)
-    s = VectorSearcher(root)
-    rows = []
-    for qid, q in zip(*_load_queries(sf_dir, ("vec_id", "<", N_QUERIES))):
-        hits = [d for d, _ in s.search(q, k=TOP_K + 1, nprobe=IVF_CLUSTERS)
-                if d != qid][:TOP_K]
-        rows += [(int(qid), r, d) for r, d in enumerate(hits, 1)]
+        s = VectorSearcher(root)
+        for qid, q in zip(*_load_queries(sf_dir,
+                                         ("vec_id", "<", N_QUERIES))):
+            hits = [d for d, _ in s.search(q, k=TOP_K + 1,
+                                           nprobe=IVF_CLUSTERS)
+                    if d != qid][:TOP_K]
+            rows += [(int(qid), r, d) for r, d in enumerate(hits, 1)]
     return table(rows, "query_id rank neighbor_id")
 
 

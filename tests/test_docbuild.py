@@ -409,3 +409,33 @@ def test_multiple_changes_per_table_rejected(ray_session):
     with pytest.raises(IllegalDocSpec, match="multiple SlaveChanges"):
         apply_join_delta(SF, spec, [SlaveChange("nation", delete_keys=(1,)),
                                     SlaveChange("nation", delete_keys=(2,))])
+
+
+def test_nested_summary_rounds_half_cents_away_from_zero(ray_session,
+                                                         tmp_path):
+    """spend_cents is SQL ``round(o_totalprice * 100)``: a price on a
+    half cent (0.125 → 12.5 cents) rounds away from zero, as the
+    oracle's DuckDB round does, not to the even cent."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from mee_ray.pipelines.docbuild import (DOCBUILD_NESTED_SQL,
+                                            docbuild_nested_summary)
+    pq.write_table(pa.table({"c_custkey": pa.array([1, 2, 3], pa.int64())}),
+                   str(tmp_path / "customer.parquet"))
+    pq.write_table(pa.table({
+        "o_orderkey": pa.array([10, 11, 12, 13], pa.int64()),
+        "o_custkey": pa.array([1, 1, 2, 2], pa.int64()),
+        "o_totalprice": pa.array([0.125, 0.625, 0.375, 2.0])}),
+        str(tmp_path / "orders.parquet"))
+    con = duckdb.connect()
+    for t in ("customer", "orders"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"'{tmp_path}/{t}.parquet'")
+    ref = con.execute(DOCBUILD_NESTED_SQL).df().sort_values("cust_id")
+    got = docbuild_nested_summary(str(tmp_path)).to_pandas() \
+        .sort_values("cust_id")
+    assert ref["spend_cents"].tolist()[:2] == [76, 238]
+    assert got["spend_cents"].tolist()[:2] == [76, 238]
+    assert got["n_orders"].tolist() == [2, 2, 0]
+    assert got["spend_cents"].isna().tolist() == [False, False, True]

@@ -1,5 +1,5 @@
-"""Every relational, text and vector query answers zero-row and tiny
-inputs.
+"""Every relational, text, vector, cluster, geo, sketch and docbuild
+query answers zero-row and tiny inputs.
 
 Each ``relational.QUERIES`` name runs on zero-row copies of the sf0.001
 tables (same schemas) and must equal its DuckDB oracle on the same
@@ -12,7 +12,11 @@ window, no foreground term): it must equal its oracle when it has
 one, and return without raising when it is rows-only.  Each
 ``vector.QUERIES`` name runs the same way on a zero-row ``embeddings``
 table and on its first 3 vectors (fewer vectors than IVF clusters,
-near-dup assignments or the top-k).
+near-dup assignments or the top-k).  Each ``cluster``, ``geo``,
+``sketches`` and ``docbuild`` name runs on the zero-row copies: it
+must equal its oracle when it has one, and return without raising when
+it is rows-only.  Two crafted sf0.001 copies leave one side of a hash
+join empty (Q3 without a BUILDING customer, Q8 without a PROMO part).
 """
 
 import duckdb
@@ -21,7 +25,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from mee_ray.pipelines import relational, text, vector
+from mee_ray.pipelines import (cluster, docbuild, geo, relational,
+                                sketches, text, vector)
 from test_pipelines import SF, TABLES, _canon, _to_pandas
 
 
@@ -58,6 +63,43 @@ def test_empty_input_matches_oracle(ray_session, empty_sf, empty_ducks,
                                     name):
     _assert_matches(relational.QUERIES[name](empty_sf),
                     empty_ducks.execute(relational.ORACLE[name]).df())
+
+
+FAMILIES = (cluster, geo, sketches, docbuild)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for m in FAMILIES for n in m.QUERIES))
+def test_family_query_on_empty_tables(ray_session, empty_sf, empty_ducks,
+                                      name):
+    mod = next(m for m in FAMILIES if name in m.QUERIES)
+    res = mod.QUERIES[name](empty_sf)
+    if name not in mod.ORACLE:
+        _to_pandas(res)
+        return
+    _assert_matches(res, empty_ducks.execute(mod.ORACLE[name]).df())
+
+
+@pytest.mark.parametrize("name,table,column,value", [
+    ("q3_shipping_priority", "customer", "c_mktsegment", "AUTOMOBILE"),
+    ("q8_market_share", "part", "p_type", "STANDARD")])
+def test_hash_join_with_an_empty_side(ray_session, tmp_path, name, table,
+                                      column, value):
+    """Every ``column`` value of ``table`` replaced by ``value``, so the
+    query's filter empties one side of its hash join: the empty join,
+    equal to the oracle on the same copy."""
+    con = duckdb.connect()
+    for t in TABLES:
+        tab = pq.read_table(f"{SF}/{t}.parquet")
+        if t == table:
+            tab = tab.set_column(
+                tab.schema.get_field_index(column), column,
+                pa.array([value] * tab.num_rows, tab.schema.field(column).type))
+        pq.write_table(tab, str(tmp_path / f"{t}.parquet"))
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"'{tmp_path}/{t}.parquet'")
+    _assert_matches(relational.QUERIES[name](str(tmp_path)),
+                    con.execute(relational.ORACLE[name]).df())
 
 
 TINY_TEXTS = ["the fast key", "the fast key", "", "a b", "join",

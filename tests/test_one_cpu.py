@@ -5,9 +5,10 @@ its feeding read tasks need, and the pipeline stalls forever.  The
 check runs in a subprocess with its own ``ray.init(num_cpus=1)`` (the
 test session's Ray is shared and multi-CPU), one multimodal decode
 stage, one fulltext broadcast stage, one hash join (q12, whose
-aggregator actors are a pool too, ``stages.hash_join``) and the
-passage dedup's bucketed shuffle, under an in-process alarm that shuts
-Ray down cleanly and exits 3 when no result arrives.
+aggregator actors are a pool too, ``stages.hash_join``), the passage
+dedup's bucketed shuffle and docbuild's multi-index census (two
+grouped Datasets), under an in-process alarm that shuts Ray down
+cleanly and exits 3 when no result arrives.
 """
 
 import os
@@ -58,6 +59,12 @@ CHILD = textwrap.dedent(f"""
         dedup = passage_dedup_documents({SF!r}).to_pandas()
         print("dedup", len(dedup), round(time.time() - t0, 1))
         assert q12.num_rows > 0 and len(dedup) > 0
+        # two grouped censuses, each collected on its own
+        from mee_ray.pipelines.docbuild import docbuild_multi_index
+        t0 = time.time()
+        census = docbuild_multi_index({SF!r}).to_pandas()
+        print("census", len(census), round(time.time() - t0, 1))
+        assert len(census) > 0
     except TimeoutError as ex:
         print(ex)
         code = 3

@@ -276,3 +276,27 @@ def test_vector_lifecycle_fuzz(ray_session, tmp_path, seed):
     s = VectorSearcher(root)
     assert s.m["n_vectors"] == 0
     assert s.search(rng.normal(size=dim), k=5, nprobe=4) == []
+
+
+def test_vecindex_topk_leaves_no_index_behind(ray_session, tmp_path):
+    """vecindex_topk builds its index in a temporary directory removed
+    when the call returns: a call on a fresh copy of the embeddings adds
+    nothing to the temp dir or to the old /tmp/mee_vec_index cache."""
+    import os
+    import shutil
+    import tempfile
+
+    from mee_ray.pipelines.vector import vecindex_topk
+
+    shutil.copy(f"{SF}/embeddings.parquet", tmp_path / "embeddings.parquet")
+
+    def listing():
+        old = "/tmp/mee_vec_index"
+        return (set(os.listdir(tempfile.gettempdir())),
+                set(os.listdir(old)) if os.path.isdir(old) else set())
+
+    before = listing()
+    assert vecindex_topk(str(tmp_path)).num_rows > 0
+    after = listing()
+    assert {n for n in after[0] - before[0] if "vec_index" in n} == set()
+    assert after[1] == before[1]
